@@ -32,8 +32,13 @@
 package main
 
 import (
-	"fbf"
 	"fbf/internal/cli"
+	"fbf/internal/core"
+	"fbf/internal/experiments"
+	"fbf/internal/obs"
+	"fbf/internal/rebuild"
+	"fbf/internal/sim"
+	"fbf/internal/trace"
 	"flag"
 	"fmt"
 	"log"
@@ -87,7 +92,7 @@ func main() {
 	pprofMem := flag.String("pprof-mem", "", "write a heap profile at exit here")
 	flag.Parse()
 
-	params := fbf.DefaultExperimentParams()
+	params := experiments.DefaultParams()
 	params.Seed = *seed
 	if *parallel < 0 {
 		log.Fatalf("bad -parallel %d: must be >= 0", *parallel)
@@ -130,18 +135,18 @@ func main() {
 		}
 		params.CacheSizesMB = sizes
 	}
-	strategy, err := fbf.ParseStrategy(*strategyFlag)
+	strategy, err := core.ParseStrategy(*strategyFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
 	params.Strategy = strategy
 	switch *distFlag {
 	case "uniform":
-		params.Dist = fbf.SizeUniform
+		params.Dist = trace.SizeUniform
 	case "fixed":
-		params.Dist = fbf.SizeFixed
+		params.Dist = trace.SizeFixed
 	case "geometric":
-		params.Dist = fbf.SizeGeometric
+		params.Dist = trace.SizeGeometric
 	default:
 		log.Fatalf("bad -dist %q", *distFlag)
 	}
@@ -189,24 +194,24 @@ func main() {
 	out := os.Stdout
 
 	runFig := func(n int) {
-		var fig *fbf.Figure
+		var fig *experiments.Figure
 		var err error
 		p := params
 		switch n {
 		case 8:
-			fig, err = fbf.Fig8(p)
+			fig, err = experiments.Fig8(p)
 		case 9:
 			if *primesFlag == "" {
 				p.Primes = []int{5, 7, 11, 13}
 			}
-			fig, err = fbf.Fig9(p)
+			fig, err = experiments.Fig9(p)
 		case 10:
-			fig, err = fbf.Fig10(p)
+			fig, err = experiments.Fig10(p)
 		case 11:
 			if *primesFlag == "" {
 				p.Primes = []int{5, 7, 11, 13}
 			}
-			fig, err = fbf.Fig11(p)
+			fig, err = experiments.Fig11(p)
 		default:
 			log.Fatalf("unknown figure %d (have 8, 9, 10, 11)", n)
 		}
@@ -214,12 +219,12 @@ func main() {
 			log.Fatalf("figure %d: %v", n, err)
 		}
 		if *csv {
-			if err := fbf.RenderFigureCSV(out, fig); err != nil {
+			if err := experiments.RenderFigureCSV(out, fig); err != nil {
 				log.Fatal(err)
 			}
 			return
 		}
-		if err := fbf.RenderFigure(out, fig, p.Policies); err != nil {
+		if err := experiments.RenderFigure(out, fig, p.Policies); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -232,19 +237,19 @@ func main() {
 			if *primesFlag == "" {
 				p.Primes = []int{5, 7, 11, 13}
 			}
-			rows, err := fbf.Table4(p)
+			rows, err := experiments.Table4(p)
 			if err != nil {
 				log.Fatalf("table 4: %v", err)
 			}
-			if err := fbf.RenderTable4(out, rows, p.Codes); err != nil {
+			if err := experiments.RenderTable4(out, rows, p.Codes); err != nil {
 				log.Fatal(err)
 			}
 		case 5:
-			points, err := fbf.Sweep(params)
+			points, err := experiments.Sweep(params)
 			if err != nil {
 				log.Fatalf("table 5 sweep: %v", err)
 			}
-			if err := fbf.RenderTable5(out, fbf.Table5(points)); err != nil {
+			if err := experiments.RenderTable5(out, experiments.Table5(points)); err != nil {
 				log.Fatal(err)
 			}
 		default:
@@ -255,11 +260,11 @@ func main() {
 
 	runAblation := func() {
 		p := params
-		rows, err := fbf.SchemeAblation(p)
+		rows, err := experiments.SchemeAblation(p)
 		if err != nil {
 			log.Fatalf("ablation: %v", err)
 		}
-		if err := fbf.RenderSchemeAblation(out, rows); err != nil {
+		if err := experiments.RenderSchemeAblation(out, rows); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -273,11 +278,11 @@ func main() {
 		if *primesFlag == "" {
 			p.Primes = []int{13}
 		}
-		rows, err := fbf.OnlineRecovery(p, fbf.AppWorkload{Seed: p.Seed})
+		rows, err := experiments.OnlineRecovery(p, rebuild.AppWorkload{Seed: p.Seed})
 		if err != nil {
 			log.Fatalf("online: %v", err)
 		}
-		if err := fbf.RenderOnline(out, rows); err != nil {
+		if err := experiments.RenderOnline(out, rows); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -291,11 +296,11 @@ func main() {
 		if *primesFlag == "" {
 			p.Primes = []int{13}
 		}
-		rows, err := fbf.ModeComparison(p)
+		rows, err := experiments.ModeComparison(p)
 		if err != nil {
 			log.Fatalf("modes: %v", err)
 		}
-		if err := fbf.RenderModes(out, rows); err != nil {
+		if err := experiments.RenderModes(out, rows); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -313,24 +318,24 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sc := fbf.ServingSweepConfig{
+		sc := experiments.ServingSweep{
 			Rates: rates, Ops: *servingOps, Seed: p.Seed,
 			ZipfS: *zipfS, WriteFrac: *writeFrac, HotFrac: *hotFrac,
 		}
 		if *sloP99 > 0 {
-			sc.QoS = &fbf.QoSConfig{SLOp99Ms: *sloP99}
+			sc.QoS = &rebuild.QoSConfig{SLOp99Ms: *sloP99}
 		}
-		rows, err := fbf.ServingSweep(p, sc)
+		rows, err := experiments.Serving(p, sc)
 		if err != nil {
 			log.Fatalf("serving: %v", err)
 		}
 		if *csv {
-			if err := fbf.RenderServingCSV(out, rows); err != nil {
+			if err := experiments.RenderServingCSV(out, rows); err != nil {
 				log.Fatal(err)
 			}
 			return
 		}
-		if err := fbf.RenderServing(out, rows); err != nil {
+		if err := experiments.RenderServing(out, rows); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -348,18 +353,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows, err := fbf.Durability(p, fbf.DurabilityConfig{
+		rows, err := experiments.Durability(p, experiments.DurabilityConfig{
 			URERates:        rates,
 			TransientRate:   *transientRate,
 			FaultSeed:       *faultSeed,
 			Trials:          *trials,
-			SecondFailureAt: fbf.SimTime(*secondFailureAt * float64(fbf.Millisecond)),
-			ThirdFailureAt:  fbf.SimTime(*thirdFailureAt * float64(fbf.Millisecond)),
+			SecondFailureAt: sim.Time(*secondFailureAt * float64(sim.Millisecond)),
+			ThirdFailureAt:  sim.Time(*thirdFailureAt * float64(sim.Millisecond)),
 		})
 		if err != nil {
 			log.Fatalf("durability: %v", err)
 		}
-		if err := fbf.RenderDurability(out, rows); err != nil {
+		if err := experiments.RenderDurability(out, rows); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -386,44 +391,44 @@ func main() {
 		if *sizesFlag != "" {
 			sizeMB = params.CacheSizesMB[0]
 		}
-		geom, err := fbf.ResolveGeometry(code, prime)
+		geom, err := experiments.ResolveGeometry(code, prime)
 		if err != nil {
 			log.Fatal(err)
 		}
-		errs, err := fbf.GenerateTrace(geom, fbf.TraceConfig{
+		errs, err := trace.Generate(geom, trace.Config{
 			Groups: params.Groups, Stripes: params.Stripes,
 			Seed: params.Seed, Disk: -1, Dist: params.Dist,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := fbf.SimConfig{
+		cfg := rebuild.Config{
 			Code: geom, Policy: policy, Strategy: params.Strategy,
 			Workers: params.Workers, CacheChunks: params.CacheChunks(sizeMB),
 			ChunkSize: params.ChunkSizeKB * 1024, Stripes: params.Stripes,
 		}
-		var collector *fbf.TraceCollector
+		var collector *obs.Collector
 		if outputs["trace-out"] != nil || outputs["trace-jsonl"] != nil {
-			collector = fbf.NewTraceCollector()
+			collector = obs.NewCollector()
 			cfg.Tracer = collector
 		}
-		var reg *fbf.MetricsRegistry
+		var reg *obs.Registry
 		if outputs["metrics-out"] != nil {
-			reg = fbf.NewMetricsRegistry()
+			reg = obs.NewRegistry()
 			cfg.Metrics = reg
-			cfg.MetricsInterval = fbf.SimTime(*metricsInterval * float64(fbf.Millisecond))
+			cfg.MetricsInterval = sim.Time(*metricsInterval * float64(sim.Millisecond))
 		}
-		res, err := fbf.Run(cfg, errs)
+		res, err := rebuild.Run(cfg, errs)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if f := outputs["trace-out"]; f != nil {
-			if err := fbf.WriteChromeTrace(f, collector.Events()); err != nil {
+			if err := obs.WriteChrome(f, collector.Events()); err != nil {
 				log.Fatalf("-trace-out: %v", err)
 			}
 		}
 		if f := outputs["trace-jsonl"]; f != nil {
-			if err := fbf.WriteTraceJSONL(f, collector.Events()); err != nil {
+			if err := obs.WriteJSONL(f, collector.Events()); err != nil {
 				log.Fatalf("-trace-jsonl: %v", err)
 			}
 		}

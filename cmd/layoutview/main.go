@@ -18,7 +18,9 @@ import (
 	"os"
 	"strings"
 
-	"fbf"
+	"fbf/internal/codes"
+	"fbf/internal/core"
+	"fbf/internal/grid"
 )
 
 func main() {
@@ -31,7 +33,7 @@ func main() {
 	size := flag.Int("size", 0, "number of contiguous bad chunks")
 	flag.Parse()
 
-	code, err := fbf.NewCode(*codeName, *p)
+	code, err := codes.New(*codeName, *p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,9 +41,9 @@ func main() {
 	if *disk < 0 {
 		return
 	}
-	e := fbf.PartialStripeError{Disk: *disk, Row: *row, Size: *size}
-	for _, strategy := range []fbf.Strategy{fbf.StrategyTypical, fbf.StrategyLooped} {
-		scheme, err := fbf.GenerateScheme(code, e, strategy)
+	e := core.PartialStripeError{Disk: *disk, Row: *row, Size: *size}
+	for _, strategy := range []core.Strategy{core.StrategyTypical, core.StrategyLooped} {
+		scheme, err := core.GenerateScheme(code, e, strategy)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +53,7 @@ func main() {
 
 // printLayout draws the stripe grid: D for data, H/D/A-flavored parity
 // markers, with each cell annotated by the chains through it.
-func printLayout(code *fbf.Code) {
+func printLayout(code *codes.Code) {
 	layout := code.Layout()
 	fmt.Printf("%s: %d disks, %d rows per stripe, %d parity cells per stripe\n\n",
 		code, code.Disks(), code.Rows(), len(layout.ParityCells()))
@@ -64,15 +66,15 @@ func printLayout(code *fbf.Code) {
 	for r := 0; r < layout.Rows(); r++ {
 		cells := []string{fmt.Sprintf("row%d", r)}
 		for c := 0; c < layout.Cols(); c++ {
-			cell := fbf.Coord{Row: r, Col: c}
+			cell := grid.Coord{Row: r, Col: c}
 			mark := "d"
 			if layout.IsParity(cell) {
 				mark = "P"
 			}
 			var kinds []string
 			for _, ch := range layout.ChainsThrough(cell) {
-				kinds = append(kinds, map[fbf.ChainKind]string{
-					fbf.Horizontal: "h", fbf.Diagonal: "d", fbf.AntiDiagonal: "a",
+				kinds = append(kinds, map[grid.ChainKind]string{
+					grid.Horizontal: "h", grid.Diagonal: "d", grid.AntiDiagonal: "a",
 				}[ch.Kind])
 			}
 			cells = append(cells, fmt.Sprintf("%s[%s]", mark, strings.Join(dedupe(kinds), "")))
@@ -86,7 +88,7 @@ func printLayout(code *fbf.Code) {
 
 // printScheme reports chain selection, the fetch set and the priority
 // dictionary — the content of the paper's Figure 2/3 and Table III.
-func printScheme(code *fbf.Code, s *fbf.Scheme) {
+func printScheme(code *codes.Code, s *core.Scheme) {
 	fmt.Printf("\n=== %s recovery scheme for %v ===\n", strings.ToUpper(s.Strategy.String()), s.Err)
 	for _, sel := range s.Selected {
 		fetches := make([]string, len(sel.Fetch))

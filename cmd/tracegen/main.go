@@ -13,7 +13,8 @@ import (
 	"log"
 	"os"
 
-	"fbf"
+	"fbf/internal/codes"
+	"fbf/internal/trace"
 )
 
 func main() {
@@ -29,22 +30,22 @@ func main() {
 	fixedSize := flag.Int("size", 0, "error size for -dist fixed")
 	flag.Parse()
 
-	code, err := fbf.NewCode(*codeName, *p)
+	code, err := codes.New(*codeName, *p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var dist fbf.SizeDist
+	var dist trace.SizeDist
 	switch *distName {
 	case "uniform":
-		dist = fbf.SizeUniform
+		dist = trace.SizeUniform
 	case "fixed":
-		dist = fbf.SizeFixed
+		dist = trace.SizeFixed
 	case "geometric":
-		dist = fbf.SizeGeometric
+		dist = trace.SizeGeometric
 	default:
 		log.Fatalf("unknown -dist %q", *distName)
 	}
-	errors, err := fbf.GenerateTrace(code, fbf.TraceConfig{
+	errors, err := trace.Generate(code, trace.Config{
 		Groups:    *groups,
 		Stripes:   *stripes,
 		Seed:      *seed,
@@ -55,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := fbf.WriteTraceCSV(os.Stdout, errors); err != nil {
+	if err := trace.WriteCSV(os.Stdout, errors); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -3,35 +3,17 @@
 // Recovery of Triple Disk Failure Tolerant Arrays" (Li, Ji, Wu, Li,
 // Guo — ICPP 2017).
 //
-// The library has four layers, all re-exported here as the public API:
-//
-//   - Erasure codes (STAR, Triple-Star, TIP, HDD1): stripe layouts with
-//     horizontal/diagonal/anti-diagonal parity chains, generic GF(2)
-//     encode/decode, and exhaustively verified triple-fault tolerance —
-//     plus an Azure-style LRC over GF(256) (the paper's footnote 3).
-//   - Recovery schemes: given a partial stripe error (a contiguous run
-//     of bad chunks on one disk), select a parity chain per lost chunk —
-//     either the conventional horizontal-only scheme or the paper's
-//     direction-looping scheme that maximizes chunk sharing — and derive
-//     the FBF priority dictionary from chain-sharing counts.
-//   - Buffer caches: FIFO, LRU, LFU, ARC, LRU-2, 2Q, LRFU, Belady's
-//     OPT, and the paper's FBF three-queue priority policy.
-//   - Simulation: a deterministic discrete-event disk-array model and
-//     reconstruction engines (SOR with partitioned caches, DOR with one
-//     shared cache) measuring hit ratio, disk reads, response time and
-//     reconstruction time — with online recovery under foreground load,
-//     staggered error detection and byte-level verification — plus an
-//     experiment harness regenerating the paper's Figures 8–11 and
-//     Tables IV–V.
-//
-// A fifth layer runs the same machinery against real bytes: a pluggable
-// chunk store (directory-per-disk, in-memory, object-style) and a
-// rebuild service that repairs killed disks on a filesystem,
-// oracle-checking every recovered chunk (§12 in DESIGN.md; cmd/fbfctl
-// is the operator front end). Rebuilds are crash-safe: a write-ahead
-// journal makes an interrupted repair resumable, a fault-injecting
-// backend wrapper proves it at every crash point, and a watch daemon
-// keeps an array repaired unattended (§13 in DESIGN.md).
+// This file is the library's curated API: the names the programs under
+// examples/ and the root benchmark and regression tests import, and no
+// others (TestFacadeStaysCurated fails on a name nothing imports). It
+// covers the paper's pipeline — erasure codes (STAR, Triple-Star, TIP,
+// HDD1, plus the footnote-3 LRC), recovery-scheme generation with the
+// FBF priority dictionary, the cache policies, error-trace generation,
+// the discrete-event reconstruction engines, and the sweep behind the
+// paper's figures and tables. Fault injection, serving under SLO,
+// tracing and the real-bytes storage engine live in the internal
+// packages and are reached through the commands (cmd/fbfsim,
+// cmd/fbfctl, ...), which import those packages directly.
 //
 // Quick start:
 //
@@ -51,53 +33,57 @@ import (
 	"fbf/internal/experiments"
 	"fbf/internal/grid"
 	"fbf/internal/lrc"
-	"fbf/internal/obs"
 	"fbf/internal/rebuild"
-	"fbf/internal/sim"
-	"fbf/internal/store"
-	"fbf/internal/store/faultstore"
-	"fbf/internal/telemetry"
 	"fbf/internal/trace"
-	"fbf/internal/verify"
-	"fbf/internal/workload"
 )
 
-// Geometry types.
+// Types.
 type (
 	// Coord identifies a chunk within a stripe: C(row, col).
 	Coord = grid.Coord
-	// Chain is one parity chain (cells whose XOR is zero).
-	Chain = grid.Chain
-	// ChainID identifies a chain by direction and index.
-	ChainID = grid.ChainID
-	// ChainKind is a chain direction.
-	ChainKind = grid.ChainKind
-	// Layout is a code's stripe geometry.
-	Layout = grid.Layout
-)
-
-// Chain directions.
-const (
-	Horizontal   = grid.Horizontal
-	Diagonal     = grid.Diagonal
-	AntiDiagonal = grid.AntiDiagonal
-)
-
-// Erasure codes.
-type (
 	// Code is an erasure-code instance (family bound to a prime p).
 	Code = codes.Code
 	// Stripe holds one stripe's chunk contents.
 	Stripe = codes.Stripe
-	// LRC is the Azure-style Local Reconstruction Code over GF(256),
-	// the Reed-Solomon-based counterpart of the paper's footnote 3.
-	LRC = lrc.Code
-	// Geometry is the code view consumed by scheme generation and the
-	// simulation engine; both Code and LRC implement it.
-	Geometry = core.Geometry
+	// ChunkID identifies a chunk on the array (stripe + cell).
+	ChunkID = cache.ChunkID
+	// FBFCache is the paper's three-queue priority policy.
+	FBFCache = core.FBF
+	// PartialStripeError is a contiguous run of bad chunks on one disk.
+	PartialStripeError = core.PartialStripeError
+	// Strategy selects the chain-selection heuristic.
+	Strategy = core.Strategy
+	// TraceConfig parameterizes synthetic error-trace generation.
+	TraceConfig = trace.Config
+	// SimConfig parameterizes one reconstruction run.
+	SimConfig = rebuild.Config
+	// SimResult aggregates one run's metrics.
+	SimResult = rebuild.Result
+	// AppWorkload parameterizes a foreground read stream for online
+	// recovery.
+	AppWorkload = rebuild.AppWorkload
+	// Mode selects SOR or DOR parallelization.
+	Mode = rebuild.Mode
+	// DiskModel is a disk service-time model.
+	DiskModel = disk.Model
 )
 
-// Code constructors and registry.
+// Chain-selection strategies and engine modes.
+const (
+	// StrategyTypical is conventional horizontal-only recovery.
+	StrategyTypical = core.StrategyTypical
+	// StrategyLooped is the paper's direction-looping FBF scheme.
+	StrategyLooped = core.StrategyLooped
+	// StrategyGreedy is the marginal-I/O-minimizing ablation.
+	StrategyGreedy = core.StrategyGreedy
+	// ModeSOR partitions the cache across stripe-oriented workers.
+	ModeSOR = rebuild.ModeSOR
+	// ModeDOR runs one process per disk over one shared cache.
+	ModeDOR = rebuild.ModeDOR
+)
+
+// Functions, in pipeline order: codes, schemes, caches, traces,
+// simulation, experiments.
 var (
 	// NewCode constructs a code by family name ("star", "triplestar",
 	// "tip", "hdd1").
@@ -114,545 +100,36 @@ var (
 	NewTIP = codes.NewTIP
 	// NewHDD1 constructs the HDD1 stand-in (p+1 disks).
 	NewHDD1 = codes.NewHDD1
-	// NewLRC constructs LRC(k, l, g) with the given stripe height.
+	// NewLRC constructs the Azure-style LRC(k, l, g) over GF(256) with
+	// the given stripe height.
 	NewLRC = lrc.New
-	// ResolveGeometry maps an experiment code name ("star", ..., "lrc")
-	// to a geometry.
-	ResolveGeometry = experiments.ResolveGeometry
-)
-
-// Caching.
-type (
-	// CachePolicy is a chunk-cache replacement policy.
-	CachePolicy = cache.Policy
-	// ChunkID identifies a chunk on the array (stripe + cell).
-	ChunkID = cache.ChunkID
-	// CacheStats counts cache events.
-	CacheStats = cache.Stats
-	// FBFCache is the paper's three-queue priority policy.
-	FBFCache = core.FBF
-	// CacheInvalidator is implemented by every registered policy: it
-	// removes a chunk outright (fault escalation, not eviction).
-	CacheInvalidator = cache.Invalidator
-)
-
-// Cache constructors and registry.
-var (
+	// GenerateScheme builds the recovery scheme for one error.
+	GenerateScheme = core.GenerateScheme
 	// NewPolicy constructs a registered policy ("fbf", "fifo", "lru",
 	// "lfu", "arc", "lru2", "2q", "opt") with a capacity in chunks.
 	NewPolicy = cache.New
-	// MustNewPolicy is NewPolicy that panics on error.
-	MustNewPolicy = cache.MustNew
 	// PolicyNames lists the registered policies.
 	PolicyNames = cache.Names
 	// NewFBF constructs the FBF policy directly.
 	NewFBF = core.NewFBF
-)
-
-// Recovery schemes.
-type (
-	// PartialStripeError is a contiguous run of bad chunks on one disk.
-	PartialStripeError = core.PartialStripeError
-	// Scheme is a complete recovery plan for one partial stripe error.
-	Scheme = core.Scheme
-	// SelectedChain records the repair chain chosen for one lost chunk.
-	SelectedChain = core.SelectedChain
-	// Strategy selects the chain-selection heuristic.
-	Strategy = core.Strategy
-)
-
-// Chain-selection strategies.
-const (
-	// StrategyTypical is conventional horizontal-only recovery.
-	StrategyTypical = core.StrategyTypical
-	// StrategyLooped is the paper's direction-looping FBF scheme.
-	StrategyLooped = core.StrategyLooped
-	// StrategyGreedy is the marginal-I/O-minimizing ablation.
-	StrategyGreedy = core.StrategyGreedy
-)
-
-// Scheme functions.
-var (
-	// GenerateScheme builds the recovery scheme for one error.
-	GenerateScheme = core.GenerateScheme
-	// RegenerateScheme re-plans a repair mid-rebuild after escalations
-	// or additional disk failures changed the erasure pattern, falling
-	// back to the GF(2) decoder for cells no single chain can rebuild.
-	RegenerateScheme = core.RegenerateScheme
-	// ParseStrategy converts a strategy name.
-	ParseStrategy = core.ParseStrategy
-)
-
-// Planner is the geometry capability RegenerateScheme uses for its
-// decoder fallback; the XOR code families implement it.
-type Planner = core.Planner
-
-// Workload generation.
-type (
-	// TraceConfig parameterizes synthetic error-trace generation.
-	TraceConfig = trace.Config
-	// SizeDist selects the error-size distribution.
-	SizeDist = trace.SizeDist
-	// WorkloadConfig parameterizes the deterministic open-loop
-	// Zipf/YCSB-style foreground generator serving runs replay.
-	WorkloadConfig = workload.Config
-	// WorkloadGenerator streams foreground operations; the same config
-	// yields a byte-identical stream on any host.
-	WorkloadGenerator = workload.Generator
-	// WorkloadOp is one generated foreground operation.
-	WorkloadOp = workload.Op
-)
-
-// Error-size distributions.
-const (
-	SizeUniform   = trace.SizeUniform
-	SizeFixed     = trace.SizeFixed
-	SizeGeometric = trace.SizeGeometric
-)
-
-// Trace functions.
-var (
 	// GenerateTrace produces partial stripe error groups.
 	GenerateTrace = trace.Generate
 	// WriteTraceCSV serializes a trace.
 	WriteTraceCSV = trace.WriteCSV
 	// ReadTraceCSV parses a serialized trace.
 	ReadTraceCSV = trace.ReadCSV
-	// NewWorkload builds a foreground workload generator.
-	NewWorkload = workload.New
-	// WorkloadArrivalAt is the pure open-loop arrival-time spec
-	// (generator timestamps are exactly this arithmetic).
-	WorkloadArrivalAt = workload.ArrivalAt
-	// WorkloadZipfPMF is the analytic Zipf probability mass function the
-	// generator's stripe draws are chi-square-tested against.
-	WorkloadZipfPMF = workload.ZipfPMF
-)
-
-// Simulation.
-type (
-	// SimConfig parameterizes one reconstruction run.
-	SimConfig = rebuild.Config
-	// SimResult aggregates one run's metrics.
-	SimResult = rebuild.Result
-	// AppWorkload parameterizes a foreground read stream for online
-	// recovery.
-	AppWorkload = rebuild.AppWorkload
-	// ServingConfig parameterizes the heavy-traffic foreground stream of
-	// a serving run (SimConfig.Serving): open-loop Zipf read/write mix
-	// with per-stripe-class latency percentiles and an optional QoS
-	// rebuild throttle.
-	ServingConfig = rebuild.ServingConfig
-	// ServingResult aggregates the foreground stream's metrics
-	// (SimResult.Serving).
-	ServingResult = rebuild.ServingResult
-	// ServingClassStats aggregates one stripe class's served requests.
-	ServingClassStats = rebuild.ServingClassStats
-	// StripeClass labels a foreground request by the repair state of its
-	// target stripe at arrival.
-	StripeClass = rebuild.StripeClass
-	// QoSConfig parameterizes the adaptive AIMD rebuild throttle of a
-	// serving run.
-	QoSConfig = rebuild.QoSConfig
-	// AIMDStep records one judged QoS decision window.
-	AIMDStep = rebuild.AIMDStep
-	// Mode selects SOR or DOR parallelization.
-	Mode = rebuild.Mode
-	// DiskScheduler selects a disk queue discipline.
-	DiskScheduler = disk.Scheduler
-	// DiskModel is a disk service-time model.
-	DiskModel = disk.Model
-	// SimTime is simulated time in nanoseconds (SimConfig's timing
-	// fields and SimResult's latencies use it).
-	SimTime = sim.Time
-	// FixedLatency is the paper's constant-latency disk model.
-	FixedLatency = disk.FixedLatency
-	// Positional is the seek/rotation/transfer disk model.
-	Positional = disk.Positional
-	// FaultConfig arms deterministic fault injection on a run
-	// (SimConfig.Faults): seeded URE/transient rates plus scheduled
-	// whole-disk failures.
-	FaultConfig = rebuild.FaultConfig
-	// DiskFailure schedules one whole-disk failure mid-rebuild.
-	DiskFailure = rebuild.DiskFailure
-	// SimConfigError is the typed validation error for bad SimConfig
-	// fault fields.
-	SimConfigError = rebuild.ConfigError
-	// FaultKind classifies an injected disk fault.
-	FaultKind = disk.FaultKind
-	// FaultPlan decides per-request fault outcomes for one disk.
-	FaultPlan = disk.FaultPlan
-	// SeededFaultPlan is the deterministic hash-seeded FaultPlan.
-	SeededFaultPlan = disk.SeededFaultPlan
-)
-
-// Fault kinds.
-const (
-	FaultNone      = disk.FaultNone
-	FaultTransient = disk.FaultTransient
-	FaultURE       = disk.FaultURE
-	FaultDiskFail  = disk.FaultDiskFail
-)
-
-// Engine modes and disk schedulers.
-const (
-	ModeSOR   = rebuild.ModeSOR
-	ModeDOR   = rebuild.ModeDOR
-	SchedFIFO = disk.SchedFIFO
-	SchedSSTF = disk.SchedSSTF
-	SchedLOOK = disk.SchedLOOK
-)
-
-// Stripe classes of serving-mode foreground requests.
-const (
-	ClassHealthy  = rebuild.ClassHealthy
-	ClassDegraded = rebuild.ClassDegraded
-	ClassLost     = rebuild.ClassLost
-)
-
-// Simulated-time units.
-const (
-	Microsecond = sim.Microsecond
-	Millisecond = sim.Millisecond
-	Second      = sim.Second
-)
-
-// Simulation functions.
-var (
 	// Run executes a reconstruction and returns the metrics.
 	Run = rebuild.Run
-	// AIMDNext is the pure reference spec of one QoS controller decision;
-	// serving runs' recorded traces are model-checked against it.
-	AIMDNext = rebuild.AIMDNext
-	// PaperFixedLatency is the paper's 10 ms disk model.
-	PaperFixedLatency = disk.PaperFixedLatency
 	// NewPositional builds a positional disk model.
 	NewPositional = disk.NewPositional
-	// NewSeededFaultPlan builds a deterministic per-disk fault plan.
-	NewSeededFaultPlan = disk.NewSeededFaultPlan
-)
-
-// Experiments.
-type (
-	// ExperimentParams configures a figure/table sweep.
-	ExperimentParams = experiments.Params
-	// ExperimentPoint is one sweep measurement.
-	ExperimentPoint = experiments.Point
-	// Figure is a reproduced paper figure.
-	Figure = experiments.Figure
-	// DurabilityConfig parameterizes the fault-injection durability
-	// sweep.
-	DurabilityConfig = experiments.DurabilityConfig
-	// DurabilityRow is one durability sweep cell.
-	DurabilityRow = experiments.DurabilityRow
-	// ServingSweepConfig configures the heavy-traffic serving experiment.
-	ServingSweepConfig = experiments.ServingSweep
-	// ServingRow is one latency/throughput frontier point.
-	ServingRow = experiments.ServingRow
-)
-
-// Experiment functions (one per paper artefact, plus renderers).
-var (
 	// DefaultExperimentParams is the paper's configuration.
 	DefaultExperimentParams = experiments.DefaultParams
 	// Sweep runs the full sweep cross product.
 	Sweep = experiments.Sweep
 	// Fig8 reproduces Figure 8 (hit ratio).
 	Fig8 = experiments.Fig8
-	// Fig9 reproduces Figure 9 (disk reads).
-	Fig9 = experiments.Fig9
-	// Fig10 reproduces Figure 10 (response time).
-	Fig10 = experiments.Fig10
-	// Fig11 reproduces Figure 11 (reconstruction time).
-	Fig11 = experiments.Fig11
-	// Table4 reproduces Table IV (FBF overhead).
-	Table4 = experiments.Table4
 	// Table5 reproduces Table V (maximum improvements).
 	Table5 = experiments.Table5
-	// SchemeAblation quantifies chain-selection savings.
-	SchemeAblation = experiments.SchemeAblation
-	// OnlineRecovery runs the foreground-load experiment.
-	OnlineRecovery = experiments.OnlineRecovery
-	// RenderOnline prints the online-recovery table.
-	RenderOnline = experiments.RenderOnline
-	// ModeComparison runs the SOR-vs-DOR ablation.
-	ModeComparison = experiments.ModeComparison
-	// RenderModes prints the SOR-vs-DOR table.
-	RenderModes = experiments.RenderModes
-	// Durability sweeps data-loss probability and repair makespan under
-	// injected faults.
-	Durability = experiments.Durability
-	// RenderDurability prints the durability sweep table.
-	RenderDurability = experiments.RenderDurability
 	// RenderFigure prints a figure as aligned text tables.
 	RenderFigure = experiments.RenderFigure
-	// RenderFigureCSV prints a figure as CSV.
-	RenderFigureCSV = experiments.RenderFigureCSV
-	// RenderTable4 prints Table IV.
-	RenderTable4 = experiments.RenderTable4
-	// RenderTable5 prints Table V.
-	RenderTable5 = experiments.RenderTable5
-	// RenderSchemeAblation prints the scheme ablation table.
-	RenderSchemeAblation = experiments.RenderSchemeAblation
-	// ServingSweep runs the serving experiment: latency/throughput
-	// frontiers per cache policy under rebuild, optionally QoS-throttled.
-	ServingSweep = experiments.Serving
-	// RenderServing prints the serving frontier table.
-	RenderServing = experiments.RenderServing
-	// RenderServingCSV prints the serving frontier as CSV.
-	RenderServingCSV = experiments.RenderServingCSV
-)
-
-// Observability (deterministic tracing and metrics; see "Observability"
-// in DESIGN.md). Attach a TraceCollector or MetricsRegistry to
-// SimConfig.Tracer / SimConfig.Metrics, or to a sweep point through
-// ExperimentParams.Observe; events are stamped in simulated time, so a
-// run's trace is bit-identical across hosts and sweep parallelism.
-type (
-	// Tracer receives the simulation event stream.
-	Tracer = obs.Tracer
-	// TraceEvent is one traced span, instant or counter sample.
-	TraceEvent = obs.Event
-	// TraceCollector is the in-memory Tracer.
-	TraceCollector = obs.Collector
-	// MetricsRegistry samples counters/gauges/histograms on a simulated
-	// -time tick.
-	MetricsRegistry = obs.Registry
-	// TraceSummary is the per-phase breakdown computed from a trace.
-	TraceSummary = obs.Summary
-	// RunObs carries the observability sinks for one sweep point
-	// (ExperimentParams.Observe).
-	RunObs = experiments.RunObs
-)
-
-// Observability functions.
-var (
-	// NewTraceCollector builds an in-memory event sink.
-	NewTraceCollector = obs.NewCollector
-	// ValidateTrace checks an event stream's schema invariants.
-	ValidateTrace = obs.Validate
-	// WriteChromeTrace exports a trace as Chrome trace-event JSON
-	// (chrome://tracing, Perfetto).
-	WriteChromeTrace = obs.WriteChrome
-	// WriteTraceJSONL exports a trace as one JSON event per line.
-	WriteTraceJSONL = obs.WriteJSONL
-	// ReadTraceJSONL parses a JSONL trace.
-	ReadTraceJSONL = obs.ReadJSONL
-	// SummarizeTrace computes the per-phase breakdown of a trace.
-	SummarizeTrace = obs.Summarize
-	// RenderTraceSummary prints a trace summary as text.
-	RenderTraceSummary = obs.RenderSummary
-	// NewMetricsRegistry builds an empty metrics registry.
-	NewMetricsRegistry = obs.NewRegistry
-)
-
-// Verification (byte-level conformance; see "Correctness" in DESIGN.md).
-type (
-	// VerifyStripeConfig parameterizes a recovery conformance sweep.
-	VerifyStripeConfig = verify.StripeConfig
-	// VerifyStripeReport summarizes one conformance sweep.
-	VerifyStripeReport = verify.StripeReport
-	// VerifyCacheConfig parameterizes a cache-policy model check.
-	VerifyCacheConfig = verify.CacheConfig
-	// VerifyCacheReport summarizes one cache-policy model check.
-	VerifyCacheReport = verify.CacheReport
-	// VerifyEscalationReport summarizes one escalated-pattern sweep.
-	VerifyEscalationReport = verify.EscalationReport
-)
-
-// Verification functions.
-var (
-	// VerifyRecovery sweeps every single-disk partial-stripe error
-	// pattern, recovering real bytes through the generated schemes and
-	// cross-checking against the GF(2) decoder oracle.
-	VerifyRecovery = verify.SweepStripes
-	// VerifyCachePolicy model-checks a registered cache policy against
-	// its executable reference specification.
-	VerifyCachePolicy = verify.CheckCache
-	// VerifiedPolicies lists the policies the model checker covers.
-	VerifiedPolicies = verify.CheckedPolicies
-	// VerifyEscalatedRecovery sweeps the regenerated-scheme scenarios of
-	// the fault-injection engine (URE escalations, cascading column
-	// failures, beyond-tolerance loss verdicts) against the gf2 oracle.
-	VerifyEscalatedRecovery = verify.SweepEscalations
-)
-
-// Storage engine (real bytes behind the simulator; see §12 in DESIGN.md).
-type (
-	// StoreBackend is the pluggable chunk-store contract the rebuild
-	// service runs against.
-	StoreBackend = store.Backend
-	// StoreAddr addresses one chunk as (disk, stripe, chunk).
-	StoreAddr = store.Addr
-	// StoreManifest describes an on-disk array: code, prime, geometry,
-	// chunk size.
-	StoreManifest = store.ArrayManifest
-	// DirStore is the directory-per-disk, file-per-chunk backend.
-	DirStore = store.Dir
-	// MemStore is the in-memory backend (tests, experiments).
-	MemStore = store.Mem
-	// RebuildConfig parameterizes one storage-engine rebuild.
-	RebuildConfig = rebuild.ServiceConfig
-	// RebuildResult aggregates one storage-engine rebuild.
-	RebuildResult = rebuild.ServiceResult
-	// RebuildProgress reports per-stripe completion during a rebuild.
-	RebuildProgress = rebuild.Progress
-	// StoreDamageReport is the outcome of a store scan.
-	StoreDamageReport = rebuild.DamageReport
-	// RecoveryOracle is the GF(2) decoder cross-check applied to every
-	// recovered chunk before it is written back.
-	RecoveryOracle = verify.Oracle
-)
-
-// Storage engine functions.
-var (
-	// OpenDirStore opens (creating if needed) a directory-backed store.
-	OpenDirStore = store.OpenDir
-	// NewMemStore builds an empty in-memory store.
-	NewMemStore = store.NewMem
-	// InitStore materializes a full deterministic array into a backend.
-	InitStore = rebuild.InitStore
-	// ScanStore assesses a store's damage against its manifest.
-	ScanStore = rebuild.ScanStore
-	// Rebuild scans and repairs a store through the scheme/cache/
-	// escalation machinery, oracle-checking every recovered chunk.
-	Rebuild = rebuild.RunService
-	// NewRecoveryOracle builds the decoder plan for one lost-cell set.
-	NewRecoveryOracle = verify.NewOracle
-)
-
-// Crash safety (journaled resumable rebuilds, fault injection, and the
-// watch daemon; see "Crash consistency & the rebuild journal" in
-// DESIGN.md). Set RebuildConfig.JournalPath to make a rebuild journal
-// its progress and resume after a crash; wrap the backend in a
-// FaultStore to prove it.
-type (
-	// DirStoreOptions tunes the directory backend's durability
-	// (OpenDirStoreWith).
-	DirStoreOptions = store.DirOptions
-	// StoreThrottle is the token-bucket bandwidth limiter backend
-	// wrapper.
-	StoreThrottle = store.Throttle
-	// FaultStore wraps a backend with deterministic seeded fault
-	// injection: EIO, ENOSPC, torn writes, stalls, and crash points.
-	FaultStore = faultstore.Store
-	// FaultStorePlan parameterizes a FaultStore's injected faults.
-	FaultStorePlan = faultstore.Plan
-	// Journal is the append-only CRC-framed write-ahead rebuild journal.
-	Journal = rebuild.Journal
-	// JournalState is the state replayed from a journal on open.
-	JournalState = rebuild.JournalState
-	// JournalScan is a journaled damage-scan summary (the geometry
-	// guard resume checks against the manifest).
-	JournalScan = rebuild.JournalScan
-	// DaemonConfig parameterizes the rebuild watch loop.
-	DaemonConfig = rebuild.DaemonConfig
-	// DaemonResult aggregates one watch loop's lifetime.
-	DaemonResult = rebuild.DaemonResult
-)
-
-// Injected-fault sentinels and journal errors, matchable with errors.Is.
-var (
-	// ErrFaultInjectedIO is FaultStore's injected EIO.
-	ErrFaultInjectedIO = faultstore.ErrInjectedIO
-	// ErrFaultNoSpace is FaultStore's injected ENOSPC.
-	ErrFaultNoSpace = faultstore.ErrNoSpace
-	// ErrFaultCrashed reports a FaultStore crash point was reached and
-	// all further I/O is halted.
-	ErrFaultCrashed = faultstore.ErrCrashed
-	// ErrJournalVersion reports a journal written by a newer format
-	// version.
-	ErrJournalVersion = rebuild.ErrJournalVersion
-)
-
-// Daemon defaults.
-const (
-	DaemonDefaultInterval   = rebuild.DefaultInterval
-	DaemonDefaultRetries    = rebuild.DefaultRetries
-	DaemonDefaultBackoff    = rebuild.DefaultBackoff
-	DaemonDefaultMaxBackoff = rebuild.DefaultMaxBackoff
-)
-
-// Crash-safety functions.
-var (
-	// OpenDirStoreWith opens a directory-backed store with explicit
-	// durability options.
-	OpenDirStoreWith = store.OpenDirWith
-	// NewStoreThrottle wraps a backend with a bytes-per-second budget.
-	NewStoreThrottle = store.NewThrottle
-	// WrapFaultStore puts a fault plan in front of a backend.
-	WrapFaultStore = faultstore.Wrap
-	// OpenJournal opens (creating if needed) a rebuild journal and
-	// replays its longest valid record prefix, truncating any torn tail.
-	OpenJournal = rebuild.OpenJournal
-	// JournalPayloadCRC is the chunk-payload checksum commit records
-	// carry.
-	JournalPayloadCRC = rebuild.PayloadCRC
-	// RunDaemon watches a store, running journaled rebuilds whenever
-	// damage appears, until Stop fires or MaxScans is reached.
-	RunDaemon = rebuild.RunDaemon
-)
-
-// Operational telemetry (wall-clock metrics for live rebuilds; see
-// "Operational telemetry" in DESIGN.md). Instrument a backend, register
-// producers on a MetricsRegistry, and serve /metrics, /healthz and
-// /progress with a MetricsServer — `fbfctl daemon -listen` wires all of
-// it together.
-type (
-	// TelemetryRegistry is the deterministic counter/gauge/histogram
-	// registry with Prometheus text and JSON exposition (wall-clock
-	// operational twin of the simulated-time MetricsRegistry).
-	TelemetryRegistry = telemetry.Registry
-	// TelemetryLabel is one name="value" pair on a registered series.
-	TelemetryLabel = telemetry.Label
-	// TelemetryServer serves a registry over HTTP with health and
-	// progress endpoints.
-	TelemetryServer = telemetry.Server
-	// RebuildProgressTracker is the live phase/progress snapshot source
-	// behind /progress.
-	RebuildProgressTracker = telemetry.ProgressTracker
-	// RebuildMetrics are the rebuild service's producer cells
-	// (RebuildConfig.Metrics).
-	RebuildMetrics = telemetry.RebuildMetrics
-	// DaemonMetrics are the watch daemon's producer cells
-	// (DaemonConfig.Metrics).
-	DaemonMetrics = telemetry.DaemonMetrics
-	// QoSMetrics are the serving-QoS throttle's producer cells,
-	// exported in simulated seconds.
-	QoSMetrics = telemetry.QoSMetrics
-	// InstrumentedStore counts ops/bytes/errors and times every backend
-	// call it forwards.
-	InstrumentedStore = store.Instrumented
-	// StoreOp names one backend operation class (read, write, ...).
-	StoreOp = store.Op
-	// StoreOpStats is one operation class's cumulative counters.
-	StoreOpStats = store.OpStats
-	// StoreThrottleStats is a Throttle's cumulative wait accounting.
-	StoreThrottleStats = store.ThrottleStats
-)
-
-// Telemetry functions.
-var (
-	// NewTelemetryRegistry builds an empty operational-metrics registry.
-	NewTelemetryRegistry = telemetry.NewRegistry
-	// NewTelemetryServer pairs a registry with an optional progress
-	// callback; Start it on an address to serve.
-	NewTelemetryServer = telemetry.NewServer
-	// InstrumentStore wraps a backend with per-op counters and latency
-	// histograms (compose outside a StoreThrottle to include its waits).
-	InstrumentStore = store.Instrument
-	// RegisterStoreMetrics exposes an instrumented backend's counters as
-	// the fbf_store_* families.
-	RegisterStoreMetrics = telemetry.RegisterBackend
-	// RegisterThrottleMetrics exposes a throttle's rate and waits as the
-	// fbf_throttle_* families.
-	RegisterThrottleMetrics = telemetry.RegisterThrottle
-	// NewRebuildMetrics registers the fbf_rebuild_* families and returns
-	// the cells RunService feeds.
-	NewRebuildMetrics = telemetry.NewRebuildMetrics
-	// NewDaemonMetrics registers the fbf_daemon_* families and returns
-	// the cells RunDaemon feeds.
-	NewDaemonMetrics = telemetry.NewDaemonMetrics
-	// NewQoSMetrics registers the fbf_qos_* families and returns the
-	// cells the serving QoS controller feeds.
-	NewQoSMetrics = telemetry.NewQoSMetrics
 )

@@ -2,8 +2,10 @@ package fbf_test
 
 import (
 	"bytes"
-	"errors"
-	"os"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -113,162 +115,88 @@ func TestPublicAPITraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPublicAPIStorageEngine exercises the storage-engine facade the
-// way the README's fbfctl quick-start does: init → kill a disk →
-// rebuild → verify, all through re-exported names.
-func TestPublicAPIStorageEngine(t *testing.T) {
-	m := fbf.StoreManifest{Code: "star", P: 5, Disks: 8, Rows: 4, Stripes: 2, ChunkSize: 64}
-	b := fbf.NewMemStore()
-	if err := fbf.InitStore(b, m, 7); err != nil {
-		t.Fatal(err)
-	}
-	addrs, err := b.List(3)
+// TestFacadeStaysCurated keeps fbf.go from growing a name per PR: every
+// exported name must be imported as fbf.<Name> by a program under
+// examples/ or a root test, and commands import the internal packages
+// directly, never the facade.
+func TestFacadeStaysCurated(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "fbf.go", nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(addrs) != m.Rows*m.Stripes {
-		t.Fatalf("disk 3 holds %d chunks, want %d", len(addrs), m.Rows*m.Stripes)
+	users, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range addrs {
-		if err := b.Delete(a); err != nil {
+	examples, err := filepath.Glob("examples/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, path := range append(users, examples...) {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "fbf" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
 	}
-	res, err := fbf.Rebuild(fbf.RebuildConfig{Backend: b, Manifest: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DataLoss || res.ChunksRebuilt != m.Rows*m.Stripes || res.ChunksVerified != res.ChunksRebuilt {
-		t.Fatalf("rebuild through facade: %+v", res)
-	}
-	rep, err := fbf.ScanStore(b, m, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("store not clean after facade rebuild: %+v", rep)
-	}
-}
-
-// TestPublicAPICrashSafety exercises the crash-safety facade: a
-// journaled rebuild crashed by an injected fault plan resumes to a
-// clean store, and the watch daemon drives the same repair end to end.
-func TestPublicAPICrashSafety(t *testing.T) {
-	m := fbf.StoreManifest{Code: "star", P: 5, Disks: 8, Rows: 4, Stripes: 2, ChunkSize: 64}
-	root := t.TempDir()
-	d, err := fbf.OpenDirStoreWith(filepath.Join(root, "array"), fbf.DirStoreOptions{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fbf.InitStore(d, m, 7); err != nil {
-		t.Fatal(err)
-	}
-	addrs, err := d.List(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range addrs {
-		if err := d.Delete(a); err != nil {
-			t.Fatal(err)
+	exported := 0
+	check := func(name *ast.Ident) {
+		if !name.IsExported() {
+			return
+		}
+		exported++
+		if !used[name.Name] {
+			t.Errorf("fbf.%s is imported by no example and no root test: drop it from fbf.go", name.Name)
 		}
 	}
-
-	journal := filepath.Join(root, "rebuild.journal")
-	faulty := fbf.WrapFaultStore(d, fbf.FaultStorePlan{Seed: 1, CrashAfterOps: 40})
-	_, err = fbf.Rebuild(fbf.RebuildConfig{Backend: faulty, Manifest: m, JournalPath: journal})
-	if !errors.Is(err, fbf.ErrFaultCrashed) {
-		t.Fatalf("crashed rebuild returned %v, want ErrFaultCrashed", err)
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				check(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					check(sp.Name)
+				case *ast.ValueSpec:
+					for _, name := range sp.Names {
+						check(name)
+					}
+				}
+			}
+		}
+	}
+	if exported == 0 {
+		t.Fatal("parsed no exported names out of fbf.go")
 	}
 
-	throttled, err := fbf.NewStoreThrottle(d, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dres, err := fbf.RunDaemon(fbf.DaemonConfig{
-		Service:  fbf.RebuildConfig{Backend: throttled, Manifest: m, JournalPath: journal},
-		MaxScans: 1,
+	err = filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"fbf"` {
+				t.Errorf("%s imports the facade; commands import fbf/internal/... directly", path)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if dres.DataLoss || dres.Interrupted || dres.Scans != 1 || dres.Last == nil {
-		t.Fatalf("daemon through facade: %+v", dres)
-	}
-	rep, err := fbf.ScanStore(d, m, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("store not clean after facade resume: %+v", rep)
-	}
-	if _, err := os.Stat(journal); !os.IsNotExist(err) {
-		t.Fatalf("journal survives completed resume: %v", err)
-	}
-}
-
-// TestPublicAPIServing exercises the serving surface through the
-// facade: workload generator, a QoS-throttled serving run, and the
-// frontier sweep.
-func TestPublicAPIServing(t *testing.T) {
-	gen, err := fbf.NewWorkload(fbf.WorkloadConfig{
-		Ops: 10, Rate: 100, Stripes: 8,
-		Cells: []fbf.Coord{{Row: 0, Col: 0}}, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, ok := gen.Next()
-	if !ok || op.At != fbf.WorkloadArrivalAt(0, 100) {
-		t.Fatalf("generator broken through facade: %+v ok=%v", op, ok)
-	}
-	if pmf := fbf.WorkloadZipfPMF(1.5, 4); len(pmf) != 4 {
-		t.Fatalf("ZipfPMF broken through facade: %v", pmf)
-	}
-	if next := fbf.AIMDNext(100, true, fbf.QoSConfig{SLOp99Ms: 50}); next != 50 {
-		t.Fatalf("AIMDNext broken through facade: %v", next)
-	}
-
-	code := fbf.MustNewCode("tip", 7)
-	errs, err := fbf.GenerateTrace(code, fbf.TraceConfig{Groups: 8, Stripes: 128, Seed: 2, Disk: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := fbf.Run(fbf.SimConfig{
-		Code: code, Policy: "lru", Strategy: fbf.StrategyLooped,
-		Workers: 4, CacheChunks: 32, Stripes: 128,
-		Serving: &fbf.ServingConfig{
-			Ops: 200, Rate: 500, ZipfS: 1.2, WriteFrac: 0.1, HotFrac: 0.3, Seed: 5,
-			QoS: &fbf.QoSConfig{SLOp99Ms: 50},
-		},
-	}, errs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := res.Serving
-	if sr == nil || sr.Ops() == 0 || sr.Hist.Total() != sr.Ops() {
-		t.Fatalf("serving result broken through facade: %+v", sr)
-	}
-	if sr.Classes[fbf.ClassHealthy].Ops+sr.Classes[fbf.ClassDegraded].Ops+sr.Classes[fbf.ClassLost].Ops != sr.Ops() {
-		t.Fatal("class split broken through facade")
-	}
-
-	params := fbf.DefaultExperimentParams()
-	params.Codes = []string{"tip"}
-	params.Primes = []int{5}
-	params.Policies = []string{"lru"}
-	params.CacheSizesMB = []int{1}
-	params.Groups = 8
-	params.Stripes = 128
-	params.Workers = 4
-	rows, err := fbf.ServingSweep(params, fbf.ServingSweepConfig{Rates: []float64{200}, Ops: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := fbf.RenderServing(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "SERVING") {
-		t.Error("serving rendering broken through facade")
 	}
 }

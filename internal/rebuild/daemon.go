@@ -55,9 +55,11 @@ type DaemonConfig struct {
 	// outcomes, retries, shutdown).
 	Logf func(format string, args ...any)
 
-	// Metrics, when non-nil, receives live watch-loop telemetry (scan
-	// cycles, backoff state) and drives its Tracker through the loop's
-	// phases — the state behind `fbfctl daemon -listen`'s /progress.
+	// Metrics, when non-nil, exports the watch loop's cells (scan
+	// cycles, backoff state) and its Tracker, which the loop drives
+	// through its phases — the state behind `fbfctl daemon -listen`'s
+	// /progress. Build it with telemetry.NewDaemonMetrics; nil counts on
+	// a private struct.
 	Metrics *telemetry.DaemonMetrics
 
 	// after is the timer seam (time.After when nil) so tests drive the
@@ -102,27 +104,14 @@ func (c *DaemonConfig) defaults() {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-}
-
-// stopped reports whether Stop has fired.
-func (c *DaemonConfig) stopped() bool {
-	if c.Stop == nil {
-		return false
-	}
-	select {
-	case <-c.Stop:
-		return true
-	default:
-		return false
+	if c.Metrics == nil {
+		c.Metrics = &telemetry.DaemonMetrics{Tracker: telemetry.NewProgressTracker()}
 	}
 }
 
-// wait sleeps d or until Stop, reporting whether Stop ended it.
+// wait sleeps d or until Stop (never, when nil), reporting whether Stop
+// ended it.
 func (c *DaemonConfig) wait(d time.Duration) bool {
-	if c.Stop == nil {
-		<-c.after(d)
-		return false
-	}
 	select {
 	case <-c.Stop:
 		return true
@@ -147,100 +136,94 @@ func RunDaemon(cfg DaemonConfig) (*DaemonResult, error) {
 	}
 	cfg.Service.Stop = cfg.Stop
 	mt := cfg.Metrics
-	if mt != nil && mt.Tracker != nil {
-		// Chain the service's per-stripe Progress into the tracker so
-		// /progress follows the pass in flight; the caller's own hook
-		// still fires.
-		tracker, orig := mt.Tracker, cfg.Service.Progress
-		cfg.Service.Progress = func(p Progress) {
-			tracker.Stripe(p.Stripe, p.StripesDone, p.StripesTotal, p.ChunksRebuilt)
-			if orig != nil {
-				orig(p)
-			}
-		}
-	}
-	setPhase := func(phase string) {
-		if mt != nil && mt.Tracker != nil {
-			mt.Tracker.SetPhase(phase)
+	// Chain the service's per-stripe Progress into the tracker so
+	// /progress follows the pass in flight; the caller's own hook still
+	// fires.
+	tracker, orig := mt.Tracker, cfg.Service.Progress
+	cfg.Service.Progress = func(p Progress) {
+		tracker.Stripe(p.Stripe, p.StripesDone, p.StripesTotal, p.ChunksRebuilt)
+		if orig != nil {
+			orig(p)
 		}
 	}
 
+	// The cells are the loop's only pass counters; they may be shared
+	// with an earlier loop, so the result reports their change since
+	// entry.
 	res := &DaemonResult{}
+	scans0, rebuilds0, retries0 := mt.Scans.Value(), mt.Rebuilds.Value(), mt.Retries.Value()
+	defer func() {
+		tracker.SetPhase("stopped")
+		res.Scans = int(mt.Scans.Value() - scans0)
+		res.Rebuilds = int(mt.Rebuilds.Value() - rebuilds0)
+		res.Retries = int(mt.Retries.Value() - retries0)
+	}()
 	failures := 0
+	var backoff time.Duration
 	for {
-		if cfg.stopped() {
+		if stopRequested(cfg.Stop) {
 			res.Interrupted = true
-			setPhase("stopped")
 			return res, nil
 		}
-		res.Scans++
-		if mt != nil {
-			mt.Scans.Inc()
-			if mt.Tracker != nil {
-				mt.Tracker.Scan()
-			}
-		}
+		mt.Scans.Inc()
+		tracker.Scan()
+		scan := int(mt.Scans.Value() - scans0)
 		sres, err := RunService(cfg.Service)
 		if err != nil {
 			failures++
-			res.Retries++
+			mt.Retries.Inc()
 			if cfg.Retries < 0 || failures > cfg.Retries {
-				setPhase("stopped")
 				return res, fmt.Errorf("rebuild daemon: giving up after %d consecutive failures: %w", failures, err)
 			}
-			backoff := min(cfg.Backoff<<(failures-1), cfg.MaxBackoff)
-			if mt != nil {
-				mt.Retries.Inc()
-				mt.Failures.Set(float64(failures))
-				mt.Backoff.Set(backoff.Seconds())
+			// Double up to MaxBackoff without ever forming a product
+			// beyond it: Backoff<<(failures-1) wraps negative at the 35th
+			// consecutive failure of a 1 s base.
+			switch {
+			case failures == 1:
+				backoff = min(cfg.Backoff, cfg.MaxBackoff)
+			case backoff > cfg.MaxBackoff/2:
+				backoff = cfg.MaxBackoff
+			default:
+				backoff *= 2
 			}
-			setPhase("backoff")
+			mt.Failures.Set(float64(failures))
+			mt.Backoff.Set(backoff.Seconds())
+			tracker.SetPhase("backoff")
 			cfg.Logf("rebuild failed (attempt %d/%d), retrying in %v: %v", failures, cfg.Retries, backoff, err)
 			if cfg.wait(backoff) {
 				res.Interrupted = true
-				setPhase("stopped")
 				return res, nil
 			}
 			continue
 		}
 		failures = 0
-		if mt != nil {
-			mt.Failures.Set(0)
-			mt.Backoff.Set(0)
-		}
+		mt.Failures.Set(0)
+		mt.Backoff.Set(0)
 		res.Last = sres
 		res.StripesRepaired += sres.StripesRepaired
 		res.ChunksRebuilt += sres.ChunksRebuilt
 		if sres.DataLoss {
 			res.DataLoss = true
-			cfg.Logf("scan %d: DATA LOSS — %d chunks unrecoverable", res.Scans, len(sres.Lost))
+			cfg.Logf("scan %d: DATA LOSS — %d chunks unrecoverable", scan, len(sres.Lost))
 		}
 		switch {
 		case sres.Interrupted:
 			res.Interrupted = true
-			setPhase("stopped")
-			cfg.Logf("scan %d: interrupted after %d stripes; journal kept at offset %d", res.Scans, sres.StripesRepaired, sres.JournalOffset)
+			cfg.Logf("scan %d: interrupted after %d stripes; journal kept at offset %d", scan, sres.StripesRepaired, sres.JournalOffset)
 			return res, nil
 		case sres.Report.Clean() && sres.ChunksRebuilt == 0:
-			cfg.Logf("scan %d: clean", res.Scans)
+			cfg.Logf("scan %d: clean", scan)
 		default:
-			res.Rebuilds++
-			if mt != nil {
-				mt.Rebuilds.Inc()
-				if mt.Tracker != nil {
-					mt.Tracker.Rebuilt()
-				}
-			}
-			cfg.Logf("scan %d: rebuilt %d chunks in %d stripes", res.Scans, sres.ChunksRebuilt, sres.StripesRepaired)
+			mt.Rebuilds.Inc()
+			tracker.Rebuilt()
+			cfg.Logf("scan %d: rebuilt %d chunks in %d stripes", scan, sres.ChunksRebuilt, sres.StripesRepaired)
 		}
-		if cfg.MaxScans > 0 && res.Scans >= cfg.MaxScans {
-			setPhase("stopped")
+		if cfg.MaxScans > 0 && scan >= cfg.MaxScans {
 			return res, nil
 		}
-		setPhase("watching")
+		tracker.SetPhase("watching")
 		if cfg.wait(cfg.Interval) {
 			res.Interrupted = true
-			setPhase("stopped")
 			return res, nil
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fbf/internal/store"
+	"fbf/internal/store/faultstore"
 )
 
 // instantAfter is the timer seam for daemon tests: every wait fires
@@ -107,6 +108,38 @@ func TestDaemonRetriesTransientFaults(t *testing.T) {
 	}
 }
 
+// TestDaemonBackoffSaturates pins the delay against a store that never
+// recovers: doubling must stop at MaxBackoff instead of shifting past
+// it (a 1 s base shifted 34 times is negative, 64 times zero — a timer
+// that fires at once, i.e. a hot loop).
+func TestDaemonBackoffSaturates(t *testing.T) {
+	m := testManifest("star", 5, 1, 32)
+	flaky := &flakyBackend{Backend: initMem(t, m, resumeSeed), failures: 1 << 30}
+	var waits []time.Duration
+	_, err := RunDaemon(DaemonConfig{
+		Service: daemonService(t, flaky, m),
+		Retries: 80,
+		after: func(d time.Duration) <-chan time.Time {
+			waits = append(waits, d)
+			return instantAfter(d)
+		},
+	})
+	if !errors.Is(err, errFlaky) {
+		t.Fatalf("exhausted daemon returned %v, want the transient error", err)
+	}
+	if len(waits) != 80 {
+		t.Fatalf("waited %d times, want one per retry (80)", len(waits))
+	}
+	for i, d := range waits {
+		if d <= 0 || d > DefaultMaxBackoff || (i > 0 && d < waits[i-1]) {
+			t.Fatalf("backoff %d = %v after %v: want non-decreasing in (0, %v]", i+1, d, waits[:i], DefaultMaxBackoff)
+		}
+	}
+	if waits[0] != DefaultBackoff || waits[79] != DefaultMaxBackoff {
+		t.Fatalf("backoff runs %v … %v, want %v … %v", waits[0], waits[79], DefaultBackoff, DefaultMaxBackoff)
+	}
+}
+
 // TestDaemonGivesUpAfterRetryBudget pins the failure exit: persistent
 // errors exhaust the budget and surface as a daemon error.
 func TestDaemonGivesUpAfterRetryBudget(t *testing.T) {
@@ -168,6 +201,42 @@ func TestDaemonGracefulStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Interrupted || res.DataLoss || res.Last.ResumedCommits != 2 {
+		t.Fatalf("daemon resume: %+v (last %+v)", res, res.Last)
+	}
+	checkAgainstGroundTruth(t, d, m, resumeSeed)
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("journal survives completed daemon resume: %v", err)
+	}
+}
+
+// TestDaemonResumesCrashedRebuild composes the crash-safety pieces end
+// to end: a journaled rebuild killed by an injected crash point leaves
+// its journal behind, and a daemon reading the same medium through a
+// bandwidth throttle resumes it to a byte-exact, journal-free store.
+func TestDaemonResumesCrashedRebuild(t *testing.T) {
+	m := testManifest("star", 5, 2, 64)
+	root := t.TempDir()
+	journal := filepath.Join(root, "rebuild.journal")
+	crashing := faultstore.Wrap(initResumeDir(t, root, m), faultstore.Plan{Seed: 1, CrashAfterOps: 150, TornWrites: true})
+	_, err := RunService(ServiceConfig{Backend: crashing, Manifest: m, JournalPath: journal})
+	if !errors.Is(err, faultstore.ErrCrashed) {
+		t.Fatalf("crashed rebuild returned %v, want ErrCrashed", err)
+	}
+
+	d := openResumeDir(t, root)
+	throttled, err := store.NewThrottle(d, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunDaemon(DaemonConfig{
+		Service:  ServiceConfig{Backend: throttled, Manifest: m, JournalPath: journal},
+		MaxScans: 1,
+		after:    instantAfter,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DataLoss || res.Interrupted || res.Scans != 1 || res.Rebuilds != 1 || res.Last.ResumedCommits == 0 {
 		t.Fatalf("daemon resume: %+v (last %+v)", res, res.Last)
 	}
 	checkAgainstGroundTruth(t, d, m, resumeSeed)

@@ -6,7 +6,6 @@ import (
 
 	"fbf/internal/sim"
 	"fbf/internal/stats"
-	"fbf/internal/telemetry"
 )
 
 // QoS plumbing for serving runs: an adaptive per-disk token-bucket
@@ -35,13 +34,6 @@ type QoSConfig struct {
 	Increase    float64 // additive step per compliant window (default 10)
 	Decrease    float64 // multiplicative factor on an SLO breach, in (0,1) (default 0.5)
 	Burst       float64 // token-bucket depth in I/Os (default 4)
-
-	// Metrics, when non-nil, receives the controller's live state —
-	// current AIMD rate, windows judged, breaches, last window p99 vs
-	// the SLO, accumulated throttle delay — at every decision tick.
-	// The controller runs in simulated time, so the latency gauges
-	// report simulated seconds.
-	Metrics *telemetry.QoSMetrics
 }
 
 // withDefaults returns a copy with unset knobs filled in.
@@ -162,10 +154,6 @@ func newQoSController(cfg QoSConfig, disks int) *qosController {
 	if err != nil {
 		panic(fmt.Sprintf("rebuild: qos window histogram: %v", err)) // fixed valid bounds
 	}
-	if mt := d.Metrics; mt != nil {
-		mt.Rate.Set(d.InitialRate)
-		mt.SLO.Set(d.SLOp99Ms / 1e3)
-	}
 	return &qosController{cfg: d, rate: d.InitialRate, window: h, buckets: make([]tokenBucket, disks)}
 }
 
@@ -190,14 +178,6 @@ func (q *qosController) tick(now sim.Time) {
 	})
 	q.rate = next
 	q.window.Reset()
-	if mt := q.cfg.Metrics; mt != nil {
-		mt.Windows.Inc()
-		if breached {
-			mt.Breaches.Inc()
-		}
-		mt.Rate.Set(next)
-		mt.WindowP99.Set(p99 / 1e3)
-	}
 }
 
 // gate reserves one rebuild I/O slot on the given disk's bucket and
@@ -210,9 +190,6 @@ func (q *qosController) gate(disk int, now sim.Time) sim.Time {
 	at := q.buckets[disk].reserve(now, q.rate, q.cfg.Burst)
 	if at > now {
 		q.throttleDelay += at - now
-		if mt := q.cfg.Metrics; mt != nil {
-			mt.ThrottleDelay.Set(float64(q.throttleDelay) / float64(sim.Second))
-		}
 	}
 	return at
 }

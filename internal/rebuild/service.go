@@ -84,8 +84,11 @@ type ServiceConfig struct {
 	// the hook fbfctl turns into mdadm-style percent-complete lines.
 	Progress func(Progress)
 
-	// Metrics, when non-nil, receives live wall-clock telemetry as the
-	// repair advances (scrapeable mid-run); nil runs take no extra work.
+	// Metrics are the cells every repair event is counted on, live as
+	// the repair advances (scrapeable mid-run when registered on a
+	// telemetry.Registry). ServiceResult's counters are their change over
+	// the run, so one set may be shared across passes. Nil counts on a
+	// private set nothing exports.
 	Metrics *telemetry.RebuildMetrics
 }
 
@@ -114,6 +117,9 @@ func (c *ServiceConfig) defaults() {
 	}
 	if c.Priority == "" {
 		c.Priority = PrioritySequential
+	}
+	if c.Metrics == nil {
+		c.Metrics = new(telemetry.RebuildMetrics)
 	}
 }
 
@@ -324,7 +330,8 @@ func ScanStore(b store.Backend, m store.ArrayManifest, scrub bool) (*DamageRepor
 	return report, nil
 }
 
-// ServiceResult aggregates one service run.
+// ServiceResult aggregates one service run. Its event counters are
+// ServiceConfig.Metrics' change over the run (see tally).
 type ServiceResult struct {
 	Report *DamageReport
 
@@ -408,10 +415,8 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 		return nil, err
 	}
 	res := &ServiceResult{Report: report}
-	if m := cfg.Metrics; m != nil {
-		m.ScanMissing.Set(float64(report.MissingChunks))
-		m.ScanCorrupt.Set(float64(report.CorruptChunks))
-	}
+	cfg.Metrics.ScanMissing.Set(float64(report.MissingChunks))
+	cfg.Metrics.ScanCorrupt.Set(float64(report.CorruptChunks))
 	if cfg.CheckOnly {
 		return res, nil
 	}
@@ -427,7 +432,8 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 		return res, nil
 	}
 
-	s := &service{cfg: &cfg, code: code, res: res, pool: chunk.NewPool(cfg.Manifest.ChunkSize), journal: jn}
+	s := &service{cfg: &cfg, m: cfg.Metrics, code: code, res: res, pool: chunk.NewPool(cfg.Manifest.ChunkSize), journal: jn}
+	tally(s.m, &ServiceResult{}, &s.base)
 	if cfg.CacheChunks > 0 {
 		s.policy, err = cache.New(cfg.Policy, cfg.CacheChunks)
 		if err != nil {
@@ -440,14 +446,9 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 	}
 
 	err = s.execute(jstate)
-	if s.policy != nil {
-		st := s.policy.Stats()
-		res.CacheHits, res.CacheMisses = st.Hits, st.Misses
-	}
+	tally(s.m, &s.base, res)
 	res.DataLoss = len(res.Lost) > 0
-	if m := cfg.Metrics; m != nil {
-		m.DataLossChunks.Set(float64(len(res.Lost)))
-	}
+	s.m.DataLossChunks.Set(float64(len(res.Lost)))
 	if jn != nil {
 		res.JournalOffset = jn.Offset()
 		if err != nil || res.Interrupted {
@@ -461,10 +462,7 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 		} else {
 			// Clean completion: mark done, then remove — the done
 			// record covers a crash inside this window.
-			if m := cfg.Metrics; m != nil {
-				m.JournalRecords.Inc()
-			}
-			ferr := jn.AppendDone()
+			ferr := s.journaled(jn.AppendDone())
 			if ferr == nil {
 				ferr = jn.Sync()
 			}
@@ -485,29 +483,52 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 	return res, nil
 }
 
+// tally fills dst's counter fields with the cells' values less base's.
+// The cells are cumulative — a daemon shares one set across passes — so
+// a run tallies them into its base at entry (against a zero base) and
+// reports their change since.
+func tally(m *telemetry.RebuildMetrics, base, dst *ServiceResult) {
+	dst.StripesRepaired = int(m.StripesDone.Value()) - base.StripesRepaired
+	dst.ChunksRebuilt = int(m.ChunksRebuilt.Value()) - base.ChunksRebuilt
+	dst.ChunksVerified = int(m.ChunksVerified.Value()) - base.ChunksVerified
+	dst.ChunksDecoded = int(m.ChunksDecoded.Value()) - base.ChunksDecoded
+	dst.DiskReads = m.DiskReads.Value() - base.DiskReads
+	dst.VerifyReads = m.VerifyReads.Value() - base.VerifyReads
+	dst.CacheHits = m.CacheHits.Value() - base.CacheHits
+	dst.CacheMisses = m.CacheMisses.Value() - base.CacheMisses
+	dst.Escalations = int(m.Escalations.Value()) - base.Escalations
+	dst.Regenerations = int(m.Regenerations.Value()) - base.Regenerations
+	dst.BytesWritten = int64(m.BytesWritten.Value()) - base.BytesWritten
+	dst.ResumedCommits = int(m.ResumedCommits.Value()) - base.ResumedCommits
+	dst.ResumeVerified = int(m.ResumedVerified.Value()) - base.ResumeVerified
+}
+
+// journaled counts a journal append that succeeded, so JournalRecords
+// never exceeds the records on media.
+func (s *service) journaled(err error) error {
+	if err == nil {
+		s.m.JournalRecords.Inc()
+	}
+	return err
+}
+
 // execute runs the repair pass: resume verification of journaled
 // commits, stripe ordering, and the repair loop with graceful-stop
 // checks between stripes.
 func (s *service) execute(jstate *JournalState) error {
 	cfg, res, report := s.cfg, s.res, s.res.Report
 	if s.journal != nil {
-		res.ResumedCommits = len(jstate.Commits)
-		if mt := cfg.Metrics; mt != nil {
-			mt.ResumedCommits.Add(uint64(res.ResumedCommits))
-		}
+		s.m.ResumedCommits.Add(uint64(len(jstate.Commits)))
 		if err := s.verifyResumed(jstate); err != nil {
 			return err
 		}
 		m := cfg.Manifest
-		if err := s.journal.AppendScan(JournalScan{
+		if err := s.journaled(s.journal.AppendScan(JournalScan{
 			Disks: m.Disks, Rows: m.Rows, Stripes: m.Stripes, ChunkSize: m.ChunkSize,
 			Missing: report.MissingChunks, Corrupt: report.CorruptChunks,
 			DamagedStripes: len(report.Stripes),
-		}); err != nil {
+		})); err != nil {
 			return err
-		}
-		if mt := cfg.Metrics; mt != nil {
-			mt.JournalRecords.Inc()
 		}
 		if err := s.journal.Sync(); err != nil {
 			return err
@@ -523,11 +544,9 @@ func (s *service) execute(jstate *JournalState) error {
 			return order[i].Stripe < order[j].Stripe
 		})
 	}
-	if mt := cfg.Metrics; mt != nil {
-		mt.StripesPlanned.Add(uint64(len(order)))
-	}
+	s.m.StripesPlanned.Add(uint64(len(order)))
 	for _, d := range order {
-		if s.stopRequested() {
+		if stopRequested(s.cfg.Stop) {
 			res.Interrupted = true
 		}
 		if res.Interrupted {
@@ -541,11 +560,9 @@ func (s *service) execute(jstate *JournalState) error {
 			// finished and committed, but the stripe was not.
 			break
 		}
-		res.StripesRepaired++
-		if mt := cfg.Metrics; mt != nil {
-			mt.StripesDone.Inc()
-			mt.Percent.Set(float64(Progress{StripesTotal: len(order), StripesDone: res.StripesRepaired}.Percent()))
-		}
+		s.m.StripesDone.Inc()
+		tally(s.m, &s.base, res)
+		s.m.Percent.Set(float64(Progress{StripesTotal: len(order), StripesDone: res.StripesRepaired}.Percent()))
 		if cfg.Progress != nil {
 			cfg.Progress(Progress{Stripe: d.Stripe, StripesTotal: len(order), StripesDone: res.StripesRepaired, ChunksRebuilt: res.ChunksRebuilt})
 		}
@@ -553,13 +570,11 @@ func (s *service) execute(jstate *JournalState) error {
 	return nil
 }
 
-// stopRequested polls the graceful-shutdown channel.
-func (s *service) stopRequested() bool {
-	if s.cfg.Stop == nil {
-		return false
-	}
+// stopRequested polls a graceful-shutdown channel; a nil channel never
+// fires.
+func stopRequested(stop <-chan struct{}) bool {
 	select {
-	case <-s.cfg.Stop:
+	case <-stop:
 		return true
 	default:
 		return false
@@ -619,10 +634,7 @@ func (s *service) verifyResumed(st *JournalState) error {
 						readErr = rerr
 						return rerr
 					}
-					s.res.VerifyReads++
-					if mt := s.cfg.Metrics; mt != nil {
-						mt.VerifyReads.Inc()
-					}
+					s.m.VerifyReads.Inc()
 					return nil
 				})
 				switch {
@@ -641,10 +653,7 @@ func (s *service) verifyResumed(st *JournalState) error {
 					continue
 				}
 			}
-			s.res.ResumeVerified++
-			if mt := s.cfg.Metrics; mt != nil {
-				mt.ResumedVerified.Inc()
-			}
+			s.m.ResumedVerified.Inc()
 		}
 	}
 	return nil
@@ -679,15 +688,15 @@ func (s *service) flagResumedCorrupt(stripe int, cell grid.Coord) {
 	}
 	d.Corrupt = mergeCell(d.Corrupt, cell)
 	report.CorruptChunks++
-	if mt := s.cfg.Metrics; mt != nil {
-		mt.ResumedCorrupt.Inc()
-		mt.ScanCorrupt.Set(float64(report.CorruptChunks))
-	}
+	s.m.ResumedCorrupt.Inc()
+	s.m.ScanCorrupt.Set(float64(report.CorruptChunks))
 }
 
 // service is the run state of one RunService call.
 type service struct {
 	cfg  *ServiceConfig
+	m    *telemetry.RebuildMetrics // cfg.Metrics: the run's only event counters
+	base ServiceResult             // m's tally at entry
 	code *codes.Code
 	res  *ServiceResult
 	pool *chunk.Pool
@@ -774,11 +783,8 @@ func (s *service) repairStripe(d StripeDamage) error {
 		s.loseCell(d.Stripe, c)
 	}
 	if s.journal != nil {
-		if err := s.journal.AppendPlan(d.Stripe, lost); err != nil {
+		if err := s.journaled(s.journal.AppendPlan(d.Stripe, lost)); err != nil {
 			return err
-		}
-		if mt := s.cfg.Metrics; mt != nil {
-			mt.JournalRecords.Inc()
 		}
 	}
 
@@ -810,11 +816,8 @@ func (s *service) repairStripe(d StripeDamage) error {
 				return nil
 			}
 			if s.journal != nil {
-				if err := s.journal.AppendStripeDone(d.Stripe); err != nil {
+				if err := s.journaled(s.journal.AppendStripeDone(d.Stripe)); err != nil {
 					return err
-				}
-				if mt := s.cfg.Metrics; mt != nil {
-					mt.JournalRecords.Inc()
 				}
 				if err := s.journal.Sync(); err != nil {
 					return err
@@ -824,10 +827,7 @@ func (s *service) repairStripe(d StripeDamage) error {
 		}
 		// Escalate: the cell joins the lost set; regenerate for the
 		// cells still needing repair (unsolved ones are lost).
-		s.res.Escalations++
-		if mt := s.cfg.Metrics; mt != nil {
-			mt.Escalations.Inc()
-		}
+		s.m.Escalations.Inc()
 		if inv, ok := s.policy.(cache.Invalidator); ok && s.policy != nil {
 			if id := (cache.ChunkID{Stripe: d.Stripe, Cell: *esc}); inv.Invalidate(id) {
 				s.dropBuf(id)
@@ -849,17 +849,11 @@ func (s *service) repairStripe(d StripeDamage) error {
 			// cells): resume verification derives its oracle from this
 			// record, and the full set is what keeps already-repaired
 			// cells solvable while never reading a lost source.
-			if err := s.journal.AppendPlan(d.Stripe, lost); err != nil {
+			if err := s.journaled(s.journal.AppendPlan(d.Stripe, lost)); err != nil {
 				return err
 			}
-			if mt := s.cfg.Metrics; mt != nil {
-				mt.JournalRecords.Inc()
-			}
 		}
-		s.res.Regenerations++
-		if mt := s.cfg.Metrics; mt != nil {
-			mt.Regenerations.Inc()
-		}
+		s.m.Regenerations.Inc()
 		scheme, oracle = plan.scheme, plan.oracle
 		for _, c := range plan.unsolved {
 			s.loseCell(d.Stripe, c)
@@ -879,7 +873,7 @@ func (s *service) replayChains(stripe int, scheme *core.Scheme, oracle *verify.O
 		}
 	}
 	for _, sel := range scheme.Selected {
-		if s.stopRequested() {
+		if stopRequested(s.cfg.Stop) {
 			// Graceful stop between chunk repairs: everything committed
 			// so far is journaled; the caller keeps the journal.
 			s.res.Interrupted = true
@@ -908,33 +902,20 @@ func (s *service) replayChains(stripe int, scheme *core.Scheme, oracle *verify.O
 			if err := s.oracleCheck(stripe, oracle, sel.Lost, acc); err != nil {
 				return nil, err
 			}
-			s.res.ChunksVerified++
-			if mt := s.cfg.Metrics; mt != nil {
-				mt.ChunksVerified.Inc()
-			}
+			s.m.ChunksVerified.Inc()
 		}
 		if err := s.cfg.Backend.WriteChunk(AddrOf(stripe, sel.Lost), acc); err != nil {
 			return nil, err
 		}
 		if s.journal != nil {
-			if err := s.journal.AppendCommit(AddrOf(stripe, sel.Lost), PayloadCRC(acc)); err != nil {
+			if err := s.journaled(s.journal.AppendCommit(AddrOf(stripe, sel.Lost), PayloadCRC(acc))); err != nil {
 				return nil, err
 			}
-			if mt := s.cfg.Metrics; mt != nil {
-				mt.JournalRecords.Inc()
-			}
 		}
-		s.res.BytesWritten += int64(len(acc))
-		s.res.ChunksRebuilt++
-		if mt := s.cfg.Metrics; mt != nil {
-			mt.BytesWritten.Add(uint64(len(acc)))
-			mt.ChunksRebuilt.Inc()
-			if sel.Decoded {
-				mt.ChunksDecoded.Inc()
-			}
-		}
+		s.m.BytesWritten.Add(uint64(len(acc)))
+		s.m.ChunksRebuilt.Inc()
 		if sel.Decoded {
-			s.res.ChunksDecoded++
+			s.m.ChunksDecoded.Inc()
 		}
 		repaired[sel.Lost] = true
 	}
@@ -955,10 +936,7 @@ func (s *service) oracleCheck(stripe int, oracle *verify.Oracle, cell grid.Coord
 		if n != len(dst) {
 			return fmt.Errorf("rebuild: oracle read %v: %d bytes, want %d", src, n, len(dst))
 		}
-		s.res.VerifyReads++
-		if mt := s.cfg.Metrics; mt != nil {
-			mt.VerifyReads.Inc()
-		}
+		s.m.VerifyReads.Inc()
 		return nil
 	})
 }
@@ -972,9 +950,7 @@ func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first 
 	id := cache.ChunkID{Stripe: stripe, Cell: cell}
 	if s.policy != nil && s.policy.Request(id) {
 		if buf, ok := s.bufs[id]; ok {
-			if mt := s.cfg.Metrics; mt != nil {
-				mt.CacheHits.Inc()
-			}
+			s.m.CacheHits.Inc()
 			fold(acc, buf, first)
 			return nil
 		}
@@ -983,9 +959,7 @@ func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first 
 		return fmt.Errorf("rebuild: cache hit for %v with no buffered bytes", id)
 	}
 	if s.policy != nil {
-		if mt := s.cfg.Metrics; mt != nil {
-			mt.CacheMisses.Inc()
-		}
+		s.m.CacheMisses.Inc()
 	}
 	buf := s.pool.GetRaw()
 	n, err := s.cfg.Backend.ReadChunk(AddrOf(stripe, cell), buf)
@@ -997,10 +971,7 @@ func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first 
 		s.pool.Put(buf)
 		return &store.CorruptError{Addr: AddrOf(stripe, cell), Err: fmt.Errorf("payload is %d bytes, manifest says %d", n, s.cfg.Manifest.ChunkSize)}
 	}
-	s.res.DiskReads++
-	if mt := s.cfg.Metrics; mt != nil {
-		mt.DiskReads.Inc()
-	}
+	s.m.DiskReads.Inc()
 	fold(acc, buf, first)
 	if s.policy != nil && s.policy.Contains(id) {
 		s.bufs[id] = buf

@@ -22,7 +22,6 @@ var backends = map[string]func(t *testing.T) Backend{
 		return d
 	},
 	"memstore": func(t *testing.T) Backend { return NewMem() },
-	"objstore": func(t *testing.T) Backend { return NewObj(NewMemObjects()) },
 	// Instrument is a transparent wrapper: it must pass the full
 	// contract over any backend, alone and stacked on a Throttle.
 	"instrumented": func(t *testing.T) Backend { return Instrument(NewMem()) },

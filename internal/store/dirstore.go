@@ -12,22 +12,21 @@ import (
 	"strings"
 )
 
-// Layout naming shared by Dir and Obj: one "disk-NNN" namespace per
-// disk, one "sSSSSSSSS-cCCC.chk" entry per chunk. The zero-padding
-// keeps lexicographic order equal to numeric order, so a plain
-// directory or key listing is already in List's contract order.
+// Layout naming: one "disk-NNN" directory per disk, one
+// "sSSSSSSSS-cCCC.chk" file per chunk. The zero-padding keeps
+// lexicographic order equal to numeric order, so a plain directory
+// listing is already in List's contract order.
 
-// DiskDirName returns the directory/prefix name for one disk.
+// DiskDirName returns the directory name for one disk.
 func DiskDirName(disk int) string { return fmt.Sprintf("disk-%03d", disk) }
 
-// chunkFileName returns the file/object name for one chunk within its
+// chunkFileName returns the file name for one chunk within its
 // disk directory.
 func chunkFileName(a Addr) string { return fmt.Sprintf("s%08d-c%03d.chk", a.Stripe, a.Chunk) }
 
-// ChunkPath returns the chunk's path relative to the store root —
-// dirstore's on-disk layout and the object backend's key space share
-// it. Exposed for tooling and tests that reach past the Backend
-// interface (fault injection, corruption drills).
+// ChunkPath returns the chunk's path relative to the store root.
+// Exposed for tooling and tests that reach past the Backend interface
+// (fault injection, corruption drills).
 func ChunkPath(a Addr) string { return DiskDirName(a.Disk) + "/" + chunkFileName(a) }
 
 // parseChunkFileName inverts chunkFileName, rejecting anything that is

@@ -14,7 +14,7 @@ import (
 // crashFixture extends the store conformance registry with a "reopen"
 // notion: open constructs a fresh store, reopen models the next process
 // attaching to the same medium (for dirstore that re-runs the orphan
-// sweep; memstore and objstore media live in the shared state).
+// sweep; memstore media live in the shared state).
 type crashFixture struct {
 	open   func(t *testing.T) store.Backend
 	reopen func(t *testing.T) store.Backend
@@ -22,7 +22,6 @@ type crashFixture struct {
 
 func crashFixtures(t *testing.T) map[string]crashFixture {
 	root := t.TempDir()
-	api := store.NewMemObjects()
 	mem := store.NewMem()
 	return map[string]crashFixture{
 		"dirstore": {
@@ -45,15 +44,11 @@ func crashFixtures(t *testing.T) map[string]crashFixture {
 			open:   func(t *testing.T) store.Backend { return mem },
 			reopen: func(t *testing.T) store.Backend { return mem },
 		},
-		"objstore": {
-			open:   func(t *testing.T) store.Backend { return store.NewObj(api) },
-			reopen: func(t *testing.T) store.Backend { return store.NewObj(api) },
-		},
 	}
 }
 
 // TestReopenAfterCrashConformance is the crash-consistency conformance
-// case, run against all three backends: a backend killed mid-WriteChunk
+// case, run against both backends: a backend killed mid-WriteChunk
 // (via the faultstore crash point, with torn debris where the backend
 // can materialize it) must, after reopen, either return the old chunk
 // byte-identically or a typed ErrNotFound — never a torn read.

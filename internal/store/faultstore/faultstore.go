@@ -55,7 +55,7 @@ type Plan struct {
 	// TornWrites makes injected write failures (EIO and the crash
 	// point) leave torn on-media debris when the wrapped backend can
 	// materialize it — a truncated chunk at the final location
-	// (store.Dir.TornWrite, store.Obj.TornWrite) for EIO, an orphaned
+	// (store.Dir.TornWrite) for EIO, an orphaned
 	// partial temp file (store.Dir.CrashWrite) for the crash point.
 	// Backends without the hooks fail cleanly, which models an atomic
 	// medium.
@@ -77,7 +77,7 @@ type Plan struct {
 }
 
 // tornWriter is the optional debris hook a backend implements to
-// materialize a non-atomic torn write (store.Dir, store.Obj).
+// materialize a non-atomic torn write (store.Dir).
 type tornWriter interface {
 	TornWrite(a store.Addr, data []byte, keep int) error
 }

@@ -10,10 +10,10 @@ import (
 	"path/filepath"
 )
 
-// Chunk-file header codec. Every chunk written by Dir and Obj starts
-// with this fixed-size header so the chunk is self-describing: a read
-// after a misdirected write, a torn write or silent media corruption
-// fails validation instead of returning wrong bytes.
+// Chunk-file header codec. Every chunk written by Dir starts with this
+// fixed-size header so the chunk is self-describing: a read after a
+// misdirected write, a torn write or silent media corruption fails
+// validation instead of returning wrong bytes.
 //
 // Layout (little-endian, HeaderSize bytes):
 //
@@ -177,7 +177,7 @@ type ArrayManifest struct {
 // reads and writes.
 const ManifestVersion = 1
 
-// ManifestName is the array manifest's file/object name at the store
+// ManifestName is the array manifest's file name at the store
 // root.
 const ManifestName = "manifest.json"
 

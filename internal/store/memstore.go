@@ -8,7 +8,7 @@ import (
 
 // Mem is the in-memory Backend for tests: a mutex-guarded map of
 // payload copies. It has no on-media codec, so chunks never read as
-// corrupt — corruption-path tests use Dir or Obj, whose codec is real.
+// corrupt — corruption-path tests use Dir, whose codec is real.
 type Mem struct {
 	mu sync.RWMutex
 	m  map[Addr][]byte

@@ -2,14 +2,14 @@
 // pluggable chunk store addressed by (disk, stripe, chunk) holding real
 // bytes, where the simulator's disk.Array only counts I/O.
 //
-// Three backends implement the Backend contract: Dir (one directory per
-// disk, one self-describing file per chunk), Mem (an in-memory map for
-// tests) and Obj (an object-store-style backend over a flat key
-// namespace that shares Dir's layout and chunk codec). The contract is
-// pinned by a shared conformance suite (conformance_test.go) that every
-// backend must pass, mirroring the cache Policy contract test.
+// Two backends implement the Backend contract: Dir (one directory per
+// disk, one self-describing file per chunk) and Mem (an in-memory map
+// for tests and benchmarks). The contract is pinned by a shared
+// conformance suite (conformance_test.go) that every backend must pass
+// — the door a further binding enters through — mirroring the cache
+// Policy contract test.
 //
-// On-media format: every chunk file/object starts with a fixed-size
+// On-media format: every chunk file starts with a fixed-size
 // versioned header (magic, version, address, payload length, payload
 // CRC, header CRC — see manifest.go) so a chunk is self-describing and
 // misdirected or torn writes are detected on read. The store root
@@ -78,7 +78,7 @@ type Backend interface {
 	List(disk int) ([]Addr, error)
 	// Stat describes the chunk at a without reading its payload, but
 	// validating what can be validated cheaply (header codec and stored
-	// size for Dir/Obj). Missing chunks stat as ErrNotFound; chunks with
+	// size for Dir). Missing chunks stat as ErrNotFound; chunks with
 	// an invalid header or a size mismatch as ErrCorrupt.
 	Stat(a Addr) (Info, error)
 }

@@ -63,9 +63,11 @@ func RegisterThrottle(reg *Registry, t *store.Throttle) {
 		func() float64 { return t.Stats().Waited.Seconds() })
 }
 
-// RebuildMetrics holds the cells rebuild.RunService updates while it
-// repairs an array. Every hook in the service is a nil check on the
-// struct, so un-instrumented runs execute exactly as before.
+// RebuildMetrics holds the cells rebuild.RunService counts on while it
+// repairs an array — its only event counters: ServiceResult reports a
+// run as the cells' change over it, so one set may be shared across
+// passes. The zero value is ready to use; NewRebuildMetrics also exports
+// it on a registry.
 type RebuildMetrics struct {
 	StripesPlanned Counter // damaged stripes ordered for repair, cumulative across passes
 	StripesDone    Counter // stripes fully repaired
@@ -137,14 +139,15 @@ func NewRebuildMetrics(reg *Registry) *RebuildMetrics {
 }
 
 // cellValue bridges an embedded Counter cell into a CounterFunc read.
-// Registering the cells as funcs keeps the structs plain values (no
-// pointer fields to nil-check twice) while sharing one registry path.
+// Registering the cells as funcs keeps the structs plain values, usable
+// without a registry, while sharing one registry path.
 func cellValue(c *Counter) func() float64 {
 	return func() float64 { return float64(c.Value()) }
 }
 
-// DaemonMetrics holds the cells rebuild.RunDaemon updates, plus the
-// progress tracker behind /progress.
+// DaemonMetrics holds the cells rebuild.RunDaemon counts its passes on
+// (DaemonResult reports their change over the loop), plus the progress
+// tracker behind /progress, which must not be nil.
 type DaemonMetrics struct {
 	Scans    Counter // scan + repair passes started
 	Rebuilds Counter // passes that repaired damage
@@ -165,33 +168,5 @@ func NewDaemonMetrics(reg *Registry) *DaemonMetrics {
 	reg.CounterFunc("fbf_daemon_retries", "Failed passes that scheduled a backoff retry.", cellValue(&m.Retries))
 	reg.GaugeFunc("fbf_daemon_backoff_seconds", "Current backoff delay in seconds; 0 while healthy.", m.Backoff.Value)
 	reg.GaugeFunc("fbf_daemon_consecutive_failures", "Consecutive failed passes.", m.Failures.Value)
-	return m
-}
-
-// QoSMetrics holds the cells the QoS rebuild throttle's AIMD controller
-// updates at every decision window. The controller runs in simulated
-// time, so the latency gauges report simulated seconds — the exposition
-// is still useful live because the simulation advances in wall-clock
-// lockstep with the serving run driving it.
-type QoSMetrics struct {
-	Windows  Counter // AIMD decision windows evaluated
-	Breaches Counter // windows whose foreground p99 exceeded the SLO
-
-	Rate          Gauge // current rebuild token rate (tokens per simulated second)
-	WindowP99     Gauge // last window's foreground p99, simulated seconds
-	SLO           Gauge // configured p99 SLO, simulated seconds
-	ThrottleDelay Gauge // current per-token issue delay, simulated seconds
-}
-
-// NewQoSMetrics registers the QoS throttle's metric families on reg and
-// returns the producer cells.
-func NewQoSMetrics(reg *Registry) *QoSMetrics {
-	m := &QoSMetrics{}
-	reg.CounterFunc("fbf_qos_windows", "AIMD decision windows evaluated.", cellValue(&m.Windows))
-	reg.CounterFunc("fbf_qos_breaches", "Windows whose foreground p99 exceeded the SLO.", cellValue(&m.Breaches))
-	reg.GaugeFunc("fbf_qos_rate_tokens_per_sec", "Current rebuild token rate per simulated second.", m.Rate.Value)
-	reg.GaugeFunc("fbf_qos_window_p99_seconds", "Last window's foreground p99 in simulated seconds.", m.WindowP99.Value)
-	reg.GaugeFunc("fbf_qos_slo_seconds", "Configured foreground p99 SLO in simulated seconds.", m.SLO.Value)
-	reg.GaugeFunc("fbf_qos_throttle_delay_seconds", "Current per-token issue delay in simulated seconds.", m.ThrottleDelay.Value)
 	return m
 }

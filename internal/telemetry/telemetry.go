@@ -3,7 +3,7 @@
 // simulated-time traces of the event-driven simulator, telemetry
 // answers the operator's question about the real-bytes engine: what is
 // the rebuild doing *right now*, in wall-clock terms — chunk
-// throughput, per-backend I/O latency, escalation-ladder activity, QoS
+// throughput, per-backend I/O latency, escalation-ladder activity,
 // throttle state.
 //
 // The package is three layers:
@@ -13,9 +13,11 @@
 //     by name, series sorted by label set, shortest-form numbers) and a
 //     matching JSON snapshot — identical registry state serializes to
 //     identical bytes, so the exposition format is golden-testable;
-//   - producer structs (producers.go) the rebuild service, watch daemon
-//     and QoS controller update when armed — every hook is a nil check,
-//     so runs without telemetry execute exactly as before;
+//   - producer structs (producers.go) whose cells are the rebuild
+//     service's and watch daemon's only counters: each event is booked
+//     once, on a cell, and ServiceResult/DaemonResult report a pass as
+//     the cells' change over it — a run without a registry counts on a
+//     private struct nothing scrapes;
 //   - an HTTP server (http.go) exposing /metrics, /healthz and
 //     /progress, wired into `fbfctl daemon -listen`.
 //
