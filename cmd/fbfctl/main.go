@@ -383,8 +383,8 @@ func runRebuild(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "     rebuilt : %d chunks in %d stripes (%d verified, %d decoded)\n",
 			res.ChunksRebuilt, res.StripesRepaired, res.ChunksVerified, res.ChunksDecoded)
-		fmt.Fprintf(stdout, "          io : %d reads, %d cache hits, %d misses, %d B written\n",
-			res.DiskReads, res.CacheHits, res.CacheMisses, res.BytesWritten)
+		fmt.Fprintf(stdout, "          io : %d reads + %d verify re-reads, %d cache hits, %d misses, %d B written\n",
+			res.DiskReads, res.VerifyReads, res.CacheHits, res.CacheMisses, res.BytesWritten)
 		fmt.Fprintf(stdout, "      ladder : %d escalations, %d regenerations\n",
 			res.Escalations, res.Regenerations)
 		after, err := rebuild.ScanStore(b, m, cfg.Scrub)

@@ -179,7 +179,7 @@ func TestDaemonGracefulStop(t *testing.T) {
 	root := t.TempDir()
 	journal := filepath.Join(root, "rebuild.journal")
 	d := initResumeDir(t, root, m)
-	hook := &stopAfterWrites{Backend: d, n: 2, stop: make(chan struct{})}
+	hook := &stopAfter{Backend: d, writes: 2, stop: make(chan struct{})}
 	svc := ServiceConfig{Backend: hook, Manifest: m, JournalPath: journal}
 	res, err = RunDaemon(DaemonConfig{Service: svc, Stop: hook.stop, after: instantAfter})
 	if err != nil {
@@ -217,7 +217,16 @@ func TestDaemonResumesCrashedRebuild(t *testing.T) {
 	m := testManifest("star", 5, 2, 64)
 	root := t.TempDir()
 	journal := filepath.Join(root, "rebuild.journal")
-	crashing := faultstore.Wrap(initResumeDir(t, root, m), faultstore.Plan{Seed: 1, CrashAfterOps: 150, TornWrites: true})
+	// A counting run of the same rebuild places the crash: its last
+	// m.Rows operations are write-backs of the final stripe, so crashing
+	// that many before the end leaves that stripe in flight with commits
+	// to replay.
+	countRoot := t.TempDir()
+	counter := faultstore.Wrap(initResumeDir(t, countRoot, m), faultstore.Plan{})
+	if _, err := RunService(ServiceConfig{Backend: counter, Manifest: m, JournalPath: filepath.Join(countRoot, "rebuild.journal")}); err != nil {
+		t.Fatal(err)
+	}
+	crashing := faultstore.Wrap(initResumeDir(t, root, m), faultstore.Plan{Seed: 1, CrashAfterOps: counter.Ops() - m.Rows, TornWrites: true})
 	_, err := RunService(ServiceConfig{Backend: crashing, Manifest: m, JournalPath: journal})
 	if !errors.Is(err, faultstore.ErrCrashed) {
 		t.Fatalf("crashed rebuild returned %v, want ErrCrashed", err)

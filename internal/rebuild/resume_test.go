@@ -263,66 +263,118 @@ func TestResumeOracleCatchesLyingCommit(t *testing.T) {
 	}
 }
 
-// stopAfterWrites closes a stop channel once the backend has absorbed n
-// chunk writes — the hook that lands a graceful stop mid-stripe.
-type stopAfterWrites struct {
+// stopAfter closes a stop channel once the backend has absorbed a given
+// number of chunk writes or served a given number of payload reads —
+// the hook that lands a graceful stop at a chosen point of a stripe. It
+// also counts the payload reads each stripe was asked for.
+type stopAfter struct {
 	store.Backend
-	n      int
-	writes int
-	stop   chan struct{}
+	writes, reads   int  // thresholds; zero never fires
+	failRead        bool // the read that fires the stop is also served as not found
+	written, served int
+	stripeReads     map[int]int
+	stop            chan struct{}
 }
 
-func (s *stopAfterWrites) WriteChunk(a store.Addr, data []byte) error {
+func (s *stopAfter) WriteChunk(a store.Addr, data []byte) error {
 	err := s.Backend.WriteChunk(a, data)
 	if err == nil {
-		s.writes++
-		if s.writes == s.n {
+		s.written++
+		if s.written == s.writes {
 			close(s.stop)
 		}
 	}
 	return err
 }
 
+func (s *stopAfter) ReadChunk(a store.Addr, dst []byte) (int, error) {
+	s.served++
+	if s.stripeReads == nil {
+		s.stripeReads = map[int]int{}
+	}
+	s.stripeReads[a.Stripe]++
+	if s.served == s.reads {
+		close(s.stop)
+		if s.failRead {
+			return 0, &store.NotFoundError{Addr: a}
+		}
+	}
+	return s.Backend.ReadChunk(a, dst)
+}
+
 // TestServiceGracefulStop pins the Stop contract: the chunk in flight
 // is finished and committed, the journal survives with the progress so
-// far, and a rerun resumes to a byte-exact array.
+// far, and a rerun resumes to a byte-exact array. The fixture's stripes
+// each lose three columns, so they are rebuilt by the read-once decode,
+// and the stop lands at each point that pass looks for it: between two
+// of its write-backs, before the pass of the next stripe has read
+// anything, while a pass is still reading (it has written nothing yet,
+// and then writes nothing), and before the pass an escalation restarts
+// (which then reads nothing more).
 func TestServiceGracefulStop(t *testing.T) {
 	m := testManifest("star", 5, 2, 64)
-	root := t.TempDir()
-	journal := filepath.Join(root, "rebuild.journal")
-	d := initResumeDir(t, root, m)
+	perStripe := 3 * m.Rows // lost chunks per stripe
+	for _, tc := range []struct {
+		name          string
+		writes, reads int
+		failRead      bool
+		wantChunks    int
+		wantStripes   int
+	}{
+		{"between-two-writes", 3, 0, false, 3, 0},
+		{"before-the-next-pass", perStripe, 0, false, perStripe, 1},
+		{"while-the-pass-reads", 0, 5, false, 0, 0},
+		{"before-a-restarted-pass", 0, 5, true, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			journal := filepath.Join(root, "rebuild.journal")
+			d := initResumeDir(t, root, m)
 
-	hook := &stopAfterWrites{Backend: d, n: 3, stop: make(chan struct{})}
-	res, err := RunService(ServiceConfig{Backend: hook, Manifest: m, JournalPath: journal, Stop: hook.stop})
-	if err != nil {
-		t.Fatalf("graceful stop must not be an error: %v", err)
-	}
-	if !res.Interrupted {
-		t.Fatal("stopped run does not report Interrupted")
-	}
-	if res.ChunksRebuilt != hook.n {
-		t.Fatalf("stopped run rebuilt %d chunks, want exactly the %d committed before the stop", res.ChunksRebuilt, hook.n)
-	}
-	if res.JournalOffset <= 0 {
-		t.Fatalf("stopped run reports journal offset %d", res.JournalOffset)
-	}
-	if _, err := os.Stat(journal); err != nil {
-		t.Fatalf("journal missing after graceful stop: %v", err)
-	}
+			hook := &stopAfter{Backend: d, writes: tc.writes, reads: tc.reads, failRead: tc.failRead, stop: make(chan struct{})}
+			res, err := RunService(ServiceConfig{Backend: hook, Manifest: m, JournalPath: journal, Stop: hook.stop})
+			if err != nil {
+				t.Fatalf("graceful stop must not be an error: %v", err)
+			}
+			if !res.Interrupted {
+				t.Fatal("stopped run does not report Interrupted")
+			}
+			if res.ChunksRebuilt != tc.wantChunks || hook.written != tc.wantChunks || res.StripesRepaired != tc.wantStripes {
+				t.Fatalf("stopped run rebuilt %d chunks (%d writes) in %d stripes, want exactly the %d committed before the stop, %d stripes",
+					res.ChunksRebuilt, hook.written, res.StripesRepaired, tc.wantChunks, tc.wantStripes)
+			}
+			if hook.stripeReads[1] != 0 {
+				t.Fatalf("stripe 1 was asked for %d chunks although the stop came first", hook.stripeReads[1])
+			}
+			if tc.failRead && (hook.served != tc.reads || res.Escalations != 1) {
+				t.Fatalf("%d reads and %d escalations; the pass restarted by the escalation at read %d should have seen the stop first",
+					hook.served, res.Escalations, tc.reads)
+			}
+			if res.JournalOffset <= 0 {
+				t.Fatalf("stopped run reports journal offset %d", res.JournalOffset)
+			}
+			if _, err := os.Stat(journal); err != nil {
+				t.Fatalf("journal missing after graceful stop: %v", err)
+			}
 
-	res2, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: journal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Interrupted || res2.DataLoss {
-		t.Fatalf("resume after stop: interrupted=%v dataloss=%v", res2.Interrupted, res2.DataLoss)
-	}
-	if res2.ResumedCommits != hook.n {
-		t.Fatalf("resume replayed %d commits, want %d", res2.ResumedCommits, hook.n)
-	}
-	checkAgainstGroundTruth(t, d, m, resumeSeed)
-	if _, err := os.Stat(journal); !os.IsNotExist(err) {
-		t.Fatalf("journal survives completed resume: %v", err)
+			res2, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: journal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res2.Interrupted || res2.DataLoss {
+				t.Fatalf("resume after stop: interrupted=%v dataloss=%v", res2.Interrupted, res2.DataLoss)
+			}
+			if res2.ResumedCommits != tc.wantChunks {
+				t.Fatalf("resume replayed %d commits, want %d", res2.ResumedCommits, tc.wantChunks)
+			}
+			if res2.ChunksRebuilt != 2*perStripe-tc.wantChunks {
+				t.Fatalf("resume rebuilt %d chunks, want the %d the stopped run left", res2.ChunksRebuilt, 2*perStripe-tc.wantChunks)
+			}
+			checkAgainstGroundTruth(t, d, m, resumeSeed)
+			if _, err := os.Stat(journal); !os.IsNotExist(err) {
+				t.Fatalf("journal survives completed resume: %v", err)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,11 @@
 // cache.Policy residency with FBF priorities, the escalate-and-replan
 // ladder — against real bytes in a store.Backend, byte-checking every
 // recovered chunk with internal/verify's GF(2) oracle before it is
-// written back.
+// written back. A stripe is evaluated in one of two orders, chosen by
+// its plan: chain by chain through the byte cache when every lost cell
+// has a single parity chain (replayChains — the paper's partial stripe
+// errors), or in one read-once pass over the surviving chunks when the
+// plan needs the GF(2) decoder (replayDecoded — whole-disk damage).
 package rebuild
 
 import (
@@ -432,7 +436,8 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 		return res, nil
 	}
 
-	s := &service{cfg: &cfg, m: cfg.Metrics, code: code, res: res, pool: chunk.NewPool(cfg.Manifest.ChunkSize), journal: jn}
+	s := &service{cfg: &cfg, m: cfg.Metrics, code: code, res: res, pool: chunk.NewPool(cfg.Manifest.ChunkSize), journal: jn, lost: make(map[grid.Coord]bool)}
+	s.scratch = [2]chunk.Chunk{s.pool.GetRaw(), s.pool.GetRaw()}
 	tally(s.m, &ServiceResult{}, &s.base)
 	if cfg.CacheChunks > 0 {
 		s.policy, err = cache.New(cfg.Policy, cfg.CacheChunks)
@@ -623,7 +628,7 @@ func (s *service) verifyResumed(st *JournalState) error {
 			}
 			if oracle.Solvable(cell) {
 				var readErr error
-				err := oracle.Check(cell, buf, func(src grid.Coord, dst chunk.Chunk) error {
+				err := oracle.Check(cell, buf, s.scratch[0], s.scratch[1], func(src grid.Coord, dst chunk.Chunk) error {
 					rn, rerr := s.cfg.Backend.ReadChunk(AddrOf(stripe, src), dst)
 					if rerr != nil {
 						readErr = rerr
@@ -701,6 +706,14 @@ type service struct {
 	res  *ServiceResult
 	pool *chunk.Pool
 
+	// scratch is the oracle's re-derivation accumulator and read buffer
+	// (verify.Oracle.Check), held for the whole run.
+	scratch [2]chunk.Chunk
+
+	// lost holds the cells of the stripe under repair that were accounted
+	// as data loss; loseCell maintains it, both replay orders skip them.
+	lost map[grid.Coord]bool
+
 	// Byte cache: the policy decides residency (with FBF priorities
 	// from each scheme), bufs mirrors its resident set with the actual
 	// bytes. nil policy disables caching.
@@ -723,6 +736,12 @@ type schemePlan struct {
 	scheme   *core.Scheme
 	unsolved []grid.Coord
 	oracle   *verify.Oracle
+
+	// decoded reports a scheme with at least one GF(2)-decoder selection;
+	// such a stripe is rebuilt by replayDecoded along pass, built on
+	// first use.
+	decoded bool
+	pass    *decodePass
 }
 
 func lostKey(lost []grid.Coord) string {
@@ -754,6 +773,9 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 		return nil, err
 	}
 	p := &schemePlan{scheme: scheme, unsolved: unsolved, oracle: oracle}
+	for _, sel := range scheme.Selected {
+		p.decoded = p.decoded || sel.Decoded
+	}
 	if s.schemes == nil {
 		s.schemes = make(map[string]*schemePlan)
 	}
@@ -761,26 +783,24 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 	return p, nil
 }
 
-// repairStripe rebuilds one damaged stripe: plan, replay each selected
-// chain through the byte cache, oracle-check, write back — escalating
-// and re-planning when a surviving chunk turns out unreadable, exactly
-// like the simulator's fault ladder.
+// repairStripe rebuilds one damaged stripe: plan, replay the plan in the
+// order it calls for (replayChains or replayDecoded), oracle-check,
+// write back — escalating and re-planning when a surviving chunk turns
+// out unreadable, exactly like the simulator's fault ladder.
 func (s *service) repairStripe(d StripeDamage) error {
 	lost := d.Lost()
 	plan, err := s.planFor(d.Stripe, lost)
 	if err != nil {
 		return err
 	}
+	clear(s.lost)
+	for _, c := range plan.unsolved {
+		s.loseCell(d.Stripe, c)
+	}
 	if s.cfg.DryRun {
 		s.res.PlannedChunks += len(plan.scheme.Selected)
 		s.res.PlannedReads += plan.scheme.UniqueFetches()
-		for _, c := range plan.unsolved {
-			s.loseCell(d.Stripe, c)
-		}
 		return nil
-	}
-	for _, c := range plan.unsolved {
-		s.loseCell(d.Stripe, c)
 	}
 	if s.journal != nil {
 		if err := s.journaled(s.journal.AppendPlan(d.Stripe, lost)); err != nil {
@@ -788,23 +808,29 @@ func (s *service) repairStripe(d StripeDamage) error {
 		}
 	}
 
-	scheme, oracle := plan.scheme, plan.oracle
-	if pa, ok := s.policy.(cache.PriorityAware); ok && s.policy != nil {
-		pa.SetPriorities(prioritiesFor(scheme, d.Stripe))
-	}
-	if fa, ok := s.policy.(cache.FutureAware); ok && s.policy != nil {
-		fa.SetFuture(requestsFor(scheme, d.Stripe))
+	// replayDecoded never consults the cache, so a decoder plan's
+	// priorities and request sequence would be built and thrown away.
+	if !plan.decoded {
+		if pa, ok := s.policy.(cache.PriorityAware); ok && s.policy != nil {
+			pa.SetPriorities(prioritiesFor(plan.scheme, d.Stripe))
+		}
+		if fa, ok := s.policy.(cache.FutureAware); ok && s.policy != nil {
+			fa.SetFuture(requestsFor(plan.scheme, d.Stripe))
+		}
 	}
 
 	repaired := make(map[grid.Coord]bool)
-	acc := s.pool.GetRaw()
-	defer s.pool.Put(acc)
 	// The escalation loop: a failed source read escalates that cell to
 	// lost and regenerates the plan for whatever is still unrepaired.
 	// Every escalation strictly grows the lost set, so the loop is
 	// bounded by the stripe's cell count.
 	for attempt := 0; attempt <= s.code.Layout().Cells(); attempt++ {
-		esc, err := s.replayChains(d.Stripe, scheme, oracle, repaired, acc)
+		var esc *grid.Coord
+		if plan.decoded {
+			esc, err = s.replayDecoded(d.Stripe, plan, repaired)
+		} else {
+			esc, err = s.replayChains(d.Stripe, plan, repaired)
+		}
 		if err != nil {
 			return err
 		}
@@ -854,7 +880,6 @@ func (s *service) repairStripe(d StripeDamage) error {
 			}
 		}
 		s.m.Regenerations.Inc()
-		scheme, oracle = plan.scheme, plan.oracle
 		for _, c := range plan.unsolved {
 			s.loseCell(d.Stripe, c)
 		}
@@ -862,24 +887,23 @@ func (s *service) repairStripe(d StripeDamage) error {
 	return fmt.Errorf("rebuild: stripe %d: escalation loop did not terminate", d.Stripe)
 }
 
-// replayChains executes the scheme's selected chains in order. It
-// returns a non-nil cell when a source read failed and the caller must
-// escalate, nil when the stripe's solvable cells are all repaired.
-func (s *service) replayChains(stripe int, scheme *core.Scheme, oracle *verify.Oracle, repaired map[grid.Coord]bool, acc chunk.Chunk) (*grid.Coord, error) {
-	lostSet := make(map[grid.Coord]bool)
-	for _, a := range s.res.Lost {
-		if a.Stripe == stripe {
-			lostSet[grid.Coord{Row: a.Chunk, Col: a.Disk}] = true
-		}
-	}
-	for _, sel := range scheme.Selected {
+// replayChains executes the scheme's selected chains in order, each
+// through the byte cache — the evaluation order of a plan made of single
+// parity chains, where cache.Policy decides what a later chain finds
+// resident. It returns a non-nil cell when a source read failed and the
+// caller must escalate, nil when the stripe's solvable cells are all
+// repaired.
+func (s *service) replayChains(stripe int, plan *schemePlan, repaired map[grid.Coord]bool) (*grid.Coord, error) {
+	acc := s.pool.GetRaw()
+	defer s.pool.Put(acc)
+	for _, sel := range plan.scheme.Selected {
 		if stopRequested(s.cfg.Stop) {
 			// Graceful stop between chunk repairs: everything committed
 			// so far is journaled; the caller keeps the journal.
 			s.res.Interrupted = true
 			return nil, nil
 		}
-		if repaired[sel.Lost] || lostSet[sel.Lost] {
+		if repaired[sel.Lost] || s.lost[sel.Lost] {
 			continue
 		}
 		if len(sel.Fetch) == 0 {
@@ -899,36 +923,177 @@ func (s *service) replayChains(stripe int, scheme *core.Scheme, oracle *verify.O
 			return nil, err
 		}
 		if !s.cfg.NoVerify {
-			if err := s.oracleCheck(stripe, oracle, sel.Lost, acc); err != nil {
+			if err := s.oracleCheck(stripe, plan.oracle, sel.Lost, acc); err != nil {
 				return nil, err
 			}
 			s.m.ChunksVerified.Inc()
 		}
-		if err := s.cfg.Backend.WriteChunk(AddrOf(stripe, sel.Lost), acc); err != nil {
+		if err := s.commitCell(stripe, sel, acc, repaired); err != nil {
 			return nil, err
 		}
-		if s.journal != nil {
-			if err := s.journaled(s.journal.AppendCommit(AddrOf(stripe, sel.Lost), PayloadCRC(acc))); err != nil {
-				return nil, err
-			}
-		}
-		s.m.BytesWritten.Add(uint64(len(acc)))
-		s.m.ChunksRebuilt.Inc()
-		if sel.Decoded {
-			s.m.ChunksDecoded.Inc()
-		}
-		repaired[sel.Lost] = true
 	}
 	return nil, nil
+}
+
+// decodePass is a schemePlan's source-major evaluation order: every
+// surviving chunk some equation of the plan lists, once, with the
+// accumulators its bytes fold into. Accumulator i rebuilds
+// scheme.Selected[i] through its Fetch equation; accumulator
+// len(Selected)+i re-derives the same cell through oracle.Sources.
+type decodePass struct {
+	sources []passSource // distinct, by disk then row: one ascending run per disk
+	accs    int          // accumulators the pass fills
+}
+
+type passSource struct {
+	cell    grid.Coord
+	folds   []int // accumulators the chunk is XORed into
+	fetched bool  // a Fetch equation lists it; otherwise only the oracle reads it
+}
+
+// passFor builds (or recalls) the plan's decodePass. Without verify no
+// oracle accumulator exists and a chunk only the oracle would read is
+// not a source.
+func (s *service) passFor(plan *schemePlan) *decodePass {
+	if plan.pass != nil {
+		return plan.pass
+	}
+	selected := plan.scheme.Selected
+	p := &decodePass{accs: len(selected)}
+	at := make(map[grid.Coord]*passSource)
+	list := func(acc int, equation []grid.Coord, fetch bool) {
+		for _, cell := range equation {
+			src := at[cell]
+			if src == nil {
+				src = &passSource{cell: cell}
+				at[cell] = src
+			}
+			src.folds = append(src.folds, acc)
+			src.fetched = src.fetched || fetch
+		}
+	}
+	for i, sel := range selected {
+		list(i, sel.Fetch, true)
+	}
+	if !s.cfg.NoVerify {
+		p.accs *= 2
+		for i, sel := range selected {
+			list(len(selected)+i, plan.oracle.Sources(sel.Lost), false)
+		}
+	}
+	for _, src := range at {
+		p.sources = append(p.sources, *src)
+	}
+	sort.Slice(p.sources, func(i, j int) bool { // store address order
+		return AddrOf(0, p.sources[i].cell).Less(AddrOf(0, p.sources[j].cell))
+	})
+	plan.pass = p
+	return p
+}
+
+// replayDecoded rebuilds a stripe whose plan needs the GF(2) decoder in
+// one pass over its surviving chunks. A decoder equation lists about
+// half the stripe, so replaying such a plan cell by cell asks for every
+// survivor dozens of times, through a cache the source set does not fit
+// and again for the oracle; here each source is read from the backend
+// exactly once and folded into every accumulator whose equation lists
+// it. The checks are replayChains': a source that is missing, corrupt
+// or the wrong size escalates (nothing has been written yet, so the
+// caller's re-plan restarts the pass), every recovered chunk is diffed
+// against the oracle's re-derivation before anything is written, and
+// the writes are journaled cell by cell. It holds 2L+1 pooled chunks for
+// L cells (L+1 without verify) and never consults the byte cache; each
+// source read is booked as a disk read and, with a cache configured, as
+// the compulsory miss it would have been, so DiskReads == CacheMisses
+// holds in both orders. A chunk only the oracle needs is a verify read.
+func (s *service) replayDecoded(stripe int, plan *schemePlan, repaired map[grid.Coord]bool) (*grid.Coord, error) {
+	if stopRequested(s.cfg.Stop) {
+		s.res.Interrupted = true
+		return nil, nil
+	}
+	pass, selected := s.passFor(plan), plan.scheme.Selected
+	accs := make([]chunk.Chunk, pass.accs)
+	for i := range accs {
+		accs[i] = s.pool.Get()
+	}
+	buf := s.pool.GetRaw()
+	defer func() {
+		s.pool.Put(buf)
+		for _, acc := range accs {
+			s.pool.Put(acc)
+		}
+	}()
+
+	for _, src := range pass.sources {
+		err := s.readSource(AddrOf(stripe, src.cell), buf)
+		if store.IsNotFound(err) || store.IsCorrupt(err) {
+			cell := src.cell
+			return &cell, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if src.fetched {
+			s.m.DiskReads.Inc()
+			if s.policy != nil {
+				s.m.CacheMisses.Inc()
+			}
+		} else {
+			s.m.VerifyReads.Inc()
+		}
+		for _, acc := range src.folds {
+			chunk.XORInto(accs[acc], buf)
+		}
+	}
+
+	if !s.cfg.NoVerify {
+		for i, sel := range selected {
+			if err := verify.Diff(sel.Lost, accs[len(selected)+i], accs[i]); err != nil {
+				return nil, err
+			}
+			s.m.ChunksVerified.Inc()
+		}
+	}
+	for i, sel := range selected {
+		if stopRequested(s.cfg.Stop) {
+			// Graceful stop between two writes: the committed cells are
+			// journaled, the next run plans the rest.
+			s.res.Interrupted = true
+			return nil, nil
+		}
+		if err := s.commitCell(stripe, sel, accs[i], repaired); err != nil {
+			return nil, err
+		}
+	}
+	return nil, nil
+}
+
+// commitCell writes one recovered chunk back, journals the commit and
+// books it.
+func (s *service) commitCell(stripe int, sel core.SelectedChain, data chunk.Chunk, repaired map[grid.Coord]bool) error {
+	a := AddrOf(stripe, sel.Lost)
+	if err := s.cfg.Backend.WriteChunk(a, data); err != nil {
+		return err
+	}
+	if s.journal != nil {
+		if err := s.journaled(s.journal.AppendCommit(a, PayloadCRC(data))); err != nil {
+			return err
+		}
+	}
+	s.m.BytesWritten.Add(uint64(len(data)))
+	s.m.ChunksRebuilt.Inc()
+	if sel.Decoded {
+		s.m.ChunksDecoded.Inc()
+	}
+	repaired[sel.Lost] = true
+	return nil
 }
 
 // oracleCheck re-derives the recovered cell through the GF(2) decoder
 // plan, reading every source chunk directly from the backend (not the
 // cache), and diffs the two reconstructions.
 func (s *service) oracleCheck(stripe int, oracle *verify.Oracle, cell grid.Coord, recovered chunk.Chunk) error {
-	buf := s.pool.GetRaw()
-	defer s.pool.Put(buf)
-	return oracle.Check(cell, recovered, func(src grid.Coord, dst chunk.Chunk) error {
+	return oracle.Check(cell, recovered, s.scratch[0], s.scratch[1], func(src grid.Coord, dst chunk.Chunk) error {
 		n, err := s.cfg.Backend.ReadChunk(AddrOf(stripe, src), dst)
 		if err != nil {
 			return err
@@ -962,14 +1127,9 @@ func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first 
 		s.m.CacheMisses.Inc()
 	}
 	buf := s.pool.GetRaw()
-	n, err := s.cfg.Backend.ReadChunk(AddrOf(stripe, cell), buf)
-	if err != nil {
+	if err := s.readSource(AddrOf(stripe, cell), buf); err != nil {
 		s.pool.Put(buf)
 		return err
-	}
-	if n != s.cfg.Manifest.ChunkSize {
-		s.pool.Put(buf)
-		return &store.CorruptError{Addr: AddrOf(stripe, cell), Err: fmt.Errorf("payload is %d bytes, manifest says %d", n, s.cfg.Manifest.ChunkSize)}
 	}
 	s.m.DiskReads.Inc()
 	fold(acc, buf, first)
@@ -980,6 +1140,16 @@ func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first 
 		s.pool.Put(buf)
 	}
 	return nil
+}
+
+// readSource reads one surviving chunk into a pooled buffer. A valid
+// chunk of another size cannot serve this array: it reads as corrupt.
+func (s *service) readSource(a store.Addr, buf chunk.Chunk) error {
+	n, err := s.cfg.Backend.ReadChunk(a, buf)
+	if err == nil && n != len(buf) {
+		err = &store.CorruptError{Addr: a, Err: fmt.Errorf("payload is %d bytes, manifest says %d", n, len(buf))}
+	}
+	return err
 }
 
 // reconcile drops buffered bytes for chunks the policy has evicted,
@@ -1001,14 +1171,14 @@ func (s *service) dropBuf(id cache.ChunkID) {
 	}
 }
 
+// loseCell accounts one cell of the stripe under repair as data loss,
+// once.
 func (s *service) loseCell(stripe int, c grid.Coord) {
-	a := AddrOf(stripe, c)
-	for _, have := range s.res.Lost {
-		if have == a {
-			return
-		}
+	if s.lost[c] {
+		return
 	}
-	s.res.Lost = append(s.res.Lost, a)
+	s.lost[c] = true
+	s.res.Lost = append(s.res.Lost, AddrOf(stripe, c))
 }
 
 func fold(acc, src chunk.Chunk, first bool) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fbf/internal/chunk"
@@ -47,10 +48,72 @@ func killDisk(t *testing.T, b store.Backend, disk int) {
 	}
 }
 
-// checkAgainstGroundTruth recomputes every stripe from the init seed
-// and byte-compares the whole store against it.
-func checkAgainstGroundTruth(t *testing.T, b store.Backend, m store.ArrayManifest, seed int64) {
+// loseCells deletes the given cells of one stripe.
+func loseCells(t *testing.T, b store.Backend, stripe int, cells []grid.Coord) {
 	t.Helper()
+	for _, c := range cells {
+		if err := b.Delete(AddrOf(stripe, c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// losePartialStripes puts one partial stripe error — the paper's damage:
+// size consecutive chunks of one disk — into every stripe, on a disk
+// and at a starting row that move with the stripe. Every such plan is
+// made of single parity chains, so the rebuild goes chain by chain
+// through the byte cache and the oracle's re-reads.
+func losePartialStripes(t *testing.T, b store.Backend, m store.ArrayManifest, size int) (lost int) {
+	t.Helper()
+	for s := 0; s < m.Stripes; s++ {
+		e := core.PartialStripeError{Stripe: s, Disk: (2*s + 1) % m.Disks, Row: s % (m.Rows - size + 1), Size: size}
+		loseCells(t, b, s, e.LostCells())
+		lost += size
+	}
+	return lost
+}
+
+// readCounter counts payload reads per address (the damage scan stats,
+// it does not read) and remembers whether any read followed a write in
+// the same stripe.
+type readCounter struct {
+	store.Backend
+	reads          map[store.Addr]int
+	written        map[int]bool // stripes with a chunk written back
+	readAfterWrite bool
+}
+
+func newReadCounter(b store.Backend) *readCounter {
+	return &readCounter{Backend: b, reads: map[store.Addr]int{}, written: map[int]bool{}}
+}
+
+func (r *readCounter) ReadChunk(a store.Addr, dst []byte) (int, error) {
+	r.reads[a]++
+	r.readAfterWrite = r.readAfterWrite || r.written[a.Stripe]
+	return r.Backend.ReadChunk(a, dst)
+}
+
+func (r *readCounter) WriteChunk(a store.Addr, data []byte) error {
+	r.written[a.Stripe] = true
+	return r.Backend.WriteChunk(a, data)
+}
+
+func (r *readCounter) total() (n int) {
+	for _, c := range r.reads {
+		n += c
+	}
+	return n
+}
+
+// checkAgainstGroundTruth recomputes every stripe from the init seed
+// and byte-compares the whole store against it, but for the chunks a
+// run accounted as lost.
+func checkAgainstGroundTruth(t *testing.T, b store.Backend, m store.ArrayManifest, seed int64, lost ...store.Addr) {
+	t.Helper()
+	skip := make(map[store.Addr]bool, len(lost))
+	for _, a := range lost {
+		skip[a] = true
+	}
 	code := codes.MustNew(m.Code, m.P)
 	want := make([]chunk.Chunk, code.Layout().Cells())
 	for i := range want {
@@ -62,6 +125,9 @@ func checkAgainstGroundTruth(t *testing.T, b store.Backend, m store.ArrayManifes
 		for idx := range want {
 			cell := code.CoordOf(idx)
 			a := AddrOf(s, cell)
+			if skip[a] {
+				continue
+			}
 			n, err := b.ReadChunk(a, got)
 			if err != nil {
 				t.Fatalf("read %v after rebuild: %v", a, err)
@@ -76,16 +142,23 @@ func checkAgainstGroundTruth(t *testing.T, b store.Backend, m store.ArrayManifes
 // TestServiceRebuildsKilledDisks is the storage-engine tentpole check:
 // kill up to three whole disks of a materialized array and the service
 // must restore every chunk byte-identically, oracle-verifying each.
+// Two or more dead disks leave cells no single chain rebuilds, so those
+// stripes go through the read-once decode: it reads exactly the chunks
+// a dry run of the same damage plans to read, each once, before it
+// writes anything. One dead disk stays chain by chain, where the oracle
+// re-reads its sources.
 func TestServiceRebuildsKilledDisks(t *testing.T) {
 	for _, tc := range []struct {
-		code  string
-		p     int
-		disks []int
+		code    string
+		p       int
+		disks   []int
+		decoded int // cells per stripe rebuilt through the decoder
+		oracle  int // chunks per stripe only the oracle's equations list
 	}{
-		{"star", 5, []int{1}},
-		{"star", 5, []int{0, 2, 4}},
-		{"tip", 5, []int{1, 3, 4}},
-		{"triplestar", 5, []int{0, 1}},
+		{"star", 5, []int{1}, 0, 0},
+		{"star", 5, []int{0, 2, 4}, 12, 0},
+		{"tip", 5, []int{1, 3, 4}, 12, 0},
+		{"triplestar", 5, []int{0, 1}, 6, 1}, // a mixed plan: two cells keep a single chain
 	} {
 		t.Run(fmt.Sprintf("%s-p%d-kill%v", tc.code, tc.p, tc.disks), func(t *testing.T) {
 			code := codes.MustNew(tc.code, tc.p)
@@ -98,10 +171,15 @@ func TestServiceRebuildsKilledDisks(t *testing.T) {
 			for _, d := range tc.disks {
 				killDisk(t, b, d)
 			}
+			dry, err := RunService(ServiceConfig{Backend: b, Manifest: m, Strategy: core.StrategyLooped, DryRun: true})
+			if err != nil {
+				t.Fatalf("dry run: %v", err)
+			}
 
 			var last Progress
+			counter := newReadCounter(b)
 			res, err := RunService(ServiceConfig{
-				Backend: b, Manifest: m,
+				Backend: counter, Manifest: m,
 				Strategy: core.StrategyLooped,
 				Progress: func(p Progress) { last = p },
 			})
@@ -118,6 +196,9 @@ func TestServiceRebuildsKilledDisks(t *testing.T) {
 			if res.ChunksVerified != wantChunks {
 				t.Errorf("ChunksVerified = %d, want %d", res.ChunksVerified, wantChunks)
 			}
+			if res.ChunksDecoded != tc.decoded*m.Stripes {
+				t.Errorf("ChunksDecoded = %d, want %d", res.ChunksDecoded, tc.decoded*m.Stripes)
+			}
 			if res.Report.MissingChunks != wantChunks {
 				t.Errorf("scan found %d missing chunks, want %d", res.Report.MissingChunks, wantChunks)
 			}
@@ -130,8 +211,29 @@ func TestServiceRebuildsKilledDisks(t *testing.T) {
 			if last.StripesDone != m.Stripes || last.Percent() != 100 {
 				t.Errorf("final progress %+v, want %d stripes at 100%%", last, m.Stripes)
 			}
-			if res.DiskReads == 0 || res.VerifyReads == 0 {
-				t.Errorf("reads not accounted: disk=%d verify=%d", res.DiskReads, res.VerifyReads)
+			if got := uint64(counter.total()); res.DiskReads+res.VerifyReads != got {
+				t.Errorf("reads not accounted: disk=%d verify=%d, backend served %d", res.DiskReads, res.VerifyReads, got)
+			}
+			if tc.decoded == 0 {
+				if res.DiskReads == 0 || res.VerifyReads == 0 {
+					t.Errorf("chain-by-chain reads not accounted: disk=%d verify=%d", res.DiskReads, res.VerifyReads)
+				}
+			} else {
+				if res.DiskReads != uint64(dry.PlannedReads) || res.VerifyReads != uint64(tc.oracle*m.Stripes) {
+					t.Errorf("read-once decode: disk=%d verify=%d, want the dry run's %d planned reads and %d oracle-only",
+						res.DiskReads, res.VerifyReads, dry.PlannedReads, tc.oracle*m.Stripes)
+				}
+				if res.CacheHits != 0 || res.CacheMisses != res.DiskReads {
+					t.Errorf("read-once decode: %d hits, %d misses for %d disk reads; want 0 and equal", res.CacheHits, res.CacheMisses, res.DiskReads)
+				}
+				for a, n := range counter.reads {
+					if n != 1 {
+						t.Errorf("chunk %v read %d times", a, n)
+					}
+				}
+				if counter.readAfterWrite {
+					t.Error("a stripe was read again after its first write-back")
+				}
 			}
 			checkAgainstGroundTruth(t, b, m, seed)
 		})
@@ -141,6 +243,8 @@ func TestServiceRebuildsKilledDisks(t *testing.T) {
 // TestServiceStrategiesAndPolicies sweeps strategy x policy over the
 // same damage and expects identical recovered bytes from all of them —
 // cache policy and chain choice must never change results, only cost.
+// The damage is partial stripe errors, whose single-chain plans are what
+// consults a policy at all; the last row pins that dead disks do not.
 func TestServiceStrategiesAndPolicies(t *testing.T) {
 	const seed = 7
 	m := testManifest("star", 5, 3, 64)
@@ -148,8 +252,7 @@ func TestServiceStrategiesAndPolicies(t *testing.T) {
 		for _, policy := range []string{"fbf", "lru", "fifo"} {
 			t.Run(fmt.Sprintf("%s-%s", strategy, policy), func(t *testing.T) {
 				b := initMem(t, m, seed)
-				killDisk(t, b, 2)
-				killDisk(t, b, 3)
+				lost := losePartialStripes(t, b, m, 3)
 				res, err := RunService(ServiceConfig{
 					Backend: b, Manifest: m,
 					Policy: policy, Strategy: strategy, CacheChunks: 8,
@@ -160,13 +263,41 @@ func TestServiceStrategiesAndPolicies(t *testing.T) {
 				if res.DataLoss {
 					t.Fatalf("data loss: %v", res.Lost)
 				}
+				if res.ChunksRebuilt != lost || res.ChunksDecoded != 0 {
+					t.Fatalf("rebuilt %d chunks (%d decoded), want %d through single chains", res.ChunksRebuilt, res.ChunksDecoded, lost)
+				}
 				if res.CacheHits+res.CacheMisses == 0 {
 					t.Error("cache stats not collected")
+				}
+				if res.CacheMisses != res.DiskReads || res.VerifyReads == 0 {
+					t.Errorf("misses=%d disk=%d verify=%d: want misses == disk reads and oracle re-reads", res.CacheMisses, res.DiskReads, res.VerifyReads)
 				}
 				checkAgainstGroundTruth(t, b, m, seed)
 			})
 		}
 	}
+	t.Run("dead-disks-bypass-the-policy", func(t *testing.T) {
+		var first *ServiceResult
+		for _, policy := range []string{"fbf", "lru", "fifo"} {
+			b := initMem(t, m, seed)
+			killDisk(t, b, 2)
+			killDisk(t, b, 3)
+			res, err := RunService(ServiceConfig{Backend: b, Manifest: m, Policy: policy, CacheChunks: 8})
+			if err != nil {
+				t.Fatalf("RunService: %v", err)
+			}
+			if res.ChunksDecoded == 0 || res.CacheHits != 0 || res.CacheMisses != res.DiskReads {
+				t.Fatalf("%s: decoded=%d hits=%d misses=%d disk=%d", policy, res.ChunksDecoded, res.CacheHits, res.CacheMisses, res.DiskReads)
+			}
+			checkAgainstGroundTruth(t, b, m, seed)
+			res.Report = nil
+			if first == nil {
+				first = res
+			} else if !reflect.DeepEqual(first, res) {
+				t.Fatalf("policy %s changed a decoder-path rebuild:\n %+v\n %+v", policy, first, res)
+			}
+		}
+	})
 }
 
 // recordingBackend counts mutations, so read-only modes can prove they
@@ -278,6 +409,222 @@ func TestServiceEscalation(t *testing.T) {
 		t.Errorf("ChunksRebuilt = %d, want %d", res.ChunksRebuilt, len(lost)+1)
 	}
 	checkAgainstGroundTruth(t, b, m, seed)
+}
+
+// TestDecodePassShape checks the read-once pass against the plan it is
+// built from, on an all-decoder plan and on a mixed one: every source is
+// listed once, in disk-then-row order; accumulator i is fed exactly
+// Selected[i].Fetch and accumulator L+i exactly the oracle's sources of
+// the same cell; a source counts as fetched iff a Fetch equation lists
+// it. With NoVerify there are L accumulators, not 2L, and no chunk is
+// read for the oracle's sake.
+func TestDecodePassShape(t *testing.T) {
+	for _, tc := range []struct {
+		code  string
+		disks []int
+	}{{"tip", []int{1, 3, 4}}, {"triplestar", []int{0, 1}}} {
+		for _, noVerify := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s-kill%v-noverify=%v", tc.code, tc.disks, noVerify), func(t *testing.T) {
+				code := codes.MustNew(tc.code, 5)
+				var lost []grid.Coord
+				for row := 0; row < code.Rows(); row++ {
+					for _, d := range tc.disks {
+						lost = append(lost, grid.Coord{Row: row, Col: d})
+					}
+				}
+				s := &service{cfg: &ServiceConfig{Strategy: core.StrategyLooped, NoVerify: noVerify}, code: code}
+				plan, err := s.planFor(0, lost)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !plan.decoded {
+					t.Fatal("fixture plan has no decoder selection")
+				}
+				pass, selected := s.passFor(plan), plan.scheme.Selected
+				if s.passFor(plan) != pass {
+					t.Error("pass rebuilt on second use")
+				}
+				wantAccs := 2 * len(selected)
+				if noVerify {
+					wantAccs = len(selected)
+				}
+				if pass.accs != wantAccs {
+					t.Fatalf("%d accumulators for %d cells, want %d", pass.accs, len(selected), wantAccs)
+				}
+				fed := make([]map[grid.Coord]bool, pass.accs)
+				for i := range fed {
+					fed[i] = map[grid.Coord]bool{}
+				}
+				fetched := 0
+				for k, src := range pass.sources {
+					if k > 0 {
+						if prev := pass.sources[k-1].cell; prev.Col > src.cell.Col || (prev.Col == src.cell.Col && prev.Row >= src.cell.Row) {
+							t.Fatalf("sources %v then %v: not distinct in disk-then-row order", prev, src.cell)
+						}
+					}
+					inFetch := false
+					for _, acc := range src.folds {
+						if fed[acc][src.cell] {
+							t.Fatalf("source %v folds into accumulator %d twice", src.cell, acc)
+						}
+						fed[acc][src.cell] = true
+						inFetch = inFetch || acc < len(selected)
+					}
+					if len(src.folds) == 0 || src.fetched != inFetch {
+						t.Fatalf("source %v: folds %v, fetched=%v", src.cell, src.folds, src.fetched)
+					}
+					if inFetch {
+						fetched++
+					}
+				}
+				if fetched != plan.scheme.UniqueFetches() || (noVerify && fetched != len(pass.sources)) {
+					t.Fatalf("%d of %d sources fetched, scheme plans %d distinct reads", fetched, len(pass.sources), plan.scheme.UniqueFetches())
+				}
+				sameSet := func(acc int, equation []grid.Coord) {
+					if len(fed[acc]) != len(equation) {
+						t.Fatalf("accumulator %d fed %d sources, its equation lists %d", acc, len(fed[acc]), len(equation))
+					}
+					for _, src := range equation {
+						if !fed[acc][src] {
+							t.Fatalf("accumulator %d never sees %v", acc, src)
+						}
+					}
+				}
+				for i, sel := range selected {
+					sameSet(i, sel.Fetch)
+					if !noVerify {
+						sameSet(len(selected)+i, plan.oracle.Sources(sel.Lost))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestServiceNoVerify pins the unchecked mode on both replay orders: no
+// chunk is counted verified and the backend is asked for nothing on the
+// oracle's behalf, yet the bytes are right.
+func TestServiceNoVerify(t *testing.T) {
+	const seed = 17
+	m := testManifest("triplestar", 5, 3, 64)
+	for name, damage := range map[string]func(*store.Mem){
+		"partial-stripes": func(b *store.Mem) { losePartialStripes(t, b, m, 3) },
+		"dead-disks":      func(b *store.Mem) { killDisk(t, b, 0); killDisk(t, b, 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			b := initMem(t, m, seed)
+			damage(b)
+			dry, err := RunService(ServiceConfig{Backend: b, Manifest: m, DryRun: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			counter := newReadCounter(b)
+			res, err := RunService(ServiceConfig{Backend: counter, Manifest: m, NoVerify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ChunksRebuilt != dry.PlannedChunks || res.ChunksVerified != 0 || res.VerifyReads != 0 {
+				t.Fatalf("rebuilt %d of %d planned, %d verified, %d verify reads", res.ChunksRebuilt, dry.PlannedChunks, res.ChunksVerified, res.VerifyReads)
+			}
+			if got := uint64(counter.total()); got != res.DiskReads || got != uint64(dry.PlannedReads) {
+				t.Fatalf("backend served %d reads, %d booked, %d planned (every stripe fits the cache)", got, res.DiskReads, dry.PlannedReads)
+			}
+			checkAgainstGroundTruth(t, b, m, seed)
+		})
+	}
+}
+
+// failKthRead serves the k-th payload read of one stripe as a failure,
+// once: the chunk the scan believed healthy turns out unreadable.
+type failKthRead struct {
+	store.Backend
+	stripe, k int
+	fail      func(store.Addr) (int, error) // what that read returns
+	seen      int
+}
+
+func (f *failKthRead) ReadChunk(a store.Addr, dst []byte) (int, error) {
+	if a.Stripe == f.stripe {
+		if f.seen++; f.seen == f.k {
+			return f.fail(a)
+		}
+	}
+	return f.Backend.ReadChunk(a, dst)
+}
+
+// TestServiceEscalationMidPass fails every source read of a read-once
+// pass in turn, as missing, as corrupt and as the wrong size. The pass has written nothing
+// when a read fails, so the escalation restarts it on the grown lost
+// set: the run never errors, never reads a stripe again after writing
+// to it, and ends byte-exact — or, when the fourth unreadable column
+// exceeds the code, with exactly the cells it could not solve accounted
+// as lost and everything else byte-exact.
+func TestServiceEscalationMidPass(t *testing.T) {
+	const seed = 31
+	m := testManifest("star", 5, 2, 64)
+	fails := map[string]func(store.Addr) (int, error){
+		"not-found": func(a store.Addr) (int, error) { return 0, &store.NotFoundError{Addr: a} },
+		"corrupt":   func(a store.Addr) (int, error) { return 0, &store.CorruptError{Addr: a, Err: store.ErrChecksum} },
+		"short":     func(store.Addr) (int, error) { return m.ChunkSize / 2, nil }, // a valid chunk of another geometry
+	}
+	for _, disks := range [][]int{{0, 2}, {0, 2, 4}} {
+		damaged := func() *store.Mem {
+			b := initMem(t, m, seed)
+			for _, d := range disks {
+				killDisk(t, b, d)
+			}
+			return b
+		}
+		clean := newReadCounter(damaged())
+		if _, err := RunService(ServiceConfig{Backend: clean, Manifest: m}); err != nil {
+			t.Fatal(err)
+		}
+		sources := clean.total() / m.Stripes
+		if sources < 10 {
+			t.Fatalf("a pass of only %d reads; the sweep would prove little", sources)
+		}
+		for kind, fail := range fails {
+			t.Run(fmt.Sprintf("kill%v-%s", disks, kind), func(t *testing.T) {
+				for k := 1; k <= sources; k++ {
+					b := damaged()
+					counter := newReadCounter(b)
+					res, err := RunService(ServiceConfig{
+						Backend:  &failKthRead{Backend: counter, stripe: 1, k: k, fail: fail},
+						Manifest: m,
+					})
+					if err != nil {
+						t.Fatalf("read %d: %v", k, err)
+					}
+					if res.Escalations < 1 || res.Regenerations != res.Escalations {
+						t.Fatalf("read %d: %d escalations, %d regenerations", k, res.Escalations, res.Regenerations)
+					}
+					if counter.readAfterWrite {
+						t.Fatalf("read %d: a stripe was read again after its first write-back", k)
+					}
+					if res.DataLoss != (len(res.Lost) > 0) || (len(disks) < 3 && res.DataLoss) {
+						t.Fatalf("read %d: DataLoss=%v with lost cells %v", k, res.DataLoss, res.Lost)
+					}
+					for _, a := range res.Lost {
+						if a.Stripe != 1 {
+							t.Fatalf("read %d: lost %v outside the failing stripe", k, a)
+						}
+					}
+					if want := len(disks)*m.Rows*m.Stripes + 1 - len(res.Lost); res.ChunksRebuilt != want || res.ChunksVerified != want {
+						// The failed source is healthy underneath, so when it is
+						// accounted lost it still reads back true below.
+						t.Fatalf("read %d: rebuilt %d, verified %d, want %d (lost %v)", k, res.ChunksRebuilt, res.ChunksVerified, want, res.Lost)
+					}
+					var stillMissing []store.Addr
+					for _, a := range res.Lost {
+						if _, err := b.Stat(a); err != nil {
+							stillMissing = append(stillMissing, a)
+						}
+					}
+					checkAgainstGroundTruth(t, b, m, seed, stillMissing...)
+				}
+			})
+		}
+	}
 }
 
 // TestServiceScrubFindsPayloadRot pins the scan layering: the default

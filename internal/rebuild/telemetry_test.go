@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"fbf/internal/core"
+	"fbf/internal/grid"
 	"fbf/internal/telemetry"
 )
 
@@ -44,14 +46,23 @@ func TestServiceMetricsMatchResult(t *testing.T) {
 	rm := telemetry.NewRebuildMetrics(reg)
 
 	pass := func(n int) *ServiceResult {
+		// Both replay orders in one pass: partial stripe errors go chain
+		// by chain (the chains share sources, so the cache hits, and the
+		// oracle re-reads), and stripe 3 also loses two whole columns,
+		// which takes the decoder and its read-once pass.
 		b := initMem(t, m, 42)
-		killDisk(t, b, 1) // two dead disks: repair chains share sources, so the cache hits
-		killDisk(t, b, 3)
+		losePartialStripes(t, b, m, 3)
+		for _, col := range []int{4, 6} {
+			for row := 0; row < m.Rows; row++ {
+				b.Delete(AddrOf(3, grid.Coord{Row: row, Col: col})) // a cell the partial error took already is fine
+			}
+		}
 		scraped0 := scrapeValue(t, reg, "fbf_rebuild_stripes_done")
 		var hooks []Progress
 		res, err := RunService(ServiceConfig{
 			Backend:     b,
 			Manifest:    m,
+			Strategy:    core.StrategyLooped, // chains of different kinds cross, so they share sources
 			JournalPath: filepath.Join(t.TempDir(), "rebuild.journal"),
 			Metrics:     rm,
 			Progress: func(p Progress) {
@@ -66,7 +77,8 @@ func TestServiceMetricsMatchResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAgainstGroundTruth(t, b, m, 42)
-		if res.ChunksRebuilt == 0 || res.DiskReads == 0 || res.CacheHits == 0 {
+		if res.ChunksRebuilt == 0 || res.DiskReads == 0 || res.CacheHits == 0 || res.VerifyReads == 0 ||
+			res.ChunksDecoded == 0 || res.ChunksDecoded == res.ChunksRebuilt {
 			t.Fatalf("pass %d is degenerate (%+v): counters not exercised", n, res)
 		}
 		if len(hooks) != res.StripesRepaired {
@@ -98,6 +110,7 @@ func TestServiceMetricsMatchResult(t *testing.T) {
 		{"stripes_done", rm.StripesDone.Value(), uint64(first.StripesRepaired)},
 		{"chunks_rebuilt", rm.ChunksRebuilt.Value(), uint64(first.ChunksRebuilt)},
 		{"chunks_verified", rm.ChunksVerified.Value(), uint64(first.ChunksVerified)},
+		{"chunks_decoded", rm.ChunksDecoded.Value(), uint64(first.ChunksDecoded)},
 		{"disk_reads", rm.DiskReads.Value(), first.DiskReads},
 		{"verify_reads", rm.VerifyReads.Value(), first.VerifyReads},
 		{"cache_hits", rm.CacheHits.Value(), first.CacheHits},

@@ -53,14 +53,19 @@ func (o *Oracle) Sources(cell grid.Coord) []grid.Coord { return o.plan[cell] }
 // chain recovery and the GF(2) decoder disagree: corruption in flight,
 // a bad chain, or a decoder bug. The read callback must return
 // surviving (or already-repaired) bytes; the oracle never asks for a
-// cell in the lost set.
-func (o *Oracle) Check(cell grid.Coord, recovered chunk.Chunk, read func(grid.Coord, chunk.Chunk) error) error {
+// cell in the lost set. acc and buf are the caller's scratch, each
+// len(recovered) bytes (pooled, in the storage engine): their contents
+// are ignored on entry and garbage on return, and Check allocates
+// nothing on the passing path.
+func (o *Oracle) Check(cell grid.Coord, recovered, acc, buf chunk.Chunk, read func(grid.Coord, chunk.Chunk) error) error {
 	sources, ok := o.plan[cell]
 	if !ok {
 		return fmt.Errorf("verify: oracle cannot solve %v", cell)
 	}
-	acc := chunk.New(len(recovered))
-	buf := chunk.New(len(recovered))
+	if len(acc) != len(recovered) || len(buf) != len(recovered) {
+		return fmt.Errorf("verify: oracle scratch is %d and %d bytes for a %d-byte chunk", len(acc), len(buf), len(recovered))
+	}
+	clear(acc)
 	for _, src := range sources {
 		if o.lostSet[src] {
 			return fmt.Errorf("verify: oracle plan for %v reads lost cell %v", cell, src)
@@ -70,9 +75,16 @@ func (o *Oracle) Check(cell grid.Coord, recovered chunk.Chunk, read func(grid.Co
 		}
 		chunk.XORInto(acc, buf)
 	}
-	if !acc.Equal(recovered) {
-		return fmt.Errorf("verify: chain recovery and gf2 oracle disagree on %v (first diff at offset %d)",
-			cell, firstDiff(acc, recovered))
+	return Diff(cell, acc, recovered)
+}
+
+// Diff compares the oracle's re-derivation of cell with the bytes the
+// caller recovered for it. It is the one place the disagreement is
+// worded, shared by Check and by callers that accumulate Sources(cell)
+// themselves (the storage engine's read-once stripe decode).
+func Diff(cell grid.Coord, derived, recovered chunk.Chunk) error {
+	if off := firstDiff(derived, recovered); off >= 0 {
+		return fmt.Errorf("verify: chain recovery and gf2 oracle disagree on %v (first diff at offset %d)", cell, off)
 	}
 	return nil
 }
