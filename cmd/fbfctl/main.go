@@ -452,7 +452,7 @@ func runDaemon(args []string, stdout, stderr io.Writer) int {
 		}
 		rm = telemetry.NewRebuildMetrics(reg)
 		dm = telemetry.NewDaemonMetrics(reg)
-		srv = telemetry.NewServer(reg, func() any { return dm.Tracker.Snapshot() })
+		srv = telemetry.NewServer(reg, func() any { return dm.Progress() })
 		addr, err := srv.Start(*listen)
 		if err != nil {
 			return fail(stderr, err)

@@ -375,8 +375,7 @@ func main() {
 	// paper's tip(p=13)/fbf/64MB when the axes were left at their
 	// defaults — traced and/or sampled, with the exports written before
 	// the summary line. The trace is stamped in simulated time, so the
-	// same flags reproduce it byte for byte (unless ChargeSchemeGen-style
-	// wall-clock charging is enabled elsewhere).
+	// same flags reproduce it byte for byte.
 	if outputs["trace-out"] != nil || outputs["trace-jsonl"] != nil || outputs["metrics-out"] != nil {
 		code, prime, policy, sizeMB := "tip", 13, "fbf", 64
 		if *codesFlag != "" {

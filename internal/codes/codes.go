@@ -108,9 +108,6 @@ func (c *Code) NewStripe(chunkSize int) Stripe {
 	return s
 }
 
-// Chunk returns the stripe chunk at the given coordinate.
-func (s Stripe) Chunk(c *Code, coord grid.Coord) chunk.Chunk { return s[c.CellIndex(coord)] }
-
 // Encode fills every parity chunk of the stripe from the data chunks.
 // Data chunks must already be populated; parity chunks are overwritten.
 func (c *Code) Encode(s Stripe) {
@@ -328,15 +325,14 @@ func MustNew(name string, p int) *Code {
 func (c *Code) MaxPartialSize() int { return c.p - 1 }
 
 // MaterializeStripe returns a deterministic, fully encoded stripe with
-// pseudo-random data contents derived from seed; it implements the
-// engine's data-verification interface (core.Rebuilder).
+// pseudo-random data contents derived from seed.
 func (c *Code) MaterializeStripe(seed int64, chunkSize int) []chunk.Chunk {
 	s := c.NewStripe(chunkSize)
 	c.MaterializeStripeInto(s, seed)
 	return s
 }
 
-// MaterializeStripeInto implements core.RebuilderInto: dst may come
+// MaterializeStripeInto implements core.Rebuilder: dst may come
 // from a pool un-zeroed — the RNG overwrites every data byte and Encode
 // overwrites every parity byte.
 func (c *Code) MaterializeStripeInto(dst []chunk.Chunk, seed int64) {
@@ -348,7 +344,7 @@ func (c *Code) MaterializeStripeInto(dst []chunk.Chunk, seed int64) {
 }
 
 // RebuildChunk recomputes the lost cell by XOR-ing the chain's other
-// members, implementing core.Rebuilder.
+// members into a fresh chunk.
 func (c *Code) RebuildChunk(id grid.ChainID, lost grid.Coord, stripe []chunk.Chunk) (chunk.Chunk, error) {
 	acc := chunk.New(len(stripe[0]))
 	if err := c.RebuildChunkInto(acc, id, lost, stripe); err != nil {
@@ -357,7 +353,7 @@ func (c *Code) RebuildChunk(id grid.ChainID, lost grid.Coord, stripe []chunk.Chu
 	return acc, nil
 }
 
-// RebuildChunkInto implements core.RebuilderInto: the first surviving
+// RebuildChunkInto implements core.Rebuilder: the first surviving
 // member is copied and the rest XORed in, so dst may come from a pool
 // un-zeroed.
 func (c *Code) RebuildChunkInto(dst chunk.Chunk, id grid.ChainID, lost grid.Coord, stripe []chunk.Chunk) error {

@@ -26,29 +26,18 @@ type Geometry interface {
 // Rebuilder is implemented by codes that can materialize stripe
 // contents and rebuild a lost chunk from one parity chain — what the
 // engine's VerifyData mode uses to byte-check every recovery. Stripe
-// slices are indexed row-major: index = row*Layout().Cols() + col.
+// slices are indexed row-major: index = row*Layout().Cols() + col. Both
+// methods write into caller-provided buffers, which the engine recycles
+// through a chunk.Pool: the destinations may hold garbage on entry
+// (chunk.Pool.GetRaw) — implementations overwrite every byte.
 type Rebuilder interface {
 	Geometry
-	// MaterializeStripe returns a deterministic, fully encoded stripe
-	// with pseudo-random data contents derived from seed.
-	MaterializeStripe(seed int64, chunkSize int) []chunk.Chunk
-	// RebuildChunk recomputes the lost cell from the chain's other
-	// members in the given stripe.
-	RebuildChunk(chain grid.ChainID, lost grid.Coord, stripe []chunk.Chunk) (chunk.Chunk, error)
-}
-
-// RebuilderInto is an optional extension of Rebuilder for callers that
-// recycle chunk buffers through a chunk.Pool: the Into variants write
-// into caller-provided buffers instead of allocating fresh ones. The
-// destination buffers may hold garbage on entry (chunk.Pool.GetRaw) —
-// implementations overwrite every byte.
-type RebuilderInto interface {
-	Rebuilder
 	// MaterializeStripeInto fills dst — Layout().Cells() chunks of one
-	// size — with the stripe MaterializeStripe(seed, size) would return.
+	// size — with a deterministic, fully encoded stripe whose
+	// pseudo-random data contents derive from seed.
 	MaterializeStripeInto(dst []chunk.Chunk, seed int64)
 	// RebuildChunkInto recomputes the lost cell from the chain's other
-	// members into dst.
+	// members in the given stripe into dst.
 	RebuildChunkInto(dst chunk.Chunk, chain grid.ChainID, lost grid.Coord, stripe []chunk.Chunk) error
 }
 

@@ -33,8 +33,6 @@ type ArrayConfig struct {
 	// ModelFor returns the service model of disk i. When nil the paper's
 	// fixed 10 ms model is used for every disk.
 	ModelFor func(i int) Model
-	// Scheduler selects every disk's queue discipline (default FIFO).
-	Scheduler Scheduler
 	// FaultFor returns the fault plan of disk i (nil for none). When nil
 	// no disk faults, preserving the legacy always-succeeds behaviour.
 	FaultFor func(i int) FaultPlan
@@ -63,7 +61,6 @@ func NewArray(s *sim.Simulator, cfg ArrayConfig) (*Array, error) {
 			model = cfg.ModelFor(i)
 		}
 		d := NewDisk(i, s, model)
-		d.SetScheduler(cfg.Scheduler)
 		if cfg.Tracer != nil {
 			d.SetTracer(cfg.Tracer)
 		}
@@ -82,12 +79,6 @@ func (a *Array) Disks() int { return len(a.disks) }
 
 // Disk returns disk i.
 func (a *Array) Disk(i int) *Disk { return a.disks[i] }
-
-// Stripes returns the number of stripes.
-func (a *Array) Stripes() int { return a.stripes }
-
-// ChunkSize returns the chunk size in bytes.
-func (a *Array) ChunkSize() int { return a.chunkSize }
 
 // chunkAddr maps (stripe, row) to the per-disk chunk address.
 func (a *Array) chunkAddr(stripe, row int) int64 {
@@ -124,17 +115,9 @@ func (a *Array) ReadChunkReq(stripe int, cell grid.Coord, r *Request) error {
 	return nil
 }
 
-// ReadChunkEx is ReadChunk with the fault-aware completion signature:
-// done receives the request itself, so callers can inspect
-// Request.Failed/Fault and react (retry, escalate, re-plan).
-func (a *Array) ReadChunkEx(stripe int, cell grid.Coord, done func(r *Request, issued, completed sim.Time)) error {
-	r := &Request{}
-	r.Done = func(issued, completed sim.Time) { done(r, issued, completed) }
-	return a.ReadChunkReq(stripe, cell, r)
-}
-
-// ReadAddrReq reads an arbitrary per-disk chunk address through a
-// caller-owned Request; the same reuse contract as ReadChunkReq.
+// ReadAddrReq reads an arbitrary per-disk chunk address (a checkpointed
+// chunk in a spare region) through a caller-owned Request; the same
+// reuse contract as ReadChunkReq.
 func (a *Array) ReadAddrReq(diskID int, addr int64, r *Request) error {
 	if diskID < 0 || diskID >= len(a.disks) {
 		return fmt.Errorf("disk: read from invalid disk %d", diskID)
@@ -144,15 +127,6 @@ func (a *Array) ReadAddrReq(diskID int, addr int64, r *Request) error {
 	r.Write = false
 	a.disks[diskID].Submit(r)
 	return nil
-}
-
-// ReadAddrEx reads an arbitrary per-disk chunk address (used to re-read
-// checkpointed chunks from a spare region) with the fault-aware
-// completion signature.
-func (a *Array) ReadAddrEx(diskID int, addr int64, done func(r *Request, issued, completed sim.Time)) error {
-	r := &Request{}
-	r.Done = func(issued, completed sim.Time) { done(r, issued, completed) }
-	return a.ReadAddrReq(diskID, addr, r)
 }
 
 // WriteChunk issues an in-place write of the chunk at (stripe, cell) —
@@ -221,17 +195,6 @@ func (a *Array) WriteSpareReq(diskID int, r *Request) (target int, addr int64) {
 	r.Write = true
 	a.disks[target].Submit(r)
 	return target, addr
-}
-
-// WriteSpareEx writes one recovered chunk into the spare region of the
-// given disk, failing over to SpareTarget when that disk is dead. It
-// returns the disk and spare address actually written (-1, -1 when no
-// disk survives — done is then never called) and reports the request to
-// done so the caller can observe mid-write disk failures.
-func (a *Array) WriteSpareEx(diskID int, done func(r *Request, issued, completed sim.Time)) (target int, addr int64) {
-	r := &Request{}
-	r.Done = func(issued, completed sim.Time) { done(r, issued, completed) }
-	return a.WriteSpareReq(diskID, r)
 }
 
 // TotalStats sums the per-disk statistics.

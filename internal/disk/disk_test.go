@@ -51,8 +51,8 @@ func TestDiskFIFOAndBusy(t *testing.T) {
 			completions = append(completions, completed)
 		}})
 	}
-	if d.QueueDepth() != 2 { // one in service
-		t.Errorf("QueueDepth = %d", d.QueueDepth())
+	if d.InFlight() != 3 { // two queued, one in service
+		t.Errorf("InFlight = %d", d.InFlight())
 	}
 	s.Run()
 	want := []sim.Time{10 * sim.Millisecond, 20 * sim.Millisecond, 30 * sim.Millisecond}
@@ -107,22 +107,76 @@ func TestNilModelPanics(t *testing.T) {
 	NewDisk(0, sim.New(), nil)
 }
 
+// windowPlan fails every request completing before until as a
+// transient.
+type windowPlan struct{ until sim.Time }
+
+func (windowPlan) FailureTime() (sim.Time, bool) { return 0, false }
+func (p windowPlan) Outcome(_ *Request, now sim.Time) FaultKind {
+	if now < p.until {
+		return FaultTransient
+	}
+	return FaultNone
+}
+
 func TestFaultInjection(t *testing.T) {
 	s := sim.New()
 	d := NewDisk(0, s, PaperFixedLatency())
-	failed := 0
-	d.InjectFault(&Fault{Until: 5 * sim.Millisecond, Hook: func(r *Request) { failed++ }})
-	d.Submit(&Request{Addr: 0, Size: 1, Done: func(_, _ sim.Time) { t.Error("faulted request completed") }})
-	if failed != 1 {
-		t.Fatalf("failed = %d", failed)
+	d.SetFaultPlan(windowPlan{until: 15 * sim.Millisecond})
+	r := &Request{Addr: 0, Size: 1}
+	completions := 0
+	r.Done = func(_, _ sim.Time) { completions++ }
+	d.Submit(r) // completes at 10 ms, inside the window
+	s.Run()
+	if completions != 1 || !r.Failed || r.Fault != FaultTransient {
+		t.Fatalf("request inside the window: completions %d, failed %v, fault %v", completions, r.Failed, r.Fault)
+	}
+	if st := d.Stats(); st.Failed != 1 || st.Reads != 0 {
+		t.Errorf("stats = %+v, want the failure counted in Failed only", st)
 	}
 	// After the window the disk serves normally.
-	s.RunUntil(6 * sim.Millisecond)
-	ok := false
-	d.Submit(&Request{Addr: 0, Size: 1, Done: func(_, _ sim.Time) { ok = true }})
+	d.Submit(r) // completes at 20 ms
 	s.Run()
-	if !ok {
-		t.Error("request after fault window did not complete")
+	if completions != 2 || r.Failed {
+		t.Errorf("request after the window: completions %d, failed %v", completions, r.Failed)
+	}
+}
+
+// distanceModel charges 1 ms plus 1 us per unit of address distance, so
+// a reordering discipline would serve the batch below out of order.
+type distanceModel struct{}
+
+func (distanceModel) Name() string { return "distance" }
+func (distanceModel) ServiceTime(prev, addr int64, _ int, _ bool) sim.Time {
+	dist := addr - prev
+	if dist < 0 {
+		dist = -dist
+	}
+	return sim.Millisecond + sim.Time(dist)*sim.Microsecond
+}
+
+func TestFIFOServesArrivalOrder(t *testing.T) {
+	s := sim.New()
+	d := NewDisk(0, s, distanceModel{})
+	d.head = 50
+	var order []int64
+	// Occupy the disk so the whole batch queues first.
+	d.Submit(&Request{Addr: 50, Size: 1, Done: func(_, _ sim.Time) {}})
+	want := []int64{90, 10, 60, 20}
+	for _, a := range want {
+		a := a
+		d.Submit(&Request{Addr: a, Size: 1, Done: func(_, _ sim.Time) {
+			order = append(order, a)
+		}})
+	}
+	s.Run()
+	if len(order) != len(want) {
+		t.Fatalf("FIFO order = %v", order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("FIFO order = %v", order)
+		}
 	}
 }
 
@@ -138,7 +192,7 @@ func newTestArray(t *testing.T) (*sim.Simulator, *Array) {
 
 func TestArrayBasics(t *testing.T) {
 	s, a := newTestArray(t)
-	if a.Disks() != 4 || a.Stripes() != 10 || a.ChunkSize() != 1024 {
+	if a.Disks() != 4 {
 		t.Error("accessors wrong")
 	}
 	got := sim.Time(-1)
@@ -202,6 +256,9 @@ func TestArrayErrors(t *testing.T) {
 	}
 	if err := a.WriteSpare(-1, noop); err == nil {
 		t.Error("bad spare disk accepted")
+	}
+	if err := a.ReadAddrReq(-1, 0, &Request{Done: noop}); err == nil {
+		t.Error("bad spare-read disk accepted")
 	}
 	if _, err := NewArray(sim.New(), ArrayConfig{}); err == nil {
 		t.Error("zero config accepted")

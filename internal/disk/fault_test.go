@@ -153,42 +153,6 @@ func TestWholeDiskFailureDrainsQueue(t *testing.T) {
 	}
 }
 
-func TestLegacyFaultWindowClears(t *testing.T) {
-	// The old implementation never cleared an expired window; the shim
-	// must drop it once time passes Until.
-	s := sim.New()
-	d := NewDisk(0, s, PaperFixedLatency())
-	d.InjectFault(&Fault{Until: 5 * sim.Millisecond})
-	s.RunUntil(6 * sim.Millisecond)
-	ok := false
-	d.Submit(&Request{Addr: 0, Size: 1, Done: func(_, _ sim.Time) { ok = true }})
-	if d.plan != nil {
-		t.Error("expired fault window not cleared at Submit")
-	}
-	s.Run()
-	if !ok {
-		t.Error("request after expired window did not complete")
-	}
-}
-
-func TestLegacyFaultWindowCatchesQueuedRequests(t *testing.T) {
-	// A request already in service when the window arms used to dodge it
-	// entirely; it now fails at its completion time inside the window.
-	s := sim.New()
-	d := NewDisk(0, s, PaperFixedLatency())
-	r := &Request{Addr: 0, Size: 1}
-	var fault FaultKind
-	r.Done = func(_, _ sim.Time) { fault = r.Fault }
-	d.Submit(r) // completes at 10 ms
-	s.Schedule(1*sim.Millisecond, func() {
-		d.InjectFault(&Fault{Until: 50 * sim.Millisecond})
-	})
-	s.Run()
-	if fault != FaultTransient {
-		t.Errorf("in-flight request fault = %v, want transient", fault)
-	}
-}
-
 func TestArrayFaultForAndSpareFailover(t *testing.T) {
 	s := sim.New()
 	a, err := NewArray(s, ArrayConfig{
@@ -213,40 +177,25 @@ func TestArrayFaultForAndSpareFailover(t *testing.T) {
 	if got := a.SpareTarget(0); got != 0 {
 		t.Errorf("SpareTarget(0) = %d, want 0", got)
 	}
-	var wrote *Request
-	target, addr := a.WriteSpareEx(1, func(r *Request, _, _ sim.Time) { wrote = r })
+	completions := 0
+	r := &Request{Done: func(_, _ sim.Time) { completions++ }}
+	target, addr := a.WriteSpareReq(1, r)
 	if target != 2 || addr != a.spareBase {
-		t.Errorf("WriteSpareEx = (%d, %d), want (2, %d)", target, addr, a.spareBase)
+		t.Errorf("WriteSpareReq = (%d, %d), want (2, %d)", target, addr, a.spareBase)
 	}
 	s.Run()
-	if wrote == nil || wrote.Failed {
-		t.Errorf("failover spare write did not succeed: %+v", wrote)
+	if completions != 1 || r.Failed {
+		t.Errorf("failover spare write did not succeed: %+v", r)
 	}
-	// Reads on the dead disk surface FaultDiskFail through ReadChunkEx.
-	var read *Request
-	if err := a.ReadChunkEx(0, grid.Coord{Row: 0, Col: 1}, func(r *Request, _, _ sim.Time) { read = r }); err != nil {
+	// Reads on the dead disk surface FaultDiskFail through the request.
+	if err := a.ReadChunkReq(0, grid.Coord{Row: 0, Col: 1}, r); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	if read == nil || read.Fault != FaultDiskFail {
-		t.Errorf("read on dead disk = %+v, want disk-fail", read)
+	if completions != 2 || r.Fault != FaultDiskFail {
+		t.Errorf("read on dead disk = %+v, want disk-fail", r)
 	}
 	if a.TotalStats().Failed == 0 {
 		t.Error("TotalStats should count failed requests")
-	}
-}
-
-func TestReadAddrEx(t *testing.T) {
-	s, a := newTestArray(t)
-	var r *Request
-	if err := a.ReadAddrEx(2, 41, func(req *Request, _, _ sim.Time) { r = req }); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ReadAddrEx(-1, 0, func(*Request, sim.Time, sim.Time) {}); err == nil {
-		t.Error("invalid disk accepted")
-	}
-	s.Run()
-	if r == nil || r.Failed || r.Addr != 41 {
-		t.Errorf("spare read = %+v", r)
 	}
 }

@@ -148,49 +148,18 @@ type Stats struct {
 	QueueTime sim.Time
 }
 
-// Scheduler selects the order a disk serves its queued requests.
-type Scheduler uint8
-
-const (
-	// SchedFIFO serves requests in arrival order (the default).
-	SchedFIFO Scheduler = iota
-	// SchedSSTF serves the request with the shortest seek from the
-	// current head position (ties to the earlier arrival).
-	SchedSSTF
-	// SchedLOOK sweeps the head in one direction serving requests in
-	// address order, reversing at the last pending request (the
-	// elevator algorithm).
-	SchedLOOK
-)
-
-// String names the scheduler.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedFIFO:
-		return "fifo"
-	case SchedSSTF:
-		return "sstf"
-	case SchedLOOK:
-		return "look"
-	default:
-		return "Scheduler(?)"
-	}
-}
-
-// Disk is one drive: a scheduling queue in front of a single server
-// whose holding time comes from the Model.
+// Disk is one drive: a FIFO queue in front of a single server whose
+// holding time comes from the Model.
 type Disk struct {
-	id        int
-	sim       *sim.Simulator
-	model     Model
-	scheduler Scheduler
-	sweepUp   bool // LOOK direction
-	queue     []*Request
-	busy      bool
-	head      int64
-	stats     Stats
-	plan      FaultPlan
-	failed    bool
+	id     int
+	sim    *sim.Simulator
+	model  Model
+	queue  []*Request
+	busy   bool
+	head   int64
+	stats  Stats
+	plan   FaultPlan
+	failed bool
 
 	// tr, when non-nil, receives one io span per served request and a
 	// queue-occupancy counter on this disk's trace lane. Every
@@ -210,20 +179,15 @@ type Disk struct {
 	completeFn   func()
 }
 
-// NewDisk creates a disk attached to the simulator with FIFO
-// scheduling.
+// NewDisk creates a disk attached to the simulator.
 func NewDisk(id int, s *sim.Simulator, model Model) *Disk {
 	if model == nil {
 		panic("disk: nil model")
 	}
-	d := &Disk{id: id, sim: s, model: model, sweepUp: true}
+	d := &Disk{id: id, sim: s, model: model}
 	d.completeFn = d.completeServing
 	return d
 }
-
-// SetScheduler selects the queue discipline; safe only before traffic
-// starts.
-func (d *Disk) SetScheduler(s Scheduler) { d.scheduler = s }
 
 // SetTracer attaches an event tracer to the disk's lane in the
 // "disks" track group; safe only before traffic starts.
@@ -251,86 +215,8 @@ func (d *Disk) traceQueue() {
 	})
 }
 
-// pickNext removes and returns the next request per the scheduler.
-func (d *Disk) pickNext() *Request {
-	best := 0
-	switch d.scheduler {
-	case SchedSSTF:
-		bestDist := int64(-1)
-		for i, r := range d.queue {
-			dist := r.Addr - d.head
-			if dist < 0 {
-				dist = -dist
-			}
-			if bestDist < 0 || dist < bestDist {
-				best, bestDist = i, dist
-			}
-		}
-	case SchedLOOK:
-		for pass := 0; pass < 2; pass++ {
-			found := -1
-			var foundAddr int64
-			for i, r := range d.queue {
-				if d.sweepUp && r.Addr >= d.head {
-					if found < 0 || r.Addr < foundAddr {
-						found, foundAddr = i, r.Addr
-					}
-				}
-				if !d.sweepUp && r.Addr <= d.head {
-					if found < 0 || r.Addr > foundAddr {
-						found, foundAddr = i, r.Addr
-					}
-				}
-			}
-			if found >= 0 {
-				best = found
-				break
-			}
-			d.sweepUp = !d.sweepUp // nothing ahead: reverse and rescan
-		}
-	default: // FIFO
-	}
-	r := d.queue[best]
-	d.queue = append(d.queue[:best], d.queue[best+1:]...)
-	return r
-}
-
-// ID returns the disk's index in the array.
-func (d *Disk) ID() int { return d.id }
-
 // Stats returns the served-I/O counters.
 func (d *Disk) Stats() Stats { return d.stats }
-
-// QueueDepth returns the number of requests waiting (not in service).
-func (d *Disk) QueueDepth() int { return len(d.queue) }
-
-// Fault is the legacy ad-hoc failure window, kept as a thin shim over
-// the FaultPlan path for existing callers: requests submitted while
-// Until is in the future fail immediately (Hook runs, Done does not),
-// and requests already queued when the window arms fail at their
-// completion time with Failed=true — the old implementation let queued
-// requests dodge the window entirely, and never cleared the armed fault
-// after it expired.
-type Fault struct {
-	Until sim.Time
-	Hook  func(r *Request)
-}
-
-// FailureTime implements FaultPlan: a window never kills the disk.
-func (f *Fault) FailureTime() (sim.Time, bool) { return 0, false }
-
-// Outcome implements FaultPlan: every request completing inside the
-// window fails as a transient.
-func (f *Fault) Outcome(_ *Request, now sim.Time) FaultKind {
-	if now < f.Until {
-		return FaultTransient
-	}
-	return FaultNone
-}
-
-// InjectFault arms a fault window on the disk (legacy shim; new code
-// should install a FaultPlan via SetFaultPlan).
-func (d *Disk) InjectFault(f *Fault) { d.plan = f }
 
 // SetFaultPlan installs the disk's fault plan and schedules its
 // whole-disk failure, if any. Call before traffic starts.
@@ -396,20 +282,6 @@ func (d *Disk) Submit(r *Request) {
 		d.sim.Schedule(0, func() { d.completeFailed(r, FaultDiskFail) })
 		return
 	}
-	if f, ok := d.plan.(*Fault); ok {
-		// Legacy window semantics: intercept at submission, swallowing
-		// the request (Hook instead of Done)...
-		if d.sim.Now() < f.Until {
-			r.Failed, r.Fault = true, FaultTransient
-			d.stats.Failed++
-			if f.Hook != nil {
-				f.Hook(r)
-			}
-			return
-		}
-		// ...and clear the expired window instead of leaking it forever.
-		d.plan = nil
-	}
 	d.queue = append(d.queue, r)
 	if d.tr != nil {
 		d.traceQueue()
@@ -425,7 +297,8 @@ func (d *Disk) startNext() {
 		return
 	}
 	d.busy = true
-	r := d.pickNext()
+	r := d.queue[0]
+	d.queue = append(d.queue[:0], d.queue[1:]...)
 	d.stats.QueueTime += d.sim.Now() - r.issued
 	service := d.model.ServiceTime(d.head, r.Addr, r.Size, r.Write)
 	d.stats.BusyTime += service
@@ -451,14 +324,6 @@ func (d *Disk) completeServing() {
 		kind = FaultDiskFail
 	} else if d.plan != nil {
 		kind = d.plan.Outcome(r, d.sim.Now())
-		if f, ok := d.plan.(*Fault); ok {
-			if kind != FaultNone && f.Hook != nil {
-				f.Hook(r)
-			}
-			if d.sim.Now() >= f.Until {
-				d.plan = nil
-			}
-		}
 	}
 	if kind != FaultNone {
 		r.Failed, r.Fault = true, kind

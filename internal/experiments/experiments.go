@@ -53,9 +53,6 @@ type Params struct {
 	// FastIO skips spare writes, which are identical across policies;
 	// hit-ratio and read-count sweeps run faster with it set.
 	FastIO bool
-	// ChargeSchemeGen folds measured scheme-generation wall time into
-	// the simulated clock (used by the Table IV runs).
-	ChargeSchemeGen bool
 
 	// Parallelism bounds how many sweep points run concurrently: 0
 	// means GOMAXPROCS, 1 forces the serial path. Every run is an
@@ -259,7 +256,6 @@ func Sweep(p Params) ([]Point, error) {
 			ChunkSize:       p.ChunkSizeKB * 1024,
 			Stripes:         p.Stripes,
 			SkipSpareWrites: p.FastIO,
-			ChargeSchemeGen: p.ChargeSchemeGen,
 		}
 		if p.Observe != nil {
 			o := p.Observe(prep.codeName, prep.prime, policy, sizeMB)

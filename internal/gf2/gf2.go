@@ -191,9 +191,6 @@ func NewSystem(symbols int) *System {
 	return &System{symbols: symbols}
 }
 
-// Symbols returns the symbol-space size.
-func (s *System) Symbols() int { return s.symbols }
-
 // AddEquation appends one equation: the XOR of the listed symbols is
 // zero. Symbols may repeat (an even number of repeats cancels).
 func (s *System) AddEquation(syms []int) {

@@ -131,9 +131,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
 }
 
-// Rows returns the row count.
-func (m *Matrix) Rows() int { return m.rows }
-
 // Cols returns the column count.
 func (m *Matrix) Cols() int { return m.cols }
 
@@ -233,12 +230,6 @@ func NewSystem(symbols int) *System {
 	}
 	return &System{symbols: symbols}
 }
-
-// Symbols returns the symbol-space size.
-func (s *System) Symbols() int { return s.symbols }
-
-// Equations returns the number of equations added.
-func (s *System) Equations() int { return len(s.equations) }
 
 // AddEquation appends one equation: sum of Coeff*Symbol terms is zero.
 func (s *System) AddEquation(terms []Term) {

@@ -265,7 +265,8 @@ func (c *Code) TripleFaultCoverage() (ok, total int, failing [][3]int) {
 	return ok, total, failing
 }
 
-// MaterializeStripe implements core.Rebuilder.
+// MaterializeStripe returns the stripe MaterializeStripeInto fills, in
+// freshly allocated chunks.
 func (c *Code) MaterializeStripe(seed int64, chunkSize int) []chunk.Chunk {
 	s := make([]chunk.Chunk, c.layout.Cells())
 	for i := range s {
@@ -275,7 +276,7 @@ func (c *Code) MaterializeStripe(seed int64, chunkSize int) []chunk.Chunk {
 	return s
 }
 
-// MaterializeStripeInto implements core.RebuilderInto: dst may come
+// MaterializeStripeInto implements core.Rebuilder: dst may come
 // from a pool un-zeroed — the RNG overwrites every data byte and Encode
 // clears each parity chunk before accumulating into it.
 func (c *Code) MaterializeStripeInto(dst []chunk.Chunk, seed int64) {
@@ -286,9 +287,8 @@ func (c *Code) MaterializeStripeInto(dst []chunk.Chunk, seed int64) {
 	c.Encode(dst)
 }
 
-// RebuildChunk implements core.Rebuilder: the chain equation
-// sum(co_i * x_i) = 0 solved for the lost cell gives
-// x_lost = (1/co_lost) * sum of the other weighted members.
+// RebuildChunk solves the chain equation sum(co_i * x_i) = 0 for the
+// lost cell: x_lost = (1/co_lost) * sum of the other weighted members.
 func (c *Code) RebuildChunk(id grid.ChainID, lost grid.Coord, stripe []chunk.Chunk) (chunk.Chunk, error) {
 	acc := chunk.New(len(stripe[0]))
 	if err := c.RebuildChunkInto(acc, id, lost, stripe); err != nil {
@@ -297,7 +297,7 @@ func (c *Code) RebuildChunk(id grid.ChainID, lost grid.Coord, stripe []chunk.Chu
 	return acc, nil
 }
 
-// RebuildChunkInto implements core.RebuilderInto: dst is cleared, the
+// RebuildChunkInto implements core.Rebuilder: dst is cleared, the
 // weighted survivors accumulate into it, and the in-place scale by the
 // lost coefficient's inverse replaces the scratch buffer RebuildChunk
 // used to allocate.
@@ -325,7 +325,6 @@ func (c *Code) RebuildChunkInto(dst chunk.Chunk, id grid.ChainID, lost grid.Coor
 
 // Interface conformance.
 var (
-	_ core.Geometry      = (*Code)(nil)
-	_ core.Rebuilder     = (*Code)(nil)
-	_ core.RebuilderInto = (*Code)(nil)
+	_ core.Geometry  = (*Code)(nil)
+	_ core.Rebuilder = (*Code)(nil)
 )

@@ -10,21 +10,6 @@ import (
 	"fbf/internal/stats"
 )
 
-// Counter is a monotonically adjustable metric owned by instrumented
-// code; the Registry reads it at each sample tick.
-type Counter struct {
-	v float64
-}
-
-// Add folds a delta in.
-func (c *Counter) Add(d float64) { c.v += d }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Value returns the current value.
-func (c *Counter) Value() float64 { return c.v }
-
 // Registry is an ordered set of named time-series metrics sampled on a
 // simulated-time tick, plus end-of-run histograms (reusing
 // internal/stats). Registration order fixes the column order of every
@@ -59,16 +44,6 @@ func (r *Registry) register(name string) {
 		panic(fmt.Sprintf("obs: metric %q registered after sampling started", name))
 	}
 	r.seen[name] = true
-}
-
-// Counter registers a counter column and returns the cell the
-// instrumented code updates.
-func (r *Registry) Counter(name string) *Counter {
-	r.register(name)
-	c := &Counter{}
-	r.names = append(r.names, name)
-	r.reads = append(r.reads, c.Value)
-	return c
 }
 
 // Gauge registers a callback column: read is invoked at every sample

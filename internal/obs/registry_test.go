@@ -11,8 +11,8 @@ import (
 
 func TestRegistrySampling(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hits")
-	depth := 0
+	hits, depth := 0, 0
+	r.Gauge("hits", func() float64 { return float64(hits) })
 	r.Gauge("depth", func() float64 { return float64(depth) })
 	h, err := r.Histogram("resp_ms", []float64{1, 10, 100})
 	if err != nil {
@@ -20,8 +20,7 @@ func TestRegistrySampling(t *testing.T) {
 	}
 
 	r.Sample(0)
-	c.Inc()
-	c.Add(2)
+	hits = 3
 	depth = 7
 	h.Add(5)
 	r.Sample(10 * sim.Millisecond)
@@ -96,11 +95,12 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.Counter("a")
-	expectPanic("duplicate", func() { r.Counter("a") })
-	expectPanic("empty name", func() { r.Counter("") })
+	zero := func() float64 { return 0 }
+	r.Gauge("a", zero)
+	expectPanic("duplicate", func() { r.Gauge("a", zero) })
+	expectPanic("empty name", func() { r.Gauge("", zero) })
 	r.Sample(0)
-	expectPanic("late registration", func() { r.Counter("b") })
+	expectPanic("late registration", func() { r.Gauge("b", zero) })
 
 	if _, err := NewRegistry().Histogram("h", nil); err == nil {
 		t.Error("histogram with no bounds accepted")

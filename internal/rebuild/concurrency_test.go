@@ -7,7 +7,6 @@ import (
 
 	"fbf/internal/codes"
 	"fbf/internal/core"
-	"fbf/internal/sim"
 )
 
 // TestCachePartitionDistributesRemainder is the regression test for the
@@ -93,55 +92,6 @@ func TestRemainderCapacityIsUsed(t *testing.T) {
 	if full.Cache.Hits == floor.Cache.Hits && full.Cache.Misses == floor.Cache.Misses {
 		t.Errorf("11 configured chunks behave identically to the truncated 8 — remainder capacity still discarded (hits=%d misses=%d)",
 			full.Cache.Hits, full.Cache.Misses)
-	}
-}
-
-// TestStaggeredArrivalMakespan pins the makespan accounting under
-// staggered error detection with more configured workers than groups:
-// the makespan must equal the last group's completion time (last
-// arrival + one group's recovery), not the last arrival itself, even
-// though most workers park in engine.idle and never hit the retirement
-// branch of nextGroup.
-func TestStaggeredArrivalMakespan(t *testing.T) {
-	code := codes.MustNew("tip", 5)
-	// Identical-shape groups on distinct stripes: same chain geometry,
-	// so each takes exactly the same recovery time on a cold cache.
-	groups := []core.PartialStripeError{
-		{Stripe: 0, Disk: 0, Row: 0, Size: 1},
-		{Stripe: 1, Disk: 0, Row: 0, Size: 1},
-		{Stripe: 2, Disk: 0, Row: 0, Size: 1},
-	}
-	base := Config{Code: code, Policy: "lru", Strategy: core.StrategyLooped,
-		Workers: 8, CacheChunks: 0, Stripes: 4}
-
-	single, err := Run(base, groups[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Makespan <= 0 {
-		t.Fatal("single-group makespan not positive")
-	}
-
-	// Interarrival far beyond one group's recovery: every group is long
-	// finished before the next is detected.
-	ia := 4 * single.Makespan
-	cfg := base
-	cfg.ErrorInterarrival = ia
-	res, err := Run(cfg, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastArrival := sim.Time(len(groups)-1) * ia
-	want := lastArrival + single.Makespan
-	if res.Makespan != want {
-		t.Errorf("staggered makespan = %v, want last completion %v (last arrival %v + group time %v)",
-			res.Makespan, want, lastArrival, single.Makespan)
-	}
-	if res.Makespan <= lastArrival {
-		t.Errorf("makespan %v does not extend past the last arrival %v", res.Makespan, lastArrival)
-	}
-	if res.Groups != len(groups) {
-		t.Errorf("processed %d groups, want %d", res.Groups, len(groups))
 	}
 }
 

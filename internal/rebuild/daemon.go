@@ -141,7 +141,7 @@ func RunDaemon(cfg DaemonConfig) (*DaemonResult, error) {
 	// fires.
 	tracker, orig := mt.Tracker, cfg.Service.Progress
 	cfg.Service.Progress = func(p Progress) {
-		tracker.Stripe(p.Stripe, p.StripesDone, p.StripesTotal, p.ChunksRebuilt)
+		tracker.Stripe(p.Stripe, p.StripesDone, p.StripesTotal, p.ChunksRebuilt, p.Percent())
 		if orig != nil {
 			orig(p)
 		}
@@ -215,7 +215,6 @@ func RunDaemon(cfg DaemonConfig) (*DaemonResult, error) {
 			cfg.Logf("scan %d: clean", scan)
 		default:
 			mt.Rebuilds.Inc()
-			tracker.Rebuilt()
 			cfg.Logf("scan %d: rebuilt %d chunks in %d stripes", scan, sres.ChunksRebuilt, sres.StripesRepaired)
 		}
 		if cfg.MaxScans > 0 && scan >= cfg.MaxScans {

@@ -66,7 +66,6 @@ func runDOR(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		Stripes:   cfg.Stripes,
 		ChunkSize: cfg.ChunkSize,
 		ModelFor:  cfg.ModelFor,
-		Scheduler: cfg.Scheduler,
 	})
 	if err != nil {
 		return nil, err

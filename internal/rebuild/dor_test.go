@@ -118,11 +118,6 @@ func TestDORRejectsUnsupportedFeatures(t *testing.T) {
 	if _, err := Run(withVerify, errs); err == nil {
 		t.Error("DOR+VerifyData accepted")
 	}
-	withHist := base
-	withHist.ResponseHistogramMs = []float64{1}
-	if _, err := Run(withHist, errs); err == nil {
-		t.Error("DOR+histogram accepted")
-	}
 }
 
 func TestDORReadCountsMatchSORAtZeroCache(t *testing.T) {

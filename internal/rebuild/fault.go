@@ -528,8 +528,7 @@ func (w *worker) regenerate() {
 
 	start := time.Now()
 	scheme, lost, err := core.RegenerateScheme(e.cfg.Code, group, repair, unavailable, e.cfg.Strategy)
-	wall := time.Since(start)
-	e.schemeWall += wall
+	e.schemeWall += time.Since(start)
 	if err != nil {
 		// Inputs were validated and bounds-checked; this is a bug.
 		panic(fmt.Sprintf("rebuild: scheme regeneration failed: %v", err))
@@ -543,5 +542,5 @@ func (w *worker) regenerate() {
 			obs.Arg{Key: "repair", Val: int64(len(repair))},
 			obs.Arg{Key: "lost", Val: int64(len(lost))})
 	}
-	w.installScheme(scheme, wall)
+	w.installScheme(scheme)
 }

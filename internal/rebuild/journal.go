@@ -125,9 +125,6 @@ func OpenJournal(path string) (*Journal, *JournalState, error) {
 	return j, state, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Offset returns the byte offset appends will land at — the "how far
 // did we get" coordinate surfaced in interrupt summaries.
 func (j *Journal) Offset() int64 { return j.off }

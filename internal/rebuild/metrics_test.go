@@ -1,59 +1,13 @@
 package rebuild
 
 import (
-	"math"
 	"testing"
 
+	"fbf/internal/chunk"
 	"fbf/internal/codes"
 	"fbf/internal/core"
-	"fbf/internal/disk"
 	"fbf/internal/sim"
 )
-
-func TestResponseHistogram(t *testing.T) {
-	code := codes.MustNew("tip", 7)
-	errors := genErrors(t, code, 15, 80, 31)
-	res, err := Run(Config{
-		Code: code, Policy: "fbf", Strategy: core.StrategyLooped,
-		Workers: 4, CacheChunks: 32, Stripes: 80,
-		ResponseHistogramMs: []float64{1, 5, 10, 20, 50, 100, 500},
-	}, errors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ResponseHist == nil {
-		t.Fatal("histogram not collected")
-	}
-	if res.ResponseHist.Total() != res.TotalRequests {
-		t.Errorf("histogram holds %d samples, want %d", res.ResponseHist.Total(), res.TotalRequests)
-	}
-	// The median bucket bound must bracket the mean response time.
-	if q := res.ResponseHist.Quantile(0.99); q <= 0 {
-		t.Errorf("p99 = %f", q)
-	}
-	// Histogram omitted when not configured.
-	plain, err := Run(Config{
-		Code: code, Policy: "fbf", Strategy: core.StrategyLooped,
-		Workers: 4, CacheChunks: 32, Stripes: 80,
-	}, errors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.ResponseHist != nil {
-		t.Error("histogram collected without config")
-	}
-}
-
-func TestResponseHistogramBadBounds(t *testing.T) {
-	code := codes.MustNew("tip", 5)
-	_, err := Run(Config{
-		Code: code, Policy: "lru", Workers: 1, CacheChunks: 4, Stripes: 10,
-		ResponseHistogramMs: []float64{5, 5},
-	}, []core.PartialStripeError{{Stripe: 0, Disk: 0, Row: 0, Size: 1}})
-	if err == nil {
-		t.Error("non-increasing bounds accepted")
-	}
-}
 
 func TestPerDiskStatsAndBalance(t *testing.T) {
 	code := codes.MustNew("tip", 7)
@@ -75,70 +29,6 @@ func TestPerDiskStatsAndBalance(t *testing.T) {
 	if totalReads != res.DiskReads {
 		t.Errorf("per-disk reads %d != total %d", totalReads, res.DiskReads)
 	}
-	bal := res.ReadBalance()
-	if bal < 1 || math.IsNaN(bal) {
-		t.Errorf("ReadBalance = %f, want >= 1", bal)
-	}
-}
-
-func TestReadBalanceEmpty(t *testing.T) {
-	var r Result
-	if r.ReadBalance() != 0 {
-		t.Error("empty result balance should be 0")
-	}
-}
-
-func TestSchedulerAffectsPositionalRuns(t *testing.T) {
-	code := codes.MustNew("tip", 11)
-	errors := genErrors(t, code, 40, 4000, 33)
-	run := func(sched disk.Scheduler) *Result {
-		res, err := Run(Config{
-			Code: code, Policy: "lru", Strategy: core.StrategyLooped,
-			Workers: 16, CacheChunks: 0, Stripes: 4000,
-			Scheduler: sched,
-			ModelFor: func(i int) disk.Model {
-				return disk.NewPositional(4000*int64(code.Rows()), int64(i))
-			},
-		}, errors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fifo := run(disk.SchedFIFO)
-	look := run(disk.SchedLOOK)
-	// Same cache behaviour (no cache) and identical read counts; LOOK
-	// only reorders service.
-	if fifo.DiskReads != look.DiskReads {
-		t.Errorf("scheduler changed read counts: %d vs %d", fifo.DiskReads, look.DiskReads)
-	}
-	if fifo.Makespan == look.Makespan {
-		t.Log("schedulers produced identical makespan (low contention); acceptable but unusual")
-	}
-}
-
-func TestSchedulerFixedLatencyInvariant(t *testing.T) {
-	// Under the paper's fixed-latency model the scheduler cannot change
-	// aggregate service time, only order; makespan must be identical
-	// when each disk's per-request cost is constant and all requests are
-	// independent... which they are not (chain barriers), so we assert
-	// the weaker invariant: read counts and hit ratios match.
-	code := codes.MustNew("star", 5)
-	errors := genErrors(t, code, 10, 50, 34)
-	run := func(sched disk.Scheduler) *Result {
-		res, err := Run(Config{
-			Code: code, Policy: "fbf", Strategy: core.StrategyLooped,
-			Workers: 2, CacheChunks: 16, Stripes: 50, Scheduler: sched,
-		}, errors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(disk.SchedFIFO), run(disk.SchedSSTF)
-	if a.Cache != b.Cache {
-		t.Errorf("scheduler changed cache behaviour: %+v vs %+v", a.Cache, b.Cache)
-	}
 }
 
 func TestResultZeroValueAccessors(t *testing.T) {
@@ -157,7 +47,7 @@ func TestVerifyChainDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &engine{cfg: Config{Code: code, ChunkSize: 64, VerifyData: true}}
+	eng := &engine{cfg: Config{Code: code, ChunkSize: 64, VerifyData: true}, pool: chunk.NewPool(64)}
 	w := &worker{engine: eng, scheme: scheme}
 	w.stripe = code.MaterializeStripe(1, 64)
 	w.stripe[0][0] ^= 0xFF // corrupt a chunk the chain reads

@@ -5,7 +5,6 @@ import (
 
 	"fbf/internal/cache"
 	"fbf/internal/obs"
-	"fbf/internal/sim"
 )
 
 // Observability plumbing for the SOR engine. Every call site in the
@@ -121,16 +120,14 @@ func (w *worker) closeGroup(stripe, chains int) {
 	})
 }
 
-// traceSchemeGen emits the scheme-generation span. Its duration is the
-// simulated charge (zero unless Config.ChargeSchemeGen folds measured
-// wall time into the clock — note that doing so makes traces reflect
-// host speed and therefore not byte-reproducible, exactly like
-// Result.SchemeGenWall).
-func (w *worker) traceSchemeGen(stripe, chains int, charge sim.Time) {
+// traceSchemeGen emits the scheme-generation span. Its duration is
+// zero: scheme generation costs host time (Result.SchemeGenWall), never
+// simulated time, which is what keeps traces byte-reproducible.
+func (w *worker) traceSchemeGen(stripe, chains int) {
 	e := w.engine
 	e.tr.Emit(obs.Event{
 		Name: "scheme-gen", Cat: obs.CatScheme, Ph: obs.PhaseSpan,
-		Track: w.lane(), TS: e.sim.Now(), Dur: charge,
+		Track: w.lane(), TS: e.sim.Now(),
 		Args: []obs.Arg{
 			{Key: "stripe", Val: int64(stripe)},
 			{Key: "chains", Val: int64(chains)},

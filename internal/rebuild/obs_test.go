@@ -2,6 +2,7 @@ package rebuild
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -275,6 +276,23 @@ func TestMetricsRegistrySampling(t *testing.T) {
 	}
 	if got := int(last[cols["groups_done"]]); got != res.Groups {
 		t.Errorf("final groups_done sample %d != %d groups", got, res.Groups)
+	}
+	// The response-time histogram holds one observation per request.
+	var js bytes.Buffer
+	if err := reg.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Histograms []struct {
+			Name  string `json:"name"`
+			Total uint64 `json:"total"`
+		} `json:"histograms"`
+	}
+	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Histograms) != 1 || doc.Histograms[0].Name != "response_ms" || doc.Histograms[0].Total != res.TotalRequests {
+		t.Errorf("histograms = %+v, want response_ms with %d observations", doc.Histograms, res.TotalRequests)
 	}
 
 	// Fault gauges appear when armed.

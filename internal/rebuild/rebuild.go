@@ -52,19 +52,6 @@ type Config struct {
 	// fixed 10 ms model).
 	ModelFor func(i int) disk.Model
 
-	// Scheduler selects every disk's queue discipline (FIFO, SSTF or
-	// LOOK); the paper's DiskSim default corresponds to FIFO here.
-	Scheduler disk.Scheduler
-
-	// ResponseHistogramMs, when non-empty, collects a histogram of
-	// per-request response times with the given bucket bounds (ms).
-	ResponseHistogramMs []float64
-
-	// ChargeSchemeGen adds the measured wall time of recovery-scheme
-	// generation to the simulated clock, making the FBF overhead of
-	// Table IV visible in reconstruction time.
-	ChargeSchemeGen bool
-
 	// App, when non-nil, issues a foreground application read workload
 	// during reconstruction ("online recovery", Section V of the paper):
 	// the requests share the workers' cache partitions and contend for
@@ -84,13 +71,6 @@ type Config struct {
 	// fails the run. Slower; meant for integrity tests.
 	VerifyData bool
 
-	// ErrorInterarrival staggers error detection: group i becomes known
-	// at time i * ErrorInterarrival, modeling the paper's Figure 4
-	// narrative where partial stripe errors are detected by proactive
-	// scrubbing or on access, rather than all being known at time zero.
-	// Zero means every group is available immediately.
-	ErrorInterarrival sim.Time
-
 	// Faults, when non-nil, arms deterministic fault injection: URE and
 	// transient read errors drawn from Faults.Seed plus scheduled
 	// whole-disk failures. See FaultConfig for the escalation ladder.
@@ -103,9 +83,8 @@ type Config struct {
 	// hit/miss/evict/demote instants, per-disk io spans and queue
 	// counters, XOR spans and fault-ladder instants — all stamped in
 	// simulated time, so a trace is bit-identical across hosts and
-	// sweep parallelism (except under ChargeSchemeGen, which folds wall
-	// time into the clock). Nil keeps every instrumentation site behind
-	// a single branch with zero allocations.
+	// sweep parallelism. Nil keeps every instrumentation site behind a
+	// single branch with zero allocations.
 	Tracer obs.Tracer
 
 	// Metrics, when non-nil, registers the run's time-series gauges
@@ -272,10 +251,6 @@ type Result struct {
 	// useful for load-balance analysis.
 	PerDisk []disk.Stats
 
-	// ResponseHist is the per-request response-time histogram when
-	// Config.ResponseHistogramMs was set (nil otherwise).
-	ResponseHist *stats.Histogram
-
 	// Fault-injection accounting (all zero unless Config.Faults was set).
 	Retries       uint64 // transient read errors retried with backoff
 	Regenerations uint64 // mid-group recovery-scheme regenerations
@@ -299,26 +274,6 @@ type Result struct {
 	// chunk repair — the span during which the array ran with degraded
 	// redundancy.
 	VulnerabilityWindow sim.Time
-}
-
-// ReadBalance returns max/mean of per-disk read counts — 1.0 means
-// perfectly balanced recovery reads.
-func (r *Result) ReadBalance() float64 {
-	if len(r.PerDisk) == 0 {
-		return 0
-	}
-	var total, maxReads uint64
-	for _, d := range r.PerDisk {
-		total += d.Reads
-		if d.Reads > maxReads {
-			maxReads = d.Reads
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(r.PerDisk))
-	return float64(maxReads) / mean
 }
 
 // AppHitRatio returns the foreground workload's hit ratio.
@@ -404,8 +359,8 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		}
 	}
 	if cfg.Mode == ModeDOR {
-		if cfg.App != nil || cfg.Serving != nil || cfg.VerifyData || len(cfg.ResponseHistogramMs) > 0 || cfg.ErrorInterarrival > 0 || cfg.Faults != nil || cfg.Tracer != nil || cfg.Metrics != nil {
-			return nil, fmt.Errorf("rebuild: DOR mode does not support App, Serving, VerifyData, response histograms, staggered error arrival, fault injection or observability")
+		if cfg.App != nil || cfg.Serving != nil || cfg.VerifyData || cfg.Faults != nil || cfg.Tracer != nil || cfg.Metrics != nil {
+			return nil, fmt.Errorf("rebuild: DOR mode does not support App, Serving, VerifyData, fault injection or observability")
 		}
 		return runDOR(cfg, errors)
 	}
@@ -422,7 +377,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		Stripes:   cfg.Stripes,
 		ChunkSize: cfg.ChunkSize,
 		ModelFor:  cfg.ModelFor,
-		Scheduler: cfg.Scheduler,
 		Tracer:    cfg.Tracer,
 	}
 	var failAt map[int]sim.Time
@@ -443,19 +397,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		e.failedCols = make(map[int]bool)
 		e.scheduleFailures(failAt)
 	}
-	e.available = len(errors)
-	if cfg.ErrorInterarrival > 0 {
-		e.available = 0
-		for i := range errors {
-			s.ScheduleAt(sim.Time(i)*cfg.ErrorInterarrival, e.arriveGroup)
-		}
-	}
-	if len(cfg.ResponseHistogramMs) > 0 {
-		e.respHist, err = stats.NewHistogram(cfg.ResponseHistogramMs)
-		if err != nil {
-			return nil, err
-		}
-	}
 	workers := cfg.Workers
 	if workers > len(errors) && len(errors) > 0 {
 		workers = len(errors)
@@ -472,7 +413,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		w := &worker{engine: e, id: i, cache: policy}
 		w.doneFn = w.chainDone
 		w.afterXORFn = w.afterXOR
-		w.startChainFn = w.startChain
 		w.issueNextFn = w.issueNext
 		w.spareReq.Done = w.spareDone
 		e.workers = append(e.workers, w)
@@ -535,7 +475,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	total := array.TotalStats()
 	res.DiskReads = total.Reads
 	res.DiskWrites = total.Writes
-	res.ResponseHist = e.respHist
 	if e.faults != nil {
 		res.Retries = e.retries
 		res.Regenerations = e.regenerations
@@ -564,8 +503,6 @@ type engine struct {
 	next   int
 
 	workers       []*worker
-	available     int       // groups detected so far (= len(groups) unless staggered)
-	idle          []*worker // workers parked waiting for error arrivals
 	totalRequests uint64
 	sumResponse   sim.Time
 	schemeWall    time.Duration
@@ -586,7 +523,6 @@ type engine struct {
 
 	verifiedChunks uint64
 	verifyErr      error
-	respHist       *stats.Histogram
 
 	// pool recycles the chunk buffers the VerifyData mode carries (stripe
 	// materializations and XOR accumulators); nil when no run data path
@@ -611,23 +547,9 @@ type engine struct {
 	lastRepair    sim.Time
 }
 
-// arriveGroup makes one more error group available and wakes a parked
-// worker if any.
-func (e *engine) arriveGroup() {
-	e.available++
-	if len(e.idle) > 0 {
-		w := e.idle[len(e.idle)-1]
-		e.idle = e.idle[:len(e.idle)-1]
-		w.nextGroup()
-	}
-}
-
 // recordResponse accumulates one recovery request's response time.
 func (e *engine) recordResponse(t sim.Time) {
 	e.sumResponse += t
-	if e.respHist != nil {
-		e.respHist.Add(t.Milliseconds())
-	}
 	if e.obsRespHist != nil {
 		e.obsRespHist.Add(t.Milliseconds())
 	}
@@ -641,10 +563,10 @@ func (e *engine) recordResponse(t sim.Time) {
 // worker, so the current chain (curSel), its fetch barrier counter
 // (outstanding) and the spare-write request all live on the worker and
 // are reused for every chain of every group. The callbacks the
-// simulator and disks invoke (doneFn, afterXORFn, startChainFn,
-// spareReq.Done) are bound once at construction — the old code
-// allocated a done/barrier closure pair per chain plus one closure per
-// miss, which dominated the rebuild hot path's allocations.
+// simulator and disks invoke (doneFn, afterXORFn, spareReq.Done) are
+// bound once at construction — the old code allocated a done/barrier
+// closure pair per chain plus one closure per miss, which dominated the
+// rebuild hot path's allocations.
 type worker struct {
 	engine *engine
 	id     int
@@ -656,11 +578,10 @@ type worker struct {
 	stripeBuf []chunk.Chunk // reusable slice header for pooled stripes
 
 	// Chain state machine (reused across chains).
-	curSel       core.SelectedChain
-	outstanding  int    // lookup phase + in-flight miss fetches
-	doneFn       func() // prebound chainDone
-	afterXORFn   func() // prebound afterXOR
-	startChainFn func() // prebound startChain (for Schedule sites)
+	curSel      core.SelectedChain
+	outstanding int    // lookup phase + in-flight miss fetches
+	doneFn      func() // prebound chainDone
+	afterXORFn  func() // prebound afterXOR
 
 	// Spare-write state (one write in flight per worker at most).
 	spareReq     disk.Request // Done prebound to spareDone
@@ -759,17 +680,10 @@ func (e *engine) scheduleAppWorkload() {
 
 // materializeStripe deterministically fills and encodes the stripe an
 // error group lives on, so recovered chunks can be byte-verified. The
-// chunk buffers come from the engine's pool when the code supports
-// in-place materialization (core.RebuilderInto) — GetRaw, because every
+// chunk buffers come from the engine's pool — GetRaw, because every
 // byte is overwritten; releaseStripe returns them after the group.
 func (w *worker) materializeStripe(stripeIdx int) []chunk.Chunk {
 	e := w.engine
-	seed := int64(stripeIdx) + 0x5EED
-	ri, ok := e.cfg.Code.(core.RebuilderInto)
-	if !ok || e.pool == nil {
-		rb := e.cfg.Code.(core.Rebuilder) // checked in Run
-		return rb.MaterializeStripe(seed, e.cfg.ChunkSize)
-	}
 	cells := e.cfg.Code.Layout().Cells()
 	s := w.stripeBuf
 	if cap(s) < cells {
@@ -780,19 +694,14 @@ func (w *worker) materializeStripe(stripeIdx int) []chunk.Chunk {
 		s = append(s, e.pool.GetRaw())
 	}
 	w.stripeBuf = s
-	ri.MaterializeStripeInto(s, seed)
+	e.cfg.Code.(core.Rebuilder).MaterializeStripeInto(s, int64(stripeIdx)+0x5EED) // checked in Run
 	return s
 }
 
 // releaseStripe returns pooled stripe buffers after a group completes.
 func (w *worker) releaseStripe() {
-	if w.stripe == nil {
-		return
-	}
-	if _, ok := w.engine.cfg.Code.(core.RebuilderInto); ok && w.engine.pool != nil {
-		for _, c := range w.stripe {
-			w.engine.pool.Put(c)
-		}
+	for _, c := range w.stripe {
+		w.engine.pool.Put(c)
 	}
 	w.stripe = nil
 }
@@ -805,39 +714,22 @@ func (w *worker) verifyChain(sel core.SelectedChain) {
 	e := w.engine
 	rb := e.cfg.Code.(core.Rebuilder)
 	var got chunk.Chunk
-	var pooled bool
 	var err error
-	switch {
-	case sel.Decoded && e.pool != nil && len(sel.Fetch) > 0:
-		// Copy-first accumulation into a dirty pooled buffer: the first
-		// member overwrites every byte, so GetRaw skips a redundant clear.
-		got = e.pool.GetRaw()
-		pooled = true
-		copy(got, w.stripe[core.CellIndex(rb.Layout(), sel.Fetch[0])])
-		for _, m := range sel.Fetch[1:] {
+	if sel.Decoded {
+		got = e.pool.Get()
+		for _, m := range sel.Fetch {
 			chunk.XORInto(got, w.stripe[core.CellIndex(rb.Layout(), m)])
 		}
-	case sel.Decoded:
-		acc := chunk.New(e.cfg.ChunkSize)
-		for _, m := range sel.Fetch {
-			chunk.XORInto(acc, w.stripe[core.CellIndex(rb.Layout(), m)])
-		}
-		got = acc
-	default:
-		if ri, ok := rb.(core.RebuilderInto); ok && e.pool != nil {
-			got = e.pool.GetRaw()
-			pooled = true
-			err = ri.RebuildChunkInto(got, sel.Chain, sel.Lost, w.stripe)
-		} else {
-			got, err = rb.RebuildChunk(sel.Chain, sel.Lost, w.stripe)
-		}
+	} else {
+		// RebuildChunkInto overwrites every byte, so GetRaw skips a
+		// redundant clear.
+		got = e.pool.GetRaw()
+		err = rb.RebuildChunkInto(got, sel.Chain, sel.Lost, w.stripe)
 	}
 	if err == nil && !got.Equal(w.stripe[core.CellIndex(rb.Layout(), sel.Lost)]) {
 		err = fmt.Errorf("rebuild: recovered chunk %v of %v does not match original contents", sel.Lost, w.scheme.Err)
 	}
-	if pooled {
-		e.pool.Put(got)
-	}
+	e.pool.Put(got)
 	if err != nil {
 		if e.verifyErr == nil {
 			e.verifyErr = err
@@ -857,12 +749,6 @@ func (w *worker) nextGroup() {
 		if e.sim.Now() > e.recoveryEnd {
 			e.recoveryEnd = e.sim.Now()
 		}
-		return
-	}
-	if e.next >= e.available {
-		// Detected errors are all being handled; park until the next
-		// arrival (staggered-detection mode).
-		e.idle = append(e.idle, w)
 		return
 	}
 	group := e.groups[e.next]
@@ -895,19 +781,18 @@ func (w *worker) nextGroup() {
 	} else {
 		scheme, err = core.GenerateScheme(e.cfg.Code, group, e.cfg.Strategy)
 	}
-	wall := time.Since(start)
-	e.schemeWall += wall
+	e.schemeWall += time.Since(start)
 	if err != nil {
 		// Validated upfront; a failure here is a bug worth surfacing.
 		panic(fmt.Sprintf("rebuild: scheme generation failed mid-run: %v", err))
 	}
-	w.installScheme(scheme, wall)
+	w.installScheme(scheme)
 }
 
 // installScheme adopts a freshly generated (or regenerated) scheme:
 // priorities and future knowledge are pushed into the cache and chain
-// replay starts, after the scheme-generation charge if configured.
-func (w *worker) installScheme(scheme *core.Scheme, wall time.Duration) {
+// replay starts.
+func (w *worker) installScheme(scheme *core.Scheme) {
 	e := w.engine
 	w.scheme = scheme
 	w.chainIdx = 0
@@ -917,16 +802,8 @@ func (w *worker) installScheme(scheme *core.Scheme, wall time.Duration) {
 	if fa, ok := w.cache.(cache.FutureAware); ok {
 		fa.SetFuture(scheme.RequestIDs())
 	}
-	if e.cfg.ChargeSchemeGen {
-		charge := sim.Time(wall.Nanoseconds())
-		if e.tr != nil {
-			w.traceSchemeGen(scheme.Err.Stripe, len(scheme.Selected), charge)
-		}
-		e.sim.Schedule(charge, w.startChainFn)
-		return
-	}
 	if e.tr != nil {
-		w.traceSchemeGen(scheme.Err.Stripe, len(scheme.Selected), 0)
+		w.traceSchemeGen(scheme.Err.Stripe, len(scheme.Selected))
 	}
 	w.startChain()
 }

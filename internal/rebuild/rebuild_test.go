@@ -50,6 +50,9 @@ func TestRunBasicMetrics(t *testing.T) {
 	if res.Makespan <= 0 || res.AvgResponse() <= 0 {
 		t.Errorf("timings: makespan %v avg %v", res.Makespan, res.AvgResponse())
 	}
+	if res.SchemeGenWall <= 0 || res.AvgSchemeGen() <= 0 {
+		t.Error("scheme generation wall time not measured")
+	}
 	if res.HitRatio() < 0 || res.HitRatio() > 1 {
 		t.Errorf("hit ratio %f", res.HitRatio())
 	}
@@ -184,28 +187,6 @@ func TestSkipSpareWrites(t *testing.T) {
 	}
 	if res.DiskWrites != 0 {
 		t.Errorf("DiskWrites = %d with SkipSpareWrites", res.DiskWrites)
-	}
-}
-
-func TestChargeSchemeGenExtendsMakespan(t *testing.T) {
-	code := codes.MustNew("star", 7)
-	errors := genErrors(t, code, 10, 50, 8)
-	base := Config{Code: code, Policy: "fbf", Strategy: core.StrategyLooped, Workers: 2, CacheChunks: 16, Stripes: 50}
-	plain, err := Run(base, errors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	charged := base
-	charged.ChargeSchemeGen = true
-	with, err := Run(charged, errors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.Makespan <= plain.Makespan {
-		t.Errorf("charged makespan %v <= plain %v", with.Makespan, plain.Makespan)
-	}
-	if with.SchemeGenWall <= 0 || with.AvgSchemeGen() <= 0 {
-		t.Error("scheme generation wall time not measured")
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fbf/internal/codes"
 	"fbf/internal/grid"
 	"fbf/internal/store"
 	"fbf/internal/store/faultstore"
+	"fbf/internal/verify"
 )
 
 const resumeSeed int64 = 424242
@@ -260,6 +262,55 @@ func TestResumeOracleCatchesLyingCommit(t *testing.T) {
 	checkAgainstGroundTruth(t, d, m, resumeSeed)
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
 		t.Fatalf("journal survives clean completion: %v", err)
+	}
+}
+
+// TestResumeUnreadableOracleSource pins what resume does when a truthful
+// commit cannot be re-derived because a source the oracle needs reads as
+// missing, corrupt or the wrong size: the journaled CRC match stands,
+// the commit is not counted as verified, and the run goes on — all
+// three kinds alike, none an engine error.
+func TestResumeUnreadableOracleSource(t *testing.T) {
+	m := testManifest("star", 5, 1, 64)
+	target := grid.Coord{Row: 0, Col: 0}
+	a := AddrOf(0, target)
+	oracle, err := verify.NewOracle(codes.MustNew(m.Code, m.P), []grid.Coord{target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := AddrOf(0, oracle.Sources(target)[0])
+	for kind, fail := range sourceFailures(m.ChunkSize) {
+		t.Run(kind, func(t *testing.T) {
+			b := initMem(t, m, resumeSeed)
+			committed := make([]byte, m.ChunkSize)
+			if _, err := b.ReadChunk(a, committed); err != nil {
+				t.Fatal(err)
+			}
+			journal := filepath.Join(t.TempDir(), "rebuild.journal")
+			j, _, err := OpenJournal(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.AppendPlan(0, []grid.Coord{target}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.AppendCommit(a, PayloadCRC(committed)); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunService(ServiceConfig{
+				Backend:  &unreadable{Backend: b, addr: victim, fail: fail},
+				Manifest: m, JournalPath: journal,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ResumedCommits != 1 || res.ResumeVerified != 0 || res.ChunksRebuilt != 0 {
+				t.Fatalf("%d commits resumed, %d verified, %d chunks rebuilt; want 1, 0 and 0", res.ResumedCommits, res.ResumeVerified, res.ChunksRebuilt)
+			}
+		})
 	}
 }
 

@@ -421,6 +421,10 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 	res := &ServiceResult{Report: report}
 	cfg.Metrics.ScanMissing.Set(float64(report.MissingChunks))
 	cfg.Metrics.ScanCorrupt.Set(float64(report.CorruptChunks))
+	// The "latest pass" gauges describe this pass from its scan onward,
+	// not the previous pass's outcome.
+	cfg.Metrics.DataLossChunks.Set(0)
+	cfg.Metrics.Percent.Set(float64(Progress{StripesTotal: len(report.Stripes)}.Percent()))
 	if cfg.CheckOnly {
 		return res, nil
 	}
@@ -627,29 +631,15 @@ func (s *service) verifyResumed(st *JournalState) error {
 				continue
 			}
 			if oracle.Solvable(cell) {
-				var readErr error
-				err := oracle.Check(cell, buf, s.scratch[0], s.scratch[1], func(src grid.Coord, dst chunk.Chunk) error {
-					rn, rerr := s.cfg.Backend.ReadChunk(AddrOf(stripe, src), dst)
-					if rerr != nil {
-						readErr = rerr
-						return rerr
-					}
-					if rn != len(dst) {
-						rerr = fmt.Errorf("rebuild: resume oracle read %v: %d bytes, want %d", src, rn, len(dst))
-						readErr = rerr
-						return rerr
-					}
-					s.m.VerifyReads.Inc()
-					return nil
-				})
+				failed, err := s.oracleCheck(stripe, oracle, cell, buf)
 				switch {
 				case err == nil:
-				case readErr != nil && (store.IsNotFound(readErr) || store.IsCorrupt(readErr)):
+				case failed != nil && (store.IsNotFound(err) || store.IsCorrupt(err)):
 					// A source the oracle needs is itself damaged; the
 					// CRC match stands and repairing the stripe's fresh
 					// damage is what restores full verifiability.
 					continue
-				case readErr != nil:
+				case failed != nil:
 					return err
 				default:
 					// Structurally valid bytes that do not re-derive:
@@ -695,6 +685,7 @@ func (s *service) flagResumedCorrupt(stripe int, cell grid.Coord) {
 	report.CorruptChunks++
 	s.m.ResumedCorrupt.Inc()
 	s.m.ScanCorrupt.Set(float64(report.CorruptChunks))
+	s.m.Percent.Set(0) // the pass has a stripe to repair, whatever the scan said
 }
 
 // service is the run state of one RunService call.
@@ -923,7 +914,13 @@ func (s *service) replayChains(stripe int, plan *schemePlan, repaired map[grid.C
 			return nil, err
 		}
 		if !s.cfg.NoVerify {
-			if err := s.oracleCheck(stripe, plan.oracle, sel.Lost, acc); err != nil {
+			failed, err := s.oracleCheck(stripe, plan.oracle, sel.Lost, acc)
+			if failed != nil && (store.IsNotFound(err) || store.IsCorrupt(err)) {
+				// Rot in a chunk only the oracle reads is damage like any
+				// other: nothing of this cell is written yet, escalate.
+				return failed, nil
+			}
+			if err != nil {
 				return nil, err
 			}
 			s.m.ChunksVerified.Inc()
@@ -1091,19 +1088,21 @@ func (s *service) commitCell(stripe int, sel core.SelectedChain, data chunk.Chun
 
 // oracleCheck re-derives the recovered cell through the GF(2) decoder
 // plan, reading every source chunk directly from the backend (not the
-// cache), and diffs the two reconstructions.
-func (s *service) oracleCheck(stripe int, oracle *verify.Oracle, cell grid.Coord, recovered chunk.Chunk) error {
-	return oracle.Check(cell, recovered, s.scratch[0], s.scratch[1], func(src grid.Coord, dst chunk.Chunk) error {
-		n, err := s.cfg.Backend.ReadChunk(AddrOf(stripe, src), dst)
-		if err != nil {
+// cache), and diffs the two reconstructions. When a source read is what
+// failed, failed names that source beside the error, so callers can tell
+// an unreadable survivor (missing, corrupt or the wrong size: theirs to
+// escalate or skip) from a disagreement.
+func (s *service) oracleCheck(stripe int, oracle *verify.Oracle, cell grid.Coord, recovered chunk.Chunk) (failed *grid.Coord, err error) {
+	err = oracle.Check(cell, recovered, s.scratch[0], s.scratch[1], func(src grid.Coord, dst chunk.Chunk) error {
+		if err := s.readSource(AddrOf(stripe, src), dst); err != nil {
+			bad := src // a copy, so that only a failed read allocates
+			failed = &bad
 			return err
-		}
-		if n != len(dst) {
-			return fmt.Errorf("rebuild: oracle read %v: %d bytes, want %d", src, n, len(dst))
 		}
 		s.m.VerifyReads.Inc()
 		return nil
 	})
+	return failed, err
 }
 
 // fetchInto reads one source cell's bytes — from the byte cache on a

@@ -12,6 +12,7 @@ import (
 	"fbf/internal/core"
 	"fbf/internal/grid"
 	"fbf/internal/store"
+	"fbf/internal/verify"
 )
 
 func testManifest(codeName string, p, stripes, chunkSize int) store.ArrayManifest {
@@ -534,6 +535,16 @@ func TestServiceNoVerify(t *testing.T) {
 	}
 }
 
+// sourceFailures are the three ways a chunk the header-only scan passed
+// can turn out unreadable when its payload is asked for.
+func sourceFailures(chunkSize int) map[string]func(store.Addr) (int, error) {
+	return map[string]func(store.Addr) (int, error){
+		"not-found": func(a store.Addr) (int, error) { return 0, &store.NotFoundError{Addr: a} },
+		"corrupt":   func(a store.Addr) (int, error) { return 0, &store.CorruptError{Addr: a, Err: store.ErrChecksum} },
+		"short":     func(store.Addr) (int, error) { return chunkSize / 2, nil }, // a valid chunk of another geometry
+	}
+}
+
 // failKthRead serves the k-th payload read of one stripe as a failure,
 // once: the chunk the scan believed healthy turns out unreadable.
 type failKthRead struct {
@@ -562,11 +573,7 @@ func (f *failKthRead) ReadChunk(a store.Addr, dst []byte) (int, error) {
 func TestServiceEscalationMidPass(t *testing.T) {
 	const seed = 31
 	m := testManifest("star", 5, 2, 64)
-	fails := map[string]func(store.Addr) (int, error){
-		"not-found": func(a store.Addr) (int, error) { return 0, &store.NotFoundError{Addr: a} },
-		"corrupt":   func(a store.Addr) (int, error) { return 0, &store.CorruptError{Addr: a, Err: store.ErrChecksum} },
-		"short":     func(store.Addr) (int, error) { return m.ChunkSize / 2, nil }, // a valid chunk of another geometry
-	}
+	fails := sourceFailures(m.ChunkSize)
 	for _, disks := range [][]int{{0, 2}, {0, 2, 4}} {
 		damaged := func() *store.Mem {
 			b := initMem(t, m, seed)
@@ -624,6 +631,102 @@ func TestServiceEscalationMidPass(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// unreadable serves every payload read of one address as a failure
+// until the chunk is written back: rot the header-only scan cannot see.
+type unreadable struct {
+	store.Backend
+	addr store.Addr
+	fail func(store.Addr) (int, error) // nil once the chunk is rewritten
+}
+
+func (u *unreadable) ReadChunk(a store.Addr, dst []byte) (int, error) {
+	if a == u.addr && u.fail != nil {
+		return u.fail(a)
+	}
+	return u.Backend.ReadChunk(a, dst)
+}
+
+func (u *unreadable) WriteChunk(a store.Addr, data []byte) error {
+	if a == u.addr {
+		u.fail = nil
+	}
+	return u.Backend.WriteChunk(a, data)
+}
+
+// TestServiceOracleSourceEscalates rots, one at a time, every chunk of a
+// chain-major stripe that no selected chain fetches and only the oracle's
+// equations list, as missing, as corrupt and as the wrong size. That is
+// damage well inside the code's tolerance, found by the oracle's read
+// rather than a chain's: it must escalate and be repaired exactly as a
+// chain source would, not abort the rebuild with an engine error.
+func TestServiceOracleSourceEscalates(t *testing.T) {
+	const seed = 17
+	m := testManifest("tip", 7, 2, 64)
+	code := codes.MustNew(m.Code, m.P)
+	e := core.PartialStripeError{Stripe: 1, Disk: 2, Row: 0, Size: 2}
+	lost := e.LostCells()
+	scheme, _, err := core.RegenerateScheme(code, e, lost, nil, core.StrategyLooped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := verify.NewOracle(code, lost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched := map[grid.Coord]bool{}
+	for _, sel := range scheme.Selected {
+		if sel.Decoded {
+			t.Fatalf("fixture is not chain-major: %v takes the decoder", sel.Lost)
+		}
+		for _, c := range sel.Fetch {
+			fetched[c] = true
+		}
+	}
+	var oracleOnly []grid.Coord
+	for _, cell := range lost {
+		for _, src := range oracle.Sources(cell) {
+			if !fetched[src] {
+				fetched[src] = true
+				oracleOnly = append(oracleOnly, src)
+			}
+		}
+	}
+	if len(oracleOnly) == 0 {
+		t.Fatal("every oracle source is a chain source too; the fixture proves nothing")
+	}
+	for kind, fail := range sourceFailures(m.ChunkSize) {
+		t.Run(kind, func(t *testing.T) {
+			for _, victim := range oracleOnly {
+				b := initMem(t, m, seed)
+				loseCells(t, b, e.Stripe, lost)
+				res, err := RunService(ServiceConfig{
+					Backend:  &unreadable{Backend: b, addr: AddrOf(e.Stripe, victim), fail: fail},
+					Manifest: m, Strategy: core.StrategyLooped,
+				})
+				if err != nil {
+					t.Fatalf("oracle-only source %v: %v", victim, err)
+				}
+				if res.Escalations < 1 || res.Regenerations != res.Escalations {
+					t.Fatalf("oracle-only source %v: %d escalations, %d regenerations", victim, res.Escalations, res.Regenerations)
+				}
+				if res.DataLoss != (len(res.Lost) > 0) {
+					t.Fatalf("oracle-only source %v: DataLoss=%v with lost cells %v", victim, res.DataLoss, res.Lost)
+				}
+				if want := len(lost) + 1 - len(res.Lost); res.ChunksRebuilt != want || res.ChunksVerified != want {
+					t.Fatalf("oracle-only source %v: rebuilt %d, verified %d, want %d (lost %v)", victim, res.ChunksRebuilt, res.ChunksVerified, want, res.Lost)
+				}
+				var stillMissing []store.Addr
+				for _, a := range res.Lost {
+					if _, err := b.Stat(a); err != nil {
+						stillMissing = append(stillMissing, a)
+					}
+				}
+				checkAgainstGroundTruth(t, b, m, seed, stillMissing...)
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"fbf/internal/core"
 	"fbf/internal/grid"
+	"fbf/internal/store"
 	"fbf/internal/telemetry"
 )
 
@@ -39,7 +40,8 @@ func scrapeValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
 // cells are the only counters, so two passes sharing one RebuildMetrics
 // each report their own work (cell value at exit minus at entry, not
 // the running total), the cells hold the sum, and the Progress hook and
-// a mid-run scrape see the same numbers advance.
+// a mid-run scrape see the same numbers advance. Two more passes on the
+// same cells pin the "latest pass" gauges to the pass in flight.
 func TestServiceMetricsMatchResult(t *testing.T) {
 	m := testManifest("star", 5, 4, 96)
 	reg := telemetry.NewRegistry()
@@ -133,6 +135,59 @@ func TestServiceMetricsMatchResult(t *testing.T) {
 	if got := rm.DataLossChunks.Value(); got != 0 {
 		t.Errorf("data_loss_chunks gauge = %v on a solvable run", got)
 	}
+
+	// The "latest pass" gauges describe the pass in flight from its scan
+	// onward. Pass 3 repairs a partial stripe error in stripe 0, then
+	// finds four columns of stripe 1 gone, past the code: at its first
+	// read it must not still show pass 2's 100 %.
+	b := initMem(t, m, 42)
+	loseCells(t, b, 0, core.PartialStripeError{Stripe: 0, Disk: 1, Row: 0, Size: 2}.LostCells())
+	for col := 0; col < 4; col++ {
+		for row := 0; row < m.Rows; row++ {
+			b.Delete(AddrOf(1, grid.Coord{Row: row, Col: col}))
+		}
+	}
+	sampled := false
+	third, err := RunService(ServiceConfig{
+		Backend: &readHook{Backend: b, hook: func() {
+			if sampled {
+				return
+			}
+			sampled = true // the first payload read: scanned, nothing repaired yet
+			if pct, lost := rm.Percent.Value(), rm.DataLossChunks.Value(); pct != 0 || lost != 0 {
+				t.Errorf("pass 3 at its first read: progress_percent %v, data_loss_chunks %v; want 0 and 0", pct, lost)
+			}
+		}},
+		Manifest: m, Metrics: rm,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sampled || !third.DataLoss {
+		t.Fatalf("pass 3 is degenerate: sampled %v, result %+v", sampled, third)
+	}
+	if got := rm.DataLossChunks.Value(); got != float64(len(third.Lost)) {
+		t.Errorf("data_loss_chunks gauge = %v, pass 3 lost %d", got, len(third.Lost))
+	}
+	// Pass 4 scans a restored array clean and returns early: it lost
+	// nothing and is complete.
+	if _, err := RunService(ServiceConfig{Backend: initMem(t, m, 42), Manifest: m, Metrics: rm}); err != nil {
+		t.Fatal(err)
+	}
+	if pct, lost := rm.Percent.Value(), rm.DataLossChunks.Value(); pct != 100 || lost != 0 {
+		t.Errorf("after a clean scan: progress_percent %v, data_loss_chunks %v; want 100 and 0", pct, lost)
+	}
+}
+
+// readHook calls hook before every payload read.
+type readHook struct {
+	store.Backend
+	hook func()
+}
+
+func (r *readHook) ReadChunk(a store.Addr, dst []byte) (int, error) {
+	r.hook()
+	return r.Backend.ReadChunk(a, dst)
 }
 
 // TestServiceMetricsNilIsNoop pins that Metrics only decides whether the
@@ -183,9 +238,9 @@ func TestDaemonMetrics(t *testing.T) {
 		t.Fatalf("healthy daemon shows failure state: retries=%d failures=%v backoff=%v",
 			dm.Retries.Value(), dm.Failures.Value(), dm.Backoff.Value())
 	}
-	snap := dm.Tracker.Snapshot()
+	snap := dm.Progress()
 	if snap.Phase != "stopped" || snap.Scans != 2 || snap.Rebuilds != 1 {
-		t.Fatalf("tracker terminal snapshot = %+v, want stopped after 2 scans / 1 rebuild", snap)
+		t.Fatalf("terminal /progress snapshot = %+v, want stopped after 2 scans / 1 rebuild", snap)
 	}
 }
 

@@ -111,7 +111,6 @@ type Simulator struct {
 	now     Time
 	seq     uint64
 	pending eventHeap
-	steps   uint64
 }
 
 // New returns a simulator with the clock at zero.
@@ -122,9 +121,6 @@ func (s *Simulator) Now() Time { return s.now }
 
 // Pending returns the number of scheduled events.
 func (s *Simulator) Pending() int { return len(s.pending) }
-
-// Steps returns the number of events executed so far.
-func (s *Simulator) Steps() uint64 { return s.steps }
 
 // Schedule runs fn after the given delay of simulated time. A negative
 // delay is an error in the caller; it panics to surface the bug.
@@ -154,7 +150,6 @@ func (s *Simulator) Step() bool {
 	}
 	e := s.pending.pop()
 	s.now = e.at
-	s.steps++
 	e.fn()
 	return true
 }

@@ -32,9 +32,6 @@ func TestScheduleOrdering(t *testing.T) {
 	if s.Now() != 30 {
 		t.Errorf("Now = %v", s.Now())
 	}
-	if s.Steps() != 3 {
-		t.Errorf("Steps = %d", s.Steps())
-	}
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {

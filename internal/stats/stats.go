@@ -1,6 +1,6 @@
-// Package stats provides the small statistical accumulators the
-// experiment harness reports with: streaming mean/variance, min/max and
-// fixed-boundary histograms.
+// Package stats provides the small statistical helpers the experiment
+// harness reports with: fixed-boundary histograms and the
+// improvement/gain ratios of the paper's tables.
 package stats
 
 import (
@@ -8,62 +8,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Mean is a streaming mean/variance accumulator (Welford's algorithm).
-type Mean struct {
-	n    uint64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation in.
-func (m *Mean) Add(x float64) {
-	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	delta := x - m.mean
-	m.mean += delta / float64(m.n)
-	m.m2 += delta * (x - m.mean)
-}
-
-// N returns the observation count.
-func (m *Mean) N() uint64 { return m.n }
-
-// Mean returns the running mean (0 with no observations).
-func (m *Mean) Mean() float64 { return m.mean }
-
-// Min returns the smallest observation (0 with no observations).
-func (m *Mean) Min() float64 { return m.min }
-
-// Max returns the largest observation (0 with no observations).
-func (m *Mean) Max() float64 { return m.max }
-
-// Variance returns the sample variance (0 with fewer than two
-// observations).
-func (m *Mean) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// String summarizes the accumulator.
-func (m *Mean) String() string {
-	return fmt.Sprintf("n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f", m.n, m.Mean(), m.StdDev(), m.min, m.max)
-}
 
 // Histogram counts observations into fixed bucket boundaries:
 // bucket i holds values in (bounds[i-1], bounds[i]]; an implicit last
@@ -131,28 +75,6 @@ func (h *Histogram) Bounds() []float64 {
 	out := make([]float64, len(h.bounds))
 	copy(out, h.bounds)
 	return out
-}
-
-// Merge folds other's counts into h. The two histograms must share
-// identical bucket boundaries (merging differently bucketed histograms
-// has no well-defined result).
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if len(other.bounds) != len(h.bounds) {
-		return fmt.Errorf("stats: merge of mismatched histograms (%d vs %d bounds)", len(h.bounds), len(other.bounds))
-	}
-	for i, b := range h.bounds {
-		if other.bounds[i] != b {
-			return fmt.Errorf("stats: merge of mismatched histograms (bound %d: %g vs %g)", i, b, other.bounds[i])
-		}
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	return nil
 }
 
 // Reset clears every count, keeping the bounds. The QoS controller's

@@ -8,67 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestMeanBasics(t *testing.T) {
-	var m Mean
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		m.Add(x)
-	}
-	if m.N() != 8 {
-		t.Errorf("N = %d", m.N())
-	}
-	if m.Mean() != 5 {
-		t.Errorf("Mean = %f", m.Mean())
-	}
-	if m.Min() != 2 || m.Max() != 9 {
-		t.Errorf("min/max = %f/%f", m.Min(), m.Max())
-	}
-	// Sample variance of this classic dataset is 32/7.
-	if got, want := m.Variance(), 32.0/7.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("Variance = %f, want %f", got, want)
-	}
-	if m.String() == "" {
-		t.Error("empty String")
-	}
-}
-
-func TestMeanEdge(t *testing.T) {
-	var m Mean
-	if m.Mean() != 0 || m.Variance() != 0 || m.StdDev() != 0 {
-		t.Error("empty accumulator should be zeroes")
-	}
-	m.Add(3)
-	if m.Variance() != 0 {
-		t.Error("single-sample variance should be 0")
-	}
-}
-
-func TestMeanMatchesDirectComputation(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(100)
-		var m Mean
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-			m.Add(xs[i])
-		}
-		var sum float64
-		for _, x := range xs {
-			sum += x
-		}
-		mean := sum / float64(n)
-		var ss float64
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		wantVar := ss / float64(n-1)
-		return math.Abs(m.Mean()-mean) < 1e-6 && math.Abs(m.Variance()-wantVar) < 1e-4
-	}, &quick.Config{MaxCount: 50})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h, err := NewHistogram([]float64{1, 10, 100})
 	if err != nil {
@@ -141,36 +80,6 @@ func TestHistogramBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, _ := NewHistogram([]float64{1, 5})
-	b, _ := NewHistogram([]float64{1, 5})
-	a.Add(0.5)
-	b.Add(3)
-	b.Add(100)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 3 {
-		t.Fatalf("merged total = %d", a.Total())
-	}
-	if got := a.Counts(); got[0] != 1 || got[1] != 1 || got[2] != 1 {
-		t.Fatalf("merged counts = %v", got)
-	}
-	// Merging nil is a no-op.
-	if err := a.Merge(nil); err != nil || a.Total() != 3 {
-		t.Fatalf("nil merge: err=%v total=%d", err, a.Total())
-	}
-	// Mismatched bounds are rejected, by count and by value.
-	c, _ := NewHistogram([]float64{1})
-	if err := a.Merge(c); err == nil {
-		t.Error("merge with fewer bounds accepted")
-	}
-	d, _ := NewHistogram([]float64{1, 6})
-	if err := a.Merge(d); err == nil {
-		t.Error("merge with different bounds accepted")
-	}
-}
-
 func TestHistogramStringEmpty(t *testing.T) {
 	h, _ := NewHistogram([]float64{1})
 	if got := h.String(); got != "empty" {
@@ -234,50 +143,6 @@ func TestQuantileMatchesSortedSlice(t *testing.T) {
 		}
 		return true
 	}, &quick.Config{MaxCount: 60})
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-// TestMergeMatchesPooledQuantiles pins that merging shards and then
-// reading quantiles equals accumulating every observation into one
-// histogram — the property that lets sweep workers histogram privately
-// and merge at the end.
-func TestMergeMatchesPooledQuantiles(t *testing.T) {
-	err := quick.Check(func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		bounds, _ := LogBounds(0.5, 1e3, 1.3)
-		pooled, _ := NewHistogram(bounds)
-		merged, _ := NewHistogram(bounds)
-		shards := 1 + rng.Intn(5)
-		for s := 0; s < shards; s++ {
-			shard, _ := NewHistogram(bounds)
-			for i, n := 0, rng.Intn(200); i < n; i++ {
-				x := math.Pow(10, rng.Float64()*4-0.5)
-				pooled.Add(x)
-				shard.Add(x)
-			}
-			if err := merged.Merge(shard); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if merged.Total() != pooled.Total() {
-			return false
-		}
-		pc, mc := pooled.Counts(), merged.Counts()
-		for i := range pc {
-			if pc[i] != mc[i] {
-				return false
-			}
-		}
-		for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
-			pq, mq := pooled.Quantile(q), merged.Quantile(q)
-			if pq != mq && !(math.IsInf(pq, 1) && math.IsInf(mq, 1)) {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Error(err)
 	}

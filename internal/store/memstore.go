@@ -79,10 +79,3 @@ func (s *Mem) Stat(a Addr) (Info, error) {
 	}
 	return Info{Addr: a, Size: len(data)}, nil
 }
-
-// Len returns the number of stored chunks.
-func (s *Mem) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}

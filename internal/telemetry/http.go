@@ -45,9 +45,6 @@ func NewServer(reg *Registry, progress func() any) *Server {
 // while the final work drains.
 func (s *Server) SetHealthy(ok bool) { s.healthy.Store(ok) }
 
-// Healthy reports the current /healthz verdict.
-func (s *Server) Healthy() bool { return s.healthy.Load() }
-
 // handler builds the endpoint mux.
 func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
@@ -109,7 +106,8 @@ func (s *Server) Close(timeout time.Duration) error {
 
 // ProgressSnapshot is the /progress payload: the live view of what the
 // daemon is doing, combining the rebuild service's per-stripe Progress
-// with the watch loop's phase.
+// with the watch loop's phase and pass counts (DaemonMetrics.Progress
+// assembles it).
 type ProgressSnapshot struct {
 	// Phase names where the daemon is in its loop: "starting",
 	// "scanning" (scan + repair pass underway), "rebuilding" (repairing
@@ -130,12 +128,13 @@ type ProgressSnapshot struct {
 	Percent       int `json:"percent"`
 }
 
-// ProgressTracker accumulates the /progress snapshot. Producers (the
+// ProgressTracker holds the part of the /progress snapshot no metric
+// cell books: the loop's phase and the pass in flight. Producers (the
 // watch daemon, the rebuild service's Progress hook) update it from the
 // rebuild goroutine; HTTP handlers snapshot it concurrently.
 type ProgressTracker struct {
 	mu   sync.Mutex
-	snap ProgressSnapshot
+	snap ProgressSnapshot // Scans and Rebuilds stay zero: the DaemonMetrics cells count them
 }
 
 // NewProgressTracker returns a tracker in phase "starting".
@@ -150,33 +149,20 @@ func (t *ProgressTracker) SetPhase(phase string) {
 	t.snap.Phase = phase
 }
 
-// Scan records the start of one scan + repair pass.
+// Scan records the start of one scan + repair pass: the previous pass's
+// per-stripe view is cleared.
 func (t *ProgressTracker) Scan() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.snap.Phase = "scanning"
-	t.snap.Scans++
-	t.snap.Stripe, t.snap.StripesTotal, t.snap.StripesDone, t.snap.ChunksRebuilt, t.snap.Percent = 0, 0, 0, 0, 0
+	t.snap = ProgressSnapshot{Phase: "scanning"}
 }
 
-// Rebuilt records that a pass repaired damage.
-func (t *ProgressTracker) Rebuilt() {
+// Stripe records one repaired stripe of the pass in flight; percent is
+// the rebuild service's own figure (Progress.Percent).
+func (t *ProgressTracker) Stripe(stripe, done, total, chunks, percent int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.snap.Rebuilds++
-}
-
-// Stripe records one repaired stripe of the pass in flight.
-func (t *ProgressTracker) Stripe(stripe, done, total, chunks int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.snap.Phase = "rebuilding"
-	t.snap.Stripe, t.snap.StripesDone, t.snap.StripesTotal, t.snap.ChunksRebuilt = stripe, done, total, chunks
-	if total > 0 {
-		t.snap.Percent = 100 * done / total
-	} else {
-		t.snap.Percent = 100
-	}
+	t.snap = ProgressSnapshot{Phase: "rebuilding", Stripe: stripe, StripesDone: done, StripesTotal: total, ChunksRebuilt: chunks, Percent: percent}
 }
 
 // Snapshot returns a copy of the current state.

@@ -38,7 +38,9 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 
 func TestServerMetricsEndpoint(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("fbf_live_ops", "Ops.").Add(9)
+	var ops Counter
+	ops.Add(9)
+	reg.CounterFunc("fbf_live_ops", "Ops.", cellValue(&ops))
 	_, base := startServer(t, reg, nil)
 
 	code, body, hdr := get(t, base+"/metrics")
@@ -72,17 +74,22 @@ func TestServerHealthzFlips(t *testing.T) {
 }
 
 func TestServerProgressEndpoint(t *testing.T) {
-	tr := NewProgressTracker()
-	_, base := startServer(t, NewRegistry(), func() any { return tr.Snapshot() })
+	reg := NewRegistry()
+	dm := NewDaemonMetrics(reg)
+	_, base := startServer(t, reg, func() any { return dm.Progress() })
 
-	tr.Scan()
-	tr.Stripe(7, 3, 12, 9)
+	dm.Scans.Inc()
+	dm.Tracker.Scan()
+	dm.Tracker.Stripe(7, 3, 12, 9, 25)
 	code, body, hdr := get(t, base+"/progress")
 	if code != http.StatusOK {
 		t.Fatalf("/progress status %d", code)
 	}
 	if ct := hdr.Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("/progress content type %q", ct)
+	}
+	if want := `{"phase":"rebuilding","scans":1,"rebuilds":0,"stripe":7,"stripes_total":12,"stripes_done":3,"chunks_rebuilt":9,"percent":25}` + "\n"; body != want {
+		t.Fatalf("/progress bytes = %q, want %q", body, want)
 	}
 	var snap ProgressSnapshot
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
@@ -123,27 +130,35 @@ func TestServerDoubleStartAndClose(t *testing.T) {
 	}
 }
 
-// TestProgressTrackerPhases walks the daemon's phase transitions.
+// TestProgressTrackerPhases walks the daemon's phase transitions: the
+// tracker holds the phase and the pass in flight, the cells count the
+// passes, and Progress reads both.
 func TestProgressTrackerPhases(t *testing.T) {
-	tr := NewProgressTracker()
-	if got := tr.Snapshot().Phase; got != "starting" {
+	dm := NewDaemonMetrics(NewRegistry())
+	tr := dm.Tracker
+	if got := dm.Progress().Phase; got != "starting" {
 		t.Fatalf("initial phase %q", got)
 	}
+	dm.Scans.Inc()
 	tr.Scan()
-	if s := tr.Snapshot(); s.Phase != "scanning" || s.Scans != 1 {
+	if s := dm.Progress(); s.Phase != "scanning" || s.Scans != 1 {
 		t.Fatalf("after Scan: %+v", s)
 	}
-	tr.Stripe(0, 1, 4, 2)
-	tr.Rebuilt()
-	if s := tr.Snapshot(); s.Phase != "rebuilding" || s.Rebuilds != 1 || s.Percent != 25 {
+	tr.Stripe(0, 1, 4, 2, 25)
+	dm.Rebuilds.Inc()
+	if s := dm.Progress(); s.Phase != "rebuilding" || s.Rebuilds != 1 || s.Percent != 25 {
 		t.Fatalf("after Stripe+Rebuilt: %+v", s)
 	}
+	dm.Scans.Inc()
 	tr.Scan() // a new pass resets per-pass fields but keeps totals
-	if s := tr.Snapshot(); s.Scans != 2 || s.Rebuilds != 1 || s.StripesDone != 0 || s.Percent != 0 {
+	if s := dm.Progress(); s.Scans != 2 || s.Rebuilds != 1 || s.StripesDone != 0 || s.Percent != 0 {
 		t.Fatalf("after second Scan: %+v", s)
 	}
+	if s := tr.Snapshot(); s.Scans != 0 || s.Rebuilds != 0 {
+		t.Fatalf("tracker books pass counts itself: %+v", s)
+	}
 	tr.SetPhase("stopped")
-	if got := tr.Snapshot().Phase; got != "stopped" {
+	if got := dm.Progress().Phase; got != "stopped" {
 		t.Fatalf("final phase %q", got)
 	}
 }

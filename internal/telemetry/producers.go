@@ -159,6 +159,15 @@ type DaemonMetrics struct {
 	Tracker *ProgressTracker // live phase + per-stripe progress
 }
 
+// Progress assembles the /progress payload: the tracker's view of the
+// pass in flight plus the pass counts, read from the cells that book
+// them.
+func (m *DaemonMetrics) Progress() ProgressSnapshot {
+	snap := m.Tracker.Snapshot()
+	snap.Scans, snap.Rebuilds = int(m.Scans.Value()), int(m.Rebuilds.Value())
+	return snap
+}
+
 // NewDaemonMetrics registers the watch daemon's metric families on reg
 // and returns the producer cells.
 func NewDaemonMetrics(reg *Registry) *DaemonMetrics {

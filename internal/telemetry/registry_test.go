@@ -18,23 +18,33 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func buildGoldenRegistry() *Registry {
 	reg := NewRegistry()
 
-	c := reg.Counter("fbf_test_ops", "Operations completed.")
-	c.Add(42)
-	reg.Counter("fbf_test_errors", "Failures by class.", Label{Key: "type", Value: "io"}).Add(3)
-	reg.Counter("fbf_test_errors", "Failures by class.", Label{Key: "type", Value: "corrupt"})
-	// Labels registered out of key order must render sorted.
-	reg.Counter("fbf_test_multi", "Multi-label series.",
-		Label{Key: "zone", Value: "a"}, Label{Key: "disk", Value: "3"}).Inc()
-
-	g := reg.Gauge("fbf_test_level", "A float gauge.")
-	g.Set(0.4375) // exact in binary: renders identically everywhere
-	reg.Gauge("fbf_test_escaped", "Help with a \\ backslash\nand newline.",
-		Label{Key: "path", Value: "a\"b\\c\nd"}).Set(-7)
-
-	h := reg.Histogram("fbf_test_seconds", "Latency histogram.", []float64{0.001, 0.01, 0.1, 1})
-	for _, v := range []float64{0.0005, 0.002, 0.002, 0.05, 0.5, 30} { // 30 overflows
-		h.Observe(v)
+	// Cells are plain values registered through the *Func constructors,
+	// exactly as the producer structs do it.
+	counter := func(name, help string, v uint64, labels ...Label) {
+		c := new(Counter)
+		c.Add(v)
+		reg.CounterFunc(name, help, cellValue(c), labels...)
 	}
+	gauge := func(name, help string, v float64, labels ...Label) {
+		g := new(Gauge)
+		g.Set(v)
+		reg.GaugeFunc(name, help, g.Value, labels...)
+	}
+	counter("fbf_test_ops", "Operations completed.", 42)
+	counter("fbf_test_errors", "Failures by class.", 3, Label{Key: "type", Value: "io"})
+	counter("fbf_test_errors", "Failures by class.", 0, Label{Key: "type", Value: "corrupt"})
+	// Labels registered out of key order must render sorted.
+	counter("fbf_test_multi", "Multi-label series.", 1,
+		Label{Key: "zone", Value: "a"}, Label{Key: "disk", Value: "3"})
+
+	gauge("fbf_test_level", "A float gauge.", 0.4375) // exact in binary: renders identically everywhere
+	gauge("fbf_test_escaped", "Help with a \\ backslash\nand newline.", -7,
+		Label{Key: "path", Value: "a\"b\\c\nd"})
+
+	// 0.0005, 0.002, 0.002, 0.05, 0.5 and an overflowing 30.
+	reg.HistogramFunc("fbf_test_seconds", "Latency histogram.", func() HistogramSnapshot {
+		return HistogramSnapshot{Bounds: []float64{0.001, 0.01, 0.1, 1}, Counts: []uint64{1, 2, 1, 1, 1}, Sum: 30.5545}
+	})
 	reg.CounterFunc("fbf_test_bridge", "Callback counter.", func() float64 { return 17 })
 	reg.GaugeFunc("fbf_test_bridge_gauge", "Callback gauge.", func() float64 { return 2.5 })
 	reg.HistogramFunc("fbf_test_bridge_hist", "Callback histogram.", func() HistogramSnapshot {
@@ -51,16 +61,6 @@ func TestPrometheusGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, filepath.Join("testdata", "prometheus_golden.txt"), buf.Bytes())
-}
-
-// TestJSONGolden pins the JSON twin the same way.
-func TestJSONGolden(t *testing.T) {
-	reg := buildGoldenRegistry()
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	goldenCompare(t, filepath.Join("testdata", "json_golden.json"), buf.Bytes())
 }
 
 func goldenCompare(t *testing.T, path string, got []byte) {
@@ -107,24 +107,23 @@ func TestPrometheusDeterministic(t *testing.T) {
 
 // TestRegistryPanics pins the fail-fast registration contract.
 func TestRegistryPanics(t *testing.T) {
+	zero := func() float64 { return 0 }
 	cases := []struct {
 		name string
 		fn   func(*Registry)
 	}{
-		{"invalid name", func(r *Registry) { r.Counter("0bad", "h") }},
-		{"empty name", func(r *Registry) { r.Counter("", "h") }},
-		{"invalid label", func(r *Registry) { r.Counter("ok", "h", Label{Key: "0bad", Value: "v"}) }},
+		{"invalid name", func(r *Registry) { r.CounterFunc("0bad", "h", zero) }},
+		{"empty name", func(r *Registry) { r.CounterFunc("", "h", zero) }},
+		{"invalid label", func(r *Registry) { r.CounterFunc("ok", "h", zero, Label{Key: "0bad", Value: "v"}) }},
 		{"duplicate label key", func(r *Registry) {
-			r.Counter("ok", "h", Label{Key: "a", Value: "1"}, Label{Key: "a", Value: "2"})
+			r.CounterFunc("ok", "h", zero, Label{Key: "a", Value: "1"}, Label{Key: "a", Value: "2"})
 		}},
-		{"duplicate series", func(r *Registry) { r.Counter("dup", "h"); r.Counter("dup", "h") }},
-		{"kind mismatch", func(r *Registry) { r.Counter("mix", "h"); r.Gauge("mix", "h") }},
+		{"duplicate series", func(r *Registry) { r.CounterFunc("dup", "h", zero); r.CounterFunc("dup", "h", zero) }},
+		{"kind mismatch", func(r *Registry) { r.CounterFunc("mix", "h", zero); r.GaugeFunc("mix", "h", zero) }},
 		{"help mismatch", func(r *Registry) {
-			r.Counter("help", "one", Label{Key: "a", Value: "1"})
-			r.Counter("help", "two", Label{Key: "a", Value: "2"})
+			r.CounterFunc("help", "one", zero, Label{Key: "a", Value: "1"})
+			r.CounterFunc("help", "two", zero, Label{Key: "a", Value: "2"})
 		}},
-		{"empty histogram bounds", func(r *Registry) { r.Histogram("hist", "h", nil) }},
-		{"unsorted histogram bounds", func(r *Registry) { r.Histogram("hist", "h", []float64{2, 1}) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,43 +137,26 @@ func TestRegistryPanics(t *testing.T) {
 	}
 }
 
-// TestHistogramBuckets checks cumulative bucket math against a known
-// distribution.
-func TestHistogramBuckets(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("fbf_h", "", []float64{1, 10})
-	for _, v := range []float64{0.5, 1, 5, 100} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	if s.Counts[0] != 2 || s.Counts[1] != 1 || s.Counts[2] != 1 {
-		t.Fatalf("counts = %v, want [2 1 1] (le=1 inclusive, overflow catches 100)", s.Counts)
-	}
-	if s.Sum != 106.5 || s.Total() != 4 {
-		t.Fatalf("sum=%v total=%d, want 106.5 and 4", s.Sum, s.Total())
-	}
-}
-
 // TestConcurrentProducersAndScrapes hammers cells from many goroutines
 // while scraping — the -race pin for the registry's concurrency
 // contract.
 func TestConcurrentProducersAndScrapes(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("fbf_c", "")
-	g := reg.Gauge("fbf_g", "")
-	h := reg.Histogram("fbf_h", "", []float64{0.5, 1})
+	var c Counter
+	var g Gauge
+	reg.CounterFunc("fbf_c", "", cellValue(&c))
+	reg.GaugeFunc("fbf_g", "", g.Value)
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				g.Set(float64(i))
-				h.Observe(float64(i%3) / 2)
 			}
-		}(w)
+		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -191,8 +173,5 @@ func TestConcurrentProducersAndScrapes(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*iters {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*iters)
-	}
-	if h.Snapshot().Total() != workers*iters {
-		t.Fatalf("histogram total = %d, want %d", h.Snapshot().Total(), workers*iters)
 	}
 }

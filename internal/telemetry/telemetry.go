@@ -10,9 +10,9 @@
 //
 //   - a Registry of counters, gauges and histograms with a
 //     deterministic Prometheus text-exposition writer (families sorted
-//     by name, series sorted by label set, shortest-form numbers) and a
-//     matching JSON snapshot — identical registry state serializes to
-//     identical bytes, so the exposition format is golden-testable;
+//     by name, series sorted by label set, shortest-form numbers) —
+//     identical registry state serializes to identical bytes, so the
+//     exposition format is golden-testable;
 //   - producer structs (producers.go) whose cells are the rebuild
 //     service's and watch daemon's only counters: each event is booked
 //     once, on a cell, and ServiceResult/DaemonResult report a pass as
@@ -21,9 +21,9 @@
 //   - an HTTP server (http.go) exposing /metrics, /healthz and
 //     /progress, wired into `fbfctl daemon -listen`.
 //
-// Counters and gauges are atomics and histograms carry their own lock,
-// so producers on the rebuild goroutine and scrapes on HTTP handler
-// goroutines never race (pinned under -race).
+// Counter and Gauge cells are atomics and every registered series is a
+// read callback, so producers on the rebuild goroutine and scrapes on
+// HTTP handler goroutines never race (pinned under -race).
 package telemetry
 
 import (
@@ -45,8 +45,9 @@ type Label struct {
 	Value string
 }
 
-// Counter is a monotonically increasing metric. Safe for concurrent
-// use.
+// Counter is a monotonically increasing cell: a plain struct field of
+// its producer (producers.go), usable without a registry and exported by
+// registering its Value through CounterFunc. Safe for concurrent use.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -60,7 +61,8 @@ func (c *Counter) Add(d uint64) { c.v.Add(d) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous value. Safe for concurrent use.
+// Gauge is a settable instantaneous cell, embedded and registered
+// (GaugeFunc) like Counter. Safe for concurrent use.
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -70,44 +72,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Histogram counts observations into fixed bucket boundaries (bucket i
-// holds values ≤ Bounds[i]; an implicit +Inf bucket catches the rest)
-// and tracks their sum. Safe for concurrent use.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []uint64
-	sum    float64
-	total  uint64
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.total++
-	h.sum += v
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Snapshot returns a consistent copy of the histogram state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Sum:    h.sum,
-	}
-	return s
-}
 
 // HistogramSnapshot is the exposition form of a histogram: bucket upper
 // bounds, per-bucket counts (len(Bounds)+1, the last is the +Inf
@@ -162,11 +126,11 @@ type family struct {
 	series     map[string]*series
 }
 
-// Registry is a set of named metric families. Registration (Counter,
-// Gauge, ...) panics on an invalid name, a duplicate (name, label set)
-// or a kind/help mismatch — metric wiring is program structure, not
-// input, mirroring obs.Registry. Safe for concurrent registration,
-// updates and writes.
+// Registry is a set of named metric families. Registration
+// (CounterFunc, GaugeFunc, HistogramFunc) panics on an invalid name, a
+// duplicate (name, label set) or a kind/help mismatch — metric wiring is
+// program structure, not input, mirroring obs.Registry. Safe for
+// concurrent registration and writes.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -246,14 +210,6 @@ func (r *Registry) register(name, help string, kind metricKind, s *series) {
 	f.series[s.labels] = s
 }
 
-// Counter registers a counter series and returns the cell producers
-// update.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, kindCounter, &series{labels: renderLabels(labels), value: func() float64 { return float64(c.Value()) }})
-	return c
-}
-
 // CounterFunc registers a counter series read from a callback at every
 // exposition — the bridge to state owned elsewhere (an Instrumented
 // backend's atomics). read must be safe to call from any goroutine and
@@ -262,33 +218,10 @@ func (r *Registry) CounterFunc(name, help string, read func() float64, labels ..
 	r.register(name, help, kindCounter, &series{labels: renderLabels(labels), value: read})
 }
 
-// Gauge registers a gauge series and returns the cell producers set.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, &series{labels: renderLabels(labels), value: g.Value})
-	return g
-}
-
 // GaugeFunc registers a gauge series read from a callback at every
 // exposition. read must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, read func() float64, labels ...Label) {
 	r.register(name, help, kindGauge, &series{labels: renderLabels(labels), value: read})
-}
-
-// Histogram registers a histogram series over strictly increasing
-// bucket bounds and returns the cell producers observe into.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("telemetry: histogram %q bounds not increasing at %d", name, i))
-		}
-	}
-	if len(bounds) == 0 {
-		panic(fmt.Sprintf("telemetry: histogram %q needs at least one bound", name))
-	}
-	h := &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]uint64, len(bounds)+1)}
-	r.register(name, help, kindHistogram, &series{labels: renderLabels(labels), hist: h.Snapshot})
-	return h
 }
 
 // HistogramFunc registers a histogram series read from a callback at
@@ -366,49 +299,5 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "%s_count%s %d\n", f.name, s.labels, total)
 		}
 	}
-	return bw.Flush()
-}
-
-// WriteJSON writes the registry as one deterministic JSON object —
-// the machine-readable twin of the Prometheus exposition, ordered
-// identically.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"families":[`)
-	for i, f := range r.snapshotFamilies() {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		fmt.Fprintf(bw, `{"name":%s,"type":%s,"help":%s,"series":[`,
-			strconv.Quote(f.name), strconv.Quote(f.kind.String()), strconv.Quote(f.help))
-		for j, s := range f.sortedSeries() {
-			if j > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, `{"labels":%s,`, strconv.Quote(s.labels))
-			if f.kind != kindHistogram {
-				fmt.Fprintf(bw, `"value":%s}`, num(s.value()))
-				continue
-			}
-			snap := s.hist()
-			fmt.Fprintf(bw, `"sum":%s,"count":%d,"bounds":[`, num(snap.Sum), snap.Total())
-			for k, b := range snap.Bounds {
-				if k > 0 {
-					bw.WriteByte(',')
-				}
-				bw.WriteString(num(b))
-			}
-			bw.WriteString(`],"counts":[`)
-			for k, c := range snap.Counts {
-				if k > 0 {
-					bw.WriteByte(',')
-				}
-				fmt.Fprintf(bw, "%d", c)
-			}
-			bw.WriteString("]}")
-		}
-		bw.WriteString("]}")
-	}
-	bw.WriteString("]}\n")
 	return bw.Flush()
 }
