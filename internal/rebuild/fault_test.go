@@ -367,7 +367,7 @@ func FuzzFaultPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, ureMilli, transientMilli uint16, disk1 uint8, at1Ms uint16, disk2 uint8, at2Ms uint16) {
 		fc := &FaultConfig{
 			Seed:          seed,
-			URERate:       float64(ureMilli%1000) / 2000,      // [0, 0.5)
+			URERate:       float64(ureMilli%1000) / 2000,       // [0, 0.5)
 			TransientRate: float64(transientMilli%1000) / 2000, // [0, 0.5)
 		}
 		for _, df := range []DiskFailure{

@@ -21,14 +21,14 @@ func TestAIMDNextSpec(t *testing.T) {
 		breached bool
 		want     float64
 	}{
-		{100, false, 110},  // additive increase
-		{100, true, 50},    // multiplicative decrease
-		{395, false, 400},  // increase clamps at ceiling
-		{400, false, 400},  // stays at ceiling
-		{8, true, 5},       // decrease clamps at floor
-		{5, true, 5},       // stays at floor
-		{5, false, 15},     // recovers from the floor additively
-		{12, true, 6},      // plain halving above the floor
+		{100, false, 110}, // additive increase
+		{100, true, 50},   // multiplicative decrease
+		{395, false, 400}, // increase clamps at ceiling
+		{400, false, 400}, // stays at ceiling
+		{8, true, 5},      // decrease clamps at floor
+		{5, true, 5},      // stays at floor
+		{5, false, 15},    // recovers from the floor additively
+		{12, true, 6},     // plain halving above the floor
 		{399.5, false, 400},
 	}
 	for _, c := range cases {
@@ -211,14 +211,14 @@ func TestQoSConfigValidate(t *testing.T) {
 		t.Fatalf("minimal config rejected: %v", err)
 	}
 	bad := []QoSConfig{
-		{},                          // missing SLO
-		{SLOp99Ms: -1},              // negative SLO
-		{SLOp99Ms: 30, Window: -1},  // negative window
+		{},                         // missing SLO
+		{SLOp99Ms: -1},             // negative SLO
+		{SLOp99Ms: 30, Window: -1}, // negative window
 		{SLOp99Ms: 30, MinSamples: -1},
 		{SLOp99Ms: 30, InitialRate: -5},
-		{SLOp99Ms: 30, Decrease: 1.5},              // factor outside (0,1)
-		{SLOp99Ms: 30, Decrease: -0.5},             // negative factor
-		{SLOp99Ms: 30, MinRate: 50, MaxRate: 10},   // floor above ceiling
+		{SLOp99Ms: 30, Decrease: 1.5},            // factor outside (0,1)
+		{SLOp99Ms: 30, Decrease: -0.5},           // negative factor
+		{SLOp99Ms: 30, MinRate: 50, MaxRate: 10}, // floor above ceiling
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -183,12 +183,12 @@ func TestHistogramQuantileEdges(t *testing.T) {
 		q    float64
 		want float64
 	}{
-		{0, 1},    // clamped: first non-empty bucket
-		{-3, 1},   // clamped below
+		{0, 1},  // clamped: first non-empty bucket
+		{-3, 1}, // clamped below
 		{math.NaN(), 1},
 		{0.5, 1},
-		{1, 10},  // last non-empty bucket
-		{2, 10},  // clamped above
+		{1, 10}, // last non-empty bucket
+		{2, 10}, // clamped above
 	}
 	for _, c := range cases {
 		if got := h.Quantile(c.q); got != c.want {

@@ -17,8 +17,8 @@ func FuzzManifest(f *testing.F) {
 	a := Addr{Disk: 2, Stripe: 7, Chunk: 1}
 	valid := EncodeChunk(a, payload(a, 48))
 	f.Add(valid)
-	f.Add(valid[:HeaderSize])              // header only, zero... truncated payload
-	f.Add(valid[:HeaderSize-5])            // truncated header
+	f.Add(valid[:HeaderSize])                   // header only, zero... truncated payload
+	f.Add(valid[:HeaderSize-5])                 // truncated header
 	f.Add(append([]byte("FBFX"), valid[4:]...)) // bad magic
 	skew := append([]byte(nil), valid...)
 	skew[4] = 3 // version 3

@@ -113,7 +113,9 @@ type CorruptError struct {
 	Err  error
 }
 
-func (e *CorruptError) Error() string { return fmt.Sprintf("store: %v: corrupt chunk: %v", e.Addr, e.Err) }
+func (e *CorruptError) Error() string {
+	return fmt.Sprintf("store: %v: corrupt chunk: %v", e.Addr, e.Err)
+}
 
 // Unwrap exposes the codec-level cause.
 func (e *CorruptError) Unwrap() error { return e.Err }

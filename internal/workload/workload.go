@@ -53,9 +53,9 @@ type Op struct {
 
 // Config parameterizes a stream.
 type Config struct {
-	Ops     int     // total operations to generate
-	Rate    float64 // arrivals per second of simulated time (open loop)
-	Stripes int     // stripe-address space
+	Ops     int          // total operations to generate
+	Rate    float64      // arrivals per second of simulated time (open loop)
+	Stripes int          // stripe-address space
 	Cells   []grid.Coord // candidate cells within a stripe (typically the layout's data cells)
 
 	ZipfS     float64 // stripe-popularity skew; <= 1 means uniform
