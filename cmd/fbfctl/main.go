@@ -19,8 +19,8 @@
 // `rebuild -o resume` journals progress to <store>/rebuild.journal and
 // resumes from it after a crash or interrupt; `daemon` watches the
 // store, journaling every repair. Both shut down gracefully on
-// SIGINT/SIGTERM: the chunk in flight is finished, the journal synced,
-// and a summary printed.
+// SIGINT/SIGTERM: the writes in flight are finished, the journal
+// synced, and a summary printed.
 //
 // `daemon -listen :9920` serves live operational telemetry over HTTP:
 // /metrics (Prometheus text exposition of store I/O, rebuild and daemon

@@ -1,7 +1,7 @@
 // daemon.go is the watch-mode driver behind `fbfctl daemon`: scan the
 // store on an interval, run a journaled (hence crash-safe) rebuild
 // whenever damage appears, retry transient failures with exponential
-// backoff, and shut down gracefully — finish the chunk in flight, sync
+// backoff, and shut down gracefully — finish the writes in flight, sync
 // the journal — when asked to stop.
 package rebuild
 
@@ -46,7 +46,7 @@ type DaemonConfig struct {
 	// drills and tests; zero watches until Stop.
 	MaxScans int
 
-	// Stop requests graceful shutdown: the in-flight chunk repair is
+	// Stop requests graceful shutdown: the chunk writes in flight are
 	// finished, the journal synced, and RunDaemon returns with
 	// Interrupted set.
 	Stop <-chan struct{}

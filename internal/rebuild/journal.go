@@ -100,7 +100,8 @@ func (st *JournalState) InFlight() []int {
 
 // Journal is an open write-ahead rebuild journal. Records append at the
 // end of the valid prefix; Sync makes them durable. Not safe for
-// concurrent use — the rebuild service is single-threaded by design.
+// concurrent use: one goroutine owns the journal — the one that runs the
+// service; chunk writes it has in flight on others never touch it.
 type Journal struct {
 	f    *os.File
 	path string

@@ -58,10 +58,13 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	m := testManifest("star", 5, 2, 64)
 
 	// Counting run: the same rebuild against a fault-free wrapper bounds
-	// the crash-point sweep.
+	// the crash-point sweep. It also watches the write-back: the sweep
+	// must kill the overlapped path, not the serial order a backend
+	// without a write depth gets.
 	countRoot := t.TempDir()
 	d := initResumeDir(t, countRoot, m)
-	counter := faultstore.Wrap(d, faultstore.Plan{})
+	watch := newDepthBackend(d, store.WriteDepth(d), 3*m.Rows)
+	counter := faultstore.Wrap(watch, faultstore.Plan{})
 	res, err := RunService(ServiceConfig{
 		Backend: counter, Manifest: m,
 		JournalPath: filepath.Join(countRoot, "rebuild.journal"),
@@ -77,6 +80,12 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	if total < 20 {
 		t.Fatalf("counting run saw only %d ops; the sweep would prove nothing", total)
 	}
+	for _, f := range watch.faults {
+		t.Error(f)
+	}
+	if watch.peak < 2 {
+		t.Fatalf("counting run had at most %d write in flight; the sweep would prove the serial order only", watch.peak)
+	}
 
 	step := 1
 	if testing.Short() {
@@ -89,6 +98,9 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 		crashing := faultstore.Wrap(initResumeDir(t, root, m), faultstore.Plan{
 			Seed: int64(k), CrashAfterOps: k, TornWrites: true,
 		})
+		if store.WriteDepth(crashing) != watch.depth {
+			t.Fatalf("crashing store states write depth %d, the counting run had %d", store.WriteDepth(crashing), watch.depth)
+		}
 		_, err := RunService(ServiceConfig{Backend: crashing, Manifest: m, JournalPath: journal})
 		if !errors.Is(err, faultstore.ErrCrashed) {
 			t.Fatalf("crash at op %d: run returned %v, want ErrCrashed", k, err)

@@ -80,8 +80,10 @@ type ServiceConfig struct {
 	JournalPath string
 
 	// Stop, when non-nil, requests graceful shutdown: once the channel
-	// is closed the service finishes the chunk repair in flight, syncs
-	// the journal, and returns with Interrupted set instead of an error.
+	// is closed the service starts no further chunk write, finishes and
+	// journals the writes in flight (one, or up to the backend's write
+	// depth during a decoded stripe's write-back), syncs the journal, and
+	// returns with Interrupted set instead of an error.
 	Stop <-chan struct{}
 
 	// Progress, when non-nil, is called after every repaired stripe —
@@ -198,10 +200,11 @@ func InitStore(b store.Backend, m store.ArrayManifest, seed int64) error {
 	}()
 	for s := 0; s < m.Stripes; s++ {
 		code.MaterializeStripeInto(stripeBuf, StripeSeed(seed, s))
-		for idx, c := range stripeBuf {
-			if err := b.WriteChunk(AddrOf(s, code.CoordOf(idx)), c); err != nil {
-				return err
-			}
+		// writeBack returns with nothing in flight, so the buffers are free
+		// to refill for the next stripe.
+		addr := func(idx int) store.Addr { return AddrOf(s, code.CoordOf(idx)) }
+		if _, err := writeBack(b, nil, stripeBuf, addr, func(int) error { return nil }); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -565,7 +568,7 @@ func (s *service) execute(jstate *JournalState) error {
 			return err
 		}
 		if res.Interrupted {
-			// The stop landed mid-stripe: the chunk in flight was
+			// The stop landed mid-stripe: the writes in flight were
 			// finished and committed, but the stripe was not.
 			break
 		}
@@ -827,7 +830,7 @@ func (s *service) repairStripe(d StripeDamage) error {
 		}
 		if esc == nil {
 			if s.res.Interrupted {
-				// A stop landed mid-stripe: the in-flight chunk was
+				// A stop landed mid-stripe: the writes in flight were
 				// finished, but the stripe was not — no done record, so
 				// the next run resumes right here.
 				return nil
@@ -998,7 +1001,8 @@ func (s *service) passFor(plan *schemePlan) *decodePass {
 // or the wrong size escalates (nothing has been written yet, so the
 // caller's re-plan restarts the pass), every recovered chunk is diffed
 // against the oracle's re-derivation before anything is written, and
-// the writes are journaled cell by cell. It holds 2L+1 pooled chunks for
+// every write is journaled as it completes (writeBack keeps up to the
+// backend's write depth of them in flight). It holds 2L+1 pooled chunks for
 // L cells (L+1 without verify) and never consults the byte cache; each
 // source read is booked as a disk read and, with a cache configured, as
 // the compulsory miss it would have been, so DiskReads == CacheMisses
@@ -1051,27 +1055,32 @@ func (s *service) replayDecoded(stripe int, plan *schemePlan, repaired map[grid.
 			s.m.ChunksVerified.Inc()
 		}
 	}
-	for i, sel := range selected {
-		if stopRequested(s.cfg.Stop) {
-			// Graceful stop between two writes: the committed cells are
-			// journaled, the next run plans the rest.
-			s.res.Interrupted = true
-			return nil, nil
-		}
-		if err := s.commitCell(stripe, sel, accs[i], repaired); err != nil {
-			return nil, err
-		}
+	// Every cell is verified; write them back at the backend's write
+	// depth. booked runs on this goroutine, so the journal, the counters
+	// and repaired stay single-threaded.
+	addr := func(i int) store.Addr { return AddrOf(stripe, selected[i].Lost) }
+	booked := func(i int) error { return s.bookCell(addr(i), selected[i], accs[i], repaired) }
+	stopped, err := writeBack(s.cfg.Backend, s.cfg.Stop, accs[:len(selected)], addr, booked)
+	if stopped {
+		// Graceful stop before the last write was started: the writes in
+		// flight were finished and journaled, the next run plans the rest.
+		s.res.Interrupted = true
 	}
-	return nil, nil
+	return nil, err
 }
 
-// commitCell writes one recovered chunk back, journals the commit and
-// books it.
+// commitCell writes one recovered chunk back and books it.
 func (s *service) commitCell(stripe int, sel core.SelectedChain, data chunk.Chunk, repaired map[grid.Coord]bool) error {
 	a := AddrOf(stripe, sel.Lost)
 	if err := s.cfg.Backend.WriteChunk(a, data); err != nil {
 		return err
 	}
+	return s.bookCell(a, sel, data, repaired)
+}
+
+// bookCell journals the commit of a chunk WriteChunk has returned nil
+// for and counts it.
+func (s *service) bookCell(a store.Addr, sel core.SelectedChain, data chunk.Chunk, repaired map[grid.Coord]bool) error {
 	if s.journal != nil {
 		if err := s.journaled(s.journal.AppendCommit(a, PayloadCRC(data))); err != nil {
 			return err

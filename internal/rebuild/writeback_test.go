@@ -1,0 +1,378 @@
+package rebuild
+
+// writeback_test.go pins the write-back dispatcher (writeBack) through
+// RunService: how many writes it keeps in flight, what it does when one
+// of them fails or a stop arrives in mid-group, and that a backend
+// stating no depth sees the serial order.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+
+	"fbf/internal/chunk"
+	"fbf/internal/store"
+)
+
+var errWriteInjected = errors.New("injected write failure")
+
+// depthBackend states a write depth and watches what the service does
+// with it. Its gate makes the overlap exact instead of whatever the
+// scheduler produced: a write returns only while as many writes are in
+// flight as a dispatcher of that depth can keep there — depth, or all
+// that is left of the stripe's group — so a dispatcher that kept fewer
+// would hang the test and one that kept more is recorded as a fault.
+// Writes leave the gate one at a time, and the write picked to fail or
+// to close stop leaves it ahead of any other in flight with it.
+type depthBackend struct {
+	store.Backend
+	depth int
+	group int // writes the write-back of one stripe starts
+
+	failWrite int // this write, counted from 1 as they start, fails; 0 none
+	stopWrite int // this write closes stop before it returns; 0 none
+	stop      chan struct{}
+
+	mu       sync.Mutex
+	gate     *sync.Cond
+	started  int
+	inFlight int
+	peak     int
+	stripe   int         // of the writes in flight
+	returned map[int]int // writes returned, by stripe
+	picked   bool        // failWrite or stopWrite is in flight and has not fired
+	fired    bool        // it has: the group is refilled no more, nothing waits
+	atFire   int         // started when it fired
+	wrote    []store.Addr
+	faults   []string
+}
+
+func newDepthBackend(b store.Backend, depth, group int) *depthBackend {
+	d := &depthBackend{Backend: b, depth: depth, group: group, stop: make(chan struct{}), returned: map[int]int{}}
+	d.gate = sync.NewCond(&d.mu)
+	return d
+}
+
+func (d *depthBackend) WriteDepth() int { return d.depth }
+
+func (d *depthBackend) faultf(format string, args ...any) {
+	d.faults = append(d.faults, fmt.Sprintf(format, args...))
+}
+
+func (d *depthBackend) ReadChunk(a store.Addr, dst []byte) (int, error) {
+	d.mu.Lock()
+	if d.inFlight > 0 {
+		d.faultf("read of %v with %d writes in flight", a, d.inFlight)
+	}
+	d.mu.Unlock()
+	return d.Backend.ReadChunk(a, dst)
+}
+
+func (d *depthBackend) WriteChunk(a store.Addr, data []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.started++
+	n := d.started
+	if d.inFlight > 0 && d.stripe != a.Stripe {
+		d.faultf("writes of stripes %d and %d in flight together", d.stripe, a.Stripe)
+	}
+	d.stripe = a.Stripe
+	d.inFlight++
+	d.peak = max(d.peak, d.inFlight)
+	if d.inFlight > d.depth {
+		d.faultf("%d writes in flight at depth %d", d.inFlight, d.depth)
+	}
+	if d.fired && d.stopWrite > 0 {
+		d.faultf("write %d (%v) started after stop was closed", n, a)
+	}
+	pick := n == d.failWrite || n == d.stopWrite
+	d.picked = d.picked || pick
+	d.gate.Broadcast()
+	for !d.fired && (d.inFlight < min(d.depth, d.group-d.returned[a.Stripe]) || (d.picked && !pick)) {
+		d.gate.Wait()
+	}
+	var err error
+	switch {
+	case n == d.failWrite:
+		err = fmt.Errorf("write %v: %w", a, errWriteInjected)
+	case n == d.stopWrite:
+		close(d.stop)
+	}
+	if pick {
+		d.picked, d.fired, d.atFire = false, true, d.started
+	}
+	if err == nil {
+		if err = d.Backend.WriteChunk(a, data); err == nil {
+			d.wrote = append(d.wrote, a)
+		}
+	}
+	d.inFlight--
+	d.returned[a.Stripe]++
+	d.gate.Broadcast()
+	return err
+}
+
+// journalCommits replays a kept journal and returns its commit records.
+func journalCommits(t *testing.T, path string) map[store.Addr]uint32 {
+	t.Helper()
+	j, st, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return st.Commits
+}
+
+// killThree materializes the fixture on a memstore and kills three whole
+// disks: every stripe loses 3·Rows cells and is rebuilt by the read-once
+// pass, whose write-back is one group of that many writes.
+func killThree(t *testing.T, m store.ArrayManifest) (b *store.Mem, perStripe int) {
+	t.Helper()
+	b = initMem(t, m, resumeSeed)
+	for _, disk := range []int{0, 2, 4} {
+		killDisk(t, b, disk)
+	}
+	return b, 3 * m.Rows
+}
+
+// TestWriteBackKeepsDepthInFlight pins the overlap itself: at every
+// stated depth the pipeline is exactly full (never more than depth, more
+// than one on a kill-3 stripe), no source is read while a write is in
+// flight, no two stripes' writes are in flight together, and the result
+// is the serial run's to the last counter.
+func TestWriteBackKeepsDepthInFlight(t *testing.T) {
+	m := testManifest("star", 5, 3, 64)
+	var serial *ServiceResult
+	for _, depth := range []int{1, 2, 8, 12, 16} {
+		t.Run(fmt.Sprint("depth-", depth), func(t *testing.T) {
+			mem, perStripe := killThree(t, m)
+			d := newDepthBackend(mem, depth, perStripe)
+			res, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: filepath.Join(t.TempDir(), "rebuild.journal")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range d.faults {
+				t.Error(f)
+			}
+			if want := min(depth, perStripe); d.peak != want {
+				t.Fatalf("at most %d writes were in flight, want %d", d.peak, want)
+			}
+			if len(d.wrote) != m.Stripes*perStripe || res.ChunksRebuilt != len(d.wrote) {
+				t.Fatalf("%d writes, %d chunks rebuilt, want %d", len(d.wrote), res.ChunksRebuilt, m.Stripes*perStripe)
+			}
+			checkAgainstGroundTruth(t, mem, m, resumeSeed)
+			if serial == nil {
+				serial = res
+			} else if !reflect.DeepEqual(res, serial) {
+				t.Fatalf("depth %d: %+v\nserial: %+v", depth, res, serial)
+			}
+		})
+	}
+}
+
+// TestWriteBackFailureMidGroup fails each write of a stripe's group in
+// turn while the pipeline is full: the run returns that error, every
+// write that returned nil has its commit record (and nothing else has),
+// the group is not refilled once the failure is known, and a rerun on
+// the same journal replays exactly those records and converges.
+func TestWriteBackFailureMidGroup(t *testing.T) {
+	m := testManifest("star", 5, 2, 64)
+	const depth = 4
+	for k := 1; k <= 2*3*m.Rows; k++ {
+		t.Run(fmt.Sprint("write-", k), func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "rebuild.journal")
+			mem, perStripe := killThree(t, m)
+			d := newDepthBackend(mem, depth, perStripe)
+			d.failWrite = k
+			_, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: journal})
+			if !errors.Is(err, errWriteInjected) {
+				t.Fatalf("run returned %v, want the injected write failure", err)
+			}
+			for _, f := range d.faults {
+				t.Error(f)
+			}
+			// The failure reaches the dispatcher through the same queue as
+			// the successes in flight with it; each of those collected
+			// first may start one more write, nothing else may.
+			if d.started > d.atFire+depth-1 {
+				t.Fatalf("%d writes started, %d of them before the failure: the group was refilled after it", d.started, d.atFire)
+			}
+			if got, want := len(d.wrote), d.started-1; got != want {
+				t.Fatalf("%d writes returned nil, want all %d that started but the failed one", got, want)
+			}
+			commits := journalCommits(t, journal)
+			if len(commits) != len(d.wrote) {
+				t.Fatalf("%d commit records for %d writes that returned nil", len(commits), len(d.wrote))
+			}
+			for _, a := range d.wrote {
+				if _, ok := commits[a]; !ok {
+					t.Fatalf("%v was written and has no commit record", a)
+				}
+			}
+
+			res, err := RunService(ServiceConfig{Backend: mem, Manifest: m, JournalPath: journal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Commits of a finished stripe are replayed too; all of them
+			// are on record, none was made up.
+			if res.ResumedCommits != len(commits) || res.DataLoss || res.Interrupted {
+				t.Fatalf("rerun replayed %d commits (want %d), dataloss=%v interrupted=%v", res.ResumedCommits, len(commits), res.DataLoss, res.Interrupted)
+			}
+			if res.ChunksRebuilt != m.Stripes*perStripe-len(commits) {
+				t.Fatalf("rerun rebuilt %d chunks, want the %d the failed run left", res.ChunksRebuilt, m.Stripes*perStripe-len(commits))
+			}
+			checkAgainstGroundTruth(t, mem, m, resumeSeed)
+			if _, err := os.Stat(journal); !os.IsNotExist(err) {
+				t.Fatalf("journal survives the completed rerun: %v", err)
+			}
+		})
+	}
+}
+
+// TestWriteBackStopMidGroup closes Stop from inside the k-th write while
+// the pipeline is full: the writes in flight finish and are booked, none
+// starts afterwards, the stripe is not marked done, and the resumed run
+// replays exactly the booked writes.
+func TestWriteBackStopMidGroup(t *testing.T) {
+	m := testManifest("star", 5, 2, 64)
+	const depth = 4
+	for _, k := range []int{1, 2, depth, depth + 1, 3*m.Rows - 1, 3*m.Rows + 2} {
+		t.Run(fmt.Sprint("write-", k), func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "rebuild.journal")
+			mem, perStripe := killThree(t, m)
+			d := newDepthBackend(mem, depth, perStripe)
+			d.stopWrite = k
+			res, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: journal, Stop: d.stop})
+			if err != nil {
+				t.Fatalf("graceful stop must not be an error: %v", err)
+			}
+			for _, f := range d.faults {
+				t.Error(f)
+			}
+			// Stop closed with the pipeline full: in the k-th write's stripe
+			// that is the first fill (depth writes) or, later in the group,
+			// the refill the k-th write itself was.
+			done, kIn := (k-1)/perStripe, (k-1)%perStripe+1
+			if want := done*perStripe + max(kIn, depth); d.started != want || len(d.wrote) != want {
+				t.Fatalf("%d writes started, %d returned nil, want %d of each: those in flight at the stop finish, none starts", d.started, len(d.wrote), want)
+			}
+			commits := journalCommits(t, journal)
+			if !res.Interrupted || res.ChunksRebuilt != len(d.wrote) || len(commits) != len(d.wrote) {
+				t.Fatalf("interrupted=%v, %d chunks rebuilt, %d commit records, %d writes returned nil", res.Interrupted, res.ChunksRebuilt, len(commits), len(d.wrote))
+			}
+			if res.StripesRepaired != done {
+				t.Fatalf("%d stripes marked repaired, want %d", res.StripesRepaired, done)
+			}
+
+			res2, err := RunService(ServiceConfig{Backend: mem, Manifest: m, JournalPath: journal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res2.Interrupted || res2.DataLoss || res2.ResumedCommits != len(commits) || res2.ChunksRebuilt != m.Stripes*perStripe-len(commits) {
+				t.Fatalf("resume: %+v after %d commits", res2, len(commits))
+			}
+			checkAgainstGroundTruth(t, mem, m, resumeSeed)
+		})
+	}
+}
+
+// TestWriteBackDepthOneIsTheSerialOrder runs the same damage through the
+// durable directory store, which states a depth, and through the same
+// kind of store behind a wrapper that merely embeds the interface, which
+// states none and is written to one chunk at a time: the same result to
+// the last counter and journal byte, and the same store bytes.
+func TestWriteBackDepthOneIsTheSerialOrder(t *testing.T) {
+	m := testManifest("star", 5, 3, 64)
+	run := func(wrap func(store.Backend) store.Backend) (*ServiceResult, string) {
+		root := t.TempDir()
+		dir, err := store.OpenDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := InitStore(wrap(dir), m, resumeSeed); err != nil {
+			t.Fatal(err)
+		}
+		for _, disk := range []int{0, 2, 4} {
+			if err := os.RemoveAll(filepath.Join(root, store.DiskDirName(disk))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := RunService(ServiceConfig{Backend: wrap(dir), Manifest: m, JournalPath: filepath.Join(root, "rebuild.journal")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstGroundTruth(t, dir, m, resumeSeed)
+		return res, root
+	}
+	type embedding struct{ store.Backend }
+	overlapped, a := run(func(b store.Backend) store.Backend { return b })
+	serial, b := run(func(b store.Backend) store.Backend { return embedding{b} })
+	if store.WriteDepth(embedding{}) != 1 {
+		t.Fatal("a wrapper that embeds store.Backend states a write depth")
+	}
+	if !reflect.DeepEqual(overlapped, serial) {
+		t.Fatalf("overlapped: %+v\nserial:     %+v", overlapped, serial)
+	}
+	files := 0
+	err := filepath.WalkDir(a, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(a, path)
+		if err != nil {
+			return err
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		got, err := os.ReadFile(filepath.Join(b, rel))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("%s differs between the two stores", rel)
+		}
+		files++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files != m.Chunks() {
+		t.Fatalf("%d files compared, want the array's %d chunks", files, m.Chunks())
+	}
+}
+
+// discard accepts every write and keeps nothing; it states no depth.
+type discard struct{ store.Backend }
+
+func (discard) WriteChunk(store.Addr, []byte) error { return nil }
+
+// TestWriteBackDepthOneAllocatesNothing pins what depth 1 costs a
+// stripe: no goroutine, no channel, no closure on the heap.
+func TestWriteBackDepthOneAllocatesNothing(t *testing.T) {
+	chunks := make([]chunk.Chunk, 12)
+	for i := range chunks {
+		chunks[i] = chunk.New(64)
+	}
+	var b store.Backend = discard{}
+	booked := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		addr := func(i int) store.Addr { return store.Addr{Stripe: booked, Chunk: i} }
+		if stopped, err := writeBack(b, nil, chunks, addr, func(int) error { booked++; return nil }); stopped || err != nil {
+			t.Fatalf("stopped=%v err=%v", stopped, err)
+		}
+	})
+	if allocs != 0 || booked != 101*len(chunks) {
+		t.Fatalf("%v allocations per stripe, %d writes booked", allocs, booked)
+	}
+}

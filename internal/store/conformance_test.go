@@ -21,6 +21,15 @@ var backends = map[string]func(t *testing.T) Backend{
 		}
 		return d
 	},
+	// Without the fsyncs overlapped writes spend no time waiting, so they
+	// interleave differently from the durable store's.
+	"dirstore-nosync": func(t *testing.T) Backend {
+		d, err := OpenDirWith(t.TempDir(), DirOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	},
 	"memstore": func(t *testing.T) Backend { return NewMem() },
 	// Instrument is a transparent wrapper: it must pass the full
 	// contract over any backend, alone and stacked on a Throttle.
@@ -70,6 +79,7 @@ func contractCases() []contractCase {
 		{"stat", testStat},
 		{"short-destination", testShortDestination},
 		{"concurrent-reads", testConcurrentReads},
+		{"concurrent-writes", testConcurrentWrites},
 	}
 }
 
@@ -274,5 +284,123 @@ func testConcurrentReads(t *testing.T, b Backend) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+func testConcurrentWrites(t *testing.T, b Backend) {
+	// The sentence the rebuild's write-back leans on: "concurrent writers
+	// to distinct addresses must not interfere". Sixteen writers fill
+	// three disks, each its own addresses, while one more overwrites a
+	// single address again and again; afterwards every chunk reads back
+	// whole and every disk lists in order.
+	const writers, perWriter, disks, size = 16, 6, 3, 256
+	hot := Addr{Disk: 1, Stripe: 1000, Chunk: 0}
+	final := payload(Addr{Disk: 9, Stripe: 9, Chunk: 9}, size)
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+1)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				a := Addr{Disk: (g + i) % disks, Stripe: g, Chunk: i}
+				if err := b.WriteChunk(a, payload(a, size)); err != nil {
+					errs <- fmt.Errorf("writer %d: %v", g, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2*perWriter; i++ {
+			if err := b.WriteChunk(hot, payload(Addr{Stripe: i}, size)); err != nil {
+				errs <- fmt.Errorf("overwriter: %v", err)
+				return
+			}
+		}
+		if err := b.WriteChunk(hot, final); err != nil {
+			errs <- fmt.Errorf("overwriter: %v", err)
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	dst := make([]byte, size)
+	check := func(a Addr, want []byte) {
+		t.Helper()
+		n, err := b.ReadChunk(a, dst)
+		if err != nil {
+			t.Fatalf("ReadChunk(%v): %v", a, err)
+		}
+		if !bytes.Equal(dst[:n], want) {
+			t.Fatalf("%v does not read back the bytes its writer stored", a)
+		}
+	}
+	check(hot, final)
+	listed := 0
+	for d := 0; d < disks; d++ {
+		addrs, err := b.List(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range addrs {
+			if a.Disk != d || (i > 0 && !addrs[i-1].Less(a)) {
+				t.Fatalf("List(%d)[%d] = %v after %v: out of order", d, i, a, addrs[max(i-1, 0)])
+			}
+			if a != hot {
+				check(a, payload(a, size))
+			}
+		}
+		listed += len(addrs)
+	}
+	if want := writers*perWriter + 1; listed != want {
+		t.Fatalf("%d chunks listed, want the %d written", listed, want)
+	}
+}
+
+// TestWriteDepth pins who states a write depth: Dir its constant, seen
+// through any stack of the forwarding wrappers; Mem none; and a struct
+// that merely embeds Backend none either, whatever it wraps — such a
+// wrapper never promised to be safe for overlapped calls, so it gets
+// serial ones.
+func TestWriteDepth(t *testing.T) {
+	dir, err := OpenDirWith(t.TempDir(), DirOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	throttle := func(b Backend) Backend {
+		th, err := NewThrottle(b, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return th
+	}
+	type embedding struct{ Backend }
+	for _, tc := range []struct {
+		name string
+		b    Backend
+		want int
+	}{
+		{"dir", dir, dirWriteDepth},
+		{"mem", NewMem(), 1},
+		{"throttle(dir)", throttle(dir), dirWriteDepth},
+		{"instrument(dir)", Instrument(dir), dirWriteDepth},
+		{"instrument(throttle(dir))", Instrument(throttle(dir)), dirWriteDepth},
+		{"throttle(instrument(dir))", throttle(Instrument(dir)), dirWriteDepth},
+		{"instrument(throttle(mem))", Instrument(throttle(NewMem())), 1},
+		{"embedding(dir)", embedding{dir}, 1},
+		{"instrument(embedding(dir))", Instrument(embedding{dir}), 1},
+	} {
+		if got := WriteDepth(tc.b); got != tc.want {
+			t.Errorf("WriteDepth(%s) = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	if dirWriteDepth < 2 {
+		t.Fatalf("dirWriteDepth = %d: the directory store would be written to serially", dirWriteDepth)
 	}
 }

@@ -154,27 +154,73 @@ func (d *Dir) chunkPath(a Addr) string {
 	return filepath.Join(d.root, DiskDirName(a.Disk), chunkFileName(a))
 }
 
-// ReadChunk implements Backend.
+// ReadChunk implements Backend. The payload is read where it is going:
+// the header first, then the payload straight into dst and checked
+// there, so a read takes in at most HeaderSize+len(dst) bytes of a
+// file, whatever its size, and copies none. The checks are
+// DecodeChunk's, in its order and with its typed errors — header codec,
+// exact framing, payload CRC, stored address — with the
+// short-destination check moved ahead of the first payload byte. dst is
+// scratch once any of them fails.
 func (d *Dir) ReadChunk(a Addr, dst []byte) (int, error) {
 	if !a.Valid() {
 		return 0, &NotFoundError{Addr: a}
 	}
-	data, err := os.ReadFile(d.chunkPath(a))
+	f, err := os.Open(d.chunkPath(a))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return 0, &NotFoundError{Addr: a}
 		}
 		return 0, fmt.Errorf("store: reading %v: %w", a, err)
 	}
-	_, payload, err := DecodeChunk(data, a)
+	defer f.Close()
+	var hdr [HeaderSize]byte
+	n, err := f.ReadAt(hdr[:], 0)
+	if err != nil && err != io.EOF {
+		return 0, fmt.Errorf("store: reading %v: %w", a, err)
+	}
+	h, err := DecodeHeader(hdr[:n])
 	if err != nil {
 		return 0, &CorruptError{Addr: a, Err: err}
 	}
-	if len(dst) < len(payload) {
-		return 0, fmt.Errorf("store: %v: destination buffer %d bytes, chunk payload %d", a, len(dst), len(payload))
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("store: reading %v: %w", a, err)
 	}
-	return copy(dst, payload), nil
+	if err := h.checkFraming(fi.Size() - HeaderSize); err != nil {
+		return 0, &CorruptError{Addr: a, Err: err}
+	}
+	if len(dst) < h.Length {
+		return 0, fmt.Errorf("store: %v: destination buffer %d bytes, chunk payload %d", a, len(dst), h.Length)
+	}
+	payload := dst[:h.Length]
+	if n, err := f.ReadAt(payload, HeaderSize); err == io.EOF {
+		// The file shrank after the size check.
+		return 0, &CorruptError{Addr: a, Err: h.checkFraming(int64(n))}
+	} else if err != nil {
+		return 0, fmt.Errorf("store: reading %v: %w", a, err)
+	}
+	if err := h.checkPayload(payload, a); err != nil {
+		return 0, &CorruptError{Addr: a, Err: err}
+	}
+	return h.Length, nil
 }
+
+// dirWriteDepth is how many WriteChunk calls Dir asks its callers to
+// keep in flight. A durable write is mostly waiting — two fsyncs, each a
+// journal commit on ext4 — and fsyncs that arrive together share one
+// commit. Measured on the benchmark's dir-kill3-journal workload
+// (EXPERIMENTS.md, "Write-back depth"; MB/s in three rounds): depth 1
+// 16–22, 2 30–33, 4 24–33, 8 32–39, 16 34–40, 36 (a whole stripe) 30–35.
+// 8 and 16 are equal within the rounds' spread, and every write in
+// flight is a chunk a hard kill can leave without its commit record, so
+// the smallest depth on the plateau it is. A constant beside its
+// measurement, not a DirOptions field: nothing a caller knows would set
+// it better.
+const dirWriteDepth = 8
+
+// WriteDepth states Dir's write depth (see store.WriteDepth).
+func (d *Dir) WriteDepth() int { return dirWriteDepth }
 
 // WriteChunk implements Backend. The durable sequence is write temp →
 // fsync temp → rename → fsync parent directory: the first fsync

@@ -68,6 +68,18 @@ func TestDirCorruptionTaxonomy(t *testing.T) {
 		{"version-skew", func(t *testing.T, path string) {
 			rewriteVersion(t, path, 2)
 		}, ErrVersion, true},
+		{"empty-file", func(t *testing.T, path string) {
+			truncateTo(t, path, 0)
+		}, ErrTruncated, true},
+		{"misdirected-and-rotten", func(t *testing.T, path string) {
+			// Two causes at once read as the one DecodeChunk reports
+			// first: the payload CRC comes before the address.
+			other := Addr{Disk: 7, Stripe: 7, Chunk: 0}
+			if err := os.WriteFile(path, EncodeChunk(other, payload(other, 512)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			flipByte(t, path, HeaderSize+100)
+		}, ErrChecksum, true},
 	}
 	for _, c := range damage {
 		t.Run(c.name, func(t *testing.T) {
@@ -83,10 +95,42 @@ func TestDirCorruptionTaxonomy(t *testing.T) {
 			if IsNotFound(err) {
 				t.Errorf("corrupt chunk also matches ErrNotFound: %v", err)
 			}
+			// ReadChunk validates the payload where it lands instead of
+			// decoding a copy of the file; it must find what DecodeChunk
+			// finds in the same bytes, word for word.
+			raw, rerr := os.ReadFile(d.chunkPath(a))
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			_, _, want := DecodeChunk(raw, a)
+			var ce *CorruptError
+			if !errors.As(err, &ce) || want == nil || ce.Err.Error() != want.Error() {
+				t.Errorf("ReadChunk cause %q, DecodeChunk says %v", err, want)
+			}
 			if _, err := d.Stat(a); c.stat != IsCorrupt(err) {
 				t.Errorf("Stat = %v, want corrupt=%v", err, c.stat)
 			}
 		})
+	}
+}
+
+// TestDirReadChunkShortDestination pins that a destination too short
+// for the payload is refused before any payload byte is read: dst is
+// untouched, whatever the file holds after its header.
+func TestDirReadChunkShortDestination(t *testing.T) {
+	d, a, _ := openDirT(t)
+	dst := make([]byte, 100)
+	for i := range dst {
+		dst[i] = 0xA5
+	}
+	_, err := d.ReadChunk(a, dst)
+	if err == nil || IsCorrupt(err) || IsNotFound(err) {
+		t.Fatalf("ReadChunk into %d bytes = %v, want an error outside the taxonomy", len(dst), err)
+	}
+	for i, b := range dst {
+		if b != 0xA5 {
+			t.Fatalf("dst[%d] was written although the read was refused", i)
+		}
 	}
 }
 

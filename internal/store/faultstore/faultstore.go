@@ -98,7 +98,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	ops     int
-	writes  int // successful writes, for the ENOSPC budget
+	writes  int // writes that succeeded or hold a slot of the ENOSPC budget
 	crashed bool
 
 	sleep func(time.Duration) // test seam; default time.Sleep
@@ -108,6 +108,11 @@ type Store struct {
 func Wrap(inner store.Backend, plan Plan) *Store {
 	return &Store{inner: inner, plan: plan, sleep: time.Sleep}
 }
+
+// WriteDepth forwards the wrapped backend's write depth (see
+// store.WriteDepth): fault decisions are serialized by the operation
+// counter, so overlapped writers are safe.
+func (s *Store) WriteDepth() int { return store.WriteDepth(s.inner) }
 
 // Ops returns the number of operations the store has seen — the
 // coordinate space CrashAfterOps indexes, so a counting run bounds a
@@ -176,12 +181,30 @@ func (s *Store) WriteChunk(a store.Addr, data []byte) error {
 		}
 		return fmt.Errorf("faultstore: write %v: %w", a, ErrCrashed)
 	}
+	// The ENOSPC budget is reserved where it is checked and given back if
+	// the write fails, so exactly NoSpaceAfterWrites writes succeed
+	// however concurrent writers interleave.
 	s.mu.Lock()
 	budgetSpent := s.plan.NoSpaceAfterWrites > 0 && s.writes >= s.plan.NoSpaceAfterWrites
+	if !budgetSpent {
+		s.writes++
+	}
 	s.mu.Unlock()
 	if budgetSpent {
 		return fmt.Errorf("faultstore: write %v: %w", a, ErrNoSpace)
 	}
+	err := s.write(op, a, data)
+	if err != nil {
+		s.mu.Lock()
+		s.writes--
+		s.mu.Unlock()
+	}
+	return err
+}
+
+// write performs a write the crash point and the ENOSPC budget let
+// through: the injected EIO, or the inner backend's own outcome.
+func (s *Store) write(op int, a store.Addr, data []byte) error {
 	if s.plan.WriteErrRate > 0 && draw(s.plan.Seed, uint64(op), 0x217E) < s.plan.WriteErrRate {
 		if s.plan.TornWrites {
 			if tw, ok := s.inner.(tornWriter); ok {
@@ -190,13 +213,7 @@ func (s *Store) WriteChunk(a store.Addr, data []byte) error {
 		}
 		return fmt.Errorf("faultstore: write %v: %w", a, ErrInjectedIO)
 	}
-	if err := s.inner.WriteChunk(a, data); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.writes++
-	s.mu.Unlock()
-	return nil
+	return s.inner.WriteChunk(a, data)
 }
 
 // keep derives the deterministic prefix length a torn or crashed write

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,5 +200,151 @@ func TestStallInjection(t *testing.T) {
 		if d != 5*time.Millisecond {
 			t.Fatalf("stall = %v, want 5ms", d)
 		}
+	}
+}
+
+// gate holds every write inside the backend until released, so that all
+// the writers a Store lets through are in flight together.
+type gate struct {
+	store.Backend
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (g *gate) WriteChunk(a store.Addr, data []byte) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Backend.WriteChunk(a, data)
+}
+
+// TestNoSpaceBudgetUnderConcurrentWriters pins that the ENOSPC budget is
+// exact however writers interleave: of sixteen goroutines writing
+// distinct addresses against a budget of five, five succeed, eleven see
+// ErrNoSpace, and five chunks exist. No write completes before every
+// writer has either reached the backend or been refused, the
+// interleaving in which a budget checked in one lock section and spent
+// in another lets all sixteen through.
+func TestNoSpaceBudgetUnderConcurrentWriters(t *testing.T) {
+	const writers, budget = 16, 5
+	mem := store.NewMem()
+	events := make(chan struct{}, 2*writers) // a writer's arrival at the backend, and its return
+	release := make(chan struct{})
+	s := Wrap(&gate{Backend: mem, entered: events, release: release}, Plan{NoSpaceAfterWrites: budget})
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = s.WriteChunk(store.Addr{Stripe: g}, make([]byte, 16))
+			events <- struct{}{}
+		}()
+	}
+	for g := 0; g < writers; g++ {
+		<-events // none is the return of a gated write: the gate is still shut
+	}
+	close(release)
+	wg.Wait()
+	ok, noSpace := 0, 0
+	for g, err := range errs {
+		switch {
+		case err == nil:
+			ok++
+		case errors.Is(err, ErrNoSpace):
+			noSpace++
+		default:
+			t.Fatalf("writer %d: %v", g, err)
+		}
+	}
+	present, err := mem.List(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok != budget || noSpace != writers-budget || len(present) != budget {
+		t.Fatalf("%d writes succeeded, %d saw ErrNoSpace, %d chunks present; want %d, %d and %d",
+			ok, noSpace, len(present), budget, writers-budget, budget)
+	}
+}
+
+// TestNoSpaceBudgetReturnedByFailedWrite pins the other half of the
+// reservation: a write that held a slot and then failed gives it back.
+func TestNoSpaceBudgetReturnedByFailedWrite(t *testing.T) {
+	s := Wrap(store.NewMem(), Plan{NoSpaceAfterWrites: 1})
+	if err := s.WriteChunk(store.Addr{Disk: -1}, nil); err == nil || errors.Is(err, ErrNoSpace) {
+		t.Fatalf("write to an invalid address = %v, want the backend's own error", err)
+	}
+	if err := s.WriteChunk(store.Addr{}, nil); err != nil {
+		t.Fatalf("first good write after a failed one: %v", err)
+	}
+	if err := s.WriteChunk(store.Addr{Stripe: 1}, nil); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("second good write = %v, want ErrNoSpace", err)
+	}
+}
+
+// TestConcurrentWritesAndDepth is the store conformance suite's
+// concurrent-writes case and WriteDepth row for this wrapper, which that
+// suite cannot import: writers on distinct addresses do not interfere
+// through a Store (over the durable Dir and over a wrapper stack), every
+// chunk reads back whole, the operation counter saw each call once, and
+// the inner backend's write depth is forwarded.
+func TestConcurrentWritesAndDepth(t *testing.T) {
+	dir, err := store.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	throttled, err := store.NewThrottle(dir, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type embedding struct{ store.Backend }
+	for name, tc := range map[string]struct {
+		inner store.Backend
+		depth int
+	}{
+		"dir":                       {dir, store.WriteDepth(dir)},
+		"instrument(throttle(dir))": {store.Instrument(throttled), store.WriteDepth(dir)},
+		"mem":                       {store.NewMem(), 1},
+		"embedding(dir)":            {embedding{dir}, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := Wrap(tc.inner, Plan{})
+			if got := store.WriteDepth(s); got != tc.depth {
+				t.Fatalf("WriteDepth = %d, want the inner backend's %d", got, tc.depth)
+			}
+			if got := store.WriteDepth(store.Instrument(s)); got != tc.depth {
+				t.Fatalf("WriteDepth through an outer wrapper = %d, want %d", got, tc.depth)
+			}
+			const writers, perWriter, disks, size = 8, 4, 3, 128
+			var wg sync.WaitGroup
+			errs := make([]error, writers)
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perWriter && errs[g] == nil; i++ {
+						a := store.Addr{Disk: (g + i) % disks, Stripe: g, Chunk: i}
+						errs[g] = s.WriteChunk(a, testPayload(a, size))
+					}
+				}()
+			}
+			wg.Wait()
+			for g, err := range errs {
+				if err != nil {
+					t.Fatalf("writer %d: %v", g, err)
+				}
+			}
+			if s.Ops() != writers*perWriter {
+				t.Fatalf("Ops = %d after %d writes", s.Ops(), writers*perWriter)
+			}
+			dst := make([]byte, size)
+			for g := 0; g < writers; g++ {
+				for i := 0; i < perWriter; i++ {
+					a := store.Addr{Disk: (g + i) % disks, Stripe: g, Chunk: i}
+					if n, err := s.ReadChunk(a, dst); err != nil || !bytes.Equal(dst[:n], testPayload(a, size)) {
+						t.Fatalf("%v does not read back the bytes its writer stored (%v)", a, err)
+					}
+				}
+			}
+		})
 	}
 }

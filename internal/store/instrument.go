@@ -196,3 +196,7 @@ func (in *Instrumented) Stat(a Addr) (Info, error) {
 	in.record(OpStat, start, 0, err)
 	return info, err
 }
+
+// WriteDepth forwards the wrapped backend's write depth; overlapped
+// calls are each timed on their own and recorded under the op's lock.
+func (in *Instrumented) WriteDepth() int { return WriteDepth(in.inner) }

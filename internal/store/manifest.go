@@ -146,17 +146,36 @@ func DecodeChunk(b []byte, want Addr) (Header, []byte, error) {
 	if err != nil {
 		return Header{}, nil, err
 	}
-	if got := len(b) - HeaderSize; got != h.Length {
-		return Header{}, nil, fmt.Errorf("%w: payload is %d bytes, header declares %d", ErrTruncated, got, h.Length)
+	if err := h.checkFraming(int64(len(b) - HeaderSize)); err != nil {
+		return Header{}, nil, err
 	}
 	payload := b[HeaderSize : HeaderSize+h.Length]
-	if got := crc32.Checksum(payload, castagnoli); got != h.PayloadCRC {
-		return Header{}, nil, fmt.Errorf("%w: payload CRC %08x, computed %08x", ErrChecksum, h.PayloadCRC, got)
-	}
-	if h.Addr != want {
-		return Header{}, nil, fmt.Errorf("%w: chunk stored as %v, addressed as %v", ErrAddrMismatch, h.Addr, want)
+	if err := h.checkPayload(payload, want); err != nil {
+		return Header{}, nil, err
 	}
 	return h, payload, nil
+}
+
+// checkFraming checks that exactly the declared payload follows the
+// header: got is the byte count found there.
+func (h Header) checkFraming(got int64) error {
+	if got != int64(h.Length) {
+		return fmt.Errorf("%w: payload is %d bytes, header declares %d", ErrTruncated, got, h.Length)
+	}
+	return nil
+}
+
+// checkPayload checks the payload against the header's CRC, then the
+// stored address against want. DecodeChunk and Dir.ReadChunk (which
+// validates a payload where it was read to) share it, and its order.
+func (h Header) checkPayload(payload []byte, want Addr) error {
+	if got := crc32.Checksum(payload, castagnoli); got != h.PayloadCRC {
+		return fmt.Errorf("%w: payload CRC %08x, computed %08x", ErrChecksum, h.PayloadCRC, got)
+	}
+	if h.Addr != want {
+		return fmt.Errorf("%w: chunk stored as %v, addressed as %v", ErrAddrMismatch, h.Addr, want)
+	}
+	return nil
 }
 
 // ArrayManifest describes the array a store holds: which erasure code

@@ -63,7 +63,9 @@ type Backend interface {
 	// payload length. dst must be at least Stat(a).Size bytes (the
 	// store's chunk size in practice); a shorter dst is an error. A
 	// missing chunk reads as ErrNotFound; a chunk whose on-media codec
-	// fails validation reads as ErrCorrupt.
+	// fails validation reads as ErrCorrupt. After any error the contents
+	// of dst are unspecified: a backend may validate the payload where
+	// it lands.
 	ReadChunk(a Addr, dst []byte) (int, error)
 	// WriteChunk stores the payload at a, replacing any previous
 	// contents. Backends with an on-media codec write atomically enough
@@ -81,6 +83,21 @@ type Backend interface {
 	// size for Dir). Missing chunks stat as ErrNotFound; chunks with
 	// an invalid header or a size mismatch as ErrCorrupt.
 	Stat(a Addr) (Info, error)
+}
+
+// WriteDepth reports how many WriteChunk calls to distinct addresses a
+// backend's medium rewards having in flight together. It is a statement
+// by the backend, not an option: a backend that has a WriteDepth method
+// answers for itself, any other answers 1 and is written to serially. A
+// wrapper that is safe for concurrent use forwards its inner backend's
+// answer; one that does not (a struct that merely embeds Backend) gets
+// serial calls on one goroutine, which is what a wrapper that never
+// promised otherwise needs.
+func WriteDepth(b Backend) int {
+	if d, ok := b.(interface{ WriteDepth() int }); ok {
+		return d.WriteDepth()
+	}
+	return 1
 }
 
 // Error taxonomy: the two sentinel conditions every backend maps its

@@ -118,3 +118,7 @@ func (t *Throttle) List(disk int) ([]Addr, error) { return t.inner.List(disk) }
 
 // Stat implements Backend (uncharged).
 func (t *Throttle) Stat(a Addr) (Info, error) { return t.inner.Stat(a) }
+
+// WriteDepth forwards the wrapped backend's write depth: the bucket is
+// mutex-guarded, so overlapped writers only queue for budget.
+func (t *Throttle) WriteDepth() int { return WriteDepth(t.inner) }
