@@ -6,6 +6,7 @@ import "fbf/internal/ds"
 // self-tuning balance between recency (T1) and frequency (T2) with ghost
 // lists (B1, B2) steering the adaptation target p.
 type ARC struct {
+	evictHook
 	capacity int
 	stats    Stats
 	p        int // target size of T1
@@ -82,6 +83,7 @@ func (a *ARC) dropLRU(w arcList) {
 	delete(a.index, id)
 	if w == arcT1 || w == arcT2 {
 		a.stats.Evictions++
+		a.evicted(id)
 	}
 }
 
@@ -101,18 +103,20 @@ func (a *ARC) replace(inB2 bool) {
 		}
 		fromT1 = true
 	}
+	var id ChunkID
 	if fromT1 {
-		id := a.t1.PopFront()
+		id = a.t1.PopFront()
 		e := a.index[id]
 		e.where = arcB1
 		e.node = a.b1.PushBack(id)
 	} else {
-		id := a.t2.PopFront()
+		id = a.t2.PopFront()
 		e := a.index[id]
 		e.where = arcB2
 		e.node = a.b2.PushBack(id)
 	}
 	a.stats.Evictions++
+	a.evicted(id)
 }
 
 // Request implements Policy, following Figure 4 of the ARC paper.
@@ -191,5 +195,7 @@ func (a *ARC) Invalidate(id ChunkID) bool {
 
 // Reset implements Policy.
 func (a *ARC) Reset() {
+	hook := a.evictHook
 	*a = *NewARC(a.capacity)
+	a.evictHook = hook
 }

@@ -8,6 +8,7 @@ import "container/heap"
 // hit-ratio upper bound used by the ablation benches; it is not a
 // realizable policy.
 type Belady struct {
+	evictHook
 	capacity int
 	stats    Stats
 	pos      int               // index of the next request to be served
@@ -125,6 +126,7 @@ func (b *Belady) Request(id ChunkID) bool {
 		victim := heap.Pop(&b.h).(*optEntry)
 		delete(b.index, victim.id)
 		b.stats.Evictions++
+		b.evicted(victim.id)
 	}
 	e := &optEntry{id: id, next: next}
 	heap.Push(&b.h, e)
@@ -145,5 +147,7 @@ func (b *Belady) Invalidate(id ChunkID) bool {
 
 // Reset implements Policy.
 func (b *Belady) Reset() {
+	hook := b.evictHook
 	*b = *NewBelady(b.capacity)
+	b.evictHook = hook
 }

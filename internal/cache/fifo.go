@@ -5,6 +5,7 @@ import "fbf/internal/ds"
 // FIFO evicts the chunk that has been resident longest, regardless of
 // use. It is the simplest baseline in the paper's comparison.
 type FIFO struct {
+	evictHook
 	capacity int
 	stats    Stats
 	queue    ds.List[ChunkID]
@@ -45,6 +46,7 @@ func (f *FIFO) Request(id ChunkID) bool {
 		victim := f.queue.PopFront()
 		delete(f.index, victim)
 		f.stats.Evictions++
+		f.evicted(victim)
 	}
 	f.index[id] = f.queue.PushBack(id)
 	return false
@@ -63,5 +65,7 @@ func (f *FIFO) Invalidate(id ChunkID) bool {
 
 // Reset implements Policy.
 func (f *FIFO) Reset() {
+	hook := f.evictHook
 	*f = *NewFIFO(f.capacity)
+	f.evictHook = hook
 }

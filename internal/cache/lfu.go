@@ -6,6 +6,7 @@ import "fbf/internal/ds"
 // ties broken by recency (least recently used first). The
 // frequency-bucket structure gives O(1) operations.
 type LFU struct {
+	evictHook
 	capacity int
 	stats    Stats
 	index    map[ChunkID]*lfuEntry
@@ -86,6 +87,7 @@ func (l *LFU) Request(id ChunkID) bool {
 		}
 		delete(l.index, victim.id)
 		l.stats.Evictions++
+		l.evicted(victim.id)
 	}
 	e := &lfuEntry{id: id, freq: 1}
 	e.node = l.bucket(1).PushBack(e)
@@ -107,5 +109,7 @@ func (l *LFU) Invalidate(id ChunkID) bool {
 
 // Reset implements Policy.
 func (l *LFU) Reset() {
+	hook := l.evictHook
 	*l = *NewLFU(l.capacity)
+	l.evictHook = hook
 }

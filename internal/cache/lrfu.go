@@ -17,6 +17,7 @@ import (
 // when it is referenced, and a min-heap on the scaled CRF yields the
 // victim.
 type LRFU struct {
+	evictHook
 	capacity int
 	lambda   float64
 	stats    Stats
@@ -127,6 +128,7 @@ func (l *LRFU) Request(id ChunkID) bool {
 		victim := heap.Pop(&l.h).(*lrfuEntry)
 		delete(l.index, victim.id)
 		l.stats.Evictions++
+		l.evicted(victim.id)
 	}
 	e := &lrfuEntry{id: id, crf: 1, last: l.clock}
 	heap.Push(&l.h, e)
@@ -147,5 +149,7 @@ func (l *LRFU) Invalidate(id ChunkID) bool {
 
 // Reset implements Policy.
 func (l *LRFU) Reset() {
+	hook := l.evictHook
 	*l = *NewLRFU(l.capacity, l.lambda)
+	l.evictHook = hook
 }

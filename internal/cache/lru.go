@@ -4,6 +4,7 @@ import "fbf/internal/ds"
 
 // LRU evicts the least-recently-used chunk.
 type LRU struct {
+	evictHook
 	capacity int
 	stats    Stats
 	queue    ds.List[ChunkID] // front = LRU, back = MRU
@@ -51,6 +52,7 @@ func (l *LRU) Request(id ChunkID) bool {
 		delete(l.index, victim.Val)
 		l.free = append(l.free, victim)
 		l.stats.Evictions++
+		l.evicted(victim.Val)
 	}
 	var n *ds.Node[ChunkID]
 	if k := len(l.free); k > 0 {
@@ -79,5 +81,7 @@ func (l *LRU) Invalidate(id ChunkID) bool {
 
 // Reset implements Policy.
 func (l *LRU) Reset() {
+	hook := l.evictHook
 	*l = *NewLRU(l.capacity)
+	l.evictHook = hook
 }

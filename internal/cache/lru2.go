@@ -7,6 +7,7 @@ import "container/heap"
 // oldest. Chunks seen only once have no penultimate access and are
 // evicted before any chunk seen twice, oldest first.
 type LRU2 struct {
+	evictHook
 	capacity int
 	stats    Stats
 	clock    uint64
@@ -92,6 +93,7 @@ func (l *LRU2) Request(id ChunkID) bool {
 		victim := heap.Pop(&l.h).(*lru2Entry)
 		delete(l.index, victim.id)
 		l.stats.Evictions++
+		l.evicted(victim.id)
 	}
 	e := &lru2Entry{id: id, last: l.clock, accesses: 1}
 	heap.Push(&l.h, e)
@@ -112,5 +114,7 @@ func (l *LRU2) Invalidate(id ChunkID) bool {
 
 // Reset implements Policy.
 func (l *LRU2) Reset() {
+	hook := l.evictHook
 	*l = *NewLRU2(l.capacity)
+	l.evictHook = hook
 }

@@ -8,6 +8,7 @@ import "fbf/internal/ds"
 // while in the ghost queue promotes the chunk into the main LRU queue
 // (Am). The classic tuning Kin = capacity/4, Kout = capacity/2 is used.
 type TwoQ struct {
+	evictHook
 	capacity int
 	kin      int
 	kout     int
@@ -65,9 +66,10 @@ func (q *TwoQ) Stats() Stats { return q.stats }
 
 // reclaim frees one resident slot following the 2Q "reclaimfor" rule.
 func (q *TwoQ) reclaim() {
+	var id ChunkID
 	if q.a1in.Len() > q.kin || q.am.Len() == 0 {
 		// Demote the oldest probation page to the ghost queue.
-		id := q.a1in.PopFront()
+		id = q.a1in.PopFront()
 		e := q.index[id]
 		e.where = twoQA1out
 		e.node = q.a1out.PushBack(id)
@@ -76,10 +78,11 @@ func (q *TwoQ) reclaim() {
 			delete(q.index, old)
 		}
 	} else {
-		id := q.am.PopFront()
+		id = q.am.PopFront()
 		delete(q.index, id)
 	}
 	q.stats.Evictions++
+	q.evicted(id)
 }
 
 // Request implements Policy.
@@ -144,5 +147,7 @@ func (q *TwoQ) Invalidate(id ChunkID) bool {
 
 // Reset implements Policy.
 func (q *TwoQ) Reset() {
+	hook := q.evictHook
 	*q = *NewTwoQ(q.capacity)
+	q.evictHook = hook
 }

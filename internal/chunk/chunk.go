@@ -5,6 +5,7 @@
 package chunk
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
@@ -103,10 +104,24 @@ func XOR(chunks ...Chunk) Chunk {
 	return out
 }
 
-// IsZero reports whether every byte of the chunk is zero.
+// IsZero reports whether every byte of the chunk is zero. It ORs 64-byte
+// blocks of eight 64-bit words and tests once per block — the decoded
+// stripe's zero test calls it on every chain syndrome — with a byte loop
+// for the tail; TestIsZeroEveryLengthAndOffset pins it to the byte loop.
 func (c Chunk) IsZero() bool {
-	for _, b := range c {
-		if b != 0 {
+	b := []byte(c)
+	for len(b) >= 64 {
+		w := b[:64]
+		if binary.LittleEndian.Uint64(w[0:8])|binary.LittleEndian.Uint64(w[8:16])|
+			binary.LittleEndian.Uint64(w[16:24])|binary.LittleEndian.Uint64(w[24:32])|
+			binary.LittleEndian.Uint64(w[32:40])|binary.LittleEndian.Uint64(w[40:48])|
+			binary.LittleEndian.Uint64(w[48:56])|binary.LittleEndian.Uint64(w[56:64]) != 0 {
+			return false
+		}
+		b = b[64:]
+	}
+	for _, v := range b {
+		if v != 0 {
 			return false
 		}
 	}
@@ -114,17 +129,7 @@ func (c Chunk) IsZero() bool {
 }
 
 // Equal reports whether two chunks have identical contents.
-func (c Chunk) Equal(o Chunk) bool {
-	if len(c) != len(o) {
-		return false
-	}
-	for i := range c {
-		if c[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
+func (c Chunk) Equal(o Chunk) bool { return bytes.Equal(c, o) }
 
 // Checksum returns a CRC32 (Castagnoli) of the chunk, used by tests and
 // the simulator's integrity checks.

@@ -152,3 +152,48 @@ func TestPoolPanicsOnBadSize(t *testing.T) {
 	}()
 	NewPool(0)
 }
+
+// TestIsZeroEveryLengthAndOffset pins the word-wise IsZero and
+// bytes.Equal-backed Equal to the byte loops they replaced: every length
+// 0…130 (across the 64-byte block and its tail), all zero, and with a
+// single non-zero byte — every bit of it in turn — at every offset.
+func TestIsZeroEveryLengthAndOffset(t *testing.T) {
+	isZeroRef := func(c Chunk) bool {
+		for _, b := range c {
+			if b != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for n := 0; n <= 130; n++ {
+		// An unaligned window of a larger buffer, so the word loads are
+		// not helped by the allocator's alignment.
+		c, zero := Chunk(make([]byte, n+1)[1:]), Chunk(make([]byte, n))
+		if !c.IsZero() || !isZeroRef(c) || !c.Equal(zero) {
+			t.Fatalf("len %d: all-zero chunk: IsZero=%v Equal(zero)=%v", n, c.IsZero(), c.Equal(zero))
+		}
+		if c.Equal(make(Chunk, n+1)) {
+			t.Fatalf("len %d: Equal accepts a chunk of another length", n)
+		}
+		for off := 0; off < n; off++ {
+			for bit := 0; bit < 8; bit++ {
+				c[off] = 1 << bit
+				if c.IsZero() != isZeroRef(c) || c.Equal(zero) || !c.Equal(c) {
+					t.Fatalf("len %d, byte %d = %#x: IsZero=%v Equal(zero)=%v", n, off, c[off], c.IsZero(), c.Equal(zero))
+				}
+			}
+			c[off] = 0
+		}
+	}
+}
+
+func BenchmarkIsZero(b *testing.B) {
+	c := New(DefaultSize)
+	b.SetBytes(DefaultSize)
+	for i := 0; i < b.N; i++ {
+		if !c.IsZero() {
+			b.Fatal("zero chunk reported non-zero")
+		}
+	}
+}

@@ -179,11 +179,45 @@ func (c *Code) RecoveryPlan(lost []grid.Coord) (map[grid.Coord][]grid.Coord, err
 // fallback mid-rebuild scheme regeneration uses when escalated faults
 // leave no single parity chain usable.
 func (c *Code) PartialRecoveryPlan(lost []grid.Coord) (map[grid.Coord][]grid.Coord, []grid.Coord, error) {
+	d, err := c.DecodeSchedule(lost)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.Plan, d.Unsolved, nil
+}
+
+// DecodeSchedule is one lost set's decode in both its forms, out of one
+// gf2 Solve: Plan and Unsolved are PartialRecoveryPlan's result — every
+// solvable cell written out as a XOR of surviving cells — and Ops, Row
+// and Spare are the elimination that found those equations, to be
+// replayed on parity-chain syndromes instead of re-summing what the
+// equations share. Chains are named by their index in Layout().Chains().
+//
+// Let buffer i start as the XOR of chain i's surviving cells (only chains
+// holding a lost cell are ever touched) and apply Ops in order, buffer
+// Dst ^= buffer Src. Buffer Row[cell] is then the solvable cell, and
+// Plan[cell] is that buffer's sum written out — so a survivor no Plan
+// equation lists may be left out of every buffer without changing any
+// Row buffer. With every survivor folded in, each Spare buffer (a chain
+// whose row ended with no lost cell in it: the redundancy the decode did
+// not spend) is zero on a consistent stripe.
+type DecodeSchedule struct {
+	Plan     map[grid.Coord][]grid.Coord
+	Unsolved []grid.Coord // sorted
+
+	Ops   []gf2.RowOp
+	Row   map[grid.Coord]int
+	Spare []int
+}
+
+// DecodeSchedule solves one lost set (duplicates ignored) into its
+// written-out equations and the chain-syndrome schedule behind them.
+func (c *Code) DecodeSchedule(lost []grid.Coord) (*DecodeSchedule, error) {
 	seen := make(map[grid.Coord]bool, len(lost))
 	unknowns := make([]int, 0, len(lost))
 	for _, cell := range lost {
 		if !c.layout.InBounds(cell) {
-			return nil, nil, fmt.Errorf("codes: lost cell %v out of bounds", cell)
+			return nil, fmt.Errorf("codes: lost cell %v out of bounds", cell)
 		}
 		if seen[cell] {
 			continue
@@ -192,20 +226,23 @@ func (c *Code) PartialRecoveryPlan(lost []grid.Coord) (map[grid.Coord][]grid.Coo
 		unknowns = append(unknowns, c.CellIndex(cell))
 	}
 	sol, unsolved := c.sys.Solve(unknowns)
-	plan := make(map[grid.Coord][]grid.Coord, len(sol.Terms))
+	d := &DecodeSchedule{
+		Plan: make(map[grid.Coord][]grid.Coord, len(sol.Terms)),
+		Ops:  sol.Ops, Row: make(map[grid.Coord]int, len(sol.Row)), Spare: sol.Spare,
+	}
 	for idx, terms := range sol.Terms {
 		coords := make([]grid.Coord, len(terms))
 		for i, t := range terms {
 			coords[i] = c.CoordOf(t)
 		}
-		plan[c.CoordOf(idx)] = coords
+		d.Plan[c.CoordOf(idx)] = coords
+		d.Row[c.CoordOf(idx)] = sol.Row[idx]
 	}
-	var bad []grid.Coord
 	for _, u := range unsolved {
-		bad = append(bad, c.CoordOf(u))
+		d.Unsolved = append(d.Unsolved, c.CoordOf(u))
 	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i].Less(bad[j]) })
-	return plan, bad, nil
+	sort.Slice(d.Unsolved, func(i, j int) bool { return d.Unsolved[i].Less(d.Unsolved[j]) })
+	return d, nil
 }
 
 // Recover reconstructs the lost cells of a stripe in place using the

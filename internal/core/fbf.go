@@ -31,6 +31,8 @@ type FBF struct {
 	// free recycles evicted/invalidated entries together with their list
 	// nodes, so a full cache churns through misses without allocating.
 	free []*fbfEntry
+
+	onEvict func(cache.ChunkID) // cache.Policy.SetOnEvict's callback
 }
 
 type fbfEntry struct {
@@ -135,6 +137,9 @@ func (f *FBF) evict() {
 			delete(f.index, n.Val)
 			f.free = append(f.free, e)
 			f.stats.Evictions++
+			if f.onEvict != nil {
+				f.onEvict(n.Val)
+			}
 			return
 		}
 	}
@@ -154,8 +159,13 @@ func (f *FBF) Invalidate(id cache.ChunkID) bool {
 
 // Reset implements cache.Policy.
 func (f *FBF) Reset() {
+	onEvict := f.onEvict
 	*f = *NewFBF(f.capacity)
+	f.onEvict = onEvict
 }
+
+// SetOnEvict implements cache.Policy.
+func (f *FBF) SetOnEvict(fn func(cache.ChunkID)) { f.onEvict = fn }
 
 // QueueLen returns the population of Queue1, Queue2 or Queue3 (queue in
 // 1..3); used by tests and the walkthrough example reproducing the

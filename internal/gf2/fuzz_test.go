@@ -11,7 +11,10 @@ import (
 // from a bitmask. For every solved unknown the returned expression must
 // (a) reference only known symbols and (b) lie in the row space of the
 // equations — checked by rank equality, which is itself independent of
-// the elimination order Solve used.
+// the elimination order Solve used. The recorded elimination must be
+// that solution as a program: replayed on the equations themselves, its
+// row additions leave {u} ∪ Terms[u] in row Row[u] and no unknown in any
+// Spare row.
 func FuzzSolve(f *testing.F) {
 	f.Add(6, uint64(0b000101), []byte{0x00, 0x01, 0x82, 0x02, 0x03, 0x84, 0x04, 0x05, 0x80})
 	f.Add(4, uint64(0b1111), []byte{0x00, 0x81, 0x02, 0x83})
@@ -76,6 +79,43 @@ func FuzzSolve(f *testing.F) {
 		isUnknown := make(map[int]bool, len(unknowns))
 		for _, u := range unknowns {
 			isUnknown[u] = true
+		}
+
+		rows := NewMatrix(len(equations), symbols)
+		for r, eq := range equations {
+			for _, sym := range eq {
+				rows.Flip(r, sym)
+			}
+		}
+		for _, op := range sol.Ops {
+			rows.XORRows(op.Dst, op.Src)
+		}
+		if len(sol.Row) != len(sol.Terms) {
+			t.Fatalf("%d solved unknowns, %d rows named", len(sol.Terms), len(sol.Row))
+		}
+		for u, terms := range sol.Terms {
+			want := NewMatrix(1, symbols)
+			want.Flip(0, u)
+			for _, sym := range terms {
+				want.Flip(0, sym)
+			}
+			for sym := 0; sym < symbols; sym++ {
+				if rows.Get(sol.Row[u], sym) != want.Get(0, sym) {
+					t.Fatalf("replayed row %d does not read unknown %d = XOR of %v (symbol %d)", sol.Row[u], u, terms, sym)
+				}
+			}
+		}
+		seenRow := make(map[int]bool, len(sol.Spare))
+		for _, r := range sol.Spare {
+			if seenRow[r] {
+				t.Fatalf("spare row %d listed twice", r)
+			}
+			seenRow[r] = true
+			for _, u := range unknowns {
+				if rows.Get(r, u) {
+					t.Fatalf("spare row %d still holds unknown %d", r, u)
+				}
+			}
 		}
 		// Row space of the original equations (repeated symbols cancel,
 		// matching GF(2) semantics).

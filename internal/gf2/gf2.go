@@ -134,15 +134,33 @@ func (m *Matrix) firstSet(r, from int) int {
 	}
 }
 
+// RowOp is one row addition of an elimination: row Dst ^= row Src. Both
+// are named by the position the row had before the elimination swapped
+// anything — in a System, the equation's index — so the operations can be
+// replayed on any one-value-per-row state that was never permuted.
+type RowOp struct{ Dst, Src int }
+
 // Eliminate performs in-place Gauss-Jordan elimination restricted to the
 // first solveCols columns (pivot columns are chosen only among those);
 // the remaining columns ride along as an augmented part. It returns the
 // pivot column for each pivot row, in order.
 func (m *Matrix) Eliminate(solveCols int) []int {
+	pivots, _, _ := m.eliminate(solveCols)
+	return pivots
+}
+
+// eliminate is Eliminate returning, beside the pivots, the original
+// position of the row that ended at each position and every row
+// addition performed, in order.
+func (m *Matrix) eliminate(solveCols int) (pivots, rows []int, ops []RowOp) {
 	if solveCols < 0 || solveCols > m.cols {
 		panic(fmt.Sprintf("gf2: solveCols %d out of range [0,%d]", solveCols, m.cols))
 	}
-	pivots := make([]int, 0, min(m.rows, solveCols))
+	pivots = make([]int, 0, min(m.rows, solveCols))
+	rows = make([]int, m.rows)
+	for i := range rows {
+		rows[i] = i
+	}
 	row := 0
 	for col := 0; col < solveCols && row < m.rows; col++ {
 		pivot := -1
@@ -156,15 +174,17 @@ func (m *Matrix) Eliminate(solveCols int) []int {
 			continue
 		}
 		m.SwapRows(row, pivot)
+		rows[row], rows[pivot] = rows[pivot], rows[row]
 		for r := 0; r < m.rows; r++ {
 			if r != row && m.Get(r, col) {
 				m.XORRows(r, row)
+				ops = append(ops, RowOp{Dst: rows[r], Src: rows[row]})
 			}
 		}
 		pivots = append(pivots, col)
 		row++
 	}
-	return pivots
+	return pivots, rows, ops
 }
 
 // Rank returns the matrix rank over the first solveCols columns,
@@ -208,11 +228,23 @@ func (s *System) AddEquation(syms []int) {
 func (s *System) Equations() int { return len(s.equations) }
 
 // Solution maps each solved unknown symbol to the known symbols whose
-// XOR reproduces it.
+// XOR reproduces it, and carries the elimination that found them as a
+// program over one buffer per equation.
 type Solution struct {
 	// Terms[u] lists the known symbols to XOR to obtain unknown u.
 	// A solved unknown with an empty list is identically zero.
 	Terms map[int][]int
+
+	// Start buffer e as the XOR of the values of equation e's known
+	// symbols and apply Ops in order (buffer Dst ^= buffer Src). Buffer
+	// Row[u] then holds solved unknown u — Terms[u] is that buffer's sum
+	// written out — and every buffer in Spare, an equation whose row ended
+	// with no unknown in it, is zero when the known values are consistent.
+	// A known symbol absent from every Terms list may be left out of every
+	// buffer: it cancels in each Row buffer (not in the Spare ones).
+	Ops   []RowOp
+	Row   map[int]int
+	Spare []int
 }
 
 // Solve attempts to express every symbol in unknowns as a XOR of symbols
@@ -262,9 +294,9 @@ func (s *System) Solve(unknowns []int) (*Solution, []int) {
 			}
 		}
 	}
-	pivots := m.Eliminate(nu)
+	pivots, rows, ops := m.eliminate(nu)
 
-	sol := &Solution{Terms: make(map[int][]int, nu)}
+	sol := &Solution{Terms: make(map[int][]int, nu), Ops: ops, Row: make(map[int]int, nu), Spare: rows[len(pivots):]}
 	solvedCol := make(map[int]bool, len(pivots))
 	for row, col := range pivots {
 		// Row solves unknown `col` only if no other unknown column is set
@@ -287,6 +319,7 @@ func (s *System) Solve(unknowns []int) (*Solution, []int) {
 			}
 		}
 		sol.Terms[unknowns[col]] = terms
+		sol.Row[unknowns[col]] = rows[row]
 		solvedCol[col] = true
 	}
 	var unsolved []int

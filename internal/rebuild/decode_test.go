@@ -1,0 +1,266 @@
+package rebuild
+
+import (
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"fbf/internal/cache"
+	"fbf/internal/chunk"
+	"fbf/internal/codes"
+	"fbf/internal/core"
+	"fbf/internal/gf2"
+	"fbf/internal/grid"
+	"fbf/internal/store"
+)
+
+// liar serves one surviving address with a payload byte flipped after the
+// store's own CRC check has passed — a chunk that is valid and wrong —
+// and counts the writes that reach each stripe.
+type liar struct {
+	store.Backend
+	addr   store.Addr
+	writes map[int]int
+}
+
+func (l *liar) ReadChunk(a store.Addr, dst []byte) (int, error) {
+	n, err := l.Backend.ReadChunk(a, dst)
+	if err == nil && a == l.addr {
+		dst[n/2] ^= 0x40
+	}
+	return n, err
+}
+
+func (l *liar) WriteChunk(a store.Addr, data []byte) error {
+	l.writes[a.Stripe]++
+	return l.Backend.WriteChunk(a, data)
+}
+
+// TestLyingSurvivorFailsBeforeFirstWrite makes every survivor of a
+// decoder-path stripe lie in turn. With redundancy left — two dead disks
+// of a distance-4 code leave one detectable error — the zero test must
+// fail the stripe before its first write: an error naming the stripe, no
+// WriteChunk to it, no commit record for it, with and without a journal.
+// (Diffing the rebuilt cells against a second sum of the same equation,
+// as the pass did before, wrote such lies back and counted them
+// verified.) With a parity disk among the dead (the third row) some
+// chains lose nothing, and some lies show only there: the zero test sums
+// those chains too. The last row documents the limit: at three dead
+// disks the code's redundancy is spent, the run succeeds and the bytes
+// are wrong.
+func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
+	const seed, stripe = 23, 1
+	for _, tc := range []struct {
+		code      string
+		disks     []int
+		detection bool
+	}{
+		{"star", []int{0, 2}, true},
+		{"triplestar", []int{0, 1}, true},
+		{"tip", []int{0, 5}, true},
+		{"tip", []int{1, 3, 4}, false},
+	} {
+		for _, journaled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s-kill%v-journal=%v", tc.code, tc.disks, journaled), func(t *testing.T) {
+				m := testManifest(tc.code, 5, 2, 64)
+				dead := map[int]bool{}
+				for _, d := range tc.disks {
+					dead[d] = true
+				}
+				accepted, survivors := 0, 0
+				for disk := 0; disk < m.Disks; disk++ {
+					for row := 0; row < m.Rows && !dead[disk]; row++ {
+						survivors++
+						b := initMem(t, m, seed)
+						for d := range dead {
+							killDisk(t, b, d)
+						}
+						l := &liar{Backend: b, addr: AddrOf(stripe, grid.Coord{Row: row, Col: disk}), writes: map[int]int{}}
+						cfg := ServiceConfig{Backend: l, Manifest: m}
+						if journaled {
+							cfg.JournalPath = filepath.Join(t.TempDir(), "rebuild.journal")
+						}
+						res, err := RunService(cfg)
+						if !tc.detection {
+							if err != nil {
+								t.Fatalf("survivor %v lying: %v", l.addr, err)
+							}
+							if want := len(tc.disks) * m.Rows * m.Stripes; res.ChunksRebuilt != want || res.ChunksVerified != want {
+								t.Fatalf("survivor %v lying: rebuilt %d, verified %d, want %d", l.addr, res.ChunksRebuilt, res.ChunksVerified, want)
+							}
+							if firstWrongChunk(t, b, m, seed) == nil {
+								t.Fatalf("survivor %v lying: every rebuilt byte is right; the lie reached no cell", l.addr)
+							}
+							accepted++
+							continue
+						}
+						if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("stripe %d", stripe)) {
+							t.Fatalf("survivor %v lying: err = %v, want one naming stripe %d", l.addr, err, stripe)
+						}
+						if l.writes[stripe] != 0 {
+							t.Fatalf("survivor %v lying: %d chunks of the stripe written before it failed", l.addr, l.writes[stripe])
+						}
+						if journaled {
+							for a := range journalCommits(t, cfg.JournalPath) {
+								if a.Stripe == stripe {
+									t.Fatalf("survivor %v lying: commit record for %v", l.addr, a)
+								}
+							}
+						}
+					}
+				}
+				if !tc.detection {
+					t.Logf("%s, disks %v dead: %d of %d single lying survivors rebuilt into wrong bytes and counted verified — no redundancy is left to catch them", tc.code, tc.disks, accepted, survivors)
+				}
+			})
+		}
+	}
+}
+
+// heldWrites keeps what a pass writes instead of storing it, so the
+// stripe stays damaged for the next pass.
+type heldWrites struct {
+	store.Backend
+	held map[store.Addr][]byte
+}
+
+func (h *heldWrites) WriteChunk(a store.Addr, data []byte) error {
+	h.held[a] = append([]byte(nil), data...)
+	return nil
+}
+
+// TestDecodePassMutationsFailZeroTest breaks the pass itself — one
+// recorded row addition dropped, two outputs swapped, every choice in
+// turn — on a stripe of honest survivors. The zero test takes its chain
+// members from the layout, not from the schedule, so a mutant that would
+// write a wrong byte must fail there, before any write, and not only in
+// a comparison with ground truth. On an all-decoder plan that is every
+// mutant; in the mixed plan a row addition that only feeds the pivot row
+// of a cell taken from its chain's snapshot instead changes no output,
+// and such a mutant must write exactly the true bytes.
+func TestDecodePassMutationsFailZeroTest(t *testing.T) {
+	const seed = 29
+	for _, tc := range []struct {
+		code  string
+		disks []int
+		mixed bool
+	}{{"tip", []int{1, 3, 4}, false}, {"star", []int{0, 2}, false}, {"triplestar", []int{0, 1}, true}} {
+		t.Run(fmt.Sprintf("%s-kill%v", tc.code, tc.disks), func(t *testing.T) {
+			m := testManifest(tc.code, 5, 1, 64)
+			code := codes.MustNew(m.Code, m.P)
+			truth := code.MaterializeStripe(StripeSeed(seed, 0), m.ChunkSize)
+			b := initMem(t, m, seed)
+			for _, d := range tc.disks {
+				killDisk(t, b, d)
+			}
+			held := &heldWrites{Backend: b}
+			cfg := ServiceConfig{Backend: held, Manifest: m, Strategy: core.StrategyLooped}
+			cfg.defaults()
+			report, err := ScanStore(b, m, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newService(&cfg, code, &ServiceResult{Report: report}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := s.planFor(0, report.Stripes[0].Lost())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass, err := s.passFor(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed, harmless := 0, 0
+			run := func(what string) {
+				t.Helper()
+				held.held = map[store.Addr][]byte{}
+				verified := s.m.ChunksVerified.Value()
+				esc, err := s.replayDecoded(0, plan)
+				if esc != nil {
+					t.Fatalf("%s: escalated %v", what, esc)
+				}
+				if err != nil {
+					if !strings.Contains(err.Error(), "stripe 0") || !strings.Contains(err.Error(), "zero") || len(held.held) != 0 || s.m.ChunksVerified.Value() != verified {
+						t.Fatalf("%s: err = %v with %d chunks written; want the stripe's zero test to fail before any", what, err, len(held.held))
+					}
+					failed++
+					return
+				}
+				if tc.mixed {
+					harmless++
+				} else {
+					t.Fatalf("%s: the zero test passed", what)
+				}
+				for a, data := range held.held {
+					if !chunk.Chunk(data).Equal(truth[code.CellIndex(grid.Coord{Row: a.Chunk, Col: a.Disk})]) {
+						t.Fatalf("%s: the zero test passed and %v was written wrong", what, a)
+					}
+				}
+			}
+			ops := pass.ops
+			for k := range ops {
+				pass.ops = append(append([]gf2.RowOp(nil), ops[:k]...), ops[k+1:]...)
+				run(fmt.Sprintf("without operation %d of %d (%+v)", k, len(ops), ops[k]))
+			}
+			pass.ops = ops
+			for i := range pass.outputs {
+				for j := i + 1; j < len(pass.outputs); j++ {
+					pass.outputs[i], pass.outputs[j] = pass.outputs[j], pass.outputs[i]
+					run(fmt.Sprintf("outputs of %v and %v swapped", plan.scheme.Selected[i].Lost, plan.scheme.Selected[j].Lost))
+					pass.outputs[i], pass.outputs[j] = pass.outputs[j], pass.outputs[i]
+				}
+			}
+			if failed == 0 || (tc.mixed && harmless == 0) {
+				t.Fatalf("%d mutants failed the zero test, %d changed no output", failed, harmless)
+			}
+			t.Logf("%d mutants failed the zero test, %d changed no output", failed, harmless)
+		})
+	}
+}
+
+// TestByteCacheMirrorsPolicy holds the byte cache to the policy's
+// resident set under every registered policy, stripe after stripe, with
+// a cache small enough to replace on nearly every admission: the
+// eviction callback is all that releases a buffer, so a policy that
+// dropped a chunk without naming it would leave its bytes behind, and
+// one that named a chunk it kept would hit on nothing.
+func TestByteCacheMirrorsPolicy(t *testing.T) {
+	const seed = 37
+	for _, policy := range cache.Names() {
+		t.Run(policy, func(t *testing.T) {
+			m := testManifest("tip", 7, 6, 64)
+			b := initMem(t, m, seed)
+			losePartialStripes(t, b, m, 4)
+			cfg := ServiceConfig{Backend: b, Manifest: m, Strategy: core.StrategyLooped, Policy: policy, CacheChunks: 5}
+			cfg.defaults()
+			report, err := ScanStore(b, m, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newService(&cfg, codes.MustNew(m.Code, m.P), &ServiceResult{Report: report}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range report.Stripes {
+				if err := s.repairStripe(d); err != nil {
+					t.Fatal(err)
+				}
+				if len(s.bufs) != s.policy.Len() {
+					t.Fatalf("after stripe %d: %d buffers held, policy holds %d chunks", d.Stripe, len(s.bufs), s.policy.Len())
+				}
+				for id := range s.bufs {
+					if !s.policy.Contains(id) {
+						t.Fatalf("after stripe %d: bytes of %v held, policy does not hold it", d.Stripe, id)
+					}
+				}
+			}
+			if s.policy.Stats().Evictions == 0 {
+				t.Fatal("no eviction in the whole run; the fixture proves nothing")
+			}
+			checkAgainstGroundTruth(t, b, m, seed)
+		})
+	}
+}

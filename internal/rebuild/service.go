@@ -2,13 +2,15 @@
 // rebuild.Service drives the same scheme/cache/escalation machinery the
 // event-driven engine replays — core.RegenerateScheme chain selection,
 // cache.Policy residency with FBF priorities, the escalate-and-replan
-// ladder — against real bytes in a store.Backend, byte-checking every
-// recovered chunk with internal/verify's GF(2) oracle before it is
-// written back. A stripe is evaluated in one of two orders, chosen by
-// its plan: chain by chain through the byte cache when every lost cell
-// has a single parity chain (replayChains — the paper's partial stripe
-// errors), or in one read-once pass over the surviving chunks when the
-// plan needs the GF(2) decoder (replayDecoded — whole-disk damage).
+// ladder — against real bytes in a store.Backend, checking every
+// recovered chunk before it is written back. A stripe is evaluated in
+// one of two orders, chosen by its plan: chain by chain through the byte
+// cache, each cell diffed against internal/verify's GF(2) oracle, when
+// every lost cell has a single parity chain (replayChains — the paper's
+// partial stripe errors), or in one read-once pass that sums the
+// stripe's parity-chain syndromes, decodes on them and requires every
+// chain of the repaired stripe to be zero, when the plan needs the GF(2)
+// decoder (replayDecoded — whole-disk damage).
 package rebuild
 
 import (
@@ -20,6 +22,7 @@ import (
 	"fbf/internal/chunk"
 	"fbf/internal/codes"
 	"fbf/internal/core"
+	"fbf/internal/gf2"
 	"fbf/internal/grid"
 	"fbf/internal/store"
 	"fbf/internal/telemetry"
@@ -63,7 +66,9 @@ type ServiceConfig struct {
 	// instead of trusting the cheap header Stat, catching silent
 	// payload bit-rot at scan time.
 	Scrub bool
-	// NoVerify skips the GF(2) oracle cross-check of recovered chunks.
+	// NoVerify skips the check of recovered chunks before write-back: the
+	// GF(2) oracle diff of a chain-major stripe, the zero test of a
+	// decoded one.
 	NoVerify bool
 
 	// Priority selects the stripe repair order (PrioritySequential
@@ -344,7 +349,7 @@ type ServiceResult struct {
 
 	StripesRepaired int
 	ChunksRebuilt   int
-	ChunksVerified  int // oracle cross-checks that passed
+	ChunksVerified  int // chunks that passed the pre-write check (oracle diff or zero test)
 	ChunksDecoded   int // rebuilt via the GF(2) decoder fallback rather than a single chain
 
 	// Planned work (populated by DryRun instead of the executed
@@ -353,7 +358,7 @@ type ServiceResult struct {
 	PlannedReads  int // distinct source chunks it would read
 
 	DiskReads   uint64 // backend payload reads during repair
-	VerifyReads uint64 // extra backend reads by the oracle cross-check
+	VerifyReads uint64 // extra backend reads for the check alone
 	CacheHits   uint64
 	CacheMisses uint64
 
@@ -374,11 +379,12 @@ type ServiceResult struct {
 }
 
 // RunService scans the store and repairs every damaged stripe through
-// the scheme/cache/escalation machinery, byte-checking recovered chunks
-// against the GF(2) oracle before writing them back. CheckOnly stops
-// after the scan; DryRun stops after planning. Unsolvable cells are
-// accounted as data loss, not an error — errors mean the engine itself
-// could not proceed (I/O failures, bad configuration).
+// the scheme/cache/escalation machinery, checking recovered chunks
+// (GF(2) oracle diff, or a decoded stripe's zero test) before writing
+// them back. CheckOnly stops after the scan; DryRun stops after
+// planning. Unsolvable cells are accounted as data loss, not an error —
+// errors mean the engine itself could not proceed (I/O failures, bad
+// configuration, a stripe that fails its check).
 func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 	cfg.defaults()
 	if err := cfg.validate(); err != nil {
@@ -443,20 +449,13 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 		return res, nil
 	}
 
-	s := &service{cfg: &cfg, m: cfg.Metrics, code: code, res: res, pool: chunk.NewPool(cfg.Manifest.ChunkSize), journal: jn, lost: make(map[grid.Coord]bool)}
-	s.scratch = [2]chunk.Chunk{s.pool.GetRaw(), s.pool.GetRaw()}
-	tally(s.m, &ServiceResult{}, &s.base)
-	if cfg.CacheChunks > 0 {
-		s.policy, err = cache.New(cfg.Policy, cfg.CacheChunks)
-		if err != nil {
-			if jn != nil {
-				jn.Close()
-			}
-			return nil, err
+	s, err := newService(&cfg, code, res, jn)
+	if err != nil {
+		if jn != nil {
+			jn.Close()
 		}
-		s.bufs = make(map[cache.ChunkID]chunk.Chunk, cfg.CacheChunks)
+		return nil, err
 	}
-
 	err = s.execute(jstate)
 	tally(s.m, &s.base, res)
 	res.DataLoss = len(res.Lost) > 0
@@ -493,6 +492,26 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// newService assembles the run state of one repair pass over a
+// defaulted, validated configuration.
+func newService(cfg *ServiceConfig, code *codes.Code, res *ServiceResult, jn *Journal) (*service, error) {
+	s := &service{cfg: cfg, m: cfg.Metrics, code: code, res: res, pool: chunk.NewPool(cfg.Manifest.ChunkSize), journal: jn,
+		lost: make(map[grid.Coord]bool), repaired: make(map[grid.Coord]bool)}
+	s.scratch = [2]chunk.Chunk{s.pool.GetRaw(), s.pool.GetRaw()}
+	tally(s.m, &ServiceResult{}, &s.base)
+	if cfg.CacheChunks > 0 {
+		var err error
+		if s.policy, err = cache.New(cfg.Policy, cfg.CacheChunks); err != nil {
+			return nil, err
+		}
+		s.bufs = make(map[cache.ChunkID]chunk.Chunk, cfg.CacheChunks)
+		// The policy names each chunk it replaces, so the byte map mirrors
+		// its resident set without ever being scanned.
+		s.policy.SetOnEvict(s.dropBuf)
+	}
+	return s, nil
 }
 
 // tally fills dst's counter fields with the cells' values less base's.
@@ -706,7 +725,8 @@ type service struct {
 
 	// lost holds the cells of the stripe under repair that were accounted
 	// as data loss; loseCell maintains it, both replay orders skip them.
-	lost map[grid.Coord]bool
+	// repaired holds the ones written back and booked (bookCell).
+	lost, repaired map[grid.Coord]bool
 
 	// Byte cache: the policy decides residency (with FBF priorities
 	// from each scheme), bufs mirrors its resident set with the actual
@@ -714,9 +734,9 @@ type service struct {
 	policy cache.Policy
 	bufs   map[cache.ChunkID]chunk.Chunk
 
-	// Scheme and oracle memoization: killed whole disks damage every
-	// stripe with the same cell pattern, so the (expensive) chain
-	// selection and decoder elimination are shared across stripes.
+	// Scheme memoization: killed whole disks damage every stripe with the
+	// same cell pattern, so the (expensive) chain selection and decoder
+	// elimination are shared across stripes.
 	schemes map[string]*schemePlan
 
 	// journal is the write-ahead rebuild journal, nil for unjournaled
@@ -724,18 +744,20 @@ type service struct {
 	journal *Journal
 }
 
-// schemePlan caches one lost-cell pattern's generated scheme, its
-// unsolvable cells, and the matching oracle.
+// schemePlan caches one lost-cell pattern's generated scheme and its
+// unsolvable cells, with what checks the bytes it rebuilds.
 type schemePlan struct {
+	lost     []grid.Coord // the pattern, sorted
 	scheme   *core.Scheme
 	unsolved []grid.Coord
-	oracle   *verify.Oracle
 
 	// decoded reports a scheme with at least one GF(2)-decoder selection;
 	// such a stripe is rebuilt by replayDecoded along pass, built on
-	// first use.
+	// first use and carrying its own zero test. A scheme of single chains
+	// goes chain by chain and is cross-checked against oracle.
 	decoded bool
 	pass    *decodePass
+	oracle  *verify.Oracle
 }
 
 func lostKey(lost []grid.Coord) string {
@@ -762,13 +784,15 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := verify.NewOracle(s.code, lost)
-	if err != nil {
-		return nil, err
-	}
-	p := &schemePlan{scheme: scheme, unsolved: unsolved, oracle: oracle}
+	// A copy: the caller's slice grows in place when a cell escalates.
+	p := &schemePlan{lost: append([]grid.Coord(nil), lost...), scheme: scheme, unsolved: unsolved}
 	for _, sel := range scheme.Selected {
 		p.decoded = p.decoded || sel.Decoded
+	}
+	if !p.decoded {
+		if p.oracle, err = verify.NewOracle(s.code, lost); err != nil {
+			return nil, err
+		}
 	}
 	if s.schemes == nil {
 		s.schemes = make(map[string]*schemePlan)
@@ -778,9 +802,9 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 }
 
 // repairStripe rebuilds one damaged stripe: plan, replay the plan in the
-// order it calls for (replayChains or replayDecoded), oracle-check,
-// write back — escalating and re-planning when a surviving chunk turns
-// out unreadable, exactly like the simulator's fault ladder.
+// order it calls for (replayChains or replayDecoded), check, write back
+// — escalating and re-planning when a surviving chunk turns out
+// unreadable, exactly like the simulator's fault ladder.
 func (s *service) repairStripe(d StripeDamage) error {
 	lost := d.Lost()
 	plan, err := s.planFor(d.Stripe, lost)
@@ -813,7 +837,7 @@ func (s *service) repairStripe(d StripeDamage) error {
 		}
 	}
 
-	repaired := make(map[grid.Coord]bool)
+	clear(s.repaired)
 	// The escalation loop: a failed source read escalates that cell to
 	// lost and regenerates the plan for whatever is still unrepaired.
 	// Every escalation strictly grows the lost set, so the loop is
@@ -821,9 +845,9 @@ func (s *service) repairStripe(d StripeDamage) error {
 	for attempt := 0; attempt <= s.code.Layout().Cells(); attempt++ {
 		var esc *grid.Coord
 		if plan.decoded {
-			esc, err = s.replayDecoded(d.Stripe, plan, repaired)
+			esc, err = s.replayDecoded(d.Stripe, plan)
 		} else {
-			esc, err = s.replayChains(d.Stripe, plan, repaired)
+			esc, err = s.replayChains(d.Stripe, plan)
 		}
 		if err != nil {
 			return err
@@ -856,7 +880,7 @@ func (s *service) repairStripe(d StripeDamage) error {
 		lost = mergeCell(lost, *esc)
 		var remaining []grid.Coord
 		for _, c := range lost {
-			if !repaired[c] {
+			if !s.repaired[c] {
 				remaining = append(remaining, c)
 			}
 		}
@@ -887,7 +911,7 @@ func (s *service) repairStripe(d StripeDamage) error {
 // resident. It returns a non-nil cell when a source read failed and the
 // caller must escalate, nil when the stripe's solvable cells are all
 // repaired.
-func (s *service) replayChains(stripe int, plan *schemePlan, repaired map[grid.Coord]bool) (*grid.Coord, error) {
+func (s *service) replayChains(stripe int, plan *schemePlan) (*grid.Coord, error) {
 	acc := s.pool.GetRaw()
 	defer s.pool.Put(acc)
 	for _, sel := range plan.scheme.Selected {
@@ -897,7 +921,7 @@ func (s *service) replayChains(stripe int, plan *schemePlan, repaired map[grid.C
 			s.res.Interrupted = true
 			return nil, nil
 		}
-		if repaired[sel.Lost] || s.lost[sel.Lost] {
+		if s.repaired[sel.Lost] || s.lost[sel.Lost] {
 			continue
 		}
 		if len(sel.Fetch) == 0 {
@@ -928,57 +952,107 @@ func (s *service) replayChains(stripe int, plan *schemePlan, repaired map[grid.C
 			}
 			s.m.ChunksVerified.Inc()
 		}
-		if err := s.commitCell(stripe, sel, acc, repaired); err != nil {
+		if err := s.commitCell(stripe, sel, acc); err != nil {
 			return nil, err
 		}
 	}
 	return nil, nil
 }
 
-// decodePass is a schemePlan's source-major evaluation order: every
-// surviving chunk some equation of the plan lists, once, with the
-// accumulators its bytes fold into. Accumulator i rebuilds
-// scheme.Selected[i] through its Fetch equation; accumulator
-// len(Selected)+i re-derives the same cell through oracle.Sources.
+// decodePass is a schemePlan's read-once evaluation order on parity-chain
+// syndromes. Every decoder equation of a lost set is a sum of a few of
+// the stripe's chain syndromes written out, so the pass sums each
+// syndrome once — accumulator i is the XOR of chains[i]'s surviving
+// cells — and replays on the accumulators the row additions of the
+// elimination that produced the equations (codes.DecodeSchedule).
 type decodePass struct {
+	// chains are the layout's chains that hold a lost cell and, with
+	// verify, the ones that lost nothing too: no equation lists those, the
+	// zero test sums them.
+	chains  []*grid.Chain
 	sources []passSource // distinct, by disk then row: one ascending run per disk
-	accs    int          // accumulators the pass fills
+
+	// snaps lists the accumulators copied aside before ops touch them, the
+	// k-th into buffer len(chains)+k: the chain of a cell that kept its
+	// single chain (that syndrome is the cell) and, with verify, every
+	// chain that is checked against its rebuilt members.
+	snaps   []int
+	ops     []gf2.RowOp // accumulator Dst ^= accumulator Src, in order
+	outputs []int       // the buffer that is scheme.Selected[i] once ops have run
+
+	// With verify only: the chains whose snapshot must be zero once their
+	// rebuilt members are folded back in, and the accumulators that must be
+	// zero as ops leave them — the rows the elimination ended with no lost
+	// cell in, among them every chain that never held one.
+	checks []passCheck
+	spare  []int
 }
 
 type passSource struct {
 	cell    grid.Coord
-	folds   []int // accumulators the chunk is XORed into
-	fetched bool  // a Fetch equation lists it; otherwise only the oracle reads it
+	folds   []int // accumulators of the chains the chunk sits on
+	fetched bool  // a Fetch equation lists it; otherwise only the zero test reads it
 }
 
-// passFor builds (or recalls) the plan's decodePass. Without verify no
-// oracle accumulator exists and a chunk only the oracle would read is
-// not a source.
-func (s *service) passFor(plan *schemePlan) *decodePass {
+type passCheck struct {
+	chain int   // accumulator whose snapshot is tested
+	snap  int   // the buffer holding that snapshot
+	cells []int // scheme.Selected indexes of the chain's rebuilt members
+}
+
+// passFor builds (or recalls) the plan's decodePass. Without verify the
+// sources are the chunks some Fetch equation lists, folded into the
+// accumulator of every chain with a lost cell that contains them: a
+// survivor outside every equation cancels in each sum the schedule forms
+// for a rebuilt cell, so it is not read. The zero test reads what the
+// equations cancelled: with verify every accumulator is its chain's
+// whole syndrome, every chain of the layout has one, and every surviving
+// chunk of the stripe is a source.
+func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
 	if plan.pass != nil {
-		return plan.pass
+		return plan.pass, nil
 	}
-	selected := plan.scheme.Selected
-	p := &decodePass{accs: len(selected)}
+	sched, err := s.code.DecodeSchedule(plan.lost)
+	if err != nil {
+		return nil, err
+	}
+	selected, verified := plan.scheme.Selected, !s.cfg.NoVerify
+	lost := make(map[grid.Coord]bool, len(plan.lost))
+	for _, c := range plan.lost {
+		lost[c] = true
+	}
+	rebuilt := make(map[grid.Coord]int, len(selected)) // cell -> Selected index
+	inFetch := make(map[grid.Coord]bool)
+	for i, sel := range selected {
+		rebuilt[sel.Lost] = i
+		for _, c := range sel.Fetch {
+			inFetch[c] = true
+		}
+	}
+
+	p := &decodePass{outputs: make([]int, len(selected))}
+	chains := s.code.Layout().Chains() // the schedule names chains by their index here
+	accOf := make(map[grid.ChainID]int)
 	at := make(map[grid.Coord]*passSource)
-	list := func(acc int, equation []grid.Coord, fetch bool) {
-		for _, cell := range equation {
+	for i := range chains {
+		ch := &chains[i]
+		survivors := ch.Survivors(lost)
+		if len(survivors) == len(ch.Cells) && !verified {
+			continue
+		}
+		acc := len(p.chains)
+		accOf[ch.ID()] = acc
+		p.chains = append(p.chains, ch)
+		for _, cell := range survivors {
+			if !verified && !inFetch[cell] {
+				continue
+			}
 			src := at[cell]
 			if src == nil {
-				src = &passSource{cell: cell}
+				src = &passSource{cell: cell, fetched: inFetch[cell]}
 				at[cell] = src
 			}
 			src.folds = append(src.folds, acc)
-			src.fetched = src.fetched || fetch
-		}
-	}
-	for i, sel := range selected {
-		list(i, sel.Fetch, true)
-	}
-	if !s.cfg.NoVerify {
-		p.accs *= 2
-		for i, sel := range selected {
-			list(len(selected)+i, plan.oracle.Sources(sel.Lost), false)
 		}
 	}
 	for _, src := range at {
@@ -987,41 +1061,99 @@ func (s *service) passFor(plan *schemePlan) *decodePass {
 	sort.Slice(p.sources, func(i, j int) bool { // store address order
 		return AddrOf(0, p.sources[i].cell).Less(AddrOf(0, p.sources[j].cell))
 	})
+
+	// The elimination only ever adds rows that hold a lost cell.
+	for _, op := range sched.Ops {
+		p.ops = append(p.ops, gf2.RowOp{Dst: accOf[chains[op.Dst].ID()], Src: accOf[chains[op.Src].ID()]})
+	}
+	snap := func(acc int) int {
+		p.snaps = append(p.snaps, acc)
+		return len(p.chains) + len(p.snaps) - 1
+	}
+	kept := make(map[int]bool) // accumulators whose snapshot is a rebuilt cell
+	for i, sel := range selected {
+		if sel.Decoded {
+			p.outputs[i] = accOf[chains[sched.Row[sel.Lost]].ID()]
+			continue
+		}
+		// A chain that rebuilds a cell alone holds no other lost cell, so it
+		// is kept by that cell only.
+		acc := accOf[sel.Chain]
+		kept[acc] = true
+		p.outputs[i] = snap(acc)
+	}
+	if verified {
+		for acc, ch := range p.chains {
+			if kept[acc] {
+				continue // its snapshot is the cell itself: zero by construction
+			}
+			var cells []int
+			unsolved := false
+			for _, cell := range ch.Cells {
+				if i, ok := rebuilt[cell]; ok {
+					cells = append(cells, i)
+				} else if lost[cell] {
+					unsolved = true // nothing to test the chain against
+				}
+			}
+			if len(cells) > 0 && !unsolved {
+				p.checks = append(p.checks, passCheck{chain: acc, snap: snap(acc), cells: cells})
+			}
+		}
+		for _, row := range sched.Spare {
+			p.spare = append(p.spare, accOf[chains[row].ID()])
+		}
+	}
 	plan.pass = p
-	return p
+	return p, nil
 }
 
 // replayDecoded rebuilds a stripe whose plan needs the GF(2) decoder in
 // one pass over its surviving chunks. A decoder equation lists about
 // half the stripe, so replaying such a plan cell by cell asks for every
-// survivor dozens of times, through a cache the source set does not fit
-// and again for the oracle; here each source is read from the backend
-// exactly once and folded into every accumulator whose equation lists
-// it. The checks are replayChains': a source that is missing, corrupt
-// or the wrong size escalates (nothing has been written yet, so the
-// caller's re-plan restarts the pass), every recovered chunk is diffed
-// against the oracle's re-derivation before anything is written, and
-// every write is journaled as it completes (writeBack keeps up to the
-// backend's write depth of them in flight). It holds 2L+1 pooled chunks for
-// L cells (L+1 without verify) and never consults the byte cache; each
-// source read is booked as a disk read and, with a cache configured, as
-// the compulsory miss it would have been, so DiskReads == CacheMisses
-// holds in both orders. A chunk only the oracle needs is a verify read.
-func (s *service) replayDecoded(stripe int, plan *schemePlan, repaired map[grid.Coord]bool) (*grid.Coord, error) {
+// survivor dozens of times and sums what the equations share dozens of
+// times; here each source is read from the backend exactly once and
+// folded into the syndromes of the two or three chains it sits on, and
+// the elimination's row additions on those syndromes leave every
+// solvable cell in its pivot row. A source that is missing, corrupt or
+// the wrong size escalates (nothing has been written yet, so the caller's
+// re-plan restarts the pass). Unless NoVerify, nothing is written before
+// the repaired stripe passes the zero test: every chain through a
+// rebuilt cell, its members taken from grid.Layout and not from the
+// elimination, XORs to zero, and so does every row the elimination did
+// not need — the chains that lost nothing among them. Every write is
+// journaled as it completes (writeBack keeps up to the backend's write
+// depth of them in flight). The pass holds one pooled chunk per
+// accumulator, one per snapshot and a read buffer — never more than
+// 2·chains+1 for a layout of that many chains, and without verify one
+// per chain with a lost cell, one per cell that kept its chain, and the
+// read buffer — and never consults the byte cache; each Fetch source is
+// booked as a disk read and, with a cache configured, as the compulsory
+// miss it would have been, so DiskReads == CacheMisses holds in both
+// orders. A chunk only the zero test needs is a verify read.
+func (s *service) replayDecoded(stripe int, plan *schemePlan) (*grid.Coord, error) {
 	if stopRequested(s.cfg.Stop) {
 		s.res.Interrupted = true
 		return nil, nil
 	}
-	pass, selected := s.passFor(plan), plan.scheme.Selected
-	accs := make([]chunk.Chunk, pass.accs)
-	for i := range accs {
-		accs[i] = s.pool.Get()
+	pass, err := s.passFor(plan)
+	if err != nil {
+		return nil, err
+	}
+	selected := plan.scheme.Selected
+	bufs := make([]chunk.Chunk, len(pass.chains)+len(pass.snaps))
+	for i := range bufs {
+		if i < len(pass.chains) {
+			bufs[i] = s.pool.Get()
+		} else {
+			bufs[i] = s.pool.GetRaw()
+		}
 	}
 	buf := s.pool.GetRaw()
 	defer func() {
 		s.pool.Put(buf)
-		for _, acc := range accs {
-			s.pool.Put(acc)
+		for _, b := range bufs {
+			s.pool.Put(b)
 		}
 	}()
 
@@ -1043,24 +1175,42 @@ func (s *service) replayDecoded(stripe int, plan *schemePlan, repaired map[grid.
 			s.m.VerifyReads.Inc()
 		}
 		for _, acc := range src.folds {
-			chunk.XORInto(accs[acc], buf)
+			chunk.XORInto(bufs[acc], buf)
 		}
+	}
+	for k, acc := range pass.snaps {
+		copy(bufs[len(pass.chains)+k], bufs[acc])
+	}
+	for _, op := range pass.ops {
+		chunk.XORInto(bufs[op.Dst], bufs[op.Src])
 	}
 
 	if !s.cfg.NoVerify {
-		for i, sel := range selected {
-			if err := verify.Diff(sel.Lost, accs[len(selected)+i], accs[i]); err != nil {
-				return nil, err
+		for _, check := range pass.checks {
+			for _, i := range check.cells {
+				chunk.XORInto(bufs[check.snap], bufs[pass.outputs[i]])
 			}
-			s.m.ChunksVerified.Inc()
+			if ch := pass.chains[check.chain]; !bufs[check.snap].IsZero() {
+				return nil, fmt.Errorf("rebuild: stripe %d: chain %v#%d does not XOR to zero over the repaired stripe", stripe, ch.Kind, ch.Index)
+			}
 		}
+		for _, acc := range pass.spare {
+			if ch := pass.chains[acc]; !bufs[acc].IsZero() {
+				return nil, fmt.Errorf("rebuild: stripe %d: the surviving chunks disagree: the row the decode left at chain %v#%d is not zero", stripe, ch.Kind, ch.Index)
+			}
+		}
+		s.m.ChunksVerified.Add(uint64(len(selected)))
 	}
 	// Every cell is verified; write them back at the backend's write
 	// depth. booked runs on this goroutine, so the journal, the counters
 	// and repaired stay single-threaded.
+	out := make([]chunk.Chunk, len(selected))
+	for i := range out {
+		out[i] = bufs[pass.outputs[i]]
+	}
 	addr := func(i int) store.Addr { return AddrOf(stripe, selected[i].Lost) }
-	booked := func(i int) error { return s.bookCell(addr(i), selected[i], accs[i], repaired) }
-	stopped, err := writeBack(s.cfg.Backend, s.cfg.Stop, accs[:len(selected)], addr, booked)
+	booked := func(i int) error { return s.bookCell(addr(i), selected[i], out[i]) }
+	stopped, err := writeBack(s.cfg.Backend, s.cfg.Stop, out, addr, booked)
 	if stopped {
 		// Graceful stop before the last write was started: the writes in
 		// flight were finished and journaled, the next run plans the rest.
@@ -1070,17 +1220,17 @@ func (s *service) replayDecoded(stripe int, plan *schemePlan, repaired map[grid.
 }
 
 // commitCell writes one recovered chunk back and books it.
-func (s *service) commitCell(stripe int, sel core.SelectedChain, data chunk.Chunk, repaired map[grid.Coord]bool) error {
+func (s *service) commitCell(stripe int, sel core.SelectedChain, data chunk.Chunk) error {
 	a := AddrOf(stripe, sel.Lost)
 	if err := s.cfg.Backend.WriteChunk(a, data); err != nil {
 		return err
 	}
-	return s.bookCell(a, sel, data, repaired)
+	return s.bookCell(a, sel, data)
 }
 
 // bookCell journals the commit of a chunk WriteChunk has returned nil
 // for and counts it.
-func (s *service) bookCell(a store.Addr, sel core.SelectedChain, data chunk.Chunk, repaired map[grid.Coord]bool) error {
+func (s *service) bookCell(a store.Addr, sel core.SelectedChain, data chunk.Chunk) error {
 	if s.journal != nil {
 		if err := s.journaled(s.journal.AppendCommit(a, PayloadCRC(data))); err != nil {
 			return err
@@ -1091,7 +1241,7 @@ func (s *service) bookCell(a store.Addr, sel core.SelectedChain, data chunk.Chun
 	if sel.Decoded {
 		s.m.ChunksDecoded.Inc()
 	}
-	repaired[sel.Lost] = true
+	s.repaired[sel.Lost] = true
 	return nil
 }
 
@@ -1143,7 +1293,6 @@ func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first 
 	fold(acc, buf, first)
 	if s.policy != nil && s.policy.Contains(id) {
 		s.bufs[id] = buf
-		s.reconcile()
 	} else {
 		s.pool.Put(buf)
 	}
@@ -1160,18 +1309,8 @@ func (s *service) readSource(a store.Addr, buf chunk.Chunk) error {
 	return err
 }
 
-// reconcile drops buffered bytes for chunks the policy has evicted,
-// returning their buffers to the pool. O(resident), called per
-// admission — the byte map exactly mirrors policy residency.
-func (s *service) reconcile() {
-	for id, buf := range s.bufs {
-		if !s.policy.Contains(id) {
-			s.pool.Put(buf)
-			delete(s.bufs, id)
-		}
-	}
-}
-
+// dropBuf returns to the pool the bytes of a chunk the policy no longer
+// holds: its eviction callback, and the escalation ladder's Invalidate.
 func (s *service) dropBuf(id cache.ChunkID) {
 	if buf, ok := s.bufs[id]; ok {
 		s.pool.Put(buf)

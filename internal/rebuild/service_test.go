@@ -111,6 +111,16 @@ func (r *readCounter) total() (n int) {
 // run accounted as lost.
 func checkAgainstGroundTruth(t *testing.T, b store.Backend, m store.ArrayManifest, seed int64, lost ...store.Addr) {
 	t.Helper()
+	if a := firstWrongChunk(t, b, m, seed, lost...); a != nil {
+		t.Fatalf("chunk %v does not match ground truth after rebuild", *a)
+	}
+}
+
+// firstWrongChunk is checkAgainstGroundTruth's comparison: the first
+// chunk of the store, lost ones aside, that differs from the stripe
+// recomputed from the init seed, or nil.
+func firstWrongChunk(t *testing.T, b store.Backend, m store.ArrayManifest, seed int64, lost ...store.Addr) *store.Addr {
+	t.Helper()
 	skip := make(map[store.Addr]bool, len(lost))
 	for _, a := range lost {
 		skip[a] = true
@@ -134,10 +144,11 @@ func checkAgainstGroundTruth(t *testing.T, b store.Backend, m store.ArrayManifes
 				t.Fatalf("read %v after rebuild: %v", a, err)
 			}
 			if n != m.ChunkSize || !got.Equal(want[idx]) {
-				t.Fatalf("chunk %v does not match ground truth after rebuild", a)
+				return &a
 			}
 		}
 	}
+	return nil
 }
 
 // TestServiceRebuildsKilledDisks is the storage-engine tentpole check:
@@ -146,20 +157,21 @@ func checkAgainstGroundTruth(t *testing.T, b store.Backend, m store.ArrayManifes
 // Two or more dead disks leave cells no single chain rebuilds, so those
 // stripes go through the read-once decode: it reads exactly the chunks
 // a dry run of the same damage plans to read, each once, before it
-// writes anything. One dead disk stays chain by chain, where the oracle
-// re-reads its sources.
+// writes anything, and for the zero test whatever else survives — every
+// surviving chunk of the stripe exactly once in all, none of them for
+// the check alone once three disks are dead. One dead disk stays chain
+// by chain, where the oracle re-reads its sources.
 func TestServiceRebuildsKilledDisks(t *testing.T) {
 	for _, tc := range []struct {
 		code    string
 		p       int
 		disks   []int
 		decoded int // cells per stripe rebuilt through the decoder
-		oracle  int // chunks per stripe only the oracle's equations list
 	}{
-		{"star", 5, []int{1}, 0, 0},
-		{"star", 5, []int{0, 2, 4}, 12, 0},
-		{"tip", 5, []int{1, 3, 4}, 12, 0},
-		{"triplestar", 5, []int{0, 1}, 6, 1}, // a mixed plan: two cells keep a single chain
+		{"star", 5, []int{1}, 0},
+		{"star", 5, []int{0, 2, 4}, 12},
+		{"tip", 5, []int{1, 3, 4}, 12},
+		{"triplestar", 5, []int{0, 1}, 6}, // a mixed plan: two cells keep a single chain
 	} {
 		t.Run(fmt.Sprintf("%s-p%d-kill%v", tc.code, tc.p, tc.disks), func(t *testing.T) {
 			code := codes.MustNew(tc.code, tc.p)
@@ -220,9 +232,10 @@ func TestServiceRebuildsKilledDisks(t *testing.T) {
 					t.Errorf("chain-by-chain reads not accounted: disk=%d verify=%d", res.DiskReads, res.VerifyReads)
 				}
 			} else {
-				if res.DiskReads != uint64(dry.PlannedReads) || res.VerifyReads != uint64(tc.oracle*m.Stripes) {
-					t.Errorf("read-once decode: disk=%d verify=%d, want the dry run's %d planned reads and %d oracle-only",
-						res.DiskReads, res.VerifyReads, dry.PlannedReads, tc.oracle*m.Stripes)
+				survivors := uint64((m.Disks - len(tc.disks)) * m.Rows * m.Stripes)
+				if res.DiskReads != uint64(dry.PlannedReads) || res.DiskReads+res.VerifyReads != survivors || (len(tc.disks) == 3 && res.VerifyReads != 0) {
+					t.Errorf("read-once decode: disk=%d verify=%d, want the dry run's %d planned reads and every one of the %d survivors once",
+						res.DiskReads, res.VerifyReads, dry.PlannedReads, survivors)
 				}
 				if res.CacheHits != 0 || res.CacheMisses != res.DiskReads {
 					t.Errorf("read-once decode: %d hits, %d misses for %d disk reads; want 0 and equal", res.CacheHits, res.CacheMisses, res.DiskReads)
@@ -412,25 +425,34 @@ func TestServiceEscalation(t *testing.T) {
 	checkAgainstGroundTruth(t, b, m, seed)
 }
 
-// TestDecodePassShape checks the read-once pass against the plan it is
-// built from, on an all-decoder plan and on a mixed one: every source is
-// listed once, in disk-then-row order; accumulator i is fed exactly
-// Selected[i].Fetch and accumulator L+i exactly the oracle's sources of
-// the same cell; a source counts as fetched iff a Fetch equation lists
-// it. With NoVerify there are L accumulators, not 2L, and no chunk is
-// read for the oracle's sake.
+// TestDecodePassShape checks the read-once pass against the plan and the
+// layout it is built from, on an all-decoder plan, on a mixed one and on
+// one with a dead parity disk, where some chains lose nothing: every
+// source is listed once, in disk-then-row order, and folds into exactly
+// the accumulators of the chains that contain it; a source counts as
+// fetched iff a Fetch equation lists it. With verify every chain of the
+// layout has an accumulator, every surviving chunk is a source and every
+// checked chain has its snapshot; with NoVerify only the chains with a
+// lost cell have one, the sources are the scheme's distinct fetches and
+// nothing is copied but the chain of a cell that kept its single chain,
+// whose snapshot is that cell. A decoder cell is an accumulator of its
+// own. The pass never holds more than 2·chains buffers beside the read
+// buffer.
 func TestDecodePassShape(t *testing.T) {
 	for _, tc := range []struct {
 		code  string
 		disks []int
-	}{{"tip", []int{1, 3, 4}}, {"triplestar", []int{0, 1}}} {
+		kept  int // cells of the plan that keep a single chain
+	}{{"tip", []int{1, 3, 4}, 0}, {"triplestar", []int{0, 1}, 2}, {"tip", []int{0, 5}, 4}} {
 		for _, noVerify := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s-kill%v-noverify=%v", tc.code, tc.disks, noVerify), func(t *testing.T) {
 				code := codes.MustNew(tc.code, 5)
 				var lost []grid.Coord
+				isLost := map[grid.Coord]bool{}
 				for row := 0; row < code.Rows(); row++ {
 					for _, d := range tc.disks {
 						lost = append(lost, grid.Coord{Row: row, Col: d})
+						isLost[grid.Coord{Row: row, Col: d}] = true
 					}
 				}
 				s := &service{cfg: &ServiceConfig{Strategy: core.StrategyLooped, NoVerify: noVerify}, code: code}
@@ -441,20 +463,46 @@ func TestDecodePassShape(t *testing.T) {
 				if !plan.decoded {
 					t.Fatal("fixture plan has no decoder selection")
 				}
-				pass, selected := s.passFor(plan), plan.scheme.Selected
-				if s.passFor(plan) != pass {
+				pass, err := s.passFor(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again, _ := s.passFor(plan); again != pass {
 					t.Error("pass rebuilt on second use")
 				}
-				wantAccs := 2 * len(selected)
-				if noVerify {
-					wantAccs = len(selected)
+				selected := plan.scheme.Selected
+
+				// The accumulators: every chain of the layout holding a lost cell,
+				// and with verify the others too.
+				accOf := map[grid.ChainID]int{}
+				for i, ch := range pass.chains {
+					accOf[ch.ID()] = i
 				}
-				if pass.accs != wantAccs {
-					t.Fatalf("%d accumulators for %d cells, want %d", pass.accs, len(selected), wantAccs)
+				lossless := map[int]bool{}
+				for _, ch := range code.Layout().Chains() {
+					acc, have := accOf[ch.ID()]
+					holds := len(ch.Survivors(isLost)) < len(ch.Cells)
+					if have != (holds || !noVerify) {
+						t.Fatalf("chain %v: holds a lost cell = %v, has an accumulator = %v", ch.ID(), holds, have)
+					}
+					if have && !holds {
+						lossless[acc] = true
+					}
 				}
-				fed := make([]map[grid.Coord]bool, pass.accs)
-				for i := range fed {
-					fed[i] = map[grid.Coord]bool{}
+				if len(pass.chains)+len(pass.snaps) > 2*len(pass.chains) {
+					t.Fatalf("%d chains and %d snapshots: more than 2·chains buffers", len(pass.chains), len(pass.snaps))
+				}
+				for _, op := range pass.ops {
+					if lossless[op.Dst] || lossless[op.Src] {
+						t.Fatalf("operation %+v touches a chain that lost nothing", op)
+					}
+				}
+
+				inFetch := map[grid.Coord]bool{}
+				for _, sel := range selected {
+					for _, c := range sel.Fetch {
+						inFetch[c] = true
+					}
 				}
 				fetched := 0
 				for k, src := range pass.sources {
@@ -463,38 +511,89 @@ func TestDecodePassShape(t *testing.T) {
 							t.Fatalf("sources %v then %v: not distinct in disk-then-row order", prev, src.cell)
 						}
 					}
-					inFetch := false
-					for _, acc := range src.folds {
-						if fed[acc][src.cell] {
-							t.Fatalf("source %v folds into accumulator %d twice", src.cell, acc)
-						}
-						fed[acc][src.cell] = true
-						inFetch = inFetch || acc < len(selected)
+					if isLost[src.cell] || src.fetched != inFetch[src.cell] {
+						t.Fatalf("source %v: lost=%v fetched=%v, in a Fetch equation=%v", src.cell, isLost[src.cell], src.fetched, inFetch[src.cell])
 					}
-					if len(src.folds) == 0 || src.fetched != inFetch {
-						t.Fatalf("source %v: folds %v, fetched=%v", src.cell, src.folds, src.fetched)
-					}
-					if inFetch {
+					if src.fetched {
 						fetched++
 					}
-				}
-				if fetched != plan.scheme.UniqueFetches() || (noVerify && fetched != len(pass.sources)) {
-					t.Fatalf("%d of %d sources fetched, scheme plans %d distinct reads", fetched, len(pass.sources), plan.scheme.UniqueFetches())
-				}
-				sameSet := func(acc int, equation []grid.Coord) {
-					if len(fed[acc]) != len(equation) {
-						t.Fatalf("accumulator %d fed %d sources, its equation lists %d", acc, len(fed[acc]), len(equation))
+					folds := map[int]bool{}
+					for _, acc := range src.folds {
+						if folds[acc] {
+							t.Fatalf("source %v folds into accumulator %d twice", src.cell, acc)
+						}
+						folds[acc] = true
 					}
-					for _, src := range equation {
-						if !fed[acc][src] {
-							t.Fatalf("accumulator %d never sees %v", acc, src)
+					for acc, ch := range pass.chains {
+						if ch.Contains(src.cell) != folds[acc] {
+							t.Fatalf("source %v: on chain %v = %v, folded into it = %v", src.cell, ch.ID(), ch.Contains(src.cell), folds[acc])
 						}
 					}
 				}
+				if fetched != plan.scheme.UniqueFetches() {
+					t.Fatalf("%d sources fetched, scheme plans %d distinct reads", fetched, plan.scheme.UniqueFetches())
+				}
+				if noVerify {
+					if fetched != len(pass.sources) || len(pass.snaps) != tc.kept || pass.checks != nil || pass.spare != nil {
+						t.Fatalf("without verify: %d sources for %d fetches, %d snapshots for %d chain-kept cells, checks %v, spare %v",
+							len(pass.sources), fetched, len(pass.snaps), tc.kept, pass.checks, pass.spare)
+					}
+				} else if survivors := code.Layout().Cells() - len(lost); len(pass.sources) != survivors {
+					t.Fatalf("with verify: %d sources, %d chunks of the stripe survive", len(pass.sources), survivors)
+				}
+
+				// Outputs: a decoder cell is an accumulator of its own, a cell that
+				// kept its chain the snapshot of that chain's syndrome.
+				used, kept := map[int]bool{}, 0
 				for i, sel := range selected {
-					sameSet(i, sel.Fetch)
-					if !noVerify {
-						sameSet(len(selected)+i, plan.oracle.Sources(sel.Lost))
+					out := pass.outputs[i]
+					if used[out] {
+						t.Fatalf("buffer %d is the output of two cells", out)
+					}
+					used[out] = true
+					if sel.Decoded {
+						if out >= len(pass.chains) {
+							t.Fatalf("decoder cell %v comes out of buffer %d, not an accumulator", sel.Lost, out)
+						}
+						continue
+					}
+					kept++
+					if k := out - len(pass.chains); k < 0 || pass.snaps[k] != accOf[sel.Chain] {
+						t.Fatalf("chain-kept cell %v comes out of buffer %d, not the snapshot of chain %v", sel.Lost, out, sel.Chain)
+					}
+				}
+				if kept != tc.kept {
+					t.Fatalf("%d cells keep a single chain, fixture says %d", kept, tc.kept)
+				}
+
+				// Checks: every chain with a lost cell but the chain-kept cells'
+				// own (no cell of these fixtures is unsolved), against its
+				// snapshot, folding back exactly its rebuilt members; a chain that
+				// lost nothing is zero as it stands.
+				if !noVerify && len(pass.checks) != len(pass.chains)-len(lossless)-tc.kept {
+					t.Fatalf("%d checks for %d chains less %d that lost nothing and %d kept", len(pass.checks), len(pass.chains), len(lossless), tc.kept)
+				}
+				spare := map[int]bool{}
+				for _, acc := range pass.spare {
+					spare[acc] = true
+				}
+				for acc := range lossless {
+					if !spare[acc] {
+						t.Fatalf("chain %v lost nothing and is not tested for zero", pass.chains[acc].ID())
+					}
+				}
+				for _, check := range pass.checks {
+					ch := pass.chains[check.chain]
+					if k := check.snap - len(pass.chains); k < 0 || pass.snaps[k] != check.chain || used[check.snap] {
+						t.Fatalf("check of chain %v tests buffer %d: not its snapshot, or a cell's output", ch.ID(), check.snap)
+					}
+					if want := len(ch.Cells) - len(ch.Survivors(isLost)); len(check.cells) != want {
+						t.Fatalf("check of chain %v folds back %d cells, the chain lost %d", ch.ID(), len(check.cells), want)
+					}
+					for _, i := range check.cells {
+						if !ch.Contains(selected[i].Lost) {
+							t.Fatalf("check of chain %v folds back %v, not a member", ch.ID(), selected[i].Lost)
+						}
 					}
 				}
 			})

@@ -72,11 +72,11 @@ type RebuildMetrics struct {
 	StripesPlanned Counter // damaged stripes ordered for repair, cumulative across passes
 	StripesDone    Counter // stripes fully repaired
 	ChunksRebuilt  Counter // chunks recovered and written back
-	ChunksVerified Counter // recovered chunks diffed clean against the GF(2) oracle
+	ChunksVerified Counter // recovered chunks that passed the check before write-back (GF(2) oracle diff, or a decoded stripe's zero test)
 	ChunksDecoded  Counter // chunks rebuilt via the decoder fallback rather than a single chain
 
 	DiskReads    Counter // source chunks fetched from the backend
-	VerifyReads  Counter // backend reads issued by the oracle and resume re-verification
+	VerifyReads  Counter // backend reads issued for the check alone (oracle, zero test) and by resume re-verification
 	CacheHits    Counter // source fetches answered by the cache
 	CacheMisses  Counter // source fetches that went to the backend
 	BytesWritten Counter // recovered payload bytes written
@@ -107,10 +107,10 @@ func NewRebuildMetrics(reg *Registry) *RebuildMetrics {
 		{&m.StripesPlanned, "fbf_rebuild_stripes_planned", "Damaged stripes ordered for repair, cumulative across passes."},
 		{&m.StripesDone, "fbf_rebuild_stripes_done", "Stripes fully repaired."},
 		{&m.ChunksRebuilt, "fbf_rebuild_chunks_rebuilt", "Chunks recovered and written back."},
-		{&m.ChunksVerified, "fbf_rebuild_chunks_verified", "Recovered chunks diffed clean against the GF(2) oracle."},
+		{&m.ChunksVerified, "fbf_rebuild_chunks_verified", "Recovered chunks that passed the pre-write check (GF(2) oracle diff, or a decoded stripe's parity-chain zero test)."},
 		{&m.ChunksDecoded, "fbf_rebuild_chunks_decoded", "Chunks rebuilt via the decoder fallback rather than a single chain."},
 		{&m.DiskReads, "fbf_rebuild_disk_reads", "Source chunks fetched from the backend."},
-		{&m.VerifyReads, "fbf_rebuild_verify_reads", "Backend reads issued by oracle checks and resume re-verification."},
+		{&m.VerifyReads, "fbf_rebuild_verify_reads", "Backend reads issued for the pre-write check alone and by resume re-verification."},
 		{&m.CacheHits, "fbf_rebuild_cache_hits", "Source fetches answered by the recovery cache."},
 		{&m.CacheMisses, "fbf_rebuild_cache_misses", "Source fetches that went to the backend."},
 		{&m.BytesWritten, "fbf_rebuild_bytes_written", "Recovered payload bytes written."},

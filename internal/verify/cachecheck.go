@@ -84,7 +84,8 @@ func newRef(name string, capacity int, lambda float64) (refPolicy, error) {
 
 // CheckCache drives the production policy and its reference model
 // through the same randomized request stream and compares hit/miss
-// decisions and the full resident set step by step, plus the aggregate
+// decisions, the full resident set and the ids reported to the eviction
+// callback (cache.Policy.SetOnEvict) step by step, plus the aggregate
 // event counters at the end. Any disagreement returns an error naming
 // the first divergent step.
 func CheckCache(cfg CacheConfig) (*CacheReport, error) {
@@ -118,6 +119,9 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 	if err != nil {
 		return nil, err
 	}
+
+	var reported []cache.ChunkID // the eviction callback's ids of the step in flight
+	pol.SetOnEvict(func(id cache.ChunkID) { reported = append(reported, id) })
 
 	ids := make([]cache.ChunkID, universe)
 	for k := range ids {
@@ -165,6 +169,7 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 		for _, r := range ref.resident() {
 			before[r] = true
 		}
+		reported = reported[:0]
 		hit := pol.Request(id)
 		var evicted []cache.ChunkID
 		for r := range before {
@@ -173,6 +178,17 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 			}
 		}
 		evictions += uint64(len(evicted))
+		// The callback must name exactly the chunks that left the resident
+		// set (distinct by construction), which the model validates as its
+		// own victims below.
+		named := len(reported) == len(evicted)
+		for _, r := range evicted {
+			named = named && sliceHas(reported, r)
+		}
+		if !named {
+			return nil, fmt.Errorf("verify: %s cap=%d step %d id=%v: eviction callback reported %v, residency lost %v",
+				cfg.Policy, cfg.Capacity, step, id, reported, evicted)
+		}
 		if hit {
 			hits++
 		} else {

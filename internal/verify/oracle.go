@@ -81,7 +81,7 @@ func (o *Oracle) Check(cell grid.Coord, recovered, acc, buf chunk.Chunk, read fu
 // Diff compares the oracle's re-derivation of cell with the bytes the
 // caller recovered for it. It is the one place the disagreement is
 // worded, shared by Check and by callers that accumulate Sources(cell)
-// themselves (the storage engine's read-once stripe decode).
+// themselves.
 func Diff(cell grid.Coord, derived, recovered chunk.Chunk) error {
 	if off := firstDiff(derived, recovered); off >= 0 {
 		return fmt.Errorf("verify: chain recovery and gf2 oracle disagree on %v (first diff at offset %d)", cell, off)
