@@ -40,6 +40,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -280,58 +281,91 @@ func throttled(b store.Backend, opts *cli.Options) (store.Backend, *store.Thrott
 	return t, t, nil
 }
 
-func runRebuild(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("fbfctl rebuild", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	storeDir := fs.String("store", "", "store directory")
-	policy := fs.String("policy", "fbf", "cache policy for surviving chunks")
-	strategy := fs.String("strategy", "looped", "chain-selection strategy")
-	cacheChunks := fs.Int("cache", 64, "cache capacity in chunks (negative disables)")
-	progress := fs.Bool("progress", false, "report per-stripe progress on stderr")
-	var opts cli.Options
-	fs.Var(&opts, "o", "operator option: check-only, dry-run, scrub, no-verify, priority=..., resume, rate-limit=...")
-	if err := fs.Parse(args); err != nil {
-		return exitErr
-	}
-	if unknown := opts.Unknown("check-only", "dry-run", "scrub", "no-verify", "priority", "resume", "rate-limit"); len(unknown) > 0 {
-		return fail(stderr, fmt.Errorf("unknown -o options %v (rebuild knows: check-only, dry-run, scrub, no-verify, priority, resume, rate-limit)", unknown))
-	}
-	strat, err := core.ParseStrategy(*strategy)
+// serviceCmd is the command line rebuild and daemon share: the flags
+// that name the store and the repair machinery, and the -o options.
+type serviceCmd struct {
+	fs   *flag.FlagSet // "fbfctl rebuild" or "fbfctl daemon"; the caller adds its own flags before open
+	opts cli.Options
+
+	storeDir, policy, strategy *string
+	cacheChunks                *int
+}
+
+// boolOpt binds one boolean -o key to where its value goes.
+type boolOpt struct {
+	key string
+	dst *bool
+}
+
+// newServiceCmd declares the shared flags; optHelp is the -o flag's list
+// of keys as its help shows them.
+func newServiceCmd(name string, stderr io.Writer, optHelp string) *serviceCmd {
+	c := &serviceCmd{fs: flag.NewFlagSet("fbfctl "+name, flag.ContinueOnError)}
+	c.fs.SetOutput(stderr)
+	c.storeDir = c.fs.String("store", "", "store directory")
+	c.policy = c.fs.String("policy", "fbf", "cache policy for surviving chunks")
+	c.strategy = c.fs.String("strategy", "looped", "chain-selection strategy")
+	c.cacheChunks = c.fs.Int("cache", 64, "cache capacity in chunks (negative disables)")
+	c.fs.Var(&c.opts, "o", "operator option: "+optHelp)
+	return c
+}
+
+// open parses args, rejects -o keys outside known, and opens the store
+// (dir) behind its rate limit (cfg.Backend; throttle is nil without one).
+// When ok is false the reason is on stderr and the exit status is exitErr.
+func (c *serviceCmd) open(args []string, known ...string) (cfg rebuild.ServiceConfig, dir *store.Dir, throttle *store.Throttle, ok bool) {
+	err := c.fs.Parse(args)
 	if err != nil {
-		return fail(stderr, err)
+		return cfg, nil, nil, false // the flag set has said why
 	}
-	m, b, err := openStore(*storeDir)
+	if unknown := c.opts.Unknown(known...); len(unknown) > 0 {
+		err = fmt.Errorf("unknown -o options %v (%s knows: %s)", unknown, strings.TrimPrefix(c.fs.Name(), "fbfctl "), strings.Join(known, ", "))
+	}
+	if err == nil {
+		cfg.Strategy, err = core.ParseStrategy(*c.strategy)
+	}
+	if err == nil {
+		cfg.Manifest, dir, err = openStore(*c.storeDir)
+	}
+	if err == nil {
+		cfg.Backend, throttle, err = throttled(dir, &c.opts)
+	}
 	if err != nil {
-		return fail(stderr, err)
+		fail(c.fs.Output(), err)
+		return cfg, nil, nil, false
 	}
-	backend, _, err := throttled(store.Backend(b), &opts)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	cfg := rebuild.ServiceConfig{
-		Backend: backend, Manifest: m,
-		Policy: *policy, Strategy: strat, CacheChunks: *cacheChunks,
-		Priority: opts.Value("priority", rebuild.PrioritySequential),
-	}
-	var resume bool
-	for _, bind := range []struct {
-		key string
-		dst *bool
-	}{
-		{"check-only", &cfg.CheckOnly}, {"dry-run", &cfg.DryRun},
-		{"scrub", &cfg.Scrub}, {"no-verify", &cfg.NoVerify},
-		{"resume", &resume},
-	} {
-		v, err := opts.Bool(bind.key)
+	cfg.Policy, cfg.CacheChunks = *c.policy, *c.cacheChunks
+	cfg.Priority = c.opts.Value("priority", rebuild.PrioritySequential)
+	return cfg, dir, throttle, true
+}
+
+// bind parses the boolean -o options in order, reporting like open.
+func (c *serviceCmd) bind(binds ...boolOpt) bool {
+	for _, bind := range binds {
+		v, err := c.opts.Bool(bind.key)
 		if err != nil {
-			return fail(stderr, err)
+			fail(c.fs.Output(), err)
+			return false
 		}
 		*bind.dst = v
 	}
+	return true
+}
+
+func runRebuild(args []string, stdout, stderr io.Writer) int {
+	c := newServiceCmd("rebuild", stderr, "check-only, dry-run, scrub, no-verify, priority=..., resume, rate-limit=...")
+	progress := c.fs.Bool("progress", false, "report per-stripe progress on stderr")
+	cfg, b, _, ok := c.open(args, "check-only", "dry-run", "scrub", "no-verify", "priority", "resume", "rate-limit")
+	var resume bool
+	if !ok || !c.bind(boolOpt{"check-only", &cfg.CheckOnly}, boolOpt{"dry-run", &cfg.DryRun},
+		boolOpt{"scrub", &cfg.Scrub}, boolOpt{"no-verify", &cfg.NoVerify}, boolOpt{"resume", &resume}) {
+		return exitErr
+	}
+	m, strat := cfg.Manifest, cfg.Strategy
 	if resume {
 		// Journaled mode: progress survives crashes and interrupts, and
 		// a rerun with -o resume picks up where this one stopped.
-		cfg.JournalPath = filepath.Join(*storeDir, journalName)
+		cfg.JournalPath = filepath.Join(*c.storeDir, journalName)
 	}
 	if !cfg.CheckOnly && !cfg.DryRun {
 		// SIGINT/SIGTERM request a graceful stop: finish the chunk in
@@ -408,34 +442,14 @@ func runRebuild(args []string, stdout, stderr io.Writer) int {
 // rebuild whenever damage appears, back off on transient failures, and
 // shut down gracefully on SIGINT/SIGTERM.
 func runDaemon(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("fbfctl daemon", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	storeDir := fs.String("store", "", "store directory")
-	policy := fs.String("policy", "fbf", "cache policy for surviving chunks")
-	strategy := fs.String("strategy", "looped", "chain-selection strategy")
-	cacheChunks := fs.Int("cache", 64, "cache capacity in chunks (negative disables)")
-	interval := fs.Duration("interval", rebuild.DefaultInterval, "pause between clean scans")
-	listen := fs.String("listen", "", "serve /metrics, /healthz and /progress on this address (e.g. :9920); empty disables telemetry")
-	var opts cli.Options
-	fs.Var(&opts, "o", "operator option: scrub, no-verify, priority=..., rate-limit=BYTES/S, retries=N, max-scans=N")
-	if err := fs.Parse(args); err != nil {
+	c := newServiceCmd("daemon", stderr, "scrub, no-verify, priority=..., rate-limit=BYTES/S, retries=N, max-scans=N")
+	interval := c.fs.Duration("interval", rebuild.DefaultInterval, "pause between clean scans")
+	listen := c.fs.String("listen", "", "serve /metrics, /healthz and /progress on this address (e.g. :9920); empty disables telemetry")
+	svc, _, throttle, ok := c.open(args, "scrub", "no-verify", "priority", "rate-limit", "retries", "max-scans")
+	if !ok {
 		return exitErr
 	}
-	if unknown := opts.Unknown("scrub", "no-verify", "priority", "rate-limit", "retries", "max-scans"); len(unknown) > 0 {
-		return fail(stderr, fmt.Errorf("unknown -o options %v (daemon knows: scrub, no-verify, priority, rate-limit, retries, max-scans)", unknown))
-	}
-	strat, err := core.ParseStrategy(*strategy)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	m, b, err := openStore(*storeDir)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	backend, throttle, err := throttled(b, &opts)
-	if err != nil {
-		return fail(stderr, err)
-	}
+	opts := &c.opts
 	// Telemetry is armed only with -listen: the instrumented wrapper, the
 	// registry and the HTTP server all exist solely on that path, so a
 	// plain daemon run takes no listener and no extra work per I/O.
@@ -444,8 +458,8 @@ func runDaemon(args []string, stdout, stderr io.Writer) int {
 	var srv *telemetry.Server
 	if *listen != "" {
 		reg := telemetry.NewRegistry()
-		inst := store.Instrument(backend)
-		backend = inst
+		inst := store.Instrument(svc.Backend)
+		svc.Backend = inst
 		telemetry.RegisterBackend(reg, inst)
 		if throttle != nil {
 			telemetry.RegisterThrottle(reg, throttle)
@@ -463,24 +477,10 @@ func runDaemon(args []string, stdout, stderr io.Writer) int {
 			testListenReady(addr)
 		}
 	}
-	svc := rebuild.ServiceConfig{
-		Backend: backend, Manifest: m,
-		Policy: *policy, Strategy: strat, CacheChunks: *cacheChunks,
-		Priority:    opts.Value("priority", rebuild.PrioritySequential),
-		JournalPath: filepath.Join(*storeDir, journalName),
-		Metrics:     rm,
-	}
-	for _, bind := range []struct {
-		key string
-		dst *bool
-	}{
-		{"scrub", &svc.Scrub}, {"no-verify", &svc.NoVerify},
-	} {
-		v, err := opts.Bool(bind.key)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		*bind.dst = v
+	svc.JournalPath = filepath.Join(*c.storeDir, journalName)
+	svc.Metrics = rm
+	if !c.bind(boolOpt{"scrub", &svc.Scrub}, boolOpt{"no-verify", &svc.NoVerify}) {
+		return exitErr
 	}
 	retries, err := opts.Int64("retries", rebuild.DefaultRetries)
 	if err != nil {

@@ -180,7 +180,7 @@ func (a *ARC) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Invalidator: it drops id from whichever list
+// Invalidate implements Policy: it drops id from whichever list
 // holds it, ghost entries included, and reports whether a resident
 // (T1/T2) copy was removed.
 func (a *ARC) Invalidate(id ChunkID) bool {

@@ -134,7 +134,7 @@ func (b *Belady) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Invalidator.
+// Invalidate implements Policy.
 func (b *Belady) Invalidate(id ChunkID) bool {
 	e, ok := b.index[id]
 	if !ok {

@@ -65,6 +65,12 @@ type Policy interface {
 	Stats() Stats
 	// Reset drops all cached state and counters.
 	Reset()
+	// Invalidate drops a chunk whose cached contents have become stale:
+	// when a read error escalates a chunk to lost, a copy admitted before
+	// cannot serve later hits. It removes id entirely (ghost/history
+	// entries included) and reports whether a resident copy was dropped.
+	// It is not an eviction: Stats().Evictions does not count it.
+	Invalidate(id ChunkID) bool
 	// SetOnEvict installs fn to be called with the id of every chunk a
 	// capacity replacement removes from the resident set — exactly the
 	// events Stats().Evictions counts, so not on Invalidate — after the
@@ -100,18 +106,6 @@ type PriorityAware interface {
 // need the full upcoming request sequence.
 type FutureAware interface {
 	SetFuture(requests []ChunkID)
-}
-
-// Invalidator drops a chunk whose cached contents have become stale —
-// the fault-injection path uses it when an unrecoverable read error
-// escalates a chunk to lost, so a copy admitted before the escalation
-// cannot serve later hits. Invalidate removes id from the cache
-// entirely (including any ghost/history entries) and reports whether a
-// resident copy was dropped. It is not an eviction: Stats().Evictions
-// counts only capacity replacements. All registered policies implement
-// it.
-type Invalidator interface {
-	Invalidate(id ChunkID) bool
 }
 
 // Factory constructs a policy with the given capacity in chunks.

@@ -94,11 +94,9 @@ func TestPolicyContract(t *testing.T) {
 					t.Fatalf("cap %d: Contains mutated stats", capacity)
 				}
 				reported = reported[:0]
-				if inv, ok := p.(Invalidator); ok {
-					inv.Invalidate(stream[len(stream)-1]) // resident unless MIN bypassed it
-					if len(reported) != 0 {
-						t.Fatalf("cap %d: Invalidate reported %v as evicted", capacity, reported)
-					}
+				p.Invalidate(stream[len(stream)-1]) // resident unless MIN bypassed it
+				if len(reported) != 0 {
+					t.Fatalf("cap %d: Invalidate reported %v as evicted", capacity, reported)
 				}
 				p.Reset()
 				for k := 0; k <= capacity; k++ { // one more distinct chunk than fits

@@ -52,7 +52,7 @@ func (f *FIFO) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Invalidator.
+// Invalidate implements Policy.
 func (f *FIFO) Invalidate(id ChunkID) bool {
 	n, ok := f.index[id]
 	if !ok {

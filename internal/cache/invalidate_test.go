@@ -13,9 +13,8 @@ import (
 
 // TestInvalidateContract drives every registered policy — FBF included —
 // through randomized request streams interleaved with invalidations and
-// asserts the Invalidator contract the fault-injection path depends on:
+// asserts the Invalidate contract the fault-injection path depends on:
 //
-//   - every registered policy implements Invalidator,
 //   - Invalidate returns whether a resident copy was dropped (ghost
 //     entries are removed but reported false),
 //   - after Invalidate the chunk is gone: Contains is false and the
@@ -30,10 +29,6 @@ func TestInvalidateContract(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, capacity := range []int{1, 3, 16} {
 				p := cache.MustNew(name, capacity)
-				inv, ok := p.(cache.Invalidator)
-				if !ok {
-					t.Fatalf("policy %q does not implement Invalidator", name)
-				}
 				rng := rand.New(rand.NewSource(int64(len(name)*1000 + capacity)))
 				stream := make([]cache.ChunkID, 800)
 				for i := range stream {
@@ -51,7 +46,7 @@ func TestInvalidateContract(t *testing.T) {
 					wasResident := p.Contains(victim)
 					lenBefore := p.Len()
 					evBefore := p.Stats().Evictions
-					if got := inv.Invalidate(victim); got != wasResident {
+					if got := p.Invalidate(victim); got != wasResident {
 						t.Fatalf("cap %d step %d: Invalidate(%v) = %v, residency was %v",
 							capacity, i, victim, got, wasResident)
 					}
@@ -69,7 +64,7 @@ func TestInvalidateContract(t *testing.T) {
 						t.Fatalf("cap %d step %d: Invalidate bumped Evictions", capacity, i)
 					}
 					// Double invalidation is a no-op reporting false.
-					if inv.Invalidate(victim) {
+					if p.Invalidate(victim) {
 						t.Fatalf("cap %d step %d: second Invalidate(%v) reported resident", capacity, i, victim)
 					}
 					// The invalidated chunk must re-enter through a miss.

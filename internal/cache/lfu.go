@@ -96,7 +96,7 @@ func (l *LFU) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Invalidator.
+// Invalidate implements Policy.
 func (l *LFU) Invalidate(id ChunkID) bool {
 	e, ok := l.index[id]
 	if !ok {

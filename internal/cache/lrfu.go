@@ -136,7 +136,7 @@ func (l *LRFU) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Invalidator.
+// Invalidate implements Policy.
 func (l *LRFU) Invalidate(id ChunkID) bool {
 	e, ok := l.index[id]
 	if !ok {

@@ -67,7 +67,7 @@ func (l *LRU) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Invalidator.
+// Invalidate implements Policy.
 func (l *LRU) Invalidate(id ChunkID) bool {
 	n, ok := l.index[id]
 	if !ok {

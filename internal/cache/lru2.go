@@ -101,7 +101,7 @@ func (l *LRU2) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Invalidator.
+// Invalidate implements Policy.
 func (l *LRU2) Invalidate(id ChunkID) bool {
 	e, ok := l.index[id]
 	if !ok {

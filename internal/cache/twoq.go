@@ -126,7 +126,7 @@ func (q *TwoQ) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Invalidator: ghost entries are removed too, but
+// Invalidate implements Policy: ghost entries are removed too, but
 // only a resident (A1in/Am) copy counts as dropped.
 func (q *TwoQ) Invalidate(id ChunkID) bool {
 	e, ok := q.index[id]

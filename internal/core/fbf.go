@@ -53,7 +53,6 @@ func NewFBF(capacity int) *FBF {
 var (
 	_ cache.Policy        = (*FBF)(nil)
 	_ cache.PriorityAware = (*FBF)(nil)
-	_ cache.Invalidator   = (*FBF)(nil)
 )
 
 func init() {
@@ -145,7 +144,7 @@ func (f *FBF) evict() {
 	}
 }
 
-// Invalidate implements cache.Invalidator.
+// Invalidate implements cache.Policy.
 func (f *FBF) Invalidate(id cache.ChunkID) bool {
 	e, ok := f.index[id]
 	if !ok {

@@ -17,24 +17,35 @@ import (
 
 // liar serves one surviving address with a payload byte flipped after the
 // store's own CRC check has passed — a chunk that is valid and wrong —
-// and counts the writes that reach each stripe.
+// and remembers how often it lied and which addresses were written.
 type liar struct {
 	store.Backend
-	addr   store.Addr
-	writes map[int]int
+	addr  store.Addr
+	lies  int
+	wrote map[store.Addr]bool
 }
 
 func (l *liar) ReadChunk(a store.Addr, dst []byte) (int, error) {
 	n, err := l.Backend.ReadChunk(a, dst)
 	if err == nil && a == l.addr {
 		dst[n/2] ^= 0x40
+		l.lies++
 	}
 	return n, err
 }
 
 func (l *liar) WriteChunk(a store.Addr, data []byte) error {
-	l.writes[a.Stripe]++
+	l.wrote[a] = true
 	return l.Backend.WriteChunk(a, data)
+}
+
+func (l *liar) writesTo(stripe int) (n int) {
+	for a := range l.wrote {
+		if a.Stripe == stripe {
+			n++
+		}
+	}
+	return n
 }
 
 // TestLyingSurvivorFailsBeforeFirstWrite makes every survivor of a
@@ -49,6 +60,20 @@ func (l *liar) WriteChunk(a store.Addr, data []byte) error {
 // those chains too. The last row documents the limit: at three dead
 // disks the code's redundancy is spent, the run succeeds and the bytes
 // are wrong.
+//
+// The chain-major rows put the paper's damage — three chunks of one disk —
+// into the same stripe, under every code and both single-chain
+// strategies. There the check is per cell (checkCell), so "before the
+// first write" means the failing cell's: every lie the engine reads must
+// end the run with an error naming the stripe and one lost cell, that
+// cell neither written nor committed, and every cell written before it
+// right. (The oracle diff this replaced re-derived most cells through the
+// chain that had just rebuilt them: it wrote 15 of 29 single lies back on
+// STAR under typical, 12 of 25 on Triple-Star, 15 of 21 on TIP, 8 of 21 on
+// HDD1, and 7, 2, 3 and 5 under looped.) The last of them documents the
+// limit there: a STAR diagonal-parity cell sits on one chain only, nothing
+// independent exists to test it against, and a lie on that chain is
+// written and counted verified.
 func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
 	const seed, stripe = 23, 1
 	for _, tc := range []struct {
@@ -76,7 +101,7 @@ func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
 						for d := range dead {
 							killDisk(t, b, d)
 						}
-						l := &liar{Backend: b, addr: AddrOf(stripe, grid.Coord{Row: row, Col: disk}), writes: map[int]int{}}
+						l := &liar{Backend: b, addr: AddrOf(stripe, grid.Coord{Row: row, Col: disk}), wrote: map[store.Addr]bool{}}
 						cfg := ServiceConfig{Backend: l, Manifest: m}
 						if journaled {
 							cfg.JournalPath = filepath.Join(t.TempDir(), "rebuild.journal")
@@ -98,8 +123,8 @@ func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
 						if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("stripe %d", stripe)) {
 							t.Fatalf("survivor %v lying: err = %v, want one naming stripe %d", l.addr, err, stripe)
 						}
-						if l.writes[stripe] != 0 {
-							t.Fatalf("survivor %v lying: %d chunks of the stripe written before it failed", l.addr, l.writes[stripe])
+						if n := l.writesTo(stripe); n != 0 {
+							t.Fatalf("survivor %v lying: %d chunks of the stripe written before it failed", l.addr, n)
 						}
 						if journaled {
 							for a := range journalCommits(t, cfg.JournalPath) {
@@ -112,6 +137,100 @@ func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
 				}
 				if !tc.detection {
 					t.Logf("%s, disks %v dead: %d of %d single lying survivors rebuilt into wrong bytes and counted verified — no redundancy is left to catch them", tc.code, tc.disks, accepted, survivors)
+				}
+			})
+		}
+	}
+
+	type chainMajor struct {
+		code      string
+		cells     []grid.Coord
+		strategy  core.Strategy
+		detection bool
+	}
+	var rows []chainMajor
+	for _, code := range []string{"star", "triplestar", "tip", "hdd1"} {
+		for _, strategy := range []core.Strategy{core.StrategyTypical, core.StrategyLooped} {
+			rows = append(rows, chainMajor{code, []grid.Coord{{Row: 0, Col: 1}, {Row: 1, Col: 1}, {Row: 2, Col: 1}}, strategy, true})
+		}
+	}
+	rows = append(rows, chainMajor{"star", []grid.Coord{{Row: 0, Col: 6}}, core.StrategyTypical, false})
+	for _, tc := range rows {
+		for _, journaled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s-cells%v-%v-journal=%v", tc.code, tc.cells, tc.strategy, journaled), func(t *testing.T) {
+				m := testManifest(tc.code, 5, 2, 64)
+				isLost := map[grid.Coord]bool{}
+				for _, c := range tc.cells {
+					isLost[c] = true
+				}
+				accepted, caught, survivors := 0, 0, 0
+				for disk := 0; disk < m.Disks; disk++ {
+					for row := 0; row < m.Rows; row++ {
+						if isLost[grid.Coord{Row: row, Col: disk}] {
+							continue
+						}
+						survivors++
+						b := initMem(t, m, seed)
+						loseCells(t, b, stripe, tc.cells)
+						l := &liar{Backend: b, addr: AddrOf(stripe, grid.Coord{Row: row, Col: disk}), wrote: map[store.Addr]bool{}}
+						cfg := ServiceConfig{Backend: l, Manifest: m, Strategy: tc.strategy}
+						if journaled {
+							cfg.JournalPath = filepath.Join(t.TempDir(), "rebuild.journal")
+						}
+						res, err := RunService(cfg)
+						var unwritten []store.Addr
+						for _, c := range tc.cells {
+							if a := AddrOf(stripe, c); !l.wrote[a] {
+								unwritten = append(unwritten, a)
+							}
+						}
+						wrong := firstWrongChunk(t, b, m, seed, unwritten...)
+						switch {
+						case err == nil && wrong != nil:
+							if want := len(tc.cells); res.ChunksRebuilt != want || res.ChunksVerified != want {
+								t.Errorf("survivor %v lying: rebuilt %d, verified %d, want %d", l.addr, res.ChunksRebuilt, res.ChunksVerified, want)
+							}
+							accepted++
+						case wrong != nil:
+							t.Errorf("survivor %v lying: %v was written wrong before the run failed: %v", l.addr, *wrong, err)
+						case err == nil && l.lies > 0:
+							t.Errorf("survivor %v lying: read %d times and the run succeeded", l.addr, l.lies)
+						case err == nil:
+							// Neither a repair chain nor a check chain holds it.
+							if len(unwritten) != 0 {
+								t.Errorf("survivor %v lying: the run succeeded with %v unwritten", l.addr, unwritten)
+							}
+						default:
+							if l.lies == 0 {
+								t.Errorf("survivor %v never read: %v", l.addr, err)
+							}
+							failing := 0
+							for _, a := range unwritten {
+								if strings.Contains(err.Error(), fmt.Sprintf("cell %v", grid.Coord{Row: a.Chunk, Col: a.Disk})) {
+									failing++
+								}
+							}
+							if failing != 1 || !strings.Contains(err.Error(), fmt.Sprintf("stripe %d", stripe)) {
+								t.Errorf("survivor %v lying: err = %v, want one naming stripe %d and one cell of the unwritten %v", l.addr, err, stripe, unwritten)
+							}
+							if journaled {
+								for a := range journalCommits(t, cfg.JournalPath) {
+									if !l.wrote[a] {
+										t.Errorf("survivor %v lying: commit record for %v, which was not written", l.addr, a)
+									}
+								}
+							}
+							caught++
+						}
+					}
+				}
+				switch {
+				case tc.detection && (accepted > 0 || caught == 0):
+					t.Fatalf("%s, cells %v lost, %v: %d of %d single lying survivors rebuilt into wrong bytes and counted verified, %d failed the run", tc.code, tc.cells, tc.strategy, accepted, survivors, caught)
+				case !tc.detection && (accepted == 0 || caught > 0):
+					t.Fatalf("%s, cells %v lost: %d lies accepted, %d caught; the fixture has a second chain after all", tc.code, tc.cells, accepted, caught)
+				case !tc.detection:
+					t.Logf("%s, cells %v lost: %d of %d single lying survivors rebuilt into wrong bytes and counted verified — the cell's repair chain is its only chain", tc.code, tc.cells, accepted, survivors)
 				}
 			})
 		}

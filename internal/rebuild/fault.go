@@ -212,9 +212,7 @@ func (w *worker) escalate(cell grid.Coord, id cache.ChunkID) {
 	// If the cell had been checkpointed its spare copy is what just
 	// failed to read; it needs rebuilding again.
 	delete(w.recovered, cell)
-	if inv, ok := w.cache.(cache.Invalidator); ok {
-		inv.Invalidate(id)
-	}
+	w.cache.Invalidate(id)
 	w.aborted = true
 }
 

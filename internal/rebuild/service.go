@@ -3,14 +3,15 @@
 // event-driven engine replays — core.RegenerateScheme chain selection,
 // cache.Policy residency with FBF priorities, the escalate-and-replan
 // ladder — against real bytes in a store.Backend, checking every
-// recovered chunk before it is written back. A stripe is evaluated in
-// one of two orders, chosen by its plan: chain by chain through the byte
-// cache, each cell diffed against internal/verify's GF(2) oracle, when
-// every lost cell has a single parity chain (replayChains — the paper's
-// partial stripe errors), or in one read-once pass that sums the
-// stripe's parity-chain syndromes, decodes on them and requires every
-// chain of the repaired stripe to be zero, when the plan needs the GF(2)
-// decoder (replayDecoded — whole-disk damage).
+// recovered chunk before it is written back: parity chains of the
+// repaired stripe, members from grid.Layout, must XOR to zero. A stripe is
+// evaluated in one of two orders, chosen by its plan: chain by chain
+// through the byte cache, each rebuilt cell summed with one more chain
+// through it (checkCell), when every lost cell has a single parity chain
+// (replayChains — the paper's partial stripe errors), or in one read-once
+// pass that sums the stripe's parity-chain syndromes, decodes on them and
+// tests every chain, when the plan needs the GF(2) decoder
+// (replayDecoded — whole-disk damage).
 package rebuild
 
 import (
@@ -67,8 +68,8 @@ type ServiceConfig struct {
 	// payload bit-rot at scan time.
 	Scrub bool
 	// NoVerify skips the check of recovered chunks before write-back: the
-	// GF(2) oracle diff of a chain-major stripe, the zero test of a
-	// decoded one.
+	// parity-chain zero test, per cell of a chain-major stripe (checkCell)
+	// and per stripe of a decoded one.
 	NoVerify bool
 
 	// Priority selects the stripe repair order (PrioritySequential
@@ -349,7 +350,7 @@ type ServiceResult struct {
 
 	StripesRepaired int
 	ChunksRebuilt   int
-	ChunksVerified  int // chunks that passed the pre-write check (oracle diff or zero test)
+	ChunksVerified  int // chunks written under the pre-write zero test; one whose repair chain is its only chain has nothing to be tested against and counts too
 	ChunksDecoded   int // rebuilt via the GF(2) decoder fallback rather than a single chain
 
 	// Planned work (populated by DryRun instead of the executed
@@ -358,7 +359,7 @@ type ServiceResult struct {
 	PlannedReads  int // distinct source chunks it would read
 
 	DiskReads   uint64 // backend payload reads during repair
-	VerifyReads uint64 // extra backend reads for the check alone
+	VerifyReads uint64 // backend reads for the check alone: chain members it did not find in the byte cache
 	CacheHits   uint64
 	CacheMisses uint64
 
@@ -379,12 +380,12 @@ type ServiceResult struct {
 }
 
 // RunService scans the store and repairs every damaged stripe through
-// the scheme/cache/escalation machinery, checking recovered chunks
-// (GF(2) oracle diff, or a decoded stripe's zero test) before writing
-// them back. CheckOnly stops after the scan; DryRun stops after
-// planning. Unsolvable cells are accounted as data loss, not an error —
-// errors mean the engine itself could not proceed (I/O failures, bad
-// configuration, a stripe that fails its check).
+// the scheme/cache/escalation machinery, checking recovered chunks (the
+// parity-chain zero test) before writing them back. CheckOnly stops after
+// the scan; DryRun stops after planning. Unsolvable cells are accounted as
+// data loss, not an error — errors mean the engine itself could not
+// proceed (I/O failures, bad configuration, a stripe that fails its
+// check).
 func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 	cfg.defaults()
 	if err := cfg.validate(); err != nil {
@@ -653,15 +654,21 @@ func (s *service) verifyResumed(st *JournalState) error {
 				continue
 			}
 			if oracle.Solvable(cell) {
-				failed, err := s.oracleCheck(stripe, oracle, cell, buf)
+				var readErr error
+				err := oracle.Check(cell, buf, s.scratch[0], s.scratch[1], func(src grid.Coord, dst chunk.Chunk) error {
+					if readErr = s.readSource(AddrOf(stripe, src), dst); readErr == nil {
+						s.m.VerifyReads.Inc()
+					}
+					return readErr
+				})
 				switch {
 				case err == nil:
-				case failed != nil && (store.IsNotFound(err) || store.IsCorrupt(err)):
+				case store.IsNotFound(readErr) || store.IsCorrupt(readErr):
 					// A source the oracle needs is itself damaged; the
 					// CRC match stands and repairing the stripe's fresh
 					// damage is what restores full verifiability.
 					continue
-				case failed != nil:
+				case readErr != nil:
 					return err
 				default:
 					// Structurally valid bytes that do not re-derive:
@@ -719,8 +726,8 @@ type service struct {
 	res  *ServiceResult
 	pool *chunk.Pool
 
-	// scratch is the oracle's re-derivation accumulator and read buffer
-	// (verify.Oracle.Check), held for the whole run.
+	// scratch is the accumulator and read buffer of checkCell and of
+	// resume's verify.Oracle.Check, held for the whole run.
 	scratch [2]chunk.Chunk
 
 	// lost holds the cells of the stripe under repair that were accounted
@@ -754,10 +761,11 @@ type schemePlan struct {
 	// decoded reports a scheme with at least one GF(2)-decoder selection;
 	// such a stripe is rebuilt by replayDecoded along pass, built on
 	// first use and carrying its own zero test. A scheme of single chains
-	// goes chain by chain and is cross-checked against oracle.
+	// goes chain by chain; checks[i] lists the other chains through
+	// Selected[i] that hold no cell still lost at its turn (checkCell).
 	decoded bool
 	pass    *decodePass
-	oracle  *verify.Oracle
+	checks  [][]*grid.Chain
 }
 
 func lostKey(lost []grid.Coord) string {
@@ -790,8 +798,18 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 		p.decoded = p.decoded || sel.Decoded
 	}
 	if !p.decoded {
-		if p.oracle, err = verify.NewOracle(s.code, lost); err != nil {
-			return nil, err
+		// At a cell's turn the ones selected before it are on the backend,
+		// the ones after it still lost (such a plan has no unsolved cell).
+		p.checks = make([][]*grid.Chain, len(scheme.Selected))
+		var after []grid.Coord
+		for i := len(scheme.Selected) - 1; i >= 0; i-- {
+			sel := scheme.Selected[i]
+			for _, ch := range s.code.Layout().ChainsThrough(sel.Lost) {
+				if ch.ID() != sel.Chain && len(sharedWith(after, ch)) == 0 {
+					p.checks[i] = append(p.checks[i], ch)
+				}
+			}
+			after = append(after, sel.Lost)
 		}
 	}
 	if s.schemes == nil {
@@ -872,10 +890,8 @@ func (s *service) repairStripe(d StripeDamage) error {
 		// Escalate: the cell joins the lost set; regenerate for the
 		// cells still needing repair (unsolved ones are lost).
 		s.m.Escalations.Inc()
-		if inv, ok := s.policy.(cache.Invalidator); ok && s.policy != nil {
-			if id := (cache.ChunkID{Stripe: d.Stripe, Cell: *esc}); inv.Invalidate(id) {
-				s.dropBuf(id)
-			}
+		if id := (cache.ChunkID{Stripe: d.Stripe, Cell: *esc}); s.policy != nil && s.policy.Invalidate(id) {
+			s.dropBuf(id)
 		}
 		lost = mergeCell(lost, *esc)
 		var remaining []grid.Coord
@@ -914,7 +930,7 @@ func (s *service) repairStripe(d StripeDamage) error {
 func (s *service) replayChains(stripe int, plan *schemePlan) (*grid.Coord, error) {
 	acc := s.pool.GetRaw()
 	defer s.pool.Put(acc)
-	for _, sel := range plan.scheme.Selected {
+	for i, sel := range plan.scheme.Selected {
 		if stopRequested(s.cfg.Stop) {
 			// Graceful stop between chunk repairs: everything committed
 			// so far is journaled; the caller keeps the journal.
@@ -927,28 +943,14 @@ func (s *service) replayChains(stripe int, plan *schemePlan) (*grid.Coord, error
 		if len(sel.Fetch) == 0 {
 			clear(acc)
 		}
-		for i, cell := range sel.Fetch {
-			err := s.fetchInto(stripe, cell, acc, i == 0)
-			if err == nil {
-				continue
+		for k, cell := range sel.Fetch {
+			if err := s.fetchInto(stripe, cell, acc, k == 0); err != nil {
+				return escalation(cell, err)
 			}
-			if store.IsNotFound(err) || store.IsCorrupt(err) {
-				// A chunk the scan believed healthy is unreadable —
-				// the real-bytes analogue of a URE mid-rebuild.
-				cell := cell
-				return &cell, nil
-			}
-			return nil, err
 		}
 		if !s.cfg.NoVerify {
-			failed, err := s.oracleCheck(stripe, plan.oracle, sel.Lost, acc)
-			if failed != nil && (store.IsNotFound(err) || store.IsCorrupt(err)) {
-				// Rot in a chunk only the oracle reads is damage like any
-				// other: nothing of this cell is written yet, escalate.
-				return failed, nil
-			}
-			if err != nil {
-				return nil, err
+			if esc, err := s.checkCell(stripe, sel, plan.checks[i], acc); esc != nil || err != nil {
+				return esc, err
 			}
 			s.m.ChunksVerified.Inc()
 		}
@@ -1245,23 +1247,70 @@ func (s *service) bookCell(a store.Addr, sel core.SelectedChain, data chunk.Chun
 	return nil
 }
 
-// oracleCheck re-derives the recovered cell through the GF(2) decoder
-// plan, reading every source chunk directly from the backend (not the
-// cache), and diffs the two reconstructions. When a source read is what
-// failed, failed names that source beside the error, so callers can tell
-// an unreadable survivor (missing, corrupt or the wrong size: theirs to
-// escalate or skip) from a disagreement.
-func (s *service) oracleCheck(stripe int, oracle *verify.Oracle, cell grid.Coord, recovered chunk.Chunk) (failed *grid.Coord, err error) {
-	err = oracle.Check(cell, recovered, s.scratch[0], s.scratch[1], func(src grid.Coord, dst chunk.Chunk) error {
-		if err := s.readSource(AddrOf(stripe, src), dst); err != nil {
-			bad := src // a copy, so that only a failed read allocates
-			failed = &bad
-			return err
+// checkCell is the chain-major pre-write check (DESIGN §12): the cell
+// just rebuilt through sel.Chain must XOR to zero with the rest of one
+// more chain through it — of candidates, the one with the fewest members
+// outside the byte cache, the first in layout order among equals. A member
+// both chains hold cancels in that sum, so while every chain summed so far
+// shares a member with the repair chain, another that lacks it is summed
+// too. Resident members are folded without a request (the policy's state
+// and counts stay the plan's), the rest are verify reads the cache does
+// not admit, and an unreadable one is the caller's to escalate.
+func (s *service) checkCell(stripe int, sel core.SelectedChain, candidates []*grid.Chain, rebuilt chunk.Chunk) (*grid.Coord, error) {
+	sum, buf := s.scratch[0], s.scratch[1]
+	for blind := sel.Fetch; len(blind) > 0; {
+		var check *grid.Chain
+		fewest := 0
+		for _, ch := range candidates {
+			if len(sharedWith(blind, ch)) == len(blind) {
+				continue // it would show nothing the chains before it did not
+			}
+			absent := 0
+			for _, m := range ch.Cells {
+				if _, ok := s.bufs[cache.ChunkID{Stripe: stripe, Cell: m}]; !ok {
+					absent++
+				}
+			}
+			if check == nil || absent < fewest {
+				check, fewest = ch, absent
+			}
 		}
-		s.m.VerifyReads.Inc()
-		return nil
-	})
-	return failed, err
+		if check == nil {
+			break
+		}
+		copy(sum, rebuilt)
+		for _, m := range check.Cells {
+			if m == sel.Lost {
+				continue
+			}
+			src, ok := s.bufs[cache.ChunkID{Stripe: stripe, Cell: m}]
+			if !ok {
+				if err := s.readSource(AddrOf(stripe, m), buf); err != nil {
+					return escalation(m, err)
+				}
+				s.m.VerifyReads.Inc()
+				src = buf
+			}
+			chunk.XORInto(sum, src)
+		}
+		if !sum.IsZero() {
+			return nil, fmt.Errorf("rebuild: stripe %d: cell %v rebuilt through chain %v#%d does not XOR to zero with the rest of chain %v#%d",
+				stripe, sel.Lost, sel.Chain.Kind, sel.Chain.Index, check.Kind, check.Index)
+		}
+		blind = sharedWith(blind, check)
+	}
+	return nil, nil
+}
+
+// escalation is what a replay returns for a failed source read: the cell,
+// for the caller to escalate, when a chunk the scan believed healthy is
+// missing or corrupt (the real-bytes analogue of a URE mid-rebuild), the
+// error otherwise.
+func escalation(cell grid.Coord, err error) (*grid.Coord, error) {
+	if store.IsNotFound(err) || store.IsCorrupt(err) {
+		return &cell, nil
+	}
+	return nil, err
 }
 
 // fetchInto reads one source cell's bytes — from the byte cache on a
@@ -1334,6 +1383,16 @@ func fold(acc, src chunk.Chunk, first bool) {
 		return
 	}
 	chunk.XORInto(acc, src)
+}
+
+// sharedWith returns the cells that ch holds too, nil when there are none.
+func sharedWith(cells []grid.Coord, ch *grid.Chain) (out []grid.Coord) {
+	for _, c := range cells {
+		if ch.Contains(c) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func mergeCell(lost []grid.Coord, c grid.Coord) []grid.Coord {

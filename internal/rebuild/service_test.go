@@ -12,7 +12,6 @@ import (
 	"fbf/internal/core"
 	"fbf/internal/grid"
 	"fbf/internal/store"
-	"fbf/internal/verify"
 )
 
 func testManifest(codeName string, p, stripes, chunkSize int) store.ArrayManifest {
@@ -634,6 +633,40 @@ func TestServiceNoVerify(t *testing.T) {
 	}
 }
 
+// TestChainMajorCheckCounts pins what the pre-write check costs on the
+// paper's damage: chunks 1–3 of disk 3 in each of three TIP p=7 stripes
+// (CI's third storage-engine drill on a memstore). The plan's reads, hits
+// and misses are the figures the oracle diff ran beside — the check folds
+// resident members without a request — while its own reads, 57 then and
+// more than the repair's, stay below the repair's; and every read the
+// backend served is booked as one or the other.
+func TestChainMajorCheckCounts(t *testing.T) {
+	const seed = 7
+	m := testManifest("tip", 7, 3, 64)
+	b := initMem(t, m, seed)
+	for s := 0; s < m.Stripes; s++ {
+		loseCells(t, b, s, core.PartialStripeError{Stripe: s, Disk: 3, Row: 1, Size: 3}.LostCells())
+	}
+	counter := newReadCounter(b)
+	res, err := RunService(ServiceConfig{Backend: counter, Manifest: m, Strategy: core.StrategyLooped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ChunksRebuilt != 9 || res.ChunksVerified != 9 || res.ChunksDecoded != 0 {
+		t.Fatalf("rebuilt %d, verified %d, decoded %d; want 9, 9, 0", res.ChunksRebuilt, res.ChunksVerified, res.ChunksDecoded)
+	}
+	if res.DiskReads != 51 || res.CacheHits != 6 || res.CacheMisses != 51 {
+		t.Fatalf("%d reads, %d hits, %d misses; want 51, 6, 51", res.DiskReads, res.CacheHits, res.CacheMisses)
+	}
+	if res.VerifyReads >= res.DiskReads {
+		t.Fatalf("%d verify reads beside %d repair reads", res.VerifyReads, res.DiskReads)
+	}
+	if got := uint64(counter.total()); got != res.DiskReads+res.VerifyReads {
+		t.Fatalf("backend served %d reads, %d + %d booked", got, res.DiskReads, res.VerifyReads)
+	}
+	checkAgainstGroundTruth(t, b, m, seed)
+}
+
 // sourceFailures are the three ways a chunk the header-only scan passed
 // can turn out unreadable when its payload is asked for.
 func sourceFailures(chunkSize int) map[string]func(store.Addr) (int, error) {
@@ -756,11 +789,12 @@ func (u *unreadable) WriteChunk(a store.Addr, data []byte) error {
 }
 
 // TestServiceOracleSourceEscalates rots, one at a time, every chunk of a
-// chain-major stripe that no selected chain fetches and only the oracle's
-// equations list, as missing, as corrupt and as the wrong size. That is
-// damage well inside the code's tolerance, found by the oracle's read
-// rather than a chain's: it must escalate and be repaired exactly as a
-// chain source would, not abort the rebuild with an engine error.
+// chain-major stripe that no selected chain fetches and only the pre-write
+// check reads (the name is from when that check was the GF(2) oracle), as
+// missing, as corrupt and as the wrong size. That is damage well inside
+// the code's tolerance, found by the check's read rather than a chain's:
+// it must escalate and be repaired exactly as a chain source would, not
+// abort the rebuild with an engine error.
 func TestServiceOracleSourceEscalates(t *testing.T) {
 	const seed = 17
 	m := testManifest("tip", 7, 2, 64)
@@ -768,10 +802,6 @@ func TestServiceOracleSourceEscalates(t *testing.T) {
 	e := core.PartialStripeError{Stripe: 1, Disk: 2, Row: 0, Size: 2}
 	lost := e.LostCells()
 	scheme, _, err := core.RegenerateScheme(code, e, lost, nil, core.StrategyLooped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := verify.NewOracle(code, lost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -784,38 +814,43 @@ func TestServiceOracleSourceEscalates(t *testing.T) {
 			fetched[c] = true
 		}
 	}
-	var oracleOnly []grid.Coord
-	for _, cell := range lost {
-		for _, src := range oracle.Sources(cell) {
-			if !fetched[src] {
-				fetched[src] = true
-				oracleOnly = append(oracleOnly, src)
-			}
+	damaged := func() *store.Mem {
+		b := initMem(t, m, seed)
+		loseCells(t, b, e.Stripe, lost)
+		return b
+	}
+	clean := newReadCounter(damaged())
+	if _, err := RunService(ServiceConfig{Backend: clean, Manifest: m, Strategy: core.StrategyLooped}); err != nil {
+		t.Fatal(err)
+	}
+	var checkOnly []grid.Coord
+	for a := range clean.reads {
+		if cell := (grid.Coord{Row: a.Chunk, Col: a.Disk}); a.Stripe == e.Stripe && !fetched[cell] {
+			checkOnly = append(checkOnly, cell)
 		}
 	}
-	if len(oracleOnly) == 0 {
-		t.Fatal("every oracle source is a chain source too; the fixture proves nothing")
+	if len(checkOnly) == 0 {
+		t.Fatal("every chunk the check reads is a chain source too; the fixture proves nothing")
 	}
 	for kind, fail := range sourceFailures(m.ChunkSize) {
 		t.Run(kind, func(t *testing.T) {
-			for _, victim := range oracleOnly {
-				b := initMem(t, m, seed)
-				loseCells(t, b, e.Stripe, lost)
+			for _, victim := range checkOnly {
+				b := damaged()
 				res, err := RunService(ServiceConfig{
 					Backend:  &unreadable{Backend: b, addr: AddrOf(e.Stripe, victim), fail: fail},
 					Manifest: m, Strategy: core.StrategyLooped,
 				})
 				if err != nil {
-					t.Fatalf("oracle-only source %v: %v", victim, err)
+					t.Fatalf("check-only member %v: %v", victim, err)
 				}
 				if res.Escalations < 1 || res.Regenerations != res.Escalations {
-					t.Fatalf("oracle-only source %v: %d escalations, %d regenerations", victim, res.Escalations, res.Regenerations)
+					t.Fatalf("check-only member %v: %d escalations, %d regenerations", victim, res.Escalations, res.Regenerations)
 				}
 				if res.DataLoss != (len(res.Lost) > 0) {
-					t.Fatalf("oracle-only source %v: DataLoss=%v with lost cells %v", victim, res.DataLoss, res.Lost)
+					t.Fatalf("check-only member %v: DataLoss=%v with lost cells %v", victim, res.DataLoss, res.Lost)
 				}
 				if want := len(lost) + 1 - len(res.Lost); res.ChunksRebuilt != want || res.ChunksVerified != want {
-					t.Fatalf("oracle-only source %v: rebuilt %d, verified %d, want %d (lost %v)", victim, res.ChunksRebuilt, res.ChunksVerified, want, res.Lost)
+					t.Fatalf("check-only member %v: rebuilt %d, verified %d, want %d (lost %v)", victim, res.ChunksRebuilt, res.ChunksVerified, want, res.Lost)
 				}
 				var stillMissing []store.Addr
 				for _, a := range res.Lost {

@@ -536,11 +536,8 @@ func (sv *servingState) serveWrite(id cache.ChunkID, class StripeClass) {
 		e.sim.Schedule(charge, func() {
 			so.outstanding = len(members)
 			so.onBarrier = func() { sv.finish("write", id, class, e.sim.Now()-so.start) }
-			inv, canInvalidate := w.cache.(cache.Invalidator)
 			for _, m := range members {
-				if canInvalidate {
-					inv.Invalidate(cache.ChunkID{Stripe: id.Stripe, Cell: m})
-				}
+				w.cache.Invalidate(cache.ChunkID{Stripe: id.Stripe, Cell: m})
 				sv.res.DiskWrites++
 				err := e.array.WriteChunk(id.Stripe, m, func(issued, completed sim.Time) { so.done() })
 				if err != nil {

@@ -72,11 +72,11 @@ type RebuildMetrics struct {
 	StripesPlanned Counter // damaged stripes ordered for repair, cumulative across passes
 	StripesDone    Counter // stripes fully repaired
 	ChunksRebuilt  Counter // chunks recovered and written back
-	ChunksVerified Counter // recovered chunks that passed the check before write-back (GF(2) oracle diff, or a decoded stripe's zero test)
+	ChunksVerified Counter // recovered chunks written under the pre-write parity-chain zero test
 	ChunksDecoded  Counter // chunks rebuilt via the decoder fallback rather than a single chain
 
 	DiskReads    Counter // source chunks fetched from the backend
-	VerifyReads  Counter // backend reads issued for the check alone (oracle, zero test) and by resume re-verification
+	VerifyReads  Counter // backend reads issued for the zero test alone (chain members not in the byte cache) and by resume re-verification
 	CacheHits    Counter // source fetches answered by the cache
 	CacheMisses  Counter // source fetches that went to the backend
 	BytesWritten Counter // recovered payload bytes written
@@ -107,7 +107,7 @@ func NewRebuildMetrics(reg *Registry) *RebuildMetrics {
 		{&m.StripesPlanned, "fbf_rebuild_stripes_planned", "Damaged stripes ordered for repair, cumulative across passes."},
 		{&m.StripesDone, "fbf_rebuild_stripes_done", "Stripes fully repaired."},
 		{&m.ChunksRebuilt, "fbf_rebuild_chunks_rebuilt", "Chunks recovered and written back."},
-		{&m.ChunksVerified, "fbf_rebuild_chunks_verified", "Recovered chunks that passed the pre-write check (GF(2) oracle diff, or a decoded stripe's parity-chain zero test)."},
+		{&m.ChunksVerified, "fbf_rebuild_chunks_verified", "Recovered chunks that passed the pre-write check (the parity-chain zero test)."},
 		{&m.ChunksDecoded, "fbf_rebuild_chunks_decoded", "Chunks rebuilt via the decoder fallback rather than a single chain."},
 		{&m.DiskReads, "fbf_rebuild_disk_reads", "Source chunks fetched from the backend."},
 		{&m.VerifyReads, "fbf_rebuild_verify_reads", "Backend reads issued for the pre-write check alone and by resume re-verification."},

@@ -17,7 +17,6 @@ import (
 // selection, so a scheme bug and a decoder bug would have to agree to
 // escape.
 type Oracle struct {
-	code    *codes.Code
 	plan    map[grid.Coord][]grid.Coord
 	lostSet map[grid.Coord]bool
 }
@@ -34,7 +33,7 @@ func NewOracle(code *codes.Code, lost []grid.Coord) (*Oracle, error) {
 	for _, c := range lost {
 		lostSet[c] = true
 	}
-	return &Oracle{code: code, plan: plan, lostSet: lostSet}, nil
+	return &Oracle{plan: plan, lostSet: lostSet}, nil
 }
 
 // Solvable reports whether the decoder can re-derive the cell at all.
