@@ -262,110 +262,76 @@ func runStatus(args []string, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-// throttled wraps the backend in a token-bucket rate limit when the
-// rate-limit option is given (bytes of chunk payload I/O per second).
-// The throttle handle is returned alongside so telemetry can expose the
-// bucket state; it is nil when no limit was asked for.
-func throttled(b store.Backend, opts *cli.Options) (store.Backend, *store.Throttle, error) {
-	rate, err := opts.Int64("rate-limit", 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !opts.Has("rate-limit") {
-		return b, nil, nil
-	}
-	t, err := store.NewThrottle(b, rate)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, t, nil
-}
-
-// serviceCmd is the command line rebuild and daemon share: the flags
-// that name the store and the repair machinery, and the -o options.
-type serviceCmd struct {
-	fs   *flag.FlagSet // "fbfctl rebuild" or "fbfctl daemon"; the caller adds its own flags before open
-	opts cli.Options
-
-	storeDir, policy, strategy *string
-	cacheChunks                *int
-}
-
-// boolOpt binds one boolean -o key to where its value goes.
-type boolOpt struct {
-	key string
-	dst *bool
-}
-
-// newServiceCmd declares the shared flags; optHelp is the -o flag's list
-// of keys as its help shows them.
-func newServiceCmd(name string, stderr io.Writer, optHelp string) *serviceCmd {
-	c := &serviceCmd{fs: flag.NewFlagSet("fbfctl "+name, flag.ContinueOnError)}
-	c.fs.SetOutput(stderr)
-	c.storeDir = c.fs.String("store", "", "store directory")
-	c.policy = c.fs.String("policy", "fbf", "cache policy for surviving chunks")
-	c.strategy = c.fs.String("strategy", "looped", "chain-selection strategy")
-	c.cacheChunks = c.fs.Int("cache", 64, "cache capacity in chunks (negative disables)")
-	c.fs.Var(&c.opts, "o", "operator option: "+optHelp)
-	return c
-}
-
-// open parses args, rejects -o keys outside known, and opens the store
-// (dir) behind its rate limit (cfg.Backend; throttle is nil without one).
-// When ok is false the reason is on stderr and the exit status is exitErr.
-func (c *serviceCmd) open(args []string, known ...string) (cfg rebuild.ServiceConfig, dir *store.Dir, throttle *store.Throttle, ok bool) {
-	err := c.fs.Parse(args)
+// openService is the command line rebuild and daemon share: it declares on
+// fs, beside the caller's own flags, the ones that name the store and the
+// repair machinery, parses args, rejects -o keys outside known and opens
+// the store (dir). With rate-limit (chunk payload bytes per second)
+// cfg.Backend is dir behind throttle, the handle telemetry exposes. When
+// ok is false the reason is on stderr and the exit status is exitErr.
+func openService(fs *flag.FlagSet, stderr io.Writer, args []string, opts *cli.Options, known ...string) (cfg rebuild.ServiceConfig, dir *store.Dir, throttle *store.Throttle, ok bool) {
+	fs.SetOutput(stderr)
+	storeDir := fs.String("store", "", "store directory")
+	fs.StringVar(&cfg.Policy, "policy", "fbf", "cache policy for surviving chunks")
+	strategy := fs.String("strategy", "looped", "chain-selection strategy")
+	fs.IntVar(&cfg.CacheChunks, "cache", 64, "cache capacity in chunks (negative disables)")
+	err := fs.Parse(args)
 	if err != nil {
 		return cfg, nil, nil, false // the flag set has said why
 	}
-	if unknown := c.opts.Unknown(known...); len(unknown) > 0 {
-		err = fmt.Errorf("unknown -o options %v (%s knows: %s)", unknown, strings.TrimPrefix(c.fs.Name(), "fbfctl "), strings.Join(known, ", "))
+	if unknown := opts.Unknown(known...); len(unknown) > 0 {
+		err = fmt.Errorf("unknown -o options %v (%s knows: %s)", unknown, strings.TrimPrefix(fs.Name(), "fbfctl "), strings.Join(known, ", "))
 	}
 	if err == nil {
-		cfg.Strategy, err = core.ParseStrategy(*c.strategy)
+		cfg.Strategy, err = core.ParseStrategy(*strategy)
 	}
 	if err == nil {
-		cfg.Manifest, dir, err = openStore(*c.storeDir)
+		cfg.Manifest, dir, err = openStore(*storeDir)
 	}
+	var rate int64
 	if err == nil {
-		cfg.Backend, throttle, err = throttled(dir, &c.opts)
+		rate, err = opts.Int64("rate-limit", 0)
+	}
+	if cfg.Backend = dir; err == nil && opts.Has("rate-limit") {
+		if throttle, err = store.NewThrottle(dir, rate); err == nil {
+			cfg.Backend = throttle
+		}
 	}
 	if err != nil {
-		fail(c.fs.Output(), err)
-		return cfg, nil, nil, false
+		fail(stderr, err)
 	}
-	cfg.Policy, cfg.CacheChunks = *c.policy, *c.cacheChunks
-	cfg.Priority = c.opts.Value("priority", rebuild.PrioritySequential)
-	return cfg, dir, throttle, true
+	cfg.Priority = opts.Value("priority", rebuild.PrioritySequential)
+	return cfg, dir, throttle, err == nil
 }
 
-// bind parses the boolean -o options in order, reporting like open.
-func (c *serviceCmd) bind(binds ...boolOpt) bool {
-	for _, bind := range binds {
-		v, err := c.opts.Bool(bind.key)
+// bindBools parses the boolean -o options keys, in order, into dsts.
+func bindBools(opts *cli.Options, keys []string, dsts ...*bool) error {
+	for i, key := range keys {
+		v, err := opts.Bool(key)
 		if err != nil {
-			fail(c.fs.Output(), err)
-			return false
+			return err
 		}
-		*bind.dst = v
+		*dsts[i] = v
 	}
-	return true
+	return nil
 }
 
 func runRebuild(args []string, stdout, stderr io.Writer) int {
-	c := newServiceCmd("rebuild", stderr, "check-only, dry-run, scrub, no-verify, priority=..., resume, rate-limit=...")
-	progress := c.fs.Bool("progress", false, "report per-stripe progress on stderr")
-	cfg, b, _, ok := c.open(args, "check-only", "dry-run", "scrub", "no-verify", "priority", "resume", "rate-limit")
-	var resume bool
-	if !ok || !c.bind(boolOpt{"check-only", &cfg.CheckOnly}, boolOpt{"dry-run", &cfg.DryRun},
-		boolOpt{"scrub", &cfg.Scrub}, boolOpt{"no-verify", &cfg.NoVerify}, boolOpt{"resume", &resume}) {
+	fs := flag.NewFlagSet("fbfctl rebuild", flag.ContinueOnError)
+	progress := fs.Bool("progress", false, "report per-stripe progress on stderr")
+	var opts cli.Options
+	fs.Var(&opts, "o", "operator option: check-only, dry-run, scrub, no-verify, priority=..., resume, rate-limit=...")
+	cfg, b, _, ok := openService(fs, stderr, args, &opts, "check-only", "dry-run", "scrub", "no-verify", "priority", "resume", "rate-limit")
+	if !ok {
 		return exitErr
 	}
-	m, strat := cfg.Manifest, cfg.Strategy
+	var resume bool
+	if err := bindBools(&opts, []string{"check-only", "dry-run", "scrub", "no-verify", "resume"}, &cfg.CheckOnly, &cfg.DryRun, &cfg.Scrub, &cfg.NoVerify, &resume); err != nil {
+		return fail(stderr, err)
+	}
 	if resume {
 		// Journaled mode: progress survives crashes and interrupts, and
 		// a rerun with -o resume picks up where this one stopped.
-		cfg.JournalPath = filepath.Join(*c.storeDir, journalName)
+		cfg.JournalPath = filepath.Join(b.Root(), journalName)
 	}
 	if !cfg.CheckOnly && !cfg.DryRun {
 		// SIGINT/SIGTERM request a graceful stop: finish the chunk in
@@ -387,7 +353,7 @@ func runRebuild(args []string, stdout, stderr io.Writer) int {
 	}
 	rep := res.Report
 	fmt.Fprintf(stdout, "        scan : %d lost chunks (%d missing, %d corrupt) in %d of %d stripes\n",
-		rep.LostChunks(), rep.MissingChunks, rep.CorruptChunks, len(rep.Stripes), m.Stripes)
+		rep.LostChunks(), rep.MissingChunks, rep.CorruptChunks, len(rep.Stripes), cfg.Manifest.Stripes)
 	switch {
 	case cfg.CheckOnly:
 		fmt.Fprintf(stdout, "  check-only : no repair attempted\n")
@@ -405,12 +371,12 @@ func runRebuild(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "       state : clean\n")
 	case cfg.DryRun:
 		fmt.Fprintf(stdout, "        plan : strategy=%s policy=%s cache=%d priority=%s\n",
-			strat, cfg.Policy, cfg.CacheChunks, cfg.Priority)
+			cfg.Strategy, cfg.Policy, cfg.CacheChunks, cfg.Priority)
 		fmt.Fprintf(stdout, "     dry-run : would rebuild %d chunks reading %d distinct chunks\n",
 			res.PlannedChunks, res.PlannedReads)
 	default:
 		fmt.Fprintf(stdout, "        plan : strategy=%s policy=%s cache=%d priority=%s\n",
-			strat, cfg.Policy, cfg.CacheChunks, cfg.Priority)
+			cfg.Strategy, cfg.Policy, cfg.CacheChunks, cfg.Priority)
 		if res.ResumedCommits > 0 {
 			fmt.Fprintf(stdout, "     resumed : %d journaled commits replayed (%d re-verified)\n",
 				res.ResumedCommits, res.ResumeVerified)
@@ -421,7 +387,7 @@ func runRebuild(args []string, stdout, stderr io.Writer) int {
 			res.DiskReads, res.VerifyReads, res.CacheHits, res.CacheMisses, res.BytesWritten)
 		fmt.Fprintf(stdout, "      ladder : %d escalations, %d regenerations\n",
 			res.Escalations, res.Regenerations)
-		after, err := rebuild.ScanStore(b, m, cfg.Scrub)
+		after, err := rebuild.ScanStore(b, cfg.Manifest, cfg.Scrub)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -442,14 +408,15 @@ func runRebuild(args []string, stdout, stderr io.Writer) int {
 // rebuild whenever damage appears, back off on transient failures, and
 // shut down gracefully on SIGINT/SIGTERM.
 func runDaemon(args []string, stdout, stderr io.Writer) int {
-	c := newServiceCmd("daemon", stderr, "scrub, no-verify, priority=..., rate-limit=BYTES/S, retries=N, max-scans=N")
-	interval := c.fs.Duration("interval", rebuild.DefaultInterval, "pause between clean scans")
-	listen := c.fs.String("listen", "", "serve /metrics, /healthz and /progress on this address (e.g. :9920); empty disables telemetry")
-	svc, _, throttle, ok := c.open(args, "scrub", "no-verify", "priority", "rate-limit", "retries", "max-scans")
+	fs := flag.NewFlagSet("fbfctl daemon", flag.ContinueOnError)
+	interval := fs.Duration("interval", rebuild.DefaultInterval, "pause between clean scans")
+	listen := fs.String("listen", "", "serve /metrics, /healthz and /progress on this address (e.g. :9920); empty disables telemetry")
+	var opts cli.Options
+	fs.Var(&opts, "o", "operator option: scrub, no-verify, priority=..., rate-limit=BYTES/S, retries=N, max-scans=N")
+	svc, b, throttle, ok := openService(fs, stderr, args, &opts, "scrub", "no-verify", "priority", "rate-limit", "retries", "max-scans")
 	if !ok {
 		return exitErr
 	}
-	opts := &c.opts
 	// Telemetry is armed only with -listen: the instrumented wrapper, the
 	// registry and the HTTP server all exist solely on that path, so a
 	// plain daemon run takes no listener and no extra work per I/O.
@@ -477,10 +444,10 @@ func runDaemon(args []string, stdout, stderr io.Writer) int {
 			testListenReady(addr)
 		}
 	}
-	svc.JournalPath = filepath.Join(*c.storeDir, journalName)
+	svc.JournalPath = filepath.Join(b.Root(), journalName)
 	svc.Metrics = rm
-	if !c.bind(boolOpt{"scrub", &svc.Scrub}, boolOpt{"no-verify", &svc.NoVerify}) {
-		return exitErr
+	if err := bindBools(&opts, []string{"scrub", "no-verify"}, &svc.Scrub, &svc.NoVerify); err != nil {
+		return fail(stderr, err)
 	}
 	retries, err := opts.Int64("retries", rebuild.DefaultRetries)
 	if err != nil {

@@ -65,11 +65,10 @@ type Policy interface {
 	Stats() Stats
 	// Reset drops all cached state and counters.
 	Reset()
-	// Invalidate drops a chunk whose cached contents have become stale:
-	// when a read error escalates a chunk to lost, a copy admitted before
-	// cannot serve later hits. It removes id entirely (ghost/history
-	// entries included) and reports whether a resident copy was dropped.
-	// It is not an eviction: Stats().Evictions does not count it.
+	// Invalidate drops a chunk whose cached contents have become stale (a
+	// read error escalated it to lost; the copy admitted before must not
+	// serve later hits): id goes entirely, ghost/history entries too. It
+	// reports whether a resident copy was dropped; it is not an eviction.
 	Invalidate(id ChunkID) bool
 	// SetOnEvict installs fn to be called with the id of every chunk a
 	// capacity replacement removes from the resident set — exactly the

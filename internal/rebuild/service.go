@@ -4,14 +4,13 @@
 // cache.Policy residency with FBF priorities, the escalate-and-replan
 // ladder — against real bytes in a store.Backend, checking every
 // recovered chunk before it is written back: parity chains of the
-// repaired stripe, members from grid.Layout, must XOR to zero. A stripe is
-// evaluated in one of two orders, chosen by its plan: chain by chain
-// through the byte cache, each rebuilt cell summed with one more chain
-// through it (checkCell), when every lost cell has a single parity chain
-// (replayChains — the paper's partial stripe errors), or in one read-once
-// pass that sums the stripe's parity-chain syndromes, decodes on them and
-// tests every chain, when the plan needs the GF(2) decoder
-// (replayDecoded — whole-disk damage).
+// repaired stripe must XOR to zero. A stripe is evaluated in one of two
+// orders, chosen by its plan: chain by chain through the byte cache, each
+// rebuilt cell summed with one more chain through it (checkCell), when
+// every lost cell has a single parity chain (replayChains — the paper's
+// partial stripe errors), or in one read-once pass that sums the stripe's
+// chain syndromes, decodes on them and tests every chain, when the plan
+// needs the GF(2) decoder (replayDecoded — whole-disk damage).
 package rebuild
 
 import (
@@ -761,8 +760,7 @@ type schemePlan struct {
 	// decoded reports a scheme with at least one GF(2)-decoder selection;
 	// such a stripe is rebuilt by replayDecoded along pass, built on
 	// first use and carrying its own zero test. A scheme of single chains
-	// goes chain by chain; checks[i] lists the other chains through
-	// Selected[i] that hold no cell still lost at its turn (checkCell).
+	// goes chain by chain, Selected[i] summed with checks[i] (checkChains).
 	decoded bool
 	pass    *decodePass
 	checks  [][]*grid.Chain
@@ -798,19 +796,7 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 		p.decoded = p.decoded || sel.Decoded
 	}
 	if !p.decoded {
-		// At a cell's turn the ones selected before it are on the backend,
-		// the ones after it still lost (such a plan has no unsolved cell).
-		p.checks = make([][]*grid.Chain, len(scheme.Selected))
-		var after []grid.Coord
-		for i := len(scheme.Selected) - 1; i >= 0; i-- {
-			sel := scheme.Selected[i]
-			for _, ch := range s.code.Layout().ChainsThrough(sel.Lost) {
-				if ch.ID() != sel.Chain && len(sharedWith(after, ch)) == 0 {
-					p.checks[i] = append(p.checks[i], ch)
-				}
-			}
-			after = append(after, sel.Lost)
-		}
+		p.checks = s.checkChains(scheme, lost)
 	}
 	if s.schemes == nil {
 		s.schemes = make(map[string]*schemePlan)
@@ -1247,37 +1233,52 @@ func (s *service) bookCell(a store.Addr, sel core.SelectedChain, data chunk.Chun
 	return nil
 }
 
-// checkCell is the chain-major pre-write check (DESIGN §12): the cell
-// just rebuilt through sel.Chain must XOR to zero with the rest of one
-// more chain through it — of candidates, the one with the fewest members
-// outside the byte cache, the first in layout order among equals. A member
-// both chains hold cancels in that sum, so while every chain summed so far
-// shares a member with the repair chain, another that lacks it is summed
-// too. Resident members are folded without a request (the policy's state
-// and counts stay the plan's), the rest are verify reads the cache does
-// not admit, and an unreadable one is the caller's to escalate.
-func (s *service) checkCell(stripe int, sel core.SelectedChain, candidates []*grid.Chain, rebuilt chunk.Chunk) (*grid.Coord, error) {
-	sum, buf := s.scratch[0], s.scratch[1]
-	for blind := sel.Fetch; len(blind) > 0; {
-		var check *grid.Chain
-		fewest := 0
-		for _, ch := range candidates {
-			if len(sharedWith(blind, ch)) == len(blind) {
-				continue // it would show nothing the chains before it did not
+// checkChains picks the chains checkCell sums each selected cell with. A
+// chain qualifies if it is not the cell's repair chain and holds no cell
+// still lost at its turn (those selected earlier are written by then); the
+// one with the fewest members outside what the chains so far fetch goes
+// first. A member the repair chain holds too cancels in the sum (STAR's
+// adjusters), so a further chain is added only if it lacks such a member.
+func (s *service) checkChains(scheme *core.Scheme, lost []grid.Coord) [][]*grid.Chain {
+	checks := make([][]*grid.Chain, len(scheme.Selected))
+	pending, fetched := make(map[grid.Coord]bool), make(map[grid.Coord]bool)
+	for _, c := range lost {
+		pending[c] = true
+	}
+	for i, sel := range scheme.Selected {
+		delete(pending, sel.Lost)
+		for _, c := range sel.Fetch {
+			fetched[c] = true
+		}
+		cands := append([]*grid.Chain(nil), s.code.Layout().ChainsThrough(sel.Lost)...)
+		sort.SliceStable(cands, func(a, b int) bool { return len(cands[a].Survivors(fetched)) < len(cands[b].Survivors(fetched)) })
+		shown := make(map[grid.Coord]bool) // repair-chain members some chain taken so far lacks
+		for _, ch := range cands {
+			if ch.ID() == sel.Chain || len(ch.Survivors(pending)) < len(ch.Cells) {
+				continue
 			}
-			absent := 0
-			for _, m := range ch.Cells {
-				if _, ok := s.bufs[cache.ChunkID{Stripe: stripe, Cell: m}]; !ok {
-					absent++
+			n := len(shown)
+			for _, c := range sel.Fetch {
+				if !ch.Contains(c) {
+					shown[c] = true
 				}
 			}
-			if check == nil || absent < fewest {
-				check, fewest = ch, absent
+			if len(shown) > n {
+				checks[i] = append(checks[i], ch)
 			}
 		}
-		if check == nil {
-			break
-		}
+	}
+	return checks
+}
+
+// checkCell is the chain-major pre-write check (DESIGN §12): the cell just
+// rebuilt through sel.Chain must XOR to zero with the rest of each chain the
+// plan lists for it. Members resident in the byte cache are folded without
+// a request (the policy's state and counts stay the plan's), the rest are
+// verify reads, not admitted; an unreadable one is the caller's to escalate.
+func (s *service) checkCell(stripe int, sel core.SelectedChain, checks []*grid.Chain, rebuilt chunk.Chunk) (*grid.Coord, error) {
+	sum, buf := s.scratch[0], s.scratch[1]
+	for _, check := range checks {
 		copy(sum, rebuilt)
 		for _, m := range check.Cells {
 			if m == sel.Lost {
@@ -1294,18 +1295,15 @@ func (s *service) checkCell(stripe int, sel core.SelectedChain, candidates []*gr
 			chunk.XORInto(sum, src)
 		}
 		if !sum.IsZero() {
-			return nil, fmt.Errorf("rebuild: stripe %d: cell %v rebuilt through chain %v#%d does not XOR to zero with the rest of chain %v#%d",
-				stripe, sel.Lost, sel.Chain.Kind, sel.Chain.Index, check.Kind, check.Index)
+			return nil, fmt.Errorf("rebuild: stripe %d: cell %v rebuilt through chain %v#%d does not XOR to zero with the rest of chain %v#%d", stripe, sel.Lost, sel.Chain.Kind, sel.Chain.Index, check.Kind, check.Index)
 		}
-		blind = sharedWith(blind, check)
 	}
 	return nil, nil
 }
 
 // escalation is what a replay returns for a failed source read: the cell,
-// for the caller to escalate, when a chunk the scan believed healthy is
-// missing or corrupt (the real-bytes analogue of a URE mid-rebuild), the
-// error otherwise.
+// to be escalated, when a chunk the scan believed healthy is missing or
+// corrupt (the real-bytes analogue of a URE mid-rebuild), else the error.
 func escalation(cell grid.Coord, err error) (*grid.Coord, error) {
 	if store.IsNotFound(err) || store.IsCorrupt(err) {
 		return &cell, nil
@@ -1383,16 +1381,6 @@ func fold(acc, src chunk.Chunk, first bool) {
 		return
 	}
 	chunk.XORInto(acc, src)
-}
-
-// sharedWith returns the cells that ch holds too, nil when there are none.
-func sharedWith(cells []grid.Coord, ch *grid.Chain) (out []grid.Coord) {
-	for _, c := range cells {
-		if ch.Contains(c) {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func mergeCell(lost []grid.Coord, c grid.Coord) []grid.Coord {

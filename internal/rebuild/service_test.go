@@ -667,6 +667,46 @@ func TestChainMajorCheckCounts(t *testing.T) {
 	checkAgainstGroundTruth(t, b, m, seed)
 }
 
+// TestChainMajorCheckBesideDataLoss is a chain-major plan with unsolved
+// cells: a weight-4 codeword of the stripe is lost — no chain and no
+// decoder rebuilds any of the four — beside one cell that kept a clean
+// chain, and every other chain through that cell crosses the four. The
+// check must not read a cell accounted as data loss (it would find it
+// missing, escalate it, get the same plan back and never finish): the
+// cell is rebuilt through its clean chain, written with nothing left to
+// test it against, the four are the run's loss, and a second stripe with
+// ordinary damage is still repaired afterwards.
+func TestChainMajorCheckBesideDataLoss(t *testing.T) {
+	const seed = 23
+	for _, tc := range []struct {
+		code    string
+		cluster []grid.Coord
+	}{
+		{"triplestar", []grid.Coord{{Row: 0, Col: 5}, {Row: 0, Col: 6}, {Row: 2, Col: 2}, {Row: 2, Col: 3}}},
+		{"tip", []grid.Coord{{Row: 0, Col: 4}, {Row: 0, Col: 5}, {Row: 2, Col: 1}, {Row: 2, Col: 2}}},
+	} {
+		t.Run(tc.code, func(t *testing.T) {
+			m := testManifest(tc.code, 5, 2, 64)
+			b := initMem(t, m, seed)
+			loseCells(t, b, 0, append([]grid.Coord{{Row: 0, Col: 0}}, tc.cluster...))
+			loseCells(t, b, 1, []grid.Coord{{Row: 1, Col: 1}})
+			res, err := RunService(ServiceConfig{Backend: b, Manifest: m, Strategy: core.StrategyTypical})
+			if err != nil {
+				t.Fatalf("RunService: %v", err)
+			}
+			if res.ChunksRebuilt != 2 || res.ChunksDecoded != 0 || res.Escalations != 0 || len(res.Lost) != len(tc.cluster) {
+				t.Fatalf("rebuilt %d, decoded %d, %d escalations, lost %v; want 2, 0, 0 and the four cells of %v", res.ChunksRebuilt, res.ChunksDecoded, res.Escalations, res.Lost, tc.cluster)
+			}
+			for i, c := range tc.cluster {
+				if res.Lost[i] != AddrOf(0, c) {
+					t.Fatalf("lost %v, want the cells of %v in stripe 0", res.Lost, tc.cluster)
+				}
+			}
+			checkAgainstGroundTruth(t, b, m, seed, res.Lost...)
+		})
+	}
+}
+
 // sourceFailures are the three ways a chunk the header-only scan passed
 // can turn out unreadable when its payload is asked for.
 func sourceFailures(chunkSize int) map[string]func(store.Addr) (int, error) {
