@@ -33,14 +33,10 @@ type DaemonConfig struct {
 
 	// Retries bounds consecutive failed rebuild attempts before the
 	// daemon gives up (DefaultRetries when zero; negative disables
-	// retrying). A successful pass resets the budget.
+	// retrying). A successful pass resets the budget. The pause before
+	// a retry is DefaultBackoff, doubling per consecutive failure up to
+	// DefaultMaxBackoff.
 	Retries int
-
-	// Backoff is the pause before the first retry, doubling per
-	// consecutive failure up to MaxBackoff (DefaultBackoff and
-	// DefaultMaxBackoff when zero).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 
 	// MaxScans, when positive, ends the loop after that many scans —
 	// drills and tests; zero watches until Stop.
@@ -91,12 +87,6 @@ func (c *DaemonConfig) defaults() {
 	}
 	if c.Retries == 0 {
 		c.Retries = DefaultRetries
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = DefaultBackoff
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = DefaultMaxBackoff
 	}
 	if c.after == nil {
 		c.after = time.After
@@ -159,7 +149,6 @@ func RunDaemon(cfg DaemonConfig) (*DaemonResult, error) {
 		res.Retries = int(mt.Retries.Value() - retries0)
 	}()
 	failures := 0
-	var backoff time.Duration
 	for {
 		if stopRequested(cfg.Stop) {
 			res.Interrupted = true
@@ -175,17 +164,7 @@ func RunDaemon(cfg DaemonConfig) (*DaemonResult, error) {
 			if cfg.Retries < 0 || failures > cfg.Retries {
 				return res, fmt.Errorf("rebuild daemon: giving up after %d consecutive failures: %w", failures, err)
 			}
-			// Double up to MaxBackoff without ever forming a product
-			// beyond it: Backoff<<(failures-1) wraps negative at the 35th
-			// consecutive failure of a 1 s base.
-			switch {
-			case failures == 1:
-				backoff = min(cfg.Backoff, cfg.MaxBackoff)
-			case backoff > cfg.MaxBackoff/2:
-				backoff = cfg.MaxBackoff
-			default:
-				backoff *= 2
-			}
+			backoff := cappedDoubling(DefaultBackoff, DefaultMaxBackoff, failures-1)
 			mt.Failures.Set(float64(failures))
 			mt.Backoff.Set(backoff.Seconds())
 			tracker.SetPhase("backoff")

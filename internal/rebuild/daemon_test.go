@@ -89,7 +89,6 @@ func TestDaemonRetriesTransientFaults(t *testing.T) {
 		Service:  svc,
 		MaxScans: 5, // budget: 3 failed + 1 repairing + 1 clean
 		Retries:  4,
-		Backoff:  time.Second,
 		after: func(d time.Duration) <-chan time.Time {
 			waits = append(waits, d)
 			return instantAfter(d)
@@ -109,7 +108,7 @@ func TestDaemonRetriesTransientFaults(t *testing.T) {
 }
 
 // TestDaemonBackoffSaturates pins the delay against a store that never
-// recovers: doubling must stop at MaxBackoff instead of shifting past
+// recovers: doubling must stop at DefaultMaxBackoff instead of shifting past
 // it (a 1 s base shifted 34 times is negative, 64 times zero — a timer
 // that fires at once, i.e. a hot loop).
 func TestDaemonBackoffSaturates(t *testing.T) {

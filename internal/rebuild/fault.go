@@ -56,28 +56,40 @@ type FaultConfig struct {
 	TransientRate float64 // per-attempt transient-timeout probability, [0, 1)
 
 	// RetryMax caps total read attempts per chunk fetch (initial attempt
-	// included). Zero selects the default of 4.
+	// included). Zero selects the default of 4. The delay before retry k
+	// is retryBackoff·2^k, capped at retryBackoffCap.
 	RetryMax int
-	// RetryBackoff is the delay before the first retry; each further
-	// retry doubles it up to RetryBackoffCap. Zeros select the defaults
-	// of 1 ms and 8 ms.
-	RetryBackoff    sim.Time
-	RetryBackoffCap sim.Time
 
 	// DiskFailures lists whole-disk failures to inject mid-rebuild.
 	DiskFailures []DiskFailure
+}
+
+// The simulated fetch retry delays: retryBackoff before the first retry,
+// doubling per further retry up to retryBackoffCap.
+const (
+	retryBackoff    = sim.Millisecond
+	retryBackoffCap = 8 * sim.Millisecond
+)
+
+// cappedDoubling is the backoff both clocks share — the simulator's fetch
+// retries and RunDaemon's pass retries: min(base·2^k, limit) for base > 0,
+// doubled step by step so no product past limit is ever formed (base<<k
+// wraps negative long before k reaches a daemon's failure count).
+func cappedDoubling[T ~int64](base, limit T, k int) T {
+	d := min(base, limit)
+	for ; k > 0 && d < limit; k-- {
+		if d > limit/2 {
+			return limit
+		}
+		d *= 2
+	}
+	return d
 }
 
 // withDefaults returns a copy with unset knobs filled in.
 func (f FaultConfig) withDefaults() FaultConfig {
 	if f.RetryMax == 0 {
 		f.RetryMax = 4
-	}
-	if f.RetryBackoff == 0 {
-		f.RetryBackoff = sim.Millisecond
-	}
-	if f.RetryBackoffCap == 0 {
-		f.RetryBackoffCap = 8 * sim.Millisecond
 	}
 	return f
 }
@@ -93,12 +105,6 @@ func (f *FaultConfig) Validate(disks int) error {
 	}
 	if f.RetryMax < 0 {
 		return &ConfigError{Field: "Faults.RetryMax", Reason: fmt.Sprintf("retry cap %d below 1 (zero selects the default)", f.RetryMax)}
-	}
-	if f.RetryBackoff < 0 {
-		return &ConfigError{Field: "Faults.RetryBackoff", Reason: fmt.Sprintf("negative backoff %v", f.RetryBackoff)}
-	}
-	if f.RetryBackoffCap < 0 {
-		return &ConfigError{Field: "Faults.RetryBackoffCap", Reason: fmt.Sprintf("negative backoff cap %v", f.RetryBackoffCap)}
 	}
 	for i, df := range f.DiskFailures {
 		if df.Disk < 0 || df.Disk >= disks {
@@ -370,7 +376,7 @@ func (o *fetchOp) OnComplete(_ *disk.Request, issued, completed sim.Time) {
 			if o.runFn == nil {
 				o.runFn = o.run
 			}
-			e.sim.Schedule(w.backoff(o.attempt), o.runFn)
+			e.sim.Schedule(cappedDoubling(retryBackoff, retryBackoffCap, o.attempt), o.runFn)
 			o.attempt++
 			return
 		}
@@ -387,20 +393,6 @@ func (o *fetchOp) OnComplete(_ *disk.Request, issued, completed sim.Time) {
 		w.putFetchOp(o)
 		w.chainDone()
 	}
-}
-
-// backoff returns the capped exponential retry delay for the given
-// prior-attempt count.
-func (w *worker) backoff(attempt int) sim.Time {
-	f := w.engine.faults
-	d := f.RetryBackoff
-	for i := 0; i < attempt && d < f.RetryBackoffCap; i++ {
-		d *= 2
-	}
-	if d > f.RetryBackoffCap {
-		d = f.RetryBackoffCap
-	}
-	return d
 }
 
 // writeRecovered writes one rebuilt chunk to the spare area of its home

@@ -30,8 +30,6 @@ func TestFaultConfigValidation(t *testing.T) {
 		{name: "URE rate of 1", faults: FaultConfig{URERate: 1}, field: "Faults.URERate"},
 		{name: "transient rate above 1", faults: FaultConfig{TransientRate: 1.5}, field: "Faults.TransientRate"},
 		{name: "retry cap below 1", faults: FaultConfig{RetryMax: -2}, field: "Faults.RetryMax"},
-		{name: "negative backoff", faults: FaultConfig{RetryBackoff: -sim.Millisecond}, field: "Faults.RetryBackoff"},
-		{name: "negative backoff cap", faults: FaultConfig{RetryBackoffCap: -1}, field: "Faults.RetryBackoffCap"},
 		{
 			name:   "failure disk out of range",
 			faults: FaultConfig{DiskFailures: []DiskFailure{{Disk: code.Disks(), At: sim.Millisecond}}},

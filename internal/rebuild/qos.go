@@ -6,61 +6,47 @@ import (
 
 	"fbf/internal/sim"
 	"fbf/internal/stats"
+	"fbf/internal/store"
 )
 
 // QoS plumbing for serving runs: an adaptive per-disk token-bucket
 // throttle on rebuild I/O, controlled by additive-increase /
 // multiplicative-decrease against a foreground p99 latency target.
 //
-// The shape mirrors store.Throttle — a token bucket refilled at a rate,
-// operations that overdraw wait out the deficit — transplanted into the
-// simulator: instead of sleeping a goroutine, a reservation returns the
+// The bucket is store.Throttle's (store.TokenBucket) on the simulated
+// clock: instead of sleeping a goroutine, a reservation returns the
 // simulated timestamp at which the gated I/O may issue, and the engine
 // schedules the submission there. What store.Throttle fixes at
 // construction (the rate), the AIMD controller retunes every decision
 // window from the foreground latency histogram.
+
+// The controller's fixed tuning. Rates are rebuild I/Os per second per
+// disk.
+const (
+	qosWindow     = 20 * sim.Millisecond // decision interval
+	qosMinSamples = 10                   // foreground completions needed to judge a window
+	qosMinRate    = 5                    // floor after decreases
+	qosIncrease   = 10                   // additive step per compliant window
+	qosDecrease   = 0.5                  // multiplicative factor on an SLO breach
+	qosBurst      = 4                    // token-bucket depth in I/Os
+)
 
 // QoSConfig parameterizes the adaptive rebuild throttle of a serving
 // run. Rates are rebuild I/Os per second per disk.
 type QoSConfig struct {
 	SLOp99Ms float64 // foreground p99 latency target in ms (required, > 0)
 
-	Window     sim.Time // decision interval (default 20 ms)
-	MinSamples int      // foreground completions needed to judge a window (default 10)
-
 	InitialRate float64 // starting rebuild rate (default 100 IO/s/disk)
-	MinRate     float64 // floor after decreases (default 5)
 	MaxRate     float64 // ceiling after increases (default 400)
-	Increase    float64 // additive step per compliant window (default 10)
-	Decrease    float64 // multiplicative factor on an SLO breach, in (0,1) (default 0.5)
-	Burst       float64 // token-bucket depth in I/Os (default 4)
 }
 
 // withDefaults returns a copy with unset knobs filled in.
 func (q QoSConfig) withDefaults() QoSConfig {
-	if q.Window == 0 {
-		q.Window = 20 * sim.Millisecond
-	}
-	if q.MinSamples == 0 {
-		q.MinSamples = 10
-	}
 	if q.InitialRate == 0 {
 		q.InitialRate = 100
 	}
-	if q.MinRate == 0 {
-		q.MinRate = 5
-	}
 	if q.MaxRate == 0 {
 		q.MaxRate = 400
-	}
-	if q.Increase == 0 {
-		q.Increase = 10
-	}
-	if q.Decrease == 0 {
-		q.Decrease = 0.5
-	}
-	if q.Burst == 0 {
-		q.Burst = 4
 	}
 	return q
 }
@@ -71,45 +57,34 @@ func (q *QoSConfig) Validate() error {
 	if !(q.SLOp99Ms > 0) {
 		return &ConfigError{Field: "Serving.QoS.SLOp99Ms", Reason: fmt.Sprintf("p99 target %v ms is not positive", q.SLOp99Ms)}
 	}
-	if q.Window < 0 {
-		return &ConfigError{Field: "Serving.QoS.Window", Reason: fmt.Sprintf("negative decision window %v", q.Window)}
-	}
-	if q.MinSamples < 0 {
-		return &ConfigError{Field: "Serving.QoS.MinSamples", Reason: fmt.Sprintf("negative sample floor %d", q.MinSamples)}
-	}
-	if q.InitialRate < 0 || q.MinRate < 0 || q.MaxRate < 0 || q.Increase < 0 || q.Burst < 0 {
+	if q.InitialRate < 0 || q.MaxRate < 0 {
 		return &ConfigError{Field: "Serving.QoS", Reason: "negative rate parameter"}
 	}
-	d := q.withDefaults()
-	if d.MinRate > d.MaxRate {
-		return &ConfigError{Field: "Serving.QoS.MinRate", Reason: fmt.Sprintf("floor %v above ceiling %v", d.MinRate, d.MaxRate)}
-	}
-	if q.Decrease != 0 && (q.Decrease <= 0 || q.Decrease >= 1) {
-		return &ConfigError{Field: "Serving.QoS.Decrease", Reason: fmt.Sprintf("multiplicative factor %v outside (0, 1)", q.Decrease)}
+	if d := q.withDefaults(); d.MaxRate < qosMinRate {
+		return &ConfigError{Field: "Serving.QoS.MaxRate", Reason: fmt.Sprintf("ceiling %v below the floor %v", d.MaxRate, qosMinRate)}
 	}
 	return nil
 }
 
 // AIMDNext is the pure reference spec of one controller decision: the
 // rebuild rate after judging a window at the given rate. A breached
-// window multiplies the rate by Decrease; a compliant one adds
-// Increase; the result clamps to [MinRate, MaxRate]. The controller's
-// recorded trace is model-checked against this function step by step,
-// so any divergence between the running scheduler and the spec is a
-// test failure, not a drift.
+// window multiplies the rate by qosDecrease; a compliant one adds
+// qosIncrease; the result clamps to [qosMinRate, MaxRate]. The
+// controller's recorded trace is model-checked against this function
+// step by step, so any divergence between the running scheduler and the
+// spec is a test failure, not a drift.
 func AIMDNext(rate float64, breached bool, cfg QoSConfig) float64 {
-	cfg = cfg.withDefaults()
 	if breached {
-		rate *= cfg.Decrease
+		rate *= qosDecrease
 	} else {
-		rate += cfg.Increase
+		rate += qosIncrease
 	}
-	return math.Min(cfg.MaxRate, math.Max(cfg.MinRate, rate))
+	return math.Min(cfg.withDefaults().MaxRate, math.Max(qosMinRate, rate))
 }
 
 // AIMDStep records one judged decision window of the running
 // controller: the foreground completions observed, the p99 verdict and
-// the rate transition. Windows with fewer than MinSamples completions
+// the rate transition. Windows with fewer than qosMinSamples completions
 // are not judged and record no step.
 type AIMDStep struct {
 	At         sim.Time // decision time
@@ -141,7 +116,7 @@ type qosController struct {
 	cfg     QoSConfig // defaulted copy
 	rate    float64
 	window  *stats.Histogram
-	buckets []tokenBucket
+	buckets []store.TokenBucket[sim.Time]
 	steps   []AIMDStep
 
 	throttleDelay sim.Time // total rebuild issue delay injected
@@ -154,7 +129,7 @@ func newQoSController(cfg QoSConfig, disks int) *qosController {
 	if err != nil {
 		panic(fmt.Sprintf("rebuild: qos window histogram: %v", err)) // fixed valid bounds
 	}
-	return &qosController{cfg: d, rate: d.InitialRate, window: h, buckets: make([]tokenBucket, disks)}
+	return &qosController{cfg: d, rate: d.InitialRate, window: h, buckets: make([]store.TokenBucket[sim.Time], disks)}
 }
 
 // observe feeds one foreground completion latency (ms) into the
@@ -166,7 +141,7 @@ func (q *qosController) observe(ms float64) { q.window.Add(ms) }
 // of requests would be noise).
 func (q *qosController) tick(now sim.Time) {
 	n := q.window.Total()
-	if n < uint64(q.cfg.MinSamples) {
+	if n < qosMinSamples {
 		return
 	}
 	p99 := q.window.Quantile(0.99)
@@ -187,58 +162,9 @@ func (q *qosController) gate(disk int, now sim.Time) sim.Time {
 	if disk < 0 || disk >= len(q.buckets) {
 		return now
 	}
-	at := q.buckets[disk].reserve(now, q.rate, q.cfg.Burst)
+	at := q.buckets[disk].Reserve(now, 1, q.rate, qosBurst)
 	if at > now {
 		q.throttleDelay += at - now
 	}
-	return at
-}
-
-// tokenBucket paces one disk's rebuild I/O in simulated time. Unlike
-// store.Throttle's wall-clock bucket (which sleeps the caller),
-// reserve never blocks: an overdraw books the reservation in the
-// future and advances the bucket clock there, so queued reservations
-// space themselves 1/rate apart deterministically.
-type tokenBucket struct {
-	tokens float64
-	last   sim.Time
-	primed bool
-}
-
-// reserve takes one token at the given rate (tokens/sec, capped at
-// burst) and returns the issue timestamp.
-func (b *tokenBucket) reserve(now sim.Time, rate, burst float64) sim.Time {
-	if !b.primed {
-		b.primed = true
-		b.tokens = burst
-		b.last = now
-	}
-	if now > b.last {
-		b.tokens += float64(now-b.last) * rate / float64(sim.Second)
-		if b.tokens > burst {
-			b.tokens = burst
-		}
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		if b.last > now {
-			return b.last
-		}
-		return now
-	}
-	if !(rate > 0) {
-		// A zero rate would never repay the deficit; issue immediately
-		// rather than wedging the rebuild (MinRate keeps real
-		// controllers away from zero).
-		return now
-	}
-	wait := (1 - b.tokens) / rate * float64(sim.Second)
-	at := b.last + sim.Time(math.Ceil(wait))
-	if at < now {
-		at = now
-	}
-	b.tokens = 0
-	b.last = at
 	return at
 }

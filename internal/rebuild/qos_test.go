@@ -13,9 +13,7 @@ import (
 )
 
 func TestAIMDNextSpec(t *testing.T) {
-	cfg := QoSConfig{
-		SLOp99Ms: 50, MinRate: 5, MaxRate: 400, Increase: 10, Decrease: 0.5,
-	}
+	cfg := QoSConfig{SLOp99Ms: 50, MaxRate: 400}
 	cases := []struct {
 		rate     float64
 		breached bool
@@ -36,7 +34,7 @@ func TestAIMDNextSpec(t *testing.T) {
 			t.Errorf("AIMDNext(%v, %v) = %v, want %v", c.rate, c.breached, got, c.want)
 		}
 	}
-	// Defaults fill zero fields: Increase 10, Decrease 0.5, clamp [5, 400].
+	// A zero MaxRate selects the default ceiling of 400.
 	if got := AIMDNext(100, false, QoSConfig{SLOp99Ms: 1}); got != 110 {
 		t.Errorf("defaulted increase: got %v, want 110", got)
 	}
@@ -67,8 +65,8 @@ func modelCheckTrace(t *testing.T, steps []AIMDStep, cfg QoSConfig) {
 		if want := AIMDNext(s.RateBefore, s.Breached, cfg); s.RateAfter != want {
 			t.Fatalf("step %d: RateAfter = %v, want AIMDNext = %v", i, s.RateAfter, want)
 		}
-		if s.WindowOps < uint64(d.MinSamples) {
-			t.Fatalf("step %d: judged %d ops below sample floor %d", i, s.WindowOps, d.MinSamples)
+		if s.WindowOps < qosMinSamples {
+			t.Fatalf("step %d: judged %d ops below sample floor %d", i, s.WindowOps, qosMinSamples)
 		}
 		if i > 0 && s.At <= lastAt {
 			t.Fatalf("step %d: decision time %v not after previous %v", i, s.At, lastAt)
@@ -82,14 +80,14 @@ func modelCheckTrace(t *testing.T, steps []AIMDStep, cfg QoSConfig) {
 // every recorded step against an independent shadow histogram and the
 // pure AIMDNext spec.
 func TestAIMDControllerModelCheck(t *testing.T) {
-	cfg := QoSConfig{SLOp99Ms: 40, MinSamples: 8, InitialRate: 120}
+	cfg := QoSConfig{SLOp99Ms: 40, InitialRate: 120}
 	q := newQoSController(cfg, 4)
 	shadow, err := stats.NewHistogram(qosWindowBoundsMs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(77))
-	const windows = 19_000
+	const windows = 24_000
 	now := sim.Time(0)
 	rate := q.cfg.InitialRate
 	judged := 0
@@ -103,12 +101,12 @@ func TestAIMDControllerModelCheck(t *testing.T) {
 			q.observe(ms)
 			shadow.Add(ms)
 		}
-		now += q.cfg.Window
+		now += qosWindow
 		before := len(q.steps)
 		q.tick(now)
-		if shadow.Total() < uint64(q.cfg.MinSamples) {
+		if shadow.Total() < qosMinSamples {
 			if len(q.steps) != before {
-				t.Fatalf("window %d: stepped on %d samples below floor %d", w, shadow.Total(), q.cfg.MinSamples)
+				t.Fatalf("window %d: stepped on %d samples below floor %d", w, shadow.Total(), qosMinSamples)
 			}
 			continue
 		}
@@ -142,54 +140,21 @@ func TestAIMDControllerModelCheck(t *testing.T) {
 		t.Fatalf("judged only %d windows, want >= 10000", judged)
 	}
 	modelCheckTrace(t, q.steps, cfg)
-	if got := q.rate; got < q.cfg.MinRate || got > q.cfg.MaxRate {
-		t.Errorf("final rate %v escaped [%v, %v]", got, q.cfg.MinRate, q.cfg.MaxRate)
-	}
-}
-
-func TestTokenBucketPacing(t *testing.T) {
-	var b tokenBucket
-	const rate, burst = 100, 2 // 100 tokens/s => 10 ms apart once drained
-	ms := func(n int) sim.Time { return sim.Time(n) * sim.Millisecond }
-	// The burst issues immediately; overdraws space 1/rate apart.
-	for i, want := range []sim.Time{0, 0, ms(10), ms(20), ms(30)} {
-		if got := b.reserve(0, rate, burst); got != want {
-			t.Fatalf("reserve %d at t=0: got %v, want %v", i, got, want)
-		}
-	}
-	// A reservation arriving mid-queue books after the booked backlog.
-	if got := b.reserve(ms(5), rate, burst); got != ms(40) {
-		t.Fatalf("queued reserve at t=5ms: got %v, want 40ms", got)
-	}
-	// After a long idle stretch the bucket refills, capped at burst: two
-	// immediate issues, then spacing resumes.
-	idle := sim.Time(2) * sim.Second
-	for i, want := range []sim.Time{idle, idle, idle + ms(10)} {
-		if got := b.reserve(idle, rate, burst); got != want {
-			t.Fatalf("post-idle reserve %d: got %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestTokenBucketZeroRate(t *testing.T) {
-	var b tokenBucket
-	// The burst drains normally; with no refill rate further reservations
-	// must not wedge — they issue immediately.
-	for i := 0; i < 6; i++ {
-		if got := b.reserve(sim.Millisecond, 0, 3); got != sim.Millisecond {
-			t.Fatalf("reserve %d at zero rate: got %v, want now", i, got)
-		}
+	if got := q.rate; got < qosMinRate || got > q.cfg.MaxRate {
+		t.Errorf("final rate %v escaped [%v, %v]", got, qosMinRate, q.cfg.MaxRate)
 	}
 }
 
 func TestQoSGateAccountsDelay(t *testing.T) {
-	q := newQoSController(QoSConfig{SLOp99Ms: 50, InitialRate: 100, Burst: 1}, 2)
-	if at := q.gate(0, 0); at != 0 {
-		t.Fatalf("first gate: got %v, want 0", at)
+	q := newQoSController(QoSConfig{SLOp99Ms: 50, InitialRate: 100}, 2)
+	for i := 0; i < qosBurst; i++ {
+		if at := q.gate(0, 0); at != 0 {
+			t.Fatalf("gate %d inside the burst: got %v, want 0", i, at)
+		}
 	}
 	at := q.gate(0, 0)
 	if at != 10*sim.Millisecond {
-		t.Fatalf("second gate: got %v, want 10ms", at)
+		t.Fatalf("first gate past the burst: got %v, want 10ms", at)
 	}
 	if q.throttleDelay != 10*sim.Millisecond {
 		t.Fatalf("throttleDelay = %v, want 10ms", q.throttleDelay)
@@ -211,14 +176,10 @@ func TestQoSConfigValidate(t *testing.T) {
 		t.Fatalf("minimal config rejected: %v", err)
 	}
 	bad := []QoSConfig{
-		{},                         // missing SLO
-		{SLOp99Ms: -1},             // negative SLO
-		{SLOp99Ms: 30, Window: -1}, // negative window
-		{SLOp99Ms: 30, MinSamples: -1},
+		{},             // missing SLO
+		{SLOp99Ms: -1}, // negative SLO
 		{SLOp99Ms: 30, InitialRate: -5},
-		{SLOp99Ms: 30, Decrease: 1.5},            // factor outside (0,1)
-		{SLOp99Ms: 30, Decrease: -0.5},           // negative factor
-		{SLOp99Ms: 30, MinRate: 50, MaxRate: 10}, // floor above ceiling
+		{SLOp99Ms: 30, MaxRate: 4}, // ceiling below the floor of 5
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

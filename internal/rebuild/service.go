@@ -843,9 +843,10 @@ func (s *service) repairStripe(d StripeDamage) error {
 
 	clear(s.repaired)
 	// The escalation loop: a failed source read escalates that cell to
-	// lost and regenerates the plan for whatever is still unrepaired.
-	// Every escalation strictly grows the lost set, so the loop is
-	// bounded by the stripe's cell count.
+	// lost and regenerates the plan for whatever is still unrepaired — the
+	// cell included when it was repaired earlier in the stripe and reads
+	// back unreadable. Every escalation grows the lost set or rebuilds such
+	// a cell again, so the loop is bounded by the stripe's cell count.
 	for attempt := 0; attempt <= s.code.Layout().Cells(); attempt++ {
 		var esc *grid.Coord
 		if plan.decoded {
@@ -880,6 +881,7 @@ func (s *service) repairStripe(d StripeDamage) error {
 			s.dropBuf(id)
 		}
 		lost = mergeCell(lost, *esc)
+		delete(s.repaired, *esc)
 		var remaining []grid.Coord
 		for _, c := range lost {
 			if !s.repaired[c] {

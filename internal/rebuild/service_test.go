@@ -1,6 +1,7 @@
 package rebuild
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -901,6 +902,111 @@ func TestServiceOracleSourceEscalates(t *testing.T) {
 				checkAgainstGroundTruth(t, b, m, seed, stillMissing...)
 			}
 		})
+	}
+}
+
+// rereadLost serves one lost cell as missing until it has been written
+// twice: a chunk the rebuild repairs that then reads back unreadable.
+type rereadLost struct {
+	store.Backend
+	addr   store.Addr
+	writes int
+}
+
+func (r *rereadLost) ReadChunk(a store.Addr, dst []byte) (int, error) {
+	if a == r.addr && r.writes < 2 {
+		return 0, &store.NotFoundError{Addr: a}
+	}
+	return r.Backend.ReadChunk(a, dst)
+}
+
+func (r *rereadLost) WriteChunk(a store.Addr, data []byte) error {
+	if a == r.addr {
+		r.writes++
+	}
+	return r.Backend.WriteChunk(a, data)
+}
+
+// commitRecords decodes the journal at path and returns, in order, the
+// payload CRCs its commit records give a.
+func commitRecords(t *testing.T, path string, a store.Addr) []uint32 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crcs []uint32
+	for rest := data[journalHeaderSize:]; ; {
+		typ, p, n, ok := nextFrame(rest)
+		if !ok {
+			return crcs
+		}
+		u32 := func(off int) int { return int(binary.LittleEndian.Uint32(p[off:])) }
+		if typ == recCommit && (store.Addr{Disk: u32(0), Stripe: u32(4), Chunk: u32(8)}) == a {
+			crcs = append(crcs, uint32(u32(12)))
+		}
+		rest = rest[n:]
+	}
+}
+
+// TestServiceRepairedMemberEscalates makes a cell repaired earlier in the
+// stripe read back as missing when a later chain or check needs it: every
+// single-disk run from row 0 of two or more cells, four codes at p = 5 and
+// 7, each lost cell in turn. The cell is already lost, so the escalation
+// must take it back from the repaired set and rebuild it again rather than
+// re-plan the same plan until the ladder's bound.
+func TestServiceRepairedMemberEscalates(t *testing.T) {
+	const seed = 23
+	runs, twice := 0, 0
+	for _, name := range []string{"star", "triplestar", "tip", "hdd1"} {
+		for _, p := range []int{5, 7} {
+			m := testManifest(name, p, 1, 16)
+			for disk := 0; disk < m.Disks; disk++ {
+				for size := 2; size <= m.Rows; size++ {
+					lost := core.PartialStripeError{Disk: disk, Size: size}.LostCells()
+					for _, victim := range lost {
+						where := fmt.Sprintf("%s p=%d disk %d rows 0-%d victim %v", name, p, disk, size-1, victim)
+						b := initMem(t, m, seed)
+						loseCells(t, b, 0, lost)
+						rb := &rereadLost{Backend: b, addr: AddrOf(0, victim)}
+						journal := filepath.Join(t.TempDir(), "journal")
+						var commits []uint32
+						res, err := RunService(ServiceConfig{
+							Backend: rb, Manifest: m, JournalPath: journal,
+							Progress: func(Progress) { commits = commitRecords(t, journal, rb.addr) },
+						})
+						runs++
+						if err != nil {
+							t.Errorf("%s: %v", where, err)
+							continue
+						}
+						if a := firstWrongChunk(t, b, m, seed); a != nil {
+							t.Fatalf("%s: chunk %v does not match ground truth", where, *a)
+						}
+						if rb.writes == 2 {
+							twice++
+							if res.Escalations < 1 || res.Regenerations != res.Escalations {
+								t.Fatalf("%s: written twice after %d escalations, %d regenerations", where, res.Escalations, res.Regenerations)
+							}
+						}
+						if res.ChunksRebuilt != size+rb.writes-1 {
+							t.Fatalf("%s: ChunksRebuilt = %d for %d lost cells, the victim written %d times", where, res.ChunksRebuilt, size, rb.writes)
+						}
+						got := make([]byte, m.ChunkSize)
+						if _, err := b.ReadChunk(rb.addr, got); err != nil {
+							t.Fatal(err)
+						}
+						if len(commits) != rb.writes || commits[len(commits)-1] != PayloadCRC(got) {
+							t.Fatalf("%s: victim written %d times, journal commits %x, want the last %x", where, rb.writes, commits, PayloadCRC(got))
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d runs, %d rebuilt the victim twice", runs, twice)
+	if twice == 0 {
+		t.Fatal("no run read a repaired cell back; the sweep proves nothing")
 	}
 }
 

@@ -279,7 +279,7 @@ func (e *engine) startServing(groups []core.PartialStripeError) error {
 	e.serving = sv
 	if sc.QoS != nil {
 		e.qos = newQoSController(*sc.QoS, e.array.Disks())
-		e.sim.Tick(e.qos.cfg.Window, func(now sim.Time) { e.qos.tick(now) })
+		e.sim.Tick(qosWindow, func(now sim.Time) { e.qos.tick(now) })
 	}
 	sv.scheduleNext()
 	return nil

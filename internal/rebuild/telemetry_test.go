@@ -260,7 +260,6 @@ func TestDaemonMetricsBackoff(t *testing.T) {
 		Service:  daemonService(t, flaky, m),
 		MaxScans: 4,
 		Retries:  3,
-		Backoff:  time.Second,
 		after: func(d time.Duration) <-chan time.Time {
 			if f := dm.Failures.Value(); f > maxFailures {
 				maxFailures = f

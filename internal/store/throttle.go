@@ -2,9 +2,56 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
+
+// TokenBucket paces requests against a rate under any nanosecond clock —
+// time.Duration since an epoch for Throttle, sim.Time for the simulator's
+// rebuild QoS. Reserve never blocks: a request the bucket cannot cover is
+// booked in the future and the bucket's clock advanced there, so queued
+// requests space themselves n/rate apart deterministically. Whoever holds
+// the bucket waits for the booked time (Throttle sleeps, the simulator
+// schedules the I/O there). The zero value is a bucket that fills to its
+// burst at first use. Not safe for concurrent use.
+type TokenBucket[T ~int64] struct {
+	tokens float64
+	last   T
+	primed bool
+}
+
+// Reserve takes n tokens at now, the bucket refilling at rate tokens per
+// second up to burst, and returns when the request may go: now if the
+// tokens are there, otherwise the time at which the rate repays what is
+// missing behind everything already booked. rate must be positive.
+func (b *TokenBucket[T]) Reserve(now T, n, rate, burst float64) T {
+	if !b.primed {
+		b.primed = true
+		b.tokens = burst
+		b.last = now
+	}
+	if now > b.last {
+		b.tokens, b.last = b.Level(now, rate, burst), now
+	}
+	if b.tokens >= n {
+		b.tokens -= n
+		return now
+	}
+	b.last += T(math.Ceil((n - b.tokens) / rate * 1e9))
+	b.tokens = 0
+	return b.last
+}
+
+// Level is the bucket's fill at now: refilled and capped at burst, or,
+// while requests are booked beyond now, negative by the tokens they have
+// yet to be repaid.
+func (b *TokenBucket[T]) Level(now T, rate, burst float64) float64 {
+	if !b.primed {
+		return burst
+	}
+	return math.Min(burst, b.tokens+float64(now-b.last)*rate/1e9)
+}
 
 // Throttle wraps a Backend with a token-bucket byte budget: chunk reads
 // and writes consume tokens at payload size, the bucket refills at
@@ -15,17 +62,17 @@ import (
 //
 // The bucket holds at most one second of budget, so an idle throttle
 // cannot bank an unbounded burst; a single chunk larger than the burst
-// still proceeds (the bucket goes negative and the next operation pays
-// the debt). Safe for concurrent use.
+// still proceeds (it sleeps for its deficit and the next operation
+// queues behind it). Safe for concurrent use.
 type Throttle struct {
 	inner Backend
-	rate  float64 // bytes per second
+	rate  float64 // bytes per second; also the burst
 
 	mu     sync.Mutex
-	tokens float64
-	last   time.Time
-	waits  uint64        // operations that slept for budget
-	waited time.Duration // total time slept
+	bucket TokenBucket[time.Duration] // clocked from epoch
+	epoch  time.Time                  // the first reading of now
+	waits  uint64                     // operations that slept for budget
+	waited time.Duration              // total time slept
 
 	// Test seams; real use keeps the defaults.
 	now   func() time.Time
@@ -42,35 +89,27 @@ func NewThrottle(inner Backend, bytesPerSec int64) (*Throttle, error) {
 	if bytesPerSec <= 0 {
 		return nil, fmt.Errorf("store: throttle rate %d B/s is not positive", bytesPerSec)
 	}
-	return &Throttle{
-		inner:  inner,
-		rate:   float64(bytesPerSec),
-		tokens: float64(bytesPerSec), // start with a full one-second burst
-		now:    time.Now,
-		sleep:  time.Sleep,
-	}, nil
+	return &Throttle{inner: inner, rate: float64(bytesPerSec), now: time.Now, sleep: time.Sleep}, nil
 }
 
-// take withdraws n bytes of budget, sleeping while the bucket is in
-// deficit.
+// clock reads now on the bucket's clock. Callers hold t.mu.
+func (t *Throttle) clock() time.Duration {
+	now := t.now()
+	if t.epoch.IsZero() {
+		t.epoch = now
+	}
+	return now.Sub(t.epoch)
+}
+
+// take withdraws n bytes of budget, sleeping until the bucket can cover
+// them.
 func (t *Throttle) take(n int) {
 	if n <= 0 {
 		return
 	}
 	t.mu.Lock()
-	now := t.now()
-	if !t.last.IsZero() {
-		t.tokens += now.Sub(t.last).Seconds() * t.rate
-		if t.tokens > t.rate {
-			t.tokens = t.rate
-		}
-	}
-	t.last = now
-	t.tokens -= float64(n)
-	var wait time.Duration
-	if t.tokens < 0 {
-		wait = time.Duration(-t.tokens / t.rate * float64(time.Second))
-	}
+	now := t.clock()
+	wait := t.bucket.Reserve(now, float64(n), t.rate, t.rate) - now
 	if wait > 0 {
 		t.waits++
 		t.waited += wait
@@ -84,7 +123,7 @@ func (t *Throttle) take(n int) {
 // ThrottleStats is a Throttle's budget state at a point in time.
 type ThrottleStats struct {
 	Rate   float64       // configured bytes per second
-	Tokens float64       // current bucket level (negative while in debt)
+	Tokens float64       // bucket level now (negative while repaying debt)
 	Waits  uint64        // operations that slept for budget
 	Waited time.Duration // total time slept
 }
@@ -93,7 +132,7 @@ type ThrottleStats struct {
 func (t *Throttle) Stats() ThrottleStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return ThrottleStats{Rate: t.rate, Tokens: t.tokens, Waits: t.waits, Waited: t.waited}
+	return ThrottleStats{Rate: t.rate, Tokens: t.bucket.Level(t.clock(), t.rate, t.rate), Waits: t.waits, Waited: t.waited}
 }
 
 // ReadChunk implements Backend, charging the payload size after the

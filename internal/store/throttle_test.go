@@ -51,9 +51,13 @@ func TestThrottlePacesWrites(t *testing.T) {
 }
 
 // TestThrottleChargesReads pins that reads are charged by bytes
-// actually returned.
+// actually returned, and that the reported level is the bucket's at the
+// time asked: in debt while a read sleeps, repaid after, refilled by idle
+// time up to the burst.
 func TestThrottleChargesReads(t *testing.T) {
 	th, mem, clk := throttled(t, 100)
+	var levels []float64 // at the start of each sleep
+	th.sleep = func(d time.Duration) { levels = append(levels, th.Stats().Tokens); clk.sleep(d) }
 	a := Addr{Disk: 0, Stripe: 0, Chunk: 0}
 	if err := mem.WriteChunk(a, make([]byte, 300)); err != nil { // direct: uncharged
 		t.Fatal(err)
@@ -61,6 +65,9 @@ func TestThrottleChargesReads(t *testing.T) {
 	dst := make([]byte, 300)
 	if _, err := th.ReadChunk(a, dst); err != nil {
 		t.Fatal(err)
+	}
+	if got := th.Stats().Tokens; len(levels) != 1 || levels[0] != -200 || got != 0 {
+		t.Fatalf("levels during and after the first read: %v, %v; want [-200], 0", levels, got)
 	}
 	if _, err := th.ReadChunk(a, dst); err != nil {
 		t.Fatal(err)
@@ -72,6 +79,10 @@ func TestThrottleChargesReads(t *testing.T) {
 	}
 	if total < 4900*time.Millisecond || total > 5100*time.Millisecond {
 		t.Fatalf("600B at 100B/s slept %v, want ~5s", total)
+	}
+	clk.t = clk.t.Add(time.Second)
+	if got := th.Stats().Tokens; got != 100 {
+		t.Fatalf("level after an idle second: %v, want the 100-byte burst", got)
 	}
 }
 
@@ -122,5 +133,32 @@ func TestThrottleRefills(t *testing.T) {
 	}
 	if len(clk.sleeps) != 0 {
 		t.Fatalf("paced workload below the rate slept: %v", clk.sleeps)
+	}
+}
+
+// TestTokenBucketPacing pins the bucket both clocks share: the burst
+// issues at once, overdraws are booked 1/rate apart behind one another,
+// and idle time refills up to the burst.
+func TestTokenBucketPacing(t *testing.T) {
+	var b TokenBucket[time.Duration]
+	const rate, burst = 100, 2 // 100 tokens/s => 10 ms apart once drained
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	// The burst issues immediately; overdraws space 1/rate apart.
+	for i, want := range []time.Duration{0, 0, ms(10), ms(20), ms(30)} {
+		if got := b.Reserve(0, 1, rate, burst); got != want {
+			t.Fatalf("reserve %d at t=0: got %v, want %v", i, got, want)
+		}
+	}
+	// A reservation arriving mid-queue books after the booked backlog.
+	if got := b.Reserve(ms(5), 1, rate, burst); got != ms(40) {
+		t.Fatalf("queued reserve at t=5ms: got %v, want 40ms", got)
+	}
+	// After a long idle stretch the bucket refills, capped at burst: two
+	// immediate issues, then spacing resumes.
+	idle := 2 * time.Second
+	for i, want := range []time.Duration{idle, idle, idle + ms(10)} {
+		if got := b.Reserve(idle, 1, rate, burst); got != want {
+			t.Fatalf("post-idle reserve %d: got %v, want %v", i, got, want)
+		}
 	}
 }
