@@ -241,8 +241,8 @@ func (l *Layout) Chain(id ChainID) (*Chain, bool) {
 }
 
 // ChainsThrough returns the chains that include the given cell, ordered
-// horizontal, diagonal, anti-diagonal. The returned slice must not be
-// modified.
+// horizontal, diagonal, anti-diagonal. The slice is a fresh copy the
+// caller may reorder; the chains themselves must not be modified.
 func (l *Layout) ChainsThrough(c Coord) []*Chain {
 	chs := l.byCell[c]
 	sorted := make([]*Chain, len(chs))

@@ -63,17 +63,13 @@ func (l *liar) writesTo(stripe int) (n int) {
 //
 // The chain-major rows put the paper's damage — three chunks of one disk —
 // into the same stripe, under every code and both single-chain
-// strategies. There the check is per cell (checkCell), so "before the
-// first write" means the failing cell's: every lie the engine reads must
-// end the run with an error naming the stripe and one lost cell, that
-// cell neither written nor committed, and every cell written before it
-// right. (The oracle diff this replaced re-derived most cells through the
-// chain that had just rebuilt them: it wrote 15 of 29 single lies back on
-// STAR under typical, 12 of 25 on Triple-Star, 15 of 21 on TIP, 8 of 21 on
-// HDD1, and 7, 2, 3 and 5 under looped.) The last of them documents the
-// limit there: a STAR diagonal-parity cell sits on one chain only, nothing
-// independent exists to test it against, and a lie on that chain is
-// written and counted verified.
+// strategies. That stripe passes its zero test as a whole too, before its
+// first write: every lie the engine reads must end the run with an error
+// naming the stripe and a chain, no WriteChunk to the stripe and no
+// commit record for it. The last of them documents the limit there: a
+// STAR diagonal-parity cell sits on one chain only, nothing independent
+// exists to test it against, and a lie on that chain is written and
+// counted verified.
 func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
 	const seed, stripe = 23, 1
 	for _, tc := range []struct {
@@ -178,45 +174,32 @@ func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
 							cfg.JournalPath = filepath.Join(t.TempDir(), "rebuild.journal")
 						}
 						res, err := RunService(cfg)
-						var unwritten []store.Addr
-						for _, c := range tc.cells {
-							if a := AddrOf(stripe, c); !l.wrote[a] {
-								unwritten = append(unwritten, a)
-							}
-						}
-						wrong := firstWrongChunk(t, b, m, seed, unwritten...)
 						switch {
-						case err == nil && wrong != nil:
+						case err == nil && l.lies > 0:
+							if firstWrongChunk(t, b, m, seed) == nil {
+								t.Errorf("survivor %v lying: read %d times and the run succeeded with every byte right", l.addr, l.lies)
+							}
 							if want := len(tc.cells); res.ChunksRebuilt != want || res.ChunksVerified != want {
 								t.Errorf("survivor %v lying: rebuilt %d, verified %d, want %d", l.addr, res.ChunksRebuilt, res.ChunksVerified, want)
 							}
 							accepted++
-						case wrong != nil:
-							t.Errorf("survivor %v lying: %v was written wrong before the run failed: %v", l.addr, *wrong, err)
-						case err == nil && l.lies > 0:
-							t.Errorf("survivor %v lying: read %d times and the run succeeded", l.addr, l.lies)
 						case err == nil:
 							// Neither a repair chain nor a check chain holds it.
-							if len(unwritten) != 0 {
-								t.Errorf("survivor %v lying: the run succeeded with %v unwritten", l.addr, unwritten)
-							}
+							checkAgainstGroundTruth(t, b, m, seed)
 						default:
 							if l.lies == 0 {
 								t.Errorf("survivor %v never read: %v", l.addr, err)
 							}
-							failing := 0
-							for _, a := range unwritten {
-								if strings.Contains(err.Error(), fmt.Sprintf("cell %v", grid.Coord{Row: a.Chunk, Col: a.Disk})) {
-									failing++
-								}
+							if !strings.Contains(err.Error(), fmt.Sprintf("stripe %d: chain ", stripe)) {
+								t.Errorf("survivor %v lying: err = %v, want one naming stripe %d and a chain", l.addr, err, stripe)
 							}
-							if failing != 1 || !strings.Contains(err.Error(), fmt.Sprintf("stripe %d", stripe)) {
-								t.Errorf("survivor %v lying: err = %v, want one naming stripe %d and one cell of the unwritten %v", l.addr, err, stripe, unwritten)
+							if n := l.writesTo(stripe); n != 0 {
+								t.Errorf("survivor %v lying: %d chunks of the stripe written before it failed", l.addr, n)
 							}
 							if journaled {
 								for a := range journalCommits(t, cfg.JournalPath) {
-									if !l.wrote[a] {
-										t.Errorf("survivor %v lying: commit record for %v, which was not written", l.addr, a)
+									if a.Stripe == stripe {
+										t.Errorf("survivor %v lying: commit record for %v", l.addr, a)
 									}
 								}
 							}

@@ -5,16 +5,20 @@
 // ladder — against real bytes in a store.Backend, checking every
 // recovered chunk before it is written back: parity chains of the
 // repaired stripe must XOR to zero. A stripe is evaluated in one of two
-// orders, chosen by its plan: chain by chain through the byte cache, each
-// rebuilt cell summed with one more chain through it (checkCell), when
-// every lost cell has a single parity chain (replayChains — the paper's
-// partial stripe errors), or in one read-once pass that sums the stripe's
-// chain syndromes, decodes on them and tests every chain, when the plan
-// needs the GF(2) decoder (replayDecoded — whole-disk damage).
+// orders, chosen by its plan: chain by chain through the byte cache, the
+// chunks it fetches folded into the check chains picked with the plan as
+// well (chainCheck), when every lost cell has a single parity chain
+// (replayChains — the paper's partial stripe errors), or in one read-once
+// pass that sums the stripe's chain syndromes, decodes on them and tests
+// every chain, when the plan needs the GF(2) decoder (replayDecoded —
+// whole-disk damage). Either way the whole stripe passes its test before
+// writeBack starts its first write.
 package rebuild
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -67,8 +71,8 @@ type ServiceConfig struct {
 	// payload bit-rot at scan time.
 	Scrub bool
 	// NoVerify skips the check of recovered chunks before write-back: the
-	// parity-chain zero test, per cell of a chain-major stripe (checkCell)
-	// and per stripe of a decoded one.
+	// parity-chain zero test a stripe passes before its first write, in
+	// either evaluation order.
 	NoVerify bool
 
 	// Priority selects the stripe repair order (PrioritySequential
@@ -86,9 +90,10 @@ type ServiceConfig struct {
 
 	// Stop, when non-nil, requests graceful shutdown: once the channel
 	// is closed the service starts no further chunk write, finishes and
-	// journals the writes in flight (one, or up to the backend's write
-	// depth during a decoded stripe's write-back), syncs the journal, and
-	// returns with Interrupted set instead of an error.
+	// journals the writes in flight (up to the backend's write depth of
+	// them: every stripe is written back as one group, in either
+	// evaluation order), syncs the journal, and returns with Interrupted
+	// set instead of an error.
 	Stop <-chan struct{}
 
 	// Progress, when non-nil, is called after every repaired stripe —
@@ -498,8 +503,7 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 // defaulted, validated configuration.
 func newService(cfg *ServiceConfig, code *codes.Code, res *ServiceResult, jn *Journal) (*service, error) {
 	s := &service{cfg: cfg, m: cfg.Metrics, code: code, res: res, pool: chunk.NewPool(cfg.Manifest.ChunkSize), journal: jn,
-		lost: make(map[grid.Coord]bool), repaired: make(map[grid.Coord]bool)}
-	s.scratch = [2]chunk.Chunk{s.pool.GetRaw(), s.pool.GetRaw()}
+		lost: make(map[grid.Coord]bool)}
 	tally(s.m, &ServiceResult{}, &s.base)
 	if cfg.CacheChunks > 0 {
 		var err error
@@ -621,8 +625,8 @@ func stopRequested(stop <-chan struct{}) bool {
 // second opinion.
 func (s *service) verifyResumed(st *JournalState) error {
 	m := s.cfg.Manifest
-	buf := s.pool.GetRaw()
-	defer s.pool.Put(buf)
+	work := s.stripeBufs(3)
+	buf, acc, tmp := work[0], work[1], work[2]
 	for _, stripe := range st.InFlight() {
 		lost := st.Plans[stripe]
 		var cells []grid.Coord
@@ -654,7 +658,7 @@ func (s *service) verifyResumed(st *JournalState) error {
 			}
 			if oracle.Solvable(cell) {
 				var readErr error
-				err := oracle.Check(cell, buf, s.scratch[0], s.scratch[1], func(src grid.Coord, dst chunk.Chunk) error {
+				err := oracle.Check(cell, buf, acc, tmp, func(src grid.Coord, dst chunk.Chunk) error {
 					if readErr = s.readSource(AddrOf(stripe, src), dst); readErr == nil {
 						s.m.VerifyReads.Inc()
 					}
@@ -725,14 +729,14 @@ type service struct {
 	res  *ServiceResult
 	pool *chunk.Pool
 
-	// scratch is the accumulator and read buffer of checkCell and of
-	// resume's verify.Oracle.Check, held for the whole run.
-	scratch [2]chunk.Chunk
+	// work holds the buffers of the stripe under evaluation (stripeBufs),
+	// kept from one stripe to the next.
+	work []chunk.Chunk
 
 	// lost holds the cells of the stripe under repair that were accounted
-	// as data loss; loseCell maintains it, both replay orders skip them.
-	// repaired holds the ones written back and booked (bookCell).
-	lost, repaired map[grid.Coord]bool
+	// as data loss, so that loseCell books each once across re-plans. A
+	// re-plan only grows the lost set, so no later plan rebuilds one.
+	lost map[grid.Coord]bool
 
 	// Byte cache: the policy decides residency (with FBF priorities
 	// from each scheme), bufs mirrors its resident set with the actual
@@ -760,10 +764,24 @@ type schemePlan struct {
 	// decoded reports a scheme with at least one GF(2)-decoder selection;
 	// such a stripe is rebuilt by replayDecoded along pass, built on
 	// first use and carrying its own zero test. A scheme of single chains
-	// goes chain by chain, Selected[i] summed with checks[i] (checkChains).
+	// goes chain by chain through the byte cache (replayChains), tested by
+	// check.
 	decoded bool
 	pass    *decodePass
-	checks  [][]*grid.Chain
+	check   *chainCheck
+}
+
+// chainCheck is a chain-major plan's zero test, picked with the plan
+// (checkFor): the check chains, and where each of their members comes
+// from. Accumulator j sums chains[j]. A member some repair chain fetches
+// is folded in as it is fetched, on its first request; one no repair chain
+// fetches is read once, as a verify read; a rebuilt member is folded in
+// from memory. Every accumulator must then be zero.
+type chainCheck struct {
+	chains []*grid.Chain
+	folds  [][]int      // by request, Selected then Fetch order: the accumulators the chunk folds into
+	extra  []passSource // members no repair chain fetches, by disk then row
+	cells  [][]int      // by Selected index: the accumulators the rebuilt cell folds into
 }
 
 func lostKey(lost []grid.Coord) string {
@@ -796,7 +814,7 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 		p.decoded = p.decoded || sel.Decoded
 	}
 	if !p.decoded {
-		p.checks = s.checkChains(scheme, lost)
+		p.check = s.checkFor(p)
 	}
 	if s.schemes == nil {
 		s.schemes = make(map[string]*schemePlan)
@@ -841,12 +859,11 @@ func (s *service) repairStripe(d StripeDamage) error {
 		}
 	}
 
-	clear(s.repaired)
 	// The escalation loop: a failed source read escalates that cell to
-	// lost and regenerates the plan for whatever is still unrepaired — the
-	// cell included when it was repaired earlier in the stripe and reads
-	// back unreadable. Every escalation grows the lost set or rebuilds such
-	// a cell again, so the loop is bounded by the stripe's cell count.
+	// lost and regenerates the plan. Both orders read everything they need
+	// before the stripe's first write, so nothing of it has been written
+	// and the new plan is simply the grown lost set's. Every escalation
+	// grows that set, so the loop is bounded by the stripe's cell count.
 	for attempt := 0; attempt <= s.code.Layout().Cells(); attempt++ {
 		var esc *grid.Coord
 		if plan.decoded {
@@ -874,29 +891,18 @@ func (s *service) repairStripe(d StripeDamage) error {
 			}
 			return nil
 		}
-		// Escalate: the cell joins the lost set; regenerate for the
-		// cells still needing repair (unsolved ones are lost).
+		// Escalate: the cell joins the lost set; regenerate (unsolved cells
+		// are lost).
 		s.m.Escalations.Inc()
 		if id := (cache.ChunkID{Stripe: d.Stripe, Cell: *esc}); s.policy != nil && s.policy.Invalidate(id) {
 			s.dropBuf(id)
 		}
 		lost = mergeCell(lost, *esc)
-		delete(s.repaired, *esc)
-		var remaining []grid.Coord
-		for _, c := range lost {
-			if !s.repaired[c] {
-				remaining = append(remaining, c)
-			}
-		}
-		plan, err = s.planFor(d.Stripe, remaining)
+		plan, err = s.planFor(d.Stripe, lost)
 		if err != nil {
 			return err
 		}
 		if s.journal != nil {
-			// Journal the cumulative lost set (not just the remaining
-			// cells): resume verification derives its oracle from this
-			// record, and the full set is what keeps already-repaired
-			// cells solvable while never reading a lost source.
 			if err := s.journaled(s.journal.AppendPlan(d.Stripe, lost)); err != nil {
 				return err
 			}
@@ -912,41 +918,83 @@ func (s *service) repairStripe(d StripeDamage) error {
 // replayChains executes the scheme's selected chains in order, each
 // through the byte cache — the evaluation order of a plan made of single
 // parity chains, where cache.Policy decides what a later chain finds
-// resident. It returns a non-nil cell when a source read failed and the
-// caller must escalate, nil when the stripe's solvable cells are all
-// repaired.
+// resident — into one buffer per rebuilt cell. Each fetched chunk is also
+// folded into the plan's check chains it sits on, on its first request;
+// unless NoVerify the members no repair chain fetches are then read, once
+// each, the rebuilt cells folded in, and every check chain must be zero
+// before writeBack starts the stripe's first write. It returns a non-nil
+// cell when a source read failed and the caller must escalate (nothing of
+// the stripe has been written then), nil when the stripe's solvable cells
+// are all repaired. Beside the byte cache the stripe takes one buffer per
+// rebuilt cell, one per check chain and one read buffer (stripeBufs).
 func (s *service) replayChains(stripe int, plan *schemePlan) (*grid.Coord, error) {
-	acc := s.pool.GetRaw()
-	defer s.pool.Put(acc)
-	for i, sel := range plan.scheme.Selected {
-		if stopRequested(s.cfg.Stop) {
-			// Graceful stop between chunk repairs: everything committed
-			// so far is journaled; the caller keeps the journal.
-			s.res.Interrupted = true
-			return nil, nil
-		}
-		if s.repaired[sel.Lost] || s.lost[sel.Lost] {
-			continue
-		}
+	if stopRequested(s.cfg.Stop) {
+		s.res.Interrupted = true
+		return nil, nil
+	}
+	selected, check := plan.scheme.Selected, plan.check
+	work := s.stripeBufs(len(selected) + len(check.chains) + 1)
+	out, sums, buf := work[:len(selected)], work[len(selected):len(work)-1], work[len(work)-1]
+	for _, sum := range sums {
+		clear(sum)
+	}
+
+	r := 0 // request number
+	for i, sel := range selected {
 		if len(sel.Fetch) == 0 {
-			clear(acc)
+			clear(out[i])
 		}
 		for k, cell := range sel.Fetch {
-			if err := s.fetchInto(stripe, cell, acc, k == 0); err != nil {
+			if err := s.fetchInto(stripe, cell, out[i], k == 0, sums, check.folds[r]); err != nil {
 				return escalation(cell, err)
 			}
-		}
-		if !s.cfg.NoVerify {
-			if esc, err := s.checkCell(stripe, sel, plan.checks[i], acc); esc != nil || err != nil {
-				return esc, err
-			}
-			s.m.ChunksVerified.Inc()
-		}
-		if err := s.commitCell(stripe, sel, acc); err != nil {
-			return nil, err
+			r++
 		}
 	}
-	return nil, nil
+
+	if !s.cfg.NoVerify {
+		for _, src := range check.extra {
+			if err := s.readSource(AddrOf(stripe, src.cell), buf); err != nil {
+				return escalation(src.cell, err)
+			}
+			s.m.VerifyReads.Inc()
+			for _, j := range src.folds {
+				chunk.XORInto(sums[j], buf)
+			}
+		}
+		for i, js := range check.cells {
+			for _, j := range js {
+				chunk.XORInto(sums[j], out[i])
+			}
+		}
+		for j, ch := range check.chains {
+			if !sums[j].IsZero() {
+				return nil, notZero(stripe, ch)
+			}
+		}
+		s.m.ChunksVerified.Add(uint64(len(selected)))
+	}
+	return nil, s.writeStripe(stripe, selected, out)
+}
+
+// notZero is the error of a stripe that fails its zero test at chain ch.
+func notZero(stripe int, ch *grid.Chain) error {
+	return fmt.Errorf("rebuild: stripe %d: chain %v#%d does not XOR to zero over the repaired stripe", stripe, ch.Kind, ch.Index)
+}
+
+// writeStripe writes a stripe's checked cells back at the backend's write
+// depth, out[i] to selected[i].Lost. booked runs on this goroutine, so
+// the journal and the counters stay single-threaded.
+func (s *service) writeStripe(stripe int, selected []core.SelectedChain, out []chunk.Chunk) error {
+	addr := func(i int) store.Addr { return AddrOf(stripe, selected[i].Lost) }
+	booked := func(i int) error { return s.bookCell(addr(i), selected[i], out[i]) }
+	stopped, err := writeBack(s.cfg.Backend, s.cfg.Stop, out, addr, booked)
+	if stopped {
+		// Graceful stop before the last write was started: the writes in
+		// flight were finished and journaled, the next run plans the rest.
+		s.res.Interrupted = true
+	}
+	return err
 }
 
 // decodePass is a schemePlan's read-once evaluation order on parity-chain
@@ -1113,8 +1161,8 @@ func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
 // elimination, XORs to zero, and so does every row the elimination did
 // not need — the chains that lost nothing among them. Every write is
 // journaled as it completes (writeBack keeps up to the backend's write
-// depth of them in flight). The pass holds one pooled chunk per
-// accumulator, one per snapshot and a read buffer — never more than
+// depth of them in flight). The pass takes one buffer per accumulator,
+// one per snapshot and a read buffer (stripeBufs) — never more than
 // 2·chains+1 for a layout of that many chains, and without verify one
 // per chain with a lost cell, one per cell that kept its chain, and the
 // read buffer — and never consults the byte cache; each Fetch source is
@@ -1131,21 +1179,11 @@ func (s *service) replayDecoded(stripe int, plan *schemePlan) (*grid.Coord, erro
 		return nil, err
 	}
 	selected := plan.scheme.Selected
-	bufs := make([]chunk.Chunk, len(pass.chains)+len(pass.snaps))
-	for i := range bufs {
-		if i < len(pass.chains) {
-			bufs[i] = s.pool.Get()
-		} else {
-			bufs[i] = s.pool.GetRaw()
-		}
+	work := s.stripeBufs(len(pass.chains) + len(pass.snaps) + 1)
+	bufs, buf := work[:len(work)-1], work[len(work)-1]
+	for _, acc := range bufs[:len(pass.chains)] {
+		clear(acc)
 	}
-	buf := s.pool.GetRaw()
-	defer func() {
-		s.pool.Put(buf)
-		for _, b := range bufs {
-			s.pool.Put(b)
-		}
-	}()
 
 	for _, src := range pass.sources {
 		err := s.readSource(AddrOf(stripe, src.cell), buf)
@@ -1180,8 +1218,8 @@ func (s *service) replayDecoded(stripe int, plan *schemePlan) (*grid.Coord, erro
 			for _, i := range check.cells {
 				chunk.XORInto(bufs[check.snap], bufs[pass.outputs[i]])
 			}
-			if ch := pass.chains[check.chain]; !bufs[check.snap].IsZero() {
-				return nil, fmt.Errorf("rebuild: stripe %d: chain %v#%d does not XOR to zero over the repaired stripe", stripe, ch.Kind, ch.Index)
+			if !bufs[check.snap].IsZero() {
+				return nil, notZero(stripe, pass.chains[check.chain])
 			}
 		}
 		for _, acc := range pass.spare {
@@ -1191,31 +1229,11 @@ func (s *service) replayDecoded(stripe int, plan *schemePlan) (*grid.Coord, erro
 		}
 		s.m.ChunksVerified.Add(uint64(len(selected)))
 	}
-	// Every cell is verified; write them back at the backend's write
-	// depth. booked runs on this goroutine, so the journal, the counters
-	// and repaired stay single-threaded.
 	out := make([]chunk.Chunk, len(selected))
 	for i := range out {
 		out[i] = bufs[pass.outputs[i]]
 	}
-	addr := func(i int) store.Addr { return AddrOf(stripe, selected[i].Lost) }
-	booked := func(i int) error { return s.bookCell(addr(i), selected[i], out[i]) }
-	stopped, err := writeBack(s.cfg.Backend, s.cfg.Stop, out, addr, booked)
-	if stopped {
-		// Graceful stop before the last write was started: the writes in
-		// flight were finished and journaled, the next run plans the rest.
-		s.res.Interrupted = true
-	}
-	return nil, err
-}
-
-// commitCell writes one recovered chunk back and books it.
-func (s *service) commitCell(stripe int, sel core.SelectedChain, data chunk.Chunk) error {
-	a := AddrOf(stripe, sel.Lost)
-	if err := s.cfg.Backend.WriteChunk(a, data); err != nil {
-		return err
-	}
-	return s.bookCell(a, sel, data)
+	return nil, s.writeStripe(stripe, selected, out)
 }
 
 // bookCell journals the commit of a chunk WriteChunk has returned nil
@@ -1231,76 +1249,159 @@ func (s *service) bookCell(a store.Addr, sel core.SelectedChain, data chunk.Chun
 	if sel.Decoded {
 		s.m.ChunksDecoded.Inc()
 	}
-	s.repaired[sel.Lost] = true
 	return nil
 }
 
-// checkChains picks the chains checkCell sums each selected cell with. A
-// chain qualifies if it is not the cell's repair chain and holds no cell
-// still lost at its turn (those selected earlier are written by then); the
-// one with the fewest members outside what the chains so far fetch goes
-// first. A member the repair chain holds too cancels in the sum (STAR's
-// adjusters), so a further chain is added only if it lacks such a member.
-func (s *service) checkChains(scheme *core.Scheme, lost []grid.Coord) [][]*grid.Chain {
-	checks := make([][]*grid.Chain, len(scheme.Selected))
-	pending, fetched := make(map[grid.Coord]bool), make(map[grid.Coord]bool)
-	for _, c := range lost {
-		pending[c] = true
+// checkFor picks a chain-major plan's check chains (chainCheck). For each
+// selected cell in turn it takes layout chains through the cell other
+// than its repair chain, none with an unsolved member (data loss is never
+// read); the one with the fewest members the stripe does not read anyway
+// goes first — a member counts unless a repair chain fetches it, the plan
+// rebuilds it or a check taken for an earlier cell reads it — ties in
+// layout order. A lie in a chunk shows in a check chain's sum if the
+// chunk is summed an odd number of times: once if the chain holds it,
+// once more for each rebuilt member whose repair chain fetched it. So a
+// chain is taken only if it shows a member of the cell's repair chain that
+// no chain taken for the cell so far shows — the first usable one nearly
+// always; a further one where the repair chain and the check chain share
+// members (STAR's adjusters) or the check chain holds a second rebuilt
+// cell. A chain taken for two cells is summed once. Without verify it
+// picks none.
+func (s *service) checkFor(plan *schemePlan) *chainCheck {
+	selected, requests := plan.scheme.Selected, plan.scheme.TotalRequests()
+	c := &chainCheck{}
+	if s.cfg.NoVerify {
+		c.folds = make([][]int, requests)
+		return c
 	}
-	for i, sel := range scheme.Selected {
-		delete(pending, sel.Lost)
-		for _, c := range sel.Fetch {
-			fetched[c] = true
-		}
-		cands := append([]*grid.Chain(nil), s.code.Layout().ChainsThrough(sel.Lost)...)
-		sort.SliceStable(cands, func(a, b int) bool { return len(cands[a].Survivors(fetched)) < len(cands[b].Survivors(fetched)) })
-		shown := make(map[grid.Coord]bool) // repair-chain members some chain taken so far lacks
-		for _, ch := range cands {
-			if ch.ID() == sel.Chain || len(ch.Survivors(pending)) < len(ch.Cells) {
-				continue
-			}
-			n := len(shown)
-			for _, c := range sel.Fetch {
-				if !ch.Contains(c) {
-					shown[c] = true
-				}
-			}
-			if len(shown) > n {
-				checks[i] = append(checks[i], ch)
+	// What the plan does with each cell of the stripe, by CellIndex.
+	type use struct {
+		rebuilt  int // Selected index + 1; 0 if the plan rebuilds no such cell
+		request  int // the chunk's first request + 1; 0 if no repair chain fetches it
+		extra    int // c.extra index + 1; 0 if no check chain taken so far reads it
+		unsolved bool
+		summed   int  // the last candidate chain the cell's parity was taken for
+		odd      bool // the cell is summed an odd number of times in that chain's test
+		shown    int  // Selected index + 1 of the last cell this repair member was shown for
+	}
+	layout := s.code.Layout()
+	uses := make([]use, layout.Cells())
+	at := func(cell grid.Coord) *use { return &uses[s.code.CellIndex(cell)] }
+	r := 0
+	for i, sel := range selected {
+		at(sel.Lost).rebuilt = i + 1
+		for _, m := range sel.Fetch {
+			if r++; at(m).request == 0 {
+				at(m).request = r
 			}
 		}
 	}
-	return checks
-}
+	for _, m := range plan.unsolved {
+		at(m).unsolved = true
+	}
+	// unread counts a chain's members the stripe reads for nothing else, or
+	// is -1 for a chain with an unsolved member.
+	unread := func(ch *grid.Chain) (n int) {
+		for _, m := range ch.Cells {
+			switch u := at(m); {
+			case u.unsolved:
+				return -1
+			case u.rebuilt == 0 && u.request == 0 && u.extra == 0:
+				n++
+			}
+		}
+		return n
+	}
 
-// checkCell is the chain-major pre-write check (DESIGN §12): the cell just
-// rebuilt through sel.Chain must XOR to zero with the rest of each chain the
-// plan lists for it. Members resident in the byte cache are folded without
-// a request (the policy's state and counts stay the plan's), the rest are
-// verify reads, not admitted; an unreadable one is the caller's to escalate.
-func (s *service) checkCell(stripe int, sel core.SelectedChain, checks []*grid.Chain, rebuilt chunk.Chunk) (*grid.Coord, error) {
-	sum, buf := s.scratch[0], s.scratch[1]
-	for _, check := range checks {
-		copy(sum, rebuilt)
-		for _, m := range check.Cells {
-			if m == sel.Lost {
-				continue
-			}
-			src, ok := s.bufs[cache.ChunkID{Stripe: stripe, Cell: m}]
-			if !ok {
-				if err := s.readSource(AddrOf(stripe, m), buf); err != nil {
-					return escalation(m, err)
-				}
-				s.m.VerifyReads.Inc()
-				src = buf
-			}
-			chunk.XORInto(sum, src)
-		}
-		if !sum.IsZero() {
-			return nil, fmt.Errorf("rebuild: stripe %d: cell %v rebuilt through chain %v#%d does not XOR to zero with the rest of chain %v#%d", stripe, sel.Lost, sel.Chain.Kind, sel.Chain.Index, check.Kind, check.Index)
+	candidate := 0
+	flip := func(m grid.Coord) {
+		if u := at(m); u.summed != candidate {
+			u.summed, u.odd = candidate, true
+		} else {
+			u.odd = !u.odd
 		}
 	}
-	return nil, nil
+
+	for i, sel := range selected {
+		cands := layout.ChainsThrough(sel.Lost) // a copy, ours to reorder
+		cands = slices.DeleteFunc(cands, func(ch *grid.Chain) bool { return ch.ID() == sel.Chain || unread(ch) < 0 })
+		slices.SortStableFunc(cands, func(a, b *grid.Chain) int { return cmp.Compare(unread(a), unread(b)) })
+		for _, ch := range cands {
+			candidate++
+			for _, m := range ch.Cells {
+				flip(m)
+				if y := at(m).rebuilt; y > 0 {
+					for _, f := range selected[y-1].Fetch {
+						flip(f)
+					}
+				}
+			}
+			shown := false
+			for _, m := range sel.Fetch {
+				if u := at(m); u.summed == candidate && u.odd && u.shown != i+1 {
+					u.shown, shown = i+1, true
+				}
+			}
+			if !shown || slices.Contains(c.chains, ch) {
+				continue
+			}
+			c.chains = append(c.chains, ch)
+			for _, m := range ch.Cells {
+				if u := at(m); u.rebuilt == 0 && u.request == 0 && u.extra == 0 {
+					c.extra = append(c.extra, passSource{cell: m})
+					u.extra = len(c.extra)
+				}
+			}
+		}
+	}
+	slices.SortFunc(c.extra, func(a, b passSource) int { // store address order
+		return cmp.Or(cmp.Compare(a.cell.Col, b.cell.Col), cmp.Compare(a.cell.Row, b.cell.Row))
+	})
+	for e, src := range c.extra {
+		at(src.cell).extra = e + 1
+	}
+
+	// Route every member of every check chain to where its bytes come from:
+	// a request, a rebuilt cell or an extra read, numbered in that order,
+	// with all the lists in one array.
+	rebuilt, extra := requests, requests+len(selected)
+	from := func(m grid.Coord) int {
+		switch u := at(m); {
+		case u.rebuilt > 0:
+			return rebuilt + u.rebuilt - 1
+		case u.request > 0:
+			return u.request - 1
+		default:
+			return extra + u.extra - 1
+		}
+	}
+	end := make([]int, extra+len(c.extra)+1) // end[k] is where list k ends once filled
+	for _, ch := range c.chains {
+		for _, m := range ch.Cells {
+			end[from(m)+1]++
+		}
+	}
+	for k := 1; k < len(end); k++ {
+		end[k] += end[k-1]
+	}
+	all := make([]int, end[len(end)-1])
+	for j, ch := range c.chains {
+		for _, m := range ch.Cells {
+			k := from(m)
+			all[end[k]] = j
+			end[k]++
+		}
+	}
+	lists, start := make([][]int, len(end)-1), 0
+	for k := range lists {
+		lists[k] = all[start:end[k]:end[k]]
+		start = end[k]
+	}
+	c.folds, c.cells = lists[:rebuilt], lists[rebuilt:extra]
+	for e := range c.extra {
+		c.extra[e].folds = lists[extra+e]
+	}
+	return c
 }
 
 // escalation is what a replay returns for a failed source read: the cell,
@@ -1315,15 +1416,16 @@ func escalation(cell grid.Coord, err error) (*grid.Coord, error) {
 
 // fetchInto reads one source cell's bytes — from the byte cache on a
 // hit, from the backend on a miss — and folds them into the XOR
-// accumulator (copy for the chain's first member, XOR for the rest).
-// Miss fetches use pooled buffers that flow directly into backend I/O;
-// a buffer is kept only while the policy keeps the chunk resident.
-func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first bool) error {
+// accumulator (copy for the chain's first member, XOR for the rest) and
+// into sums[j] for every j in checks. Miss fetches use pooled buffers
+// that flow directly into backend I/O; a buffer is kept only while the
+// policy keeps the chunk resident.
+func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first bool, sums []chunk.Chunk, checks []int) error {
 	id := cache.ChunkID{Stripe: stripe, Cell: cell}
 	if s.policy != nil && s.policy.Request(id) {
 		if buf, ok := s.bufs[id]; ok {
 			s.m.CacheHits.Inc()
-			fold(acc, buf, first)
+			fold(buf, acc, first, sums, checks)
 			return nil
 		}
 		// Residency without bytes would be a bookkeeping bug; fail
@@ -1339,7 +1441,7 @@ func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first 
 		return err
 	}
 	s.m.DiskReads.Inc()
-	fold(acc, buf, first)
+	fold(buf, acc, first, sums, checks)
 	if s.policy != nil && s.policy.Contains(id) {
 		s.bufs[id] = buf
 	} else {
@@ -1356,6 +1458,17 @@ func (s *service) readSource(a store.Addr, buf chunk.Chunk) error {
 		err = &store.CorruptError{Addr: a, Err: fmt.Errorf("payload is %d bytes, manifest says %d", n, len(buf))}
 	}
 	return err
+}
+
+// stripeBufs returns n chunk buffers for evaluating one stripe, holding
+// whatever the last stripe left in them. The service keeps them from one
+// stripe to the next, so a run holds as many as its largest stripe needed
+// and a stripe takes none from the pool.
+func (s *service) stripeBufs(n int) []chunk.Chunk {
+	for len(s.work) < n {
+		s.work = append(s.work, s.pool.GetRaw())
+	}
+	return s.work[:n]
 }
 
 // dropBuf returns to the pool the bytes of a chunk the policy no longer
@@ -1377,12 +1490,17 @@ func (s *service) loseCell(stripe int, c grid.Coord) {
 	s.res.Lost = append(s.res.Lost, AddrOf(stripe, c))
 }
 
-func fold(acc, src chunk.Chunk, first bool) {
+// fold adds src to a chain's accumulator — a copy for its first member —
+// and to sums[j] for every j in checks.
+func fold(src, acc chunk.Chunk, first bool, sums []chunk.Chunk, checks []int) {
 	if first {
 		copy(acc, src)
-		return
+	} else {
+		chunk.XORInto(acc, src)
 	}
-	chunk.XORInto(acc, src)
+	for _, j := range checks {
+		chunk.XORInto(sums[j], src)
+	}
 }
 
 func mergeCell(lost []grid.Coord, c grid.Coord) []grid.Coord {

@@ -1,9 +1,10 @@
 package rebuild
 
 // writeback_test.go pins the write-back dispatcher (writeBack) through
-// RunService: how many writes it keeps in flight, what it does when one
-// of them fails or a stop arrives in mid-group, and that a backend
-// stating no depth sees the serial order.
+// RunService, in both evaluation orders: how many writes it keeps in
+// flight, what it does when one of them fails or a stop arrives in
+// mid-group, how many written chunks a kill can leave without a commit
+// record, and that a backend stating no depth sees the serial order.
 
 import (
 	"bytes"
@@ -28,14 +29,16 @@ var errWriteInjected = errors.New("injected write failure")
 // that is left of the stripe's group — so a dispatcher that kept fewer
 // would hang the test and one that kept more is recorded as a fault.
 // Writes leave the gate one at a time, and the write picked to fail or
-// to close stop leaves it ahead of any other in flight with it.
+// to close stop leaves it ahead of any other in flight with it. Once
+// failWrite has fired, every write that starts after it fails at once.
 type depthBackend struct {
 	store.Backend
 	depth int
 	group int // writes the write-back of one stripe starts
 
-	failWrite int // this write, counted from 1 as they start, fails; 0 none
-	stopWrite int // this write closes stop before it returns; 0 none
+	failWrite int    // this write, counted from 1 as they start, fails; 0 none
+	stopWrite int    // this write closes stop before it returns; 0 none
+	journal   string // the run's journal, read when failWrite fires
 	stop      chan struct{}
 
 	mu       sync.Mutex
@@ -50,6 +53,11 @@ type depthBackend struct {
 	atFire   int         // started when it fired
 	wrote    []store.Addr
 	faults   []string
+
+	// When failWrite fires: the writes that returned nil or are in flight
+	// — every one of them may be on the medium if the process is killed
+	// right then — and the commit records on file.
+	landed, journaled int
 }
 
 func newDepthBackend(b store.Backend, depth, group int) *depthBackend {
@@ -98,8 +106,18 @@ func (d *depthBackend) WriteChunk(a store.Addr, data []byte) error {
 	}
 	var err error
 	switch {
+	case d.failWrite > 0 && d.fired && n > d.atFire:
+		err = fmt.Errorf("write %v, started after write %d failed: %w", a, d.failWrite, errWriteInjected)
 	case n == d.failWrite:
 		err = fmt.Errorf("write %v: %w", a, errWriteInjected)
+		d.landed = len(d.wrote) + d.inFlight
+		if d.journal != "" {
+			records, err := journalRecords(d.journal)
+			if err != nil {
+				d.faultf("reading the journal: %v", err)
+			}
+			d.journaled = bytes.Count(records, []byte{recCommit})
+		}
 	case n == d.stopWrite:
 		close(d.stop)
 	}
@@ -130,50 +148,76 @@ func journalCommits(t *testing.T, path string) map[store.Addr]uint32 {
 	return st.Commits
 }
 
-// killThree materializes the fixture on a memstore and kills three whole
-// disks: every stripe loses 3·Rows cells and is rebuilt by the read-once
-// pass, whose write-back is one group of that many writes.
-func killThree(t *testing.T, m store.ArrayManifest) (b *store.Mem, perStripe int) {
-	t.Helper()
-	b = initMem(t, m, resumeSeed)
-	for _, disk := range []int{0, 2, 4} {
-		killDisk(t, b, disk)
+// writeFixture is damage whose every stripe is written back as one group
+// of perStripe writes.
+type writeFixture struct {
+	prefix    string // of the subtest names
+	m         store.ArrayManifest
+	perStripe int
+	decoded   bool // the stripes take the read-once pass, not the byte cache
+	damage    func(*testing.T, *store.Mem)
+}
+
+// writeFixtures returns the write-back fixtures over the given number of
+// stripes, one per evaluation order: three whole STAR p=5 disks killed
+// (every stripe loses 3·Rows cells to the read-once pass), and a partial
+// stripe error of five chunks of one disk in every TIP p=7 stripe (chain
+// by chain through the byte cache, its subtests prefixed "partial-").
+func writeFixtures(stripes int) []writeFixture {
+	kill := testManifest("star", 5, stripes, 64)
+	partial := testManifest("tip", 7, stripes, 64)
+	return []writeFixture{
+		{"", kill, 3 * kill.Rows, true, func(t *testing.T, b *store.Mem) {
+			for _, disk := range []int{0, 2, 4} {
+				killDisk(t, b, disk)
+			}
+		}},
+		{"partial-", partial, 5, false, func(t *testing.T, b *store.Mem) { losePartialStripes(t, b, partial, 5) }},
 	}
-	return b, 3 * m.Rows
+}
+
+// setUp materializes the fixture on a memstore and damages it.
+func (f writeFixture) setUp(t *testing.T) *store.Mem {
+	t.Helper()
+	b := initMem(t, f.m, resumeSeed)
+	f.damage(t, b)
+	return b
 }
 
 // TestWriteBackKeepsDepthInFlight pins the overlap itself: at every
 // stated depth the pipeline is exactly full (never more than depth, more
-// than one on a kill-3 stripe), no source is read while a write is in
+// than one on every stripe), no source is read while a write is in
 // flight, no two stripes' writes are in flight together, and the result
 // is the serial run's to the last counter.
 func TestWriteBackKeepsDepthInFlight(t *testing.T) {
-	m := testManifest("star", 5, 3, 64)
-	var serial *ServiceResult
-	for _, depth := range []int{1, 2, 8, 12, 16} {
-		t.Run(fmt.Sprint("depth-", depth), func(t *testing.T) {
-			mem, perStripe := killThree(t, m)
-			d := newDepthBackend(mem, depth, perStripe)
-			res, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: filepath.Join(t.TempDir(), "rebuild.journal")})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range d.faults {
-				t.Error(f)
-			}
-			if want := min(depth, perStripe); d.peak != want {
-				t.Fatalf("at most %d writes were in flight, want %d", d.peak, want)
-			}
-			if len(d.wrote) != m.Stripes*perStripe || res.ChunksRebuilt != len(d.wrote) {
-				t.Fatalf("%d writes, %d chunks rebuilt, want %d", len(d.wrote), res.ChunksRebuilt, m.Stripes*perStripe)
-			}
-			checkAgainstGroundTruth(t, mem, m, resumeSeed)
-			if serial == nil {
-				serial = res
-			} else if !reflect.DeepEqual(res, serial) {
-				t.Fatalf("depth %d: %+v\nserial: %+v", depth, res, serial)
-			}
-		})
+	for _, f := range writeFixtures(3) {
+		var serial *ServiceResult
+		for _, depth := range []int{1, 2, 8, 12, 16} {
+			t.Run(fmt.Sprint(f.prefix, "depth-", depth), func(t *testing.T) {
+				mem := f.setUp(t)
+				d := newDepthBackend(mem, depth, f.perStripe)
+				res, err := RunService(ServiceConfig{Backend: d, Manifest: f.m, JournalPath: filepath.Join(t.TempDir(), "rebuild.journal")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fault := range d.faults {
+					t.Error(fault)
+				}
+				if want := min(depth, f.perStripe); d.peak != want {
+					t.Fatalf("at most %d writes were in flight, want %d", d.peak, want)
+				}
+				want := f.m.Stripes * f.perStripe
+				if len(d.wrote) != want || res.ChunksRebuilt != want || (res.ChunksDecoded == want) != f.decoded {
+					t.Fatalf("%d writes, %d chunks rebuilt, %d decoded, want %d rebuilt (decoded: %v)", len(d.wrote), res.ChunksRebuilt, res.ChunksDecoded, want, f.decoded)
+				}
+				checkAgainstGroundTruth(t, mem, f.m, resumeSeed)
+				if serial == nil {
+					serial = res
+				} else if !reflect.DeepEqual(res, serial) {
+					t.Fatalf("depth %d: %+v\nserial: %+v", depth, res, serial)
+				}
+			})
+		}
 	}
 }
 
@@ -182,58 +226,74 @@ func TestWriteBackKeepsDepthInFlight(t *testing.T) {
 // write that returned nil has its commit record (and nothing else has),
 // the group is not refilled once the failure is known, and a rerun on
 // the same journal replays exactly those records and converges.
+//
+// The failure reaches the dispatcher through the same queue as the writes
+// in flight with it, and the failing write's goroutine queues its error
+// only after WriteChunk has returned — after the gate has let the others
+// go. Each of them collected first may start one more write. Were such a
+// refill let through too, it could finish and be collected ahead of the
+// failure as well, start another, and so on to the end of the group for
+// as long as the failing goroutine waits to be scheduled. So a write that
+// starts after the failure fails at once: whichever failure the
+// dispatcher collects first, it starts nothing after it, and the refills
+// end with their first generation.
+//
+// The failing write stands in for a hard kill as well (§13's bound): at
+// that moment every write that returned nil or is in flight may be on the
+// medium, and the ones without a commit record on file are at most depth.
 func TestWriteBackFailureMidGroup(t *testing.T) {
-	m := testManifest("star", 5, 2, 64)
 	const depth = 4
-	for k := 1; k <= 2*3*m.Rows; k++ {
-		t.Run(fmt.Sprint("write-", k), func(t *testing.T) {
-			journal := filepath.Join(t.TempDir(), "rebuild.journal")
-			mem, perStripe := killThree(t, m)
-			d := newDepthBackend(mem, depth, perStripe)
-			d.failWrite = k
-			_, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: journal})
-			if !errors.Is(err, errWriteInjected) {
-				t.Fatalf("run returned %v, want the injected write failure", err)
-			}
-			for _, f := range d.faults {
-				t.Error(f)
-			}
-			// The failure reaches the dispatcher through the same queue as
-			// the successes in flight with it; each of those collected
-			// first may start one more write, nothing else may.
-			if d.started > d.atFire+depth-1 {
-				t.Fatalf("%d writes started, %d of them before the failure: the group was refilled after it", d.started, d.atFire)
-			}
-			if got, want := len(d.wrote), d.started-1; got != want {
-				t.Fatalf("%d writes returned nil, want all %d that started but the failed one", got, want)
-			}
-			commits := journalCommits(t, journal)
-			if len(commits) != len(d.wrote) {
-				t.Fatalf("%d commit records for %d writes that returned nil", len(commits), len(d.wrote))
-			}
-			for _, a := range d.wrote {
-				if _, ok := commits[a]; !ok {
-					t.Fatalf("%v was written and has no commit record", a)
+	for _, f := range writeFixtures(2) {
+		for k := 1; k <= f.m.Stripes*f.perStripe; k++ {
+			t.Run(fmt.Sprint(f.prefix, "write-", k), func(t *testing.T) {
+				journal := filepath.Join(t.TempDir(), "rebuild.journal")
+				mem := f.setUp(t)
+				d := newDepthBackend(mem, depth, f.perStripe)
+				d.failWrite, d.journal = k, journal
+				_, err := RunService(ServiceConfig{Backend: d, Manifest: f.m, JournalPath: journal})
+				if !errors.Is(err, errWriteInjected) {
+					t.Fatalf("run returned %v, want the injected write failure", err)
 				}
-			}
+				for _, fault := range d.faults {
+					t.Error(fault)
+				}
+				if d.started > d.atFire+depth-1 {
+					t.Fatalf("%d writes started, %d of them before the failure: the group was refilled after it", d.started, d.atFire)
+				}
+				if got, want := len(d.wrote), d.atFire-1; got != want {
+					t.Fatalf("%d writes returned nil, want all %d that started before the failure but the failed one", got, want)
+				}
+				if unjournaled := d.landed - d.journaled; unjournaled < 1 || unjournaled > depth {
+					t.Fatalf("a kill at the failing write leaves %d written chunks without a commit record (%d landed, %d records), want 1 to %d", unjournaled, d.landed, d.journaled, depth)
+				}
+				commits := journalCommits(t, journal)
+				if len(commits) != len(d.wrote) {
+					t.Fatalf("%d commit records for %d writes that returned nil", len(commits), len(d.wrote))
+				}
+				for _, a := range d.wrote {
+					if _, ok := commits[a]; !ok {
+						t.Fatalf("%v was written and has no commit record", a)
+					}
+				}
 
-			res, err := RunService(ServiceConfig{Backend: mem, Manifest: m, JournalPath: journal})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Commits of a finished stripe are replayed too; all of them
-			// are on record, none was made up.
-			if res.ResumedCommits != len(commits) || res.DataLoss || res.Interrupted {
-				t.Fatalf("rerun replayed %d commits (want %d), dataloss=%v interrupted=%v", res.ResumedCommits, len(commits), res.DataLoss, res.Interrupted)
-			}
-			if res.ChunksRebuilt != m.Stripes*perStripe-len(commits) {
-				t.Fatalf("rerun rebuilt %d chunks, want the %d the failed run left", res.ChunksRebuilt, m.Stripes*perStripe-len(commits))
-			}
-			checkAgainstGroundTruth(t, mem, m, resumeSeed)
-			if _, err := os.Stat(journal); !os.IsNotExist(err) {
-				t.Fatalf("journal survives the completed rerun: %v", err)
-			}
-		})
+				res, err := RunService(ServiceConfig{Backend: mem, Manifest: f.m, JournalPath: journal})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Commits of a finished stripe are replayed too; all of them
+				// are on record, none was made up.
+				if res.ResumedCommits != len(commits) || res.DataLoss || res.Interrupted {
+					t.Fatalf("rerun replayed %d commits (want %d), dataloss=%v interrupted=%v", res.ResumedCommits, len(commits), res.DataLoss, res.Interrupted)
+				}
+				if want := f.m.Stripes*f.perStripe - len(commits); res.ChunksRebuilt != want {
+					t.Fatalf("rerun rebuilt %d chunks, want the %d the failed run left", res.ChunksRebuilt, want)
+				}
+				checkAgainstGroundTruth(t, mem, f.m, resumeSeed)
+				if _, err := os.Stat(journal); !os.IsNotExist(err) {
+					t.Fatalf("journal survives the completed rerun: %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -242,45 +302,56 @@ func TestWriteBackFailureMidGroup(t *testing.T) {
 // starts afterwards, the stripe is not marked done, and the resumed run
 // replays exactly the booked writes.
 func TestWriteBackStopMidGroup(t *testing.T) {
-	m := testManifest("star", 5, 2, 64)
 	const depth = 4
-	for _, k := range []int{1, 2, depth, depth + 1, 3*m.Rows - 1, 3*m.Rows + 2} {
-		t.Run(fmt.Sprint("write-", k), func(t *testing.T) {
-			journal := filepath.Join(t.TempDir(), "rebuild.journal")
-			mem, perStripe := killThree(t, m)
-			d := newDepthBackend(mem, depth, perStripe)
-			d.stopWrite = k
-			res, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: journal, Stop: d.stop})
-			if err != nil {
-				t.Fatalf("graceful stop must not be an error: %v", err)
+	for _, f := range writeFixtures(2) {
+		seen := map[int]bool{}
+		for _, k := range []int{1, 2, depth, depth + 1, f.perStripe - 1, f.perStripe + 2} {
+			if seen[k] {
+				continue
 			}
-			for _, f := range d.faults {
-				t.Error(f)
-			}
-			// Stop closed with the pipeline full: in the k-th write's stripe
-			// that is the first fill (depth writes) or, later in the group,
-			// the refill the k-th write itself was.
-			done, kIn := (k-1)/perStripe, (k-1)%perStripe+1
-			if want := done*perStripe + max(kIn, depth); d.started != want || len(d.wrote) != want {
-				t.Fatalf("%d writes started, %d returned nil, want %d of each: those in flight at the stop finish, none starts", d.started, len(d.wrote), want)
-			}
-			commits := journalCommits(t, journal)
-			if !res.Interrupted || res.ChunksRebuilt != len(d.wrote) || len(commits) != len(d.wrote) {
-				t.Fatalf("interrupted=%v, %d chunks rebuilt, %d commit records, %d writes returned nil", res.Interrupted, res.ChunksRebuilt, len(commits), len(d.wrote))
-			}
-			if res.StripesRepaired != done {
-				t.Fatalf("%d stripes marked repaired, want %d", res.StripesRepaired, done)
-			}
+			seen[k] = true
+			t.Run(fmt.Sprint(f.prefix, "write-", k), func(t *testing.T) {
+				journal := filepath.Join(t.TempDir(), "rebuild.journal")
+				mem := f.setUp(t)
+				d := newDepthBackend(mem, depth, f.perStripe)
+				d.stopWrite = k
+				res, err := RunService(ServiceConfig{Backend: d, Manifest: f.m, JournalPath: journal, Stop: d.stop})
+				if err != nil {
+					t.Fatalf("graceful stop must not be an error: %v", err)
+				}
+				for _, fault := range d.faults {
+					t.Error(fault)
+				}
+				// Stop closed with the pipeline full: in the k-th write's stripe
+				// that is the first fill (depth writes) or, later in the group,
+				// the refill the k-th write itself was. A stop that lands once
+				// the whole group has started leaves that stripe done.
+				done, kIn := (k-1)/f.perStripe, (k-1)%f.perStripe+1
+				inGroup := min(max(kIn, depth), f.perStripe)
+				if want := done*f.perStripe + inGroup; d.started != want || len(d.wrote) != want {
+					t.Fatalf("%d writes started, %d returned nil, want %d of each: those in flight at the stop finish, none starts", d.started, len(d.wrote), want)
+				}
+				if inGroup == f.perStripe {
+					done++
+				}
+				commits := journalCommits(t, journal)
+				if !res.Interrupted || res.ChunksRebuilt != len(d.wrote) || len(commits) != len(d.wrote) {
+					t.Fatalf("interrupted=%v, %d chunks rebuilt, %d commit records, %d writes returned nil", res.Interrupted, res.ChunksRebuilt, len(commits), len(d.wrote))
+				}
+				if res.StripesRepaired != done {
+					t.Fatalf("%d stripes marked repaired, want %d", res.StripesRepaired, done)
+				}
 
-			res2, err := RunService(ServiceConfig{Backend: mem, Manifest: m, JournalPath: journal})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res2.Interrupted || res2.DataLoss || res2.ResumedCommits != len(commits) || res2.ChunksRebuilt != m.Stripes*perStripe-len(commits) {
-				t.Fatalf("resume: %+v after %d commits", res2, len(commits))
-			}
-			checkAgainstGroundTruth(t, mem, m, resumeSeed)
-		})
+				res2, err := RunService(ServiceConfig{Backend: mem, Manifest: f.m, JournalPath: journal})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res2.Interrupted || res2.DataLoss || res2.ResumedCommits != len(commits) || res2.ChunksRebuilt != f.m.Stripes*f.perStripe-len(commits) {
+					t.Fatalf("resume: %+v after %d commits", res2, len(commits))
+				}
+				checkAgainstGroundTruth(t, mem, f.m, resumeSeed)
+			})
+		}
 	}
 }
 
