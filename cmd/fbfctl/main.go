@@ -378,8 +378,7 @@ func runRebuild(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "        plan : strategy=%s policy=%s cache=%d priority=%s\n",
 			cfg.Strategy, cfg.Policy, cfg.CacheChunks, cfg.Priority)
 		if res.ResumedCommits > 0 {
-			fmt.Fprintf(stdout, "     resumed : %d journaled commits replayed (%d re-verified)\n",
-				res.ResumedCommits, res.ResumeVerified)
+			fmt.Fprintf(stdout, "     resumed : %d journaled commits replayed\n", res.ResumedCommits)
 		}
 		fmt.Fprintf(stdout, "     rebuilt : %d chunks in %d stripes (%d verified, %d decoded)\n",
 			res.ChunksRebuilt, res.StripesRepaired, res.ChunksVerified, res.ChunksDecoded)

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"sync"
 )
 
@@ -181,5 +182,36 @@ func (p *Pool) GetRaw() Chunk {
 func (p *Pool) Put(c Chunk) {
 	if len(c) == p.size {
 		p.pool.Put(c) //nolint:staticcheck // Chunk is a slice; boxing is fine here.
+	}
+}
+
+// Filler writes the byte stream math/rand's (*Rand).Read yields for a
+// seeded source — the seven low bytes of each Int63, low byte first,
+// carried over from one call into the next — seven bytes per Int63 where
+// Read loops once per byte. Filling a stripe's data cells from a seed is
+// most of what InitStore does.
+type Filler struct {
+	src rand.Source
+	val int64
+	pos int // bytes of val not yet written
+}
+
+// NewFiller returns the Filler of rand.NewSource(seed).
+func NewFiller(seed int64) *Filler { return &Filler{src: rand.NewSource(seed)} }
+
+// Fill overwrites p with the stream's next len(p) bytes.
+func (f *Filler) Fill(p []byte) {
+	for n := 0; n < len(p); n++ {
+		if f.pos == 0 {
+			if len(p)-n >= 8 { // a whole word; the put's eighth byte is the next word's first
+				binary.LittleEndian.PutUint64(p[n:], uint64(f.src.Int63()))
+				n += 6
+				continue
+			}
+			f.val, f.pos = f.src.Int63(), 7
+		}
+		p[n] = byte(f.val)
+		f.val >>= 8
+		f.pos--
 	}
 }

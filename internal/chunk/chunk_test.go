@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -194,6 +195,26 @@ func BenchmarkIsZero(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !c.IsZero() {
 			b.Fatal("zero chunk reported non-zero")
+		}
+	}
+}
+
+// TestFillerIsRandRead pins Filler to the stream math/rand's Read yields
+// for the same seed, across fills of every length around the seven-byte
+// word and the eight-byte put, so every seeded stripe keeps its bytes.
+func TestFillerIsRandRead(t *testing.T) {
+	sizes := []int{0, 1, 6, 7, 8, 9, 13, 14, 15, 64, 100, 32 << 10}
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		f := NewFiller(seed)
+		for i := 0; i < 3*len(sizes); i++ {
+			n := sizes[(i*5+int(seed))%len(sizes)]
+			want, got := make([]byte, n), make([]byte, n)
+			r.Read(want)
+			f.Fill(got)
+			if !bytes.Equal(want, got) {
+				t.Fatalf("seed %d, fill %d (%d bytes): not the bytes rand.Read gives", seed, i, n)
+			}
 		}
 	}
 }

@@ -11,7 +11,6 @@ package codes
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"fbf/internal/chunk"
@@ -369,13 +368,13 @@ func (c *Code) MaterializeStripe(seed int64, chunkSize int) []chunk.Chunk {
 	return s
 }
 
-// MaterializeStripeInto implements core.Rebuilder: dst may come
+// MaterializeStripeInto is MaterializeStripe into dst, which may come
 // from a pool un-zeroed — the RNG overwrites every data byte and Encode
 // overwrites every parity byte.
 func (c *Code) MaterializeStripeInto(dst []chunk.Chunk, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+	fill := chunk.NewFiller(seed)
 	for _, cell := range c.layout.DataCells() {
-		rng.Read(dst[c.CellIndex(cell)])
+		fill.Fill(dst[c.CellIndex(cell)])
 	}
 	c.Encode(dst)
 }
@@ -390,7 +389,7 @@ func (c *Code) RebuildChunk(id grid.ChainID, lost grid.Coord, stripe []chunk.Chu
 	return acc, nil
 }
 
-// RebuildChunkInto implements core.Rebuilder: the first surviving
+// RebuildChunkInto is RebuildChunk into dst: the first surviving
 // member is copied and the rest XORed in, so dst may come from a pool
 // un-zeroed.
 func (c *Code) RebuildChunkInto(dst chunk.Chunk, id grid.ChainID, lost grid.Coord, stripe []chunk.Chunk) error {

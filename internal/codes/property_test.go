@@ -121,8 +121,8 @@ func TestPropertyVerticalChainsOneCellPerColumn(t *testing.T) {
 	}
 }
 
-// TestPropertyMaterializeStripeIsEncoded ties the Rebuilder interface to
-// Verify.
+// TestPropertyMaterializeStripeIsEncoded ties MaterializeStripe and
+// RebuildChunk to Verify.
 func TestPropertyMaterializeStripeIsEncoded(t *testing.T) {
 	for _, name := range Names() {
 		code := MustNew(name, 5)

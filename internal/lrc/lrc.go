@@ -21,7 +21,6 @@ package lrc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"fbf/internal/chunk"
 	"fbf/internal/core"
@@ -276,13 +275,13 @@ func (c *Code) MaterializeStripe(seed int64, chunkSize int) []chunk.Chunk {
 	return s
 }
 
-// MaterializeStripeInto implements core.Rebuilder: dst may come
+// MaterializeStripeInto is MaterializeStripe into dst, which may come
 // from a pool un-zeroed — the RNG overwrites every data byte and Encode
 // clears each parity chunk before accumulating into it.
 func (c *Code) MaterializeStripeInto(dst []chunk.Chunk, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
+	fill := chunk.NewFiller(seed)
 	for _, cell := range c.layout.DataCells() {
-		rng.Read(dst[c.CellIndex(cell)])
+		fill.Fill(dst[c.CellIndex(cell)])
 	}
 	c.Encode(dst)
 }
@@ -297,7 +296,7 @@ func (c *Code) RebuildChunk(id grid.ChainID, lost grid.Coord, stripe []chunk.Chu
 	return acc, nil
 }
 
-// RebuildChunkInto implements core.Rebuilder: dst is cleared, the
+// RebuildChunkInto is RebuildChunk into dst: dst is cleared, the
 // weighted survivors accumulate into it, and the in-place scale by the
 // lost coefficient's inverse replaces the scratch buffer RebuildChunk
 // used to allocate.
@@ -324,7 +323,4 @@ func (c *Code) RebuildChunkInto(dst chunk.Chunk, id grid.ChainID, lost grid.Coor
 }
 
 // Interface conformance.
-var (
-	_ core.Geometry  = (*Code)(nil)
-	_ core.Rebuilder = (*Code)(nil)
-)
+var _ core.Geometry = (*Code)(nil)

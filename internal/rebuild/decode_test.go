@@ -123,7 +123,7 @@ func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
 							t.Fatalf("survivor %v lying: %d chunks of the stripe written before it failed", l.addr, n)
 						}
 						if journaled {
-							for a := range journalCommits(t, cfg.JournalPath) {
+							for a := range replayJournal(t, cfg.JournalPath).Commits {
 								if a.Stripe == stripe {
 									t.Fatalf("survivor %v lying: commit record for %v", l.addr, a)
 								}
@@ -197,7 +197,7 @@ func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
 								t.Errorf("survivor %v lying: %d chunks of the stripe written before it failed", l.addr, n)
 							}
 							if journaled {
-								for a := range journalCommits(t, cfg.JournalPath) {
+								for a := range replayJournal(t, cfg.JournalPath).Commits {
 									if a.Stripe == stripe {
 										t.Errorf("survivor %v lying: commit record for %v", l.addr, a)
 									}

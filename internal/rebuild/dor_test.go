@@ -113,11 +113,6 @@ func TestDORRejectsUnsupportedFeatures(t *testing.T) {
 	if _, err := Run(withApp, errs); err == nil {
 		t.Error("DOR+App accepted")
 	}
-	withVerify := base
-	withVerify.VerifyData = true
-	if _, err := Run(withVerify, errs); err == nil {
-		t.Error("DOR+VerifyData accepted")
-	}
 }
 
 func TestDORReadCountsMatchSORAtZeroCache(t *testing.T) {

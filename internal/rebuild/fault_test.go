@@ -114,13 +114,13 @@ func TestArmedZeroFaultsMatchesBaseline(t *testing.T) {
 }
 
 // TestTransientRetriesRecover pins the retry ladder: a seeded transient
-// rate makes reads time out and be retried with backoff, recovery still
-// completes, and (VerifyData) every rebuilt chunk is byte-exact.
+// rate makes reads time out and be retried with backoff, and recovery
+// still completes without loss.
 func TestTransientRetriesRecover(t *testing.T) {
 	code := codes.MustNew("tip", 5)
 	errors := genErrors(t, code, 12, 64, 3)
 	noFault := Config{Code: code, Policy: "lru", Strategy: core.StrategyLooped,
-		Workers: 2, CacheChunks: 32, Stripes: 64, VerifyData: true}
+		Workers: 2, CacheChunks: 32, Stripes: 64}
 	clean, err := Run(noFault, errors)
 	if err != nil {
 		t.Fatal(err)
@@ -140,24 +140,22 @@ func TestTransientRetriesRecover(t *testing.T) {
 	if res.DataLoss {
 		t.Errorf("transient-only run lost data: %+v", res.Lost)
 	}
-	if res.VerifiedChunks == 0 {
-		t.Error("no chunks byte-verified")
-	}
 	if res.Makespan <= clean.Makespan {
 		t.Errorf("retries did not extend makespan: %v <= clean %v", res.Makespan, clean.Makespan)
 	}
 }
 
-// TestUREEscalationIsByteExact pins the URE ladder: latent sector errors
-// escalate chunks to lost, the scheme is regenerated around them (GF(2)
-// decoder fallback included), the stale cached copies are invalidated,
-// and — because the code's tolerance is not exceeded — every repaired
-// chunk still byte-matches the original contents.
-func TestUREEscalationIsByteExact(t *testing.T) {
+// TestUREEscalationRecoversWithinTolerance pins the URE ladder: latent
+// sector errors escalate chunks to lost, the scheme is regenerated around
+// them (GF(2) decoder fallback included), and — because the code's
+// tolerance is not exceeded — nothing is lost. The regenerated schemes'
+// bytes are checked where bytes live: verify.SweepEscalations replays
+// them on a garbage-damaged stripe (verify.CheckEscalatedRecovery).
+func TestUREEscalationRecoversWithinTolerance(t *testing.T) {
 	code := codes.MustNew("star", 5)
 	errors := genErrors(t, code, 16, 64, 4)
 	cfg := Config{Code: code, Policy: "fbf", Strategy: core.StrategyLooped,
-		Workers: 2, CacheChunks: 32, Stripes: 64, VerifyData: true,
+		Workers: 2, CacheChunks: 32, Stripes: 64,
 		Faults: &FaultConfig{Seed: 7, URERate: 0.02}}
 	res, err := Run(cfg, errors)
 	if err != nil {
@@ -171,9 +169,6 @@ func TestUREEscalationIsByteExact(t *testing.T) {
 	}
 	if res.DataLoss {
 		t.Errorf("URE pattern within tolerance reported data loss: %+v", res.Lost)
-	}
-	if res.VerifiedChunks == 0 {
-		t.Error("no chunks byte-verified")
 	}
 	if res.FailedReads < res.Escalations {
 		t.Errorf("FailedReads %d < Escalations %d", res.FailedReads, res.Escalations)
@@ -274,7 +269,7 @@ func TestReplanOnceUnderConcurrentRuns(t *testing.T) {
 	code := codes.MustNew("star", 7)
 	errors := genErrors(t, code, 24, 256, 12)
 	cfg := Config{Code: code, Policy: "fbf", Strategy: core.StrategyLooped,
-		Workers: 4, CacheChunks: 128, Stripes: 256, VerifyData: true,
+		Workers: 4, CacheChunks: 128, Stripes: 256,
 		Faults: &FaultConfig{
 			Seed:          5,
 			URERate:       0.005,
@@ -349,8 +344,9 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 
 // FuzzFaultPlan drives small faulted rebuilds with arbitrary seeds,
 // rates and failure schedules, asserting the engine's safety envelope:
-// no error, no panic, coherent loss accounting, and byte-exact
-// verification of everything it claims to have repaired.
+// no error, no panic and coherent loss accounting. The bytes of the
+// regenerated schemes it replays are checked by verify.SweepEscalations
+// (verify.CheckEscalatedRecovery), on a garbage-damaged stripe.
 func FuzzFaultPlan(f *testing.F) {
 	f.Add(int64(1), uint16(100), uint16(100), uint8(0), uint16(10), uint8(4), uint16(30))
 	f.Add(int64(7), uint16(0), uint16(400), uint8(2), uint16(1), uint8(2), uint16(2))
@@ -376,7 +372,7 @@ func FuzzFaultPlan(f *testing.F) {
 		}
 		cfg := Config{Code: code, Policy: "fbf", Strategy: core.StrategyLooped,
 			Workers: 2, CacheChunks: 16, Stripes: 8, ChunkSize: 4096,
-			VerifyData: true, Faults: fc}
+			Faults: fc}
 		res, err := Run(cfg, trace)
 		if err != nil {
 			t.Fatalf("faulted run errored: %v", err)

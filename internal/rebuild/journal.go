@@ -3,8 +3,8 @@
 // resumable. The service journals its scan, a plan record per stripe it
 // starts, and a commit record per chunk it durably writes back; a
 // process that dies mid-rebuild leaves a journal whose replay says
-// exactly which repairs committed, so the next run re-verifies the
-// stripe that was in flight and continues instead of starting over.
+// exactly which repairs committed, so the next run repairs the stripe
+// that was in flight again and continues instead of starting over.
 //
 // Framing reuses the store's CRC32-Castagnoli discipline: an 8-byte
 // file header (magic + version), then frames of

@@ -3,7 +3,6 @@ package rebuild
 import (
 	"testing"
 
-	"fbf/internal/chunk"
 	"fbf/internal/codes"
 	"fbf/internal/core"
 	"fbf/internal/sim"
@@ -35,34 +34,6 @@ func TestResultZeroValueAccessors(t *testing.T) {
 	var r Result
 	if r.AvgResponse() != 0 || r.AvgSchemeGen() != 0 || r.AppHitRatio() != 0 || r.AppAvgResponse() != 0 {
 		t.Error("zero-value accessors should all be 0")
-	}
-}
-
-func TestVerifyChainDetectsCorruption(t *testing.T) {
-	// Force a mismatch by planting a worker with a corrupted stripe and
-	// calling verifyChain directly.
-	code := codes.MustNew("tip", 5)
-	e := core.PartialStripeError{Stripe: 0, Disk: 0, Row: 0, Size: 1}
-	scheme, err := core.GenerateScheme(code, e, core.StrategyTypical)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &engine{cfg: Config{Code: code, ChunkSize: 64, VerifyData: true}, pool: chunk.NewPool(64)}
-	w := &worker{engine: eng, scheme: scheme}
-	w.stripe = code.MaterializeStripe(1, 64)
-	w.stripe[0][0] ^= 0xFF // corrupt a chunk the chain reads
-	w.verifyChain(scheme.Selected[0])
-	if eng.verifyErr == nil {
-		t.Error("corruption not detected")
-	}
-	if eng.verifiedChunks != 0 {
-		t.Error("corrupted chunk counted as verified")
-	}
-	// A second failure must not overwrite the first error.
-	first := eng.verifyErr
-	w.verifyChain(scheme.Selected[0])
-	if eng.verifyErr != first {
-		t.Error("first verify error overwritten")
 	}
 }
 

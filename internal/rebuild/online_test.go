@@ -183,43 +183,3 @@ func TestOnlineRecoveryDeterministic(t *testing.T) {
 		t.Error("online recovery not deterministic")
 	}
 }
-
-func TestVerifyDataChecksEveryLostChunk(t *testing.T) {
-	for _, name := range codes.Names() {
-		code := codes.MustNew(name, 7)
-		errors := genErrors(t, code, 12, 60, 25)
-		res, err := Run(Config{
-			Code: code, Policy: "fbf", Strategy: core.StrategyLooped,
-			Workers: 3, CacheChunks: 32, Stripes: 60,
-			ChunkSize: 512, VerifyData: true,
-		}, errors)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var lost uint64
-		for _, e := range errors {
-			lost += uint64(e.Size)
-		}
-		if res.VerifiedChunks != lost {
-			t.Errorf("%s: verified %d chunks, want %d", name, res.VerifiedChunks, lost)
-		}
-	}
-}
-
-func TestVerifyDataAllStrategies(t *testing.T) {
-	code := codes.MustNew("star", 5)
-	errors := genErrors(t, code, 8, 40, 26)
-	for _, strategy := range []core.Strategy{core.StrategyTypical, core.StrategyLooped, core.StrategyGreedy} {
-		res, err := Run(Config{
-			Code: code, Policy: "lru", Strategy: strategy,
-			Workers: 2, CacheChunks: 16, Stripes: 40,
-			ChunkSize: 256, VerifyData: true,
-		}, errors)
-		if err != nil {
-			t.Fatalf("%v: %v", strategy, err)
-		}
-		if res.VerifiedChunks == 0 {
-			t.Errorf("%v: nothing verified", strategy)
-		}
-	}
-}

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"fbf/internal/cache"
-	"fbf/internal/chunk"
 	"fbf/internal/core"
 	"fbf/internal/disk"
 	"fbf/internal/grid"
@@ -64,12 +63,6 @@ type Config struct {
 	// throttle on rebuild I/O (qos.go). Mutually exclusive with App —
 	// one foreground stream per run.
 	Serving *ServingConfig
-
-	// VerifyData makes the engine carry real chunk contents: each error
-	// group's stripe is materialized and encoded, every selected chain
-	// is XOR-verified to rebuild the lost chunk's bytes, and a mismatch
-	// fails the run. Slower; meant for integrity tests.
-	VerifyData bool
 
 	// Faults, when non-nil, arms deterministic fault injection: URE and
 	// transient read errors drawn from Faults.Seed plus scheduled
@@ -184,11 +177,6 @@ func (c *Config) Validate() error {
 			return err
 		}
 	}
-	if c.VerifyData {
-		if _, ok := c.Code.(core.Rebuilder); !ok {
-			return fmt.Errorf("rebuild: VerifyData requires a code implementing core.Rebuilder")
-		}
-	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Code.Disks()); err != nil {
 			return err
@@ -242,10 +230,6 @@ type Result struct {
 	// mode; Serving.DiskReads/DiskWrites carry the foreground-issued
 	// share.
 	Serving *ServingResult
-
-	// VerifiedChunks counts lost chunks whose recovered contents were
-	// byte-verified (Config.VerifyData).
-	VerifiedChunks uint64
 
 	// PerDisk holds each disk's served-I/O counters, indexed by disk id;
 	// useful for load-balance analysis.
@@ -359,8 +343,8 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		}
 	}
 	if cfg.Mode == ModeDOR {
-		if cfg.App != nil || cfg.Serving != nil || cfg.VerifyData || cfg.Faults != nil || cfg.Tracer != nil || cfg.Metrics != nil {
-			return nil, fmt.Errorf("rebuild: DOR mode does not support App, Serving, VerifyData, fault injection or observability")
+		if cfg.App != nil || cfg.Serving != nil || cfg.Faults != nil || cfg.Tracer != nil || cfg.Metrics != nil {
+			return nil, fmt.Errorf("rebuild: DOR mode does not support App, Serving, fault injection or observability")
 		}
 		return runDOR(cfg, errors)
 	}
@@ -389,9 +373,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	}
 
 	e := &engine{cfg: cfg, sim: s, array: array, groups: errors, stripeOwner: make(map[int]int), tr: cfg.Tracer}
-	if cfg.VerifyData {
-		e.pool = chunk.NewPool(cfg.ChunkSize)
-	}
 	if faults != nil {
 		e.faults = faults
 		e.failedCols = make(map[int]bool)
@@ -436,9 +417,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		s.Tick(interval, func(now sim.Time) { cfg.Metrics.Sample(now) })
 	}
 	s.Run()
-	if e.verifyErr != nil {
-		return nil, e.verifyErr
-	}
 
 	res := &Result{
 		Policy:         cfg.Policy,
@@ -452,7 +430,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		AppRequests:    e.appHits + e.appMisses,
 		AppHits:        e.appHits,
 		AppSumResponse: e.appSumResponse,
-		VerifiedChunks: e.verifiedChunks,
 	}
 	res.Cache.Hits = e.recHits
 	res.Cache.Misses = e.recMisses
@@ -521,14 +498,6 @@ type engine struct {
 	serving *servingState
 	qos     *qosController
 
-	verifiedChunks uint64
-	verifyErr      error
-
-	// pool recycles the chunk buffers the VerifyData mode carries (stripe
-	// materializations and XOR accumulators); nil when no run data path
-	// needs real bytes.
-	pool *chunk.Pool
-
 	// Observability (nil unless Config.Tracer / Config.Metrics was set).
 	tr          obs.Tracer
 	obsRespHist *stats.Histogram // "response_ms" metric histogram
@@ -572,10 +541,8 @@ type worker struct {
 	id     int
 	cache  cache.Policy
 
-	scheme    *core.Scheme
-	chainIdx  int
-	stripe    []chunk.Chunk // materialized contents when VerifyData is set
-	stripeBuf []chunk.Chunk // reusable slice header for pooled stripes
+	scheme   *core.Scheme
+	chainIdx int
 
 	// Chain state machine (reused across chains).
 	curSel      core.SelectedChain
@@ -678,67 +645,6 @@ func (e *engine) scheduleAppWorkload() {
 	}
 }
 
-// materializeStripe deterministically fills and encodes the stripe an
-// error group lives on, so recovered chunks can be byte-verified. The
-// chunk buffers come from the engine's pool — GetRaw, because every
-// byte is overwritten; releaseStripe returns them after the group.
-func (w *worker) materializeStripe(stripeIdx int) []chunk.Chunk {
-	e := w.engine
-	cells := e.cfg.Code.Layout().Cells()
-	s := w.stripeBuf
-	if cap(s) < cells {
-		s = make([]chunk.Chunk, 0, cells)
-	}
-	s = s[:0]
-	for i := 0; i < cells; i++ {
-		s = append(s, e.pool.GetRaw())
-	}
-	w.stripeBuf = s
-	e.cfg.Code.(core.Rebuilder).MaterializeStripeInto(s, int64(stripeIdx)+0x5EED) // checked in Run
-	return s
-}
-
-// releaseStripe returns pooled stripe buffers after a group completes.
-func (w *worker) releaseStripe() {
-	for _, c := range w.stripe {
-		w.engine.pool.Put(c)
-	}
-	w.stripe = nil
-}
-
-// verifyChain checks that rebuilding from the chain's other members
-// reproduces the lost chunk's contents. Decoded chains (GF(2) fallback
-// after escalation) carry no parity chain; their fetch set's XOR is
-// checked directly.
-func (w *worker) verifyChain(sel core.SelectedChain) {
-	e := w.engine
-	rb := e.cfg.Code.(core.Rebuilder)
-	var got chunk.Chunk
-	var err error
-	if sel.Decoded {
-		got = e.pool.Get()
-		for _, m := range sel.Fetch {
-			chunk.XORInto(got, w.stripe[core.CellIndex(rb.Layout(), m)])
-		}
-	} else {
-		// RebuildChunkInto overwrites every byte, so GetRaw skips a
-		// redundant clear.
-		got = e.pool.GetRaw()
-		err = rb.RebuildChunkInto(got, sel.Chain, sel.Lost, w.stripe)
-	}
-	if err == nil && !got.Equal(w.stripe[core.CellIndex(rb.Layout(), sel.Lost)]) {
-		err = fmt.Errorf("rebuild: recovered chunk %v of %v does not match original contents", sel.Lost, w.scheme.Err)
-	}
-	e.pool.Put(got)
-	if err != nil {
-		if e.verifyErr == nil {
-			e.verifyErr = err
-		}
-		return
-	}
-	e.verifiedChunks++
-}
-
 // nextGroup claims the next unprocessed error group and starts its
 // recovery; with none left the worker goes idle.
 func (w *worker) nextGroup() {
@@ -756,9 +662,6 @@ func (w *worker) nextGroup() {
 	e.stripeOwner[group.Stripe] = w.id
 	if e.tr != nil {
 		w.obsGroupStart = e.sim.Now()
-	}
-	if e.cfg.VerifyData {
-		w.stripe = w.materializeStripe(group.Stripe)
 	}
 
 	start := time.Now()
@@ -831,7 +734,6 @@ func (w *worker) startChain() {
 			w.closeGroup(w.scheme.Err.Stripe, len(w.scheme.Selected))
 		}
 		w.scheme = nil
-		w.releaseStripe()
 		w.recovered, w.escalated, w.escalSet = nil, nil, nil
 		w.nextGroup()
 		return
@@ -906,9 +808,6 @@ func (w *worker) barrier() {
 	}
 	sel := w.curSel
 	e.xorChunks += uint64(len(sel.Fetch))
-	if e.cfg.VerifyData {
-		w.verifyChain(sel)
-	}
 	xor := e.cfg.XORPerChunk * sim.Time(len(sel.Fetch))
 	if e.tr != nil {
 		e.tr.Emit(obs.Event{Name: "xor", Cat: obs.CatXOR, Ph: obs.PhaseSpan,

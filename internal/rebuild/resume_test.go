@@ -4,8 +4,8 @@ package rebuild
 // operation index of a journaled kill-three-disks rebuild, crash there
 // with injected torn debris, and prove the resumed run converges to a
 // byte-identical array — plus targeted cases for graceful stop and for
-// commits that lie (tampered chunks caught by the journal CRC and the
-// GF(2) oracle).
+// commits that lie (tampered or wrong chunks, overwritten because a
+// resume repairs every committed cell of an unfinished stripe again).
 
 import (
 	"bytes"
@@ -53,7 +53,9 @@ func initResumeDir(t *testing.T, root string, m store.ArrayManifest) *store.Dir 
 // EVERY operation index k of a journaled triple-disk rebuild, a run
 // crashed at k (with torn on-disk debris) leaves a state from which a
 // plain rerun converges — no data loss, the array byte-identical to
-// ground truth, and the journal cleaned up.
+// ground truth, and the journal cleaned up. The rerun rebuilds every
+// cell its report lists, the committed cells of the unfinished stripe
+// among them.
 func TestResumeFromEveryCrashPoint(t *testing.T) {
 	m := testManifest("star", 5, 2, 64)
 
@@ -91,7 +93,7 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	if testing.Short() {
 		step = 7
 	}
-	resumedCommits, resumeVerified := 0, 0
+	resumedCommits, rerepaired := 0, 0
 	run := func(k int) {
 		root := t.TempDir()
 		journal := filepath.Join(root, "rebuild.journal")
@@ -109,6 +111,7 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 		// Next process: reopen the medium (sweeping crash debris) and
 		// rerun with the same journal, fault-free.
 		re := openResumeDir(t, root)
+		requeued := inFlightCommits(replayJournal(t, journal))
 		res, err := RunService(ServiceConfig{Backend: re, Manifest: m, JournalPath: journal})
 		if err != nil {
 			t.Fatalf("resume after crash at op %d: %v", k, err)
@@ -119,8 +122,12 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 		if res.Interrupted {
 			t.Fatalf("resume after crash at op %d reports Interrupted without a Stop", k)
 		}
+		if res.ChunksRebuilt != res.Report.LostChunks() || res.Report.CorruptChunks < requeued {
+			t.Fatalf("resume after crash at op %d rebuilt %d chunks of %d listed (%d corrupt), with %d committed cells to repair again",
+				k, res.ChunksRebuilt, res.Report.LostChunks(), res.Report.CorruptChunks, requeued)
+		}
 		resumedCommits += res.ResumedCommits
-		resumeVerified += res.ResumeVerified
+		rerepaired += requeued
 		checkAgainstGroundTruth(t, re, m, resumeSeed)
 		if _, err := os.Stat(journal); !os.IsNotExist(err) {
 			t.Fatalf("journal survives clean completion after crash at op %d: %v", k, err)
@@ -135,25 +142,18 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	if resumedCommits == 0 {
 		t.Fatal("no crash point replayed a journaled commit; the sweep never exercised resume")
 	}
-	if resumeVerified == 0 {
-		t.Fatal("no replayed commit was oracle-verified; the sweep never exercised resume verification")
+	if rerepaired == 0 {
+		t.Fatal("no crash point re-repaired a committed cell; the sweep never exercised an unfinished stripe's commits")
 	}
 }
 
-// TestResumeCatchesTamperedCommit pins the journal-CRC half of resume
-// verification: a committed chunk replaced with different (structurally
-// valid) bytes between crash and resume fails the CRC cross-check, is
-// flagged corrupt, and gets re-repaired.
-func TestResumeCatchesTamperedCommit(t *testing.T) {
-	m := testManifest("star", 5, 2, 64)
-	root := t.TempDir()
-	journal := filepath.Join(root, "rebuild.journal")
-
-	// Find a crash point that left at least one commit in an unfinished
-	// stripe.
-	var victim store.Addr
-	found := false
-	for k := 20; !found && k < 2000; k += 10 {
+// crashWithInFlightCommit crashes the kill-three rebuild of a store at
+// root at the first crash point that leaves a commit record in an
+// unfinished stripe, and returns the journal and that committed chunk.
+func crashWithInFlightCommit(t *testing.T, root string, m store.ArrayManifest) (journal string, victim store.Addr) {
+	t.Helper()
+	journal = filepath.Join(root, "rebuild.journal")
+	for k := 20; k < 2000; k += 10 {
 		crashing := faultstore.Wrap(initResumeDir(t, root, m), faultstore.Plan{CrashAfterOps: k})
 		_, err := RunService(ServiceConfig{Backend: crashing, Manifest: m, JournalPath: journal})
 		if err == nil {
@@ -162,30 +162,34 @@ func TestResumeCatchesTamperedCommit(t *testing.T) {
 		if !errors.Is(err, faultstore.ErrCrashed) {
 			t.Fatal(err)
 		}
-		j, st, err := OpenJournal(journal)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := replayJournal(t, journal)
 		for _, stripe := range st.InFlight() {
 			for a := range st.Commits {
 				if a.Stripe == stripe {
-					victim, found = a, true
+					return journal, a
 				}
 			}
 		}
-		j.Close()
-		if !found {
-			if err := os.RemoveAll(root); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.MkdirAll(root, 0o755); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.RemoveAll(root); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(root, 0o755); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !found {
-		t.Fatal("never found an in-flight commit to tamper with")
-	}
+	t.Fatal("never found a commit in an unfinished stripe")
+	return "", store.Addr{}
+}
+
+// TestResumeCatchesTamperedCommit pins what resume does with a committed
+// chunk replaced with different (structurally valid) bytes between crash
+// and resume: like every committed cell of an unfinished stripe it is
+// put back as corrupt damage and repaired again, so the lie is
+// overwritten.
+func TestResumeCatchesTamperedCommit(t *testing.T) {
+	m := testManifest("star", 5, 2, 64)
+	root := t.TempDir()
+	journal, victim := crashWithInFlightCommit(t, root, m)
 
 	// Tamper: replace the committed chunk with different valid bytes.
 	re := openResumeDir(t, root)
@@ -211,12 +215,12 @@ func TestResumeCatchesTamperedCommit(t *testing.T) {
 	checkAgainstGroundTruth(t, re, m, resumeSeed)
 }
 
-// TestResumeOracleCatchesLyingCommit pins the GF(2) half: a journal
-// whose commit record vouches for bytes that ARE what the store holds
-// (CRC matches) but are not what the code derives is caught by the
-// oracle cross-check on resume — the defense the CRC alone cannot
-// provide.
-func TestResumeOracleCatchesLyingCommit(t *testing.T) {
+// TestResumeCatchesLyingCommit pins the commit that lies under a
+// matching CRC: a journal whose commit record vouches for bytes that ARE
+// what the store holds but are not what the code derives. The scan sees
+// a clean store; resume repairs the committed cell again through the
+// zero test and overwrites the lie.
+func TestResumeCatchesLyingCommit(t *testing.T) {
 	m := testManifest("star", 5, 1, 64)
 	root := t.TempDir()
 	d := openResumeDir(t, root)
@@ -261,15 +265,12 @@ func TestResumeOracleCatchesLyingCommit(t *testing.T) {
 	if res.Report.CorruptChunks != 1 || res.ChunksRebuilt != 1 {
 		t.Fatalf("lying commit: %d corrupt, %d rebuilt, want 1 and 1", res.Report.CorruptChunks, res.ChunksRebuilt)
 	}
-	if res.ResumeVerified != 0 {
-		t.Fatalf("lying commit counted as verified (%d)", res.ResumeVerified)
-	}
 	got := make([]byte, m.ChunkSize)
 	if _, err := d.ReadChunk(a, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, truth) {
-		t.Fatal("oracle flagged the lie but the rebuilt bytes are still wrong")
+		t.Fatal("the lying commit was repaired but the rebuilt bytes are still wrong")
 	}
 	checkAgainstGroundTruth(t, d, m, resumeSeed)
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
@@ -277,11 +278,13 @@ func TestResumeOracleCatchesLyingCommit(t *testing.T) {
 	}
 }
 
-// TestResumeUnreadableOracleSource pins what resume does when a truthful
-// commit cannot be re-derived because a source the oracle needs reads as
-// missing, corrupt or the wrong size: the journaled CRC match stands,
-// the commit is not counted as verified, and the run goes on — all
-// three kinds alike, none an engine error.
+// TestResumeUnreadableOracleSource pins what resume does when a source
+// of a committed cell (one the GF(2) oracle names: the name is from when
+// resume re-derived commits through it) reads as missing, corrupt or the
+// wrong size: the committed cell is repaired again like any other, the
+// unreadable source escalates like any repair's, both are rebuilt, and
+// the store ends byte-exact — all three kinds alike, none an engine
+// error.
 func TestResumeUnreadableOracleSource(t *testing.T) {
 	m := testManifest("star", 5, 1, 64)
 	target := grid.Coord{Row: 0, Col: 0}
@@ -319,9 +322,11 @@ func TestResumeUnreadableOracleSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.ResumedCommits != 1 || res.ResumeVerified != 0 || res.ChunksRebuilt != 0 {
-				t.Fatalf("%d commits resumed, %d verified, %d chunks rebuilt; want 1, 0 and 0", res.ResumedCommits, res.ResumeVerified, res.ChunksRebuilt)
+			if res.ResumedCommits != 1 || res.Escalations != 1 || res.ChunksRebuilt != 2 || res.DataLoss {
+				t.Fatalf("%d commits resumed, %d escalations, %d chunks rebuilt, data loss %v; want 1, 1, 2 and none",
+					res.ResumedCommits, res.Escalations, res.ChunksRebuilt, res.DataLoss)
 			}
+			checkAgainstGroundTruth(t, b, m, resumeSeed)
 		})
 	}
 }
@@ -373,7 +378,15 @@ func (s *stopAfter) ReadChunk(a store.Addr, dst []byte) (int, error) {
 // of its write-backs, before the pass of the next stripe has read
 // anything, while a pass is still reading (it has written nothing yet,
 // and then writes nothing), and before the pass an escalation restarts
-// (which then reads nothing more).
+// (which then reads nothing more). The rerun rebuilds the fresh scan's
+// damage plus the committed cells of the stripe the stop left
+// unfinished, which it repairs again.
+//
+// before-a-restarted-pass is also the trap of putting back the journaled
+// plan instead of the commits: the escalation re-logs the plan with the
+// survivor whose read failed, which reads fine on the rerun. Erasing it
+// as well as the three dead columns would be four columns, beyond STAR's
+// tolerance, and the rerun would report data loss.
 func TestServiceGracefulStop(t *testing.T) {
 	m := testManifest("star", 5, 2, 64)
 	perStripe := 3 * m.Rows // lost chunks per stripe
@@ -420,6 +433,7 @@ func TestServiceGracefulStop(t *testing.T) {
 				t.Fatalf("journal missing after graceful stop: %v", err)
 			}
 
+			requeued := inFlightCommits(replayJournal(t, journal))
 			res2, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: journal})
 			if err != nil {
 				t.Fatal(err)
@@ -430,8 +444,9 @@ func TestServiceGracefulStop(t *testing.T) {
 			if res2.ResumedCommits != tc.wantChunks {
 				t.Fatalf("resume replayed %d commits, want %d", res2.ResumedCommits, tc.wantChunks)
 			}
-			if res2.ChunksRebuilt != 2*perStripe-tc.wantChunks {
-				t.Fatalf("resume rebuilt %d chunks, want the %d the stopped run left", res2.ChunksRebuilt, 2*perStripe-tc.wantChunks)
+			if want := 2*perStripe - tc.wantChunks + requeued; res2.ChunksRebuilt != want {
+				t.Fatalf("resume rebuilt %d chunks, want the %d the stopped run left plus the %d it committed in its unfinished stripe",
+					res2.ChunksRebuilt, 2*perStripe-tc.wantChunks, requeued)
 			}
 			checkAgainstGroundTruth(t, d, m, resumeSeed)
 			if _, err := os.Stat(journal); !os.IsNotExist(err) {
@@ -439,6 +454,49 @@ func TestServiceGracefulStop(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResumeCommitMissingAgain deletes, between the crash and the resume,
+// the disk holding a chunk committed in the unfinished stripe: the fresh
+// scan lists that chunk as missing and the journal as committed, and the
+// resume must list it once, repair the stripe in one plan, and end
+// byte-exact.
+func TestResumeCommitMissingAgain(t *testing.T) {
+	m := testManifest("star", 5, 2, 64)
+	root := t.TempDir()
+	journal, victim := crashWithInFlightCommit(t, root, m)
+	if err := os.RemoveAll(filepath.Join(root, store.DiskDirName(victim.Disk))); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openResumeDir(t, root)
+	res, err := RunService(ServiceConfig{Backend: re, Manifest: m, JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DataLoss || res.Escalations != 0 || res.Regenerations != 0 {
+		t.Fatalf("data loss %v, %d escalations, %d regenerations; want none", res.DataLoss, res.Escalations, res.Regenerations)
+	}
+	var listed []grid.Coord
+	for _, d := range res.Report.Stripes {
+		if d.Stripe == victim.Stripe {
+			listed = append(listed, d.Lost()...)
+		}
+	}
+	seen := map[grid.Coord]bool{}
+	for _, c := range listed {
+		if seen[c] {
+			t.Fatalf("stripe %d lists %v twice: %v", victim.Stripe, c, listed)
+		}
+		seen[c] = true
+	}
+	if !seen[grid.Coord{Row: victim.Chunk, Col: victim.Disk}] {
+		t.Fatalf("stripe %d does not list the deleted commit %v: %v", victim.Stripe, victim, listed)
+	}
+	if res.ChunksRebuilt != res.Report.LostChunks() || res.StripesRepaired != len(res.Report.Stripes) {
+		t.Fatalf("rebuilt %d chunks in %d stripes, want the %d listed in %d", res.ChunksRebuilt, res.StripesRepaired, res.Report.LostChunks(), len(res.Report.Stripes))
+	}
+	checkAgainstGroundTruth(t, re, m, resumeSeed)
 }
 
 // TestServiceStopBeforeAnything pins the degenerate stop: a request

@@ -30,7 +30,6 @@ import (
 	"fbf/internal/grid"
 	"fbf/internal/store"
 	"fbf/internal/telemetry"
-	"fbf/internal/verify"
 )
 
 // Service priority orders: which damaged stripes are repaired first.
@@ -82,10 +81,10 @@ type ServiceConfig struct {
 	// JournalPath, when set, makes the rebuild crash-safe: scan results,
 	// per-stripe plans, and per-chunk commits append to a write-ahead
 	// journal at this path, and a rerun with the same path resumes —
-	// re-verifying the interrupted stripe's committed chunks against the
-	// journaled payload CRCs and the GF(2) oracle before continuing. The
-	// journal is removed on clean completion. Incompatible with
-	// CheckOnly and DryRun, which perform no repairs to journal.
+	// repairing the interrupted stripe's committed chunks again, through
+	// the zero test like any other, before continuing. The journal is
+	// removed on clean completion. Incompatible with CheckOnly and
+	// DryRun, which perform no repairs to journal.
 	JournalPath string
 
 	// Stop, when non-nil, requests graceful shutdown: once the channel
@@ -380,7 +379,6 @@ type ServiceResult struct {
 	Interrupted    bool  // a Stop request ended the run early; the journal is kept
 	JournalOffset  int64 // journal append offset at exit (zero once the journal is removed)
 	ResumedCommits int   // chunk commits replayed from a prior run's journal
-	ResumeVerified int   // replayed commits that re-passed the CRC and oracle checks
 }
 
 // RunService scans the store and repairs every damaged stripe through
@@ -443,7 +441,7 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 		return res, nil
 	}
 	if report.Clean() && (jn == nil || len(jstate.InFlight()) == 0) {
-		// Nothing to repair and nothing in flight to re-verify. A
+		// Nothing to repair and nothing in flight to repair again. A
 		// leftover journal here recorded repairs that all landed; drop
 		// it so the store tree matches a never-damaged one.
 		if jn != nil {
@@ -535,7 +533,6 @@ func tally(m *telemetry.RebuildMetrics, base, dst *ServiceResult) {
 	dst.Regenerations = int(m.Regenerations.Value()) - base.Regenerations
 	dst.BytesWritten = int64(m.BytesWritten.Value()) - base.BytesWritten
 	dst.ResumedCommits = int(m.ResumedCommits.Value()) - base.ResumedCommits
-	dst.ResumeVerified = int(m.ResumedVerified.Value()) - base.ResumeVerified
 }
 
 // journaled counts a journal append that succeeded, so JournalRecords
@@ -547,16 +544,14 @@ func (s *service) journaled(err error) error {
 	return err
 }
 
-// execute runs the repair pass: resume verification of journaled
-// commits, stripe ordering, and the repair loop with graceful-stop
-// checks between stripes.
+// execute runs the repair pass: journaled commits of unfinished stripes
+// put back as damage, stripe ordering, and the repair loop with
+// graceful-stop checks between stripes.
 func (s *service) execute(jstate *JournalState) error {
 	cfg, res, report := s.cfg, s.res, s.res.Report
 	if s.journal != nil {
 		s.m.ResumedCommits.Add(uint64(len(jstate.Commits)))
-		if err := s.verifyResumed(jstate); err != nil {
-			return err
-		}
+		s.requeueResumed(jstate)
 		m := cfg.Manifest
 		if err := s.journaled(s.journal.AppendScan(JournalScan{
 			Disks: m.Disks, Rows: m.Rows, Stripes: m.Stripes, ChunkSize: m.ChunkSize,
@@ -616,108 +611,34 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// verifyResumed re-checks every chunk a prior run journaled as
-// committed in a stripe it never finished: the payload must match the
-// journaled CRC and (when the journaled lost set makes the cell
-// solvable) re-derive identically through the GF(2) oracle. A chunk
-// that fails either check is flagged as corrupt damage so the repair
-// loop rebuilds it; a chunk the fresh scan already flagged needs no
-// second opinion.
-func (s *service) verifyResumed(st *JournalState) error {
-	m := s.cfg.Manifest
-	work := s.stripeBufs(3)
-	buf, acc, tmp := work[0], work[1], work[2]
+// requeueResumed puts back into the damage report, as corrupt, every cell
+// a prior run journaled as committed in a stripe it never finished (once,
+// if the scan lists it already): the repair loop then rebuilds it through
+// the zero test like any other, so a commit is never judged in place. The
+// commits go back, not the journaled plan, which after an escalation can
+// list a survivor that reads again and erase a column too many (DESIGN §13).
+func (s *service) requeueResumed(st *JournalState) {
+	report := s.res.Report
+	inFlight := make(map[int]bool)
 	for _, stripe := range st.InFlight() {
-		lost := st.Plans[stripe]
-		var cells []grid.Coord
-		for a := range st.Commits {
-			if a.Stripe == stripe {
-				cells = append(cells, grid.Coord{Row: a.Chunk, Col: a.Disk})
-			}
-		}
-		if len(cells) == 0 {
+		inFlight[stripe] = true
+	}
+	for a := range st.Commits {
+		if !inFlight[a.Stripe] {
 			continue
 		}
-		sort.Slice(cells, func(i, j int) bool { return cells[i].Less(cells[j]) })
-		oracle, err := verify.NewOracle(s.code, lost)
-		if err != nil {
-			return err
+		cell := grid.Coord{Row: a.Chunk, Col: a.Disk}
+		i, found := slices.BinarySearchFunc(report.Stripes, a.Stripe, func(d StripeDamage, stripe int) int { return cmp.Compare(d.Stripe, stripe) })
+		if !found {
+			report.Stripes = slices.Insert(report.Stripes, i, StripeDamage{Stripe: a.Stripe})
 		}
-		for _, cell := range cells {
-			a := AddrOf(stripe, cell)
-			n, err := s.cfg.Backend.ReadChunk(a, buf)
-			switch {
-			case store.IsNotFound(err) || store.IsCorrupt(err):
-				// The fresh scan already re-flagged this one.
-				continue
-			case err != nil:
-				return err
-			case n != m.ChunkSize || PayloadCRC(buf[:n]) != st.Commits[a]:
-				s.flagResumedCorrupt(stripe, cell)
-				continue
-			}
-			if oracle.Solvable(cell) {
-				var readErr error
-				err := oracle.Check(cell, buf, acc, tmp, func(src grid.Coord, dst chunk.Chunk) error {
-					if readErr = s.readSource(AddrOf(stripe, src), dst); readErr == nil {
-						s.m.VerifyReads.Inc()
-					}
-					return readErr
-				})
-				switch {
-				case err == nil:
-				case store.IsNotFound(readErr) || store.IsCorrupt(readErr):
-					// A source the oracle needs is itself damaged; the
-					// CRC match stands and repairing the stripe's fresh
-					// damage is what restores full verifiability.
-					continue
-				case readErr != nil:
-					return err
-				default:
-					// Structurally valid bytes that do not re-derive:
-					// the commit lied (tampering, silent corruption).
-					s.flagResumedCorrupt(stripe, cell)
-					continue
-				}
-			}
-			s.m.ResumedVerified.Inc()
+		if d := &report.Stripes[i]; !slices.Contains(d.Missing, cell) && !slices.Contains(d.Corrupt, cell) {
+			d.Corrupt = mergeCell(d.Corrupt, cell)
+			report.CorruptChunks++
+			s.m.ScanCorrupt.Set(float64(report.CorruptChunks))
+			s.m.Percent.Set(0) // the pass has a stripe to repair, whatever the scan said
 		}
 	}
-	return nil
-}
-
-// flagResumedCorrupt folds a failed resume verification into the damage
-// report, so the repair loop treats the chunk like any other corrupt
-// cell.
-func (s *service) flagResumedCorrupt(stripe int, cell grid.Coord) {
-	report := s.res.Report
-	var d *StripeDamage
-	for i := range report.Stripes {
-		if report.Stripes[i].Stripe == stripe {
-			d = &report.Stripes[i]
-			break
-		}
-	}
-	if d == nil {
-		report.Stripes = append(report.Stripes, StripeDamage{Stripe: stripe})
-		sort.Slice(report.Stripes, func(i, j int) bool { return report.Stripes[i].Stripe < report.Stripes[j].Stripe })
-		for i := range report.Stripes {
-			if report.Stripes[i].Stripe == stripe {
-				d = &report.Stripes[i]
-				break
-			}
-		}
-	}
-	for _, have := range d.Corrupt {
-		if have == cell {
-			return
-		}
-	}
-	d.Corrupt = mergeCell(d.Corrupt, cell)
-	report.CorruptChunks++
-	s.m.ResumedCorrupt.Inc()
-	s.m.ScanCorrupt.Set(float64(report.CorruptChunks))
-	s.m.Percent.Set(0) // the pass has a stripe to repair, whatever the scan said
 }
 
 // service is the run state of one RunService call.

@@ -135,8 +135,8 @@ func (d *depthBackend) WriteChunk(a store.Addr, data []byte) error {
 	return err
 }
 
-// journalCommits replays a kept journal and returns its commit records.
-func journalCommits(t *testing.T, path string) map[store.Addr]uint32 {
+// replayJournal reads the journal at path as a resuming run would.
+func replayJournal(t *testing.T, path string) *JournalState {
 	t.Helper()
 	j, st, err := OpenJournal(path)
 	if err != nil {
@@ -145,7 +145,21 @@ func journalCommits(t *testing.T, path string) map[store.Addr]uint32 {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return st.Commits
+	return st
+}
+
+// inFlightCommits counts the commit records of stripes the journal never
+// marks done: the cells a resume puts back to be repaired again.
+func inFlightCommits(st *JournalState) int {
+	n := 0
+	for _, stripe := range st.InFlight() {
+		for a := range st.Commits {
+			if a.Stripe == stripe {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // writeFixture is damage whose every stripe is written back as one group
@@ -225,7 +239,8 @@ func TestWriteBackKeepsDepthInFlight(t *testing.T) {
 // turn while the pipeline is full: the run returns that error, every
 // write that returned nil has its commit record (and nothing else has),
 // the group is not refilled once the failure is known, and a rerun on
-// the same journal replays exactly those records and converges.
+// the same journal replays exactly those records and converges, repairing
+// the fresh scan's damage plus the committed cells of the failed stripe.
 //
 // The failure reaches the dispatcher through the same queue as the writes
 // in flight with it, and the failing write's goroutine queues its error
@@ -266,7 +281,8 @@ func TestWriteBackFailureMidGroup(t *testing.T) {
 				if unjournaled := d.landed - d.journaled; unjournaled < 1 || unjournaled > depth {
 					t.Fatalf("a kill at the failing write leaves %d written chunks without a commit record (%d landed, %d records), want 1 to %d", unjournaled, d.landed, d.journaled, depth)
 				}
-				commits := journalCommits(t, journal)
+				st := replayJournal(t, journal)
+				commits := st.Commits
 				if len(commits) != len(d.wrote) {
 					t.Fatalf("%d commit records for %d writes that returned nil", len(commits), len(d.wrote))
 				}
@@ -285,8 +301,10 @@ func TestWriteBackFailureMidGroup(t *testing.T) {
 				if res.ResumedCommits != len(commits) || res.DataLoss || res.Interrupted {
 					t.Fatalf("rerun replayed %d commits (want %d), dataloss=%v interrupted=%v", res.ResumedCommits, len(commits), res.DataLoss, res.Interrupted)
 				}
-				if want := f.m.Stripes*f.perStripe - len(commits); res.ChunksRebuilt != want {
-					t.Fatalf("rerun rebuilt %d chunks, want the %d the failed run left", res.ChunksRebuilt, want)
+				// The rerun rebuilds the fresh scan's damage plus the commits of
+				// the stripe the failure left unfinished, which it repairs again.
+				if want := f.m.Stripes*f.perStripe - len(commits) + inFlightCommits(st); res.ChunksRebuilt != want {
+					t.Fatalf("rerun rebuilt %d chunks, want the %d the failed run left plus the %d it committed in its unfinished stripe", res.ChunksRebuilt, f.m.Stripes*f.perStripe-len(commits), inFlightCommits(st))
 				}
 				checkAgainstGroundTruth(t, mem, f.m, resumeSeed)
 				if _, err := os.Stat(journal); !os.IsNotExist(err) {
@@ -300,7 +318,8 @@ func TestWriteBackFailureMidGroup(t *testing.T) {
 // TestWriteBackStopMidGroup closes Stop from inside the k-th write while
 // the pipeline is full: the writes in flight finish and are booked, none
 // starts afterwards, the stripe is not marked done, and the resumed run
-// replays exactly the booked writes.
+// replays exactly the booked writes and repairs the fresh scan's damage
+// plus the booked writes of the unfinished stripe.
 func TestWriteBackStopMidGroup(t *testing.T) {
 	const depth = 4
 	for _, f := range writeFixtures(2) {
@@ -334,7 +353,8 @@ func TestWriteBackStopMidGroup(t *testing.T) {
 				if inGroup == f.perStripe {
 					done++
 				}
-				commits := journalCommits(t, journal)
+				st := replayJournal(t, journal)
+				commits := st.Commits
 				if !res.Interrupted || res.ChunksRebuilt != len(d.wrote) || len(commits) != len(d.wrote) {
 					t.Fatalf("interrupted=%v, %d chunks rebuilt, %d commit records, %d writes returned nil", res.Interrupted, res.ChunksRebuilt, len(commits), len(d.wrote))
 				}
@@ -346,7 +366,7 @@ func TestWriteBackStopMidGroup(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res2.Interrupted || res2.DataLoss || res2.ResumedCommits != len(commits) || res2.ChunksRebuilt != f.m.Stripes*f.perStripe-len(commits) {
+				if res2.Interrupted || res2.DataLoss || res2.ResumedCommits != len(commits) || res2.ChunksRebuilt != f.m.Stripes*f.perStripe-len(commits)+inFlightCommits(st) {
 					t.Fatalf("resume: %+v after %d commits", res2, len(commits))
 				}
 				checkAgainstGroundTruth(t, mem, f.m, resumeSeed)

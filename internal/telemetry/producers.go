@@ -76,7 +76,7 @@ type RebuildMetrics struct {
 	ChunksDecoded  Counter // chunks rebuilt via the decoder fallback rather than a single chain
 
 	DiskReads    Counter // source chunks fetched from the backend
-	VerifyReads  Counter // backend reads issued for the zero test alone (chain members not in the byte cache) and by resume re-verification
+	VerifyReads  Counter // backend reads issued for the zero test alone (chain members not in the byte cache)
 	CacheHits    Counter // source fetches answered by the cache
 	CacheMisses  Counter // source fetches that went to the backend
 	BytesWritten Counter // recovered payload bytes written
@@ -84,10 +84,8 @@ type RebuildMetrics struct {
 	Escalations   Counter // surviving chunks found unreadable mid-chain
 	Regenerations Counter // recovery-scheme regenerations after an escalation
 
-	JournalRecords  Counter // write-ahead journal records appended
-	ResumedCommits  Counter // journal chunk commits found on resume
-	ResumedVerified Counter // resumed commits re-verified byte-exact
-	ResumedCorrupt  Counter // resumed commits that lied (CRC or oracle mismatch), re-repaired
+	JournalRecords Counter // write-ahead journal records appended
+	ResumedCommits Counter // journal chunk commits found on resume
 
 	ScanMissing    Gauge // missing chunks found by the latest scan
 	ScanCorrupt    Gauge // corrupt chunks found by the latest scan
@@ -110,7 +108,7 @@ func NewRebuildMetrics(reg *Registry) *RebuildMetrics {
 		{&m.ChunksVerified, "fbf_rebuild_chunks_verified", "Recovered chunks that passed the pre-write check (the parity-chain zero test)."},
 		{&m.ChunksDecoded, "fbf_rebuild_chunks_decoded", "Chunks rebuilt via the decoder fallback rather than a single chain."},
 		{&m.DiskReads, "fbf_rebuild_disk_reads", "Source chunks fetched from the backend."},
-		{&m.VerifyReads, "fbf_rebuild_verify_reads", "Backend reads issued for the pre-write check alone and by resume re-verification."},
+		{&m.VerifyReads, "fbf_rebuild_verify_reads", "Backend reads issued for the pre-write check alone."},
 		{&m.CacheHits, "fbf_rebuild_cache_hits", "Source fetches answered by the recovery cache."},
 		{&m.CacheMisses, "fbf_rebuild_cache_misses", "Source fetches that went to the backend."},
 		{&m.BytesWritten, "fbf_rebuild_bytes_written", "Recovered payload bytes written."},
@@ -118,8 +116,6 @@ func NewRebuildMetrics(reg *Registry) *RebuildMetrics {
 		{&m.Regenerations, "fbf_rebuild_regenerations", "Recovery-scheme regenerations after an escalation."},
 		{&m.JournalRecords, "fbf_rebuild_journal_records", "Write-ahead journal records appended."},
 		{&m.ResumedCommits, "fbf_rebuild_resumed_commits", "Journal chunk commits found on resume."},
-		{&m.ResumedVerified, "fbf_rebuild_resumed_verified", "Resumed commits re-verified byte-exact."},
-		{&m.ResumedCorrupt, "fbf_rebuild_resumed_corrupt", "Resumed commits that failed re-verification and were re-repaired."},
 	} {
 		reg.CounterFunc(c.name, c.help, cellValue(c.cell))
 	}

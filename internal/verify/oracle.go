@@ -9,13 +9,13 @@ import (
 )
 
 // Oracle is the independent GF(2) recovery cross-check, packaged for
-// callers that repair real bytes incrementally rather than holding a
-// whole stripe in memory (the storage engine's rebuild.Service). It
-// wraps the same decoder plan checkPattern diffs schemes against: every
-// solvable lost cell expressed as a XOR of surviving cells, derived by
-// Gaussian elimination — a code path disjoint from parity-chain
-// selection, so a scheme bug and a decoder bug would have to agree to
-// escape.
+// callers that hold a stripe's bytes cell by cell rather than whole; the
+// storage engine does not call it (its check is the parity-chain zero
+// test). It wraps the same decoder plan checkPattern diffs schemes
+// against: every solvable lost cell expressed as a XOR of surviving
+// cells, derived by Gaussian elimination — a code path disjoint from
+// parity-chain selection, so a scheme bug and a decoder bug would have to
+// agree to escape.
 type Oracle struct {
 	plan    map[grid.Coord][]grid.Coord
 	lostSet map[grid.Coord]bool
@@ -53,8 +53,8 @@ func (o *Oracle) Sources(cell grid.Coord) []grid.Coord { return o.plan[cell] }
 // a bad chain, or a decoder bug. The read callback must return
 // surviving (or already-repaired) bytes; the oracle never asks for a
 // cell in the lost set. acc and buf are the caller's scratch, each
-// len(recovered) bytes (pooled, in the storage engine): their contents
-// are ignored on entry and garbage on return, and Check allocates
+// len(recovered) bytes (pooled, say): their contents are ignored on
+// entry and garbage on return, and Check allocates
 // nothing on the passing path.
 func (o *Oracle) Check(cell grid.Coord, recovered, acc, buf chunk.Chunk, read func(grid.Coord, chunk.Chunk) error) error {
 	sources, ok := o.plan[cell]
