@@ -12,6 +12,7 @@ package codes
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"fbf/internal/chunk"
 	"fbf/internal/gf2"
@@ -24,16 +25,21 @@ type Code struct {
 	name   string
 	p      int
 	layout *grid.Layout
-	// encPlan[i] lists, for parity cell ParityCells()[i], the data cells
-	// whose XOR produces it.
-	encParity []grid.Coord
-	encPlan   [][]grid.Coord
-	sys       *gf2.System
+	sys    *gf2.System
+
+	encOnce sync.Once
+	enc     encoder
 }
 
-// build derives the encoder plan from the layout's chain equations and
-// wraps everything into a Code. It fails if the chains do not uniquely
-// determine every parity cell from the data cells.
+// encoder is Encode's program over the stripe's own cells: clear the
+// parity cells, then apply ops in order, cell Dst ^= cell Src.
+type encoder struct {
+	parity []int
+	ops    []gf2.RowOp
+}
+
+// build wraps a layout's chain equations into a Code. It fails if the
+// chains do not uniquely determine every parity cell from the data cells.
 func build(name string, p int, layout *grid.Layout) (*Code, error) {
 	c := &Code{name: name, p: p, layout: layout}
 	c.sys = gf2.NewSystem(layout.Cells())
@@ -44,25 +50,54 @@ func build(name string, p int, layout *grid.Layout) (*Code, error) {
 		}
 		c.sys.AddEquation(eq)
 	}
-	c.encParity = layout.ParityCells()
-	unknowns := make([]int, len(c.encParity))
-	for i, cell := range c.encParity {
+	parity := layout.ParityCells()
+	unknowns := make([]int, len(parity))
+	for i, cell := range parity {
 		unknowns[i] = c.CellIndex(cell)
 	}
-	sol, unsolved := c.sys.Solve(unknowns)
-	if len(unsolved) > 0 {
+	if _, unsolved := c.sys.Solve(unknowns); len(unsolved) > 0 {
 		return nil, fmt.Errorf("codes: %s(p=%d): %d parity cells undetermined by chain equations", name, p, len(unsolved))
 	}
-	c.encPlan = make([][]grid.Coord, len(c.encParity))
-	for i, cell := range c.encParity {
-		terms := sol.Terms[c.CellIndex(cell)]
-		plan := make([]grid.Coord, len(terms))
-		for j, t := range terms {
-			plan[j] = c.CoordOf(t)
-		}
-		c.encPlan[i] = plan
-	}
 	return c, nil
+}
+
+// encoder builds Encode's program once per Code: the decode schedule of
+// the parity cells' erasure, replayed with each parity cell as the
+// buffer of the chain whose row ends as that cell (Row maps the pivot
+// chains one-to-one onto the parity cells). A chain's buffer starts as
+// its data cells' XOR, so each pivot chain's data cells are folded
+// into it before the row additions run; the spare chains, if
+// a layout has any, only receive additions, and Encode leaves them out.
+func (c *Code) encoder() *encoder {
+	c.encOnce.Do(func() {
+		d, err := c.DecodeSchedule(c.layout.ParityCells())
+		if err != nil || len(d.Unsolved) > 0 {
+			panic(fmt.Sprintf("codes: %v: parity cells undetermined: %v", c, err))
+		}
+		cellOf := make(map[int]int, len(d.Row)) // pivot chain -> parity cell
+		for cell, row := range d.Row {
+			cellOf[row] = c.CellIndex(cell)
+			c.enc.parity = append(c.enc.parity, c.CellIndex(cell))
+		}
+		sort.Ints(c.enc.parity)
+		for i, ch := range c.layout.Chains() {
+			dst, ok := cellOf[i]
+			if !ok {
+				continue
+			}
+			for _, cell := range ch.Cells {
+				if !c.layout.IsParity(cell) {
+					c.enc.ops = append(c.enc.ops, gf2.RowOp{Dst: dst, Src: c.CellIndex(cell)})
+				}
+			}
+		}
+		for _, op := range d.Ops {
+			if dst, ok := cellOf[op.Dst]; ok {
+				c.enc.ops = append(c.enc.ops, gf2.RowOp{Dst: dst, Src: cellOf[op.Src]})
+			}
+		}
+	})
+	return &c.enc
 }
 
 // Name returns the code family name ("star", "triplestar", "tip",
@@ -113,12 +148,12 @@ func (c *Code) Encode(s Stripe) {
 	if len(s) != c.layout.Cells() {
 		panic(fmt.Sprintf("codes: stripe has %d cells, want %d", len(s), c.layout.Cells()))
 	}
-	for i, cell := range c.encParity {
-		dst := s[c.CellIndex(cell)]
-		clear(dst)
-		for _, term := range c.encPlan[i] {
-			chunk.XORInto(dst, s[c.CellIndex(term)])
-		}
+	enc := c.encoder()
+	for _, idx := range enc.parity {
+		clear(s[idx])
+	}
+	for _, op := range enc.ops {
+		chunk.XORInto(s[op.Dst], s[op.Src])
 	}
 }
 
@@ -144,29 +179,12 @@ func (c *Code) Verify(s Stripe) bool {
 // RecoveryPlan expresses each lost cell as a XOR of surviving cells, or
 // reports that the erasure pattern is unrecoverable.
 func (c *Code) RecoveryPlan(lost []grid.Coord) (map[grid.Coord][]grid.Coord, error) {
-	unknowns := make([]int, len(lost))
-	for i, cell := range lost {
-		if !c.layout.InBounds(cell) {
-			return nil, fmt.Errorf("codes: lost cell %v out of bounds", cell)
-		}
-		unknowns[i] = c.CellIndex(cell)
+	plan, bad, err := c.PartialRecoveryPlan(lost)
+	if err != nil {
+		return nil, err
 	}
-	sol, unsolved := c.sys.Solve(unknowns)
-	if len(unsolved) > 0 {
-		bad := make([]grid.Coord, len(unsolved))
-		for i, u := range unsolved {
-			bad[i] = c.CoordOf(u)
-		}
+	if len(bad) > 0 {
 		return nil, fmt.Errorf("codes: %v: unrecoverable cells %v", c, bad)
-	}
-	plan := make(map[grid.Coord][]grid.Coord, len(lost))
-	for _, cell := range lost {
-		terms := sol.Terms[c.CellIndex(cell)]
-		coords := make([]grid.Coord, len(terms))
-		for i, t := range terms {
-			coords[i] = c.CoordOf(t)
-		}
-		plan[cell] = coords
 	}
 	return plan, nil
 }
@@ -178,19 +196,23 @@ func (c *Code) RecoveryPlan(lost []grid.Coord) (map[grid.Coord][]grid.Coord, err
 // fallback mid-rebuild scheme regeneration uses when escalated faults
 // leave no single parity chain usable.
 func (c *Code) PartialRecoveryPlan(lost []grid.Coord) (map[grid.Coord][]grid.Coord, []grid.Coord, error) {
-	d, err := c.DecodeSchedule(lost)
+	unknowns, err := c.unknowns(lost)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.Plan, d.Unsolved, nil
+	sol, unsolved := c.sys.Solve(unknowns)
+	plan, bad := c.written(sol, unsolved)
+	return plan, bad, nil
 }
 
-// DecodeSchedule is one lost set's decode in both its forms, out of one
-// gf2 Solve: Plan and Unsolved are PartialRecoveryPlan's result — every
-// solvable cell written out as a XOR of surviving cells — and Ops, Row
-// and Spare are the elimination that found those equations, to be
-// replayed on parity-chain syndromes instead of re-summing what the
-// equations share. Chains are named by their index in Layout().Chains().
+// DecodeSchedule is one lost set's decode in both its forms: Plan and
+// Unsolved are PartialRecoveryPlan's result — every solvable cell
+// written out as a XOR of surviving cells — and Ops, Row and Spare are a
+// program that evaluates those equations on parity-chain syndromes
+// instead of re-summing what they share (gf2.System.Schedule: a sparse
+// elimination pivoting where the one behind Plan pivoted, so each buffer
+// ends as the same sum of chains). Chains are named by their index in
+// Layout().Chains().
 //
 // Let buffer i start as the XOR of chain i's surviving cells (only chains
 // holding a lost cell are ever touched) and apply Ops in order, buffer
@@ -212,6 +234,21 @@ type DecodeSchedule struct {
 // DecodeSchedule solves one lost set (duplicates ignored) into its
 // written-out equations and the chain-syndrome schedule behind them.
 func (c *Code) DecodeSchedule(lost []grid.Coord) (*DecodeSchedule, error) {
+	unknowns, err := c.unknowns(lost)
+	if err != nil {
+		return nil, err
+	}
+	sol, unsolved := c.sys.Schedule(unknowns)
+	d := &DecodeSchedule{Ops: sol.Ops, Row: make(map[grid.Coord]int, len(sol.Row)), Spare: sol.Spare}
+	d.Plan, d.Unsolved = c.written(sol, unsolved)
+	for idx, row := range sol.Row {
+		d.Row[c.CoordOf(idx)] = row
+	}
+	return d, nil
+}
+
+// unknowns maps a lost set to its distinct cell indexes, in order.
+func (c *Code) unknowns(lost []grid.Coord) ([]int, error) {
 	seen := make(map[grid.Coord]bool, len(lost))
 	unknowns := make([]int, 0, len(lost))
 	for _, cell := range lost {
@@ -224,24 +261,26 @@ func (c *Code) DecodeSchedule(lost []grid.Coord) (*DecodeSchedule, error) {
 		seen[cell] = true
 		unknowns = append(unknowns, c.CellIndex(cell))
 	}
-	sol, unsolved := c.sys.Solve(unknowns)
-	d := &DecodeSchedule{
-		Plan: make(map[grid.Coord][]grid.Coord, len(sol.Terms)),
-		Ops:  sol.Ops, Row: make(map[grid.Coord]int, len(sol.Row)), Spare: sol.Spare,
-	}
+	return unknowns, nil
+}
+
+// written is a solution's equations as coordinates, and its unsolved
+// cells sorted.
+func (c *Code) written(sol *gf2.Solution, unsolved []int) (map[grid.Coord][]grid.Coord, []grid.Coord) {
+	plan := make(map[grid.Coord][]grid.Coord, len(sol.Terms))
 	for idx, terms := range sol.Terms {
 		coords := make([]grid.Coord, len(terms))
 		for i, t := range terms {
 			coords[i] = c.CoordOf(t)
 		}
-		d.Plan[c.CoordOf(idx)] = coords
-		d.Row[c.CoordOf(idx)] = sol.Row[idx]
+		plan[c.CoordOf(idx)] = coords
 	}
+	var bad []grid.Coord
 	for _, u := range unsolved {
-		d.Unsolved = append(d.Unsolved, c.CoordOf(u))
+		bad = append(bad, c.CoordOf(u))
 	}
-	sort.Slice(d.Unsolved, func(i, j int) bool { return d.Unsolved[i].Less(d.Unsolved[j]) })
-	return d, nil
+	sort.Slice(bad, func(i, j int) bool { return bad[i].Less(bad[j]) })
+	return plan, bad
 }
 
 // Recover reconstructs the lost cells of a stripe in place using the

@@ -29,12 +29,17 @@ func allCodes(t testing.TB, primes []int) []*Code {
 
 func randomEncodedStripe(t testing.TB, c *Code, seed int64, chunkSize int) Stripe {
 	t.Helper()
+	s := randomDataStripe(c, seed, chunkSize)
+	c.Encode(s)
+	return s
+}
+
+func randomDataStripe(c *Code, seed int64, chunkSize int) Stripe {
 	rng := rand.New(rand.NewSource(seed))
 	s := c.NewStripe(chunkSize)
 	for _, cell := range c.Layout().DataCells() {
 		rng.Read(s[c.CellIndex(cell)])
 	}
-	c.Encode(s)
 	return s
 }
 

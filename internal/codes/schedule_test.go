@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fbf/internal/chunk"
+	"fbf/internal/gf2"
 	"fbf/internal/grid"
 )
 
@@ -70,6 +71,7 @@ func checkDecodeSchedule(t testing.TB, c *Code, lost []grid.Coord, seed int64, l
 	if len(d.Plan)+len(d.Unsolved) != len(lostSet) || len(d.Row) != len(d.Plan) {
 		t.Fatalf("%v %v: %d solved (%d rows) + %d unsolved cells of %d lost", c, lost, len(d.Plan), len(d.Row), len(d.Unsolved), len(lostSet))
 	}
+	checkSameCombinations(t, c, distinct, d)
 	full, err := c.RecoveryPlan(distinct)
 	if (err != nil) != (len(d.Unsolved) > 0) {
 		t.Fatalf("%v %v: RecoveryPlan err = %v with %d cells unsolved", c, lost, err, len(d.Unsolved))
@@ -230,6 +232,113 @@ func TestDecodeScheduleMatchesWrittenOutDecoder(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkSameCombinations replays a lost set's schedule on GF(2) unit
+// vectors, one bit per chain, and requires every Row buffer and every
+// Spare buffer to be exactly the set of chains the pivot-order
+// elimination behind Plan (gf2.Matrix.Eliminate on [lost-cell
+// coefficients | identity], the order gf2.System.Solve pivots in) sums
+// into that cell's pivot row or that spare row. A spare row of the
+// reference is its own chain plus pivot chains, so the one member
+// outside the pivot chains names it.
+func checkSameCombinations(t testing.TB, c *Code, distinct []grid.Coord, d *DecodeSchedule) {
+	t.Helper()
+	chains := c.Layout().Chains()
+	n, nu := len(chains), len(distinct)
+	col := make(map[grid.Coord]int, nu)
+	for i, cell := range distinct {
+		col[cell] = i
+	}
+	ref := gf2.NewMatrix(n, nu+n)
+	for r, ch := range chains {
+		for _, cell := range ch.Cells {
+			if i, ok := col[cell]; ok {
+				ref.Flip(r, i)
+			}
+		}
+		ref.Flip(r, nu+r)
+	}
+	pivots := ref.Eliminate(nu)
+
+	got := gf2.NewMatrix(n, n)
+	for r := 0; r < n; r++ {
+		got.Flip(r, r)
+	}
+	for _, op := range d.Ops {
+		got.XORRows(op.Dst, op.Src)
+	}
+	same := func(pos, buf int) bool {
+		for r := 0; r < n; r++ {
+			if ref.Get(pos, nu+r) != got.Get(buf, r) {
+				return false
+			}
+		}
+		return true
+	}
+	for pos, i := range pivots {
+		if buf, solved := d.Row[distinct[i]]; solved && !same(pos, buf) {
+			t.Fatalf("%v %v: buffer %d of %v is not the sum of chains the pivot-order elimination forms", c, distinct, buf, distinct[i])
+		}
+	}
+	spare := map[int]bool{}
+	for _, r := range d.Spare {
+		spare[r] = true
+	}
+	if len(spare) != n-len(pivots) {
+		t.Fatalf("%v %v: %d spare rows, the pivot-order elimination leaves %d", c, distinct, len(spare), n-len(pivots))
+	}
+	for pos := len(pivots); pos < n; pos++ {
+		own := -1
+		for r := 0; r < n; r++ {
+			if ref.Get(pos, nu+r) && spare[r] {
+				if own >= 0 {
+					t.Fatalf("%v %v: reference spare row sums spare chains %d and %d", c, distinct, own, r)
+				}
+				own = r
+			}
+		}
+		if own < 0 || !same(pos, own) {
+			t.Fatalf("%v %v: spare buffer %d is not the sum of chains the pivot-order elimination forms", c, distinct, own)
+		}
+	}
+}
+
+// TestDecodeScheduleSameCombinations holds the sparse schedule to the
+// sums of chains of the elimination behind Plan: every kill of one, two
+// and three columns of four codes × p ∈ {5, 7}, TIP p=13 with disks 1, 5
+// and 9 dead, and per code two patterns that leave cells unsolved — four
+// dead columns, and three dead columns plus the survivor an escalation
+// adds — where Row must still name the right buffer for every solved
+// cell.
+func TestDecodeScheduleSameCombinations(t *testing.T) {
+	check := func(c *Code, lost []grid.Coord, partial bool) {
+		t.Helper()
+		d, err := c.DecodeSchedule(lost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if partial != (len(d.Unsolved) > 0) {
+			t.Fatalf("%v %v: %d cells unsolved", c, lost, len(d.Unsolved))
+		}
+		checkSameCombinations(t, c, lost, d)
+	}
+	for _, c := range allCodes(t, smallPrimes) {
+		n := c.Disks()
+		for a := 0; a < n; a++ {
+			check(c, columns(c, a), false)
+			for b := a + 1; b < n; b++ {
+				check(c, columns(c, a, b), false)
+				for e := b + 1; e < n; e++ {
+					check(c, columns(c, a, b, e), false)
+				}
+			}
+		}
+		check(c, columns(c, 0, 1, 2, 3), true)
+		check(c, append(columns(c, 0, 2, 4), grid.Coord{Row: 1, Col: 1}), true)
+	}
+	tip := MustNew("tip", 13)
+	check(tip, columns(tip, 1, 5, 9), false)
 }
 
 // FuzzDecodeSchedule is the same property over fuzzed lost sets: the

@@ -1,6 +1,7 @@
 package gf2
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -11,10 +12,13 @@ import (
 // from a bitmask. For every solved unknown the returned expression must
 // (a) reference only known symbols and (b) lie in the row space of the
 // equations — checked by rank equality, which is itself independent of
-// the elimination order Solve used. The recorded elimination must be
-// that solution as a program: replayed on the equations themselves, its
-// row additions leave {u} ∪ Terms[u] in row Row[u] and no unknown in any
-// Spare row.
+// the elimination order Solve used. Schedule must return Solve's Terms,
+// Spare and unsolved list, and its sparse row additions must be that
+// solution as a program: replayed on the equations themselves they leave
+// {u} ∪ Terms[u] in row Row[u] and no unknown in any Spare row, and
+// replayed on unit vectors, one bit per equation, every Row and Spare
+// buffer is the same sum of equations Solve's pivot-order elimination
+// forms (checkSameCombinations).
 func FuzzSolve(f *testing.F) {
 	f.Add(6, uint64(0b000101), []byte{0x00, 0x01, 0x82, 0x02, 0x03, 0x84, 0x04, 0x05, 0x80})
 	f.Add(4, uint64(0b1111), []byte{0x00, 0x81, 0x02, 0x83})
@@ -49,6 +53,14 @@ func FuzzSolve(f *testing.F) {
 		}
 
 		sol, unsolved := sys.Solve(unknowns)
+		if sol.Ops != nil || sol.Row != nil {
+			t.Fatalf("Solve recorded %d row additions nobody replays", len(sol.Ops))
+		}
+		sched, schedUnsolved := sys.Schedule(unknowns)
+		if !reflect.DeepEqual(sched.Terms, sol.Terms) || !reflect.DeepEqual(sched.Spare, sol.Spare) || !reflect.DeepEqual(schedUnsolved, unsolved) {
+			t.Fatalf("Schedule solved %v (spare %v, unsolved %v), Solve %v (spare %v, unsolved %v)", sched.Terms, sched.Spare, schedUnsolved, sol.Terms, sol.Spare, unsolved)
+		}
+		checkSameCombinations(t, equations, symbols, unknowns, sched)
 		if got, want := sys.Equations(), len(equations); got != want {
 			t.Fatalf("system has %d equations, want %d", got, want)
 		}
@@ -87,11 +99,11 @@ func FuzzSolve(f *testing.F) {
 				rows.Flip(r, sym)
 			}
 		}
-		for _, op := range sol.Ops {
+		for _, op := range sched.Ops {
 			rows.XORRows(op.Dst, op.Src)
 		}
-		if len(sol.Row) != len(sol.Terms) {
-			t.Fatalf("%d solved unknowns, %d rows named", len(sol.Terms), len(sol.Row))
+		if len(sched.Row) != len(sol.Terms) {
+			t.Fatalf("%d solved unknowns, %d rows named", len(sol.Terms), len(sched.Row))
 		}
 		for u, terms := range sol.Terms {
 			want := NewMatrix(1, symbols)
@@ -100,8 +112,8 @@ func FuzzSolve(f *testing.F) {
 				want.Flip(0, sym)
 			}
 			for sym := 0; sym < symbols; sym++ {
-				if rows.Get(sol.Row[u], sym) != want.Get(0, sym) {
-					t.Fatalf("replayed row %d does not read unknown %d = XOR of %v (symbol %d)", sol.Row[u], u, terms, sym)
+				if rows.Get(sched.Row[u], sym) != want.Get(0, sym) {
+					t.Fatalf("replayed row %d does not read unknown %d = XOR of %v (symbol %d)", sched.Row[u], u, terms, sym)
 				}
 			}
 		}
@@ -150,4 +162,56 @@ func FuzzSolve(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkSameCombinations replays a schedule's row additions on unit
+// vectors, one bit per equation, and requires every Row buffer and every
+// Spare buffer to be exactly the set of equations the pivot-order
+// Gauss-Jordan elimination (Solve's) sums into that unknown's pivot row
+// or that spare row, computed here on [unknown coefficients | identity].
+func checkSameCombinations(t *testing.T, equations [][]int, symbols int, unknowns []int, sched *Solution) {
+	t.Helper()
+	n, nu := len(equations), len(unknowns)
+	col := make(map[int]int, nu)
+	for i, u := range unknowns {
+		col[u] = i
+	}
+	ref := NewMatrix(n, nu+n)
+	for r, eq := range equations {
+		for _, sym := range eq {
+			if c, ok := col[sym]; ok {
+				ref.Flip(r, c)
+			}
+		}
+		ref.Flip(r, nu+r)
+	}
+	pivots, rows := ref.eliminate(nu)
+	refRow := func(pos, eq int) bool { return ref.Get(pos, nu+eq) }
+
+	got := NewMatrix(n, n)
+	for r := 0; r < n; r++ {
+		got.Flip(r, r)
+	}
+	for _, op := range sched.Ops {
+		got.XORRows(op.Dst, op.Src)
+	}
+	same := func(pos, buf int) bool {
+		for eq := 0; eq < n; eq++ {
+			if refRow(pos, eq) != got.Get(buf, eq) {
+				return false
+			}
+		}
+		return true
+	}
+	for pos, c := range pivots {
+		buf, solved := sched.Row[unknowns[c]]
+		if solved && !same(pos, buf) {
+			t.Fatalf("buffer %d of unknown %d is not the sum of equations Solve's elimination forms", buf, unknowns[c])
+		}
+	}
+	for pos := len(pivots); pos < n; pos++ {
+		if !same(pos, rows[pos]) {
+			t.Fatalf("spare buffer %d is not the sum of equations Solve's elimination forms", rows[pos])
+		}
+	}
 }

@@ -3,7 +3,12 @@
 // chains are linear equations over GF(2) per byte position, so encoding
 // (solving for parity cells), decoding (solving for erased cells) and
 // fault-coverage verification all reduce to Gaussian elimination on a
-// small boolean matrix whose columns are stripe cells.
+// small boolean matrix whose columns are stripe cells. Solve writes each
+// solved unknown out as a XOR of known symbols; Schedule also returns a
+// program of row additions over one buffer per equation that evaluates
+// the same equations, eliminating a second time with sparse (Markowitz)
+// pivots inside the block Solve pivoted on, which is what encoders and
+// decoders replay on chunk buffers.
 package gf2
 
 import (
@@ -134,10 +139,9 @@ func (m *Matrix) firstSet(r, from int) int {
 	}
 }
 
-// RowOp is one row addition of an elimination: row Dst ^= row Src. Both
-// are named by the position the row had before the elimination swapped
-// anything — in a System, the equation's index — so the operations can be
-// replayed on any one-value-per-row state that was never permuted.
+// RowOp is one row addition of a schedule: row Dst ^= row Src, both
+// named by equation index, so the operations can be replayed on any
+// one-value-per-equation state.
 type RowOp struct{ Dst, Src int }
 
 // Eliminate performs in-place Gauss-Jordan elimination restricted to the
@@ -145,14 +149,13 @@ type RowOp struct{ Dst, Src int }
 // the remaining columns ride along as an augmented part. It returns the
 // pivot column for each pivot row, in order.
 func (m *Matrix) Eliminate(solveCols int) []int {
-	pivots, _, _ := m.eliminate(solveCols)
+	pivots, _ := m.eliminate(solveCols)
 	return pivots
 }
 
 // eliminate is Eliminate returning, beside the pivots, the original
-// position of the row that ended at each position and every row
-// addition performed, in order.
-func (m *Matrix) eliminate(solveCols int) (pivots, rows []int, ops []RowOp) {
+// position of the row that ended at each position.
+func (m *Matrix) eliminate(solveCols int) (pivots, rows []int) {
 	if solveCols < 0 || solveCols > m.cols {
 		panic(fmt.Sprintf("gf2: solveCols %d out of range [0,%d]", solveCols, m.cols))
 	}
@@ -178,13 +181,12 @@ func (m *Matrix) eliminate(solveCols int) (pivots, rows []int, ops []RowOp) {
 		for r := 0; r < m.rows; r++ {
 			if r != row && m.Get(r, col) {
 				m.XORRows(r, row)
-				ops = append(ops, RowOp{Dst: rows[r], Src: rows[row]})
 			}
 		}
 		pivots = append(pivots, col)
 		row++
 	}
-	return pivots, rows, ops
+	return pivots, rows
 }
 
 // Rank returns the matrix rank over the first solveCols columns,
@@ -228,29 +230,121 @@ func (s *System) AddEquation(syms []int) {
 func (s *System) Equations() int { return len(s.equations) }
 
 // Solution maps each solved unknown symbol to the known symbols whose
-// XOR reproduces it, and carries the elimination that found them as a
-// program over one buffer per equation.
+// XOR reproduces it. Schedule adds the same equations as a program over
+// one buffer per equation.
 type Solution struct {
 	// Terms[u] lists the known symbols to XOR to obtain unknown u.
 	// A solved unknown with an empty list is identically zero.
 	Terms map[int][]int
 
-	// Start buffer e as the XOR of the values of equation e's known
-	// symbols and apply Ops in order (buffer Dst ^= buffer Src). Buffer
-	// Row[u] then holds solved unknown u — Terms[u] is that buffer's sum
-	// written out — and every buffer in Spare, an equation whose row ended
-	// with no unknown in it, is zero when the known values are consistent.
-	// A known symbol absent from every Terms list may be left out of every
-	// buffer: it cancels in each Row buffer (not in the Spare ones).
-	Ops   []RowOp
-	Row   map[int]int
+	// Spare lists the equations that pivot on no unknown: what is left of
+	// each once the pivot equations cancel its unknowns holds known
+	// symbols only, so it is zero when the known values are consistent.
 	Spare []int
+
+	// Set by Schedule only. Start buffer e as the XOR of the values of
+	// equation e's known symbols and apply Ops in order (buffer Dst ^=
+	// buffer Src). Buffer Row[u] then holds solved unknown u — Terms[u] is
+	// that buffer's sum written out — and every Spare buffer is the spare
+	// equation's remainder. A known symbol absent from every Terms list
+	// may be left out of every buffer: it cancels in each Row buffer (not
+	// in the Spare ones).
+	Ops []RowOp
+	Row map[int]int
+}
+
+// pivoting is what Schedule takes from Solve's elimination: the pivot
+// equations, the unknown positions they pivoted on, and which positions
+// ended solved.
+type pivoting struct {
+	rows, cols []int
+	solved     []bool
 }
 
 // Solve attempts to express every symbol in unknowns as a XOR of symbols
 // outside unknowns. It returns the solution and the list of unknowns
-// that could not be determined (nil if all solved).
+// that could not be determined (nil if all solved). It pivots on the
+// first equation, in index order, that holds each unknown in turn.
 func (s *System) Solve(unknowns []int) (*Solution, []int) {
+	sol, unsolved, _ := s.solve(unknowns)
+	return sol, unsolved
+}
+
+// Schedule is Solve plus the program that evaluates its equations with
+// few row additions: a second Gauss-Jordan elimination over the unknown
+// columns only, each step on the pivot that minimises (row weight − 1) ×
+// (column count − 1) (Markowitz), ties to the lowest equation and then
+// the lowest unknown position. Its pivots are taken only among the
+// equations and the unknowns Solve pivoted on. That block of the
+// coefficient matrix is invertible, so every pivot equation ends as the
+// one combination of pivot equations that leaves its unknown alone on
+// the pivot columns, and every spare one as itself plus the one
+// combination that cancels its unknowns — the very sums Solve's own
+// elimination forms. Terms, Spare and the unsolved list are Solve's.
+func (s *System) Schedule(unknowns []int) (*Solution, []int) {
+	sol, unsolved, piv := s.solve(unknowns)
+	// The unknowns' coefficients as the equations give them.
+	col := make(map[int]int, len(unknowns))
+	for i, u := range unknowns {
+		col[u] = i
+	}
+	m := NewMatrix(len(s.equations), len(unknowns))
+	for r, eq := range s.equations {
+		for _, sym := range eq {
+			if c, ok := col[sym]; ok {
+				m.Flip(r, c)
+			}
+		}
+	}
+	colCount := make([]int, m.Cols())
+	for r := 0; r < m.Rows(); r++ {
+		for c := m.firstSet(r, 0); c >= 0; c = m.firstSet(r, c+1) {
+			colCount[c]++
+		}
+	}
+	rowOpen := make([]bool, m.Rows())
+	colOpen := make([]bool, m.Cols())
+	for i := range piv.rows {
+		rowOpen[piv.rows[i]], colOpen[piv.cols[i]] = true, true
+	}
+	sol.Row = make(map[int]int, len(sol.Terms))
+	for range piv.rows {
+		prow, pcol, best := -1, -1, -1
+		for r := 0; r < m.Rows(); r++ {
+			if !rowOpen[r] {
+				continue
+			}
+			w := m.RowWeight(r) - 1
+			for c := m.firstSet(r, 0); c >= 0; c = m.firstSet(r, c+1) {
+				if cost := w * (colCount[c] - 1); colOpen[c] && (best < 0 || cost < best) {
+					prow, pcol, best = r, c, cost
+				}
+			}
+		}
+		// The open block stays invertible, so it always holds a pivot.
+		rowOpen[prow], colOpen[pcol] = false, false
+		for r := 0; r < m.Rows(); r++ {
+			if r == prow || !m.Get(r, pcol) {
+				continue
+			}
+			for c := m.firstSet(prow, 0); c >= 0; c = m.firstSet(prow, c+1) {
+				if m.Get(r, c) {
+					colCount[c]--
+				} else {
+					colCount[c]++
+				}
+			}
+			m.XORRows(r, prow)
+			sol.Ops = append(sol.Ops, RowOp{Dst: r, Src: prow})
+		}
+		if piv.solved[pcol] {
+			sol.Row[unknowns[pcol]] = prow
+		}
+	}
+	return sol, unsolved
+}
+
+func (s *System) solve(unknowns []int) (*Solution, []int, *pivoting) {
 	unknownIdx := make(map[int]int, len(unknowns)) // symbol -> matrix column
 	for i, u := range unknowns {
 		if u < 0 || u >= s.symbols {
@@ -294,10 +388,10 @@ func (s *System) Solve(unknowns []int) (*Solution, []int) {
 			}
 		}
 	}
-	pivots, rows, ops := m.eliminate(nu)
+	pivots, rows := m.eliminate(nu)
 
-	sol := &Solution{Terms: make(map[int][]int, nu), Ops: ops, Row: make(map[int]int, nu), Spare: rows[len(pivots):]}
-	solvedCol := make(map[int]bool, len(pivots))
+	sol := &Solution{Terms: make(map[int][]int, nu), Spare: rows[len(pivots):]}
+	piv := &pivoting{rows: rows[:len(pivots)], cols: pivots, solved: make([]bool, nu)}
 	for row, col := range pivots {
 		// Row solves unknown `col` only if no other unknown column is set
 		// in that row (Gauss-Jordan leaves at most the pivot among pivot
@@ -319,16 +413,15 @@ func (s *System) Solve(unknowns []int) (*Solution, []int) {
 			}
 		}
 		sol.Terms[unknowns[col]] = terms
-		sol.Row[unknowns[col]] = rows[row]
-		solvedCol[col] = true
+		piv.solved[col] = true
 	}
 	var unsolved []int
 	for i, u := range unknowns {
-		if !solvedCol[i] {
+		if !piv.solved[i] {
 			unsolved = append(unsolved, u)
 		}
 	}
-	return sol, unsolved
+	return sol, unsolved, piv
 }
 
 // Solvable reports whether every symbol in unknowns can be recovered

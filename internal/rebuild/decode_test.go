@@ -2,7 +2,9 @@ package rebuild
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -232,15 +234,99 @@ func (h *heldWrites) WriteChunk(a store.Addr, data []byte) error {
 	return nil
 }
 
+// killedPass kills the given disks of b, a fresh one-stripe array of
+// manifest m, and returns a service over b with stripe 0's plan and its
+// decode pass, built but not run.
+func killedPass(t *testing.T, b store.Backend, m store.ArrayManifest, disks []int) (*service, *schemePlan, *decodePass) {
+	t.Helper()
+	for _, d := range disks {
+		killDisk(t, b, d)
+	}
+	cfg := ServiceConfig{Backend: b, Manifest: m, Strategy: core.StrategyLooped}
+	cfg.defaults()
+	report, err := ScanStore(b, m, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newService(&cfg, codes.MustNew(m.Code, m.P), &ServiceResult{Report: report}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.planFor(0, report.Stripes[0].Lost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass, err := s.passFor(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, plan, pass
+}
+
+// TestDecodePassCounts pins the chunk-sized XOR passes one stripe's
+// decode pass makes at p=13 with disks 1, 5 and 9 dead, verify on:
+// every source folded into its chains, the schedule's row additions, the
+// copies taken before them and the rebuilt cells folded back for the
+// zero test. The rows are DESIGN.md §12's table, which must hold them
+// verbatim.
+func TestDecodePassCounts(t *testing.T) {
+	want := []struct {
+		code, name                                     string
+		passes, sources, additions, copies, foldedBack int
+	}{
+		{"tip", "TIP", 619, 354, 127, 36, 102},
+		{"hdd1", "HDD1", 620, 354, 128, 36, 102},
+		{"triplestar", "Triple-Star", 637, 366, 133, 36, 102},
+		{"star", "STAR", 1031, 594, 227, 36, 174},
+	}
+	var table strings.Builder
+	for _, w := range want {
+		m := testManifest(w.code, 13, 1, 64)
+		_, _, pass := killedPass(t, initMem(t, m, 1), m, []int{1, 5, 9})
+		sources, foldedBack := 0, 0
+		for _, src := range pass.sources {
+			sources += len(src.folds)
+		}
+		for _, ch := range pass.checks {
+			foldedBack += len(ch.cells)
+		}
+		got := []int{sources + len(pass.ops) + len(pass.snaps) + foldedBack, sources, len(pass.ops), len(pass.snaps), foldedBack}
+		if exp := []int{w.passes, w.sources, w.additions, w.copies, w.foldedBack}; fmt.Sprint(got) != fmt.Sprint(exp) {
+			t.Errorf("%s: passes, sources, row additions, copies, folded back = %v, want %v", w.name, got, exp)
+		}
+		fmt.Fprintf(&table, "| %s | %d | %d | %d | %d | %d |\n", w.name, got[0], got[1], got[2], got[3], got[4])
+		if w.code == "tip" && (len(pass.ops) > 170 || got[0] > 670) {
+			t.Errorf("TIP: %d row additions and %d passes, want at most 170 and 670", len(pass.ops), got[0])
+		}
+	}
+	requireInDesign(t, table.String())
+}
+
+// requireInDesign fails unless DESIGN.md holds the rendered table rows
+// verbatim but for each line's indentation, and prints them for pasting
+// when it does not.
+func requireInDesign(t *testing.T, rows string) {
+	t.Helper()
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(regexp.MustCompile(`(?m)^[ \t]+`).ReplaceAllString(string(design), ""), rows) {
+		t.Errorf("DESIGN.md does not hold these table rows:\n%s", rows)
+	}
+}
+
 // TestDecodePassMutationsFailZeroTest breaks the pass itself — one
 // recorded row addition dropped, two outputs swapped, every choice in
 // turn — on a stripe of honest survivors. The zero test takes its chain
 // members from the layout, not from the schedule, so a mutant that would
 // write a wrong byte must fail there, before any write, and not only in
 // a comparison with ground truth. On an all-decoder plan that is every
-// mutant; in the mixed plan a row addition that only feeds the pivot row
-// of a cell taken from its chain's snapshot instead changes no output,
-// and such a mutant must write exactly the true bytes.
+// mutant; in the mixed plan a mutant that changes no output (a row
+// addition that only fed the pivot row of a cell taken from its chain's
+// snapshot instead) must write exactly the true bytes. The sparse
+// schedule adds nothing into such a row — it holds its cell alone from
+// the start — so today every mutant of the mixed plan fails too.
 func TestDecodePassMutationsFailZeroTest(t *testing.T) {
 	const seed = 29
 	for _, tc := range []struct {
@@ -252,29 +338,8 @@ func TestDecodePassMutationsFailZeroTest(t *testing.T) {
 			m := testManifest(tc.code, 5, 1, 64)
 			code := codes.MustNew(m.Code, m.P)
 			truth := code.MaterializeStripe(StripeSeed(seed, 0), m.ChunkSize)
-			b := initMem(t, m, seed)
-			for _, d := range tc.disks {
-				killDisk(t, b, d)
-			}
-			held := &heldWrites{Backend: b}
-			cfg := ServiceConfig{Backend: held, Manifest: m, Strategy: core.StrategyLooped}
-			cfg.defaults()
-			report, err := ScanStore(b, m, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := newService(&cfg, code, &ServiceResult{Report: report}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := s.planFor(0, report.Stripes[0].Lost())
-			if err != nil {
-				t.Fatal(err)
-			}
-			pass, err := s.passFor(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
+			held := &heldWrites{Backend: initMem(t, m, seed)}
+			s, plan, pass := killedPass(t, held, m, tc.disks)
 			failed, harmless := 0, 0
 			run := func(what string) {
 				t.Helper()
@@ -315,8 +380,14 @@ func TestDecodePassMutationsFailZeroTest(t *testing.T) {
 					pass.outputs[i], pass.outputs[j] = pass.outputs[j], pass.outputs[i]
 				}
 			}
-			if failed == 0 || (tc.mixed && harmless == 0) {
-				t.Fatalf("%d mutants failed the zero test, %d changed no output", failed, harmless)
+			kept := 0
+			for _, sel := range plan.scheme.Selected {
+				if !sel.Decoded {
+					kept++
+				}
+			}
+			if failed == 0 || tc.mixed != (kept > 0) {
+				t.Fatalf("%d mutants failed the zero test, %d changed no output; %d cells kept their chain", failed, harmless, kept)
 			}
 			t.Logf("%d mutants failed the zero test, %d changed no output", failed, harmless)
 		})

@@ -922,8 +922,8 @@ func (s *service) writeStripe(stripe int, selected []core.SelectedChain, out []c
 // syndromes. Every decoder equation of a lost set is a sum of a few of
 // the stripe's chain syndromes written out, so the pass sums each
 // syndrome once — accumulator i is the XOR of chains[i]'s surviving
-// cells — and replays on the accumulators the row additions of the
-// elimination that produced the equations (codes.DecodeSchedule).
+// cells — and replays on the accumulators codes.DecodeSchedule's row
+// additions, which form each equation as the same sum of chains.
 type decodePass struct {
 	// chains are the layout's chains that hold a lost cell and, with
 	// verify, the ones that lost nothing too: no equation lists those, the
