@@ -1,10 +1,11 @@
 // journal.go is the write-ahead rebuild journal: an append-only,
 // CRC-framed record stream that makes RunService crash-safe and
-// resumable. The service journals its scan, a plan record per stripe it
-// starts, and a commit record per chunk it durably writes back; a
-// process that dies mid-rebuild leaves a journal whose replay says
-// exactly which repairs committed, so the next run repairs the stripe
-// that was in flight again and continues instead of starting over.
+// resumable. It holds exactly what a resume reads: the array geometry,
+// a commit record per chunk the service durably writes back, and a
+// marker per stripe it finishes. A process that dies mid-rebuild leaves
+// a journal whose replay says which chunks of an unfinished stripe were
+// written, so the next run repairs them again with the rest of the
+// stripe and continues instead of starting over.
 //
 // Framing reuses the store's CRC32-Castagnoli discipline: an 8-byte
 // file header (magic + version), then frames of
@@ -23,17 +24,17 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
-	"fbf/internal/grid"
 	"fbf/internal/store"
 )
 
 // Journal framing constants.
 const (
 	// JournalVersion is the record-stream version this build reads and
-	// writes.
-	JournalVersion = 1
+	// writes. Version 2 retired the plan record (type 2) and cut the scan
+	// record to the geometry.
+	JournalVersion = 2
 	// journalHeaderSize is the fixed file header: 4 magic + 4 version.
 	journalHeaderSize = 8
 	// frameOverhead is the per-record framing cost: type + length + CRC.
@@ -47,8 +48,7 @@ var journalMagic = [4]byte{'F', 'B', 'F', 'J'}
 
 // Record types.
 const (
-	recScan       byte = 1 // array geometry + damage summary
-	recPlan       byte = 2 // stripe + lost cells about to be repaired
+	recScan       byte = 1 // array geometry
 	recCommit     byte = 3 // chunk durably written back (+ payload CRC)
 	recStripeDone byte = 4 // stripe fully repaired
 	recDone       byte = 5 // rebuild complete
@@ -59,13 +59,10 @@ var ErrJournalVersion = errors.New("rebuild: unsupported journal version")
 
 var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// JournalScan is the journaled scan summary: the array geometry (the
-// guard against resuming one store's journal on another) and the damage
-// totals the plan was made for.
+// JournalScan is the journaled array geometry: the guard against
+// resuming one store's journal on another.
 type JournalScan struct {
 	Disks, Rows, Stripes, ChunkSize int
-	Missing, Corrupt                int
-	DamagedStripes                  int
 }
 
 // JournalState is the replayed content of a journal: the authoritative
@@ -73,28 +70,28 @@ type JournalScan struct {
 // from.
 type JournalState struct {
 	Scan *JournalScan
-	// Plans holds the latest journaled lost-cell set per stripe.
-	Plans map[int][]grid.Coord
 	// Commits maps each durably-written chunk to the CRC32C of the
 	// payload the previous run wrote.
 	Commits map[store.Addr]uint32
-	// Done marks stripes whose repair fully completed.
+	// Done marks stripes repaired to completion since their last commit
+	// record: a later commit reopens the stripe.
 	Done map[int]bool
 	// Complete reports a terminal done record: the rebuild finished and
 	// the journal is history, not progress.
 	Complete bool
 }
 
-// InFlight returns the stripes that were planned but never completed —
-// the repairs a crash interrupted — in ascending order.
+// InFlight returns the stripes with a commit record and no later
+// stripe-done record — the repairs a crash interrupted — in ascending
+// order.
 func (st *JournalState) InFlight() []int {
 	var out []int
-	for stripe := range st.Plans {
-		if !st.Done[stripe] {
-			out = append(out, stripe)
+	for a := range st.Commits {
+		if !st.Done[a.Stripe] && !slices.Contains(out, a.Stripe) {
+			out = append(out, a.Stripe)
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -172,7 +169,6 @@ func (j *Journal) replay() (*JournalState, error) {
 		return nil, fmt.Errorf("rebuild: reading journal: %w", err)
 	}
 	state := &JournalState{
-		Plans:   make(map[int][]grid.Coord),
 		Commits: make(map[store.Addr]uint32),
 		Done:    make(map[int]bool),
 	}
@@ -242,38 +238,24 @@ func nextFrame(b []byte) (typ byte, payload []byte, n int, ok bool) {
 	return typ, payload, frameOverhead + length, true
 }
 
-// apply folds one replayed record into the state. Later records win:
-// a re-plan after an escalation supersedes the stripe's earlier plan.
+// apply folds one replayed record into the state. A commit reopens its
+// stripe: a stripe finished, damaged again and repaired again in a later
+// pass is in flight until its next stripe-done record.
 func (st *JournalState) apply(typ byte, p []byte) error {
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(p[off:])) }
 	switch typ {
 	case recScan:
-		if len(p) != 28 {
-			return fmt.Errorf("rebuild: journal scan record is %d bytes, want 28", len(p))
+		if len(p) != 16 {
+			return fmt.Errorf("rebuild: journal scan record is %d bytes, want 16", len(p))
 		}
-		st.Scan = &JournalScan{
-			Disks: u32(0), Rows: u32(4), Stripes: u32(8), ChunkSize: u32(12),
-			Missing: u32(16), Corrupt: u32(20), DamagedStripes: u32(24),
-		}
-	case recPlan:
-		if len(p) < 8 || (len(p)-8)%8 != 0 {
-			return fmt.Errorf("rebuild: journal plan record is %d bytes", len(p))
-		}
-		stripe, count := u32(0), u32(4)
-		if count != (len(p)-8)/8 {
-			return fmt.Errorf("rebuild: journal plan record declares %d cells, carries %d", count, (len(p)-8)/8)
-		}
-		cells := make([]grid.Coord, count)
-		for i := range cells {
-			cells[i] = grid.Coord{Row: u32(8 + 8*i), Col: u32(12 + 8*i)}
-		}
-		st.Plans[stripe] = cells
+		st.Scan = &JournalScan{Disks: u32(0), Rows: u32(4), Stripes: u32(8), ChunkSize: u32(12)}
 	case recCommit:
 		if len(p) != 16 {
 			return fmt.Errorf("rebuild: journal commit record is %d bytes, want 16", len(p))
 		}
 		a := store.Addr{Disk: u32(0), Stripe: u32(4), Chunk: u32(8)}
 		st.Commits[a] = binary.LittleEndian.Uint32(p[12:])
+		delete(st.Done, a.Stripe)
 	case recStripeDone:
 		if len(p) != 4 {
 			return fmt.Errorf("rebuild: journal stripe-done record is %d bytes, want 4", len(p))
@@ -304,27 +286,13 @@ func (j *Journal) append(typ byte, payload []byte) error {
 	return nil
 }
 
-// AppendScan journals the scan summary and array geometry.
+// AppendScan journals the array geometry.
 func (j *Journal) AppendScan(s JournalScan) error {
-	p := make([]byte, 0, 28)
-	for _, v := range [...]int{s.Disks, s.Rows, s.Stripes, s.ChunkSize, s.Missing, s.Corrupt, s.DamagedStripes} {
+	p := make([]byte, 0, 16)
+	for _, v := range [...]int{s.Disks, s.Rows, s.Stripes, s.ChunkSize} {
 		p = binary.LittleEndian.AppendUint32(p, uint32(v))
 	}
 	return j.append(recScan, p)
-}
-
-// AppendPlan journals the lost-cell set a stripe repair is starting
-// from (re-appended after every escalation re-plan; replay keeps the
-// latest).
-func (j *Journal) AppendPlan(stripe int, lost []grid.Coord) error {
-	p := make([]byte, 0, 8+8*len(lost))
-	p = binary.LittleEndian.AppendUint32(p, uint32(stripe))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(lost)))
-	for _, c := range lost {
-		p = binary.LittleEndian.AppendUint32(p, uint32(c.Row))
-		p = binary.LittleEndian.AppendUint32(p, uint32(c.Col))
-	}
-	return j.append(recPlan, p)
 }
 
 // AppendCommit journals one durably-written chunk and its payload CRC.

@@ -5,9 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
-	"fbf/internal/grid"
 	"fbf/internal/store"
 )
 
@@ -24,15 +25,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Scan != nil || len(st.Plans) != 0 || len(st.Commits) != 0 || st.Complete {
+	if st.Scan != nil || len(st.Commits) != 0 || len(st.Done) != 0 || st.Complete {
 		t.Fatalf("fresh journal replayed non-empty state: %+v", st)
 	}
-	scan := JournalScan{Disks: 7, Rows: 6, Stripes: 4, ChunkSize: 4096, Missing: 10, Corrupt: 2, DamagedStripes: 3}
+	scan := JournalScan{Disks: 7, Rows: 6, Stripes: 4, ChunkSize: 4096}
 	if err := j.AppendScan(scan); err != nil {
-		t.Fatal(err)
-	}
-	plan := []grid.Coord{{Row: 0, Col: 2}, {Row: 5, Col: 4}}
-	if err := j.AppendPlan(1, plan); err != nil {
 		t.Fatal(err)
 	}
 	a := store.Addr{Disk: 2, Stripe: 1, Chunk: 0}
@@ -57,10 +54,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st2.Scan == nil || *st2.Scan != scan {
 		t.Fatalf("scan replay = %+v, want %+v", st2.Scan, scan)
 	}
-	got := st2.Plans[1]
-	if len(got) != len(plan) || got[0] != plan[0] || got[1] != plan[1] {
-		t.Fatalf("plan replay = %v, want %v", got, plan)
-	}
 	if crc, ok := st2.Commits[a]; !ok || crc != 0xDEADBEEF {
 		t.Fatalf("commit replay = %x (%v)", crc, ok)
 	}
@@ -75,20 +68,28 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalInFlight pins the resume entry point: planned-but-not-done
-// stripes are in flight, in ascending order.
+// TestJournalInFlight pins the resume entry point: stripes with a commit
+// record and no later stripe-done record are in flight, in ascending
+// order. A stripe with no commit has nothing to repair again, and a
+// commit after a stripe's done record (a later pass repairing it anew)
+// reopens it.
 func TestJournalInFlight(t *testing.T) {
 	path := journalPath(t)
 	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stripe := range []int{5, 1, 3} {
-		if err := j.AppendPlan(stripe, []grid.Coord{{Row: 0, Col: 0}}); err != nil {
+	for _, stripe := range []int{5, 1, 3, 7, 5} {
+		if err := j.AppendCommit(store.Addr{Disk: stripe % 2, Stripe: stripe, Chunk: 0}, uint32(stripe)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.AppendStripeDone(3); err != nil {
+	for _, stripe := range []int{3, 7, 9} {
+		if err := j.AppendStripeDone(stripe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.AppendCommit(store.Addr{Disk: 2, Stripe: 7, Chunk: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -98,9 +99,8 @@ func TestJournalInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	got := st.InFlight()
-	if len(got) != 2 || got[0] != 1 || got[1] != 5 {
-		t.Fatalf("InFlight = %v, want [1 5]", got)
+	if got := st.InFlight(); !reflect.DeepEqual(got, []int{1, 5, 7}) {
+		t.Fatalf("InFlight = %v, want [1 5 7]", got)
 	}
 }
 
@@ -206,14 +206,15 @@ func TestJournalRejectsForeignFiles(t *testing.T) {
 		t.Fatal("foreign file accepted as a journal")
 	}
 
-	// Wrong version: right magic, future version.
-	bad := append([]byte{}, journalMagic[:]...)
-	bad = append(bad, 0xFF, 0, 0, 0)
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenJournal(path); !errors.Is(err, ErrJournalVersion) {
-		t.Fatalf("future version = %v, want ErrJournalVersion", err)
+	// Wrong version: right magic, the retired v1 or a future version.
+	for _, v := range []byte{1, 0xFF} {
+		bad := append(journalMagic[:], v, 0, 0, 0)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenJournal(path); !errors.Is(err, ErrJournalVersion) {
+			t.Fatalf("version %d = %v, want ErrJournalVersion", v, err)
+		}
 	}
 }
 
@@ -260,39 +261,15 @@ func TestJournalResetAndRemove(t *testing.T) {
 	}
 }
 
-// TestJournalLastPlanWins pins replay semantics for escalation re-plans:
-// the latest plan record for a stripe supersedes earlier ones.
-func TestJournalLastPlanWins(t *testing.T) {
-	path := journalPath(t)
-	j, _, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendPlan(2, []grid.Coord{{Row: 0, Col: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendPlan(2, []grid.Coord{{Row: 0, Col: 1}, {Row: 3, Col: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	j2, st, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if got := st.Plans[2]; len(got) != 2 {
-		t.Fatalf("plan replay = %v, want the 2-cell re-plan", got)
-	}
-}
-
 // FuzzJournal replays arbitrary bytes as a journal file. OpenJournal must
 // never panic and must return its errors; a journal it accepts is left
 // truncated to Offset(), reopens to a deeply equal state at the same
 // offset, and takes a record appended after its (healed) tail back on the
 // next open. The checked-in corpus (testdata/fuzz/FuzzJournal) pins a
 // valid journal plus a torn mid-frame tail, a flipped CRC bit, reordered
-// and duplicated commits, a plan whose count disagrees with its length
-// and a wrong version.
+// and duplicated commits, a commit after its stripe's done record, a
+// frame of the retired plan type and a v1 header;
+// TestJournalFuzzCorpus holds each seed to the verdict its name states.
 func FuzzJournal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := journalPath(t)
@@ -332,8 +309,60 @@ func FuzzJournal(f *testing.F) {
 			t.Fatalf("reopening after an append: %v", err)
 		}
 		again.Commits[a] = 0xC0FFEE
+		delete(again.Done, a.Stripe)
 		if !reflect.DeepEqual(again, after) {
 			t.Fatalf("appended commit did not replay: %+v, want %+v", after, again)
 		}
 	})
+}
+
+// TestJournalFuzzCorpus opens every checked-in FuzzJournal seed and holds
+// it to the verdict its name states, so a format change that turns the
+// corpus into version-check rejections fails here instead of leaving the
+// fuzz target checking nothing.
+func TestJournalFuzzCorpus(t *testing.T) {
+	accept := map[string]bool{
+		"valid": true, "crc-bit-flip": true, "torn-tail": true, "reordered-commits": true,
+		"duplicated-commit": true, "commit-after-done": true,
+		"wrong-version": false, "plan-count-mismatch": false,
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzJournal")
+	seeds, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seeds) != len(accept) {
+		t.Fatalf("%d seeds in %s, want the %d named here", len(seeds), dir, len(accept))
+	}
+	for _, seed := range seeds {
+		want, ok := accept[seed.Name()]
+		if !ok {
+			t.Fatalf("seed %s has no stated verdict", seed.Name())
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, seed.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, body, _ := strings.Cut(string(raw), "\n")
+		quoted, ok := strings.CutPrefix(strings.TrimSpace(body), "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if header != "go test fuzz v1" || !ok || err != nil {
+			t.Fatalf("seed %s is not a []byte corpus entry: %v", seed.Name(), err)
+		}
+		path := journalPath(t)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, st, err := OpenJournal(path)
+		if (err == nil) != want {
+			t.Fatalf("seed %s: OpenJournal error %v, want accepted=%v", seed.Name(), err, want)
+		}
+		if err != nil {
+			continue
+		}
+		j.Close()
+		if seed.Name() == "commit-after-done" && !reflect.DeepEqual(st.InFlight(), []int{1}) {
+			t.Fatalf("seed %s: InFlight = %v, want the reopened stripe [1]", seed.Name(), st.InFlight())
+		}
+	}
 }

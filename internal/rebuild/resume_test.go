@@ -246,9 +246,6 @@ func TestResumeCatchesLyingCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendPlan(0, []grid.Coord{target}); err != nil {
-		t.Fatal(err)
-	}
 	if err := j.AppendCommit(a, PayloadCRC(wrong)); err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +268,58 @@ func TestResumeCatchesLyingCommit(t *testing.T) {
 	}
 	if !bytes.Equal(got, truth) {
 		t.Fatal("the lying commit was repaired but the rebuilt bytes are still wrong")
+	}
+	checkAgainstGroundTruth(t, d, m, resumeSeed)
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("journal survives clean completion: %v", err)
+	}
+}
+
+// TestResumeCommitAfterDone pins the journal of a stripe repaired twice:
+// a first pass committed the cell and finished the stripe, a later pass
+// repaired it again and crashed after committing bytes that are wrong.
+// The later commit reopens the stripe, so the resume repairs the cell
+// again and the store ends byte-exact; a stripe-done record never hides
+// a commit that follows it.
+func TestResumeCommitAfterDone(t *testing.T) {
+	m := testManifest("star", 5, 1, 64)
+	root := t.TempDir()
+	d := openResumeDir(t, root)
+	if err := InitStore(d, m, resumeSeed); err != nil {
+		t.Fatal(err)
+	}
+	a := AddrOf(0, grid.Coord{Row: 2, Col: 1})
+	truth := make([]byte, m.ChunkSize)
+	if _, err := d.ReadChunk(a, truth); err != nil {
+		t.Fatal(err)
+	}
+	wrong := append([]byte(nil), truth...)
+	wrong[5] ^= 0x21
+	if err := d.WriteChunk(a, wrong); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(root, "rebuild.journal")
+	j, _, err := OpenJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		j.AppendCommit(a, PayloadCRC(truth)),
+		j.AppendStripeDone(0),
+		j.AppendCommit(a, PayloadCRC(wrong)),
+		j.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res, err := RunService(ServiceConfig{Backend: d, Manifest: m, JournalPath: journal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.CorruptChunks != 1 || res.ChunksRebuilt != 1 {
+		t.Fatalf("commit after done: %d corrupt, %d rebuilt, want 1 and 1", res.Report.CorruptChunks, res.ChunksRebuilt)
 	}
 	checkAgainstGroundTruth(t, d, m, resumeSeed)
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
@@ -304,9 +353,6 @@ func TestResumeUnreadableOracleSource(t *testing.T) {
 			journal := filepath.Join(t.TempDir(), "rebuild.journal")
 			j, _, err := OpenJournal(journal)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := j.AppendPlan(0, []grid.Coord{target}); err != nil {
 				t.Fatal(err)
 			}
 			if err := j.AppendCommit(a, PayloadCRC(committed)); err != nil {
@@ -382,11 +428,11 @@ func (s *stopAfter) ReadChunk(a store.Addr, dst []byte) (int, error) {
 // damage plus the committed cells of the stripe the stop left
 // unfinished, which it repairs again.
 //
-// before-a-restarted-pass is also the trap of putting back the journaled
-// plan instead of the commits: the escalation re-logs the plan with the
-// survivor whose read failed, which reads fine on the rerun. Erasing it
-// as well as the three dead columns would be four columns, beyond STAR's
-// tolerance, and the rerun would report data loss.
+// before-a-restarted-pass is also the trap of putting back a plan instead
+// of the commits: the escalation re-plans with the survivor whose read
+// failed, which reads fine on the rerun. Erasing it as well as the three
+// dead columns would be four columns, beyond STAR's tolerance, and the
+// rerun would report data loss.
 func TestServiceGracefulStop(t *testing.T) {
 	m := testManifest("star", 5, 2, 64)
 	perStripe := 3 * m.Rows // lost chunks per stripe

@@ -412,7 +412,7 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 				jn.Close()
 				return nil, err
 			}
-			jstate = &JournalState{Plans: map[int][]grid.Coord{}, Commits: map[store.Addr]uint32{}, Done: map[int]bool{}}
+			jstate = &JournalState{}
 		}
 		if sc := jstate.Scan; sc != nil {
 			m := cfg.Manifest
@@ -555,8 +555,6 @@ func (s *service) execute(jstate *JournalState) error {
 		m := cfg.Manifest
 		if err := s.journaled(s.journal.AppendScan(JournalScan{
 			Disks: m.Disks, Rows: m.Rows, Stripes: m.Stripes, ChunkSize: m.ChunkSize,
-			Missing: report.MissingChunks, Corrupt: report.CorruptChunks,
-			DamagedStripes: len(report.Stripes),
 		})); err != nil {
 			return err
 		}
@@ -615,16 +613,12 @@ func stopRequested(stop <-chan struct{}) bool {
 // a prior run journaled as committed in a stripe it never finished (once,
 // if the scan lists it already): the repair loop then rebuilds it through
 // the zero test like any other, so a commit is never judged in place. The
-// commits go back, not the journaled plan, which after an escalation can
+// commits go back, not a plan: a plan re-made after an escalation can
 // list a survivor that reads again and erase a column too many (DESIGN §13).
 func (s *service) requeueResumed(st *JournalState) {
 	report := s.res.Report
-	inFlight := make(map[int]bool)
-	for _, stripe := range st.InFlight() {
-		inFlight[stripe] = true
-	}
 	for a := range st.Commits {
-		if !inFlight[a.Stripe] {
+		if st.Done[a.Stripe] {
 			continue
 		}
 		cell := grid.Coord{Row: a.Chunk, Col: a.Disk}
@@ -763,11 +757,6 @@ func (s *service) repairStripe(d StripeDamage) error {
 		s.res.PlannedReads += plan.scheme.UniqueFetches()
 		return nil
 	}
-	if s.journal != nil {
-		if err := s.journaled(s.journal.AppendPlan(d.Stripe, lost)); err != nil {
-			return err
-		}
-	}
 
 	// replayDecoded never consults the cache, so a decoder plan's
 	// priorities and request sequence would be built and thrown away.
@@ -822,11 +811,6 @@ func (s *service) repairStripe(d StripeDamage) error {
 		plan, err = s.planFor(d.Stripe, lost)
 		if err != nil {
 			return err
-		}
-		if s.journal != nil {
-			if err := s.journaled(s.journal.AppendPlan(d.Stripe, lost)); err != nil {
-				return err
-			}
 		}
 		s.m.Regenerations.Inc()
 		for _, c := range plan.unsolved {

@@ -967,9 +967,9 @@ func journalRecords(path string) ([]byte, error) {
 // two or more cells, four codes at p = 5 and 7. Nothing of a stripe is
 // written before every read of it is done, in either evaluation order, so
 // at the failing read no chunk of the stripe has been written and the
-// journal holds no commit record of it ahead of the re-plan's record; the
-// re-plan is the grown lost set's and rebuilds the stripe byte-exact, the
-// escalated survivor among its cells.
+// journal ends with exactly one commit record per rebuilt chunk, each of a
+// distinct address; the re-plan is the grown lost set's and rebuilds the
+// stripe byte-exact, the escalated survivor among its cells.
 func TestServiceSurvivorUnreadableMidStripe(t *testing.T) {
 	const seed = 23
 	runs := 0
@@ -996,6 +996,7 @@ func TestServiceSurvivorUnreadableMidStripe(t *testing.T) {
 						written := true
 						journal := filepath.Join(t.TempDir(), "journal")
 						var records []byte
+						var commits map[store.Addr]uint32
 						res, err := RunService(ServiceConfig{
 							Backend: &failKthRead{Backend: counter, stripe: 0, k: k, fail: func(a store.Addr) (int, error) {
 								written = counter.written[0]
@@ -1007,6 +1008,7 @@ func TestServiceSurvivorUnreadableMidStripe(t *testing.T) {
 								if records, err = journalRecords(journal); err != nil {
 									t.Fatal(err)
 								}
+								commits = replayJournal(t, journal).Commits
 							},
 						})
 						runs++
@@ -1019,8 +1021,8 @@ func TestServiceSurvivorUnreadableMidStripe(t *testing.T) {
 						if res.Escalations != 1 || res.Regenerations != 1 || res.DataLoss || res.ChunksRebuilt != size+1 {
 							t.Fatalf("%s: %d escalations, %d regenerations, dataloss=%v, %d chunks rebuilt (want 1, 1, false, %d)", where, res.Escalations, res.Regenerations, res.DataLoss, res.ChunksRebuilt, size+1)
 						}
-						if bytes.LastIndexByte(records, recPlan) > bytes.IndexByte(records, recCommit) {
-							t.Fatalf("%s: journal records %v: a commit precedes the re-plan", where, records)
+						if n := bytes.Count(records, []byte{recCommit}); n != res.ChunksRebuilt || len(commits) != n {
+							t.Fatalf("%s: journal records %v: %d commits of %d addresses, want one per rebuilt chunk (%d)", where, records, n, len(commits), res.ChunksRebuilt)
 						}
 						checkAgainstGroundTruth(t, b, m, seed)
 					}

@@ -118,9 +118,9 @@ func TestServiceMetricsMatchResult(t *testing.T) {
 		{"cache_hits", rm.CacheHits.Value(), first.CacheHits},
 		{"cache_misses", rm.CacheMisses.Value(), first.CacheMisses},
 		{"bytes_written", rm.BytesWritten.Value(), uint64(first.BytesWritten)},
-		// An escalation-free pass appends one scan, one plan and one done
-		// record per stripe, one commit per chunk, and the final done.
-		{"journal_records", rm.JournalRecords.Value(), uint64(2 + 2*first.StripesRepaired + first.ChunksRebuilt)},
+		// A pass appends one scan, one stripe-done record per stripe, one
+		// commit per chunk, and the final done.
+		{"journal_records", rm.JournalRecords.Value(), uint64(2 + first.StripesRepaired + first.ChunksRebuilt)},
 	} {
 		if c.cell != 2*c.each {
 			t.Errorf("cell %s = %d after two passes of %d each", c.name, c.cell, c.each)

@@ -148,8 +148,9 @@ func replayJournal(t *testing.T, path string) *JournalState {
 	return st
 }
 
-// inFlightCommits counts the commit records of stripes the journal never
-// marks done: the cells a resume puts back to be repaired again.
+// inFlightCommits counts the committed cells of stripes with no stripe-done
+// record after their last commit: the cells a resume puts back to be
+// repaired again.
 func inFlightCommits(st *JournalState) int {
 	n := 0
 	for _, stripe := range st.InFlight() {

@@ -3,7 +3,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"fbf/internal/chunk"
@@ -12,9 +12,28 @@ import (
 	"fbf/internal/grid"
 )
 
+// derive re-derives cell cell-major, as the XOR of its oracle sources in
+// the stripe, or returns nil when the oracle cannot solve it.
+func derive(t *testing.T, code *codes.Code, oracle *Oracle, lost []grid.Coord, cell grid.Coord, stripe []chunk.Chunk) chunk.Chunk {
+	t.Helper()
+	sources := oracle.Sources(cell)
+	if sources == nil {
+		return nil
+	}
+	acc := chunk.New(len(stripe[0]))
+	for _, src := range sources {
+		if slices.Contains(lost, src) {
+			t.Fatalf("oracle plan for %v reads lost cell %v", cell, src)
+		}
+		chunk.XORInto(acc, stripe[code.CellIndex(src)])
+	}
+	return acc
+}
+
 // TestOracleAgreesWithChains recovers every cell of a partial stripe
 // error through its selected parity chain and cross-checks each against
-// the Oracle, the incremental form of the checkPattern gf2 diff.
+// the XOR of its oracle sources, the incremental form of the checkPattern
+// gf2 diff.
 func TestOracleAgreesWithChains(t *testing.T) {
 	code := codes.MustNew("star", 5)
 	stripe := code.MaterializeStripe(11, 128)
@@ -25,39 +44,28 @@ func TestOracleAgreesWithChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := func(c grid.Coord, dst chunk.Chunk) error {
-		copy(dst, stripe[code.CellIndex(c)])
-		return nil
-	}
 	scheme, err := core.GenerateScheme(code, e, core.StrategyLooped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, buf := chunk.New(128), chunk.New(128)
 	for _, sel := range scheme.Selected {
-		if !oracle.Solvable(sel.Lost) {
+		derived := derive(t, code, oracle, lost, sel.Lost, stripe)
+		if derived == nil {
 			t.Fatalf("oracle cannot solve %v", sel.Lost)
 		}
 		recovered, err := code.RebuildChunk(sel.Chain, sel.Lost, stripe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := oracle.Check(sel.Lost, recovered, acc, buf, read); err != nil {
-			t.Errorf("oracle rejects a correct chain recovery: %v", err)
-		}
-		// A single flipped byte in the recovered chunk must be caught.
-		recovered[17] ^= 0x01
-		if err := oracle.Check(sel.Lost, recovered, acc, buf, read); err == nil {
-			t.Errorf("oracle accepted corrupted recovery of %v", sel.Lost)
-		} else if !strings.Contains(err.Error(), "disagree") {
-			t.Errorf("unexpected oracle error: %v", err)
+		if off := firstDiff(derived, recovered); off >= 0 {
+			t.Errorf("chain recovery and oracle disagree on %v at offset %d", sel.Lost, off)
 		}
 	}
 }
 
 // TestOracleBeyondTolerance pins the unsolvable-cell reporting: erase
-// more columns than the code tolerates and the oracle must refuse those
-// cells rather than fabricate a plan.
+// more columns than the code tolerates and the oracle must return no
+// sources for those cells rather than fabricate a plan.
 func TestOracleBeyondTolerance(t *testing.T) {
 	code := codes.MustNew("star", 5)
 	var lost []grid.Coord
@@ -70,67 +78,23 @@ func TestOracleBeyondTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solvable := 0
+	unsolvable := 0
 	for _, c := range lost {
-		if oracle.Solvable(c) {
-			solvable++
+		if oracle.Sources(c) == nil {
+			unsolvable++
 		}
 	}
-	if solvable == len(lost) {
+	if unsolvable == 0 {
 		t.Fatal("oracle claims to solve a 4-column erasure on a 3DFT code")
 	}
-	for _, c := range lost {
-		if !oracle.Solvable(c) {
-			if err := oracle.Check(c, chunk.New(16), chunk.New(16), chunk.New(16), func(grid.Coord, chunk.Chunk) error { return nil }); err == nil {
-				t.Fatalf("Check succeeded on unsolvable cell %v", c)
-			}
-			break
-		}
-	}
 }
 
-// TestOracleCheckAllocatesNothing pins Check to its caller's scratch: a
-// passing check of a paper-scale chunk performs no allocation (it used
-// to make two fresh chunks per call), whatever the scratch held before.
-func TestOracleCheckAllocatesNothing(t *testing.T) {
-	code := codes.MustNew("tip", 7)
-	stripe := code.MaterializeStripe(3, chunk.DefaultSize)
-	lost := core.PartialStripeError{Stripe: 0, Disk: 1, Row: 0, Size: 3}.LostCells()
-	oracle, err := NewOracle(code, lost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := func(c grid.Coord, dst chunk.Chunk) error {
-		copy(dst, stripe[code.CellIndex(c)])
-		return nil
-	}
-	acc, buf := chunk.New(chunk.DefaultSize), chunk.New(chunk.DefaultSize)
-	for i := range acc {
-		acc[i], buf[i] = 0xa5, 0x5a // stale scratch must not leak into the result
-	}
-	cell := lost[1]
-	recovered := stripe[code.CellIndex(cell)]
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := oracle.Check(cell, recovered, acc, buf, read); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Oracle.Check allocates %.0f times per call, want 0", allocs)
-	}
-	if err := oracle.Check(cell, recovered, acc[:64], buf, read); err == nil {
-		t.Fatal("Check accepted scratch of the wrong size")
-	}
-}
-
-// TestSourceMajorAccumulationEqualsCheck is the property the storage
-// engine's read-once stripe decode rests on: for every code and sampled
-// lost pattern (whole columns, partial stripe errors, scattered cells),
-// visiting each surviving cell once and folding it into the accumulator
-// of every lost cell whose Sources lists it, then calling Diff, decides
-// exactly as Check does cell by cell — both accept the true bytes, and
-// both report a single flipped byte with the same error, offset
-// included.
+// TestSourceMajorAccumulationEqualsCheck pins the oracle's Sources on
+// every code and sampled lost pattern (whole columns, partial stripe
+// errors, scattered cells): visiting each surviving cell once and folding
+// it into the accumulator of every lost cell whose Sources lists it gives
+// the same bytes as the cell-by-cell fold (derive), and both are the true
+// bytes of the cell.
 func TestSourceMajorAccumulationEqualsCheck(t *testing.T) {
 	const size = 96
 	rng := rand.New(rand.NewSource(16))
@@ -164,19 +128,16 @@ func TestSourceMajorAccumulationEqualsCheck(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				read := func(c grid.Coord, dst chunk.Chunk) error {
-					copy(dst, stripe[code.CellIndex(c)])
-					return nil
-				}
 				// Source-major: one visit per surviving cell.
 				accs := make(map[grid.Coord]chunk.Chunk)
 				users := make(map[grid.Coord][]grid.Coord)
 				for _, cell := range lost {
-					if !oracle.Solvable(cell) {
+					sources := oracle.Sources(cell)
+					if sources == nil {
 						continue
 					}
 					accs[cell] = chunk.New(size)
-					for _, src := range oracle.Sources(cell) {
+					for _, src := range sources {
 						users[src] = append(users[src], cell)
 					}
 				}
@@ -188,21 +149,18 @@ func TestSourceMajorAccumulationEqualsCheck(t *testing.T) {
 						chunk.XORInto(accs[cell], stripe[idx])
 					}
 				}
-				acc, buf := chunk.New(size), chunk.New(size)
 				for cell, derived := range accs {
-					recovered := append(chunk.Chunk(nil), stripe[code.CellIndex(cell)]...)
-					if err := Diff(cell, derived, recovered); err != nil {
-						t.Fatalf("source-major rejects the true bytes of %v: %v", cell, err)
+					if off := firstDiff(derived, derive(t, code, oracle, lost, cell, stripe)); off >= 0 {
+						t.Fatalf("source-major and cell-major folds of %v differ at offset %d", cell, off)
 					}
-					if err := oracle.Check(cell, recovered, acc, buf, read); err != nil {
-						t.Fatalf("Check rejects the true bytes of %v: %v", cell, err)
+					recovered := append(chunk.Chunk(nil), stripe[code.CellIndex(cell)]...)
+					if off := firstDiff(derived, recovered); off >= 0 {
+						t.Fatalf("source-major fold of %v differs from its true bytes at offset %d", cell, off)
 					}
 					off := rng.Intn(size)
 					recovered[off] ^= 0x40
-					want := fmt.Sprintf("disagree on %v (first diff at offset %d)", cell, off)
-					errPass, errCheck := Diff(cell, derived, recovered), oracle.Check(cell, recovered, acc, buf, read)
-					if errPass == nil || errCheck == nil || errPass.Error() != errCheck.Error() || !strings.Contains(errPass.Error(), want) {
-						t.Fatalf("flipped byte %d of %v: source-major says %v, Check says %v", off, cell, errPass, errCheck)
+					if got := firstDiff(derived, recovered); got != off {
+						t.Fatalf("flipped byte %d of %v found at %d", off, cell, got)
 					}
 				}
 			})
