@@ -4,9 +4,7 @@
 //
 // Usage:
 //
-//	fbfsim [-fig 8|9|10|11] [-table 4|5] [-ablation]
-//	       [-serving] [-rate 100,200,400] [-slo-p99 MS] [-zipf-s S]
-//	       [-write-frac F] [-hot-frac F] [-ops N]
+//	fbfsim [-fig 8|9|10|11] [-table 4|5] [-ablation] [-online] [-modes]
 //	       [-durability] [-ure-rates 0,0.001,0.01] [-transient-rate R]
 //	       [-fault-seed N] [-second-failure-at MS] [-third-failure-at MS] [-trials N]
 //	       [-codes star,triplestar,tip,hdd1] [-p 7,11,13]
@@ -57,13 +55,6 @@ func main() {
 	ablation := flag.Bool("ablation", false, "run the chain-selection scheme ablation")
 	online := flag.Bool("online", false, "run the online-recovery (foreground load) experiment")
 	modes := flag.Bool("modes", false, "run the SOR-vs-DOR reconstruction-mode ablation")
-	serving := flag.Bool("serving", false, "run the heavy-traffic serving experiment (foreground latency frontier per policy under rebuild)")
-	ratesFlag := flag.String("rate", "100,200,400", "comma-separated client rates (ops/sec) for -serving")
-	sloP99 := flag.Float64("slo-p99", 0, "foreground p99 SLO in ms for -serving; > 0 arms the adaptive QoS rebuild throttle")
-	zipfS := flag.Float64("zipf-s", 1.2, "stripe-popularity Zipf skew for -serving (<= 1 uniform)")
-	writeFrac := flag.Float64("write-frac", 0.1, "parity read-modify-write fraction for -serving")
-	hotFrac := flag.Float64("hot-frac", 0.3, "fraction of -serving traffic aimed at stripes under repair")
-	servingOps := flag.Int("ops", 0, "foreground operations per -serving run (default 2000)")
 	durability := flag.Bool("durability", false, "run the fault-injection durability sweep (data-loss probability and repair makespan vs URE rate)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-schedule RNG seed for -durability")
 	ureRatesFlag := flag.String("ure-rates", "0,0.001,0.01", "comma-separated per-address URE rates for -durability")
@@ -151,6 +142,12 @@ func main() {
 		log.Fatalf("bad -dist %q", *distFlag)
 	}
 
+	// Reject bad flags before any output path is created: creating one
+	// truncates it, and a rejected run must leave old outputs alone.
+	if *metricsInterval <= 0 {
+		log.Fatalf("bad -metrics-interval %v: must be > 0 ms", *metricsInterval)
+	}
+
 	// Validate every output path up front: a long simulation must not
 	// discover an unwritable -trace-out/-metrics-out/-pprof-* path only
 	// when it finally tries to write.
@@ -172,9 +169,6 @@ func main() {
 		outputs[o.name] = f
 		defer f.Close()
 	}
-	if *metricsInterval <= 0 {
-		log.Fatalf("bad -metrics-interval %v: must be > 0 ms", *metricsInterval)
-	}
 	if f := outputs["pprof-cpu"]; f != nil {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			log.Fatalf("bad -pprof-cpu: %v", err)
@@ -190,7 +184,7 @@ func main() {
 		}()
 	}
 
-	runAll := *figFlag == 0 && *tableFlag == 0 && !*ablation && !*online && !*modes && !*durability && !*serving
+	runAll := *figFlag == 0 && *tableFlag == 0 && !*ablation && !*online && !*modes && !*durability
 	out := os.Stdout
 
 	runFig := func(n int) {
@@ -301,41 +295,6 @@ func main() {
 			log.Fatalf("modes: %v", err)
 		}
 		if err := experiments.RenderModes(out, rows); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
-
-	runServing := func() {
-		p := params
-		if *codesFlag == "" {
-			p.Codes = []string{"tip"}
-		}
-		if *primesFlag == "" {
-			p.Primes = []int{13}
-		}
-		rates, err := cli.ParseFloatsFlag("rate", *ratesFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sc := experiments.ServingSweep{
-			Rates: rates, Ops: *servingOps, Seed: p.Seed,
-			ZipfS: *zipfS, WriteFrac: *writeFrac, HotFrac: *hotFrac,
-		}
-		if *sloP99 > 0 {
-			sc.QoS = &rebuild.QoSConfig{SLOp99Ms: *sloP99}
-		}
-		rows, err := experiments.Serving(p, sc)
-		if err != nil {
-			log.Fatalf("serving: %v", err)
-		}
-		if *csv {
-			if err := experiments.RenderServingCSV(out, rows); err != nil {
-				log.Fatal(err)
-			}
-			return
-		}
-		if err := experiments.RenderServing(out, rows); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -478,9 +437,6 @@ func main() {
 		}
 		if *durability {
 			runDurability()
-		}
-		if *serving {
-			runServing()
 		}
 	}
 }

@@ -9,11 +9,8 @@
 // The summary breaks the run down by phase (scheme generation, disk
 // reads, XOR compute, spare writes), reports time-weighted per-disk
 // utilization with peak queue occupancy, and tallies every instant
-// event (cache hits/misses, fault-ladder steps). Traces captured under
-// a serving workload (fbfsim -serving) additionally get a per-stripe-
-// class latency table — healthy, degraded and lost reads/writes with
-// exact nearest-rank p50/p99 over the simulated latencies — so the
-// paper's partial-recovery serving claims can be read off one report.
+// event (cache hits/misses, foreground app hits/misses, fault-ladder
+// steps).
 //
 // -validate parses a -trace-out file and checks the schema every event
 // must satisfy (known phase, pid/tid present, spans carrying their

@@ -10,10 +10,10 @@
 // HDD1, plus the footnote-3 LRC), recovery-scheme generation with the
 // FBF priority dictionary, the cache policies, error-trace generation,
 // the discrete-event reconstruction engines, and the sweep behind the
-// paper's figures and tables. Fault injection, serving under SLO,
-// tracing and the real-bytes storage engine live in the internal
-// packages and are reached through the commands (cmd/fbfsim,
-// cmd/fbfctl, ...), which import those packages directly.
+// paper's figures and tables. Fault injection, tracing and the
+// real-bytes storage engine live in the internal packages and are
+// reached through the commands (cmd/fbfsim, cmd/fbfctl, ...), which
+// import those packages directly.
 //
 // Quick start:
 //

@@ -129,22 +129,6 @@ func (a *Array) ReadAddrReq(diskID int, addr int64, r *Request) error {
 	return nil
 }
 
-// WriteChunk issues an in-place write of the chunk at (stripe, cell) —
-// the serving workload's data and parity updates — and calls done with
-// the issue and completion times.
-func (a *Array) WriteChunk(stripe int, cell grid.Coord, done func(issued, completed sim.Time)) error {
-	if err := a.check(stripe, cell); err != nil {
-		return err
-	}
-	a.disks[cell.Col].Submit(&Request{
-		Addr:  a.chunkAddr(stripe, cell.Row),
-		Size:  a.chunkSize,
-		Write: true,
-		Done:  done,
-	})
-	return nil
-}
-
 // WriteSpare writes one recovered chunk into the spare region of the
 // given disk and calls done at completion.
 func (a *Array) WriteSpare(diskID int, done func(issued, completed sim.Time)) error {

@@ -230,81 +230,3 @@ func TestSummarizeCountsFailedIO(t *testing.T) {
 		t.Fatalf("failed read's busy time dropped: %v", s.Read)
 	}
 }
-
-// serveInstant builds one foreground-serving completion event the way
-// the simulator's serving workload emits them.
-func serveInstant(name string, ts sim.Time, class, us int64) Event {
-	return Event{Name: name, Cat: CatServe, Ph: PhaseInstant,
-		Track: Track{Group: GroupEngine, ID: 0}, TS: ts,
-		Args: []Arg{{"class", class}, {"us", us}}}
-}
-
-// TestSummarizeServingLatency pins the per-class digest: exact
-// nearest-rank percentiles, classes sorted, failed instants (no
-// class/us args) excluded, and no section for serving-free traces.
-func TestSummarizeServingLatency(t *testing.T) {
-	var events []Event
-	// Healthy: 1..100µs in shuffled-enough order (descending) so the
-	// digest has to sort; nearest-rank p50=50, p99=99.
-	for us := int64(100); us >= 1; us-- {
-		events = append(events, serveInstant("read", sim.Time(us)*sim.Microsecond, 0, us))
-	}
-	// Lost: a skewed pair, p50 = first value under nearest-rank.
-	events = append(events,
-		serveInstant("write", sim.Millisecond, 2, 300),
-		serveInstant("read", 2*sim.Millisecond, 2, 9700),
-		// A failed serve carries no class/us and must not be digested.
-		Event{Name: "failed", Cat: CatServe, Ph: PhaseInstant,
-			Track: Track{Group: GroupEngine, ID: 0}, TS: 3 * sim.Millisecond},
-	)
-	s := Summarize(events)
-
-	want := []ServeLatency{
-		{Class: "healthy", Ops: 100, MeanUs: 50, P50Us: 50, P99Us: 99, MaxUs: 100},
-		{Class: "lost", Ops: 2, MeanUs: 5000, P50Us: 300, P99Us: 9700, MaxUs: 9700},
-	}
-	if len(s.Serving) != len(want) {
-		t.Fatalf("serving digest has %d classes, want %d: %+v", len(s.Serving), len(want), s.Serving)
-	}
-	for i, w := range want {
-		if s.Serving[i] != w {
-			t.Errorf("serving[%d] = %+v, want %+v", i, s.Serving[i], w)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := RenderSummary(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, wantStr := range []string{
-		"serving latency by stripe class (simulated, exact percentiles):",
-		"healthy", "lost", "serve/failed",
-	} {
-		if !strings.Contains(out, wantStr) {
-			t.Errorf("summary output missing %q:\n%s", wantStr, out)
-		}
-	}
-
-	// A serving-free trace renders no serving section: older reports
-	// stay byte-identical.
-	var bare bytes.Buffer
-	if err := RenderSummary(&bare, Summarize(sampleEvents())); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(bare.String(), "serving latency") {
-		t.Fatalf("serving section leaked into a serving-free trace:\n%s", bare.String())
-	}
-}
-
-// TestSummarizeServingClassNames pins the class-index naming, including
-// the fallback for indices the simulator does not emit today.
-func TestSummarizeServingClassNames(t *testing.T) {
-	s := Summarize([]Event{
-		serveInstant("read", 0, 1, 10),
-		serveInstant("read", 0, 7, 10),
-	})
-	if len(s.Serving) != 2 || s.Serving[0].Class != "degraded" || s.Serving[1].Class != "class-7" {
-		t.Fatalf("class names = %+v, want degraded then class-7", s.Serving)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"fbf/internal/sim"
@@ -22,7 +21,6 @@ const (
 	CatXOR    = "xor"    // span "xor": chain XOR compute
 	CatFault  = "fault"  // instants "retry", "escalate", "disk-fail", "re-plan", "regenerate", "data-loss"
 	CatApp    = "app"    // instants "hit", "miss" of the foreground workload
-	CatServe  = "serve"  // instants "read", "write", "failed" of the serving workload (stripe class + latency)
 )
 
 // DiskUtil is one disk lane's time-weighted load in a Summary.
@@ -40,33 +38,6 @@ type NameCount struct {
 	Cat   string
 	Name  string
 	Count int
-}
-
-// ServeLatency digests one stripe class's foreground serving latency
-// from the CatServe instants ("read"/"write" with class and us args).
-// Percentiles are exact (nearest-rank over the sorted latencies), in
-// simulated microseconds.
-type ServeLatency struct {
-	Class  string // "healthy", "degraded", "lost"
-	Ops    int
-	MeanUs int64
-	P50Us  int64
-	P99Us  int64
-	MaxUs  int64
-}
-
-// serveClassName maps the serving instants' class arg (the engine's
-// StripeClass: 0 healthy, 1 degraded, 2 lost) to its report label.
-func serveClassName(class int64) string {
-	switch class {
-	case 0:
-		return "healthy"
-	case 1:
-		return "degraded"
-	case 2:
-		return "lost"
-	}
-	return fmt.Sprintf("class-%d", class)
 }
 
 // Summary is the per-phase breakdown of one trace: where simulated time
@@ -90,11 +61,6 @@ type Summary struct {
 
 	Disks  []DiskUtil  // per disk lane, ordered by id
 	Counts []NameCount // instant tallies, ordered by (cat, name)
-
-	// Serving latency per stripe class, ordered healthy → degraded →
-	// lost; empty for traces without CatServe instants (pre-serving
-	// runs), which keeps their reports unchanged.
-	Serving []ServeLatency
 }
 
 // PeakQueue returns the maximum queue occupancy across all disks.
@@ -125,7 +91,6 @@ func Summarize(events []Event) *Summary {
 	s := &Summary{Events: len(events)}
 	disks := map[int]*DiskUtil{}
 	counts := map[[2]string]int{}
-	serveUs := map[int64][]int64{}
 	for _, e := range events {
 		if end := e.TS + e.Dur; end > s.Makespan {
 			s.Makespan = end
@@ -169,20 +134,6 @@ func Summarize(events []Event) *Summary {
 			}
 		case PhaseInstant:
 			counts[[2]string{e.Cat, e.Name}]++
-			if e.Cat == CatServe && (e.Name == "read" || e.Name == "write") {
-				class, us := int64(-1), int64(-1)
-				for _, a := range e.Args {
-					switch a.Key {
-					case "class":
-						class = a.Val
-					case "us":
-						us = a.Val
-					}
-				}
-				if class >= 0 && us >= 0 {
-					serveUs[class] = append(serveUs[class], us)
-				}
-			}
 		case PhaseCounter:
 			if e.Cat == CatIO && e.Name == "queue" {
 				d, ok := disks[e.Track.ID]
@@ -214,42 +165,7 @@ func Summarize(events []Event) *Summary {
 		}
 		return s.Counts[i].Name < s.Counts[j].Name
 	})
-	classes := make([]int64, 0, len(serveUs))
-	for class := range serveUs {
-		classes = append(classes, class)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	for _, class := range classes {
-		lats := serveUs[class]
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		var sum int64
-		for _, us := range lats {
-			sum += us
-		}
-		s.Serving = append(s.Serving, ServeLatency{
-			Class:  serveClassName(class),
-			Ops:    len(lats),
-			MeanUs: sum / int64(len(lats)),
-			P50Us:  nearestRank(lats, 0.50),
-			P99Us:  nearestRank(lats, 0.99),
-			MaxUs:  lats[len(lats)-1],
-		})
-	}
 	return s
-}
-
-// nearestRank returns the exact q-quantile of sorted latencies by the
-// nearest-rank method (the smallest value with at least ceil(q*n)
-// observations at or below it).
-func nearestRank(sorted []int64, q float64) int64 {
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // RenderSummary prints the breakdown as an aligned text report (the
@@ -271,14 +187,6 @@ func RenderSummary(w io.Writer, s *Summary) error {
 				d.Disk, d.Busy, d.Utilization, d.Reads, d.Writes, d.PeakQueue)
 		}
 	}
-	if len(s.Serving) > 0 {
-		fmt.Fprintf(bw, "serving latency by stripe class (simulated, exact percentiles):\n")
-		fmt.Fprintf(bw, "  %-9s %8s %10s %10s %10s %10s\n", "class", "ops", "mean", "p50", "p99", "max")
-		for _, sl := range s.Serving {
-			fmt.Fprintf(bw, "  %-9s %8d %10s %10s %10s %10s\n", sl.Class, sl.Ops,
-				usDur(sl.MeanUs), usDur(sl.P50Us), usDur(sl.P99Us), usDur(sl.MaxUs))
-		}
-	}
 	if len(s.Counts) > 0 {
 		fmt.Fprintf(bw, "event counts:\n")
 		for _, c := range s.Counts {
@@ -287,7 +195,3 @@ func RenderSummary(w io.Writer, s *Summary) error {
 	}
 	return bw.Flush()
 }
-
-// usDur renders a microsecond latency through sim.Time's duration
-// formatting, matching the phase-time columns above.
-func usDur(us int64) string { return fmt.Sprintf("%v", sim.Time(us)*sim.Microsecond) }

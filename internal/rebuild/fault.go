@@ -186,11 +186,6 @@ func (e *engine) onDiskFailure(col int) {
 // loseChunk accounts one chunk as unrecoverable.
 func (e *engine) loseChunk(id cache.ChunkID) {
 	e.lostChunks = append(e.lostChunks, id)
-	if e.serving != nil {
-		// The cell stays in the serving lost set forever: reads of it
-		// keep going through chain reconstruction (or failing).
-		e.serving.addLost(id)
-	}
 	if e.tr != nil {
 		e.instant(engineLane, obs.CatFault, "data-loss", coordArgs(id)...)
 	}
@@ -211,9 +206,6 @@ func (w *worker) escalate(cell grid.Coord, id cache.ChunkID) {
 	if !w.escalSet[cell] {
 		w.escalSet[cell] = true
 		w.escalated = append(w.escalated, cell)
-	}
-	if e.serving != nil {
-		e.serving.addLost(id)
 	}
 	// If the cell had been checkpointed its spare copy is what just
 	// failed to read; it needs rebuilding again.
@@ -246,15 +238,14 @@ func (w *worker) markRecovered(cell grid.Coord, diskID int, addr int64) {
 // abandonment) before its barrier fires, so completion always reports
 // to the owning worker's current chain.
 type fetchOp struct {
-	w        *worker
-	stripe   int
-	cell     grid.Coord
-	id       cache.ChunkID
-	attempt  int
-	req      disk.Request // Handler == the op itself: no completion closure
-	runFn    func()       // prebound run, created lazily for the retry path
-	submitFn func()       // prebound submit, created lazily for the QoS-delayed path
-	next     *fetchOp     // freelist / pending-FIFO link (one at a time)
+	w       *worker
+	stripe  int
+	cell    grid.Coord
+	id      cache.ChunkID
+	attempt int
+	req     disk.Request // Handler == the op itself: no completion closure
+	runFn   func()       // prebound run, created lazily for the retry path
+	next    *fetchOp     // freelist / pending-FIFO link (one at a time)
 }
 
 // fetchOpSlab is how many ops one freelist refill allocates at once.
@@ -285,32 +276,9 @@ func (w *worker) putFetchOp(o *fetchOp) {
 	w.freeOps = o
 }
 
-// run dispatches the op's read, pacing it through the QoS throttle when
-// one is armed: an overdrawn token bucket books the submission at a
-// future timestamp instead of issuing now.
+// run issues the op's read: from the chunk's spare checkpoint when one
+// exists, otherwise from its home cell.
 func (o *fetchOp) run() {
-	w := o.w
-	e := w.engine
-	if e.qos != nil {
-		d := o.cell.Col
-		if loc, ok := w.recovered[o.cell]; ok {
-			d = loc.disk
-		}
-		now := e.sim.Now()
-		if at := e.qos.gate(d, now); at > now {
-			if o.submitFn == nil {
-				o.submitFn = o.submit
-			}
-			e.sim.ScheduleAt(at, o.submitFn)
-			return
-		}
-	}
-	o.submit()
-}
-
-// submit issues the op's read: from the chunk's spare checkpoint when
-// one exists, otherwise from its home cell.
-func (o *fetchOp) submit() {
 	w := o.w
 	e := w.engine
 	var err error
@@ -395,40 +363,18 @@ func (o *fetchOp) OnComplete(_ *disk.Request, issued, completed sim.Time) {
 	}
 }
 
-// writeRecovered writes one rebuilt chunk to the spare area of its home
-// disk, failing over to the next surviving disk, and checkpoints the
-// result. With every disk dead the chunk has nowhere to live and is
-// accounted lost. The worker's preallocated spare request carries the
-// write; its completion (spareDone) was bound at construction.
-func (w *worker) writeRecovered(sel core.SelectedChain) {
+// writeRecovered writes the current chain's rebuilt chunk to the spare
+// area of its home disk, failing over to the next surviving disk, and
+// checkpoints the result. With every disk dead the chunk has nowhere to
+// live and is accounted lost. The worker's preallocated spare request
+// carries the write; its completion (spareDone) was bound at
+// construction.
+func (w *worker) writeRecovered() {
 	e := w.engine
-	w.curSel = sel
-	if e.qos != nil {
-		// Pace the spare write like any other rebuild I/O. The gate disk
-		// is resolved now; issueSpare re-resolves the actual target, so a
-		// failover between gate and issue still lands on a survivor.
-		if target := e.array.SpareTarget(sel.Lost.Col); target >= 0 {
-			now := e.sim.Now()
-			if at := e.qos.gate(target, now); at > now {
-				if w.spareIssueFn == nil {
-					w.spareIssueFn = w.issueSpare
-				}
-				e.sim.ScheduleAt(at, w.spareIssueFn)
-				return
-			}
-		}
-	}
-	w.issueSpare()
-}
-
-// issueSpare submits the spare write of the current chain's recovered
-// chunk.
-func (w *worker) issueSpare() {
-	e := w.engine
-	sel := w.curSel
-	target, addr := e.array.WriteSpareReq(sel.Lost.Col, &w.spareReq)
+	lost := w.curSel.Lost
+	target, addr := e.array.WriteSpareReq(lost.Col, &w.spareReq)
 	if target < 0 {
-		e.loseChunk(cache.ChunkID{Stripe: w.scheme.Err.Stripe, Cell: sel.Lost})
+		e.loseChunk(cache.ChunkID{Stripe: w.scheme.Err.Stripe, Cell: lost})
 		w.startChain()
 		return
 	}
@@ -440,14 +386,10 @@ func (w *worker) issueSpare() {
 func (w *worker) spareDone(issued, completed sim.Time) {
 	if w.spareReq.Failed {
 		// The spare target died mid-write; try the next survivor.
-		w.writeRecovered(w.curSel)
+		w.writeRecovered()
 		return
 	}
 	w.markRecovered(w.curSel.Lost, w.spareTarget, w.spareAddr)
-	// The repair is durable: the stripe's serving class improves.
-	if sv := w.engine.serving; sv != nil {
-		sv.repaired(w.scheme.Err.Stripe, w.curSel.Lost)
-	}
 	w.startChain()
 }
 

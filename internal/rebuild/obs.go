@@ -202,16 +202,6 @@ func (e *engine) registerMetrics(reg *obs.Registry) {
 			})
 		}
 	}
-	if e.serving != nil {
-		sv := e.serving
-		reg.Gauge("serving_ops", func() float64 { return float64(sv.res.Ops()) })
-		reg.Gauge("serving_failed", func() float64 { return float64(sv.res.FailedReads + sv.res.FailedWrites) })
-		reg.Gauge("serving_p99_ms", func() float64 { return sv.res.P(0.99) })
-	}
-	if e.qos != nil {
-		q := e.qos
-		reg.Gauge("qos_rate", func() float64 { return q.rate })
-	}
 	if e.faults != nil {
 		reg.Gauge("retries", func() float64 { return float64(e.retries) })
 		reg.Gauge("escalations", func() float64 { return float64(e.escalations) })

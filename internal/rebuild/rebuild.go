@@ -57,13 +57,6 @@ type Config struct {
 	// the disks, so recovery slows the application and vice versa.
 	App *AppWorkload
 
-	// Serving, when non-nil, runs the heavy-traffic serving scenario
-	// instead: an open-loop Zipf read/write stream (serving.go) with
-	// per-stripe-class latency percentiles and an optional adaptive QoS
-	// throttle on rebuild I/O (qos.go). Mutually exclusive with App —
-	// one foreground stream per run.
-	Serving *ServingConfig
-
 	// Faults, when non-nil, arms deterministic fault injection: URE and
 	// transient read errors drawn from Faults.Seed plus scheduled
 	// whole-disk failures. See FaultConfig for the escalation ladder.
@@ -169,14 +162,6 @@ func (c *Config) Validate() error {
 			return &ConfigError{Field: "App.ZipfS", Reason: "Zipf-skewed stripe popularity needs at least 2 stripes"}
 		}
 	}
-	if c.Serving != nil {
-		if c.App != nil {
-			return &ConfigError{Field: "Serving", Reason: "mutually exclusive with App (one foreground stream per run)"}
-		}
-		if err := c.Serving.validate(c); err != nil {
-			return err
-		}
-	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Code.Disks()); err != nil {
 			return err
@@ -216,20 +201,12 @@ type Result struct {
 	AppHits        uint64
 	AppSumResponse sim.Time
 
-	// AppEvictions counts cache evictions triggered by the foreground
-	// stream (Config.App's reads, or Config.Serving's probes).
-	// Cache.Evictions above counts only evictions the recovery replay
-	// itself caused; the streams share each worker's partition, so
+	// AppEvictions counts cache evictions triggered by Config.App's
+	// reads. Cache.Evictions above counts only evictions the recovery
+	// replay itself caused; the streams share each worker's partition, so
 	// without the split the foreground workload would silently inflate
 	// the recovery eviction figure.
 	AppEvictions uint64
-
-	// Serving holds the foreground serving metrics (nil unless
-	// Config.Serving was set). Note that DiskReads/DiskWrites above are
-	// array totals and therefore include the foreground I/O in serving
-	// mode; Serving.DiskReads/DiskWrites carry the foreground-issued
-	// share.
-	Serving *ServingResult
 
 	// PerDisk holds each disk's served-I/O counters, indexed by disk id;
 	// useful for load-balance analysis.
@@ -343,8 +320,8 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		}
 	}
 	if cfg.Mode == ModeDOR {
-		if cfg.App != nil || cfg.Serving != nil || cfg.Faults != nil || cfg.Tracer != nil || cfg.Metrics != nil {
-			return nil, fmt.Errorf("rebuild: DOR mode does not support App, Serving, fault injection or observability")
+		if cfg.App != nil || cfg.Faults != nil || cfg.Tracer != nil || cfg.Metrics != nil {
+			return nil, fmt.Errorf("rebuild: DOR mode does not support App, fault injection or observability")
 		}
 		return runDOR(cfg, errors)
 	}
@@ -402,11 +379,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	if cfg.App != nil && len(e.workers) > 0 {
 		e.scheduleAppWorkload()
 	}
-	if cfg.Serving != nil {
-		if err := e.startServing(errors); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.Metrics != nil {
 		e.registerMetrics(cfg.Metrics)
 		interval := cfg.MetricsInterval
@@ -440,15 +412,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	// stream caused it; attribute the foreground-induced ones separately.
 	res.Cache.Evictions -= e.appEvictions
 	res.AppEvictions = e.appEvictions
-	if e.serving != nil {
-		sr := e.serving.res
-		if e.qos != nil {
-			sr.QoSTrace = e.qos.steps
-			sr.FinalRebuildRate = e.qos.rate
-			sr.ThrottleDelay = e.qos.throttleDelay
-		}
-		res.Serving = sr
-	}
 	total := array.TotalStats()
 	res.DiskReads = total.Reads
 	res.DiskWrites = total.Writes
@@ -493,10 +456,6 @@ type engine struct {
 	appSumResponse sim.Time
 	appEvictions   uint64
 	stripeOwner    map[int]int // stripe -> worker id that repaired it
-
-	// Serving-mode state (nil unless Config.Serving was set).
-	serving *servingState
-	qos     *qosController
 
 	// Observability (nil unless Config.Tracer / Config.Metrics was set).
 	tr          obs.Tracer
@@ -551,10 +510,9 @@ type worker struct {
 	afterXORFn  func() // prebound afterXOR
 
 	// Spare-write state (one write in flight per worker at most).
-	spareReq     disk.Request // Done prebound to spareDone
-	spareTarget  int
-	spareAddr    int64
-	spareIssueFn func() // prebound issueSpare, created lazily for the QoS-delayed path
+	spareReq    disk.Request // Done prebound to spareDone
+	spareTarget int
+	spareAddr   int64
 
 	// freeOps recycles fetch operations; each op embeds its disk.Request
 	// and implements disk.Handler, so a steady-state miss fetch allocates
@@ -821,11 +779,8 @@ func (w *worker) barrier() {
 func (w *worker) afterXOR() {
 	if w.engine.cfg.SkipSpareWrites {
 		// Without spare writes the repair is complete here.
-		if sv := w.engine.serving; sv != nil {
-			sv.repaired(w.scheme.Err.Stripe, w.curSel.Lost)
-		}
 		w.startChain()
 		return
 	}
-	w.writeRecovered(w.curSel)
+	w.writeRecovered()
 }

@@ -18,7 +18,6 @@ import (
 	"fbf/internal/grid"
 	"fbf/internal/store"
 	"fbf/internal/store/faultstore"
-	"fbf/internal/verify"
 )
 
 const resumeSeed int64 = 424242
@@ -328,21 +327,23 @@ func TestResumeCommitAfterDone(t *testing.T) {
 }
 
 // TestResumeUnreadableOracleSource pins what resume does when a source
-// of a committed cell (one the GF(2) oracle names: the name is from when
-// resume re-derived commits through it) reads as missing, corrupt or the
-// wrong size: the committed cell is repaired again like any other, the
-// unreadable source escalates like any repair's, both are rebuilt, and
-// the store ends byte-exact — all three kinds alike, none an engine
-// error.
+// of a committed cell (a member of the first parity chain through it;
+// the name is from when resume re-derived commits through the GF(2)
+// oracle) reads as missing, corrupt or the wrong size: the committed
+// cell is repaired again like any other, the unreadable source escalates
+// like any repair's, both are rebuilt, and the store ends byte-exact —
+// all three kinds alike, none an engine error.
 func TestResumeUnreadableOracleSource(t *testing.T) {
 	m := testManifest("star", 5, 1, 64)
 	target := grid.Coord{Row: 0, Col: 0}
 	a := AddrOf(0, target)
-	oracle, err := verify.NewOracle(codes.MustNew(m.Code, m.P), []grid.Coord{target})
-	if err != nil {
-		t.Fatal(err)
+	var victim store.Addr
+	for _, c := range codes.MustNew(m.Code, m.P).Layout().ChainsThrough(target)[0].Cells {
+		if c != target {
+			victim = AddrOf(0, c)
+			break
+		}
 	}
-	victim := AddrOf(0, oracle.Sources(target)[0])
 	for kind, fail := range sourceFailures(m.ChunkSize) {
 		t.Run(kind, func(t *testing.T) {
 			b := initMem(t, m, resumeSeed)

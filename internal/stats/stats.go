@@ -22,8 +22,8 @@ type Histogram struct {
 // histograms: lo, lo*factor, lo*factor^2, ... until the first bound at
 // or above hi. Quantiles read from such a histogram are upper bounds
 // with a worst-case relative error of factor-1, which is what the
-// serving experiments use for p50/p99/p999 percentiles spanning cache
-// hits (sub-millisecond) to deep saturation (seconds).
+// storage engine's latency histograms (store.Instrumented) use for
+// percentiles spanning microseconds to seconds.
 func LogBounds(lo, hi, factor float64) ([]float64, error) {
 	if !(lo > 0) || !(hi > lo) {
 		return nil, fmt.Errorf("stats: log bounds need 0 < lo < hi, got [%g, %g]", lo, hi)
@@ -75,16 +75,6 @@ func (h *Histogram) Bounds() []float64 {
 	out := make([]float64, len(h.bounds))
 	copy(out, h.bounds)
 	return out
-}
-
-// Reset clears every count, keeping the bounds. The QoS controller's
-// per-window latency histogram is recycled this way between decision
-// intervals.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
 }
 
 // Counts returns a copy of the bucket counts (len(bounds)+1 entries; the

@@ -106,8 +106,8 @@ func bucketUpperBound(bounds []float64, x float64) float64 {
 // TestQuantileMatchesSortedSlice cross-checks Histogram.Quantile
 // against exact order statistics on random inputs: for every q, the
 // reported bound must be the upper bound of the bucket holding the
-// exact sorted-slice quantile ceil(q*n). This is the contract the
-// serving experiments' p50/p99/p999 reporting rests on.
+// exact sorted-slice quantile ceil(q*n). This is the contract every
+// percentile read from a Histogram rests on.
 func TestQuantileMatchesSortedSlice(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -7,17 +7,16 @@ import (
 	"time"
 )
 
-// TokenBucket paces requests against a rate under any nanosecond clock —
-// time.Duration since an epoch for Throttle, sim.Time for the simulator's
-// rebuild QoS. Reserve never blocks: a request the bucket cannot cover is
-// booked in the future and the bucket's clock advanced there, so queued
-// requests space themselves n/rate apart deterministically. Whoever holds
-// the bucket waits for the booked time (Throttle sleeps, the simulator
-// schedules the I/O there). The zero value is a bucket that fills to its
-// burst at first use. Not safe for concurrent use.
-type TokenBucket[T ~int64] struct {
+// tokenBucket paces requests against a rate on Throttle's clock, the
+// time since its epoch. Reserve never blocks: a request the bucket
+// cannot cover is booked in the future and the bucket's clock advanced
+// there, so queued requests space themselves n/rate apart
+// deterministically, and the caller sleeps until the booked time. The
+// zero value is a bucket that fills to its burst at first use. Not safe
+// for concurrent use.
+type tokenBucket struct {
 	tokens float64
-	last   T
+	last   time.Duration
 	primed bool
 }
 
@@ -25,7 +24,7 @@ type TokenBucket[T ~int64] struct {
 // second up to burst, and returns when the request may go: now if the
 // tokens are there, otherwise the time at which the rate repays what is
 // missing behind everything already booked. rate must be positive.
-func (b *TokenBucket[T]) Reserve(now T, n, rate, burst float64) T {
+func (b *tokenBucket) Reserve(now time.Duration, n, rate, burst float64) time.Duration {
 	if !b.primed {
 		b.primed = true
 		b.tokens = burst
@@ -38,7 +37,7 @@ func (b *TokenBucket[T]) Reserve(now T, n, rate, burst float64) T {
 		b.tokens -= n
 		return now
 	}
-	b.last += T(math.Ceil((n - b.tokens) / rate * 1e9))
+	b.last += time.Duration(math.Ceil((n - b.tokens) / rate * 1e9))
 	b.tokens = 0
 	return b.last
 }
@@ -46,7 +45,7 @@ func (b *TokenBucket[T]) Reserve(now T, n, rate, burst float64) T {
 // Level is the bucket's fill at now: refilled and capped at burst, or,
 // while requests are booked beyond now, negative by the tokens they have
 // yet to be repaid.
-func (b *TokenBucket[T]) Level(now T, rate, burst float64) float64 {
+func (b *tokenBucket) Level(now time.Duration, rate, burst float64) float64 {
 	if !b.primed {
 		return burst
 	}
@@ -69,10 +68,10 @@ type Throttle struct {
 	rate  float64 // bytes per second; also the burst
 
 	mu     sync.Mutex
-	bucket TokenBucket[time.Duration] // clocked from epoch
-	epoch  time.Time                  // the first reading of now
-	waits  uint64                     // operations that slept for budget
-	waited time.Duration              // total time slept
+	bucket tokenBucket   // clocked from epoch
+	epoch  time.Time     // the first reading of now
+	waits  uint64        // operations that slept for budget
+	waited time.Duration // total time slept
 
 	// Test seams; real use keeps the defaults.
 	now   func() time.Time

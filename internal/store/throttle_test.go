@@ -136,11 +136,11 @@ func TestThrottleRefills(t *testing.T) {
 	}
 }
 
-// TestTokenBucketPacing pins the bucket both clocks share: the burst
-// issues at once, overdraws are booked 1/rate apart behind one another,
-// and idle time refills up to the burst.
+// TestTokenBucketPacing pins Throttle's bucket: the burst issues at
+// once, overdraws are booked 1/rate apart behind one another, and idle
+// time refills up to the burst.
 func TestTokenBucketPacing(t *testing.T) {
-	var b TokenBucket[time.Duration]
+	var b tokenBucket
 	const rate, burst = 100, 2 // 100 tokens/s => 10 ms apart once drained
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	// The burst issues immediately; overdraws space 1/rate apart.
