@@ -5,8 +5,6 @@
 // Usage:
 //
 //	fbfsim [-fig 8|9|10|11] [-table 4|5] [-ablation] [-online] [-modes]
-//	       [-durability] [-ure-rates 0,0.001,0.01] [-transient-rate R]
-//	       [-fault-seed N] [-second-failure-at MS] [-third-failure-at MS] [-trials N]
 //	       [-codes star,triplestar,tip,hdd1] [-p 7,11,13]
 //	       [-policies fifo,lru,lfu,arc,fbf] [-sizes 8,16,...,2048]
 //	       [-groups N] [-workers N] [-stripes N] [-seed N]
@@ -55,13 +53,6 @@ func main() {
 	ablation := flag.Bool("ablation", false, "run the chain-selection scheme ablation")
 	online := flag.Bool("online", false, "run the online-recovery (foreground load) experiment")
 	modes := flag.Bool("modes", false, "run the SOR-vs-DOR reconstruction-mode ablation")
-	durability := flag.Bool("durability", false, "run the fault-injection durability sweep (data-loss probability and repair makespan vs URE rate)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-schedule RNG seed for -durability")
-	ureRatesFlag := flag.String("ure-rates", "0,0.001,0.01", "comma-separated per-address URE rates for -durability")
-	transientRate := flag.Float64("transient-rate", 0.01, "per-attempt transient-timeout rate for -durability")
-	secondFailureAt := flag.Float64("second-failure-at", 0, "inject a second whole-disk failure at this simulated time (ms) during -durability; 0 disables")
-	thirdFailureAt := flag.Float64("third-failure-at", 0, "inject a third whole-disk failure at this simulated time (ms) during -durability; 0 disables")
-	trials := flag.Int("trials", 0, "fault schedules averaged per -durability row (default 5)")
 	codesFlag := flag.String("codes", "", "comma-separated code families (default: paper's four)")
 	primesFlag := flag.String("p", "", "comma-separated primes (default: per-figure paper values)")
 	policiesFlag := flag.String("policies", "", "comma-separated cache policies (default: paper's five)")
@@ -147,6 +138,19 @@ func main() {
 	if *metricsInterval <= 0 {
 		log.Fatalf("bad -metrics-interval %v: must be > 0 ms", *metricsInterval)
 	}
+	for _, l := range []struct {
+		name, raw string
+		n         int
+	}{
+		{"codes", *codesFlag, len(params.Codes)},
+		{"p", *primesFlag, len(params.Primes)},
+		{"policies", *policiesFlag, len(params.Policies)},
+		{"sizes", *sizesFlag, len(params.CacheSizesMB)},
+	} {
+		if l.raw != "" && l.n == 0 {
+			log.Fatalf("bad -%s: empty list", l.name)
+		}
+	}
 
 	// Validate every output path up front: a long simulation must not
 	// discover an unwritable -trace-out/-metrics-out/-pprof-* path only
@@ -184,7 +188,7 @@ func main() {
 		}()
 	}
 
-	runAll := *figFlag == 0 && *tableFlag == 0 && !*ablation && !*online && !*modes && !*durability
+	runAll := *figFlag == 0 && *tableFlag == 0 && !*ablation && !*online && !*modes
 	out := os.Stdout
 
 	runFig := func(n int) {
@@ -300,35 +304,6 @@ func main() {
 		fmt.Fprintln(out)
 	}
 
-	runDurability := func() {
-		p := params
-		if *codesFlag == "" {
-			p.Codes = []string{"tip"}
-		}
-		if *primesFlag == "" {
-			p.Primes = []int{7}
-		}
-		rates, err := cli.ParseFloatsFlag("ure-rates", *ureRatesFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows, err := experiments.Durability(p, experiments.DurabilityConfig{
-			URERates:        rates,
-			TransientRate:   *transientRate,
-			FaultSeed:       *faultSeed,
-			Trials:          *trials,
-			SecondFailureAt: sim.Time(*secondFailureAt * float64(sim.Millisecond)),
-			ThirdFailureAt:  sim.Time(*thirdFailureAt * float64(sim.Millisecond)),
-		})
-		if err != nil {
-			log.Fatalf("durability: %v", err)
-		}
-		if err := experiments.RenderDurability(out, rows); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
-
 	// An observability sink runs one instrumented rebuild instead of a
 	// sweep: the first configured (code, p, policy, size) point — or the
 	// paper's tip(p=13)/fbf/64MB when the axes were left at their
@@ -434,9 +409,6 @@ func main() {
 		}
 		if *modes {
 			runModes()
-		}
-		if *durability {
-			runDurability()
 		}
 	}
 }

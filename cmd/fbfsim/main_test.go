@@ -25,26 +25,44 @@ func TestMain(m *testing.M) {
 
 // TestBadFlagLeavesOutputsAlone pins that a rejected flag fails the run
 // before any output path is created: creating one truncates it, so a
-// check made after that would cost the caller an old trace.
+// check made after that would cost the caller an old trace. An empty
+// list flag is one such rejection; the run used to index its first
+// element after the outputs were created.
 func TestBadFlagLeavesOutputsAlone(t *testing.T) {
-	old := filepath.Join(t.TempDir(), "old.json")
-	const keep = "keep-me\n"
-	if err := os.WriteFile(old, []byte(keep), 0o644); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		out  string // output flag pointed at the old file
+		args []string
+		want string
+	}{
+		{"trace-out", []string{"-metrics-interval", "0"}, "bad -metrics-interval 0"},
+		{"trace-jsonl", []string{"-codes", ","}, "bad -codes: empty list"},
+		{"trace-jsonl", []string{"-p", ","}, "bad -p: empty list"},
+		{"trace-jsonl", []string{"-policies", ","}, "bad -policies: empty list"},
+		{"metrics-out", []string{"-sizes", ","}, "bad -sizes: empty list"},
 	}
-	out, err := exec.Command(os.Args[0], runMain, "-trace-out", old, "-metrics-interval", "0").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-		t.Fatalf("fbfsim -metrics-interval 0 exited with %v, want a nonzero status:\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "bad -metrics-interval 0") {
-		t.Errorf("output does not name the bad flag:\n%s", out)
-	}
-	got, err := os.ReadFile(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != keep {
-		t.Fatalf("-trace-out file is now %q, want it untouched (%q)", got, keep)
+	for _, c := range cases {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			old := filepath.Join(t.TempDir(), "old.json")
+			const keep = "keep-me\n"
+			if err := os.WriteFile(old, []byte(keep), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args := append([]string{runMain, "-" + c.out, old}, c.args...)
+			out, err := exec.Command(os.Args[0], args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+				t.Fatalf("fbfsim %v exited with %v, want a nonzero status:\n%s", c.args, err, out)
+			}
+			if !strings.Contains(string(out), c.want) {
+				t.Errorf("output does not say %q:\n%s", c.want, out)
+			}
+			got, err := os.ReadFile(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != keep {
+				t.Fatalf("-%s file is now %q, want it untouched (%q)", c.out, got, keep)
+			}
+		})
 	}
 }

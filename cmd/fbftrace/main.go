@@ -9,8 +9,8 @@
 // The summary breaks the run down by phase (scheme generation, disk
 // reads, XOR compute, spare writes), reports time-weighted per-disk
 // utilization with peak queue occupancy, and tallies every instant
-// event (cache hits/misses, foreground app hits/misses, fault-ladder
-// steps).
+// event (cache hits/misses/evictions/demotions, foreground app
+// hits/misses).
 //
 // -validate parses a -trace-out file and checks the schema every event
 // must satisfy (known phase, pid/tid present, spans carrying their

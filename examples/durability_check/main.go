@@ -1,4 +1,4 @@
-// Durability check: exercises the erasure-code layer end to end with
+// Command durability_check exercises the erasure-code layer end to end with
 // real chunk contents — encode random stripes under each of the four
 // 3DFT codes, erase up to three whole disks, decode, and verify the
 // bytes — then repairs a partial stripe error chain by chain the way

@@ -13,7 +13,8 @@ import (
 
 // TestInvalidateContract drives every registered policy — FBF included —
 // through randomized request streams interleaved with invalidations and
-// asserts the Invalidate contract the fault-injection path depends on:
+// asserts the Invalidate contract rebuild.RunService's escalation
+// depends on:
 //
 //   - Invalidate returns whether a resident copy was dropped (ghost
 //     entries are removed but reported false),

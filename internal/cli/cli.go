@@ -36,34 +36,11 @@ func ParseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// ParseFloats parses a comma-separated list of floating-point numbers.
-func ParseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range SplitList(s) {
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("cli: %q is not a number: %w", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // ParseIntsFlag is ParseInts with the offending flag named in the
 // error, so binaries report "bad -p: ..." instead of a bare parse
 // failure.
 func ParseIntsFlag(flagName, s string) ([]int, error) {
 	out, err := ParseInts(s)
-	if err != nil {
-		return nil, fmt.Errorf("bad -%s: %w", flagName, err)
-	}
-	return out, nil
-}
-
-// ParseFloatsFlag is ParseFloats with the offending flag named in the
-// error.
-func ParseFloatsFlag(flagName, s string) ([]float64, error) {
-	out, err := ParseFloats(s)
 	if err != nil {
 		return nil, fmt.Errorf("bad -%s: %w", flagName, err)
 	}

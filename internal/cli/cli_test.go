@@ -48,9 +48,6 @@ func TestParseFlagVariantsNameTheFlag(t *testing.T) {
 	if _, err := ParseIntsFlag("p", "1,x"); err == nil || !strings.Contains(err.Error(), "bad -p") {
 		t.Errorf("ParseIntsFlag error does not name the flag: %v", err)
 	}
-	if _, err := ParseFloatsFlag("ure-rates", "0.1,nope"); err == nil || !strings.Contains(err.Error(), "bad -ure-rates") {
-		t.Errorf("ParseFloatsFlag error does not name the flag: %v", err)
-	}
 	if got, err := ParseIntsFlag("p", "5,7"); err != nil || len(got) != 2 {
 		t.Errorf("valid list rejected: %v, %v", got, err)
 	}

@@ -33,9 +33,6 @@ type ArrayConfig struct {
 	// ModelFor returns the service model of disk i. When nil the paper's
 	// fixed 10 ms model is used for every disk.
 	ModelFor func(i int) Model
-	// FaultFor returns the fault plan of disk i (nil for none). When nil
-	// no disk faults, preserving the legacy always-succeeds behaviour.
-	FaultFor func(i int) FaultPlan
 	// Tracer, when non-nil, is attached to every disk: each serves its
 	// requests as io spans on its own trace lane plus a queue-occupancy
 	// counter. Nil keeps the disks untraced at zero cost.
@@ -63,11 +60,6 @@ func NewArray(s *sim.Simulator, cfg ArrayConfig) (*Array, error) {
 		d := NewDisk(i, s, model)
 		if cfg.Tracer != nil {
 			d.SetTracer(cfg.Tracer)
-		}
-		if cfg.FaultFor != nil {
-			if plan := cfg.FaultFor(i); plan != nil {
-				d.SetFaultPlan(plan)
-			}
 		}
 		a.disks = append(a.disks, d)
 	}
@@ -100,10 +92,10 @@ func (a *Array) ReadChunk(stripe int, cell grid.Coord, done func(issued, complet
 }
 
 // ReadChunkReq submits a read of (stripe, cell) through a caller-owned
-// Request. r.Done must already be set; Addr/Size/Write are filled here
-// and the outcome fields are reset on submission, so one Request object
-// (typically embedded in a pooled operation with a prebound Done) can
-// be reused across any number of reads without allocating.
+// Request. r.Done or r.Handler must already be set; Addr/Size/Write are
+// filled here, so one Request object (typically embedded in a pooled
+// operation with a prebound completion) can be reused across any number
+// of reads without allocating.
 func (a *Array) ReadChunkReq(stripe int, cell grid.Coord, r *Request) error {
 	if err := a.check(stripe, cell); err != nil {
 		return err
@@ -115,70 +107,25 @@ func (a *Array) ReadChunkReq(stripe int, cell grid.Coord, r *Request) error {
 	return nil
 }
 
-// ReadAddrReq reads an arbitrary per-disk chunk address (a checkpointed
-// chunk in a spare region) through a caller-owned Request; the same
-// reuse contract as ReadChunkReq.
-func (a *Array) ReadAddrReq(diskID int, addr int64, r *Request) error {
-	if diskID < 0 || diskID >= len(a.disks) {
-		return fmt.Errorf("disk: read from invalid disk %d", diskID)
-	}
-	r.Addr = addr
-	r.Size = a.chunkSize
-	r.Write = false
-	a.disks[diskID].Submit(r)
-	return nil
-}
-
 // WriteSpare writes one recovered chunk into the spare region of the
 // given disk and calls done at completion.
 func (a *Array) WriteSpare(diskID int, done func(issued, completed sim.Time)) error {
+	return a.WriteSpareReq(diskID, &Request{Done: done})
+}
+
+// WriteSpareReq writes one recovered chunk into the next slot of the
+// given disk's spare region through a caller-owned Request; the same
+// reuse contract as ReadChunkReq applies.
+func (a *Array) WriteSpareReq(diskID int, r *Request) error {
 	if diskID < 0 || diskID >= len(a.disks) {
 		return fmt.Errorf("disk: spare write to invalid disk %d", diskID)
 	}
-	addr := a.spareBase + a.spareAlloc[diskID]
+	r.Addr = a.spareBase + a.spareAlloc[diskID]
 	a.spareAlloc[diskID]++
-	a.disks[diskID].Submit(&Request{
-		Addr:  addr,
-		Size:  a.chunkSize,
-		Write: true,
-		Done:  done,
-	})
-	return nil
-}
-
-// SpareTarget returns the disk that should hold spares destined for
-// diskID: diskID itself while it survives, otherwise the next surviving
-// disk scanning upward (wrapping), or -1 when every disk has failed.
-func (a *Array) SpareTarget(diskID int) int {
-	if diskID < 0 || diskID >= len(a.disks) {
-		return -1
-	}
-	for off := 0; off < len(a.disks); off++ {
-		c := (diskID + off) % len(a.disks)
-		if !a.disks[c].Failed() {
-			return c
-		}
-	}
-	return -1
-}
-
-// WriteSpareReq writes one recovered chunk into the spare region of the
-// given disk through a caller-owned Request, failing over to
-// SpareTarget when that disk is dead. Returns (-1, -1) when no disk
-// survives; r is then not submitted and r.Done never fires. The same
-// reuse contract as ReadChunkReq applies.
-func (a *Array) WriteSpareReq(diskID int, r *Request) (target int, addr int64) {
-	target = a.SpareTarget(diskID)
-	if target < 0 {
-		return -1, -1
-	}
-	addr = a.spareBase + a.spareAlloc[target]
-	a.spareAlloc[target]++
-	r.Addr = addr
 	r.Size = a.chunkSize
 	r.Write = true
-	a.disks[target].Submit(r)
-	return target, addr
+	a.disks[diskID].Submit(r)
+	return nil
 }
 
 // TotalStats sums the per-disk statistics.
@@ -188,7 +135,6 @@ func (a *Array) TotalStats() Stats {
 		s := d.Stats()
 		total.Reads += s.Reads
 		total.Writes += s.Writes
-		total.Failed += s.Failed
 		total.BusyTime += s.BusyTime
 		total.QueueTime += s.QueueTime
 	}

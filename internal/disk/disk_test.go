@@ -107,41 +107,6 @@ func TestNilModelPanics(t *testing.T) {
 	NewDisk(0, sim.New(), nil)
 }
 
-// windowPlan fails every request completing before until as a
-// transient.
-type windowPlan struct{ until sim.Time }
-
-func (windowPlan) FailureTime() (sim.Time, bool) { return 0, false }
-func (p windowPlan) Outcome(_ *Request, now sim.Time) FaultKind {
-	if now < p.until {
-		return FaultTransient
-	}
-	return FaultNone
-}
-
-func TestFaultInjection(t *testing.T) {
-	s := sim.New()
-	d := NewDisk(0, s, PaperFixedLatency())
-	d.SetFaultPlan(windowPlan{until: 15 * sim.Millisecond})
-	r := &Request{Addr: 0, Size: 1}
-	completions := 0
-	r.Done = func(_, _ sim.Time) { completions++ }
-	d.Submit(r) // completes at 10 ms, inside the window
-	s.Run()
-	if completions != 1 || !r.Failed || r.Fault != FaultTransient {
-		t.Fatalf("request inside the window: completions %d, failed %v, fault %v", completions, r.Failed, r.Fault)
-	}
-	if st := d.Stats(); st.Failed != 1 || st.Reads != 0 {
-		t.Errorf("stats = %+v, want the failure counted in Failed only", st)
-	}
-	// After the window the disk serves normally.
-	d.Submit(r) // completes at 20 ms
-	s.Run()
-	if completions != 2 || r.Failed {
-		t.Errorf("request after the window: completions %d, failed %v", completions, r.Failed)
-	}
-}
-
 // distanceModel charges 1 ms plus 1 us per unit of address distance, so
 // a reordering discipline would serve the batch below out of order.
 type distanceModel struct{}
@@ -257,8 +222,14 @@ func TestArrayErrors(t *testing.T) {
 	if err := a.WriteSpare(-1, noop); err == nil {
 		t.Error("bad spare disk accepted")
 	}
-	if err := a.ReadAddrReq(-1, 0, &Request{Done: noop}); err == nil {
-		t.Error("bad spare-read disk accepted")
+	if err := a.ReadChunkReq(0, grid.Coord{Row: 0, Col: -1}, &Request{Done: noop}); err == nil {
+		t.Error("negative column accepted")
+	}
+	if err := a.ReadChunkReq(10, grid.Coord{}, &Request{Done: noop}); err == nil {
+		t.Error("stripe out of range accepted by ReadChunkReq")
+	}
+	if err := a.WriteSpareReq(4, &Request{Done: noop}); err == nil {
+		t.Error("bad spare-write disk accepted")
 	}
 	if _, err := NewArray(sim.New(), ArrayConfig{}); err == nil {
 		t.Error("zero config accepted")
@@ -288,7 +259,7 @@ func TestArrayContention(t *testing.T) {
 
 // TestRequestReuse pins the reusable-Request contract: one Request
 // object cycles through reads and spare writes via the Req APIs, and
-// Submit resets the outcome fields each time.
+// each submission fills in its own address and direction.
 func TestRequestReuse(t *testing.T) {
 	s := sim.New()
 	a, err := NewArray(s, ArrayConfig{Disks: 2, Rows: 4, Stripes: 4, ChunkSize: 512})
@@ -297,33 +268,35 @@ func TestRequestReuse(t *testing.T) {
 	}
 	completions := 0
 	r := &Request{}
-	r.Done = func(issued, completed sim.Time) {
-		completions++
-		if r.Failed {
-			t.Fatalf("completion %d unexpectedly failed", completions)
-		}
-	}
+	r.Done = func(issued, completed sim.Time) { completions++ }
 	for i := 0; i < 3; i++ {
-		r.Failed, r.Fault = true, FaultTransient // stale verdict must be reset
 		if err := a.ReadChunkReq(i, grid.Coord{Row: i, Col: 1}, r); err != nil {
 			t.Fatal(err)
 		}
 		s.Run()
 	}
-	if target, addr := a.WriteSpareReq(0, r); target != 0 || addr != 16 {
-		t.Fatalf("WriteSpareReq = (%d, %d), want (0, 16)", target, addr)
-	}
-	s.Run()
-	if err := a.ReadAddrReq(0, 16, r); err != nil {
+	if err := a.WriteSpareReq(0, r); err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
+	if r.Addr != 16 || !r.Write {
+		t.Fatalf("spare write went to addr %d (write %v), want the first spare slot 16", r.Addr, r.Write)
+	}
+	if err := a.ReadChunkReq(3, grid.Coord{Row: 3, Col: 0}, r); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if r.Addr != 15 || r.Write {
+		t.Fatalf("read after the spare write went to addr %d (write %v), want 15", r.Addr, r.Write)
+	}
 	if completions != 5 {
 		t.Fatalf("completions = %d, want 5", completions)
 	}
-	st := a.Disk(1).Stats()
-	if st.Reads != 3 {
+	if st := a.Disk(1).Stats(); st.Reads != 3 {
 		t.Fatalf("disk 1 reads = %d, want 3", st.Reads)
+	}
+	if st := a.Disk(0).Stats(); st.Reads != 1 || st.Writes != 1 {
+		t.Fatalf("disk 0 stats = %+v, want 1 read and 1 write", st)
 	}
 }
 

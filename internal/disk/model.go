@@ -109,21 +109,13 @@ type Handler interface {
 
 // Request is one disk I/O. At completion exactly one of Handler or Done
 // fires (Handler wins when both are set) with the issue and completion
-// times; it runs inside the simulation loop. When a fault plan injects
-// a failure, completion still fires but Failed is set and Fault carries
-// the failure class — callers that ignore both see the legacy
-// always-succeeds behaviour.
+// times; it runs inside the simulation loop. Every request succeeds.
 type Request struct {
 	Addr    int64 // chunk-granularity address
 	Size    int   // bytes
 	Write   bool
 	Done    func(issued, completed sim.Time)
 	Handler Handler
-
-	// Failed reports that the request did not transfer data; Fault
-	// classifies why. Both are set before completion fires.
-	Failed bool
-	Fault  FaultKind
 
 	issued sim.Time
 }
@@ -137,13 +129,10 @@ func (r *Request) finish(issued, completed sim.Time) {
 	r.Done(issued, completed)
 }
 
-// Stats aggregates a disk's served I/O. Failed requests are counted in
-// Failed only, so Reads/Writes keep meaning "successful transfers" and
-// fault-free runs are unchanged.
+// Stats aggregates a disk's served I/O.
 type Stats struct {
 	Reads     uint64
 	Writes    uint64
-	Failed    uint64
 	BusyTime  sim.Time
 	QueueTime sim.Time
 }
@@ -151,15 +140,13 @@ type Stats struct {
 // Disk is one drive: a FIFO queue in front of a single server whose
 // holding time comes from the Model.
 type Disk struct {
-	id     int
-	sim    *sim.Simulator
-	model  Model
-	queue  []*Request
-	busy   bool
-	head   int64
-	stats  Stats
-	plan   FaultPlan
-	failed bool
+	id    int
+	sim   *sim.Simulator
+	model Model
+	queue []*Request
+	busy  bool
+	head  int64
+	stats Stats
 
 	// tr, when non-nil, receives one io span per served request and a
 	// queue-occupancy counter on this disk's trace lane. Every
@@ -218,70 +205,12 @@ func (d *Disk) traceQueue() {
 // Stats returns the served-I/O counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// SetFaultPlan installs the disk's fault plan and schedules its
-// whole-disk failure, if any. Call before traffic starts.
-func (d *Disk) SetFaultPlan(p FaultPlan) {
-	d.plan = p
-	if p == nil {
-		return
-	}
-	if at, ok := p.FailureTime(); ok {
-		if at < d.sim.Now() {
-			at = d.sim.Now()
-		}
-		d.sim.ScheduleAt(at, d.failNow)
-	}
-}
-
-// Failed reports whether the whole disk has failed.
-func (d *Disk) Failed() bool { return d.failed }
-
-// failNow marks the disk dead and fails every queued request at the
-// current time. A request already in service fails at its scheduled
-// completion (the mechanism was mid-operation when the drive died).
-func (d *Disk) failNow() {
-	if d.failed {
-		return
-	}
-	d.failed = true
-	q := d.queue
-	d.queue = nil
-	if d.tr != nil {
-		d.tr.Emit(obs.Event{
-			Name: "disk-fail", Cat: obs.CatIO, Ph: obs.PhaseInstant,
-			Track: d.track, TS: d.sim.Now(),
-			Args: []obs.Arg{{Key: "queued", Val: int64(len(q))}},
-		})
-		d.traceQueue()
-	}
-	for _, r := range q {
-		d.stats.QueueTime += d.sim.Now() - r.issued
-		d.completeFailed(r, FaultDiskFail)
-	}
-}
-
-// completeFailed finishes a request as failed.
-func (d *Disk) completeFailed(r *Request, kind FaultKind) {
-	r.Failed, r.Fault = true, kind
-	d.stats.Failed++
-	r.finish(r.issued, d.sim.Now())
-}
-
 // Submit enqueues a request. Completion is signalled through r.Done.
 func (d *Disk) Submit(r *Request) {
 	if r == nil || (r.Done == nil && r.Handler == nil) {
 		panic("disk: request without completion callback")
 	}
 	r.issued = d.sim.Now()
-	// Reset the outcome so callers can reuse one Request object across
-	// many submissions without leaking the previous verdict.
-	r.Failed, r.Fault = false, FaultNone
-	if d.failed {
-		// A dead disk fails submissions asynchronously so callers never
-		// see Done re-enter them mid-Submit.
-		d.sim.Schedule(0, func() { d.completeFailed(r, FaultDiskFail) })
-		return
-	}
 	d.queue = append(d.queue, r)
 	if d.tr != nil {
 		d.traceQueue()
@@ -319,16 +248,7 @@ func (d *Disk) completeServing() {
 	r := d.serving
 	start, service := d.serviceStart, d.serviceDur
 	d.serving = nil
-	kind := FaultNone
-	if d.failed {
-		kind = FaultDiskFail
-	} else if d.plan != nil {
-		kind = d.plan.Outcome(r, d.sim.Now())
-	}
-	if kind != FaultNone {
-		r.Failed, r.Fault = true, kind
-		d.stats.Failed++
-	} else if r.Write {
+	if r.Write {
 		d.stats.Writes++
 	} else {
 		d.stats.Reads++
@@ -338,18 +258,10 @@ func (d *Disk) completeServing() {
 		if r.Write {
 			name = "write"
 		}
-		failed := int64(0)
-		if r.Failed {
-			failed = 1
-		}
 		d.tr.Emit(obs.Event{
 			Name: name, Cat: obs.CatIO, Ph: obs.PhaseSpan,
 			Track: d.track, TS: start, Dur: service,
-			Args: []obs.Arg{
-				{Key: "addr", Val: r.Addr},
-				{Key: "failed", Val: failed},
-				{Key: "fault", Val: int64(r.Fault)},
-			},
+			Args: []obs.Arg{{Key: "addr", Val: r.Addr}},
 		})
 	}
 	done := d.sim.Now()

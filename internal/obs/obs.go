@@ -33,7 +33,7 @@ type Track struct {
 
 // Standard track groups.
 const (
-	GroupEngine  = "engine"  // run-wide events (re-plans, data loss)
+	GroupEngine  = "engine"  // run-wide events (foreground reads)
 	GroupWorkers = "workers" // one lane per reconstruction worker
 	GroupDisks   = "disks"   // one lane per disk
 )

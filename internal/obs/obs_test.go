@@ -216,17 +216,3 @@ func TestSummarize(t *testing.T) {
 		}
 	}
 }
-
-func TestSummarizeCountsFailedIO(t *testing.T) {
-	d0 := Track{Group: GroupDisks, ID: 0}
-	s := Summarize([]Event{
-		{Name: "read", Cat: CatIO, Ph: PhaseSpan, Track: d0, TS: 0, Dur: sim.Millisecond,
-			Args: []Arg{{"addr", 1}, {"failed", 1}}},
-	})
-	if s.Disks[0].Reads != 0 {
-		t.Fatalf("failed read counted as success: %+v", s.Disks[0])
-	}
-	if s.Read != sim.Millisecond {
-		t.Fatalf("failed read's busy time dropped: %v", s.Read)
-	}
-}

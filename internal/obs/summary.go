@@ -19,7 +19,6 @@ const (
 	CatCache  = "cache"  // instants "hit", "miss", "evict", "invalidate", "demote"
 	CatIO     = "io"     // spans "read"/"write" and counter "queue" on disk lanes
 	CatXOR    = "xor"    // span "xor": chain XOR compute
-	CatFault  = "fault"  // instants "retry", "escalate", "disk-fail", "re-plan", "regenerate", "data-loss"
 	CatApp    = "app"    // instants "hit", "miss" of the foreground workload
 )
 
@@ -29,8 +28,8 @@ type DiskUtil struct {
 	Busy        sim.Time // summed io span time
 	Utilization float64  // Busy / Makespan
 	PeakQueue   int64    // max of the "queue" counter
-	Reads       int      // successful read spans
-	Writes      int      // successful write spans
+	Reads       int      // read spans
+	Writes      int      // write spans
 }
 
 // NameCount is one (category, name) event tally.
@@ -113,23 +112,13 @@ func Summarize(events []Event) *Summary {
 					disks[e.Track.ID] = d
 				}
 				d.Busy += e.Dur
-				failed := false
-				for _, a := range e.Args {
-					if a.Key == "failed" && a.Val != 0 {
-						failed = true
-					}
-				}
 				switch e.Name {
 				case "write":
 					s.Write += e.Dur
-					if !failed {
-						d.Writes++
-					}
+					d.Writes++
 				default:
 					s.Read += e.Dur
-					if !failed {
-						d.Reads++
-					}
+					d.Reads++
 				}
 			}
 		case PhaseInstant:

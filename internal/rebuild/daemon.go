@@ -110,6 +110,21 @@ func (c *DaemonConfig) wait(d time.Duration) bool {
 	}
 }
 
+// cappedDoubling is the retry backoff: min(base·2^k, limit) for
+// base > 0, doubled step by step so no product past limit is ever
+// formed (base<<k wraps negative long before k reaches a daemon's
+// failure count).
+func cappedDoubling(base, limit time.Duration, k int) time.Duration {
+	d := min(base, limit)
+	for ; k > 0 && d < limit; k-- {
+		if d > limit/2 {
+			return limit
+		}
+		d *= 2
+	}
+	return d
+}
+
 // RunDaemon watches a store: every Interval it scans and, when damage
 // appears, runs the journaled rebuild — retrying transient failures
 // with exponential backoff — until Stop fires or MaxScans is reached.

@@ -220,6 +220,78 @@ func TestLyingSurvivorFailsBeforeFirstWrite(t *testing.T) {
 			})
 		}
 	}
+
+	// The sweep rows widen the chain-major rows to every partial stripe
+	// error of one to three chunks at p=5 whose cells all sit on a second
+	// layout chain (so a lie on a repair chain has something independent
+	// to fail), under every strategy and code, with every survivor lying
+	// in turn: the run fails naming the stripe before its first write, or
+	// the store ends byte-exact. Each error is first rebuilt with no liar,
+	// which must succeed byte-exact, so a check that fails honest bytes
+	// cannot pass for a catch.
+	for _, code := range []string{"star", "triplestar", "tip", "hdd1"} {
+		for _, strategy := range []core.Strategy{core.StrategyTypical, core.StrategyLooped, core.StrategyGreedy} {
+			t.Run(fmt.Sprintf("sweep-p5-%s-%v", code, strategy), func(t *testing.T) {
+				const stripe = 0
+				m := testManifest(code, 5, 1, 64)
+				layout := codes.MustNew(code, 5).Layout()
+				repair := func(lost []grid.Coord, lie store.Addr) (*liar, error) {
+					b := initMem(t, m, seed)
+					loseCells(t, b, stripe, lost)
+					l := &liar{Backend: b, addr: lie, wrote: map[store.Addr]bool{}}
+					_, err := RunService(ServiceConfig{Backend: l, Manifest: m, Strategy: strategy})
+					return l, err
+				}
+				patterns, runs, caught := 0, 0, 0
+				for disk := 0; disk < m.Disks; disk++ {
+					for size := 1; size <= 3; size++ {
+					rows:
+						for row := 0; row+size <= m.Rows; row++ {
+							e := core.PartialStripeError{Stripe: stripe, Disk: disk, Row: row, Size: size}
+							lost := e.LostCells()
+							isLost := map[grid.Coord]bool{}
+							for _, c := range lost {
+								if len(layout.ChainsThrough(c)) < 2 {
+									continue rows
+								}
+								isLost[c] = true
+							}
+							patterns++
+							if l, err := repair(lost, store.Addr{Stripe: -1}); err != nil || firstWrongChunk(t, l.Backend, m, seed) != nil {
+								t.Fatalf("%v with no liar: err = %v, or a chunk is wrong", e, err)
+							}
+							for col := 0; col < m.Disks; col++ {
+								for r := 0; r < m.Rows; r++ {
+									if isLost[grid.Coord{Row: r, Col: col}] {
+										continue
+									}
+									runs++
+									l, err := repair(lost, AddrOf(stripe, grid.Coord{Row: r, Col: col}))
+									if err == nil {
+										if a := firstWrongChunk(t, l.Backend, m, seed); a != nil {
+											t.Fatalf("%v, survivor %v lying (read %d times): the run succeeded and chunk %v is wrong", e, l.addr, l.lies, *a)
+										}
+										continue
+									}
+									if l.lies == 0 || !strings.Contains(err.Error(), fmt.Sprintf("stripe %d", stripe)) {
+										t.Fatalf("%v, survivor %v lying (read %d times): err = %v, want one naming stripe %d after reading the lie", e, l.addr, l.lies, err, stripe)
+									}
+									if n := l.writesTo(stripe); n != 0 {
+										t.Fatalf("%v, survivor %v lying: %d chunks of the stripe written before it failed", e, l.addr, n)
+									}
+									caught++
+								}
+							}
+						}
+					}
+				}
+				if caught == 0 {
+					t.Fatalf("%d errors, %d lying survivors, none caught: the sweep proves nothing", patterns, runs)
+				}
+				t.Logf("%d errors × single lying survivors: %d runs, %d failed before a write, the rest byte-exact", patterns, runs, caught)
+			})
+		}
+	}
 }
 
 // heldWrites keeps what a pass writes instead of storing it, so the

@@ -13,8 +13,7 @@ import (
 // pre-obs instruction stream and allocates nothing extra — pinned by
 // TestObsDisabledHotPathAllocs.
 
-// engineLane is the run-wide trace lane (re-plans, app traffic,
-// data-loss verdicts).
+// engineLane is the run-wide trace lane (app traffic).
 var engineLane = obs.Track{Group: obs.GroupEngine, ID: 0}
 
 // lane returns the worker's trace lane.
@@ -84,25 +83,18 @@ func (w *worker) openChain(lost cache.ChunkID, fetch int) {
 	w.obsChainFetch = fetch
 }
 
-// closeChain emits the open chunk-repair span, if any. aborted marks
-// chains cut short by an escalation or a disk failure (their XOR never
-// ran; the regenerated scheme repairs the chunk again).
-func (w *worker) closeChain(aborted bool) {
+// closeChain emits the open chunk-repair span, if any.
+func (w *worker) closeChain() {
 	if !w.obsChainOpen {
 		return
 	}
 	w.obsChainOpen = false
 	e := w.engine
-	ab := int64(0)
-	if aborted {
-		ab = 1
-	}
 	e.tr.Emit(obs.Event{
 		Name: "repair", Cat: obs.CatChunk, Ph: obs.PhaseSpan,
 		Track: w.lane(), TS: w.obsChainStart, Dur: e.sim.Now() - w.obsChainStart,
 		Args: append(coordArgs(w.obsChainLost),
-			obs.Arg{Key: "fetch", Val: int64(w.obsChainFetch)},
-			obs.Arg{Key: "aborted", Val: ab}),
+			obs.Arg{Key: "fetch", Val: int64(w.obsChainFetch)}),
 	})
 }
 
@@ -141,10 +133,9 @@ var defaultRespBoundsMs = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 
 // registerMetrics wires the run's time-series metrics into the
 // registry: request/hit/miss counters, aggregate and per-disk in-flight
-// I/O, FBF queue occupancy (when the policy exposes it), fault-ladder
-// counters (when fault injection is armed) and a response-time
-// histogram. Column order is fixed by registration order, so exports
-// are byte-stable.
+// I/O, FBF queue occupancy (when the policy exposes it) and a
+// response-time histogram. Column order is fixed by registration order,
+// so exports are byte-stable.
 func (e *engine) registerMetrics(reg *obs.Registry) {
 	reg.Gauge("requests", func() float64 { return float64(e.totalRequests) })
 	reg.Gauge("hits", func() float64 { return float64(e.recHits) })
@@ -201,14 +192,6 @@ func (e *engine) registerMetrics(reg *obs.Registry) {
 				return float64(s)
 			})
 		}
-	}
-	if e.faults != nil {
-		reg.Gauge("retries", func() float64 { return float64(e.retries) })
-		reg.Gauge("escalations", func() float64 { return float64(e.escalations) })
-		reg.Gauge("regenerations", func() float64 { return float64(e.regenerations) })
-		reg.Gauge("replans", func() float64 { return float64(e.rePlans) })
-		reg.Gauge("failed_reads", func() float64 { return float64(e.failedReads) })
-		reg.Gauge("lost_chunks", func() float64 { return float64(len(e.lostChunks)) })
 	}
 	h, err := reg.Histogram("response_ms", defaultRespBoundsMs)
 	if err != nil {

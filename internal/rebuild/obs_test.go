@@ -81,43 +81,6 @@ func TestTracedRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestTracedFaultRunEmitsLadderEvents drives the fault ladder under a
-// tracer and checks the fault-category instants appear.
-func TestTracedFaultRunEmitsLadderEvents(t *testing.T) {
-	code := codes.MustNew("tip", 7)
-	errors := genErrors(t, code, 20, 100, 1)
-	cfg := obsTestConfig(code)
-	cfg.Faults = &FaultConfig{Seed: 5, URERate: 0.02, TransientRate: 0.05,
-		DiskFailures: []DiskFailure{{Disk: 2, At: 40 * sim.Millisecond}}}
-	c := obs.NewCollector()
-	cfg.Tracer = c
-	res, err := Run(cfg, errors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, e := range c.Events() {
-		if e.Cat == obs.CatFault {
-			counts[e.Name]++
-		}
-	}
-	if res.Retries > 0 && counts["retry"] == 0 {
-		t.Errorf("%d retries but no retry events", res.Retries)
-	}
-	if res.Escalations > 0 && counts["escalate"] == 0 {
-		t.Errorf("%d escalations but no escalate events", res.Escalations)
-	}
-	if res.Regenerations > 0 && counts["regenerate"] == 0 {
-		t.Errorf("%d regenerations but no regenerate events", res.Regenerations)
-	}
-	if res.RePlans > 0 && counts["re-plan"] == 0 {
-		t.Errorf("%d re-plans but no re-plan events", res.RePlans)
-	}
-	if counts["retry"] == 0 && counts["escalate"] == 0 {
-		t.Fatalf("fault run triggered no ladder events at all: %+v", res)
-	}
-}
-
 // TestObsDisabledHotPathAllocs pins the zero-overhead-when-disabled
 // contract at the allocation level: the helpers reachable with a nil
 // tracer must not allocate, and an untraced run must not allocate
@@ -134,7 +97,7 @@ func TestTracedFaultRunEmitsLadderEvents(t *testing.T) {
 func TestObsDisabledHotPathAllocs(t *testing.T) {
 	e := &engine{}
 	w := &worker{engine: e}
-	if n := testing.AllocsPerRun(200, func() { w.closeChain(false) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { w.closeChain() }); n != 0 {
 		t.Errorf("closeChain with no open span allocates %.0f times", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { e.recordResponse(sim.Millisecond) }); n != 0 {
@@ -240,8 +203,7 @@ func TestMetricsValidation(t *testing.T) {
 }
 
 // TestMetricsRegistrySampling checks the sampled columns cover the
-// cache, disk and FBF-queue gauges and that fault gauges appear only
-// when faults are armed.
+// cache, disk and FBF-queue gauges.
 func TestMetricsRegistrySampling(t *testing.T) {
 	code := codes.MustNew("tip", 7)
 	errors := genErrors(t, code, 20, 100, 1)
@@ -262,9 +224,6 @@ func TestMetricsRegistrySampling(t *testing.T) {
 		if _, ok := cols[want]; !ok {
 			t.Errorf("missing metric column %q (have %v)", want, reg.Columns())
 		}
-	}
-	if _, ok := cols["retries"]; ok {
-		t.Error("fault gauges registered without fault injection")
 	}
 	// The final sample must agree with the run's result counters.
 	_, last := reg.Row(reg.Samples() - 1)
@@ -293,22 +252,5 @@ func TestMetricsRegistrySampling(t *testing.T) {
 	}
 	if len(doc.Histograms) != 1 || doc.Histograms[0].Name != "response_ms" || doc.Histograms[0].Total != res.TotalRequests {
 		t.Errorf("histograms = %+v, want response_ms with %d observations", doc.Histograms, res.TotalRequests)
-	}
-
-	// Fault gauges appear when armed.
-	cfg = obsTestConfig(code)
-	cfg.Faults = &FaultConfig{Seed: 1, URERate: 0.01}
-	cfg.Metrics = obs.NewRegistry()
-	if _, err := Run(cfg, errors); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range cfg.Metrics.Columns() {
-		if c == "retries" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("fault run missing fault gauges")
 	}
 }

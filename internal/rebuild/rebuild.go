@@ -57,26 +57,19 @@ type Config struct {
 	// the disks, so recovery slows the application and vice versa.
 	App *AppWorkload
 
-	// Faults, when non-nil, arms deterministic fault injection: URE and
-	// transient read errors drawn from Faults.Seed plus scheduled
-	// whole-disk failures. See FaultConfig for the escalation ladder.
-	// With Faults nil the fault machinery is fully disabled and every
-	// metric is bit-identical to a build without it.
-	Faults *FaultConfig
-
 	// Tracer, when non-nil, receives the run's event stream: error-group
 	// and chunk-repair spans, scheme-generation charges, cache
 	// hit/miss/evict/demote instants, per-disk io spans and queue
-	// counters, XOR spans and fault-ladder instants — all stamped in
+	// counters, XOR spans and foreground-read instants — all stamped in
 	// simulated time, so a trace is bit-identical across hosts and
 	// sweep parallelism. Nil keeps every instrumentation site behind a
 	// single branch with zero allocations.
 	Tracer obs.Tracer
 
 	// Metrics, when non-nil, registers the run's time-series gauges
-	// (cache counters, per-disk in-flight I/O, FBF queue occupancy,
-	// fault counters) plus a response-time histogram on the registry and
-	// samples them every MetricsInterval of simulated time. A Registry
+	// (cache counters, per-disk in-flight I/O, FBF queue occupancy) plus
+	// a response-time histogram on the registry and samples them every
+	// MetricsInterval of simulated time. A Registry
 	// belongs to exactly one run: registration is ordered and re-use
 	// would panic on duplicate names.
 	Metrics *obs.Registry
@@ -100,6 +93,19 @@ type AppWorkload struct {
 	// requests probe the cache partition of the worker repairing that
 	// stripe, so chunks the cache held for recovery can serve them.
 	ErrorLocality float64
+}
+
+// ConfigError reports an invalid Config field with the field path and
+// the reason, matching the typed-validation style of the experiments
+// package.
+type ConfigError struct {
+	Field  string
+	Reason string
+}
+
+// Error implements error.
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("rebuild: invalid %s: %s", e.Field, e.Reason)
 }
 
 // Defaults fills unset fields with the paper's configuration.
@@ -162,17 +168,6 @@ func (c *Config) Validate() error {
 			return &ConfigError{Field: "App.ZipfS", Reason: "Zipf-skewed stripe popularity needs at least 2 stripes"}
 		}
 	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(c.Code.Disks()); err != nil {
-			return err
-		}
-		if c.SkipSpareWrites {
-			return &ConfigError{
-				Field:  "Faults",
-				Reason: "fault injection requires spare writes (checkpointed chunks are re-read from their spare locations after a re-plan)",
-			}
-		}
-	}
 	return nil
 }
 
@@ -212,29 +207,9 @@ type Result struct {
 	// useful for load-balance analysis.
 	PerDisk []disk.Stats
 
-	// Fault-injection accounting (all zero unless Config.Faults was set).
-	Retries       uint64 // transient read errors retried with backoff
-	Regenerations uint64 // mid-group recovery-scheme regenerations
-	Escalations   uint64 // chunks escalated to lost (URE or retry budget exhausted)
-	RePlans       uint64 // whole-disk failures that re-planned the remaining work
-	FailedReads   uint64 // recovery reads that completed with a fault
-
-	// CheckpointedChunks counts rebuilt chunks a re-plan did NOT have to
-	// rebuild again because their spare copies survived.
-	CheckpointedChunks uint64
-
-	// DataLoss reports that at least one chunk was unrecoverable even
-	// through the GF(2) decoder fallback. Lost lists those chunks;
-	// LostChunks/LostBytes aggregate them.
-	DataLoss   bool
-	Lost       []cache.ChunkID
-	LostChunks int
-	LostBytes  int64
-
-	// VulnerabilityWindow is the simulated time of the last successful
-	// chunk repair — the span during which the array ran with degraded
-	// redundancy.
-	VulnerabilityWindow sim.Time
+	// DataLoss is always false: every simulated read succeeds. It stays
+	// for the benchmark harness, which reads it.
+	DataLoss bool
 }
 
 // AppHitRatio returns the foreground workload's hit ratio.
@@ -320,41 +295,26 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		}
 	}
 	if cfg.Mode == ModeDOR {
-		if cfg.App != nil || cfg.Faults != nil || cfg.Tracer != nil || cfg.Metrics != nil {
-			return nil, fmt.Errorf("rebuild: DOR mode does not support App, fault injection or observability")
+		if cfg.App != nil || cfg.Tracer != nil || cfg.Metrics != nil {
+			return nil, fmt.Errorf("rebuild: DOR mode does not support App or observability")
 		}
 		return runDOR(cfg, errors)
 	}
 
-	var faults *FaultConfig
-	if cfg.Faults != nil {
-		f := cfg.Faults.withDefaults()
-		faults = &f
-	}
 	s := sim.New()
-	arrayCfg := disk.ArrayConfig{
+	array, err := disk.NewArray(s, disk.ArrayConfig{
 		Disks:     cfg.Code.Disks(),
 		Rows:      cfg.Code.Rows(),
 		Stripes:   cfg.Stripes,
 		ChunkSize: cfg.ChunkSize,
 		ModelFor:  cfg.ModelFor,
 		Tracer:    cfg.Tracer,
-	}
-	var failAt map[int]sim.Time
-	if faults != nil {
-		failAt = armFaults(faults, &arrayCfg)
-	}
-	array, err := disk.NewArray(s, arrayCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	e := &engine{cfg: cfg, sim: s, array: array, groups: errors, stripeOwner: make(map[int]int), tr: cfg.Tracer}
-	if faults != nil {
-		e.faults = faults
-		e.failedCols = make(map[int]bool)
-		e.scheduleFailures(failAt)
-	}
 	workers := cfg.Workers
 	if workers > len(errors) && len(errors) > 0 {
 		workers = len(errors)
@@ -372,7 +332,7 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		w.doneFn = w.chainDone
 		w.afterXORFn = w.afterXOR
 		w.issueNextFn = w.issueNext
-		w.spareReq.Done = w.spareDone
+		w.spareReq.Done = func(_, _ sim.Time) { w.startChain() }
 		e.workers = append(e.workers, w)
 		s.Schedule(0, w.nextGroup)
 	}
@@ -415,19 +375,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	total := array.TotalStats()
 	res.DiskReads = total.Reads
 	res.DiskWrites = total.Writes
-	if e.faults != nil {
-		res.Retries = e.retries
-		res.Regenerations = e.regenerations
-		res.Escalations = e.escalations
-		res.RePlans = e.rePlans
-		res.FailedReads = e.failedReads
-		res.CheckpointedChunks = e.checkpointed
-		res.Lost = e.lostChunks
-		res.LostChunks = len(e.lostChunks)
-		res.LostBytes = int64(len(e.lostChunks)) * int64(cfg.ChunkSize)
-		res.DataLoss = len(e.lostChunks) > 0
-		res.VulnerabilityWindow = e.lastRepair
-	}
 	for i := 0; i < array.Disks(); i++ {
 		res.PerDisk = append(res.PerDisk, array.Disk(i).Stats())
 	}
@@ -461,18 +408,6 @@ type engine struct {
 	tr          obs.Tracer
 	obsRespHist *stats.Histogram // "response_ms" metric histogram
 	groupsDone  int
-
-	// Fault-injection state (nil / zero unless Config.Faults was set).
-	faults        *FaultConfig // defaulted copy
-	failedCols    map[int]bool // columns of dead disks
-	retries       uint64
-	regenerations uint64
-	escalations   uint64
-	rePlans       uint64
-	failedReads   uint64
-	checkpointed  uint64
-	lostChunks    []cache.ChunkID
-	lastRepair    sim.Time
 }
 
 // recordResponse accumulates one recovery request's response time.
@@ -509,10 +444,9 @@ type worker struct {
 	doneFn      func() // prebound chainDone
 	afterXORFn  func() // prebound afterXOR
 
-	// Spare-write state (one write in flight per worker at most).
-	spareReq    disk.Request // Done prebound to spareDone
-	spareTarget int
-	spareAddr   int64
+	// spareReq carries the spare write (one in flight per worker at
+	// most); its Done, bound at construction, starts the next chain.
+	spareReq disk.Request
 
 	// freeOps recycles fetch operations; each op embeds its disk.Request
 	// and implements disk.Handler, so a steady-state miss fetch allocates
@@ -522,13 +456,6 @@ type worker struct {
 	pendHead    *fetchOp
 	pendTail    *fetchOp
 	issueNextFn func() // prebound issueNext
-
-	// Fault state for the group in progress (Config.Faults only).
-	recovered map[grid.Coord]spareLoc // checkpointed chunks → spare location
-	escalated []grid.Coord            // cells escalated to lost, in order
-	escalSet  map[grid.Coord]bool
-	aborted   bool // current chain hit an escalation; regenerate at the barrier
-	regen     bool // a disk failed since the scheme was generated; re-plan
 
 	// Trace state (Config.Tracer only; see obs.go).
 	obsGroupStart sim.Time
@@ -623,38 +550,14 @@ func (w *worker) nextGroup() {
 	}
 
 	start := time.Now()
-	var scheme *core.Scheme
-	var err error
-	if len(e.failedCols) > 0 {
-		// Disks have failed since the run started: plan around their
-		// columns from the outset, accounting unsolvable cells as lost.
-		repair := group.LostCells()
-		inRepair := make(map[grid.Coord]bool, len(repair))
-		for _, c := range repair {
-			inRepair[c] = true
-		}
-		unavailable := e.unavailableCells(func(c grid.Coord) bool { return inRepair[c] })
-		var lost []grid.Coord
-		scheme, lost, err = core.RegenerateScheme(e.cfg.Code, group, repair, unavailable, e.cfg.Strategy)
-		for _, c := range lost {
-			e.loseChunk(cache.ChunkID{Stripe: group.Stripe, Cell: c})
-		}
-	} else {
-		scheme, err = core.GenerateScheme(e.cfg.Code, group, e.cfg.Strategy)
-	}
+	scheme, err := core.GenerateScheme(e.cfg.Code, group, e.cfg.Strategy)
 	e.schemeWall += time.Since(start)
 	if err != nil {
 		// Validated upfront; a failure here is a bug worth surfacing.
 		panic(fmt.Sprintf("rebuild: scheme generation failed mid-run: %v", err))
 	}
-	w.installScheme(scheme)
-}
-
-// installScheme adopts a freshly generated (or regenerated) scheme:
-// priorities and future knowledge are pushed into the cache and chain
-// replay starts.
-func (w *worker) installScheme(scheme *core.Scheme) {
-	e := w.engine
+	// Priorities and future knowledge go into the cache, then chain
+	// replay starts.
 	w.scheme = scheme
 	w.chainIdx = 0
 	if pa, ok := w.cache.(cache.PriorityAware); ok {
@@ -674,17 +577,10 @@ func (w *worker) installScheme(scheme *core.Scheme) {
 // write for the recovered chunk.
 func (w *worker) startChain() {
 	e := w.engine
-	if w.aborted || w.regen {
-		if e.tr != nil {
-			w.closeChain(true)
-		}
-		w.regenerate()
-		return
-	}
 	if e.tr != nil {
 		// The previous chain (if any) ran to completion; its span ends at
 		// the spare-write completion that re-entered us.
-		w.closeChain(false)
+		w.closeChain()
 	}
 	if w.chainIdx >= len(w.scheme.Selected) {
 		e.groupsDone++
@@ -692,7 +588,6 @@ func (w *worker) startChain() {
 			w.closeGroup(w.scheme.Err.Stripe, len(w.scheme.Selected))
 		}
 		w.scheme = nil
-		w.recovered, w.escalated, w.escalSet = nil, nil, nil
 		w.nextGroup()
 		return
 	}
@@ -733,7 +628,7 @@ func (w *worker) startChain() {
 		e.recMisses++
 		w.outstanding++
 		o := w.getFetchOp()
-		o.stripe, o.cell, o.id, o.attempt = stripe, cell, id, 0
+		o.stripe, o.cell = stripe, cell
 		w.pushPending(o)
 		e.sim.ScheduleAt(lookupDone, w.issueNextFn)
 	}
@@ -755,15 +650,6 @@ func (w *worker) chainDone() {
 // the failed disk's spare area.
 func (w *worker) barrier() {
 	e := w.engine
-	if w.aborted || w.regen {
-		// The chain's fetches are incomplete (escalated chunk or dead
-		// disk); its XOR would be garbage. Re-plan instead.
-		if e.tr != nil {
-			w.closeChain(true)
-		}
-		w.regenerate()
-		return
-	}
 	sel := w.curSel
 	e.xorChunks += uint64(len(sel.Fetch))
 	xor := e.cfg.XORPerChunk * sim.Time(len(sel.Fetch))
@@ -777,10 +663,13 @@ func (w *worker) barrier() {
 
 // afterXOR runs when the chain's XOR compute charge has elapsed.
 func (w *worker) afterXOR() {
-	if w.engine.cfg.SkipSpareWrites {
+	e := w.engine
+	if e.cfg.SkipSpareWrites {
 		// Without spare writes the repair is complete here.
 		w.startChain()
 		return
 	}
-	w.writeRecovered()
+	if err := e.array.WriteSpareReq(w.curSel.Lost.Col, &w.spareReq); err != nil {
+		panic(fmt.Sprintf("rebuild: spare write failed: %v", err))
+	}
 }

@@ -1,8 +1,8 @@
 // service.go promotes the simulator's data plane into a storage engine:
-// rebuild.Service drives the same scheme/cache/escalation machinery the
-// event-driven engine replays — core.RegenerateScheme chain selection,
-// cache.Policy residency with FBF priorities, the escalate-and-replan
-// ladder — against real bytes in a store.Backend, checking every
+// rebuild.Service drives the same scheme/cache machinery the event-driven
+// engine replays — chain selection, cache.Policy residency with FBF
+// priorities — plus the escalate-and-replan ladder (core.RegenerateScheme)
+// against real bytes in a store.Backend, checking every
 // recovered chunk before it is written back: parity chains of the
 // repaired stripe must XOR to zero. A stripe is evaluated in one of two
 // orders, chosen by its plan: chain by chain through the byte cache, the
@@ -741,7 +741,7 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 // repairStripe rebuilds one damaged stripe: plan, replay the plan in the
 // order it calls for (replayChains or replayDecoded), check, write back
 // — escalating and re-planning when a surviving chunk turns out
-// unreadable, exactly like the simulator's fault ladder.
+// unreadable or corrupt.
 func (s *service) repairStripe(d StripeDamage) error {
 	lost := d.Lost()
 	plan, err := s.planFor(d.Stripe, lost)

@@ -4,13 +4,11 @@
 // and crashes — halting all further I/O mid-operation, the way a killed
 // process or a yanked power cord does.
 //
-// It carries the FaultPlan philosophy of internal/disk one layer down:
-// every injected outcome is a pure function of (seed, operation index),
+// Every injected outcome is a pure function of (seed, operation index),
 // so a (plan, operation sequence) pair always yields identical faults
-// and a failing drill replays bit-for-bit. Where the simulator's plan
-// decides the fate of modeled I/O, this one decides the fate of real
-// bytes — which lets the rebuild journal's crash-resume property test
-// enumerate every crash point of an actual repair.
+// and a failing drill replays bit-for-bit. The plan decides the fate of
+// real bytes — which lets the rebuild journal's crash-resume property
+// test enumerate every crash point of an actual repair.
 package faultstore
 
 import (
@@ -255,8 +253,7 @@ func (s *Store) Stat(a store.Addr) (store.Info, error) {
 }
 
 // draw hashes (seed, op, salt) into a uniform float in [0, 1) with a
-// splitmix64 finalizer — the same deterministic coin internal/disk's
-// SeededFaultPlan flips, keyed by operation index instead of address so
+// splitmix64 finalizer, keyed by operation index instead of address so
 // a plan is reproducible across address orders too.
 func draw(seed int64, op, salt uint64) float64 {
 	x := uint64(seed)

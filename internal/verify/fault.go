@@ -30,18 +30,18 @@ func (r *EscalationReport) String() string {
 }
 
 // CheckEscalatedRecovery byte-verifies one regenerated recovery scheme —
-// the planning step the rebuild engine performs after a URE escalates a
-// surviving chunk to lost (escalated) or whole disks fail mid-rebuild
-// (failedCols). It mirrors the engine's inputs exactly: the repair set
-// is the group's cells plus the escalations, and every other cell on a
-// failed column is unavailable (readable from nowhere) without being a
-// repair target.
+// the planning step rebuild.RunService's escalation performs when a
+// surviving chunk turns out unreadable or corrupt (escalated) — and the
+// same planner with whole columns gone besides (failedCols). The repair
+// set is the group's cells plus the escalations, and every other cell on
+// a failed column is unavailable (readable from nowhere) without being
+// a repair target.
 //
 // Three properties are checked: each repair cell is either rebuilt or
 // reported lost (exactly once), rebuilt cells byte-match the original
 // stripe contents after replaying the scheme on a damaged copy, and
 // cells reported lost are confirmed unsolvable by the independent gf2
-// oracle — the engine must never declare data loss the decoder could
+// oracle — the planner must never declare data loss the decoder could
 // have prevented, nor claim recovery it cannot back with bytes.
 func CheckEscalatedRecovery(code *codes.Code, e core.PartialStripeError, escalated []grid.Coord, failedCols []int, strat core.Strategy, chunkSize int, seed int64) (recovered, unsolvable int, err error) {
 	if chunkSize <= 0 {
@@ -55,7 +55,7 @@ func CheckEscalatedRecovery(code *codes.Code, e core.PartialStripeError, escalat
 		return 0, 0, fmt.Errorf("verify: %v: materialized stripe fails parity verification", code)
 	}
 
-	// Build repair and unavailable sets exactly like the engine.
+	// Build the repair and unavailable sets.
 	repairSet := make(map[grid.Coord]bool)
 	var repair []grid.Coord
 	for _, c := range append(e.LostCells(), escalated...) {
@@ -148,9 +148,9 @@ func CheckEscalatedRecovery(code *codes.Code, e core.PartialStripeError, escalat
 }
 
 // SweepEscalations exercises regenerated recovery schemes across the
-// escalation scenarios the fault-injection engine produces: for every
+// escalation scenarios rebuild.RunService's escalation plans: for every
 // disk's maximal partial-stripe error it escalates each surviving cell
-// in turn (the URE ladder), fails each other column (a second disk
+// in turn (one bad survivor), fails each other column (a second disk
 // failure), fails two (a third), and fails three (beyond any 3DFT
 // code's tolerance — the graceful-loss path), byte-verifying every
 // regenerated scheme against the gf2 oracle. It stops at the first
@@ -184,7 +184,7 @@ func SweepEscalations(cfg StripeConfig) (*EscalationReport, error) {
 	}
 	for d := 0; d < code.Disks(); d++ {
 		e := core.PartialStripeError{Stripe: 0, Disk: d, Row: 0, Size: size}
-		// URE ladder: every surviving cell escalated on its own.
+		// Every surviving cell escalated on its own.
 		for col := 0; col < code.Disks(); col++ {
 			if col == d {
 				continue
@@ -219,7 +219,7 @@ func SweepEscalations(cfg StripeConfig) (*EscalationReport, error) {
 				return nil, fmt.Errorf("verify: %w", err)
 			}
 		}
-		// A URE on top of a dead disk — the engine's worst common case.
+		// An unreadable survivor on top of a dead disk.
 		esc := grid.Coord{Row: code.Rows() / 2, Col: others[len(others)-1]}
 		if err := check(e, []grid.Coord{esc}, others[:1]); err != nil {
 			return nil, fmt.Errorf("verify: %w", err)
