@@ -262,9 +262,9 @@ func BenchmarkCachePolicies(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		requests = append(requests, s.RequestIDs()...)
+		requests = append(requests, s.RequestIDs(stripe)...)
 		if prios == nil {
-			prios = s.PriorityIDs()
+			prios = s.PriorityIDs(stripe)
 		}
 	}
 	for _, name := range fbf.PolicyNames() {
@@ -337,39 +337,6 @@ func BenchmarkOnlineRecovery(b *testing.B) {
 			}
 			b.ReportMetric(last.Makespan.Milliseconds(), "recon-ms")
 			b.ReportMetric(last.AppAvgResponse().Milliseconds(), "app-resp-ms")
-		})
-	}
-}
-
-// BenchmarkLRCBoundary regenerates the footnote-3 boundary result: FBF
-// applied to LRC's local/global chains runs correctly but single-disk
-// partial errors share no chunks, so the hit ratio is zero for every
-// policy (compare BenchmarkFig8).
-func BenchmarkLRCBoundary(b *testing.B) {
-	code, err := fbf.NewLRC(12, 2, 2, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	errors, err := fbf.GenerateTrace(code, fbf.TraceConfig{Groups: 64, Stripes: 1 << 13, Seed: 1, Disk: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, policy := range []string{"lru", "fbf"} {
-		b.Run("policy="+policy, func(b *testing.B) {
-			var last *fbf.SimResult
-			for i := 0; i < b.N; i++ {
-				res, err := fbf.Run(fbf.SimConfig{
-					Code: code, Policy: policy, Strategy: fbf.StrategyLooped,
-					Workers: 128, CacheChunks: 64 * 1024 / 32, Stripes: 1 << 13,
-					SkipSpareWrites: true,
-				}, errors)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.HitRatio(), "hit-ratio")
-			b.ReportMetric(float64(last.DiskReads), "disk-reads")
 		})
 	}
 }

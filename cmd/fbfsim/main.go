@@ -28,7 +28,9 @@
 package main
 
 import (
+	"fbf/internal/cache"
 	"fbf/internal/cli"
+	"fbf/internal/codes"
 	"fbf/internal/core"
 	"fbf/internal/experiments"
 	"fbf/internal/obs"
@@ -41,6 +43,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 )
 
@@ -149,6 +152,22 @@ func main() {
 	} {
 		if l.raw != "" && l.n == 0 {
 			log.Fatalf("bad -%s: empty list", l.name)
+		}
+	}
+	for _, name := range params.Codes {
+		for _, prime := range params.Primes {
+			if _, err := codes.New(name, prime); err != nil {
+				bad := "p"
+				if !slices.Contains(codes.Names(), name) {
+					bad = "codes"
+				}
+				log.Fatalf("bad -%s: %v", bad, err)
+			}
+		}
+	}
+	for _, name := range params.Policies {
+		if _, err := cache.New(name, 0); err != nil {
+			log.Fatalf("bad -policies: %v", err)
 		}
 	}
 
@@ -311,9 +330,9 @@ func main() {
 	// the summary line. The trace is stamped in simulated time, so the
 	// same flags reproduce it byte for byte.
 	if outputs["trace-out"] != nil || outputs["trace-jsonl"] != nil || outputs["metrics-out"] != nil {
-		code, prime, policy, sizeMB := "tip", 13, "fbf", 64
+		codeName, prime, policy, sizeMB := "tip", 13, "fbf", 64
 		if *codesFlag != "" {
-			code = params.Codes[0]
+			codeName = params.Codes[0]
 		}
 		if *primesFlag != "" {
 			prime = params.Primes[0]
@@ -324,11 +343,11 @@ func main() {
 		if *sizesFlag != "" {
 			sizeMB = params.CacheSizesMB[0]
 		}
-		geom, err := experiments.ResolveGeometry(code, prime)
+		code, err := codes.New(codeName, prime)
 		if err != nil {
 			log.Fatal(err)
 		}
-		errs, err := trace.Generate(geom, trace.Config{
+		errs, err := trace.Generate(code, trace.Config{
 			Groups: params.Groups, Stripes: params.Stripes,
 			Seed: params.Seed, Disk: -1, Dist: params.Dist,
 		})
@@ -336,7 +355,7 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg := rebuild.Config{
-			Code: geom, Policy: policy, Strategy: params.Strategy,
+			Code: code, Policy: policy, Strategy: params.Strategy,
 			Workers: params.Workers, CacheChunks: params.CacheChunks(sizeMB),
 			ChunkSize: params.ChunkSizeKB * 1024, Stripes: params.Stripes,
 		}
@@ -380,7 +399,7 @@ func main() {
 			events = collector.Len()
 		}
 		fmt.Fprintf(out, "observed run %s(p=%d) %s %dMB: hit ratio %.3f, %d disk reads, %v reconstruction, %d trace events\n",
-			code, prime, policy, sizeMB, res.HitRatio(), res.DiskReads, res.Makespan, events)
+			codeName, prime, policy, sizeMB, res.HitRatio(), res.DiskReads, res.Makespan, events)
 		return
 	}
 

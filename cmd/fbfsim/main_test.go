@@ -27,7 +27,9 @@ func TestMain(m *testing.M) {
 // before any output path is created: creating one truncates it, so a
 // check made after that would cost the caller an old trace. An empty
 // list flag is one such rejection; the run used to index its first
-// element after the outputs were created.
+// element after the outputs were created. An unknown code, policy or
+// prime is another: the run used to find it only when it built the
+// code or the cache.
 func TestBadFlagLeavesOutputsAlone(t *testing.T) {
 	cases := []struct {
 		out  string // output flag pointed at the old file
@@ -39,6 +41,9 @@ func TestBadFlagLeavesOutputsAlone(t *testing.T) {
 		{"trace-jsonl", []string{"-p", ","}, "bad -p: empty list"},
 		{"trace-jsonl", []string{"-policies", ","}, "bad -policies: empty list"},
 		{"metrics-out", []string{"-sizes", ","}, "bad -sizes: empty list"},
+		{"trace-jsonl", []string{"-codes", "lrc"}, `bad -codes: codes: unknown code "lrc"`},
+		{"trace-jsonl", []string{"-p", "4"}, "bad -p: codes: star requires prime p, got 4"},
+		{"trace-jsonl", []string{"-policies", "nosuch"}, `bad -policies: cache: unknown policy "nosuch"`},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {

@@ -29,7 +29,6 @@ import (
 	"fbf/internal/cli"
 	"fbf/internal/codes"
 	"fbf/internal/core"
-	"fbf/internal/experiments"
 	"fbf/internal/rebuild"
 	"fbf/internal/store"
 	"fbf/internal/trace"
@@ -53,6 +52,18 @@ func main() {
 	engine := flag.Bool("engine", true, "run a storage-engine rebuild pass per (code, prime)")
 	flag.Parse()
 
+	// An empty list would skip its checks, and the run would still pass.
+	for _, l := range []struct{ name, raw string }{
+		{"codes", *codesFlag},
+		{"p", *primesFlag},
+		{"strategies", *strategiesFlag},
+		{"policies", *policiesFlag},
+		{"caps", *capsFlag},
+	} {
+		if len(cli.SplitList(l.raw)) == 0 {
+			log.Fatalf("bad -%s: empty list", l.name)
+		}
+	}
 	var strategies []core.Strategy
 	for _, name := range cli.SplitList(*strategiesFlag) {
 		s, err := core.ParseStrategy(name)
@@ -79,14 +90,9 @@ func main() {
 	if *stripeSweep {
 		for _, name := range cli.SplitList(*codesFlag) {
 			for _, p := range primes {
-				geom, err := experiments.ResolveGeometry(name, p)
+				code, err := codes.New(name, p)
 				if err != nil {
 					log.Fatal(err)
-				}
-				code, ok := geom.(*codes.Code)
-				if !ok {
-					fail("stripe sweep %s(p=%d): geometry is not an XOR chain code", name, p)
-					continue
 				}
 				rep, err := verify.SweepStripes(verify.StripeConfig{
 					Code:       code,

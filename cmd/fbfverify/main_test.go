@@ -2,11 +2,50 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"fbf/internal/store"
 )
+
+// runMain is the first argument that makes the test binary run
+// fbfverify's main on the arguments after it instead of the tests, so a
+// test can watch a whole invocation, exit status included.
+const runMain = "fbfverify-main"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == runMain {
+		os.Args = append([]string{"fbfverify"}, os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestEmptyListFails pins that an empty list flag fails the run. Each
+// one used to skip its checks (-strategies: sweep all three) and still
+// print "all checks passed", so a CI gate passed having checked nothing.
+// The other flags keep the run small, so a row that passes runs in
+// milliseconds.
+func TestEmptyListFails(t *testing.T) {
+	small := []string{"-codes", "tip", "-p", "5", "-strategies", "looped", "-policies", "lru", "-caps", "1", "-steps", "10", "-engine=false"}
+	for _, name := range []string{"codes", "p", "strategies", "policies", "caps"} {
+		t.Run(name, func(t *testing.T) {
+			args := append(append([]string{runMain}, small...), "-"+name, ",")
+			out, err := exec.Command(os.Args[0], args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+				t.Fatalf("fbfverify -%s , exited with %v, want a nonzero status:\n%s", name, err, out)
+			}
+			if want := "bad -" + name + ": empty list"; !strings.Contains(string(out), want) {
+				t.Errorf("output does not say %q:\n%s", want, out)
+			}
+		})
+	}
+}
 
 // flipWrite corrupts one byte of the n-th chunk the engine writes. The
 // engine writes a stripe only once it has passed the zero test, so the

@@ -7,10 +7,10 @@
 // examples/ and the root benchmark and regression tests import, and no
 // others (TestFacadeStaysCurated fails on a name nothing imports). It
 // covers the paper's pipeline — erasure codes (STAR, Triple-Star, TIP,
-// HDD1, plus the footnote-3 LRC), recovery-scheme generation with the
-// FBF priority dictionary, the cache policies, error-trace generation,
-// the discrete-event reconstruction engines, and the sweep behind the
-// paper's figures and tables. Tracing and the real-bytes storage
+// HDD1), recovery-scheme generation with the FBF priority dictionary,
+// the cache policies, error-trace generation, the discrete-event
+// reconstruction engines, and the sweep behind the paper's figures and
+// tables. Tracing and the real-bytes storage
 // engine live in the internal packages and are
 // reached through the commands (cmd/fbfsim, cmd/fbfctl, ...), which
 // import those packages directly.
@@ -32,7 +32,6 @@ import (
 	"fbf/internal/disk"
 	"fbf/internal/experiments"
 	"fbf/internal/grid"
-	"fbf/internal/lrc"
 	"fbf/internal/rebuild"
 	"fbf/internal/trace"
 )
@@ -100,9 +99,6 @@ var (
 	NewTIP = codes.NewTIP
 	// NewHDD1 constructs the HDD1 stand-in (p+1 disks).
 	NewHDD1 = codes.NewHDD1
-	// NewLRC constructs the Azure-style LRC(k, l, g) over GF(256) with
-	// the given stripe height.
-	NewLRC = lrc.New
 	// GenerateScheme builds the recovery scheme for one error.
 	GenerateScheme = core.GenerateScheme
 	// NewPolicy constructs a registered policy ("fbf", "fifo", "lru",

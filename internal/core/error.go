@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 
+	"fbf/internal/codes"
 	"fbf/internal/grid"
 )
 
@@ -31,21 +32,21 @@ func (e PartialStripeError) String() string {
 // Validate checks the error against a code's geometry and the paper's
 // partial-stripe size bound (at most p-1 chunks; larger errors are
 // handled by whole-stripe reconstruction, a different mechanism).
-func (e PartialStripeError) Validate(g Geometry) error {
+func (e PartialStripeError) Validate(code *codes.Code) error {
 	if e.Stripe < 0 {
 		return fmt.Errorf("core: negative stripe %d", e.Stripe)
 	}
-	if e.Disk < 0 || e.Disk >= g.Disks() {
-		return fmt.Errorf("core: disk %d out of range [0,%d)", e.Disk, g.Disks())
+	if e.Disk < 0 || e.Disk >= code.Disks() {
+		return fmt.Errorf("core: disk %d out of range [0,%d)", e.Disk, code.Disks())
 	}
 	if e.Size < 1 {
 		return fmt.Errorf("core: non-positive error size %d", e.Size)
 	}
-	if e.Size > g.MaxPartialSize() {
-		return fmt.Errorf("core: error size %d exceeds partial-stripe bound %d", e.Size, g.MaxPartialSize())
+	if e.Size > code.MaxPartialSize() {
+		return fmt.Errorf("core: error size %d exceeds partial-stripe bound %d", e.Size, code.MaxPartialSize())
 	}
-	if e.Row < 0 || e.Row+e.Size > g.Rows() {
-		return fmt.Errorf("core: rows [%d,%d) out of range [0,%d)", e.Row, e.Row+e.Size, g.Rows())
+	if e.Row < 0 || e.Row+e.Size > code.Rows() {
+		return fmt.Errorf("core: rows [%d,%d) out of range [0,%d)", e.Row, e.Row+e.Size, code.Rows())
 	}
 	return nil
 }

@@ -224,9 +224,9 @@ func TestFBFBeatsLRUOnSchemeReplay(t *testing.T) {
 	replay := func(p cache.Policy) cache.Stats {
 		for _, s := range schemes {
 			if pa, ok := p.(cache.PriorityAware); ok {
-				pa.SetPriorities(s.PriorityIDs())
+				pa.SetPriorities(s.PriorityIDs(s.Err.Stripe))
 			}
-			for _, id := range s.RequestIDs() {
+			for _, id := range s.RequestIDs(s.Err.Stripe) {
 				p.Request(id)
 			}
 		}

@@ -3,18 +3,9 @@ package core
 import (
 	"fmt"
 
+	"fbf/internal/codes"
 	"fbf/internal/grid"
 )
-
-// Planner is the decoder view RegenerateScheme falls back to when an
-// escalated erasure pattern leaves some cell with no usable single
-// parity chain. codes.Code implements it; geometries without a partial
-// decoder (e.g. the LRC stand-in) simply lose those cells.
-type Planner interface {
-	// PartialRecoveryPlan expresses every solvable cell of lost as a XOR
-	// of surviving cells and lists the unsolvable cells separately.
-	PartialRecoveryPlan(lost []grid.Coord) (plan map[grid.Coord][]grid.Coord, unsolved []grid.Coord, err error)
-}
 
 // RegenerateScheme rebuilds a recovery scheme mid-repair, after faults
 // have changed the erasure pattern: repair lists the cells that still
@@ -26,14 +17,14 @@ type Planner interface {
 // Per repair cell the strategy picks a parity chain exactly as
 // GenerateScheme does, treating repair ∪ unavailable as erased. Cells no
 // single chain can rebuild fall back to the code's GF(2) decoder
-// (Planner) and appear in the scheme as Decoded selections; cells even
-// the decoder cannot solve are returned in lost — data loss the caller
-// must account, not an error.
+// (PartialRecoveryPlan) and appear in the scheme as Decoded selections;
+// cells even the decoder cannot solve are returned in lost — data loss
+// the caller must account, not an error.
 //
 // e identifies the stripe and original error for Scheme bookkeeping; it
 // is not re-validated, since escalated patterns are exactly the ones a
 // plain partial-stripe error can no longer describe.
-func RegenerateScheme(code Geometry, e PartialStripeError, repair, unavailable []grid.Coord, strategy Strategy) (*Scheme, []grid.Coord, error) {
+func RegenerateScheme(code *codes.Code, e PartialStripeError, repair, unavailable []grid.Coord, strategy Strategy) (*Scheme, []grid.Coord, error) {
 	lostSet := make(map[grid.Coord]bool, len(repair)+len(unavailable))
 	for _, c := range append(append([]grid.Coord{}, repair...), unavailable...) {
 		if !code.Layout().InBounds(c) {
@@ -61,10 +52,6 @@ func RegenerateScheme(code Geometry, e PartialStripeError, repair, unavailable [
 		return scheme, nil, nil
 	}
 
-	planner, ok := code.(Planner)
-	if !ok {
-		return scheme, decode, nil
-	}
 	// The decoder must treat every erased cell as unknown, not just the
 	// ones being repaired, or it would express repairs in terms of
 	// unreadable cells.
@@ -73,7 +60,7 @@ func RegenerateScheme(code Geometry, e PartialStripeError, repair, unavailable [
 		allLost = append(allLost, c)
 	}
 	sortCoords(allLost)
-	plan, unsolved, err := planner.PartialRecoveryPlan(allLost)
+	plan, unsolved, err := code.PartialRecoveryPlan(allLost)
 	if err != nil {
 		return nil, nil, err
 	}

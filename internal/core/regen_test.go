@@ -22,7 +22,7 @@ func column(c *codes.Code, col int) []grid.Coord {
 func xorFetch(c *codes.Code, stripe []chunk.Chunk, sel core.SelectedChain) chunk.Chunk {
 	acc := chunk.New(len(stripe[0]))
 	for _, m := range sel.Fetch {
-		chunk.XORInto(acc, stripe[core.CellIndex(c.Layout(), m)])
+		chunk.XORInto(acc, stripe[c.CellIndex(m)])
 	}
 	return acc
 }
@@ -78,7 +78,7 @@ func TestRegenerateDecoderFallbackIsByteExact(t *testing.T) {
 			decoded++
 		}
 		got := xorFetch(c, stripe, sel)
-		want := stripe[core.CellIndex(c.Layout(), sel.Lost)]
+		want := stripe[c.CellIndex(sel.Lost)]
 		if !got.Equal(want) {
 			t.Errorf("cell %v (decoded=%v): recovered bytes differ", sel.Lost, sel.Decoded)
 		}

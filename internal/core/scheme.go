@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fbf/internal/cache"
+	"fbf/internal/codes"
 	"fbf/internal/grid"
 )
 
@@ -74,7 +75,7 @@ type SelectedChain struct {
 // chain per lost chunk, the resulting chunk-request sequence and the
 // priority dictionary FBF's cache consults (Table II/III of the paper).
 type Scheme struct {
-	Code     Geometry
+	Code     *codes.Code
 	Err      PartialStripeError
 	Strategy Strategy
 	Selected []SelectedChain
@@ -87,7 +88,7 @@ type Scheme struct {
 
 // GenerateScheme builds the recovery scheme for one partial stripe error
 // under the given strategy.
-func GenerateScheme(code Geometry, e PartialStripeError, strategy Strategy) (*Scheme, error) {
+func GenerateScheme(code *codes.Code, e PartialStripeError, strategy Strategy) (*Scheme, error) {
 	if err := e.Validate(code); err != nil {
 		return nil, err
 	}
@@ -117,7 +118,7 @@ func GenerateScheme(code Geometry, e PartialStripeError, strategy Strategy) (*Sc
 // (k is the cell's ordinal among the cells being repaired, which the
 // looping strategy cycles on). It returns nil when no single chain can
 // rebuild the cell — every chain through it holds another lost cell.
-func chainFor(code Geometry, lostSet, planned map[grid.Coord]bool, cell grid.Coord, k int, strategy Strategy) (*grid.Chain, error) {
+func chainFor(code *codes.Code, lostSet, planned map[grid.Coord]bool, cell grid.Coord, k int, strategy Strategy) (*grid.Chain, error) {
 	// usable returns the chain of the given kind through cell, provided
 	// it contains no other lost cell (a chain with two erasures cannot
 	// rebuild either on its own).
@@ -208,23 +209,25 @@ func (s *Scheme) Requests() []grid.Coord {
 	return out
 }
 
-// RequestIDs is Requests with each coordinate qualified by the scheme's
-// stripe, ready to feed a cache policy.
-func (s *Scheme) RequestIDs() []cache.ChunkID {
+// RequestIDs is Requests with each coordinate qualified by stripe,
+// ready to feed a cache policy. The stripe is the caller's, not
+// Err.Stripe: the storage engine reuses one scheme across the stripes
+// that lost the same cells.
+func (s *Scheme) RequestIDs(stripe int) []cache.ChunkID {
 	reqs := s.Requests()
 	out := make([]cache.ChunkID, len(reqs))
 	for i, r := range reqs {
-		out[i] = cache.ChunkID{Stripe: s.Err.Stripe, Cell: r}
+		out[i] = cache.ChunkID{Stripe: stripe, Cell: r}
 	}
 	return out
 }
 
-// PriorityIDs returns the priority dictionary keyed by ChunkID, ready
-// for cache.PriorityAware.SetPriorities.
-func (s *Scheme) PriorityIDs() map[cache.ChunkID]int {
+// PriorityIDs returns the priority dictionary keyed by ChunkID on
+// stripe, ready for cache.PriorityAware.SetPriorities.
+func (s *Scheme) PriorityIDs(stripe int) map[cache.ChunkID]int {
 	out := make(map[cache.ChunkID]int, len(s.Priorities))
 	for cell, pr := range s.Priorities {
-		out[cache.ChunkID{Stripe: s.Err.Stripe, Cell: cell}] = pr
+		out[cache.ChunkID{Stripe: stripe, Cell: cell}] = pr
 	}
 	return out
 }

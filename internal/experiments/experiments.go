@@ -11,27 +11,11 @@ import (
 
 	"fbf/internal/codes"
 	"fbf/internal/core"
-	"fbf/internal/lrc"
 	"fbf/internal/obs"
 	"fbf/internal/rebuild"
 	"fbf/internal/sim"
 	"fbf/internal/trace"
 )
-
-// ResolveGeometry returns the code geometry for a sweep entry: the four
-// XOR-based 3DFT families by name, or "lrc" for the Azure
-// LRC(12,2,2) on p-1 rows (the Reed-Solomon-based counterpart of the
-// paper's footnote 3).
-func ResolveGeometry(name string, p int) (core.Geometry, error) {
-	if name == "lrc" {
-		rows := p - 1
-		if rows < 1 {
-			rows = 1
-		}
-		return lrc.New(12, 2, 2, rows)
-	}
-	return codes.New(name, p)
-}
 
 // Params configures a sweep. The zero value is unusable; start from
 // DefaultParams (the paper's configuration scaled to a workstation) and
@@ -176,19 +160,19 @@ type Point struct {
 }
 
 // sweepPrep is the shared read-only input of every run of one
-// (code, prime) pair: the resolved geometry and the generated error
-// trace. One prep is shared by all that pair's policy/size points —
-// concurrent rebuild.Run calls only read the geometry and the trace
+// (code, prime) pair: the code and the generated error trace. One prep
+// is shared by all that pair's policy/size points — concurrent
+// rebuild.Run calls only read the code and the trace
 // (see rebuild.Run's concurrency contract), so regenerating the trace
 // per point would be pure waste.
 type sweepPrep struct {
 	codeName string
 	prime    int
-	code     core.Geometry
+	code     *codes.Code
 	errors   []core.PartialStripeError
 }
 
-// prepareTraces resolves the geometry and generates the error trace for
+// prepareTraces builds the code and generates the error trace for
 // every (code, prime) pair of the sweep, in parallel. The returned
 // slice is ordered codes-major, matching the sweep enumeration.
 func prepareTraces(p Params) ([]sweepPrep, error) {
@@ -199,7 +183,7 @@ func prepareTraces(p Params) ([]sweepPrep, error) {
 		}
 	}
 	err := forEachIndexed(p.parallelism(), len(preps), nil, func(i int) error {
-		code, err := ResolveGeometry(preps[i].codeName, preps[i].prime)
+		code, err := codes.New(preps[i].codeName, preps[i].prime)
 		if err != nil {
 			return err
 		}

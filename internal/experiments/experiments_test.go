@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -270,41 +271,21 @@ func TestRenderers(t *testing.T) {
 	}
 }
 
-func TestResolveGeometry(t *testing.T) {
-	code, err := ResolveGeometry("tip", 7)
-	if err != nil || code.Disks() != 8 {
-		t.Fatalf("tip: %v %v", code, err)
-	}
-	l, err := ResolveGeometry("lrc", 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Disks() != 16 || l.Rows() != 12 {
-		t.Errorf("lrc geometry %d disks, %d rows", l.Disks(), l.Rows())
-	}
-	if _, err := ResolveGeometry("bogus", 7); err == nil {
-		t.Error("bogus code accepted")
-	}
-}
-
-func TestSweepIncludesLRCBoundary(t *testing.T) {
-	// The footnote-3 boundary result: LRC row codewords share nothing
-	// under single-disk partial errors, so every policy's hit ratio is
-	// zero and FBF degenerates gracefully.
-	p := smallParams()
-	p.Codes = []string{"lrc"}
-	p.Primes = []int{13}
-	p.CacheSizesMB = []int{8, 64}
-	points, err := Sweep(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) == 0 {
-		t.Fatal("no LRC points")
-	}
-	for _, pt := range points {
-		if pt.Result.HitRatio() != 0 {
-			t.Errorf("LRC %s@%dMB hit ratio %f, want 0", pt.Policy, pt.CacheMB, pt.Result.HitRatio())
+// TestUnknownCodeRejected pins that every artefact builds its codes
+// with codes.New: a name that is not one of the four paper codes — "lrc"
+// among them, retired with its GF(256) field — fails the run as an
+// unknown code.
+func TestUnknownCodeRejected(t *testing.T) {
+	for _, name := range []string{"lrc", "bogus"} {
+		p := smallParams()
+		p.Codes = []string{name}
+		_, sweepErr := Sweep(p)
+		_, table4Err := Table4(p)
+		_, ablationErr := SchemeAblation(p)
+		for artefact, err := range map[string]error{"sweep": sweepErr, "table 4": table4Err, "ablation": ablationErr} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown code %q", name)) {
+				t.Errorf("%s over %q: err = %v, want an unknown-code error", artefact, name, err)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"fbf/internal/codes"
 	"fbf/internal/core"
 	"fbf/internal/rebuild"
 	"fbf/internal/stats"
@@ -102,7 +103,7 @@ func Table4(p Params) ([]OverheadRow, error) {
 	rows := make([]OverheadRow, len(cells))
 	err := forEachIndexed(p.parallelism(), len(cells), p.Progress, func(i int) error {
 		prime, codeName := cells[i].prime, cells[i].codeName
-		code, err := ResolveGeometry(codeName, prime)
+		code, err := codes.New(codeName, prime)
 		if err != nil {
 			return err
 		}
@@ -251,7 +252,7 @@ func SchemeAblation(p Params) ([]SchemeComparison, error) {
 	out := make([]SchemeComparison, len(cells))
 	err := forEachIndexed(p.parallelism(), len(cells), p.Progress, func(i int) error {
 		codeName, prime := cells[i].codeName, cells[i].prime
-		code, err := ResolveGeometry(codeName, prime)
+		code, err := codes.New(codeName, prime)
 		if err != nil {
 			return err
 		}

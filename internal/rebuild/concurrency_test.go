@@ -97,11 +97,11 @@ func TestRemainderCapacityIsUsed(t *testing.T) {
 
 // TestConcurrentRunsShareGeometryAndTrace enforces rebuild.Run's
 // documented concurrency contract: many simultaneous runs may share one
-// geometry and one error-trace slice because both are strictly
-// read-only. Under `go test -race` this fails loudly if anyone adds
-// hidden mutable state to the engine, the codes/lrc geometries or the
-// trace; without the race detector it still verifies that concurrent
-// results are identical to serial ones.
+// code and one error-trace slice because both are strictly read-only.
+// Under `go test -race` this fails loudly if anyone adds hidden mutable
+// state to the engine, the code or the trace; without the race detector
+// it still verifies that concurrent results are identical to serial
+// ones.
 func TestConcurrentRunsShareGeometryAndTrace(t *testing.T) {
 	code := codes.MustNew("star", 7) // STAR exercises adjuster-cell chains
 	errors := genErrors(t, code, 32, 512, 3)

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"fbf/internal/cache"
+	"fbf/internal/codes"
 	"fbf/internal/core"
 	"fbf/internal/disk"
 	"fbf/internal/grid"
@@ -30,7 +31,7 @@ import (
 
 // Config parameterizes one reconstruction run.
 type Config struct {
-	Code     core.Geometry
+	Code     *codes.Code
 	Policy   string        // cache policy registry name ("fbf", "lru", ...)
 	Strategy core.Strategy // recovery-scheme generation strategy
 
@@ -273,14 +274,13 @@ func cachePartition(total, n int) []int {
 //
 // Concurrency contract: Run is safe to call from multiple goroutines
 // simultaneously, including with a shared cfg.Code and a shared errors
-// slice. It treats both as strictly read-only — geometry values
-// (codes.Code, lrc.Code and their grid.Layout) are immutable after
-// construction, and the error groups are never written. The
-// experiments package's parallel sweeps rely on this invariant to run
-// one generated trace through many concurrent policy/size runs;
-// anything added to the engine or the geometry types must preserve it
-// (internal/rebuild's concurrency test runs under -race to keep it
-// honest).
+// slice. It treats both as strictly read-only — a codes.Code and its
+// grid.Layout are immutable after construction, and the error groups
+// are never written. The experiments package's parallel sweeps rely on
+// this invariant to run one generated trace through many concurrent
+// policy/size runs; anything added to the engine or the code type must
+// preserve it (internal/rebuild's concurrency test runs under -race to
+// keep it honest).
 func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
@@ -561,10 +561,10 @@ func (w *worker) nextGroup() {
 	w.scheme = scheme
 	w.chainIdx = 0
 	if pa, ok := w.cache.(cache.PriorityAware); ok {
-		pa.SetPriorities(scheme.PriorityIDs())
+		pa.SetPriorities(scheme.PriorityIDs(scheme.Err.Stripe))
 	}
 	if fa, ok := w.cache.(cache.FutureAware); ok {
-		fa.SetFuture(scheme.RequestIDs())
+		fa.SetFuture(scheme.RequestIDs(scheme.Err.Stripe))
 	}
 	if e.tr != nil {
 		w.traceSchemeGen(scheme.Err.Stripe, len(scheme.Selected))

@@ -762,10 +762,10 @@ func (s *service) repairStripe(d StripeDamage) error {
 	// priorities and request sequence would be built and thrown away.
 	if !plan.decoded {
 		if pa, ok := s.policy.(cache.PriorityAware); ok && s.policy != nil {
-			pa.SetPriorities(prioritiesFor(plan.scheme, d.Stripe))
+			pa.SetPriorities(plan.scheme.PriorityIDs(d.Stripe))
 		}
 		if fa, ok := s.policy.(cache.FutureAware); ok && s.policy != nil {
-			fa.SetFuture(requestsFor(plan.scheme, d.Stripe))
+			fa.SetFuture(plan.scheme.RequestIDs(d.Stripe))
 		}
 	}
 
@@ -1417,21 +1417,4 @@ func mergeCell(lost []grid.Coord, c grid.Coord) []grid.Coord {
 	lost = append(lost, c)
 	sort.Slice(lost, func(i, j int) bool { return lost[i].Less(lost[j]) })
 	return lost
-}
-
-func prioritiesFor(scheme *core.Scheme, stripe int) map[cache.ChunkID]int {
-	out := make(map[cache.ChunkID]int, len(scheme.Priorities))
-	for cell, pr := range scheme.Priorities {
-		out[cache.ChunkID{Stripe: stripe, Cell: cell}] = pr
-	}
-	return out
-}
-
-func requestsFor(scheme *core.Scheme, stripe int) []cache.ChunkID {
-	reqs := scheme.Requests()
-	out := make([]cache.ChunkID, len(reqs))
-	for i, r := range reqs {
-		out[i] = cache.ChunkID{Stripe: stripe, Cell: r}
-	}
-	return out
 }

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"fbf/internal/codes"
 	"fbf/internal/core"
 )
 
@@ -87,7 +88,7 @@ type Config struct {
 // Generate produces the error groups for a code under the config.
 // Errors on the same stripe and disk are avoided by drawing distinct
 // stripes while enough exist.
-func Generate(code core.Geometry, cfg Config) ([]core.PartialStripeError, error) {
+func Generate(code *codes.Code, cfg Config) ([]core.PartialStripeError, error) {
 	if cfg.Groups <= 0 {
 		return nil, fmt.Errorf("trace: non-positive group count %d", cfg.Groups)
 	}
