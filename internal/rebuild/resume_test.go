@@ -48,6 +48,16 @@ func initResumeDir(t *testing.T, root string, m store.ArrayManifest) *store.Dir 
 	return d
 }
 
+// lanedDir is a directory store that states a given stripe depth. It
+// embeds the store, not the interface, so faultstore still finds the
+// store's crash-debris hooks.
+type lanedDir struct {
+	*store.Dir
+	lanes int
+}
+
+func (d lanedDir) StripeDepth() int { return d.lanes }
+
 // TestResumeFromEveryCrashPoint is the tentpole property test: for
 // EVERY operation index k of a journaled triple-disk rebuild, a run
 // crashed at k (with torn on-disk debris) leaves a state from which a
@@ -59,12 +69,16 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	m := testManifest("star", 5, 2, 64)
 
 	// Counting run: the same rebuild against a fault-free wrapper bounds
-	// the crash-point sweep. It also watches the write-back: the sweep
-	// must kill the overlapped path, not the serial order a backend
-	// without a write depth gets.
+	// the crash-point sweep. It also watches the write-back and the
+	// evaluations: the sweep must kill the overlapped path, several writes
+	// in flight and both stripes in evaluation at once, not the serial
+	// order a backend that states neither depth gets. Every run states a
+	// stripe depth of 2, whatever the host's processor count.
+	const lanes = 2
 	countRoot := t.TempDir()
 	d := initResumeDir(t, countRoot, m)
 	watch := newDepthBackend(d, store.WriteDepth(d), 3*m.Rows)
+	watch.lanes, watch.overlap = lanes, true
 	counter := faultstore.Wrap(watch, faultstore.Plan{})
 	res, err := RunService(ServiceConfig{
 		Backend: counter, Manifest: m,
@@ -87,6 +101,9 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	if watch.peak < 2 {
 		t.Fatalf("counting run had at most %d write in flight; the sweep would prove the serial order only", watch.peak)
 	}
+	if watch.evalPeak < 2 {
+		t.Fatalf("counting run had at most %d stripe in evaluation at once; the sweep would prove the serial order only", watch.evalPeak)
+	}
 
 	step := 1
 	if testing.Short() {
@@ -96,11 +113,12 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	run := func(k int) {
 		root := t.TempDir()
 		journal := filepath.Join(root, "rebuild.journal")
-		crashing := faultstore.Wrap(initResumeDir(t, root, m), faultstore.Plan{
+		crashing := faultstore.Wrap(lanedDir{initResumeDir(t, root, m), lanes}, faultstore.Plan{
 			Seed: int64(k), CrashAfterOps: k, TornWrites: true,
 		})
-		if store.WriteDepth(crashing) != watch.depth {
-			t.Fatalf("crashing store states write depth %d, the counting run had %d", store.WriteDepth(crashing), watch.depth)
+		if store.WriteDepth(crashing) != watch.depth || store.StripeDepth(crashing) != lanes {
+			t.Fatalf("crashing store states write depth %d and stripe depth %d, the counting run had %d and %d",
+				store.WriteDepth(crashing), store.StripeDepth(crashing), watch.depth, lanes)
 		}
 		_, err := RunService(ServiceConfig{Backend: crashing, Manifest: m, JournalPath: journal})
 		if !errors.Is(err, faultstore.ErrCrashed) {

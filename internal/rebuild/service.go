@@ -12,7 +12,10 @@
 // pass that sums the stripe's chain syndromes, decodes on them and tests
 // every chain, when the plan needs the GF(2) decoder (replayDecoded —
 // whole-disk damage). Either way the whole stripe passes its test before
-// writeBack starts its first write.
+// writeBack starts its first write. On a backend that states a stripe
+// depth, decoded stripes are evaluated ahead of their turn on lane
+// goroutines (inflight.go) and still written back one at a time, in
+// repair order.
 package rebuild
 
 import (
@@ -78,9 +81,10 @@ type ServiceConfig struct {
 	// default, PriorityVulnerable).
 	Priority string
 
-	// JournalPath, when set, makes the rebuild crash-safe: scan results,
-	// per-stripe plans, and per-chunk commits append to a write-ahead
-	// journal at this path, and a rerun with the same path resumes —
+	// JournalPath, when set, makes the rebuild crash-safe: the array's
+	// geometry, a commit per chunk written back and a done record per
+	// stripe finished append to a write-ahead journal at this path (no
+	// plan is recorded), and a rerun with the same path resumes —
 	// repairing the interrupted stripe's committed chunks again, through
 	// the zero test like any other, before continuing. The journal is
 	// removed on clean completion. Incompatible with CheckOnly and
@@ -91,8 +95,9 @@ type ServiceConfig struct {
 	// is closed the service starts no further chunk write, finishes and
 	// journals the writes in flight (up to the backend's write depth of
 	// them: every stripe is written back as one group, in either
-	// evaluation order), syncs the journal, and returns with Interrupted
-	// set instead of an error.
+	// evaluation order), discards the stripes evaluated ahead of their
+	// turn (store.StripeDepth) and not yet written, syncs the journal,
+	// and returns with Interrupted set instead of an error.
 	Stop <-chan struct{}
 
 	// Progress, when non-nil, is called after every repaired stripe —
@@ -362,7 +367,7 @@ type ServiceResult struct {
 	PlannedReads  int // distinct source chunks it would read
 
 	DiskReads   uint64 // backend payload reads during repair
-	VerifyReads uint64 // backend reads for the check alone: chain members it did not find in the byte cache
+	VerifyReads uint64 // backend reads for the zero test alone: members of the checked chains no repair equation reads, whatever the byte cache holds
 	CacheHits   uint64
 	CacheMisses uint64
 
@@ -548,7 +553,7 @@ func (s *service) journaled(err error) error {
 // put back as damage, stripe ordering, and the repair loop with
 // graceful-stop checks between stripes.
 func (s *service) execute(jstate *JournalState) error {
-	cfg, res, report := s.cfg, s.res, s.res.Report
+	cfg, report := s.cfg, s.res.Report
 	if s.journal != nil {
 		s.m.ResumedCommits.Add(uint64(len(jstate.Commits)))
 		s.requeueResumed(jstate)
@@ -573,29 +578,23 @@ func (s *service) execute(jstate *JournalState) error {
 		})
 	}
 	s.m.StripesPlanned.Add(uint64(len(order)))
-	for _, d := range order {
-		if stopRequested(s.cfg.Stop) {
-			res.Interrupted = true
-		}
-		if res.Interrupted {
-			break
-		}
-		if err := s.repairStripe(d); err != nil {
-			return err
-		}
-		if res.Interrupted {
-			// The stop landed mid-stripe: the writes in flight were
-			// finished and committed, but the stripe was not.
-			break
-		}
-		s.m.StripesDone.Inc()
-		tally(s.m, &s.base, res)
-		s.m.Percent.Set(float64(Progress{StripesTotal: len(order), StripesDone: res.StripesRepaired}.Percent()))
-		if cfg.Progress != nil {
-			cfg.Progress(Progress{Stripe: d.Stripe, StripesTotal: len(order), StripesDone: res.StripesRepaired, ChunksRebuilt: res.ChunksRebuilt})
-		}
+	k := store.StripeDepth(cfg.Backend)
+	if k <= 1 || cfg.DryRun {
+		k = 0 // every stripe on this goroutine: the serial loop
 	}
-	return nil
+	return s.repairInFlight(order, k)
+}
+
+// finished counts a stripe repaired and reports the progress of a pass
+// of total stripes.
+func (s *service) finished(stripe, total int) {
+	res := s.res
+	s.m.StripesDone.Inc()
+	tally(s.m, &s.base, res)
+	s.m.Percent.Set(float64(Progress{StripesTotal: total, StripesDone: res.StripesRepaired}.Percent()))
+	if s.cfg.Progress != nil {
+		s.cfg.Progress(Progress{Stripe: stripe, StripesTotal: total, StripesDone: res.StripesRepaired, ChunksRebuilt: res.ChunksRebuilt})
+	}
 }
 
 // stopRequested polls a graceful-shutdown channel; a nil channel never
@@ -748,10 +747,7 @@ func (s *service) repairStripe(d StripeDamage) error {
 	if err != nil {
 		return err
 	}
-	clear(s.lost)
-	for _, c := range plan.unsolved {
-		s.loseCell(d.Stripe, c)
-	}
+	s.beginStripe(d.Stripe, plan)
 	if s.cfg.DryRun {
 		s.res.PlannedChunks += len(plan.scheme.Selected)
 		s.res.PlannedReads += plan.scheme.UniqueFetches()
@@ -768,18 +764,39 @@ func (s *service) repairStripe(d StripeDamage) error {
 			fa.SetFuture(plan.scheme.RequestIDs(d.Stripe))
 		}
 	}
+	return s.replay(d.Stripe, lost, plan, nil)
+}
 
+// beginStripe makes the stripe under repair the one whose lost cells
+// loseCell books, and books plan's unsolved cells.
+func (s *service) beginStripe(stripe int, plan *schemePlan) {
+	clear(s.lost)
+	for _, c := range plan.unsolved {
+		s.loseCell(stripe, c)
+	}
+}
+
+// replay evaluates and writes back one stripe under plan, escalating and
+// re-planning until it is repaired, and records it done. first, when
+// non-nil, is the stripe's first evaluation, already made in a lane
+// (repairInFlight); every later one is made here.
+func (s *service) replay(stripe int, lost []grid.Coord, plan *schemePlan, first *flight) error {
 	// The escalation loop: a failed source read escalates that cell to
 	// lost and regenerates the plan. Both orders read everything they need
 	// before the stripe's first write, so nothing of it has been written
 	// and the new plan is simply the grown lost set's. Every escalation
 	// grows that set, so the loop is bounded by the stripe's cell count.
+	var err error
 	for attempt := 0; attempt <= s.code.Layout().Cells(); attempt++ {
 		var esc *grid.Coord
-		if plan.decoded {
-			esc, err = s.replayDecoded(d.Stripe, plan)
-		} else {
-			esc, err = s.replayChains(d.Stripe, plan)
+		switch {
+		case first != nil:
+			esc, err = s.land(first)
+			first = nil
+		case plan.decoded:
+			esc, err = s.replayDecoded(stripe, plan)
+		default:
+			esc, err = s.replayChains(stripe, plan)
 		}
 		if err != nil {
 			return err
@@ -792,7 +809,7 @@ func (s *service) repairStripe(d StripeDamage) error {
 				return nil
 			}
 			if s.journal != nil {
-				if err := s.journaled(s.journal.AppendStripeDone(d.Stripe)); err != nil {
+				if err := s.journaled(s.journal.AppendStripeDone(stripe)); err != nil {
 					return err
 				}
 				if err := s.journal.Sync(); err != nil {
@@ -804,20 +821,20 @@ func (s *service) repairStripe(d StripeDamage) error {
 		// Escalate: the cell joins the lost set; regenerate (unsolved cells
 		// are lost).
 		s.m.Escalations.Inc()
-		if id := (cache.ChunkID{Stripe: d.Stripe, Cell: *esc}); s.policy != nil && s.policy.Invalidate(id) {
+		if id := (cache.ChunkID{Stripe: stripe, Cell: *esc}); s.policy != nil && s.policy.Invalidate(id) {
 			s.dropBuf(id)
 		}
 		lost = mergeCell(lost, *esc)
-		plan, err = s.planFor(d.Stripe, lost)
+		plan, err = s.planFor(stripe, lost)
 		if err != nil {
 			return err
 		}
 		s.m.Regenerations.Inc()
 		for _, c := range plan.unsolved {
-			s.loseCell(d.Stripe, c)
+			s.loseCell(stripe, c)
 		}
 	}
-	return fmt.Errorf("rebuild: stripe %d: escalation loop did not terminate", d.Stripe)
+	return fmt.Errorf("rebuild: stripe %d: escalation loop did not terminate", stripe)
 }
 
 // replayChains executes the scheme's selected chains in order, each
@@ -1052,28 +1069,9 @@ func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
 }
 
 // replayDecoded rebuilds a stripe whose plan needs the GF(2) decoder in
-// one pass over its surviving chunks. A decoder equation lists about
-// half the stripe, so replaying such a plan cell by cell asks for every
-// survivor dozens of times and sums what the equations share dozens of
-// times; here each source is read from the backend exactly once and
-// folded into the syndromes of the two or three chains it sits on, and
-// the elimination's row additions on those syndromes leave every
-// solvable cell in its pivot row. A source that is missing, corrupt or
-// the wrong size escalates (nothing has been written yet, so the caller's
-// re-plan restarts the pass). Unless NoVerify, nothing is written before
-// the repaired stripe passes the zero test: every chain through a
-// rebuilt cell, its members taken from grid.Layout and not from the
-// elimination, XORs to zero, and so does every row the elimination did
-// not need — the chains that lost nothing among them. Every write is
-// journaled as it completes (writeBack keeps up to the backend's write
-// depth of them in flight). The pass takes one buffer per accumulator,
-// one per snapshot and a read buffer (stripeBufs) — never more than
-// 2·chains+1 for a layout of that many chains, and without verify one
-// per chain with a lost cell, one per cell that kept its chain, and the
-// read buffer — and never consults the byte cache; each Fetch source is
-// booked as a disk read and, with a cache configured, as the compulsory
-// miss it would have been, so DiskReads == CacheMisses holds in both
-// orders. A chunk only the zero test needs is a verify read.
+// one pass over its surviving chunks (evaluate), then writes it back.
+// Every write is journaled as it completes (writeBack keeps up to the
+// backend's write depth of them in flight).
 func (s *service) replayDecoded(stripe int, plan *schemePlan) (*grid.Coord, error) {
 	if stopRequested(s.cfg.Stop) {
 		s.res.Interrupted = true
@@ -1083,62 +1081,113 @@ func (s *service) replayDecoded(stripe int, plan *schemePlan) (*grid.Coord, erro
 	if err != nil {
 		return nil, err
 	}
-	selected := plan.scheme.Selected
-	work := s.stripeBufs(len(pass.chains) + len(pass.snaps) + 1)
-	bufs, buf := work[:len(work)-1], work[len(work)-1]
-	for _, acc := range bufs[:len(pass.chains)] {
+	bufs := s.stripeBufs(pass.width())
+	var t evalTally
+	esc, err := s.evaluate(stripe, pass, bufs, &t)
+	t.book(s.m)
+	if esc != nil || err != nil {
+		return esc, err
+	}
+	return nil, s.writeStripe(stripe, plan.scheme.Selected, pass.out(bufs))
+}
+
+// evaluate is the read-once pass of a decoded stripe. A decoder equation
+// lists about half the stripe, so replaying such a plan cell by cell asks
+// for every survivor dozens of times and sums what the equations share
+// dozens of times; here each source is read from the backend exactly
+// once and folded into the syndromes of the two or three chains it sits
+// on, and the elimination's row additions on those syndromes leave every
+// solvable cell in its pivot row. A source that is missing, corrupt or
+// the wrong size is returned for escalation (nothing has been written
+// yet, so the caller's re-plan restarts the pass). Unless NoVerify, the
+// repaired stripe must then pass the zero test: every chain through a
+// rebuilt cell, its members taken from grid.Layout and not from the
+// elimination, XORs to zero, and so does every row the elimination did
+// not need — the chains that lost nothing among them.
+//
+// The pass works in bufs, pass.width() of them — never more than
+// 2·chains+1 for a layout of that many chains, and without verify one
+// per chain with a lost cell, one per cell that kept its chain, and a
+// read buffer — and never consults the byte cache. It books into t, not
+// into the run's cells: each Fetch source as a disk read and, with a
+// cache configured, as the compulsory miss it would have been, so
+// DiskReads == CacheMisses holds in both orders; a chunk only the zero
+// test needs as a verify read. It reads nothing of the service that
+// changes during a run, so it may run on a lane goroutine.
+func (s *service) evaluate(stripe int, pass *decodePass, bufs []chunk.Chunk, t *evalTally) (*grid.Coord, error) {
+	accs, buf := bufs[:len(bufs)-1], bufs[len(bufs)-1]
+	for _, acc := range accs[:len(pass.chains)] {
 		clear(acc)
 	}
-
+	cached := s.policy != nil
 	for _, src := range pass.sources {
-		err := s.readSource(AddrOf(stripe, src.cell), buf)
-		if store.IsNotFound(err) || store.IsCorrupt(err) {
-			cell := src.cell
-			return &cell, nil
-		}
-		if err != nil {
-			return nil, err
+		if err := s.readSource(AddrOf(stripe, src.cell), buf); err != nil {
+			return escalation(src.cell, err)
 		}
 		if src.fetched {
-			s.m.DiskReads.Inc()
-			if s.policy != nil {
-				s.m.CacheMisses.Inc()
+			t.reads++
+			if cached {
+				t.misses++
 			}
 		} else {
-			s.m.VerifyReads.Inc()
+			t.verifyReads++
 		}
 		for _, acc := range src.folds {
-			chunk.XORInto(bufs[acc], buf)
+			chunk.XORInto(accs[acc], buf)
 		}
 	}
 	for k, acc := range pass.snaps {
-		copy(bufs[len(pass.chains)+k], bufs[acc])
+		copy(accs[len(pass.chains)+k], accs[acc])
 	}
 	for _, op := range pass.ops {
-		chunk.XORInto(bufs[op.Dst], bufs[op.Src])
+		chunk.XORInto(accs[op.Dst], accs[op.Src])
 	}
 
 	if !s.cfg.NoVerify {
 		for _, check := range pass.checks {
 			for _, i := range check.cells {
-				chunk.XORInto(bufs[check.snap], bufs[pass.outputs[i]])
+				chunk.XORInto(accs[check.snap], accs[pass.outputs[i]])
 			}
-			if !bufs[check.snap].IsZero() {
+			if !accs[check.snap].IsZero() {
 				return nil, notZero(stripe, pass.chains[check.chain])
 			}
 		}
 		for _, acc := range pass.spare {
-			if ch := pass.chains[acc]; !bufs[acc].IsZero() {
+			if ch := pass.chains[acc]; !accs[acc].IsZero() {
 				return nil, fmt.Errorf("rebuild: stripe %d: the surviving chunks disagree: the row the decode left at chain %v#%d is not zero", stripe, ch.Kind, ch.Index)
 			}
 		}
-		s.m.ChunksVerified.Add(uint64(len(selected)))
+		t.verified += uint64(len(pass.outputs))
 	}
-	out := make([]chunk.Chunk, len(selected))
-	for i := range out {
-		out[i] = bufs[pass.outputs[i]]
+	return nil, nil
+}
+
+// width is the number of buffers evaluate takes for the pass: one per
+// accumulator, one per snapshot and a read buffer.
+func (p *decodePass) width() int { return len(p.chains) + len(p.snaps) + 1 }
+
+// out lists the buffers that hold the rebuilt cells once evaluate has
+// run in bufs, in scheme.Selected order.
+func (p *decodePass) out(bufs []chunk.Chunk) []chunk.Chunk {
+	out := make([]chunk.Chunk, len(p.outputs))
+	for i, b := range p.outputs {
+		out[i] = bufs[b]
 	}
-	return nil, s.writeStripe(stripe, selected, out)
+	return out
+}
+
+// evalTally is what one evaluation of a decoded stripe counts, kept
+// apart from the run's cells until the stripe is taken in repair order.
+type evalTally struct {
+	reads, misses, verifyReads, verified uint64
+}
+
+// book adds the tally to the run's cells.
+func (t *evalTally) book(m *telemetry.RebuildMetrics) {
+	m.DiskReads.Add(t.reads)
+	m.CacheMisses.Add(t.misses)
+	m.VerifyReads.Add(t.verifyReads)
+	m.ChunksVerified.Add(t.verified)
 }
 
 // bookCell journals the commit of a chunk WriteChunk has returned nil

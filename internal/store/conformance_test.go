@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -80,6 +81,7 @@ func contractCases() []contractCase {
 		{"short-destination", testShortDestination},
 		{"concurrent-reads", testConcurrentReads},
 		{"concurrent-writes", testConcurrentWrites},
+		{"reads-racing-overwrites", testReadsRacingOverwrites},
 	}
 }
 
@@ -363,6 +365,60 @@ func testConcurrentWrites(t *testing.T, b Backend) {
 	}
 }
 
+func testReadsRacingOverwrites(t *testing.T, b Backend) {
+	// A rebuild reads the sources of later stripes while it writes an
+	// earlier one back, and a daemon may rewrite a chunk someone reads.
+	// Readers of one address that a writer keeps overwriting, between two
+	// payloads of the same size, must each time get one payload whole:
+	// never a blend, never a short read. Under -race this is also the
+	// check that a read and a write share no unguarded state.
+	const readers, reads, writes, size = 4, 200, 200, 4096
+	a := Addr{Disk: 0, Stripe: 7, Chunk: 1}
+	old, cur := payload(a, size), payload(Addr{Disk: 5, Stripe: 5, Chunk: 5}, size)
+	if err := b.WriteChunk(a, old); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, readers+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writes; i++ {
+			p := cur
+			if i%2 == 1 {
+				p = old
+			}
+			if err := b.WriteChunk(a, p); err != nil {
+				errs <- fmt.Errorf("writer: %v", err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]byte, size)
+			for i := 0; i < reads; i++ {
+				n, err := b.ReadChunk(a, dst)
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: %v", g, err)
+					return
+				}
+				if got := dst[:n]; !bytes.Equal(got, old) && !bytes.Equal(got, cur) {
+					errs <- fmt.Errorf("reader %d: read %d bytes that are neither the old payload nor the new one", g, n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // TestWriteDepth pins who states a write depth: Dir its constant, seen
 // through any stack of the forwarding wrappers; Mem none; and a struct
 // that merely embeds Backend none either, whatever it wraps — such a
@@ -402,5 +458,38 @@ func TestWriteDepth(t *testing.T) {
 	}
 	if dirWriteDepth < 2 {
 		t.Fatalf("dirWriteDepth = %d: the directory store would be written to serially", dirWriteDepth)
+	}
+}
+
+// TestStripeDepth pins who states a stripe depth: Dir and Mem one stripe
+// per processor Go runs on, seen through any stack of the forwarding
+// wrappers, and a struct that merely embeds Backend none, whatever it
+// wraps.
+func TestStripeDepth(t *testing.T) {
+	dir, err := OpenDirWith(t.TempDir(), DirOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := NewThrottle(NewMem(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type embedding struct{ Backend }
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name string
+		b    Backend
+		want int
+	}{
+		{"dir", dir, procs},
+		{"mem", NewMem(), procs},
+		{"instrument(dir)", Instrument(dir), procs},
+		{"instrument(throttle(mem))", Instrument(th), procs},
+		{"embedding(mem)", embedding{NewMem()}, 1},
+		{"instrument(embedding(dir))", Instrument(embedding{dir}), 1},
+	} {
+		if got := StripeDepth(tc.b); got != tc.want {
+			t.Errorf("StripeDepth(%s) = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

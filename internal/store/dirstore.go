@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -221,6 +222,17 @@ const dirWriteDepth = 8
 
 // WriteDepth states Dir's write depth (see store.WriteDepth).
 func (d *Dir) WriteDepth() int { return dirWriteDepth }
+
+// StripeDepth states Dir's stripe depth (see store.StripeDepth): one
+// stripe in evaluation per processor Go may run on. A lane's reads come
+// from the page cache, so its evaluation is processor work, and write-back
+// waits on fsyncs that lanes cannot speed up. Swept on the benchmark's
+// dir-kill3-journal workload on two processors (EXPERIMENTS.md, "Stripe
+// depth on Dir"; median over six rounds of rebuild_mbps against the same
+// round's k = 1): k = 2 1.25×, 4 1.15×, 8 1.07×. Past the processor count
+// nothing is gained and every extra lane holds a stripe's buffers. More
+// processors than two, and reads that miss the page cache, are unmeasured.
+func (d *Dir) StripeDepth() int { return runtime.GOMAXPROCS(0) }
 
 // WriteChunk implements Backend. The durable sequence is write temp →
 // fsync temp → rename → fsync parent directory: the first fsync

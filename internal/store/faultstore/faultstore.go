@@ -112,6 +112,10 @@ func Wrap(inner store.Backend, plan Plan) *Store {
 // counter, so overlapped writers are safe.
 func (s *Store) WriteDepth() int { return store.WriteDepth(s.inner) }
 
+// StripeDepth forwards the wrapped backend's stripe depth (see
+// store.StripeDepth), for the same reason as WriteDepth.
+func (s *Store) StripeDepth() int { return store.StripeDepth(s.inner) }
+
 // Ops returns the number of operations the store has seen — the
 // coordinate space CrashAfterOps indexes, so a counting run bounds a
 // crash-point sweep.

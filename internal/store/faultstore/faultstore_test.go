@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -286,7 +287,7 @@ func TestNoSpaceBudgetReturnedByFailedWrite(t *testing.T) {
 // suite cannot import: writers on distinct addresses do not interfere
 // through a Store (over the durable Dir and over a wrapper stack), every
 // chunk reads back whole, the operation counter saw each call once, and
-// the inner backend's write depth is forwarded.
+// the inner backend's write and stripe depths are forwarded.
 func TestConcurrentWritesAndDepth(t *testing.T) {
 	dir, err := store.OpenDir(t.TempDir())
 	if err != nil {
@@ -297,14 +298,15 @@ func TestConcurrentWritesAndDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	type embedding struct{ store.Backend }
+	procs := runtime.GOMAXPROCS(0)
 	for name, tc := range map[string]struct {
-		inner store.Backend
-		depth int
+		inner        store.Backend
+		depth, lanes int
 	}{
-		"dir":                       {dir, store.WriteDepth(dir)},
-		"instrument(throttle(dir))": {store.Instrument(throttled), store.WriteDepth(dir)},
-		"mem":                       {store.NewMem(), 1},
-		"embedding(dir)":            {embedding{dir}, 1},
+		"dir":                       {dir, store.WriteDepth(dir), procs},
+		"instrument(throttle(dir))": {store.Instrument(throttled), store.WriteDepth(dir), procs},
+		"mem":                       {store.NewMem(), 1, procs},
+		"embedding(dir)":            {embedding{dir}, 1, 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := Wrap(tc.inner, Plan{})
@@ -313,6 +315,9 @@ func TestConcurrentWritesAndDepth(t *testing.T) {
 			}
 			if got := store.WriteDepth(store.Instrument(s)); got != tc.depth {
 				t.Fatalf("WriteDepth through an outer wrapper = %d, want %d", got, tc.depth)
+			}
+			if got, outer := store.StripeDepth(s), store.StripeDepth(store.Instrument(s)); got != tc.lanes || outer != tc.lanes {
+				t.Fatalf("StripeDepth = %d, %d through an outer wrapper, want the inner backend's %d", got, outer, tc.lanes)
 			}
 			const writers, perWriter, disks, size = 8, 4, 3, 128
 			var wg sync.WaitGroup

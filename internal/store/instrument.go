@@ -200,3 +200,7 @@ func (in *Instrumented) Stat(a Addr) (Info, error) {
 // WriteDepth forwards the wrapped backend's write depth; overlapped
 // calls are each timed on their own and recorded under the op's lock.
 func (in *Instrumented) WriteDepth() int { return WriteDepth(in.inner) }
+
+// StripeDepth forwards the wrapped backend's stripe depth, for the same
+// reason as WriteDepth: concurrent reads are each timed on their own.
+func (in *Instrumented) StripeDepth() int { return StripeDepth(in.inner) }

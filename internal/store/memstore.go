@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -17,11 +18,13 @@ type Mem struct {
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{m: make(map[Addr][]byte)} }
 
-// ReadChunk implements Backend.
+// ReadChunk implements Backend. A stored payload is never written to —
+// WriteChunk installs a fresh copy — so the copy out is made after the
+// lock is released and a long read does not hold up a writer.
 func (s *Mem) ReadChunk(a Addr, dst []byte) (int, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	data, ok := s.m[a]
+	s.mu.RUnlock()
 	if !ok {
 		return 0, &NotFoundError{Addr: a}
 	}
@@ -30,6 +33,11 @@ func (s *Mem) ReadChunk(a Addr, dst []byte) (int, error) {
 	}
 	return copy(dst, data), nil
 }
+
+// StripeDepth states Mem's stripe depth (see store.StripeDepth): a read
+// is a memory copy and a stripe's evaluation is XOR, so a rebuild keeps
+// a stripe in evaluation per processor Go may run on.
+func (s *Mem) StripeDepth() int { return runtime.GOMAXPROCS(0) }
 
 // WriteChunk implements Backend.
 func (s *Mem) WriteChunk(a Addr, data []byte) error {

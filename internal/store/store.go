@@ -100,6 +100,20 @@ func WriteDepth(b Backend) int {
 	return 1
 }
 
+// StripeDepth reports how many stripes a rebuild may read and evaluate
+// at once on this backend, each on its own goroutine, while it writes an
+// earlier one back. Like WriteDepth it is a statement by the backend, not
+// an option: a backend that has a StripeDepth method answers for itself,
+// any other answers 1 and is read by one stripe at a time on the caller's
+// goroutine. A wrapper that is safe for concurrent readers forwards its
+// inner backend's answer; a struct that merely embeds Backend does not.
+func StripeDepth(b Backend) int {
+	if d, ok := b.(interface{ StripeDepth() int }); ok {
+		return d.StripeDepth()
+	}
+	return 1
+}
+
 // Error taxonomy: the two sentinel conditions every backend maps its
 // failures onto, matchable with errors.Is. Concrete errors carry the
 // address (and for corruption, the codec-level cause) via the

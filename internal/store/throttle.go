@@ -160,3 +160,7 @@ func (t *Throttle) Stat(a Addr) (Info, error) { return t.inner.Stat(a) }
 // WriteDepth forwards the wrapped backend's write depth: the bucket is
 // mutex-guarded, so overlapped writers only queue for budget.
 func (t *Throttle) WriteDepth() int { return WriteDepth(t.inner) }
+
+// StripeDepth forwards the wrapped backend's stripe depth: concurrent
+// readers draw on the one bucket under its lock.
+func (t *Throttle) StripeDepth() int { return StripeDepth(t.inner) }
