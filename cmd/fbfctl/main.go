@@ -1,18 +1,20 @@
 // Command fbfctl manages on-disk fbf chunk stores: it materializes
 // arrays, reports their health, and drives the storage-engine rebuild —
-// the same scheme/cache/escalation machinery the simulator replays,
-// applied to real bytes behind internal/store.
+// the simulator's scheme and escalation machinery applied to real bytes
+// behind internal/store, each stripe's sources read once. The paper's
+// cache policies are the simulator's (fbfsim -policies); the engine has
+// no cache to choose.
 //
 // Usage:
 //
 //	fbfctl init    -store DIR -code NAME [-p N] [-stripes N] [-chunk BYTES] [-seed N]
 //	fbfctl status  -store DIR [-o scrub]
-//	fbfctl rebuild -store DIR [-policy NAME] [-strategy NAME] [-cache N] [-progress]
+//	fbfctl rebuild -store DIR [-strategy NAME] [-progress]
 //	               [-o check-only] [-o dry-run] [-o scrub] [-o no-verify]
 //	               [-o priority=sequential|vulnerable] [-o resume]
 //	               [-o rate-limit=BYTES/S]
-//	fbfctl daemon  -store DIR [-interval DUR] [-listen ADDR] [-policy NAME] [-strategy NAME]
-//	               [-cache N] [-o scrub] [-o no-verify] [-o priority=...]
+//	fbfctl daemon  -store DIR [-interval DUR] [-listen ADDR] [-strategy NAME]
+//	               [-o scrub] [-o no-verify] [-o priority=...]
 //	               [-o rate-limit=BYTES/S] [-o retries=N] [-o max-scans=N]
 //
 // Operator options follow the rclone `-o key[=value]` convention.
@@ -44,7 +46,6 @@ import (
 	"syscall"
 	"time"
 
-	"fbf/internal/cache"
 	"fbf/internal/cli"
 	"fbf/internal/codes"
 	"fbf/internal/core"
@@ -98,16 +99,16 @@ func usage(stderr io.Writer) int {
 	fmt.Fprintf(stderr, `usage:
   fbfctl init    -store DIR -code NAME [-p N] [-stripes N] [-chunk BYTES] [-seed N]
   fbfctl status  -store DIR [-o scrub]
-  fbfctl rebuild -store DIR [-policy NAME] [-strategy NAME] [-cache N] [-progress]
+  fbfctl rebuild -store DIR [-strategy NAME] [-progress]
                  [-o check-only] [-o dry-run] [-o scrub] [-o no-verify]
                  [-o priority=sequential|vulnerable] [-o resume] [-o rate-limit=BYTES/S]
-  fbfctl daemon  -store DIR [-interval DUR] [-listen ADDR] [-policy NAME] [-strategy NAME]
-                 [-cache N] [-o scrub] [-o no-verify] [-o priority=...]
+  fbfctl daemon  -store DIR [-interval DUR] [-listen ADDR] [-strategy NAME]
+                 [-o scrub] [-o no-verify] [-o priority=...]
                  [-o rate-limit=BYTES/S] [-o retries=N] [-o max-scans=N]
 
-codes: %v  policies: %v
+codes: %v  strategies: typical, looped, greedy
 exit status: 0 ok, 1 error, 2 damage/data loss, 3 interrupted (journal kept)
-`, codes.Names(), cache.Names())
+`, codes.Names())
 	return exitErr
 }
 
@@ -271,9 +272,7 @@ func runStatus(args []string, stdout, stderr io.Writer) int {
 func openService(fs *flag.FlagSet, stderr io.Writer, args []string, opts *cli.Options, known ...string) (cfg rebuild.ServiceConfig, dir *store.Dir, throttle *store.Throttle, ok bool) {
 	fs.SetOutput(stderr)
 	storeDir := fs.String("store", "", "store directory")
-	fs.StringVar(&cfg.Policy, "policy", "fbf", "cache policy for surviving chunks")
 	strategy := fs.String("strategy", "looped", "chain-selection strategy")
-	fs.IntVar(&cfg.CacheChunks, "cache", 64, "cache capacity in chunks (negative disables)")
 	err := fs.Parse(args)
 	if err != nil {
 		return cfg, nil, nil, false // the flag set has said why
@@ -370,20 +369,18 @@ func runRebuild(args []string, stdout, stderr io.Writer) int {
 	case rep.Clean():
 		fmt.Fprintf(stdout, "       state : clean\n")
 	case cfg.DryRun:
-		fmt.Fprintf(stdout, "        plan : strategy=%s policy=%s cache=%d priority=%s\n",
-			cfg.Strategy, cfg.Policy, cfg.CacheChunks, cfg.Priority)
+		fmt.Fprintf(stdout, "        plan : strategy=%s priority=%s\n", cfg.Strategy, cfg.Priority)
 		fmt.Fprintf(stdout, "     dry-run : would rebuild %d chunks reading %d distinct chunks\n",
 			res.PlannedChunks, res.PlannedReads)
 	default:
-		fmt.Fprintf(stdout, "        plan : strategy=%s policy=%s cache=%d priority=%s\n",
-			cfg.Strategy, cfg.Policy, cfg.CacheChunks, cfg.Priority)
+		fmt.Fprintf(stdout, "        plan : strategy=%s priority=%s\n", cfg.Strategy, cfg.Priority)
 		if res.ResumedCommits > 0 {
 			fmt.Fprintf(stdout, "     resumed : %d journaled commits replayed\n", res.ResumedCommits)
 		}
 		fmt.Fprintf(stdout, "     rebuilt : %d chunks in %d stripes (%d verified, %d decoded)\n",
 			res.ChunksRebuilt, res.StripesRepaired, res.ChunksVerified, res.ChunksDecoded)
-		fmt.Fprintf(stdout, "          io : %d reads + %d verify re-reads, %d cache hits, %d misses, %d B written\n",
-			res.DiskReads, res.VerifyReads, res.CacheHits, res.CacheMisses, res.BytesWritten)
+		fmt.Fprintf(stdout, "          io : %d reads + %d verify re-reads, %d B written\n",
+			res.DiskReads, res.VerifyReads, res.BytesWritten)
 		fmt.Fprintf(stdout, "      ladder : %d escalations, %d regenerations\n",
 			res.Escalations, res.Regenerations)
 		after, err := rebuild.ScanStore(b, cfg.Manifest, cfg.Scrub)

@@ -294,7 +294,7 @@ func TestUsageErrors(t *testing.T) {
 		{"status-unknown-option", []string{"status", "-store", dir, "-o", "chekc-only"}},
 		{"rebuild-unknown-option", []string{"rebuild", "-store", dir, "-o", "fast"}},
 		{"rebuild-bad-strategy", []string{"rebuild", "-store", dir, "-strategy", "psychic"}},
-		{"rebuild-bad-policy", []string{"rebuild", "-store", dir, "-policy", "no-such"}},
+		{"rebuild-bad-policy", []string{"rebuild", "-store", dir, "-policy", "no-such"}}, // not a flag: the engine has no cache policy to choose
 		{"rebuild-bad-priority", []string{"rebuild", "-store", dir, "-o", "priority=fastest"}},
 		{"rebuild-conflicting-modes", []string{"rebuild", "-store", dir, "-o", "check-only", "-o", "dry-run"}},
 		{"rebuild-bad-bool", []string{"rebuild", "-store", dir, "-o", "scrub=maybe"}},

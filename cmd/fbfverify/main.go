@@ -150,8 +150,8 @@ func main() {
 
 // enginePass drives the storage engine over real bytes for one code: it
 // writes a clean in-memory array, deletes the cells of a partial-stripe
-// trace (64 groups over 256 stripes, repaired chain by chain through the
-// byte cache) and rebuilds, then kills three whole disks (repaired by the
+// trace (64 groups over 256 stripes, repaired through single chains) and
+// rebuilds, then kills three whole disks (repaired by the
 // read-once decode) and rebuilds again. After each rebuild it compares
 // every chunk with the stripe recomputed from the seed, so a wrong chunk
 // fails the pass whatever the engine reported. wrap, when non-nil, stands

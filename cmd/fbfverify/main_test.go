@@ -66,7 +66,7 @@ func (f *flipWrite) WriteChunk(a store.Addr, data []byte) error {
 
 // TestEnginePass runs the engine pass on the four codes at p=5, then
 // again with one written byte flipped, once in the partial-stripe
-// rebuild (chain by chain) and once in the three-dead-disks one
+// rebuild (single chains) and once in the three-dead-disks one
 // (decoded): each flip must fail the pass on the flipped chunk, which
 // shows that the pass compares the bytes itself rather than trusting the
 // engine's verdict.

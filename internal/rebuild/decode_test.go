@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"fbf/internal/cache"
 	"fbf/internal/chunk"
 	"fbf/internal/codes"
 	"fbf/internal/core"
@@ -327,10 +326,7 @@ func killedPass(t *testing.T, b store.Backend, m store.ArrayManifest, disks []in
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newService(&cfg, codes.MustNew(m.Code, m.P), &ServiceResult{Report: report}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newService(&cfg, codes.MustNew(m.Code, m.P), &ServiceResult{Report: report}, nil)
 	plan, err := s.planFor(0, report.Stripes[0].Lost())
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +420,7 @@ func TestDecodePassMutationsFailZeroTest(t *testing.T) {
 				t.Helper()
 				held.held = map[store.Addr][]byte{}
 				verified := s.m.ChunksVerified.Value()
-				esc, err := s.replayDecoded(0, plan)
+				esc, err := s.replayPass(0, plan)
 				if esc != nil {
 					t.Fatalf("%s: escalated %v", what, esc)
 				}
@@ -469,50 +465,6 @@ func TestDecodePassMutationsFailZeroTest(t *testing.T) {
 				t.Fatalf("%d mutants failed the zero test, %d changed no output; %d cells kept their chain", failed, harmless, kept)
 			}
 			t.Logf("%d mutants failed the zero test, %d changed no output", failed, harmless)
-		})
-	}
-}
-
-// TestByteCacheMirrorsPolicy holds the byte cache to the policy's
-// resident set under every registered policy, stripe after stripe, with
-// a cache small enough to replace on nearly every admission: the
-// eviction callback is all that releases a buffer, so a policy that
-// dropped a chunk without naming it would leave its bytes behind, and
-// one that named a chunk it kept would hit on nothing.
-func TestByteCacheMirrorsPolicy(t *testing.T) {
-	const seed = 37
-	for _, policy := range cache.Names() {
-		t.Run(policy, func(t *testing.T) {
-			m := testManifest("tip", 7, 6, 64)
-			b := initMem(t, m, seed)
-			losePartialStripes(t, b, m, 4)
-			cfg := ServiceConfig{Backend: b, Manifest: m, Strategy: core.StrategyLooped, Policy: policy, CacheChunks: 5}
-			cfg.defaults()
-			report, err := ScanStore(b, m, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := newService(&cfg, codes.MustNew(m.Code, m.P), &ServiceResult{Report: report}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range report.Stripes {
-				if err := s.repairStripe(d); err != nil {
-					t.Fatal(err)
-				}
-				if len(s.bufs) != s.policy.Len() {
-					t.Fatalf("after stripe %d: %d buffers held, policy holds %d chunks", d.Stripe, len(s.bufs), s.policy.Len())
-				}
-				for id := range s.bufs {
-					if !s.policy.Contains(id) {
-						t.Fatalf("after stripe %d: bytes of %v held, policy does not hold it", d.Stripe, id)
-					}
-				}
-			}
-			if s.policy.Stats().Evictions == 0 {
-				t.Fatal("no eviction in the whole run; the fixture proves nothing")
-			}
-			checkAgainstGroundTruth(t, b, m, seed)
 		})
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"fbf/internal/grid"
 )
 
-// flight is one decoded stripe evaluated on a lane goroutine ahead of its
-// turn: the plan and pass the caller built for it, the buffers it owns
-// until the caller has written it back, and what the evaluation found.
+// flight is one stripe evaluated on a lane goroutine ahead of its turn:
+// the plan and pass the caller built for it, the buffers it owns until
+// the caller has written it back, and what the evaluation found.
 // The lane writes esc, err, tally and bufs' bytes, then signals done; the
 // caller reads them only after receiving from done.
 type flight struct {
@@ -23,7 +23,7 @@ type flight struct {
 	done  chan struct{} // one send per evaluation
 }
 
-// repairInFlight is the repair loop. It keeps up to k decoded stripes in
+// repairInFlight is the repair loop. It keeps up to k stripes in
 // evaluation at once, each on a lane goroutine (evaluate, with buffers
 // the flight owns), and does everything else on this goroutine in repair
 // order: planning, escalation, writeBack, the journal, the counters,
@@ -32,10 +32,10 @@ type flight struct {
 // every stripe is repaired here, one after the other, with no goroutine,
 // channel or flight.
 //
-// A stripe whose plan needs no decoder goes chain by chain through the
-// byte cache, whose state depends on the order of its requests; so is a
-// stripe whose plan cannot be made, for the error to come in order. Such
-// a stripe is not dispatched: the lanes drain, every earlier stripe is
+// Every stripe's evaluation reads only its own sources into buffers its
+// flight owns, so decoded and chain-major stripes alike go ahead of their
+// turn. A stripe whose plan cannot be made is not dispatched, for its
+// error to come in order: the lanes drain, every earlier stripe is
 // committed, and it is repaired here. A lane that meets an unreadable
 // source leaves the escalation to this goroutine as well. A Stop
 // discards the evaluations not yet written, and no lane outlives the
@@ -95,14 +95,13 @@ func (s *service) repairInFlight(order []StripeDamage, k int) error {
 	return nil
 }
 
-// dispatch plans a stripe and, if its plan takes the read-once pass,
-// starts its evaluation on a lane, in a flight taken from idle or made
-// anew. It returns nil for a stripe that must be repaired on the calling
-// goroutine.
+// dispatch plans a stripe and starts its read-once pass on a lane, in a
+// flight taken from idle or made anew. It returns nil for a stripe whose
+// plan fails, which must be repaired on the calling goroutine.
 func (s *service) dispatch(d StripeDamage, idle *[]*flight) *flight {
 	lost := d.Lost()
 	plan, err := s.planFor(d.Stripe, lost)
-	if err != nil || !plan.decoded {
+	if err != nil {
 		return nil
 	}
 	pass, err := s.passFor(plan)
@@ -127,8 +126,9 @@ func (s *service) dispatch(d StripeDamage, idle *[]*flight) *flight {
 	return f
 }
 
-// land books a lane's evaluation and, if it found the stripe repaired,
-// writes the stripe back: replay's first attempt for a dispatched stripe.
+// land books an evaluation and, if it found the stripe repaired, writes
+// the stripe back: replay's first attempt for a dispatched stripe, and
+// every attempt replayPass makes on the calling goroutine.
 func (s *service) land(f *flight) (*grid.Coord, error) {
 	f.tally.book(s.m)
 	if f.esc != nil || f.err != nil {

@@ -1,7 +1,8 @@
 package rebuild
 
 // resume_test.go is the crash-safety property suite: enumerate every
-// operation index of a journaled kill-three-disks rebuild, crash there
+// operation index of a journaled rebuild (three dead disks, or partial
+// stripe errors), crash there
 // with injected torn debris, and prove the resumed run converges to a
 // byte-identical array — plus targeted cases for graceful stop and for
 // commits that lie (tampered or wrong chunks, overwritten because a
@@ -59,15 +60,42 @@ type lanedDir struct {
 func (d lanedDir) StripeDepth() int { return d.lanes }
 
 // TestResumeFromEveryCrashPoint is the tentpole property test: for
-// EVERY operation index k of a journaled triple-disk rebuild, a run
-// crashed at k (with torn on-disk debris) leaves a state from which a
-// plain rerun converges — no data loss, the array byte-identical to
-// ground truth, and the journal cleaned up. The rerun rebuilds every
-// cell its report lists, the committed cells of the unfinished stripe
-// among them.
+// EVERY operation index k of a journaled rebuild, a run crashed at k
+// (with torn on-disk debris) leaves a state from which a plain rerun
+// converges — no data loss, the array byte-identical to ground truth, and
+// the journal cleaned up. The rerun rebuilds every cell its report lists,
+// the committed cells of the unfinished stripe among them. The damage is
+// a table: three whole disks killed (the decoder), and a partial stripe
+// error of five chunks of one disk in every stripe (single repair chains
+// and their check chains, the paper's case).
 func TestResumeFromEveryCrashPoint(t *testing.T) {
-	m := testManifest("star", 5, 2, 64)
+	kill := testManifest("star", 5, 2, 64)
+	for _, tc := range []struct {
+		name  string
+		m     store.ArrayManifest
+		group int // writes in each stripe's write-back
+		init  func(t *testing.T, root string, m store.ArrayManifest) *store.Dir
+	}{
+		{"kill-three", kill, 3 * kill.Rows, initResumeDir},
+		{"partial", testManifest("tip", 7, 2, 64), 5, func(t *testing.T, root string, m store.ArrayManifest) *store.Dir {
+			d := openResumeDir(t, root)
+			if err := InitStore(d, m, resumeSeed); err != nil {
+				t.Fatal(err)
+			}
+			losePartialStripes(t, d, m, 5)
+			return d
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			crashSweep(t, tc.m, tc.group, tc.init)
+		})
+	}
+}
 
+// crashSweep is TestResumeFromEveryCrashPoint over one damage: init
+// materializes the array at root and damages it so that every stripe's
+// write-back is a group of writes.
+func crashSweep(t *testing.T, m store.ArrayManifest, group int, init func(*testing.T, string, store.ArrayManifest) *store.Dir) {
 	// Counting run: the same rebuild against a fault-free wrapper bounds
 	// the crash-point sweep. It also watches the write-back and the
 	// evaluations: the sweep must kill the overlapped path, several writes
@@ -76,8 +104,8 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	// stripe depth of 2, whatever the host's processor count.
 	const lanes = 2
 	countRoot := t.TempDir()
-	d := initResumeDir(t, countRoot, m)
-	watch := newDepthBackend(d, store.WriteDepth(d), 3*m.Rows)
+	d := init(t, countRoot, m)
+	watch := newDepthBackend(d, store.WriteDepth(d), group)
 	watch.lanes, watch.overlap = lanes, true
 	counter := faultstore.Wrap(watch, faultstore.Plan{})
 	res, err := RunService(ServiceConfig{
@@ -87,8 +115,8 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DataLoss {
-		t.Fatal("triple-disk kill must be recoverable")
+	if res.DataLoss || res.ChunksRebuilt != m.Stripes*group {
+		t.Fatalf("rebuilt %d chunks with data loss %v; want %d and none", res.ChunksRebuilt, res.DataLoss, m.Stripes*group)
 	}
 	checkAgainstGroundTruth(t, d, m, resumeSeed)
 	total := counter.Ops()
@@ -113,7 +141,7 @@ func TestResumeFromEveryCrashPoint(t *testing.T) {
 	run := func(k int) {
 		root := t.TempDir()
 		journal := filepath.Join(root, "rebuild.journal")
-		crashing := faultstore.Wrap(lanedDir{initResumeDir(t, root, m), lanes}, faultstore.Plan{
+		crashing := faultstore.Wrap(lanedDir{init(t, root, m), lanes}, faultstore.Plan{
 			Seed: int64(k), CrashAfterOps: k, TornWrites: true,
 		})
 		if store.WriteDepth(crashing) != watch.depth || store.StripeDepth(crashing) != lanes {

@@ -1,21 +1,22 @@
 // service.go promotes the simulator's data plane into a storage engine:
-// rebuild.Service drives the same scheme/cache machinery the event-driven
-// engine replays — chain selection, cache.Policy residency with FBF
-// priorities — plus the escalate-and-replan ladder (core.RegenerateScheme)
-// against real bytes in a store.Backend, checking every
-// recovered chunk before it is written back: parity chains of the
-// repaired stripe must XOR to zero. A stripe is evaluated in one of two
-// orders, chosen by its plan: chain by chain through the byte cache, the
-// chunks it fetches folded into the check chains picked with the plan as
-// well (chainCheck), when every lost cell has a single parity chain
-// (replayChains — the paper's partial stripe errors), or in one read-once
-// pass that sums the stripe's chain syndromes, decodes on them and tests
-// every chain, when the plan needs the GF(2) decoder (replayDecoded —
-// whole-disk damage). Either way the whole stripe passes its test before
-// writeBack starts its first write. On a backend that states a stripe
-// depth, decoded stripes are evaluated ahead of their turn on lane
-// goroutines (inflight.go) and still written back one at a time, in
-// repair order.
+// rebuild.Service plans each damaged stripe with the simulator's scheme
+// machinery (core's chain selection and its GF(2) decoder fallback), runs
+// the escalate-and-replan ladder (core.RegenerateScheme) against real
+// bytes in a store.Backend, and checks every recovered chunk before it is
+// written back: parity chains of the repaired stripe must XOR to zero.
+// Every stripe is evaluated in one read-once pass (decodePass): each
+// source is read from the backend once, in store-address order, and
+// folded into every accumulator that lists it. A plan of single parity
+// chains (the paper's partial stripe errors) sums one accumulator per
+// repair chain and one per check chain picked with the plan (checkFor);
+// a plan that needs the GF(2) decoder (whole-disk damage) sums the
+// stripe's chain syndromes and decodes on them (passFor). Either way the
+// whole stripe passes its test before writeBack starts its first write.
+// FBF's byte cache stays in the simulator, where the paper puts it: a
+// stripe here holds every source's sum at once, so no chunk is read
+// twice. On a backend that states a stripe depth, stripes are evaluated
+// ahead of their turn on lane goroutines (inflight.go) and still written
+// back one at a time, in repair order.
 package rebuild
 
 import (
@@ -25,7 +26,6 @@ import (
 	"sort"
 	"strings"
 
-	"fbf/internal/cache"
 	"fbf/internal/chunk"
 	"fbf/internal/codes"
 	"fbf/internal/core"
@@ -54,12 +54,13 @@ type ServiceConfig struct {
 	Backend  store.Backend
 	Manifest store.ArrayManifest
 
-	Policy   string        // cache policy for surviving-chunk bytes (default "fbf")
 	Strategy core.Strategy // chain-selection strategy
 
-	// CacheChunks bounds the in-memory byte cache holding surviving
-	// chunks across chains (default 64). Zero keeps the default; a
-	// negative value disables caching entirely.
+	// Deprecated: ignored. Every stripe reads each source once, so the
+	// engine keeps no byte cache; the simulator's Config.Policy is the
+	// paper's cache.
+	Policy string
+	// Deprecated: ignored, as Policy.
 	CacheChunks int
 
 	// CheckOnly scans and reports damage without planning or writing —
@@ -129,12 +130,6 @@ func (p Progress) Percent() int {
 }
 
 func (c *ServiceConfig) defaults() {
-	if c.Policy == "" {
-		c.Policy = "fbf"
-	}
-	if c.CacheChunks == 0 {
-		c.CacheChunks = 64
-	}
 	if c.Priority == "" {
 		c.Priority = PrioritySequential
 	}
@@ -148,9 +143,6 @@ func (c *ServiceConfig) validate() error {
 		return &ConfigError{Field: "Backend", Reason: "nil backend"}
 	}
 	if err := c.Manifest.Validate(); err != nil {
-		return err
-	}
-	if _, err := cache.New(c.Policy, 0); err != nil {
 		return err
 	}
 	if c.CheckOnly && c.DryRun {
@@ -366,10 +358,10 @@ type ServiceResult struct {
 	PlannedChunks int // chunks a rebuild would write
 	PlannedReads  int // distinct source chunks it would read
 
-	DiskReads   uint64 // backend payload reads during repair
-	VerifyReads uint64 // backend reads for the zero test alone: members of the checked chains no repair equation reads, whatever the byte cache holds
-	CacheHits   uint64
-	CacheMisses uint64
+	DiskReads   uint64 // backend payload reads during repair: each planned source once
+	VerifyReads uint64 // backend reads for the zero test alone: members of the checked chains no repair equation reads
+	CacheHits   uint64 // always 0: the engine keeps no byte cache
+	CacheMisses uint64 // every source read counts as a miss, so it equals DiskReads
 
 	Escalations   int // surviving chunks found unreadable mid-chain
 	Regenerations int // schemes regenerated after an escalation
@@ -387,7 +379,7 @@ type ServiceResult struct {
 }
 
 // RunService scans the store and repairs every damaged stripe through
-// the scheme/cache/escalation machinery, checking recovered chunks (the
+// the scheme/escalation machinery, checking recovered chunks (the
 // parity-chain zero test) before writing them back. CheckOnly stops after
 // the scan; DryRun stops after planning. Unsolvable cells are accounted as
 // data loss, not an error — errors mean the engine itself could not
@@ -457,13 +449,7 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 		return res, nil
 	}
 
-	s, err := newService(&cfg, code, res, jn)
-	if err != nil {
-		if jn != nil {
-			jn.Close()
-		}
-		return nil, err
-	}
+	s := newService(&cfg, code, res, jn)
 	err = s.execute(jstate)
 	tally(s.m, &s.base, res)
 	res.DataLoss = len(res.Lost) > 0
@@ -504,21 +490,11 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 
 // newService assembles the run state of one repair pass over a
 // defaulted, validated configuration.
-func newService(cfg *ServiceConfig, code *codes.Code, res *ServiceResult, jn *Journal) (*service, error) {
+func newService(cfg *ServiceConfig, code *codes.Code, res *ServiceResult, jn *Journal) *service {
 	s := &service{cfg: cfg, m: cfg.Metrics, code: code, res: res, pool: chunk.NewPool(cfg.Manifest.ChunkSize), journal: jn,
 		lost: make(map[grid.Coord]bool)}
 	tally(s.m, &ServiceResult{}, &s.base)
-	if cfg.CacheChunks > 0 {
-		var err error
-		if s.policy, err = cache.New(cfg.Policy, cfg.CacheChunks); err != nil {
-			return nil, err
-		}
-		s.bufs = make(map[cache.ChunkID]chunk.Chunk, cfg.CacheChunks)
-		// The policy names each chunk it replaces, so the byte map mirrors
-		// its resident set without ever being scanned.
-		s.policy.SetOnEvict(s.dropBuf)
-	}
-	return s, nil
+	return s
 }
 
 // tally fills dst's counter fields with the cells' values less base's.
@@ -652,12 +628,6 @@ type service struct {
 	// re-plan only grows the lost set, so no later plan rebuilds one.
 	lost map[grid.Coord]bool
 
-	// Byte cache: the policy decides residency (with FBF priorities
-	// from each scheme), bufs mirrors its resident set with the actual
-	// bytes. nil policy disables caching.
-	policy cache.Policy
-	bufs   map[cache.ChunkID]chunk.Chunk
-
 	// Scheme memoization: killed whole disks damage every stripe with the
 	// same cell pattern, so the (expensive) chain selection and decoder
 	// elimination are shared across stripes.
@@ -669,33 +639,18 @@ type service struct {
 }
 
 // schemePlan caches one lost-cell pattern's generated scheme and its
-// unsolvable cells, with what checks the bytes it rebuilds.
+// unsolvable cells, with the read-once pass that evaluates it.
 type schemePlan struct {
 	lost     []grid.Coord // the pattern, sorted
 	scheme   *core.Scheme
 	unsolved []grid.Coord
 
-	// decoded reports a scheme with at least one GF(2)-decoder selection;
-	// such a stripe is rebuilt by replayDecoded along pass, built on
-	// first use and carrying its own zero test. A scheme of single chains
-	// goes chain by chain through the byte cache (replayChains), tested by
-	// check.
+	// decoded reports a scheme with at least one GF(2)-decoder selection:
+	// its pass sums chain syndromes and decodes on them. A scheme of single
+	// chains sums its repair chains and its check chains (checkFor). pass
+	// is built on first use (passFor).
 	decoded bool
 	pass    *decodePass
-	check   *chainCheck
-}
-
-// chainCheck is a chain-major plan's zero test, picked with the plan
-// (checkFor): the check chains, and where each of their members comes
-// from. Accumulator j sums chains[j]. A member some repair chain fetches
-// is folded in as it is fetched, on its first request; one no repair chain
-// fetches is read once, as a verify read; a rebuilt member is folded in
-// from memory. Every accumulator must then be zero.
-type chainCheck struct {
-	chains []*grid.Chain
-	folds  [][]int      // by request, Selected then Fetch order: the accumulators the chunk folds into
-	extra  []passSource // members no repair chain fetches, by disk then row
-	cells  [][]int      // by Selected index: the accumulators the rebuilt cell folds into
 }
 
 func lostKey(lost []grid.Coord) string {
@@ -727,9 +682,6 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 	for _, sel := range scheme.Selected {
 		p.decoded = p.decoded || sel.Decoded
 	}
-	if !p.decoded {
-		p.check = s.checkFor(p)
-	}
 	if s.schemes == nil {
 		s.schemes = make(map[string]*schemePlan)
 	}
@@ -737,10 +689,9 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 	return p, nil
 }
 
-// repairStripe rebuilds one damaged stripe: plan, replay the plan in the
-// order it calls for (replayChains or replayDecoded), check, write back
-// — escalating and re-planning when a surviving chunk turns out
-// unreadable or corrupt.
+// repairStripe rebuilds one damaged stripe: plan, evaluate the plan's
+// read-once pass, check, write back — escalating and re-planning when a
+// surviving chunk turns out unreadable or corrupt.
 func (s *service) repairStripe(d StripeDamage) error {
 	lost := d.Lost()
 	plan, err := s.planFor(d.Stripe, lost)
@@ -752,17 +703,6 @@ func (s *service) repairStripe(d StripeDamage) error {
 		s.res.PlannedChunks += len(plan.scheme.Selected)
 		s.res.PlannedReads += plan.scheme.UniqueFetches()
 		return nil
-	}
-
-	// replayDecoded never consults the cache, so a decoder plan's
-	// priorities and request sequence would be built and thrown away.
-	if !plan.decoded {
-		if pa, ok := s.policy.(cache.PriorityAware); ok && s.policy != nil {
-			pa.SetPriorities(plan.scheme.PriorityIDs(d.Stripe))
-		}
-		if fa, ok := s.policy.(cache.FutureAware); ok && s.policy != nil {
-			fa.SetFuture(plan.scheme.RequestIDs(d.Stripe))
-		}
 	}
 	return s.replay(d.Stripe, lost, plan, nil)
 }
@@ -782,21 +722,18 @@ func (s *service) beginStripe(stripe int, plan *schemePlan) {
 // (repairInFlight); every later one is made here.
 func (s *service) replay(stripe int, lost []grid.Coord, plan *schemePlan, first *flight) error {
 	// The escalation loop: a failed source read escalates that cell to
-	// lost and regenerates the plan. Both orders read everything they need
+	// lost and regenerates the plan. The pass reads everything it needs
 	// before the stripe's first write, so nothing of it has been written
 	// and the new plan is simply the grown lost set's. Every escalation
 	// grows that set, so the loop is bounded by the stripe's cell count.
 	var err error
 	for attempt := 0; attempt <= s.code.Layout().Cells(); attempt++ {
 		var esc *grid.Coord
-		switch {
-		case first != nil:
+		if first != nil {
 			esc, err = s.land(first)
 			first = nil
-		case plan.decoded:
-			esc, err = s.replayDecoded(stripe, plan)
-		default:
-			esc, err = s.replayChains(stripe, plan)
+		} else {
+			esc, err = s.replayPass(stripe, plan)
 		}
 		if err != nil {
 			return err
@@ -821,9 +758,6 @@ func (s *service) replay(stripe int, lost []grid.Coord, plan *schemePlan, first 
 		// Escalate: the cell joins the lost set; regenerate (unsolved cells
 		// are lost).
 		s.m.Escalations.Inc()
-		if id := (cache.ChunkID{Stripe: stripe, Cell: *esc}); s.policy != nil && s.policy.Invalidate(id) {
-			s.dropBuf(id)
-		}
 		lost = mergeCell(lost, *esc)
 		plan, err = s.planFor(stripe, lost)
 		if err != nil {
@@ -835,68 +769,6 @@ func (s *service) replay(stripe int, lost []grid.Coord, plan *schemePlan, first 
 		}
 	}
 	return fmt.Errorf("rebuild: stripe %d: escalation loop did not terminate", stripe)
-}
-
-// replayChains executes the scheme's selected chains in order, each
-// through the byte cache — the evaluation order of a plan made of single
-// parity chains, where cache.Policy decides what a later chain finds
-// resident — into one buffer per rebuilt cell. Each fetched chunk is also
-// folded into the plan's check chains it sits on, on its first request;
-// unless NoVerify the members no repair chain fetches are then read, once
-// each, the rebuilt cells folded in, and every check chain must be zero
-// before writeBack starts the stripe's first write. It returns a non-nil
-// cell when a source read failed and the caller must escalate (nothing of
-// the stripe has been written then), nil when the stripe's solvable cells
-// are all repaired. Beside the byte cache the stripe takes one buffer per
-// rebuilt cell, one per check chain and one read buffer (stripeBufs).
-func (s *service) replayChains(stripe int, plan *schemePlan) (*grid.Coord, error) {
-	if stopRequested(s.cfg.Stop) {
-		s.res.Interrupted = true
-		return nil, nil
-	}
-	selected, check := plan.scheme.Selected, plan.check
-	work := s.stripeBufs(len(selected) + len(check.chains) + 1)
-	out, sums, buf := work[:len(selected)], work[len(selected):len(work)-1], work[len(work)-1]
-	for _, sum := range sums {
-		clear(sum)
-	}
-
-	r := 0 // request number
-	for i, sel := range selected {
-		if len(sel.Fetch) == 0 {
-			clear(out[i])
-		}
-		for k, cell := range sel.Fetch {
-			if err := s.fetchInto(stripe, cell, out[i], k == 0, sums, check.folds[r]); err != nil {
-				return escalation(cell, err)
-			}
-			r++
-		}
-	}
-
-	if !s.cfg.NoVerify {
-		for _, src := range check.extra {
-			if err := s.readSource(AddrOf(stripe, src.cell), buf); err != nil {
-				return escalation(src.cell, err)
-			}
-			s.m.VerifyReads.Inc()
-			for _, j := range src.folds {
-				chunk.XORInto(sums[j], buf)
-			}
-		}
-		for i, js := range check.cells {
-			for _, j := range js {
-				chunk.XORInto(sums[j], out[i])
-			}
-		}
-		for j, ch := range check.chains {
-			if !sums[j].IsZero() {
-				return nil, notZero(stripe, ch)
-			}
-		}
-		s.m.ChunksVerified.Add(uint64(len(selected)))
-	}
-	return nil, s.writeStripe(stripe, selected, out)
 }
 
 // notZero is the error of a stripe that fails its zero test at chain ch.
@@ -919,16 +791,21 @@ func (s *service) writeStripe(stripe int, selected []core.SelectedChain, out []c
 	return err
 }
 
-// decodePass is a schemePlan's read-once evaluation order on parity-chain
-// syndromes. Every decoder equation of a lost set is a sum of a few of
-// the stripe's chain syndromes written out, so the pass sums each
-// syndrome once — accumulator i is the XOR of chains[i]'s surviving
-// cells — and replays on the accumulators codes.DecodeSchedule's row
-// additions, which form each equation as the same sum of chains.
+// decodePass is a schemePlan's read-once evaluation order: each source is
+// read once and folded into the accumulators that list it, accumulator i
+// summing chains[i]. A decoded plan's accumulators are parity-chain
+// syndromes: every decoder equation of a lost set is a sum of a few of
+// them written out, so the pass sums each syndrome once — the XOR of
+// chains[i]'s surviving cells — and replays on the accumulators
+// codes.DecodeSchedule's row additions, which form each equation as the
+// same sum of chains. A chain-major plan's pass (checkFor) has no row
+// operations and no snapshots: accumulator i is Selected[i]'s repair
+// chain, the rest are its check chains.
 type decodePass struct {
 	// chains are the layout's chains that hold a lost cell and, with
 	// verify, the ones that lost nothing too: no equation lists those, the
-	// zero test sums them.
+	// zero test sums them. For a chain-major plan: the repair chains in
+	// Selected order, then the check chains.
 	chains  []*grid.Chain
 	sources []passSource // distinct, by disk then row: one ascending run per disk
 
@@ -950,17 +827,18 @@ type decodePass struct {
 
 type passSource struct {
 	cell    grid.Coord
-	folds   []int // accumulators of the chains the chunk sits on
+	folds   []int // accumulators of the chains the chunk sits on that sum it
 	fetched bool  // a Fetch equation lists it; otherwise only the zero test reads it
 }
 
 type passCheck struct {
 	chain int   // accumulator whose snapshot is tested
-	snap  int   // the buffer holding that snapshot
+	snap  int   // the buffer holding that snapshot; chain itself for a chain-major check
 	cells []int // scheme.Selected indexes of the chain's rebuilt members
 }
 
-// passFor builds (or recalls) the plan's decodePass. Without verify the
+// passFor builds (or recalls) the plan's decodePass: checkFor's for a
+// chain-major plan, else the decoder's. Without verify the decoder's
 // sources are the chunks some Fetch equation lists, folded into the
 // accumulator of every chain with a lost cell that contains them: a
 // survivor outside every equation cancels in each sum the schedule forms
@@ -970,6 +848,10 @@ type passCheck struct {
 // chunk of the stripe is a source.
 func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
 	if plan.pass != nil {
+		return plan.pass, nil
+	}
+	if !plan.decoded {
+		plan.pass = s.checkFor(plan)
 		return plan.pass, nil
 	}
 	sched, err := s.code.DecodeSchedule(plan.lost)
@@ -1068,11 +950,11 @@ func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
 	return p, nil
 }
 
-// replayDecoded rebuilds a stripe whose plan needs the GF(2) decoder in
-// one pass over its surviving chunks (evaluate), then writes it back.
-// Every write is journaled as it completes (writeBack keeps up to the
+// replayPass rebuilds a stripe in one pass over its sources (evaluate)
+// on this goroutine, then lands it as a lane's evaluation is landed:
+// every write is journaled as it completes (writeBack keeps up to the
 // backend's write depth of them in flight).
-func (s *service) replayDecoded(stripe int, plan *schemePlan) (*grid.Coord, error) {
+func (s *service) replayPass(stripe int, plan *schemePlan) (*grid.Coord, error) {
 	if stopRequested(s.cfg.Stop) {
 		s.res.Interrupted = true
 		return nil, nil
@@ -1081,54 +963,40 @@ func (s *service) replayDecoded(stripe int, plan *schemePlan) (*grid.Coord, erro
 	if err != nil {
 		return nil, err
 	}
-	bufs := s.stripeBufs(pass.width())
-	var t evalTally
-	esc, err := s.evaluate(stripe, pass, bufs, &t)
-	t.book(s.m)
-	if esc != nil || err != nil {
-		return esc, err
-	}
-	return nil, s.writeStripe(stripe, plan.scheme.Selected, pass.out(bufs))
+	f := flight{stripe: stripe, plan: plan, pass: pass, bufs: s.stripeBufs(pass.width())}
+	f.esc, f.err = s.evaluate(stripe, pass, f.bufs, &f.tally)
+	return s.land(&f)
 }
 
-// evaluate is the read-once pass of a decoded stripe. A decoder equation
-// lists about half the stripe, so replaying such a plan cell by cell asks
-// for every survivor dozens of times and sums what the equations share
-// dozens of times; here each source is read from the backend exactly
-// once and folded into the syndromes of the two or three chains it sits
-// on, and the elimination's row additions on those syndromes leave every
-// solvable cell in its pivot row. A source that is missing, corrupt or
-// the wrong size is returned for escalation (nothing has been written
-// yet, so the caller's re-plan restarts the pass). Unless NoVerify, the
-// repaired stripe must then pass the zero test: every chain through a
-// rebuilt cell, its members taken from grid.Layout and not from the
-// elimination, XORs to zero, and so does every row the elimination did
-// not need — the chains that lost nothing among them.
+// evaluate is the read-once pass of one stripe. Replaying a plan cell by
+// cell asks for a survivor once per equation that lists it (a decoder
+// equation lists about half the stripe; looped repair chains share
+// members); here each source is read from the backend exactly once and
+// folded into every accumulator that lists it, and a decoded plan's row
+// additions on its syndromes leave every solvable cell in its pivot row.
+// A source that is missing, corrupt or the wrong size is returned for
+// escalation (nothing has been written yet, so the caller's re-plan
+// restarts the pass). Unless NoVerify, the repaired stripe must then pass
+// the zero test: every checked chain, its rebuilt members folded back in
+// from the outputs, XORs to zero, and so does every row the elimination
+// did not need — the chains that lost nothing among them.
 //
-// The pass works in bufs, pass.width() of them — never more than
-// 2·chains+1 for a layout of that many chains, and without verify one
-// per chain with a lost cell, one per cell that kept its chain, and a
-// read buffer — and never consults the byte cache. It books into t, not
-// into the run's cells: each Fetch source as a disk read and, with a
-// cache configured, as the compulsory miss it would have been, so
-// DiskReads == CacheMisses holds in both orders; a chunk only the zero
-// test needs as a verify read. It reads nothing of the service that
-// changes during a run, so it may run on a lane goroutine.
+// The pass works in bufs, pass.width() of them: one per accumulator, one
+// per snapshot and a read buffer. It books into t, not into the run's
+// cells: each Fetch source as a disk read, a chunk only the zero test
+// needs as a verify read. It reads nothing of the service that changes
+// during a run, so it may run on a lane goroutine.
 func (s *service) evaluate(stripe int, pass *decodePass, bufs []chunk.Chunk, t *evalTally) (*grid.Coord, error) {
 	accs, buf := bufs[:len(bufs)-1], bufs[len(bufs)-1]
 	for _, acc := range accs[:len(pass.chains)] {
 		clear(acc)
 	}
-	cached := s.policy != nil
 	for _, src := range pass.sources {
 		if err := s.readSource(AddrOf(stripe, src.cell), buf); err != nil {
 			return escalation(src.cell, err)
 		}
 		if src.fetched {
 			t.reads++
-			if cached {
-				t.misses++
-			}
 		} else {
 			t.verifyReads++
 		}
@@ -1176,16 +1044,18 @@ func (p *decodePass) out(bufs []chunk.Chunk) []chunk.Chunk {
 	return out
 }
 
-// evalTally is what one evaluation of a decoded stripe counts, kept
-// apart from the run's cells until the stripe is taken in repair order.
+// evalTally is what one evaluation of a stripe counts, kept apart from
+// the run's cells until the stripe is taken in repair order.
 type evalTally struct {
-	reads, misses, verifyReads, verified uint64
+	reads, verifyReads, verified uint64
 }
 
-// book adds the tally to the run's cells.
+// book adds the tally to the run's cells. Every source read is booked as
+// a cache miss too, so DiskReads == CacheMisses and a hit ratio stays
+// defined for readers of the cache counters.
 func (t *evalTally) book(m *telemetry.RebuildMetrics) {
 	m.DiskReads.Add(t.reads)
-	m.CacheMisses.Add(t.misses)
+	m.CacheMisses.Add(t.reads)
 	m.VerifyReads.Add(t.verifyReads)
 	m.ChunksVerified.Add(t.verified)
 }
@@ -1206,49 +1076,54 @@ func (s *service) bookCell(a store.Addr, sel core.SelectedChain, data chunk.Chun
 	return nil
 }
 
-// checkFor picks a chain-major plan's check chains (chainCheck). For each
-// selected cell in turn it takes layout chains through the cell other
-// than its repair chain, none with an unsolved member (data loss is never
-// read); the one with the fewest members the stripe does not read anyway
-// goes first — a member counts unless a repair chain fetches it, the plan
-// rebuilds it or a check taken for an earlier cell reads it — ties in
-// layout order. A lie in a chunk shows in a check chain's sum if the
-// chunk is summed an odd number of times: once if the chain holds it,
-// once more for each rebuilt member whose repair chain fetched it. So a
-// chain is taken only if it shows a member of the cell's repair chain that
-// no chain taken for the cell so far shows — the first usable one nearly
-// always; a further one where the repair chain and the check chain share
-// members (STAR's adjusters) or the check chain holds a second rebuilt
-// cell. A chain taken for two cells is summed once. Without verify it
-// picks none.
-func (s *service) checkFor(plan *schemePlan) *chainCheck {
-	selected, requests := plan.scheme.Selected, plan.scheme.TotalRequests()
-	c := &chainCheck{}
-	if s.cfg.NoVerify {
-		c.folds = make([][]int, requests)
-		return c
-	}
+// checkFor builds a chain-major plan's read-once pass: a decodePass with
+// no row operations. Accumulator i sums Selected[i]'s repair chain, one
+// accumulator more sums each check chain picked with the plan, and the
+// sources — the chunks some repair chain fetches and, as verify reads,
+// the check chains' members the stripe reads for nothing else — are each
+// read once, in store-address order, and folded into every accumulator
+// that lists them. Each check chain then takes its rebuilt members from
+// the outputs and must be zero.
+//
+// The check chains: for each selected cell in turn it takes layout chains
+// through the cell other than its repair chain, none with an unsolved
+// member (data loss is never read); the one with the fewest members the
+// stripe does not read anyway goes first — a member counts unless a
+// repair chain fetches it, the plan rebuilds it or a check taken for an
+// earlier cell reads it — ties in layout order. A lie in a chunk shows in
+// a check chain's sum if the chunk is summed an odd number of times: once
+// if the chain holds it, once more for each rebuilt member whose repair
+// chain fetched it. So a chain is taken only if it shows a member of the
+// cell's repair chain that no chain taken for the cell so far shows — the
+// first usable one nearly always; a further one where the repair chain
+// and the check chain share members (STAR's adjusters) or the check chain
+// holds a second rebuilt cell. A chain taken for two cells is summed
+// once. Without verify it picks none.
+func (s *service) checkFor(plan *schemePlan) *decodePass {
+	selected := plan.scheme.Selected
 	// What the plan does with each cell of the stripe, by CellIndex.
 	type use struct {
-		rebuilt  int // Selected index + 1; 0 if the plan rebuilds no such cell
-		request  int // the chunk's first request + 1; 0 if no repair chain fetches it
-		extra    int // c.extra index + 1; 0 if no check chain taken so far reads it
+		rebuilt  int  // Selected index + 1; 0 if the plan rebuilds no such cell
+		fetched  bool // a repair chain fetches it
+		extra    bool // a check chain taken so far reads it, and nothing else does
 		unsolved bool
 		summed   int  // the last candidate chain the cell's parity was taken for
 		odd      bool // the cell is summed an odd number of times in that chain's test
 		shown    int  // Selected index + 1 of the last cell this repair member was shown for
+		source   int  // its index in the pass's sources + 1; 0 if the pass does not read it
 	}
 	layout := s.code.Layout()
 	uses := make([]use, layout.Cells())
 	at := func(cell grid.Coord) *use { return &uses[s.code.CellIndex(cell)] }
-	r := 0
+	p := &decodePass{outputs: make([]int, len(selected))}
 	for i, sel := range selected {
 		at(sel.Lost).rebuilt = i + 1
 		for _, m := range sel.Fetch {
-			if r++; at(m).request == 0 {
-				at(m).request = r
-			}
+			at(m).fetched = true
 		}
+		ch, _ := layout.Chain(sel.Chain)
+		p.chains = append(p.chains, ch)
+		p.outputs[i] = i
 	}
 	for _, m := range plan.unsolved {
 		at(m).unsolved = true
@@ -1260,7 +1135,7 @@ func (s *service) checkFor(plan *schemePlan) *chainCheck {
 			switch u := at(m); {
 			case u.unsolved:
 				return -1
-			case u.rebuilt == 0 && u.request == 0 && u.extra == 0:
+			case u.rebuilt == 0 && !u.fetched && !u.extra:
 				n++
 			}
 		}
@@ -1276,7 +1151,11 @@ func (s *service) checkFor(plan *schemePlan) *chainCheck {
 		}
 	}
 
-	for i, sel := range selected {
+	checked := selected
+	if s.cfg.NoVerify {
+		checked = nil
+	}
+	for i, sel := range checked {
 		cands := layout.ChainsThrough(sel.Lost) // a copy, ours to reorder
 		cands = slices.DeleteFunc(cands, func(ch *grid.Chain) bool { return ch.ID() == sel.Chain || unread(ch) < 0 })
 		slices.SortStableFunc(cands, func(a, b *grid.Chain) int { return cmp.Compare(unread(a), unread(b)) })
@@ -1296,66 +1175,71 @@ func (s *service) checkFor(plan *schemePlan) *chainCheck {
 					u.shown, shown = i+1, true
 				}
 			}
-			if !shown || slices.Contains(c.chains, ch) {
+			if !shown || slices.Contains(p.chains[len(selected):], ch) {
 				continue
 			}
-			c.chains = append(c.chains, ch)
+			p.chains = append(p.chains, ch)
 			for _, m := range ch.Cells {
-				if u := at(m); u.rebuilt == 0 && u.request == 0 && u.extra == 0 {
-					c.extra = append(c.extra, passSource{cell: m})
-					u.extra = len(c.extra)
+				if u := at(m); u.rebuilt == 0 && !u.fetched {
+					u.extra = true
 				}
 			}
 		}
 	}
-	slices.SortFunc(c.extra, func(a, b passSource) int { // store address order
-		return cmp.Or(cmp.Compare(a.cell.Col, b.cell.Col), cmp.Compare(a.cell.Row, b.cell.Row))
-	})
-	for e, src := range c.extra {
-		at(src.cell).extra = e + 1
+
+	// The sources in store-address order: the stripe's cells by disk, then
+	// by row.
+	for col := 0; col < layout.Cols(); col++ {
+		for row := 0; row < layout.Rows(); row++ {
+			cell := grid.Coord{Row: row, Col: col}
+			if u := at(cell); u.fetched || u.extra {
+				p.sources = append(p.sources, passSource{cell: cell, fetched: u.fetched})
+				u.source = len(p.sources)
+			}
+		}
 	}
 
-	// Route every member of every check chain to where its bytes come from:
-	// a request, a rebuilt cell or an extra read, numbered in that order,
-	// with all the lists in one array.
-	rebuilt, extra := requests, requests+len(selected)
-	from := func(m grid.Coord) int {
-		switch u := at(m); {
-		case u.rebuilt > 0:
-			return rebuilt + u.rebuilt - 1
-		case u.request > 0:
-			return u.request - 1
-		default:
-			return extra + u.extra - 1
+	// Fill every list — each source's accumulators, then each check's
+	// rebuilt members — in one array: walk names every (list, entry) pair,
+	// the first walk counts them and the second places them.
+	nSel, nSrc, checks := len(selected), len(p.sources), p.chains[len(selected):]
+	walk := func(visit func(list, entry int)) {
+		for i, sel := range selected {
+			for _, m := range sel.Fetch {
+				visit(at(m).source-1, i)
+			}
+		}
+		for j, ch := range checks {
+			for _, m := range ch.Cells {
+				if u := at(m); u.rebuilt > 0 {
+					visit(nSrc+j, u.rebuilt-1)
+				} else {
+					visit(u.source-1, nSel+j)
+				}
+			}
 		}
 	}
-	end := make([]int, extra+len(c.extra)+1) // end[k] is where list k ends once filled
-	for _, ch := range c.chains {
-		for _, m := range ch.Cells {
-			end[from(m)+1]++
-		}
-	}
+	end := make([]int, nSrc+len(checks)+1) // end[k] is where list k ends once filled
+	walk(func(list, _ int) { end[list+1]++ })
 	for k := 1; k < len(end); k++ {
 		end[k] += end[k-1]
 	}
 	all := make([]int, end[len(end)-1])
-	for j, ch := range c.chains {
-		for _, m := range ch.Cells {
-			k := from(m)
-			all[end[k]] = j
-			end[k]++
+	walk(func(list, entry int) {
+		all[end[list]] = entry
+		end[list]++
+	})
+	start := 0
+	for k, e := range end[:len(end)-1] {
+		if list := all[start:e:e]; k < nSrc {
+			p.sources[k].folds = list
+		} else {
+			acc := nSel + k - nSrc
+			p.checks = append(p.checks, passCheck{chain: acc, snap: acc, cells: list})
 		}
+		start = e
 	}
-	lists, start := make([][]int, len(end)-1), 0
-	for k := range lists {
-		lists[k] = all[start:end[k]:end[k]]
-		start = end[k]
-	}
-	c.folds, c.cells = lists[:rebuilt], lists[rebuilt:extra]
-	for e := range c.extra {
-		c.extra[e].folds = lists[extra+e]
-	}
-	return c
+	return p
 }
 
 // escalation is what a replay returns for a failed source read: the cell,
@@ -1366,42 +1250,6 @@ func escalation(cell grid.Coord, err error) (*grid.Coord, error) {
 		return &cell, nil
 	}
 	return nil, err
-}
-
-// fetchInto reads one source cell's bytes — from the byte cache on a
-// hit, from the backend on a miss — and folds them into the XOR
-// accumulator (copy for the chain's first member, XOR for the rest) and
-// into sums[j] for every j in checks. Miss fetches use pooled buffers
-// that flow directly into backend I/O; a buffer is kept only while the
-// policy keeps the chunk resident.
-func (s *service) fetchInto(stripe int, cell grid.Coord, acc chunk.Chunk, first bool, sums []chunk.Chunk, checks []int) error {
-	id := cache.ChunkID{Stripe: stripe, Cell: cell}
-	if s.policy != nil && s.policy.Request(id) {
-		if buf, ok := s.bufs[id]; ok {
-			s.m.CacheHits.Inc()
-			fold(buf, acc, first, sums, checks)
-			return nil
-		}
-		// Residency without bytes would be a bookkeeping bug; fail
-		// loudly rather than reading stale data.
-		return fmt.Errorf("rebuild: cache hit for %v with no buffered bytes", id)
-	}
-	if s.policy != nil {
-		s.m.CacheMisses.Inc()
-	}
-	buf := s.pool.GetRaw()
-	if err := s.readSource(AddrOf(stripe, cell), buf); err != nil {
-		s.pool.Put(buf)
-		return err
-	}
-	s.m.DiskReads.Inc()
-	fold(buf, acc, first, sums, checks)
-	if s.policy != nil && s.policy.Contains(id) {
-		s.bufs[id] = buf
-	} else {
-		s.pool.Put(buf)
-	}
-	return nil
 }
 
 // readSource reads one surviving chunk into a pooled buffer. A valid
@@ -1425,15 +1273,6 @@ func (s *service) stripeBufs(n int) []chunk.Chunk {
 	return s.work[:n]
 }
 
-// dropBuf returns to the pool the bytes of a chunk the policy no longer
-// holds: its eviction callback, and the escalation ladder's Invalidate.
-func (s *service) dropBuf(id cache.ChunkID) {
-	if buf, ok := s.bufs[id]; ok {
-		s.pool.Put(buf)
-		delete(s.bufs, id)
-	}
-}
-
 // loseCell accounts one cell of the stripe under repair as data loss,
 // once.
 func (s *service) loseCell(stripe int, c grid.Coord) {
@@ -1442,19 +1281,6 @@ func (s *service) loseCell(stripe int, c grid.Coord) {
 	}
 	s.lost[c] = true
 	s.res.Lost = append(s.res.Lost, AddrOf(stripe, c))
-}
-
-// fold adds src to a chain's accumulator — a copy for its first member —
-// and to sums[j] for every j in checks.
-func fold(src, acc chunk.Chunk, first bool, sums []chunk.Chunk, checks []int) {
-	if first {
-		copy(acc, src)
-	} else {
-		chunk.XORInto(acc, src)
-	}
-	for _, j := range checks {
-		chunk.XORInto(sums[j], src)
-	}
 }
 
 func mergeCell(lost []grid.Coord, c grid.Coord) []grid.Coord {

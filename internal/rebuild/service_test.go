@@ -63,8 +63,8 @@ func loseCells(t *testing.T, b store.Backend, stripe int, cells []grid.Coord) {
 // losePartialStripes puts one partial stripe error — the paper's damage:
 // size consecutive chunks of one disk — into every stripe, on a disk
 // and at a starting row that move with the stripe. Every such plan is
-// made of single parity chains, so the rebuild goes chain by chain
-// through the byte cache and the oracle's re-reads.
+// made of single parity chains, checked by check chains whose other
+// members the zero test reads.
 func losePartialStripes(t *testing.T, b store.Backend, m store.ArrayManifest, size int) (lost int) {
 	t.Helper()
 	for s := 0; s < m.Stripes; s++ {
@@ -160,8 +160,8 @@ func firstWrongChunk(t *testing.T, b store.Backend, m store.ArrayManifest, seed 
 // a dry run of the same damage plans to read, each once, before it
 // writes anything, and for the zero test whatever else survives — every
 // surviving chunk of the stripe exactly once in all, none of them for
-// the check alone once three disks are dead. One dead disk stays chain
-// by chain, where the oracle re-reads its sources.
+// the check alone once three disks are dead. One dead disk takes single
+// chains and their check chains, whose other members the check reads.
 func TestServiceRebuildsKilledDisks(t *testing.T) {
 	for _, tc := range []struct {
 		code    string
@@ -257,13 +257,16 @@ func TestServiceRebuildsKilledDisks(t *testing.T) {
 
 // TestServiceStrategiesAndPolicies sweeps strategy x policy over the
 // same damage and expects identical recovered bytes from all of them —
-// cache policy and chain choice must never change results, only cost.
-// The damage is partial stripe errors, whose single-chain plans are what
-// consults a policy at all; the last row pins that dead disks do not.
+// chain choice must never change results, only cost. The policy changes
+// nothing at all: the engine keeps no byte cache, so ServiceConfig.Policy
+// and CacheChunks are ignored and each strategy's counts are the same
+// under every policy, on partial stripe errors (single-chain plans) and,
+// in the last row, on dead disks (the decoder).
 func TestServiceStrategiesAndPolicies(t *testing.T) {
 	const seed = 7
 	m := testManifest("star", 5, 3, 64)
 	for _, strategy := range []core.Strategy{core.StrategyTypical, core.StrategyLooped, core.StrategyGreedy} {
+		var first *ServiceResult
 		for _, policy := range []string{"fbf", "lru", "fifo"} {
 			t.Run(fmt.Sprintf("%s-%s", strategy, policy), func(t *testing.T) {
 				b := initMem(t, m, seed)
@@ -281,13 +284,16 @@ func TestServiceStrategiesAndPolicies(t *testing.T) {
 				if res.ChunksRebuilt != lost || res.ChunksDecoded != 0 {
 					t.Fatalf("rebuilt %d chunks (%d decoded), want %d through single chains", res.ChunksRebuilt, res.ChunksDecoded, lost)
 				}
-				if res.CacheHits+res.CacheMisses == 0 {
-					t.Error("cache stats not collected")
-				}
-				if res.CacheMisses != res.DiskReads || res.VerifyReads == 0 {
-					t.Errorf("misses=%d disk=%d verify=%d: want misses == disk reads and oracle re-reads", res.CacheMisses, res.DiskReads, res.VerifyReads)
+				if res.CacheHits != 0 || res.CacheMisses != res.DiskReads || res.VerifyReads == 0 {
+					t.Errorf("hits=%d misses=%d disk=%d verify=%d: want no hit, misses == disk reads and check reads", res.CacheHits, res.CacheMisses, res.DiskReads, res.VerifyReads)
 				}
 				checkAgainstGroundTruth(t, b, m, seed)
+				res.Report = nil
+				if first == nil {
+					first = res
+				} else if !reflect.DeepEqual(first, res) {
+					t.Fatalf("policy %s changed a rebuild:\n %+v\n %+v", policy, first, res)
+				}
 			})
 		}
 	}
@@ -602,7 +608,7 @@ func TestDecodePassShape(t *testing.T) {
 	}
 }
 
-// TestServiceNoVerify pins the unchecked mode on both replay orders: no
+// TestServiceNoVerify pins the unchecked mode on both kinds of plan: no
 // chunk is counted verified and the backend is asked for nothing on the
 // oracle's behalf, yet the bytes are right.
 func TestServiceNoVerify(t *testing.T) {
@@ -628,7 +634,7 @@ func TestServiceNoVerify(t *testing.T) {
 				t.Fatalf("rebuilt %d of %d planned, %d verified, %d verify reads", res.ChunksRebuilt, dry.PlannedChunks, res.ChunksVerified, res.VerifyReads)
 			}
 			if got := uint64(counter.total()); got != res.DiskReads || got != uint64(dry.PlannedReads) {
-				t.Fatalf("backend served %d reads, %d booked, %d planned (every stripe fits the cache)", got, res.DiskReads, dry.PlannedReads)
+				t.Fatalf("backend served %d reads, %d booked, %d planned (each source once)", got, res.DiskReads, dry.PlannedReads)
 			}
 			checkAgainstGroundTruth(t, b, m, seed)
 		})
@@ -637,12 +643,13 @@ func TestServiceNoVerify(t *testing.T) {
 
 // TestChainMajorCheckCounts pins what the pre-write check costs on the
 // paper's damage: chunks 1–3 of disk 3 in each of three TIP p=7 stripes
-// (CI's third storage-engine drill on a memstore). The plan's reads, hits
-// and misses are the plan's — the check folds each fetched chunk as it
-// passes, without a request of its own — and its own reads are the
-// check-chain members no repair chain fetches, each once: 12 a stripe.
-// Every read the backend served is booked as one or the other, and no
-// chunk is read twice.
+// (CI's third storage-engine drill on a memstore). The repair reads each
+// of the plan's distinct sources once, booked as a miss (the engine keeps
+// no byte cache, so it books no hit) — the check folds each fetched chunk
+// as it passes, without a read of its own — and the check's own reads are
+// the check-chain members no repair chain fetches, each once: 12 a
+// stripe. Every read the backend served is booked as one or the other,
+// and no chunk is read twice.
 func TestChainMajorCheckCounts(t *testing.T) {
 	const seed = 7
 	m := testManifest("tip", 7, 3, 64)
@@ -658,8 +665,8 @@ func TestChainMajorCheckCounts(t *testing.T) {
 	if res.ChunksRebuilt != 9 || res.ChunksVerified != 9 || res.ChunksDecoded != 0 {
 		t.Fatalf("rebuilt %d, verified %d, decoded %d; want 9, 9, 0", res.ChunksRebuilt, res.ChunksVerified, res.ChunksDecoded)
 	}
-	if res.DiskReads != 51 || res.VerifyReads != 36 || res.CacheHits != 6 || res.CacheMisses != 51 {
-		t.Fatalf("%d reads + %d verify reads, %d hits, %d misses; want 51 + 36, 6, 51", res.DiskReads, res.VerifyReads, res.CacheHits, res.CacheMisses)
+	if res.DiskReads != 51 || res.VerifyReads != 36 || res.CacheHits != 0 || res.CacheMisses != 51 {
+		t.Fatalf("%d reads + %d verify reads, %d hits, %d misses; want 51 + 36, 0, 51", res.DiskReads, res.VerifyReads, res.CacheHits, res.CacheMisses)
 	}
 	if got := uint64(counter.total()); got != res.DiskReads+res.VerifyReads {
 		t.Fatalf("backend served %d reads, %d + %d booked", got, res.DiskReads, res.VerifyReads)
@@ -674,9 +681,9 @@ func TestChainMajorCheckCounts(t *testing.T) {
 
 // TestMemPartialCounts runs the benchmark's mem-partial workload — TIP
 // p=13, 256 stripes, one partial stripe error from trace.Generate per
-// stripe (seed 1), FBF over a 64-chunk byte cache with the looped
-// strategy — and pins its counts, which no chunk size or host moves: the
-// repair's reads, hits and misses (rebuild.disk_reads_per_chunk 9.7969)
+// stripe (seed 1), looped strategy — and pins its counts, which no chunk
+// size or host moves: the repair's reads, each planned source once and
+// booked as a miss, with no hit (rebuild.disk_reads_per_chunk 9.7969)
 // and the zero test's reads; read_amp is their sum over the chunks
 // rebuilt, 24 710 / 1 664 = 14.8498. The chunks are 1 KiB, not the
 // benchmark's 32: the same counts at 4 KiB held 660 MB under -race.
@@ -694,15 +701,15 @@ func TestMemPartialCounts(t *testing.T) {
 		loseCells(t, b, e.Stripe, e.LostCells())
 		lost += e.Size
 	}
-	res, err := RunService(ServiceConfig{Backend: b, Manifest: m, Policy: "fbf", Strategy: core.StrategyLooped, CacheChunks: 64})
+	res, err := RunService(ServiceConfig{Backend: b, Manifest: m, Strategy: core.StrategyLooped})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ChunksRebuilt != lost || res.ChunksVerified != lost || res.ChunksDecoded != 0 || res.Escalations != 0 {
 		t.Fatalf("rebuilt %d of %d, verified %d, decoded %d, %d escalations", res.ChunksRebuilt, lost, res.ChunksVerified, res.ChunksDecoded, res.Escalations)
 	}
-	if res.DiskReads != 16302 || res.CacheHits != 3512 || res.CacheMisses != 16302 || res.VerifyReads != 8408 {
-		t.Fatalf("%d reads + %d verify reads, %d hits, %d misses; want 16302 + 8408, 3512, 16302", res.DiskReads, res.VerifyReads, res.CacheHits, res.CacheMisses)
+	if res.DiskReads != 16302 || res.CacheHits != 0 || res.CacheMisses != 16302 || res.VerifyReads != 8408 {
+		t.Fatalf("%d reads + %d verify reads, %d hits, %d misses; want 16302 + 8408, 0, 16302", res.DiskReads, res.VerifyReads, res.CacheHits, res.CacheMisses)
 	}
 }
 
@@ -1151,7 +1158,6 @@ func TestServiceConfigValidation(t *testing.T) {
 		mutate func(*ServiceConfig)
 	}{
 		{"nil-backend", func(c *ServiceConfig) { c.Backend = nil }},
-		{"bad-policy", func(c *ServiceConfig) { c.Policy = "no-such-policy" }},
 		{"bad-priority", func(c *ServiceConfig) { c.Priority = "fastest" }},
 		{"check-only-and-dry-run", func(c *ServiceConfig) { c.CheckOnly, c.DryRun = true, true }},
 		{"bad-manifest", func(c *ServiceConfig) { c.Manifest.ChunkSize = 0 }},

@@ -236,15 +236,15 @@ type writeFixture struct {
 	prefix    string // of the subtest names
 	m         store.ArrayManifest
 	perStripe int
-	decoded   bool // the stripes take the read-once pass, not the byte cache
+	decoded   bool // the stripes take the GF(2) decoder, not single chains
 	damage    func(*testing.T, *store.Mem)
 }
 
 // writeFixtures returns the write-back fixtures over the given number of
-// stripes, one per evaluation order: three whole STAR p=5 disks killed
-// (every stripe loses 3·Rows cells to the read-once pass), and a partial
-// stripe error of five chunks of one disk in every TIP p=7 stripe (chain
-// by chain through the byte cache, its subtests prefixed "partial-").
+// stripes, one per kind of plan: three whole STAR p=5 disks killed (every
+// stripe loses 3·Rows cells to the decoder), and a partial stripe error
+// of five chunks of one disk in every TIP p=7 stripe (single repair
+// chains and their check chains, its subtests prefixed "partial-").
 func writeFixtures(stripes int) []writeFixture {
 	kill := testManifest("star", 5, stripes, 64)
 	partial := testManifest("tip", 7, stripes, 64)
@@ -272,21 +272,19 @@ type depthCase struct {
 	prefix           string // of the subtest names
 	m                store.ArrayManifest
 	group            func(stripe int) int
-	rebuilt, decoded int  // chunks the run rebuilds, and of them through the decoder
-	overlap          bool // its first two stripes are decoded, so at k > 1 both are in evaluation at once
+	rebuilt, decoded int // chunks the run rebuilds, and of them through the decoder
 	damage           func(*testing.T, *store.Mem)
 }
 
 // depthCases are the two write-back fixtures over three stripes and a
-// mixed one: TIP p=7 stripes that lose three whole columns (the read-once
-// pass, in lanes at k > 1) with every third stripe losing five chunks of
-// one disk instead (chain by chain through the byte cache, repaired on the
-// calling goroutine once every earlier stripe is written).
+// mixed one: TIP p=7 stripes that lose three whole columns (the decoder)
+// with every third stripe losing five chunks of one disk instead (single
+// chains). Every stripe of each is in lanes at k > 1.
 func depthCases() []depthCase {
 	var out []depthCase
 	for _, f := range writeFixtures(3) {
 		rebuilt := f.m.Stripes * f.perStripe
-		c := depthCase{f.prefix, f.m, func(int) int { return f.perStripe }, rebuilt, 0, f.decoded, f.damage}
+		c := depthCase{f.prefix, f.m, func(int) int { return f.perStripe }, rebuilt, 0, f.damage}
 		if f.decoded {
 			c.decoded = rebuilt
 		}
@@ -294,7 +292,7 @@ func depthCases() []depthCase {
 	}
 	m := testManifest("tip", 7, 6, 64)
 	partial := func(s int) bool { return s%3 == 2 }
-	mixed := depthCase{prefix: "mixed-", m: m, overlap: true}
+	mixed := depthCase{prefix: "mixed-", m: m}
 	mixed.group = func(s int) int {
 		if partial(s) {
 			return 5
@@ -328,10 +326,9 @@ func depthCases() []depthCase {
 // full (never more than depth, more than one on every stripe), no two
 // stripes' writes are in flight together, no source of a stripe is read
 // once its first write has started, and the result is the serial run's
-// to the last counter. At k > 1 a fixture whose first two stripes are
-// decoded has two of them in evaluation at once, and never more than k
-// and the one being written back; at k = 1, or with only chain-major
-// stripes, one at a time.
+// to the last counter. At k > 1 every fixture, decoded, chain-major or
+// mixed, has two stripes in evaluation at once, and never more than k
+// and the one being written back; at k = 1 one at a time.
 func TestWriteBackKeepsDepthInFlight(t *testing.T) {
 	for _, f := range depthCases() {
 		var serial *ServiceResult
@@ -345,7 +342,7 @@ func TestWriteBackKeepsDepthInFlight(t *testing.T) {
 					mem := initMem(t, f.m, resumeSeed)
 					f.damage(t, mem)
 					d := newDepthBackend(mem, depth, 0)
-					d.group, d.lanes, d.overlap = f.group, k, k > 1 && f.overlap
+					d.group, d.lanes, d.overlap = f.group, k, k > 1
 					res, err := RunService(ServiceConfig{Backend: d, Manifest: f.m, JournalPath: filepath.Join(t.TempDir(), "rebuild.journal")})
 					if err != nil {
 						t.Fatal(err)
@@ -361,9 +358,9 @@ func TestWriteBackKeepsDepthInFlight(t *testing.T) {
 						t.Fatalf("at most %d writes were in flight, want %d", d.peak, want)
 					}
 					switch {
-					case k > 1 && f.overlap && d.evalPeak < 2:
+					case k > 1 && d.evalPeak < 2:
 						t.Fatalf("at stripe depth %d at most %d stripe was in evaluation at once", k, d.evalPeak)
-					case (k == 1 || f.decoded == 0) && d.evalPeak != 1:
+					case k == 1 && d.evalPeak != 1:
 						t.Fatalf("%d stripes in evaluation at once, want one at a time", d.evalPeak)
 					case d.evalPeak > k+1:
 						t.Fatalf("%d stripes in evaluation at once at stripe depth %d", d.evalPeak, k)
@@ -604,12 +601,12 @@ func lanesPrefix(lanes int) string {
 	return fmt.Sprint("lanes-", lanes, "-")
 }
 
-// overlapped checks that a run at a stated stripe depth above 1 over a
-// decoded fixture had both of its stripes in evaluation at once, so the
-// in-flight path is the one tested.
-func (d *depthBackend) overlapped(t *testing.T, f writeFixture) {
+// overlapped checks that a run at a stated stripe depth above 1 had both
+// of its stripes in evaluation at once, so the in-flight path is the one
+// tested.
+func (d *depthBackend) overlapped(t *testing.T) {
 	t.Helper()
-	if d.lanes > 1 && f.decoded && d.evalPeak < 2 {
+	if d.lanes > 1 && d.evalPeak < 2 {
 		t.Fatalf("at stripe depth %d at most %d stripe was in evaluation at once", d.lanes, d.evalPeak)
 	}
 }
@@ -639,14 +636,14 @@ func testWriteFailure(t *testing.T, f writeFixture, lanes, depth, k int) {
 	mem := f.setUp(t)
 	d := newDepthBackend(mem, depth, f.perStripe)
 	d.failWrite, d.journal = k, journal
-	d.lanes, d.overlap = lanes, lanes > 1 && f.decoded
+	d.lanes, d.overlap = lanes, lanes > 1
 	_, err := RunService(ServiceConfig{Backend: d, Manifest: f.m, JournalPath: journal})
 	d.returnedFromRun()
 	if !errors.Is(err, errWriteInjected) {
 		t.Fatalf("run returned %v, want the injected write failure", err)
 	}
 	seen := d.report(t, 0)
-	d.overlapped(t, f)
+	d.overlapped(t)
 	if d.started > d.atFire+depth-1 {
 		t.Fatalf("%d writes started, %d of them before the failure: the group was refilled after it", d.started, d.atFire)
 	}
@@ -693,7 +690,7 @@ func testWriteFailure(t *testing.T, f writeFixture, lanes, depth, k int) {
 // starts afterwards, the stripe is not marked done, and the resumed run
 // replays exactly the booked writes and repairs the fresh scan's damage
 // plus the booked writes of the unfinished stripe. At a stated stripe
-// depth of 2 the next decoded stripe is in evaluation while the k-th
+// depth of 2 the next stripe is in evaluation while the k-th
 // write's stripe is written back; the stop discards it unwritten and
 // unbooked, so the result is the serial run's to the last counter, and
 // nothing is read once the run has returned.
@@ -726,14 +723,14 @@ func testWriteStop(t *testing.T, f writeFixture, lanes, depth, k int) *ServiceRe
 	mem := f.setUp(t)
 	d := newDepthBackend(mem, depth, f.perStripe)
 	d.stopWrite = k
-	d.lanes, d.overlap = lanes, lanes > 1 && f.decoded
+	d.lanes, d.overlap = lanes, lanes > 1
 	res, err := RunService(ServiceConfig{Backend: d, Manifest: f.m, JournalPath: journal, Stop: d.stop})
 	d.returnedFromRun()
 	if err != nil {
 		t.Fatalf("graceful stop must not be an error: %v", err)
 	}
 	seen := d.report(t, 0)
-	d.overlapped(t, f)
+	d.overlapped(t)
 	// Stop closed with the pipeline full: in the k-th write's stripe
 	// that is the first fill (depth writes) or, later in the group,
 	// the refill the k-th write itself was. A stop that lands once
