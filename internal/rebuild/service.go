@@ -255,94 +255,6 @@ func (r *DamageReport) Clean() bool { return r.MissingChunks == 0 && r.CorruptCh
 // LostChunks returns the total unreadable chunks.
 func (r *DamageReport) LostChunks() int { return r.MissingChunks + r.CorruptChunks }
 
-// ScanStore assesses a store against its manifest: every in-geometry
-// address is checked for presence and validity (Stat's header check by
-// default; full payload CRC reads with scrub) and grouped into
-// per-stripe damage.
-func ScanStore(b store.Backend, m store.ArrayManifest, scrub bool) (*DamageReport, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	report := &DamageReport{PerDiskPresent: make([]int, m.Disks)}
-	perStripe := make(map[int]*StripeDamage)
-	damage := func(stripe int, cell grid.Coord, corrupt bool) {
-		d := perStripe[stripe]
-		if d == nil {
-			d = &StripeDamage{Stripe: stripe}
-			perStripe[stripe] = d
-		}
-		if corrupt {
-			d.Corrupt = append(d.Corrupt, cell)
-			report.CorruptChunks++
-		} else {
-			d.Missing = append(d.Missing, cell)
-			report.MissingChunks++
-		}
-	}
-	var buf chunk.Chunk
-	if scrub {
-		buf = chunk.New(m.ChunkSize)
-	}
-	for disk := 0; disk < m.Disks; disk++ {
-		addrs, err := b.List(disk)
-		if err != nil {
-			return nil, err
-		}
-		present := make(map[store.Addr]bool, len(addrs))
-		for _, a := range addrs {
-			if a.Stripe >= m.Stripes || a.Chunk >= m.Rows {
-				report.ExtraChunks = append(report.ExtraChunks, a)
-				continue
-			}
-			present[a] = true
-		}
-		for stripe := 0; stripe < m.Stripes; stripe++ {
-			for row := 0; row < m.Rows; row++ {
-				cell := grid.Coord{Row: row, Col: disk}
-				a := AddrOf(stripe, cell)
-				if !present[a] {
-					damage(stripe, cell, false)
-					continue
-				}
-				var err error
-				var size int
-				if scrub {
-					size, err = b.ReadChunk(a, buf)
-				} else {
-					var info store.Info
-					info, err = b.Stat(a)
-					size = info.Size
-				}
-				switch {
-				case store.IsCorrupt(err):
-					damage(stripe, cell, true)
-				case store.IsNotFound(err):
-					damage(stripe, cell, false)
-				case err != nil:
-					return nil, err
-				case size != m.ChunkSize:
-					// Valid codec, wrong array: a chunk of another
-					// store's geometry cannot serve reads here.
-					damage(stripe, cell, true)
-				default:
-					report.PerDiskPresent[disk]++
-				}
-			}
-		}
-		if report.PerDiskPresent[disk] == 0 && m.Stripes*m.Rows > 0 {
-			report.FailedDisks = append(report.FailedDisks, disk)
-		}
-	}
-	for _, d := range perStripe {
-		sort.Slice(d.Missing, func(i, j int) bool { return d.Missing[i].Less(d.Missing[j]) })
-		sort.Slice(d.Corrupt, func(i, j int) bool { return d.Corrupt[i].Less(d.Corrupt[j]) })
-		report.Stripes = append(report.Stripes, *d)
-	}
-	sort.Slice(report.Stripes, func(i, j int) bool { return report.Stripes[i].Stripe < report.Stripes[j].Stripe })
-	sort.Slice(report.ExtraChunks, func(i, j int) bool { return report.ExtraChunks[i].Less(report.ExtraChunks[j]) })
-	return report, nil
-}
-
 // ServiceResult aggregates one service run. Its event counters are
 // ServiceConfig.Metrics' change over the run (see tally).
 type ServiceResult struct {

@@ -26,7 +26,7 @@ func testManifest(codeName string, p, stripes, chunkSize int) store.ArrayManifes
 }
 
 // initMem materializes a clean array into a fresh memstore.
-func initMem(t *testing.T, m store.ArrayManifest, seed int64) *store.Mem {
+func initMem(t testing.TB, m store.ArrayManifest, seed int64) *store.Mem {
 	t.Helper()
 	b := store.NewMem()
 	if err := InitStore(b, m, seed); err != nil {
@@ -51,7 +51,7 @@ func killDisk(t *testing.T, b store.Backend, disk int) {
 }
 
 // loseCells deletes the given cells of one stripe.
-func loseCells(t *testing.T, b store.Backend, stripe int, cells []grid.Coord) {
+func loseCells(t testing.TB, b store.Backend, stripe int, cells []grid.Coord) {
 	t.Helper()
 	for _, c := range cells {
 		if err := b.Delete(AddrOf(stripe, c)); err != nil {

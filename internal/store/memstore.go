@@ -1,29 +1,32 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
-// Mem is the in-memory Backend for tests: a mutex-guarded map of
-// payload copies. It has no on-media codec, so chunks never read as
-// corrupt — corruption-path tests use Dir, whose codec is real.
+// Mem is the in-memory Backend for tests and benchmarks: a
+// mutex-guarded map of payload copies per disk, so List touches only
+// the listed disk's chunks. It has no on-media codec, so chunks never
+// read as corrupt — corruption-path tests use Dir, whose codec is real.
 type Mem struct {
-	mu sync.RWMutex
-	m  map[Addr][]byte
+	mu    sync.RWMutex
+	disks map[int]map[Addr][]byte
 }
 
 // NewMem returns an empty in-memory store.
-func NewMem() *Mem { return &Mem{m: make(map[Addr][]byte)} }
+func NewMem() *Mem { return &Mem{disks: make(map[int]map[Addr][]byte)} }
 
 // ReadChunk implements Backend. A stored payload is never written to —
 // WriteChunk installs a fresh copy — so the copy out is made after the
 // lock is released and a long read does not hold up a writer.
 func (s *Mem) ReadChunk(a Addr, dst []byte) (int, error) {
 	s.mu.RLock()
-	data, ok := s.m[a]
+	data, ok := s.disks[a.Disk][a]
 	s.mu.RUnlock()
 	if !ok {
 		return 0, &NotFoundError{Addr: a}
@@ -44,10 +47,14 @@ func (s *Mem) WriteChunk(a Addr, data []byte) error {
 	if !a.Valid() {
 		return fmt.Errorf("store: invalid address %v", a)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	cp := bytes.Clone(data)
 	s.mu.Lock()
-	s.m[a] = cp
+	disk := s.disks[a.Disk]
+	if disk == nil {
+		disk = make(map[Addr][]byte)
+		s.disks[a.Disk] = disk
+	}
+	disk[a] = cp
 	s.mu.Unlock()
 	return nil
 }
@@ -56,32 +63,37 @@ func (s *Mem) WriteChunk(a Addr, data []byte) error {
 func (s *Mem) Delete(a Addr) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.m[a]; !ok {
+	disk := s.disks[a.Disk]
+	if _, ok := disk[a]; !ok {
 		return &NotFoundError{Addr: a}
 	}
-	delete(s.m, a)
+	delete(disk, a)
 	return nil
 }
 
 // List implements Backend.
 func (s *Mem) List(disk int) ([]Addr, error) {
 	s.mu.RLock()
-	var out []Addr
-	for a := range s.m {
-		if a.Disk == disk {
-			out = append(out, a)
-		}
+	chunks := s.disks[disk]
+	out := make([]Addr, 0, len(chunks))
+	for a := range chunks {
+		out = append(out, a)
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, func(a, b Addr) int {
+		if c := cmp.Compare(a.Stripe, b.Stripe); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Chunk, b.Chunk)
+	})
 	return out, nil
 }
 
 // Stat implements Backend.
 func (s *Mem) Stat(a Addr) (Info, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.m[a]
+	data, ok := s.disks[a.Disk][a]
+	s.mu.RUnlock()
 	if !ok {
 		return Info{}, &NotFoundError{Addr: a}
 	}

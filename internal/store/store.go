@@ -102,11 +102,13 @@ func WriteDepth(b Backend) int {
 
 // StripeDepth reports how many stripes a rebuild may read and evaluate
 // at once on this backend, each on its own goroutine, while it writes an
-// earlier one back. Like WriteDepth it is a statement by the backend, not
+// earlier one back; it also sets how many disks a damage scan lists and
+// stats at once. Like WriteDepth it is a statement by the backend, not
 // an option: a backend that has a StripeDepth method answers for itself,
-// any other answers 1 and is read by one stripe at a time on the caller's
-// goroutine. A wrapper that is safe for concurrent readers forwards its
-// inner backend's answer; a struct that merely embeds Backend does not.
+// any other answers 1 and is read by one stripe, and scanned one disk, at
+// a time on the caller's goroutine. A wrapper that is safe for concurrent
+// readers forwards its inner backend's answer; a struct that merely
+// embeds Backend does not.
 func StripeDepth(b Backend) int {
 	if d, ok := b.(interface{ StripeDepth() int }); ok {
 		return d.StripeDepth()
