@@ -169,10 +169,12 @@ func runInit(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	if err := store.WriteManifest(*storeDir, m); err != nil {
+	// The manifest goes last: a store an init left half-written holds no
+	// manifest, so a rerun of the same init is not refused.
+	if err := rebuild.InitStore(b, m, *seed); err != nil {
 		return fail(stderr, err)
 	}
-	if err := rebuild.InitStore(b, m, *seed); err != nil {
+	if err := store.WriteManifest(*storeDir, m); err != nil {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "initialized %s (p=%d) array: %d chunks across %d disks\n",

@@ -321,6 +321,43 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestInitRerunAfterFailure pins that init writes its manifest last: an
+// init that fails partway (a plain file where disk-003's directory
+// should go) leaves no manifest, so once the cause is gone a rerun of the
+// same init is not refused and leaves the store a clean init leaves.
+func TestInitRerunAfterFailure(t *testing.T) {
+	args := func(dir string) []string {
+		return []string{"init", "-store", dir, "-code", "star", "-p", "5", "-stripes", "4", "-chunk", "128", "-seed", "42"}
+	}
+	clean := filepath.Join(t.TempDir(), "clean")
+	if _, errOut, code := runCtl(t, args(clean)...); code != exitOK {
+		t.Fatalf("clean init failed (%d): %s", code, errOut)
+	}
+	dir := filepath.Join(t.TempDir(), "array")
+	blocker := filepath.Join(dir, store.DiskDirName(3))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blocker, []byte("not a disk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, errOut, code := runCtl(t, args(dir)...); code != exitErr || errOut == "" {
+		t.Fatalf("init over a plain file at %s: exit %d, stderr %q; want exit %d and a diagnostic", store.DiskDirName(3), code, errOut, exitErr)
+	}
+	if _, err := store.ReadManifest(dir); err == nil {
+		t.Fatal("a failed init left a manifest")
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if _, errOut, code := runCtl(t, args(dir)...); code != exitOK {
+		t.Fatalf("rerun after the failed init (%d): %s", code, errOut)
+	}
+	if treeHash(t, dir) != treeHash(t, clean) {
+		t.Error("the rerun's store differs from a clean init's")
+	}
+}
+
 // TestHelpExitsZero pins that explicit help requests succeed.
 func TestHelpExitsZero(t *testing.T) {
 	for _, arg := range []string{"help", "-h", "--help"} {

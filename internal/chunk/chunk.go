@@ -186,31 +186,82 @@ func (p *Pool) Put(c Chunk) {
 }
 
 // Filler writes the byte stream math/rand's (*Rand).Read yields for a
-// seeded source — the seven low bytes of each Int63, low byte first,
-// carried over from one call into the next — seven bytes per Int63 where
-// Read loops once per byte. Filling a stripe's data cells from a seed is
-// most of what InitStore does.
+// seeded source: the seven low bytes of each Int63, low byte first, with
+// a partial word carried over from one call into the next.
+//
+// rand.NewSource's generator is additive lagged Fibonacci, word k being
+// word k−607 plus word k−273 mod 2⁶⁴ (Int63 masks off the top bit, which
+// Read never uses). The Filler draws the first fillerLag words from that
+// source and then continues the recurrence in its own ring, a block of
+// fillerLag words at a time, so a fill costs an addition and one
+// eight-byte put per seven bytes, where Read makes an interface call per
+// word and a store per byte.
 type Filler struct {
-	src rand.Source
-	val int64
-	pos int // bytes of val not yet written
+	ring [fillerLag]uint64 // the current block of words, in stream order
+	next int               // ring[next] is the stream's next word; fillerLag: refill first
+	val  uint64
+	pos  int // bytes of val not yet written
 }
 
+const (
+	fillerLag = 607 // the generator's long lag
+	fillerTap = 273 // its short lag
+)
+
 // NewFiller returns the Filler of rand.NewSource(seed).
-func NewFiller(seed int64) *Filler { return &Filler{src: rand.NewSource(seed)} }
+func NewFiller(seed int64) *Filler {
+	src := rand.NewSource(seed).(rand.Source64)
+	f := &Filler{}
+	for i := range f.ring {
+		f.ring[i] = src.Uint64()
+	}
+	return f
+}
+
+// refill replaces the ring's block with the next: word i of the new
+// block is word i of the old plus word i+334 of the old (i < 273) or
+// word i−273 of the new (the rest).
+func (f *Filler) refill() {
+	lo, hi := f.ring[:fillerTap], f.ring[fillerLag-fillerTap:]
+	for i := range lo {
+		lo[i] += hi[i]
+	}
+	lo, hi = f.ring[fillerTap:], f.ring[:fillerLag-fillerTap]
+	for i := range lo {
+		lo[i] += hi[i]
+	}
+	f.next = 0
+}
 
 // Fill overwrites p with the stream's next len(p) bytes.
 func (f *Filler) Fill(p []byte) {
-	for n := 0; n < len(p); n++ {
-		if f.pos == 0 {
-			if len(p)-n >= 8 { // a whole word; the put's eighth byte is the next word's first
-				binary.LittleEndian.PutUint64(p[n:], uint64(f.src.Int63()))
-				n += 6
-				continue
-			}
-			f.val, f.pos = f.src.Int63(), 7
+	for ; f.pos > 0 && len(p) > 0; p = p[1:] {
+		p[0] = byte(f.val)
+		f.val >>= 8
+		f.pos--
+	}
+	// Whole words, each put 7 bytes after the last: a put's eighth byte is
+	// overwritten by the next put or by the tail, which keeps at least one.
+	for len(p) >= 8 {
+		if f.next == fillerLag {
+			f.refill()
 		}
-		p[n] = byte(f.val)
+		words := f.ring[f.next:min(fillerLag, f.next+(len(p)-1)/7)]
+		for _, w := range words {
+			binary.LittleEndian.PutUint64(p, w)
+			p = p[7:]
+		}
+		f.next += len(words)
+	}
+	for ; len(p) > 0; p = p[1:] {
+		if f.pos == 0 {
+			if f.next == fillerLag {
+				f.refill()
+			}
+			f.val, f.pos = f.ring[f.next], 7
+			f.next++
+		}
+		p[0] = byte(f.val)
 		f.val >>= 8
 		f.pos--
 	}

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -200,21 +201,41 @@ func BenchmarkIsZero(b *testing.B) {
 }
 
 // TestFillerIsRandRead pins Filler to the stream math/rand's Read yields
-// for the same seed, across fills of every length around the seven-byte
-// word and the eight-byte put, so every seeded stripe keeps its bytes.
+// for the same seed, so every seeded stripe keeps its bytes. Each stream
+// starts with a lead fill that puts the fills after it at every offset
+// mod 7, or ends it on either side of the first block edge (607 words of
+// 7 bytes), and then runs fills of every length around the seven-byte
+// word, the eight-byte put and the block, about 20 blocks in all.
 func TestFillerIsRandRead(t *testing.T) {
-	sizes := []int{0, 1, 6, 7, 8, 9, 13, 14, 15, 64, 100, 32 << 10}
-	for seed := int64(0); seed < 8; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		f := NewFiller(seed)
-		for i := 0; i < 3*len(sizes); i++ {
-			n := sizes[(i*5+int(seed))%len(sizes)]
-			want, got := make([]byte, n), make([]byte, n)
-			r.Read(want)
-			f.Fill(got)
-			if !bytes.Equal(want, got) {
-				t.Fatalf("seed %d, fill %d (%d bytes): not the bytes rand.Read gives", seed, i, n)
+	const block = 607 * 7
+	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 14, 15, 64, 100, block - 1, block, block + 1, 32 << 10}
+	leads := []int{0, 1, 2, 3, 4, 5, 6, block - 1, block, block + 1}
+	seeds := []int64{0, 1, 2, 3, 4, 5, 6, 7, -1, math.MinInt64, math.MaxInt64}
+	for _, seed := range seeds {
+		for _, lead := range leads {
+			r := rand.New(rand.NewSource(seed))
+			f := NewFiller(seed)
+			for i := -1; i < 2*len(sizes); i++ {
+				n := lead
+				if i >= 0 {
+					n = sizes[(i*5+lead)%len(sizes)]
+				}
+				want, got := make([]byte, n), make([]byte, n)
+				r.Read(want)
+				f.Fill(got)
+				if !bytes.Equal(want, got) {
+					t.Fatalf("seed %d, lead %d, fill %d (%d bytes): not the bytes rand.Read gives", seed, lead, i, n)
+				}
 			}
 		}
+	}
+}
+
+func BenchmarkFiller(b *testing.B) {
+	f := NewFiller(1)
+	p := make([]byte, DefaultSize)
+	b.SetBytes(DefaultSize)
+	for b.Loop() {
+		f.Fill(p)
 	}
 }

@@ -2,6 +2,7 @@ package codes
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -167,5 +168,39 @@ func requireInDesign(t *testing.T, rows string) {
 	}
 	if !strings.Contains(regexp.MustCompile(`(?m)^[ \t]+`).ReplaceAllString(string(design), ""), rows) {
 		t.Errorf("DESIGN.md does not hold these table rows:\n%s", rows)
+	}
+}
+
+// TestMaterializeStripeGolden pins the bytes of seeded stripes — the data
+// stream the Filler writes and the parity Encode sums from it — by the
+// CRC-32C of the stripe's cells in cell order, so every seeded store,
+// golden and CI drill keeps its bytes.
+func TestMaterializeStripeGolden(t *testing.T) {
+	golden := []struct {
+		code string
+		seed int64
+		crc  uint32
+	}{
+		{"hdd1", 1, 0xf01f861d},
+		{"hdd1", 0x5eed, 0xf9451462},
+		{"star", 1, 0xdd1b12ab},
+		{"star", 0x5eed, 0x54d8f3e0},
+		{"tip", 1, 0xb83efbca},
+		{"tip", 0x5eed, 0xfac363c0},
+		{"triplestar", 1, 0xa594a41d},
+		{"triplestar", 0x5eed, 0xc2d6fd0c},
+	}
+	if len(golden) != 2*len(Names()) {
+		t.Fatalf("golden covers %d stripes, want 2 for each of %v", len(golden), Names())
+	}
+	table := crc32.MakeTable(crc32.Castagnoli)
+	for _, g := range golden {
+		h := crc32.New(table)
+		for _, cell := range MustNew(g.code, 7).MaterializeStripe(g.seed, chunk.DefaultSize) {
+			h.Write(cell)
+		}
+		if got := h.Sum32(); got != g.crc {
+			t.Errorf("%s p=7 seed %#x: CRC-32C %#08x, want %#08x", g.code, g.seed, got, g.crc)
+		}
 	}
 }

@@ -22,6 +22,7 @@ package rebuild
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -187,30 +188,68 @@ func StripeSeed(base int64, stripe int) int64 { return base + int64(stripe) }
 
 // InitStore materializes a full, clean array into a backend: every
 // stripe's data chunks are filled deterministically from seed, parity
-// is encoded, and all chunks are written. The chunk buffers are pooled
-// and flow straight into the backend's file/object I/O.
+// is encoded, and all chunks are written.
+//
+// Up to GOMAXPROCS stripes are materialized at once, ahead of their turn,
+// each on a lane goroutine into the lane's own buffers; materializing
+// touches no backend. Every backend call stays on the calling goroutine:
+// the stripes are written back one at a time, in stripe order, by
+// writeBack at the backend's write depth, so a backend sees the same
+// calls in the same order at any core count. At one processor no
+// goroutine is started. After a failed write no further stripe is handed
+// out, and the lanes still materializing are joined before the error is
+// returned, with no write after it.
 func InitStore(b store.Backend, m store.ArrayManifest, seed int64) error {
 	code, err := ResolveCode(m)
 	if err != nil {
 		return err
 	}
-	pool := chunk.NewPool(m.ChunkSize)
-	stripeBuf := make([]chunk.Chunk, code.Layout().Cells())
-	for i := range stripeBuf {
-		stripeBuf[i] = pool.GetRaw()
-	}
-	defer func() {
-		for _, c := range stripeBuf {
-			pool.Put(c)
-		}
-	}()
-	for s := 0; s < m.Stripes; s++ {
-		code.MaterializeStripeInto(stripeBuf, StripeSeed(seed, s))
-		// writeBack returns with nothing in flight, so the buffers are free
-		// to refill for the next stripe.
+	write := func(s int, stripe []chunk.Chunk) error {
 		addr := func(idx int) store.Addr { return AddrOf(s, code.CoordOf(idx)) }
-		if _, err := writeBack(b, nil, stripeBuf, addr, func(int) error { return nil }); err != nil {
+		_, err := writeBack(b, nil, stripe, addr, func(int) error { return nil })
+		return err
+	}
+	k := min(runtime.GOMAXPROCS(0), m.Stripes)
+	if k <= 1 {
+		stripe := code.NewStripe(m.ChunkSize)
+		for s := range m.Stripes {
+			code.MaterializeStripeInto(stripe, StripeSeed(seed, s))
+			if err := write(s, stripe); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Lane s%k materializes stripe s and is handed stripe s+k once stripe
+	// s is written: writeBack returns with nothing in flight, so the
+	// lane's buffers are free to refill.
+	type lane struct {
+		stripe []chunk.Chunk
+		done   chan struct{} // one send per stripe materialized
+	}
+	lanes := make([]lane, k)
+	start := func(s int) {
+		l := &lanes[s%k]
+		go func() {
+			code.MaterializeStripeInto(l.stripe, StripeSeed(seed, s))
+			l.done <- struct{}{}
+		}()
+	}
+	for s := range lanes {
+		lanes[s] = lane{stripe: code.NewStripe(m.ChunkSize), done: make(chan struct{}, 1)}
+		start(s)
+	}
+	for s := range m.Stripes {
+		l := &lanes[s%k]
+		<-l.done
+		if err := write(s, l.stripe); err != nil {
+			for t := s + 1; t < min(s+k, m.Stripes); t++ {
+				<-lanes[t%k].done
+			}
 			return err
+		}
+		if s+k < m.Stripes {
+			start(s + k)
 		}
 	}
 	return nil
