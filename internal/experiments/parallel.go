@@ -3,6 +3,8 @@ package experiments
 import (
 	"runtime"
 	"sync"
+
+	"fbf/internal/lanes"
 )
 
 // parallelism resolves the effective worker count for a sweep: an
@@ -15,8 +17,8 @@ func (p Params) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachIndexed runs fn(0), ..., fn(n-1) on up to parallelism
-// goroutines. It is the executor behind every experiment sweep:
+// forEachIndexed runs fn(0), ..., fn(n-1) on up to parallelism lanes
+// (lanes.Each). It is the executor behind every experiment sweep:
 //
 //   - Ordering: fn writes its result into an index-addressed slot, so
 //     the caller's output order is the enumeration order regardless of
@@ -24,12 +26,12 @@ func (p Params) parallelism() int {
 //     run inline in index order — exactly the legacy serial loops.
 //   - Error propagation: after the first failure no new job starts
 //     (in-flight jobs finish; each is an independent simulation, so
-//     letting them drain is cheap and keeps slots consistent). Among
-//     the failures observed, the one with the smallest index is
-//     returned, matching what a serial run over the same jobs reports.
+//     letting them drain is cheap and keeps slots consistent). The
+//     failure with the smallest index is returned, matching what a
+//     serial run over the same jobs reports.
 //   - Progress: the callback sees (completed, total) after every
 //     successful job. Calls are serialized under a mutex, but arrive
-//     from pool goroutines — callbacks must not assume a single
+//     from lane goroutines — callbacks must not assume a single
 //     caller goroutine identity.
 //
 // fn must only write to its own slot; jobs must not communicate. Every
@@ -37,65 +39,16 @@ func (p Params) parallelism() int {
 // concurrency contract), which is what makes the parallel schedule
 // invisible in the results.
 func forEachIndexed(parallelism, n int, progress func(done, total int), fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	if parallelism <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-			if progress != nil {
-				progress(i+1, n)
-			}
+	var mu sync.Mutex
+	done := 0
+	return lanes.Each(parallelism, n, func(_, i int) error {
+		if err := fn(i); err != nil || progress == nil {
+			return err
 		}
-		return nil
-	}
-
-	var (
-		mu       sync.Mutex
-		done     int
-		firstErr error
-		errIdx   = n // index of firstErr; lowest wins
-		failed   bool
-	)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				err := fn(i)
-				mu.Lock()
-				if err != nil {
-					failed = true
-					if i < errIdx {
-						firstErr, errIdx = err, i
-					}
-				} else {
-					done++
-					if progress != nil {
-						progress(done, n)
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
 		mu.Lock()
-		stop := failed
-		mu.Unlock()
-		if stop {
-			break // cancel unstarted work promptly
-		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
+		defer mu.Unlock()
+		done++
+		progress(done, n)
+		return nil
+	})
 }

@@ -420,7 +420,7 @@ func TestDecodePassMutationsFailZeroTest(t *testing.T) {
 				t.Helper()
 				held.held = map[store.Addr][]byte{}
 				verified := s.m.ChunksVerified.Value()
-				esc, err := s.replayPass(0, plan)
+				esc, err := s.replayPass(&flight{stripe: 0, plan: plan})
 				if esc != nil {
 					t.Fatalf("%s: escalated %v", what, esc)
 				}

@@ -3,13 +3,14 @@ package rebuild
 import (
 	"fbf/internal/chunk"
 	"fbf/internal/grid"
+	"fbf/internal/lanes"
 )
 
-// flight is one stripe evaluated on a lane goroutine ahead of its turn:
-// the plan and pass the caller built for it, the buffers it owns until
-// the caller has written it back, and what the evaluation found.
-// The lane writes esc, err, tally and bufs' bytes, then signals done; the
-// caller reads them only after receiving from done.
+// flight is one stripe under repair in its slot of the repair loop: the
+// plan and pass the caller built for it, the buffers the slot keeps from
+// one stripe to the next, and what the last evaluation found. A lane
+// writes esc, err, tally and bufs' bytes; the caller reads them only
+// once lanes.Ahead has taken the stripe back for its end.
 type flight struct {
 	stripe int
 	lost   []grid.Coord
@@ -20,115 +21,81 @@ type flight struct {
 	esc   *grid.Coord
 	err   error
 	tally evalTally
-	done  chan struct{} // one send per evaluation
 }
 
-// repairInFlight is the repair loop. It keeps up to k stripes in
-// evaluation at once, each on a lane goroutine (evaluate, with buffers
-// the flight owns), and does everything else on this goroutine in repair
+// repairInFlight is the repair loop, on lanes.Ahead with k+1 slots: up to
+// k stripes are in evaluation at once, each on a lane (evaluate, in its
+// flight's buffers), while the calling goroutine writes back the one
+// before them. Everything else runs on the calling goroutine in repair
 // order: planning, escalation, writeBack, the journal, the counters,
 // Progress and Stop. So one stripe is written at a time, and the result
-// and the cells end as they do at k = 0, where nothing is dispatched and
-// every stripe is repaired here, one after the other, with no goroutine,
-// channel or flight.
+// and the cells end as they do at k = 1, where the loop is the plain one.
 //
-// Every stripe's evaluation reads only its own sources into buffers its
-// flight owns, so decoded and chain-major stripes alike go ahead of their
-// turn. A stripe whose plan cannot be made is not dispatched, for its
-// error to come in order: the lanes drain, every earlier stripe is
-// committed, and it is repaired here. A lane that meets an unreadable
-// source leaves the escalation to this goroutine as well. A Stop
-// discards the evaluations not yet written, and no lane outlives the
-// call.
+// A stripe whose plan cannot be made is evaluated by no lane and fails
+// the run in its turn, after every earlier stripe is committed. A lane
+// that meets an unreadable source leaves the escalation to the calling
+// goroutine, which re-evaluates the stripe in its flight. Stop is polled
+// before a stripe is begun and between turns: a stop lands the stripe
+// whose turn it is (writeBack starts no write after it) and discards the
+// evaluations behind it unbooked. No lane outlives the call.
 func (s *service) repairInFlight(order []StripeDamage, k int) error {
-	window := make([]*flight, 0, k) // dispatched, in repair order
-	var idle []*flight              // flights no lane is using, with their buffers
-	defer func() {
-		for _, f := range window {
-			<-f.done
+	flights := make([]flight, max(k, 1)+1)
+	halted := false // Stop had fired as the last turn ended: discard the rest
+	begin := func(i, slot int) bool {
+		if s.stopped() {
+			return false
 		}
-	}()
-	next := 0        // order[next] is the first stripe not dispatched
-	blocked := false // order[next] is repaired here, so nothing behind it may go ahead
-	fill := func() {
-		for len(window) < k && next < len(order) && !blocked && !stopRequested(s.cfg.Stop) {
-			f := s.dispatch(order[next], &idle)
-			if f == nil {
-				blocked = true
-				break
+		f := &flights[slot]
+		*f = flight{stripe: order[i].Stripe, lost: order[i].Lost(), bufs: f.bufs}
+		f.plan, f.err = s.planFor(f.stripe, f.lost)
+		if f.err == nil && !s.cfg.DryRun {
+			var pass *decodePass
+			if pass, f.err = s.passFor(f.plan); f.err == nil {
+				s.fit(f, pass)
 			}
-			window = append(window, f)
-			next++
+		}
+		return true
+	}
+	work := func(_, slot int) {
+		if f := &flights[slot]; f.pass != nil {
+			f.esc, f.err = s.evaluate(f.stripe, f.pass, f.bufs[:f.pass.width()], &f.tally)
 		}
 	}
-	for _, d := range order {
-		if stopRequested(s.cfg.Stop) {
+	end := func(_, slot int) error {
+		if halted {
 			s.res.Interrupted = true
-			break
+			return nil
 		}
-		fill()
-		var err error
-		if len(window) == 0 {
-			// d is order[next], the stripe fill stopped at.
-			next++
-			blocked = false
-			err = s.repairStripe(d)
-		} else {
-			f := window[0]
-			window = append(window[:0], window[1:]...)
-			<-f.done
-			fill() // f's lane is free: keep k in evaluation while f is written
-			s.beginStripe(d.Stripe, f.plan)
-			err = s.replay(d.Stripe, f.lost, f.plan, f)
-			idle = append(idle, f)
+		f := &flights[slot]
+		if f.plan == nil {
+			return f.err
 		}
-		if err != nil {
+		s.beginStripe(f.stripe, f.plan)
+		if s.cfg.DryRun {
+			s.res.PlannedChunks += len(f.plan.scheme.Selected)
+			s.res.PlannedReads += f.plan.scheme.UniqueFetches()
+		} else if err := s.replay(f); err != nil {
 			return err
 		}
-		if s.res.Interrupted {
-			// The stop landed mid-stripe: the writes in flight were
-			// finished and committed, but the stripe was not.
-			break
+		if !s.res.Interrupted { // a stop mid-stripe leaves it unfinished
+			s.finished(f.stripe, len(order))
 		}
-		s.finished(d.Stripe, len(order))
+		halted = stopRequested(s.cfg.Stop)
+		return nil
 	}
-	return nil
+	return lanes.Ahead(k, k+1, len(order), begin, work, end)
 }
 
-// dispatch plans a stripe and starts its read-once pass on a lane, in a
-// flight taken from idle or made anew. It returns nil for a stripe whose
-// plan fails, which must be repaired on the calling goroutine.
-func (s *service) dispatch(d StripeDamage, idle *[]*flight) *flight {
-	lost := d.Lost()
-	plan, err := s.planFor(d.Stripe, lost)
-	if err != nil {
-		return nil
-	}
-	pass, err := s.passFor(plan)
-	if err != nil {
-		return nil
-	}
-	var f *flight
-	if n := len(*idle); n > 0 {
-		f, *idle = (*idle)[n-1], (*idle)[:n-1]
-	} else {
-		f = &flight{done: make(chan struct{}, 1)}
-	}
+// fit makes pass the flight's and gives the flight the buffers it takes.
+func (s *service) fit(f *flight, pass *decodePass) {
 	for len(f.bufs) < pass.width() {
 		f.bufs = append(f.bufs, s.pool.GetRaw())
 	}
-	f.stripe, f.lost, f.plan, f.pass = d.Stripe, lost, plan, pass
-	f.esc, f.err, f.tally = nil, nil, evalTally{}
-	go func() {
-		f.esc, f.err = s.evaluate(d.Stripe, pass, f.bufs[:pass.width()], &f.tally)
-		f.done <- struct{}{}
-	}()
-	return f
+	f.pass = pass
 }
 
 // land books an evaluation and, if it found the stripe repaired, writes
-// the stripe back: replay's first attempt for a dispatched stripe, and
-// every attempt replayPass makes on the calling goroutine.
+// the stripe back.
 func (s *service) land(f *flight) (*grid.Coord, error) {
 	f.tally.book(s.m)
 	if f.esc != nil || f.err != nil {

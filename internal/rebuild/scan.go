@@ -3,10 +3,10 @@ package rebuild
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"fbf/internal/chunk"
 	"fbf/internal/grid"
+	"fbf/internal/lanes"
 	"fbf/internal/store"
 )
 
@@ -15,64 +15,35 @@ import (
 // default; full payload CRC reads with scrub) and grouped into
 // per-stripe damage.
 //
-// Each disk is scanned on its own (scanDisk), up to store.StripeDepth(b)
-// disks at once. A lane takes the next disk in ascending order and keeps
-// its own findings and scrub buffer; the report merges them in disk
-// order, so it is the same at any depth. At depth 1 the one lane is the
-// caller's goroutine and the scan returns at the first error with no
-// call after it. At a greater depth no disk is handed out once one has
-// failed, and the error returned is the lowest failing disk's: every
-// disk below it was handed out earlier and runs to its end.
+// Each disk is scanned on its own (scanDisk), on lanes.Each with up to
+// store.StripeDepth(b) lanes: disks are handed out in ascending order,
+// each lane keeps its own scrub buffer, and the report merges the disks'
+// findings in disk order, so it is the same at any depth. At depth 1 the
+// scan returns at the first error with no call after it; at any depth no
+// disk is handed out once one has failed, and the error returned is the
+// lowest failing disk's.
 func ScanStore(b store.Backend, m store.ArrayManifest, scrub bool) (*DamageReport, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	scans := make([]diskScan, m.Disks)
-	var (
-		mu     sync.Mutex
-		next   int  // the next disk to hand out
-		failed bool // a disk has failed: hand out no more
-	)
-	take := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if failed || next == m.Disks {
-			return 0, false
+	k := store.StripeDepth(b)
+	bufs := make([]chunk.Chunk, max(k, 1))
+	err := lanes.Each(k, m.Disks, func(lane, disk int) error {
+		if scrub && bufs[lane] == nil {
+			bufs[lane] = chunk.New(m.ChunkSize)
 		}
-		next++
-		return next - 1, true
+		var err error
+		scans[disk], err = scanDisk(b, m, disk, scrub, bufs[lane])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	lane := func() {
-		var buf chunk.Chunk
-		if scrub {
-			buf = chunk.New(m.ChunkSize)
-		}
-		for disk, ok := take(); ok; disk, ok = take() {
-			scans[disk] = scanDisk(b, m, disk, scrub, buf)
-			if scans[disk].err != nil {
-				mu.Lock()
-				failed = true
-				mu.Unlock()
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(store.StripeDepth(b), m.Disks) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lane()
-		}()
-	}
-	lane()
-	wg.Wait()
 
 	report := &DamageReport{PerDiskPresent: make([]int, m.Disks)}
 	perStripe := make(map[int]*StripeDamage)
 	for disk, sc := range scans {
-		if sc.err != nil {
-			return nil, sc.err
-		}
 		for _, c := range sc.damage {
 			d := perStripe[c.stripe]
 			if d == nil {
@@ -106,13 +77,12 @@ func ScanStore(b store.Backend, m store.ArrayManifest, scrub bool) (*DamageRepor
 }
 
 // diskScan is what scanning one disk found: its unreadable cells in
-// (stripe, row) order, how many chunks are readable, the addresses it
-// lists outside the geometry, or the error that ended the scan.
+// (stripe, row) order, how many chunks are readable and the addresses it
+// lists outside the geometry.
 type diskScan struct {
 	damage  []cellDamage
 	present int
 	extras  []store.Addr
-	err     error
 }
 
 // cellDamage is one unreadable cell of the scanned disk.
@@ -128,11 +98,10 @@ type cellDamage struct {
 // disk) is an error rather than chunks reported missing. Every listed
 // in-geometry chunk is stated, or read into buf under scrub, in
 // ascending order, and the scan stops at the first error.
-func scanDisk(b store.Backend, m store.ArrayManifest, disk int, scrub bool, buf chunk.Chunk) (sc diskScan) {
+func scanDisk(b store.Backend, m store.ArrayManifest, disk int, scrub bool, buf chunk.Chunk) (sc diskScan, err error) {
 	addrs, err := b.List(disk)
 	if err != nil {
-		sc.err = err
-		return sc
+		return sc, err
 	}
 	inGeometry := func(a store.Addr) bool {
 		return a.Stripe >= 0 && a.Stripe < m.Stripes && a.Chunk >= 0 && a.Chunk < m.Rows
@@ -140,11 +109,9 @@ func scanDisk(b store.Backend, m store.ArrayManifest, disk int, scrub bool, buf 
 	for i, a := range addrs {
 		switch {
 		case a.Disk != disk:
-			sc.err = fmt.Errorf("rebuild: disk %d lists %v, an address on another disk", disk, a)
-			return sc
+			return sc, fmt.Errorf("rebuild: disk %d lists %v, an address on another disk", disk, a)
 		case i > 0 && !addrs[i-1].Less(a):
-			sc.err = fmt.Errorf("rebuild: disk %d lists %v after %v, not in ascending (stripe, chunk) order", disk, a, addrs[i-1])
-			return sc
+			return sc, fmt.Errorf("rebuild: disk %d lists %v after %v, not in ascending (stripe, chunk) order", disk, a, addrs[i-1])
 		case !inGeometry(a):
 			sc.extras = append(sc.extras, a)
 		}
@@ -175,8 +142,7 @@ func scanDisk(b store.Backend, m store.ArrayManifest, disk int, scrub bool, buf 
 			case store.IsNotFound(err):
 				sc.damage = append(sc.damage, cellDamage{stripe: stripe, row: row})
 			case err != nil:
-				sc.err = err
-				return sc
+				return sc, err
 			case size != m.ChunkSize:
 				// Valid codec, wrong array: a chunk of another store's
 				// geometry cannot serve reads here.
@@ -186,5 +152,5 @@ func scanDisk(b store.Backend, m store.ArrayManifest, disk int, scrub bool, buf 
 			}
 		}
 	}
-	return sc
+	return sc, nil
 }

@@ -15,8 +15,8 @@
 // FBF's byte cache stays in the simulator, where the paper puts it: a
 // stripe here holds every source's sum at once, so no chunk is read
 // twice. On a backend that states a stripe depth, stripes are evaluated
-// ahead of their turn on lane goroutines (inflight.go) and still written
-// back one at a time, in repair order.
+// ahead of their turn on lane goroutines (repairInFlight, on
+// internal/lanes) and still written back one at a time, in repair order.
 package rebuild
 
 import (
@@ -32,6 +32,7 @@ import (
 	"fbf/internal/core"
 	"fbf/internal/gf2"
 	"fbf/internal/grid"
+	"fbf/internal/lanes"
 	"fbf/internal/store"
 	"fbf/internal/telemetry"
 )
@@ -75,8 +76,7 @@ type ServiceConfig struct {
 	// payload bit-rot at scan time.
 	Scrub bool
 	// NoVerify skips the check of recovered chunks before write-back: the
-	// parity-chain zero test a stripe passes before its first write, in
-	// either evaluation order.
+	// parity-chain zero test a stripe passes before its first write.
 	NoVerify bool
 
 	// Priority selects the stripe repair order (PrioritySequential
@@ -96,10 +96,10 @@ type ServiceConfig struct {
 	// Stop, when non-nil, requests graceful shutdown: once the channel
 	// is closed the service starts no further chunk write, finishes and
 	// journals the writes in flight (up to the backend's write depth of
-	// them: every stripe is written back as one group, in either
-	// evaluation order), discards the stripes evaluated ahead of their
-	// turn (store.StripeDepth) and not yet written, syncs the journal,
-	// and returns with Interrupted set instead of an error.
+	// them: every stripe is written back as one group), discards the
+	// stripes evaluated (store.StripeDepth of them at most) and not yet
+	// written, syncs the journal, and returns with Interrupted set instead
+	// of an error.
 	Stop <-chan struct{}
 
 	// Progress, when non-nil, is called after every repaired stripe —
@@ -190,69 +190,35 @@ func StripeSeed(base int64, stripe int) int64 { return base + int64(stripe) }
 // stripe's data chunks are filled deterministically from seed, parity
 // is encoded, and all chunks are written.
 //
-// Up to GOMAXPROCS stripes are materialized at once, ahead of their turn,
-// each on a lane goroutine into the lane's own buffers; materializing
-// touches no backend. Every backend call stays on the calling goroutine:
-// the stripes are written back one at a time, in stripe order, by
-// writeBack at the backend's write depth, so a backend sees the same
-// calls in the same order at any core count. At one processor no
-// goroutine is started. After a failed write no further stripe is handed
-// out, and the lanes still materializing are joined before the error is
-// returned, with no write after it.
+// The stripes run on lanes.Ahead with k = GOMAXPROCS and k slots, one
+// stripe buffer set each: k−1 stripes are materialized on lanes while the
+// calling goroutine writes the one before them. Materializing touches no
+// backend, and every backend call stays on the calling goroutine: the
+// stripes are written back one at a time, in stripe order, by writeBack
+// at the backend's write depth, so a backend sees the same calls in the
+// same order at any core count. After a failed write no further stripe
+// is begun, and the lanes still materializing are joined before the error
+// is returned, with no write after it.
 func InitStore(b store.Backend, m store.ArrayManifest, seed int64) error {
 	code, err := ResolveCode(m)
 	if err != nil {
 		return err
 	}
-	write := func(s int, stripe []chunk.Chunk) error {
+	k := runtime.GOMAXPROCS(0)
+	stripes := make([][]chunk.Chunk, k)
+	begin := func(_, slot int) bool {
+		if stripes[slot] == nil {
+			stripes[slot] = code.NewStripe(m.ChunkSize)
+		}
+		return true
+	}
+	materialize := func(s, slot int) { code.MaterializeStripeInto(stripes[slot], StripeSeed(seed, s)) }
+	write := func(s, slot int) error {
 		addr := func(idx int) store.Addr { return AddrOf(s, code.CoordOf(idx)) }
-		_, err := writeBack(b, nil, stripe, addr, func(int) error { return nil })
+		_, err := writeBack(b, nil, stripes[slot], addr, func(int) error { return nil })
 		return err
 	}
-	k := min(runtime.GOMAXPROCS(0), m.Stripes)
-	if k <= 1 {
-		stripe := code.NewStripe(m.ChunkSize)
-		for s := range m.Stripes {
-			code.MaterializeStripeInto(stripe, StripeSeed(seed, s))
-			if err := write(s, stripe); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Lane s%k materializes stripe s and is handed stripe s+k once stripe
-	// s is written: writeBack returns with nothing in flight, so the
-	// lane's buffers are free to refill.
-	type lane struct {
-		stripe []chunk.Chunk
-		done   chan struct{} // one send per stripe materialized
-	}
-	lanes := make([]lane, k)
-	start := func(s int) {
-		l := &lanes[s%k]
-		go func() {
-			code.MaterializeStripeInto(l.stripe, StripeSeed(seed, s))
-			l.done <- struct{}{}
-		}()
-	}
-	for s := range lanes {
-		lanes[s] = lane{stripe: code.NewStripe(m.ChunkSize), done: make(chan struct{}, 1)}
-		start(s)
-	}
-	for s := range m.Stripes {
-		l := &lanes[s%k]
-		<-l.done
-		if err := write(s, l.stripe); err != nil {
-			for t := s + 1; t < min(s+k, m.Stripes); t++ {
-				<-lanes[t%k].done
-			}
-			return err
-		}
-		if s+k < m.Stripes {
-			start(s + k)
-		}
-	}
-	return nil
+	return lanes.Ahead(k, k, m.Stripes, begin, materialize, write)
 }
 
 // StripeDamage lists one stripe's unreadable cells.
@@ -506,8 +472,8 @@ func (s *service) execute(jstate *JournalState) error {
 	}
 	s.m.StripesPlanned.Add(uint64(len(order)))
 	k := store.StripeDepth(cfg.Backend)
-	if k <= 1 || cfg.DryRun {
-		k = 0 // every stripe on this goroutine: the serial loop
+	if cfg.DryRun {
+		k = 1 // nothing to evaluate: the plain loop
 	}
 	return s.repairInFlight(order, k)
 }
@@ -533,6 +499,15 @@ func stopRequested(stop <-chan struct{}) bool {
 	default:
 		return false
 	}
+}
+
+// stopped polls Stop, marking the run interrupted once it has fired, and
+// reports whether the run is.
+func (s *service) stopped() bool {
+	if stopRequested(s.cfg.Stop) {
+		s.res.Interrupted = true
+	}
+	return s.res.Interrupted
 }
 
 // requeueResumed puts back into the damage report, as corrupt, every cell
@@ -569,10 +544,6 @@ type service struct {
 	code *codes.Code
 	res  *ServiceResult
 	pool *chunk.Pool
-
-	// work holds the buffers of the stripe under evaluation (stripeBufs),
-	// kept from one stripe to the next.
-	work []chunk.Chunk
 
 	// lost holds the cells of the stripe under repair that were accounted
 	// as data loss, so that loseCell books each once across re-plans. A
@@ -640,24 +611,6 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 	return p, nil
 }
 
-// repairStripe rebuilds one damaged stripe: plan, evaluate the plan's
-// read-once pass, check, write back — escalating and re-planning when a
-// surviving chunk turns out unreadable or corrupt.
-func (s *service) repairStripe(d StripeDamage) error {
-	lost := d.Lost()
-	plan, err := s.planFor(d.Stripe, lost)
-	if err != nil {
-		return err
-	}
-	s.beginStripe(d.Stripe, plan)
-	if s.cfg.DryRun {
-		s.res.PlannedChunks += len(plan.scheme.Selected)
-		s.res.PlannedReads += plan.scheme.UniqueFetches()
-		return nil
-	}
-	return s.replay(d.Stripe, lost, plan, nil)
-}
-
 // beginStripe makes the stripe under repair the one whose lost cells
 // loseCell books, and books plan's unsolved cells.
 func (s *service) beginStripe(stripe int, plan *schemePlan) {
@@ -667,24 +620,22 @@ func (s *service) beginStripe(stripe int, plan *schemePlan) {
 	}
 }
 
-// replay evaluates and writes back one stripe under plan, escalating and
-// re-planning until it is repaired, and records it done. first, when
-// non-nil, is the stripe's first evaluation, already made in a lane
-// (repairInFlight); every later one is made here.
-func (s *service) replay(stripe int, lost []grid.Coord, plan *schemePlan, first *flight) error {
+// replay writes back one stripe whose first evaluation is in f,
+// escalating, re-planning and re-evaluating in f until it is repaired,
+// and records it done.
+func (s *service) replay(f *flight) error {
 	// The escalation loop: a failed source read escalates that cell to
 	// lost and regenerates the plan. The pass reads everything it needs
 	// before the stripe's first write, so nothing of it has been written
 	// and the new plan is simply the grown lost set's. Every escalation
 	// grows that set, so the loop is bounded by the stripe's cell count.
-	var err error
 	for attempt := 0; attempt <= s.code.Layout().Cells(); attempt++ {
 		var esc *grid.Coord
-		if first != nil {
-			esc, err = s.land(first)
-			first = nil
+		var err error
+		if attempt == 0 {
+			esc, err = s.land(f)
 		} else {
-			esc, err = s.replayPass(stripe, plan)
+			esc, err = s.replayPass(f)
 		}
 		if err != nil {
 			return err
@@ -697,7 +648,7 @@ func (s *service) replay(stripe int, lost []grid.Coord, plan *schemePlan, first 
 				return nil
 			}
 			if s.journal != nil {
-				if err := s.journaled(s.journal.AppendStripeDone(stripe)); err != nil {
+				if err := s.journaled(s.journal.AppendStripeDone(f.stripe)); err != nil {
 					return err
 				}
 				if err := s.journal.Sync(); err != nil {
@@ -709,17 +660,16 @@ func (s *service) replay(stripe int, lost []grid.Coord, plan *schemePlan, first 
 		// Escalate: the cell joins the lost set; regenerate (unsolved cells
 		// are lost).
 		s.m.Escalations.Inc()
-		lost = mergeCell(lost, *esc)
-		plan, err = s.planFor(stripe, lost)
-		if err != nil {
+		f.lost = mergeCell(f.lost, *esc)
+		if f.plan, err = s.planFor(f.stripe, f.lost); err != nil {
 			return err
 		}
 		s.m.Regenerations.Inc()
-		for _, c := range plan.unsolved {
-			s.loseCell(stripe, c)
+		for _, c := range f.plan.unsolved {
+			s.loseCell(f.stripe, c)
 		}
 	}
-	return fmt.Errorf("rebuild: stripe %d: escalation loop did not terminate", stripe)
+	return fmt.Errorf("rebuild: stripe %d: escalation loop did not terminate", f.stripe)
 }
 
 // notZero is the error of a stripe that fails its zero test at chain ch.
@@ -901,22 +851,22 @@ func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
 	return p, nil
 }
 
-// replayPass rebuilds a stripe in one pass over its sources (evaluate)
-// on this goroutine, then lands it as a lane's evaluation is landed:
-// every write is journaled as it completes (writeBack keeps up to the
-// backend's write depth of them in flight).
-func (s *service) replayPass(stripe int, plan *schemePlan) (*grid.Coord, error) {
-	if stopRequested(s.cfg.Stop) {
-		s.res.Interrupted = true
+// replayPass evaluates f's plan again (evaluate) in f's buffers on this
+// goroutine, then lands it as a lane's evaluation is landed: every write
+// is journaled as it completes (writeBack keeps up to the backend's write
+// depth of them in flight).
+func (s *service) replayPass(f *flight) (*grid.Coord, error) {
+	if s.stopped() {
 		return nil, nil
 	}
-	pass, err := s.passFor(plan)
+	pass, err := s.passFor(f.plan)
 	if err != nil {
 		return nil, err
 	}
-	f := flight{stripe: stripe, plan: plan, pass: pass, bufs: s.stripeBufs(pass.width())}
-	f.esc, f.err = s.evaluate(stripe, pass, f.bufs, &f.tally)
-	return s.land(&f)
+	s.fit(f, pass)
+	f.tally = evalTally{}
+	f.esc, f.err = s.evaluate(f.stripe, pass, f.bufs[:pass.width()], &f.tally)
+	return s.land(f)
 }
 
 // evaluate is the read-once pass of one stripe. Replaying a plan cell by
@@ -1211,17 +1161,6 @@ func (s *service) readSource(a store.Addr, buf chunk.Chunk) error {
 		err = &store.CorruptError{Addr: a, Err: fmt.Errorf("payload is %d bytes, manifest says %d", n, len(buf))}
 	}
 	return err
-}
-
-// stripeBufs returns n chunk buffers for evaluating one stripe, holding
-// whatever the last stripe left in them. The service keeps them from one
-// stripe to the next, so a run holds as many as its largest stripe needed
-// and a stripe takes none from the pool.
-func (s *service) stripeBufs(n int) []chunk.Chunk {
-	for len(s.work) < n {
-		s.work = append(s.work, s.pool.GetRaw())
-	}
-	return s.work[:n]
 }
 
 // loseCell accounts one cell of the stripe under repair as data loss,

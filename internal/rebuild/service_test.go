@@ -972,11 +972,11 @@ func journalRecords(path string) ([]byte, error) {
 // the stripe's middle read and at its last, after the repair has rebuilt
 // some or all of its cells in memory: every single-disk run from row 0 of
 // two or more cells, four codes at p = 5 and 7. Nothing of a stripe is
-// written before every read of it is done, in either evaluation order, so
-// at the failing read no chunk of the stripe has been written and the
-// journal ends with exactly one commit record per rebuilt chunk, each of a
-// distinct address; the re-plan is the grown lost set's and rebuilds the
-// stripe byte-exact, the escalated survivor among its cells.
+// written before every read of it is done, so at the failing read no
+// chunk of the stripe has been written and the journal ends with exactly
+// one commit record per rebuilt chunk, each of a distinct address; the
+// re-plan is the grown lost set's and rebuilds the stripe byte-exact, the
+// escalated survivor among its cells.
 func TestServiceSurvivorUnreadableMidStripe(t *testing.T) {
 	const seed = 23
 	runs := 0

@@ -1,7 +1,7 @@
 package rebuild
 
 // writeback_test.go pins the write-back dispatcher (writeBack) through
-// RunService, in both evaluation orders: how many writes it keeps in
+// RunService, at every stated stripe depth: how many writes it keeps in
 // flight, what it does when one of them fails or a stop arrives in
 // mid-group, how many written chunks a kill can leave without a commit
 // record, and that a backend stating no depth sees the serial order.
