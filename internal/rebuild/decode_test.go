@@ -331,11 +331,7 @@ func killedPass(t *testing.T, b store.Backend, m store.ArrayManifest, disks []in
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass, err := s.passFor(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, plan, pass
+	return s, plan, plan.pass
 }
 
 // TestDecodePassCounts pins the chunk-sized XOR passes one stripe's
@@ -420,7 +416,9 @@ func TestDecodePassMutationsFailZeroTest(t *testing.T) {
 				t.Helper()
 				held.held = map[store.Addr][]byte{}
 				verified := s.m.ChunksVerified.Value()
-				esc, err := s.replayPass(&flight{stripe: 0, plan: plan})
+				f := &flight{stripe: 0, plan: plan}
+				f.esc, f.err = s.evaluate(f)
+				esc, err := s.land(f)
 				if esc != nil {
 					t.Fatalf("%s: escalated %v", what, esc)
 				}

@@ -7,15 +7,14 @@ import (
 )
 
 // flight is one stripe under repair in its slot of the repair loop: the
-// plan and pass the caller built for it, the buffers the slot keeps from
-// one stripe to the next, and what the last evaluation found. A lane
-// writes esc, err, tally and bufs' bytes; the caller reads them only
-// once lanes.Ahead has taken the stripe back for its end.
+// plan the caller made for it, the buffers the slot keeps from one stripe
+// to the next, and what the last evaluation found. A lane writes esc,
+// err, tally and bufs; the caller reads them only once lanes.Ahead has
+// taken the stripe back for its end.
 type flight struct {
 	stripe int
 	lost   []grid.Coord
 	plan   *schemePlan
-	pass   *decodePass
 	bufs   []chunk.Chunk
 
 	esc   *grid.Coord
@@ -48,17 +47,11 @@ func (s *service) repairInFlight(order []StripeDamage, k int) error {
 		f := &flights[slot]
 		*f = flight{stripe: order[i].Stripe, lost: order[i].Lost(), bufs: f.bufs}
 		f.plan, f.err = s.planFor(f.stripe, f.lost)
-		if f.err == nil && !s.cfg.DryRun {
-			var pass *decodePass
-			if pass, f.err = s.passFor(f.plan); f.err == nil {
-				s.fit(f, pass)
-			}
-		}
 		return true
 	}
 	work := func(_, slot int) {
-		if f := &flights[slot]; f.pass != nil {
-			f.esc, f.err = s.evaluate(f.stripe, f.pass, f.bufs[:f.pass.width()], &f.tally)
+		if f := &flights[slot]; f.plan != nil && f.plan.pass != nil {
+			f.esc, f.err = s.evaluate(f)
 		}
 	}
 	end := func(_, slot int) error {
@@ -86,14 +79,6 @@ func (s *service) repairInFlight(order []StripeDamage, k int) error {
 	return lanes.Ahead(k, k+1, len(order), begin, work, end)
 }
 
-// fit makes pass the flight's and gives the flight the buffers it takes.
-func (s *service) fit(f *flight, pass *decodePass) {
-	for len(f.bufs) < pass.width() {
-		f.bufs = append(f.bufs, s.pool.GetRaw())
-	}
-	f.pass = pass
-}
-
 // land books an evaluation and, if it found the stripe repaired, writes
 // the stripe back.
 func (s *service) land(f *flight) (*grid.Coord, error) {
@@ -101,5 +86,5 @@ func (s *service) land(f *flight) (*grid.Coord, error) {
 	if f.esc != nil || f.err != nil {
 		return f.esc, f.err
 	}
-	return nil, s.writeStripe(f.stripe, f.plan.scheme.Selected, f.pass.out(f.bufs))
+	return nil, s.writeStripe(f.stripe, f.plan.scheme.Selected, f.plan.pass.out(f.bufs))
 }

@@ -4,14 +4,14 @@
 // the escalate-and-replan ladder (core.RegenerateScheme) against real
 // bytes in a store.Backend, and checks every recovered chunk before it is
 // written back: parity chains of the repaired stripe must XOR to zero.
-// Every stripe is evaluated in one read-once pass (decodePass): each
-// source is read from the backend once, in store-address order, and
-// folded into every accumulator that lists it. A plan of single parity
-// chains (the paper's partial stripe errors) sums one accumulator per
-// repair chain and one per check chain picked with the plan (checkFor);
-// a plan that needs the GF(2) decoder (whole-disk damage) sums the
-// stripe's chain syndromes and decodes on them (passFor). Either way the
-// whole stripe passes its test before writeBack starts its first write.
+// Every stripe is evaluated in one read-once pass (decodePass), which
+// passFor alone builds, once per lost set: each source is read from the
+// backend once, in store-address order, and folded into every accumulator
+// whose chain holds it. A plan of single parity chains (the paper's
+// partial stripe errors) sums its repair chains and the check chains
+// picked with it (checkChains); a plan that needs the GF(2) decoder
+// (whole-disk damage) sums the stripe's chain syndromes and decodes on
+// them. Either way the stripe passes its test before its first write.
 // FBF's byte cache stays in the simulator, where the paper puts it: a
 // stripe here holds every source's sum at once, so no chunk is read
 // twice. On a backend that states a stripe depth, stripes are evaluated
@@ -21,6 +21,7 @@ package rebuild
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -408,7 +409,7 @@ func RunService(cfg ServiceConfig) (*ServiceResult, error) {
 // newService assembles the run state of one repair pass over a
 // defaulted, validated configuration.
 func newService(cfg *ServiceConfig, code *codes.Code, res *ServiceResult, jn *Journal) *service {
-	s := &service{cfg: cfg, m: cfg.Metrics, code: code, res: res, pool: chunk.NewPool(cfg.Manifest.ChunkSize), journal: jn,
+	s := &service{cfg: cfg, m: cfg.Metrics, code: code, res: res, journal: jn,
 		lost: make(map[grid.Coord]bool)}
 	tally(s.m, &ServiceResult{}, &s.base)
 	return s
@@ -543,7 +544,6 @@ type service struct {
 	base ServiceResult             // m's tally at entry
 	code *codes.Code
 	res  *ServiceResult
-	pool *chunk.Pool
 
 	// lost holds the cells of the stripe under repair that were accounted
 	// as data loss, so that loseCell books each once across re-plans. A
@@ -561,37 +561,27 @@ type service struct {
 }
 
 // schemePlan caches one lost-cell pattern's generated scheme and its
-// unsolvable cells, with the read-once pass that evaluates it.
+// unsolvable cells, with the read-once pass that evaluates it (passFor;
+// nil in a dry run).
 type schemePlan struct {
 	lost     []grid.Coord // the pattern, sorted
 	scheme   *core.Scheme
 	unsolved []grid.Coord
-
-	// decoded reports a scheme with at least one GF(2)-decoder selection:
-	// its pass sums chain syndromes and decodes on them. A scheme of single
-	// chains sums its repair chains and its check chains (checkFor). pass
-	// is built on first use (passFor).
-	decoded bool
-	pass    *decodePass
-}
-
-func lostKey(lost []grid.Coord) string {
-	var b strings.Builder
-	for _, c := range lost {
-		fmt.Fprintf(&b, "%d,%d;", c.Row, c.Col)
-	}
-	return b.String()
+	pass     *decodePass
 }
 
 // planFor generates (or recalls) the recovery scheme for one sorted
-// lost-cell pattern. The synthetic PartialStripeError only carries
-// stripe/cell bookkeeping into the Scheme; RegenerateScheme does not
-// re-validate it, which is exactly what lets the service repair
-// multi-disk and whole-column damage a plain partial-stripe error
-// cannot describe.
+// lost-cell pattern, with its pass unless the run is dry. The synthetic
+// PartialStripeError only carries stripe/cell bookkeeping into the
+// Scheme; RegenerateScheme does not re-validate it, which is exactly what
+// lets the service repair multi-disk and whole-column damage a plain
+// partial-stripe error cannot describe.
 func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
-	key := lostKey(lost)
-	if p, ok := s.schemes[key]; ok {
+	key := make([]byte, 0, 128) // the cells' indexes, as varints
+	for _, c := range lost {
+		key = binary.AppendUvarint(key, uint64(s.code.CellIndex(c)))
+	}
+	if p, ok := s.schemes[string(key)]; ok {
 		return p, nil
 	}
 	e := core.PartialStripeError{Stripe: stripe, Disk: lost[0].Col, Row: lost[0].Row, Size: len(lost)}
@@ -601,13 +591,15 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 	}
 	// A copy: the caller's slice grows in place when a cell escalates.
 	p := &schemePlan{lost: append([]grid.Coord(nil), lost...), scheme: scheme, unsolved: unsolved}
-	for _, sel := range scheme.Selected {
-		p.decoded = p.decoded || sel.Decoded
+	if !s.cfg.DryRun {
+		if p.pass, err = s.passFor(p); err != nil {
+			return nil, err
+		}
 	}
 	if s.schemes == nil {
 		s.schemes = make(map[string]*schemePlan)
 	}
-	s.schemes[key] = p
+	s.schemes[string(key)] = p
 	return p, nil
 }
 
@@ -627,16 +619,11 @@ func (s *service) replay(f *flight) error {
 	// The escalation loop: a failed source read escalates that cell to
 	// lost and regenerates the plan. The pass reads everything it needs
 	// before the stripe's first write, so nothing of it has been written
-	// and the new plan is simply the grown lost set's. Every escalation
-	// grows that set, so the loop is bounded by the stripe's cell count.
+	// and the new plan is simply the grown lost set's, evaluated again in
+	// f on this goroutine. Every escalation grows that set, so the loop is
+	// bounded by the stripe's cell count.
 	for attempt := 0; attempt <= s.code.Layout().Cells(); attempt++ {
-		var esc *grid.Coord
-		var err error
-		if attempt == 0 {
-			esc, err = s.land(f)
-		} else {
-			esc, err = s.replayPass(f)
-		}
+		esc, err := s.land(f)
 		if err != nil {
 			return err
 		}
@@ -668,6 +655,10 @@ func (s *service) replay(f *flight) error {
 		for _, c := range f.plan.unsolved {
 			s.loseCell(f.stripe, c)
 		}
+		if s.stopped() {
+			return nil // unfinished, as a stop mid-stripe leaves it
+		}
+		f.esc, f.err = s.evaluate(f)
 	}
 	return fmt.Errorf("rebuild: stripe %d: escalation loop did not terminate", f.stripe)
 }
@@ -692,16 +683,16 @@ func (s *service) writeStripe(stripe int, selected []core.SelectedChain, out []c
 	return err
 }
 
-// decodePass is a schemePlan's read-once evaluation order: each source is
-// read once and folded into the accumulators that list it, accumulator i
-// summing chains[i]. A decoded plan's accumulators are parity-chain
-// syndromes: every decoder equation of a lost set is a sum of a few of
-// them written out, so the pass sums each syndrome once — the XOR of
-// chains[i]'s surviving cells — and replays on the accumulators
+// decodePass is a schemePlan's read-once evaluation order (passFor): each
+// source is read once and folded into the accumulators that list it,
+// accumulator i summing chains[i]. A decoded plan's accumulators are
+// parity-chain syndromes: every decoder equation of a lost set is a sum of
+// a few of them written out, so the pass sums each syndrome once — the XOR
+// of chains[i]'s surviving cells — and replays on the accumulators
 // codes.DecodeSchedule's row additions, which form each equation as the
-// same sum of chains. A chain-major plan's pass (checkFor) has no row
-// operations and no snapshots: accumulator i is Selected[i]'s repair
-// chain, the rest are its check chains.
+// same sum of chains. A chain-major plan's pass has no row operations and
+// no snapshots: accumulator i is Selected[i]'s repair chain, the rest are
+// its check chains.
 type decodePass struct {
 	// chains are the layout's chains that hold a lost cell and, with
 	// verify, the ones that lost nothing too: no equation lists those, the
@@ -738,135 +729,177 @@ type passCheck struct {
 	cells []int // scheme.Selected indexes of the chain's rebuilt members
 }
 
-// passFor builds (or recalls) the plan's decodePass: checkFor's for a
-// chain-major plan, else the decoder's. Without verify the decoder's
-// sources are the chunks some Fetch equation lists, folded into the
-// accumulator of every chain with a lost cell that contains them: a
-// survivor outside every equation cancels in each sum the schedule forms
-// for a rebuilt cell, so it is not read. The zero test reads what the
-// equations cancelled: with verify every accumulator is its chain's
-// whole syndrome, every chain of the layout has one, and every surviving
-// chunk of the stripe is a source.
+// cellUse is what a plan does with one cell of the stripe: passFor keeps
+// one per cell, by CellIndex, and lends them to checkChains.
+type cellUse struct {
+	rebuilt int // Selected index + 1; 0 if the plan rebuilds no such cell
+	source  int // its index in the pass's sources + 1; 0 if the pass does not read it
+	summed  int // checkChains: the last candidate chain the cell's parity was taken for
+	shown   int // checkChains: Selected index + 1 of the last cell this repair member was shown for
+
+	lost    bool
+	fetched bool // a Fetch equation lists it
+	held    bool // an accumulator's chain holds it
+	extra   bool // checkChains: a check chain taken so far reads it, and nothing else does
+	odd     bool // checkChains: the cell is summed an odd number of times in that chain's test
+}
+
+// passFor builds plan's read-once pass; it is the only builder of one. The
+// plan picks the accumulators' chains: a decoded plan (one with a
+// GF(2)-decoder selection) takes every layout chain that holds a lost cell
+// — with verify, every chain — and replays codes.DecodeSchedule's row
+// additions on them; a chain-major plan takes its repair chains in
+// Selected order, then checkChains'. The rest is one rule for both. A
+// surviving chunk is a source when an accumulator's chain holds it and
+// either verify is on or a Fetch equation lists it: a survivor outside
+// every equation cancels in each sum the schedule forms for a rebuilt
+// cell. Sources are read in store-address order, disk then row, and each
+// folds into every accumulator whose chain holds it. The outputs are the
+// decoder rows and the repair chains' sums, the latter snapshotted before
+// the row additions in a decoded pass. With verify, every accumulator
+// whose sum is no output is checked if its chain holds a rebuilt cell and
+// no unsolved one — in a decoded pass against its snapshot, and the rows
+// the decode spared must be zero.
 func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
-	if plan.pass != nil {
-		return plan.pass, nil
-	}
-	if !plan.decoded {
-		plan.pass = s.checkFor(plan)
-		return plan.pass, nil
-	}
-	sched, err := s.code.DecodeSchedule(plan.lost)
-	if err != nil {
-		return nil, err
-	}
 	selected, verified := plan.scheme.Selected, !s.cfg.NoVerify
-	lost := make(map[grid.Coord]bool, len(plan.lost))
+	layout := s.code.Layout()
+	uses := make([]cellUse, layout.Cells())
+	at := func(cell grid.Coord) *cellUse { return &uses[s.code.CellIndex(cell)] }
 	for _, c := range plan.lost {
-		lost[c] = true
+		at(c).lost = true
 	}
-	rebuilt := make(map[grid.Coord]int, len(selected)) // cell -> Selected index
-	inFetch := make(map[grid.Coord]bool)
+	decoded := false
 	for i, sel := range selected {
-		rebuilt[sel.Lost] = i
-		for _, c := range sel.Fetch {
-			inFetch[c] = true
+		at(sel.Lost).rebuilt = i + 1
+		for _, m := range sel.Fetch {
+			at(m).fetched = true
+		}
+		decoded = decoded || sel.Decoded
+	}
+
+	// The schedule names chains by their index in chains, which accAt maps
+	// to accumulators; a chain-major pass has no row operations.
+	chains, sched := layout.Chains(), &codes.DecodeSchedule{}
+	p := &decodePass{chains: make([]*grid.Chain, 0, len(chains)), outputs: make([]int, len(selected))}
+	var accAt []int
+	if decoded {
+		var err error
+		if sched, err = s.code.DecodeSchedule(plan.lost); err != nil {
+			return nil, err
+		}
+		accAt = make([]int, len(chains))
+		for i := range chains {
+			if verified || slices.ContainsFunc(chains[i].Cells, func(c grid.Coord) bool { return at(c).lost }) {
+				accAt[i] = len(p.chains)
+				p.chains = append(p.chains, &chains[i])
+			}
+		}
+	} else {
+		for _, sel := range selected {
+			ch, _ := layout.Chain(sel.Chain)
+			p.chains = append(p.chains, ch)
+		}
+		if verified {
+			p.chains = checkChains(p.chains, layout, selected, at)
+		}
+	}
+	for _, ch := range p.chains {
+		for _, c := range ch.Cells {
+			at(c).held = true
 		}
 	}
 
-	p := &decodePass{outputs: make([]int, len(selected))}
-	chains := s.code.Layout().Chains() // the schedule names chains by their index here
-	accOf := make(map[grid.ChainID]int)
-	at := make(map[grid.Coord]*passSource)
-	for i := range chains {
-		ch := &chains[i]
-		survivors := ch.Survivors(lost)
-		if len(survivors) == len(ch.Cells) && !verified {
-			continue
-		}
-		acc := len(p.chains)
-		accOf[ch.ID()] = acc
-		p.chains = append(p.chains, ch)
-		for _, cell := range survivors {
-			if !verified && !inFetch[cell] {
-				continue
-			}
-			src := at[cell]
-			if src == nil {
-				src = &passSource{cell: cell, fetched: inFetch[cell]}
-				at[cell] = src
-			}
-			src.folds = append(src.folds, acc)
-		}
-	}
-	for _, src := range at {
-		p.sources = append(p.sources, *src)
-	}
-	sort.Slice(p.sources, func(i, j int) bool { // store address order
-		return AddrOf(0, p.sources[i].cell).Less(AddrOf(0, p.sources[j].cell))
-	})
-
-	// The elimination only ever adds rows that hold a lost cell.
-	for _, op := range sched.Ops {
-		p.ops = append(p.ops, gf2.RowOp{Dst: accOf[chains[op.Dst].ID()], Src: accOf[chains[op.Src].ID()]})
-	}
 	snap := func(acc int) int {
+		if !decoded {
+			return acc // no row additions to keep the sum from
+		}
 		p.snaps = append(p.snaps, acc)
 		return len(p.chains) + len(p.snaps) - 1
 	}
-	kept := make(map[int]bool) // accumulators whose snapshot is a rebuilt cell
+	output := make([]bool, len(p.chains)) // a repair chain: its sum is a rebuilt cell
 	for i, sel := range selected {
 		if sel.Decoded {
-			p.outputs[i] = accOf[chains[sched.Row[sel.Lost]].ID()]
+			p.outputs[i] = accAt[sched.Row[sel.Lost]]
 			continue
 		}
-		// A chain that rebuilds a cell alone holds no other lost cell, so it
-		// is kept by that cell only.
-		acc := accOf[sel.Chain]
-		kept[acc] = true
+		ch, _ := layout.Chain(sel.Chain)
+		acc := slices.Index(p.chains, ch) // holds no other lost cell: no other cell's output
+		output[acc] = true
 		p.outputs[i] = snap(acc)
 	}
 	if verified {
 		for acc, ch := range p.chains {
-			if kept[acc] {
-				continue // its snapshot is the cell itself: zero by construction
+			if output[acc] {
+				continue // its sum is the cell itself: zero by construction
 			}
-			var cells []int
-			unsolved := false
-			for _, cell := range ch.Cells {
-				if i, ok := rebuilt[cell]; ok {
-					cells = append(cells, i)
-				} else if lost[cell] {
-					unsolved = true // nothing to test the chain against
-				}
+			rebuilt, unsolved := false, false // unsolved: nothing to test the chain against
+			for _, c := range ch.Cells {
+				u := at(c)
+				rebuilt = rebuilt || u.rebuilt > 0
+				unsolved = unsolved || u.lost && u.rebuilt == 0
 			}
-			if len(cells) > 0 && !unsolved {
-				p.checks = append(p.checks, passCheck{chain: acc, snap: snap(acc), cells: cells})
+			if rebuilt && !unsolved {
+				p.checks = append(p.checks, passCheck{chain: acc, snap: snap(acc)})
 			}
 		}
 		for _, row := range sched.Spare {
-			p.spare = append(p.spare, accOf[chains[row].ID()])
+			p.spare = append(p.spare, accAt[row])
 		}
 	}
-	plan.pass = p
-	return p, nil
-}
+	// The elimination only ever adds rows that hold a lost cell.
+	for _, op := range sched.Ops {
+		p.ops = append(p.ops, gf2.RowOp{Dst: accAt[op.Dst], Src: accAt[op.Src]})
+	}
 
-// replayPass evaluates f's plan again (evaluate) in f's buffers on this
-// goroutine, then lands it as a lane's evaluation is landed: every write
-// is journaled as it completes (writeBack keeps up to the backend's write
-// depth of them in flight).
-func (s *service) replayPass(f *flight) (*grid.Coord, error) {
-	if s.stopped() {
-		return nil, nil
+	for col := 0; col < layout.Cols(); col++ {
+		for row := 0; row < layout.Rows(); row++ {
+			cell := grid.Coord{Row: row, Col: col}
+			if u := at(cell); u.held && !u.lost && (verified || u.fetched) {
+				p.sources = append(p.sources, passSource{cell: cell, fetched: u.fetched})
+				u.source = len(p.sources)
+			}
+		}
 	}
-	pass, err := s.passFor(f.plan)
-	if err != nil {
-		return nil, err
+	// Fill every list — each source's accumulators, then each check's
+	// rebuilt members — in one array: walk names every (list, entry) pair,
+	// the first walk counts them and the second places them.
+	nSrc := len(p.sources)
+	walk := func(visit func(list, entry int)) {
+		for acc, ch := range p.chains {
+			for _, c := range ch.Cells {
+				if u := at(c); u.source > 0 {
+					visit(u.source-1, acc)
+				}
+			}
+		}
+		for k, check := range p.checks {
+			for _, c := range p.chains[check.chain].Cells {
+				if u := at(c); u.rebuilt > 0 {
+					visit(nSrc+k, u.rebuilt-1)
+				}
+			}
+		}
 	}
-	s.fit(f, pass)
-	f.tally = evalTally{}
-	f.esc, f.err = s.evaluate(f.stripe, pass, f.bufs[:pass.width()], &f.tally)
-	return s.land(f)
+	end := make([]int, nSrc+len(p.checks)+1) // end[k] is where list k ends once filled
+	walk(func(list, _ int) { end[list+1]++ })
+	for k := 1; k < len(end); k++ {
+		end[k] += end[k-1]
+	}
+	lists := make([]int, end[len(end)-1])
+	walk(func(list, entry int) {
+		lists[end[list]] = entry
+		end[list]++
+	})
+	start := 0
+	for k, e := range end[:len(end)-1] {
+		if list := lists[start:e:e]; k < nSrc {
+			p.sources[k].folds = list
+		} else {
+			p.checks[k-nSrc].cells = list
+		}
+		start = e
+	}
+	return p, nil
 }
 
 // evaluate is the read-once pass of one stripe. Replaying a plan cell by
@@ -882,13 +915,19 @@ func (s *service) replayPass(f *flight) (*grid.Coord, error) {
 // from the outputs, XORs to zero, and so does every row the elimination
 // did not need — the chains that lost nothing among them.
 //
-// The pass works in bufs, pass.width() of them: one per accumulator, one
-// per snapshot and a read buffer. It books into t, not into the run's
-// cells: each Fetch source as a disk read, a chunk only the zero test
-// needs as a verify read. It reads nothing of the service that changes
-// during a run, so it may run on a lane goroutine.
-func (s *service) evaluate(stripe int, pass *decodePass, bufs []chunk.Chunk, t *evalTally) (*grid.Coord, error) {
-	accs, buf := bufs[:len(bufs)-1], bufs[len(bufs)-1]
+// The pass works in f's buffers, allocated on first use, pass.width() of
+// them: one per accumulator, one per snapshot and a read buffer. It books
+// into f's tally, not into the run's cells: each Fetch source as a disk
+// read, a chunk only the zero test needs as a verify read. It reads
+// nothing of the service that changes during a run, so it may run on a
+// lane goroutine.
+func (s *service) evaluate(f *flight) (*grid.Coord, error) {
+	stripe, pass, t := f.stripe, f.plan.pass, &f.tally
+	for len(f.bufs) < pass.width() {
+		f.bufs = append(f.bufs, chunk.New(s.cfg.Manifest.ChunkSize))
+	}
+	*t = evalTally{}
+	accs, buf := f.bufs[:pass.width()-1], f.bufs[pass.width()-1]
 	for _, acc := range accs[:len(pass.chains)] {
 		clear(acc)
 	}
@@ -977,64 +1016,29 @@ func (s *service) bookCell(a store.Addr, sel core.SelectedChain, data chunk.Chun
 	return nil
 }
 
-// checkFor builds a chain-major plan's read-once pass: a decodePass with
-// no row operations. Accumulator i sums Selected[i]'s repair chain, one
-// accumulator more sums each check chain picked with the plan, and the
-// sources — the chunks some repair chain fetches and, as verify reads,
-// the check chains' members the stripe reads for nothing else — are each
-// read once, in store-address order, and folded into every accumulator
-// that lists them. Each check chain then takes its rebuilt members from
-// the outputs and must be zero.
-//
-// The check chains: for each selected cell in turn it takes layout chains
+// checkChains appends a chain-major plan's check chains to chains, its
+// repair chains. For each selected cell in turn it takes layout chains
 // through the cell other than its repair chain, none with an unsolved
 // member (data loss is never read); the one with the fewest members the
-// stripe does not read anyway goes first — a member counts unless a
-// repair chain fetches it, the plan rebuilds it or a check taken for an
-// earlier cell reads it — ties in layout order. A lie in a chunk shows in
-// a check chain's sum if the chunk is summed an odd number of times: once
-// if the chain holds it, once more for each rebuilt member whose repair
-// chain fetched it. So a chain is taken only if it shows a member of the
-// cell's repair chain that no chain taken for the cell so far shows — the
-// first usable one nearly always; a further one where the repair chain
-// and the check chain share members (STAR's adjusters) or the check chain
-// holds a second rebuilt cell. A chain taken for two cells is summed
-// once. Without verify it picks none.
-func (s *service) checkFor(plan *schemePlan) *decodePass {
-	selected := plan.scheme.Selected
-	// What the plan does with each cell of the stripe, by CellIndex.
-	type use struct {
-		rebuilt  int  // Selected index + 1; 0 if the plan rebuilds no such cell
-		fetched  bool // a repair chain fetches it
-		extra    bool // a check chain taken so far reads it, and nothing else does
-		unsolved bool
-		summed   int  // the last candidate chain the cell's parity was taken for
-		odd      bool // the cell is summed an odd number of times in that chain's test
-		shown    int  // Selected index + 1 of the last cell this repair member was shown for
-		source   int  // its index in the pass's sources + 1; 0 if the pass does not read it
-	}
-	layout := s.code.Layout()
-	uses := make([]use, layout.Cells())
-	at := func(cell grid.Coord) *use { return &uses[s.code.CellIndex(cell)] }
-	p := &decodePass{outputs: make([]int, len(selected))}
-	for i, sel := range selected {
-		at(sel.Lost).rebuilt = i + 1
-		for _, m := range sel.Fetch {
-			at(m).fetched = true
-		}
-		ch, _ := layout.Chain(sel.Chain)
-		p.chains = append(p.chains, ch)
-		p.outputs[i] = i
-	}
-	for _, m := range plan.unsolved {
-		at(m).unsolved = true
-	}
+// stripe does not read anyway goes first — a member counts unless a repair
+// chain fetches it, the plan rebuilds it or a check taken for an earlier
+// cell reads it — ties in layout order. A lie in a chunk shows in a check
+// chain's sum if the chunk is summed an odd number of times: once if the
+// chain holds it, once more for each rebuilt member whose repair chain
+// fetched it. So a chain is taken only if it shows a member of the cell's
+// repair chain that no chain taken for the cell so far shows — the first
+// usable one nearly always; a further one where the repair chain and the
+// check chain share members (STAR's adjusters) or the check chain holds a
+// second rebuilt cell. A chain taken for two cells is appended once. at is
+// the plan's use of each cell as passFor filled it; checkChains keeps its
+// own marks there.
+func checkChains(chains []*grid.Chain, layout *grid.Layout, selected []core.SelectedChain, at func(grid.Coord) *cellUse) []*grid.Chain {
 	// unread counts a chain's members the stripe reads for nothing else, or
 	// is -1 for a chain with an unsolved member.
 	unread := func(ch *grid.Chain) (n int) {
 		for _, m := range ch.Cells {
 			switch u := at(m); {
-			case u.unsolved:
+			case u.lost && u.rebuilt == 0:
 				return -1
 			case u.rebuilt == 0 && !u.fetched && !u.extra:
 				n++
@@ -1052,11 +1056,7 @@ func (s *service) checkFor(plan *schemePlan) *decodePass {
 		}
 	}
 
-	checked := selected
-	if s.cfg.NoVerify {
-		checked = nil
-	}
-	for i, sel := range checked {
+	for i, sel := range selected {
 		cands := layout.ChainsThrough(sel.Lost) // a copy, ours to reorder
 		cands = slices.DeleteFunc(cands, func(ch *grid.Chain) bool { return ch.ID() == sel.Chain || unread(ch) < 0 })
 		slices.SortStableFunc(cands, func(a, b *grid.Chain) int { return cmp.Compare(unread(a), unread(b)) })
@@ -1076,10 +1076,10 @@ func (s *service) checkFor(plan *schemePlan) *decodePass {
 					u.shown, shown = i+1, true
 				}
 			}
-			if !shown || slices.Contains(p.chains[len(selected):], ch) {
+			if !shown || slices.Contains(chains[len(selected):], ch) {
 				continue
 			}
-			p.chains = append(p.chains, ch)
+			chains = append(chains, ch)
 			for _, m := range ch.Cells {
 				if u := at(m); u.rebuilt == 0 && !u.fetched {
 					u.extra = true
@@ -1087,60 +1087,7 @@ func (s *service) checkFor(plan *schemePlan) *decodePass {
 			}
 		}
 	}
-
-	// The sources in store-address order: the stripe's cells by disk, then
-	// by row.
-	for col := 0; col < layout.Cols(); col++ {
-		for row := 0; row < layout.Rows(); row++ {
-			cell := grid.Coord{Row: row, Col: col}
-			if u := at(cell); u.fetched || u.extra {
-				p.sources = append(p.sources, passSource{cell: cell, fetched: u.fetched})
-				u.source = len(p.sources)
-			}
-		}
-	}
-
-	// Fill every list — each source's accumulators, then each check's
-	// rebuilt members — in one array: walk names every (list, entry) pair,
-	// the first walk counts them and the second places them.
-	nSel, nSrc, checks := len(selected), len(p.sources), p.chains[len(selected):]
-	walk := func(visit func(list, entry int)) {
-		for i, sel := range selected {
-			for _, m := range sel.Fetch {
-				visit(at(m).source-1, i)
-			}
-		}
-		for j, ch := range checks {
-			for _, m := range ch.Cells {
-				if u := at(m); u.rebuilt > 0 {
-					visit(nSrc+j, u.rebuilt-1)
-				} else {
-					visit(u.source-1, nSel+j)
-				}
-			}
-		}
-	}
-	end := make([]int, nSrc+len(checks)+1) // end[k] is where list k ends once filled
-	walk(func(list, _ int) { end[list+1]++ })
-	for k := 1; k < len(end); k++ {
-		end[k] += end[k-1]
-	}
-	all := make([]int, end[len(end)-1])
-	walk(func(list, entry int) {
-		all[end[list]] = entry
-		end[list]++
-	})
-	start := 0
-	for k, e := range end[:len(end)-1] {
-		if list := all[start:e:e]; k < nSrc {
-			p.sources[k].folds = list
-		} else {
-			acc := nSel + k - nSrc
-			p.checks = append(p.checks, passCheck{chain: acc, snap: acc, cells: list})
-		}
-		start = e
-	}
-	return p
+	return chains
 }
 
 // escalation is what a replay returns for a failed source read: the cell,
@@ -1174,10 +1121,8 @@ func (s *service) loseCell(stripe int, c grid.Coord) {
 }
 
 func mergeCell(lost []grid.Coord, c grid.Coord) []grid.Coord {
-	for _, have := range lost {
-		if have == c {
-			return lost
-		}
+	if slices.Contains(lost, c) {
+		return lost
 	}
 	lost = append(lost, c)
 	sort.Slice(lost, func(i, j int) bool { return lost[i].Less(lost[j]) })

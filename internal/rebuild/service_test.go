@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fbf/internal/chunk"
@@ -467,17 +468,13 @@ func TestDecodePassShape(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !plan.decoded {
+				selected, pass := plan.scheme.Selected, plan.pass
+				if !slices.ContainsFunc(selected, func(sel core.SelectedChain) bool { return sel.Decoded }) {
 					t.Fatal("fixture plan has no decoder selection")
 				}
-				pass, err := s.passFor(plan)
-				if err != nil {
-					t.Fatal(err)
+				if again, _ := s.planFor(0, lost); again != plan {
+					t.Error("plan and pass rebuilt on second use")
 				}
-				if again, _ := s.passFor(plan); again != pass {
-					t.Error("pass rebuilt on second use")
-				}
-				selected := plan.scheme.Selected
 
 				// The accumulators: every chain of the layout holding a lost cell,
 				// and with verify the others too.

@@ -7,51 +7,6 @@ import (
 	"time"
 )
 
-// tokenBucket paces requests against a rate on Throttle's clock, the
-// time since its epoch. Reserve never blocks: a request the bucket
-// cannot cover is booked in the future and the bucket's clock advanced
-// there, so queued requests space themselves n/rate apart
-// deterministically, and the caller sleeps until the booked time. The
-// zero value is a bucket that fills to its burst at first use. Not safe
-// for concurrent use.
-type tokenBucket struct {
-	tokens float64
-	last   time.Duration
-	primed bool
-}
-
-// Reserve takes n tokens at now, the bucket refilling at rate tokens per
-// second up to burst, and returns when the request may go: now if the
-// tokens are there, otherwise the time at which the rate repays what is
-// missing behind everything already booked. rate must be positive.
-func (b *tokenBucket) Reserve(now time.Duration, n, rate, burst float64) time.Duration {
-	if !b.primed {
-		b.primed = true
-		b.tokens = burst
-		b.last = now
-	}
-	if now > b.last {
-		b.tokens, b.last = b.Level(now, rate, burst), now
-	}
-	if b.tokens >= n {
-		b.tokens -= n
-		return now
-	}
-	b.last += time.Duration(math.Ceil((n - b.tokens) / rate * 1e9))
-	b.tokens = 0
-	return b.last
-}
-
-// Level is the bucket's fill at now: refilled and capped at burst, or,
-// while requests are booked beyond now, negative by the tokens they have
-// yet to be repaid.
-func (b *tokenBucket) Level(now time.Duration, rate, burst float64) float64 {
-	if !b.primed {
-		return burst
-	}
-	return math.Min(burst, b.tokens+float64(now-b.last)*rate/1e9)
-}
-
 // Throttle wraps a Backend with a token-bucket byte budget: chunk reads
 // and writes consume tokens at payload size, the bucket refills at
 // BytesPerSec, and an operation that overdraws the bucket sleeps until
@@ -62,13 +17,15 @@ func (b *tokenBucket) Level(now time.Duration, rate, burst float64) float64 {
 // The bucket holds at most one second of budget, so an idle throttle
 // cannot bank an unbounded burst; a single chunk larger than the burst
 // still proceeds (it sleeps for its deficit and the next operation
-// queues behind it). Safe for concurrent use.
+// queues behind it). It starts full at first use. Safe for concurrent
+// use.
 type Throttle struct {
 	inner Backend
 	rate  float64 // bytes per second; also the burst
 
 	mu     sync.Mutex
-	bucket tokenBucket   // clocked from epoch
+	tokens float64       // the bucket's level at last
+	last   time.Duration // on the bucket's clock, the time since epoch
 	epoch  time.Time     // the first reading of now
 	waits  uint64        // operations that slept for budget
 	waited time.Duration // total time slept
@@ -91,25 +48,44 @@ func NewThrottle(inner Backend, bytesPerSec int64) (*Throttle, error) {
 	return &Throttle{inner: inner, rate: float64(bytesPerSec), now: time.Now, sleep: time.Sleep}, nil
 }
 
-// clock reads now on the bucket's clock. Callers hold t.mu.
+// clock reads now on the bucket's clock, filling the bucket at its first
+// reading. Callers hold t.mu.
 func (t *Throttle) clock() time.Duration {
 	now := t.now()
 	if t.epoch.IsZero() {
-		t.epoch = now
+		t.epoch, t.tokens = now, t.rate
 	}
 	return now.Sub(t.epoch)
 }
 
+// level is the bucket's fill at now: refilled at rate and capped at the
+// burst, or, while operations are booked beyond now, negative by the
+// bytes they have yet to be repaid. Callers hold t.mu.
+func (t *Throttle) level(now time.Duration) float64 {
+	return math.Min(t.rate, t.tokens+float64(now-t.last)*t.rate/1e9)
+}
+
 // take withdraws n bytes of budget, sleeping until the bucket can cover
-// them.
+// them. It never waits for the lock behind a sleeper: a withdrawal the
+// bucket cannot cover is booked at the time the rate repays what is
+// missing behind everything already booked, and the bucket's clock is
+// advanced there, so queued operations space themselves n/rate apart.
 func (t *Throttle) take(n int) {
 	if n <= 0 {
 		return
 	}
 	t.mu.Lock()
 	now := t.clock()
-	wait := t.bucket.Reserve(now, float64(n), t.rate, t.rate) - now
-	if wait > 0 {
+	if now > t.last {
+		t.tokens, t.last = t.level(now), now
+	}
+	var wait time.Duration
+	if need := float64(n); t.tokens >= need {
+		t.tokens -= need
+	} else {
+		t.last += time.Duration(math.Ceil((need - t.tokens) / t.rate * 1e9))
+		t.tokens = 0
+		wait = t.last - now
 		t.waits++
 		t.waited += wait
 	}
@@ -131,7 +107,7 @@ type ThrottleStats struct {
 func (t *Throttle) Stats() ThrottleStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return ThrottleStats{Rate: t.rate, Tokens: t.bucket.Level(t.clock(), t.rate, t.rate), Waits: t.waits, Waited: t.waited}
+	return ThrottleStats{Rate: t.rate, Tokens: t.level(t.clock()), Waits: t.waits, Waited: t.waited}
 }
 
 // ReadChunk implements Backend, charging the payload size after the

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -136,29 +137,35 @@ func TestThrottleRefills(t *testing.T) {
 	}
 }
 
-// TestTokenBucketPacing pins Throttle's bucket: the burst issues at
-// once, overdraws are booked 1/rate apart behind one another, and idle
-// time refills up to the burst.
-func TestTokenBucketPacing(t *testing.T) {
-	var b tokenBucket
-	const rate, burst = 100, 2 // 100 tokens/s => 10 ms apart once drained
+// TestThrottlePacing pins the bucket's booking with the fake clock held
+// still across each batch of writes, as for callers arriving together:
+// at 100 B/s (a 100-byte burst) two 50-byte writes issue at once, the
+// overdraws behind them are booked 50/rate = 500 ms apart, a write
+// arriving mid-queue books behind that backlog, and idle time refills
+// the bucket up to the burst, not beyond.
+func TestThrottlePacing(t *testing.T) {
+	th, _, clk := throttled(t, 100)
+	var waits []time.Duration
+	th.sleep = func(d time.Duration) { waits = append(waits, d) } // the clock stays put
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	// The burst issues immediately; overdraws space 1/rate apart.
-	for i, want := range []time.Duration{0, 0, ms(10), ms(20), ms(30)} {
-		if got := b.Reserve(0, 1, rate, burst); got != want {
-			t.Fatalf("reserve %d at t=0: got %v, want %v", i, got, want)
+	writes := func(what string, n int, want ...time.Duration) {
+		t.Helper()
+		for range n {
+			if err := th.WriteChunk(Addr{}, make([]byte, 50)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	// A reservation arriving mid-queue books after the booked backlog.
-	if got := b.Reserve(ms(5), 1, rate, burst); got != ms(40) {
-		t.Fatalf("queued reserve at t=5ms: got %v, want 40ms", got)
-	}
-	// After a long idle stretch the bucket refills, capped at burst: two
-	// immediate issues, then spacing resumes.
-	idle := 2 * time.Second
-	for i, want := range []time.Duration{idle, idle, idle + ms(10)} {
-		if got := b.Reserve(idle, 1, rate, burst); got != want {
-			t.Fatalf("post-idle reserve %d: got %v, want %v", i, got, want)
+		if fmt.Sprint(waits) != fmt.Sprint(want) {
+			t.Fatalf("%s slept %v, want %v", what, waits, want)
 		}
+		waits = nil
 	}
+	writes("five writes at t=0", 5, ms(500), ms(1000), ms(1500))
+	clk.t = clk.t.Add(ms(250))
+	writes("a write at t=250ms, behind writes booked up to 1.5s", 1, ms(1750))
+	clk.t = clk.t.Add(4 * time.Second) // the backlog, booked up to 2s, long repaid
+	if got := th.Stats().Tokens; got != 100 {
+		t.Fatalf("level after idling: %v, want the 100-byte burst", got)
+	}
+	writes("three writes after idling", 3, ms(500))
 }
