@@ -262,9 +262,9 @@ func BenchmarkCachePolicies(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		requests = append(requests, s.RequestIDs(stripe)...)
+		requests = append(requests, s.RequestIDs()...)
 		if prios == nil {
-			prios = s.PriorityIDs(stripe)
+			prios = s.PriorityIDs()
 		}
 	}
 	for _, name := range fbf.PolicyNames() {

@@ -6,7 +6,6 @@ import "fbf/internal/ds"
 // self-tuning balance between recency (T1) and frequency (T2) with ghost
 // lists (B1, B2) steering the adaptation target p.
 type ARC struct {
-	evictHook
 	capacity int
 	stats    Stats
 	p        int // target size of T1
@@ -83,7 +82,6 @@ func (a *ARC) dropLRU(w arcList) {
 	delete(a.index, id)
 	if w == arcT1 || w == arcT2 {
 		a.stats.Evictions++
-		a.evicted(id)
 	}
 }
 
@@ -103,20 +101,12 @@ func (a *ARC) replace(inB2 bool) {
 		}
 		fromT1 = true
 	}
-	var id ChunkID
 	if fromT1 {
-		id = a.t1.PopFront()
-		e := a.index[id]
-		e.where = arcB1
-		e.node = a.b1.PushBack(id)
+		a.moveTo(a.t1.Front().Val, arcB1)
 	} else {
-		id = a.t2.PopFront()
-		e := a.index[id]
-		e.where = arcB2
-		e.node = a.b2.PushBack(id)
+		a.moveTo(a.t2.Front().Val, arcB2)
 	}
 	a.stats.Evictions++
-	a.evicted(id)
 }
 
 // Request implements Policy, following Figure 4 of the ARC paper.
@@ -180,22 +170,7 @@ func (a *ARC) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Policy: it drops id from whichever list
-// holds it, ghost entries included, and reports whether a resident
-// (T1/T2) copy was removed.
-func (a *ARC) Invalidate(id ChunkID) bool {
-	e, ok := a.index[id]
-	if !ok {
-		return false
-	}
-	a.listOf(e.where).Remove(e.node)
-	delete(a.index, id)
-	return e.where == arcT1 || e.where == arcT2
-}
-
 // Reset implements Policy.
 func (a *ARC) Reset() {
-	hook := a.evictHook
 	*a = *NewARC(a.capacity)
-	a.evictHook = hook
 }

@@ -8,7 +8,6 @@ import "container/heap"
 // hit-ratio upper bound used by the ablation benches; it is not a
 // realizable policy.
 type Belady struct {
-	evictHook
 	capacity int
 	stats    Stats
 	pos      int               // index of the next request to be served
@@ -126,7 +125,6 @@ func (b *Belady) Request(id ChunkID) bool {
 		victim := heap.Pop(&b.h).(*optEntry)
 		delete(b.index, victim.id)
 		b.stats.Evictions++
-		b.evicted(victim.id)
 	}
 	e := &optEntry{id: id, next: next}
 	heap.Push(&b.h, e)
@@ -134,20 +132,7 @@ func (b *Belady) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Policy.
-func (b *Belady) Invalidate(id ChunkID) bool {
-	e, ok := b.index[id]
-	if !ok {
-		return false
-	}
-	heap.Remove(&b.h, e.heapIdx)
-	delete(b.index, id)
-	return true
-}
-
 // Reset implements Policy.
 func (b *Belady) Reset() {
-	hook := b.evictHook
 	*b = *NewBelady(b.capacity)
-	b.evictHook = hook
 }

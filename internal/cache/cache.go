@@ -65,31 +65,6 @@ type Policy interface {
 	Stats() Stats
 	// Reset drops all cached state and counters.
 	Reset()
-	// Invalidate drops a chunk whose cached contents have become stale (a
-	// read error escalated it to lost; the copy admitted before must not
-	// serve later hits): id goes entirely, ghost/history entries too. It
-	// reports whether a resident copy was dropped; it is not an eviction.
-	Invalidate(id ChunkID) bool
-	// SetOnEvict installs fn to be called with the id of every chunk a
-	// capacity replacement removes from the resident set — exactly the
-	// events Stats().Evictions counts, so not on Invalidate — after the
-	// policy has dropped it. A holder of per-chunk state (the storage
-	// engine's byte buffers) releases the victim's without scanning. The
-	// callback survives Reset; nil, the default, makes no call.
-	SetOnEvict(fn func(id ChunkID))
-}
-
-// evictHook holds Policy.SetOnEvict's callback; every policy of this
-// package embeds it and reports each capacity replacement to evicted.
-type evictHook struct{ onEvict func(ChunkID) }
-
-// SetOnEvict implements Policy.
-func (h *evictHook) SetOnEvict(fn func(ChunkID)) { h.onEvict = fn }
-
-func (h *evictHook) evicted(id ChunkID) {
-	if h.onEvict != nil {
-		h.onEvict(id)
-	}
 }
 
 // PriorityAware is implemented by policies (FBF) that consult the

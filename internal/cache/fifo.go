@@ -5,7 +5,6 @@ import "fbf/internal/ds"
 // FIFO evicts the chunk that has been resident longest, regardless of
 // use. It is the simplest baseline in the paper's comparison.
 type FIFO struct {
-	evictHook
 	capacity int
 	stats    Stats
 	queue    ds.List[ChunkID]
@@ -46,26 +45,12 @@ func (f *FIFO) Request(id ChunkID) bool {
 		victim := f.queue.PopFront()
 		delete(f.index, victim)
 		f.stats.Evictions++
-		f.evicted(victim)
 	}
 	f.index[id] = f.queue.PushBack(id)
 	return false
 }
 
-// Invalidate implements Policy.
-func (f *FIFO) Invalidate(id ChunkID) bool {
-	n, ok := f.index[id]
-	if !ok {
-		return false
-	}
-	f.queue.Remove(n)
-	delete(f.index, id)
-	return true
-}
-
 // Reset implements Policy.
 func (f *FIFO) Reset() {
-	hook := f.evictHook
 	*f = *NewFIFO(f.capacity)
-	f.evictHook = hook
 }

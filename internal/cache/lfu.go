@@ -6,7 +6,6 @@ import "fbf/internal/ds"
 // ties broken by recency (least recently used first). The
 // frequency-bucket structure gives O(1) operations.
 type LFU struct {
-	evictHook
 	capacity int
 	stats    Stats
 	index    map[ChunkID]*lfuEntry
@@ -87,7 +86,6 @@ func (l *LFU) Request(id ChunkID) bool {
 		}
 		delete(l.index, victim.id)
 		l.stats.Evictions++
-		l.evicted(victim.id)
 	}
 	e := &lfuEntry{id: id, freq: 1}
 	e.node = l.bucket(1).PushBack(e)
@@ -96,20 +94,7 @@ func (l *LFU) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Policy.
-func (l *LFU) Invalidate(id ChunkID) bool {
-	e, ok := l.index[id]
-	if !ok {
-		return false
-	}
-	l.detach(e)
-	delete(l.index, id)
-	return true
-}
-
 // Reset implements Policy.
 func (l *LFU) Reset() {
-	hook := l.evictHook
 	*l = *NewLFU(l.capacity)
-	l.evictHook = hook
 }

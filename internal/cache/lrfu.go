@@ -17,7 +17,6 @@ import (
 // when it is referenced, and a min-heap on the scaled CRF yields the
 // victim.
 type LRFU struct {
-	evictHook
 	capacity int
 	lambda   float64
 	stats    Stats
@@ -128,7 +127,6 @@ func (l *LRFU) Request(id ChunkID) bool {
 		victim := heap.Pop(&l.h).(*lrfuEntry)
 		delete(l.index, victim.id)
 		l.stats.Evictions++
-		l.evicted(victim.id)
 	}
 	e := &lrfuEntry{id: id, crf: 1, last: l.clock}
 	heap.Push(&l.h, e)
@@ -136,20 +134,7 @@ func (l *LRFU) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Policy.
-func (l *LRFU) Invalidate(id ChunkID) bool {
-	e, ok := l.index[id]
-	if !ok {
-		return false
-	}
-	heap.Remove(&l.h, e.heapIdx)
-	delete(l.index, id)
-	return true
-}
-
 // Reset implements Policy.
 func (l *LRFU) Reset() {
-	hook := l.evictHook
 	*l = *NewLRFU(l.capacity, l.lambda)
-	l.evictHook = hook
 }

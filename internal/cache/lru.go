@@ -4,13 +4,12 @@ import "fbf/internal/ds"
 
 // LRU evicts the least-recently-used chunk.
 type LRU struct {
-	evictHook
 	capacity int
 	stats    Stats
 	queue    ds.List[ChunkID] // front = LRU, back = MRU
 	index    map[ChunkID]*ds.Node[ChunkID]
 
-	// free recycles evicted/invalidated nodes so a full cache churns
+	// free recycles evicted nodes so a full cache churns
 	// through misses without allocating.
 	free []*ds.Node[ChunkID]
 }
@@ -52,7 +51,6 @@ func (l *LRU) Request(id ChunkID) bool {
 		delete(l.index, victim.Val)
 		l.free = append(l.free, victim)
 		l.stats.Evictions++
-		l.evicted(victim.Val)
 	}
 	var n *ds.Node[ChunkID]
 	if k := len(l.free); k > 0 {
@@ -67,21 +65,7 @@ func (l *LRU) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Policy.
-func (l *LRU) Invalidate(id ChunkID) bool {
-	n, ok := l.index[id]
-	if !ok {
-		return false
-	}
-	l.queue.Remove(n)
-	delete(l.index, id)
-	l.free = append(l.free, n)
-	return true
-}
-
 // Reset implements Policy.
 func (l *LRU) Reset() {
-	hook := l.evictHook
 	*l = *NewLRU(l.capacity)
-	l.evictHook = hook
 }

@@ -7,7 +7,6 @@ import "container/heap"
 // oldest. Chunks seen only once have no penultimate access and are
 // evicted before any chunk seen twice, oldest first.
 type LRU2 struct {
-	evictHook
 	capacity int
 	stats    Stats
 	clock    uint64
@@ -93,7 +92,6 @@ func (l *LRU2) Request(id ChunkID) bool {
 		victim := heap.Pop(&l.h).(*lru2Entry)
 		delete(l.index, victim.id)
 		l.stats.Evictions++
-		l.evicted(victim.id)
 	}
 	e := &lru2Entry{id: id, last: l.clock, accesses: 1}
 	heap.Push(&l.h, e)
@@ -101,20 +99,7 @@ func (l *LRU2) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Policy.
-func (l *LRU2) Invalidate(id ChunkID) bool {
-	e, ok := l.index[id]
-	if !ok {
-		return false
-	}
-	heap.Remove(&l.h, e.heapIdx)
-	delete(l.index, id)
-	return true
-}
-
 // Reset implements Policy.
 func (l *LRU2) Reset() {
-	hook := l.evictHook
 	*l = *NewLRU2(l.capacity)
-	l.evictHook = hook
 }

@@ -8,7 +8,6 @@ import "fbf/internal/ds"
 // while in the ghost queue promotes the chunk into the main LRU queue
 // (Am). The classic tuning Kin = capacity/4, Kout = capacity/2 is used.
 type TwoQ struct {
-	evictHook
 	capacity int
 	kin      int
 	kout     int
@@ -66,10 +65,9 @@ func (q *TwoQ) Stats() Stats { return q.stats }
 
 // reclaim frees one resident slot following the 2Q "reclaimfor" rule.
 func (q *TwoQ) reclaim() {
-	var id ChunkID
 	if q.a1in.Len() > q.kin || q.am.Len() == 0 {
 		// Demote the oldest probation page to the ghost queue.
-		id = q.a1in.PopFront()
+		id := q.a1in.PopFront()
 		e := q.index[id]
 		e.where = twoQA1out
 		e.node = q.a1out.PushBack(id)
@@ -78,11 +76,9 @@ func (q *TwoQ) reclaim() {
 			delete(q.index, old)
 		}
 	} else {
-		id = q.am.PopFront()
-		delete(q.index, id)
+		delete(q.index, q.am.PopFront())
 	}
 	q.stats.Evictions++
-	q.evicted(id)
 }
 
 // Request implements Policy.
@@ -126,28 +122,7 @@ func (q *TwoQ) Request(id ChunkID) bool {
 	return false
 }
 
-// Invalidate implements Policy: ghost entries are removed too, but
-// only a resident (A1in/Am) copy counts as dropped.
-func (q *TwoQ) Invalidate(id ChunkID) bool {
-	e, ok := q.index[id]
-	if !ok {
-		return false
-	}
-	switch e.where {
-	case twoQA1in:
-		q.a1in.Remove(e.node)
-	case twoQAm:
-		q.am.Remove(e.node)
-	default:
-		q.a1out.Remove(e.node)
-	}
-	delete(q.index, id)
-	return e.where != twoQA1out
-}
-
 // Reset implements Policy.
 func (q *TwoQ) Reset() {
-	hook := q.evictHook
 	*q = *NewTwoQ(q.capacity)
-	q.evictHook = hook
 }

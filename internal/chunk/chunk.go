@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"sync"
 )
 
 // DefaultSize is the chunk size used throughout the paper's evaluation.
@@ -139,51 +138,6 @@ func (c Chunk) Checksum() uint32 {
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Pool recycles chunk buffers of one fixed size to keep reconstruction
-// allocation-free in steady state.
-type Pool struct {
-	size int
-	pool sync.Pool
-}
-
-// NewPool returns a pool of chunks with the given size.
-func NewPool(size int) *Pool {
-	if size <= 0 {
-		panic(fmt.Sprintf("chunk: non-positive pool size %d", size))
-	}
-	p := &Pool{size: size}
-	p.pool.New = func() any { return New(size) }
-	return p
-}
-
-// Size returns the chunk size served by the pool.
-func (p *Pool) Size() int { return p.size }
-
-// Get returns a zeroed chunk from the pool.
-func (p *Pool) Get() Chunk {
-	c := p.pool.Get().(Chunk)
-	clear(c)
-	return c
-}
-
-// GetRaw returns a chunk from the pool WITHOUT zeroing it — the
-// contents are whatever the previous user left behind. Callers must
-// overwrite every byte before reading any: XOR accumulators that copy
-// their first operand, encode targets that clear themselves, and
-// materialized data cells filled by an RNG all qualify, and skipping
-// the redundant clear keeps the recovery hot path from touching each
-// buffer twice.
-func (p *Pool) GetRaw() Chunk {
-	return p.pool.Get().(Chunk)
-}
-
-// Put returns a chunk to the pool. Chunks of the wrong size are dropped.
-func (p *Pool) Put(c Chunk) {
-	if len(c) == p.size {
-		p.pool.Put(c) //nolint:staticcheck // Chunk is a slice; boxing is fine here.
-	}
-}
 
 // Filler writes the byte stream math/rand's (*Rand).Read yields for a
 // seeded source: the seven low bytes of each Int63, low byte first, with

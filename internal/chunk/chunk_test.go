@@ -124,37 +124,6 @@ func TestChecksumDistinguishes(t *testing.T) {
 	}
 }
 
-func TestPool(t *testing.T) {
-	p := NewPool(64)
-	if p.Size() != 64 {
-		t.Errorf("Size = %d", p.Size())
-	}
-	c := p.Get()
-	if len(c) != 64 || !c.IsZero() {
-		t.Error("Get returned wrong chunk")
-	}
-	c[0] = 0xFF
-	p.Put(c)
-	c2 := p.Get()
-	if !c2.IsZero() {
-		t.Error("recycled chunk not zeroed")
-	}
-	p.Put(New(10)) // wrong size must be dropped, not corrupt the pool
-	c3 := p.Get()
-	if len(c3) != 64 {
-		t.Error("pool served wrong-size chunk")
-	}
-}
-
-func TestPoolPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic for NewPool(0)")
-		}
-	}()
-	NewPool(0)
-}
-
 // TestIsZeroEveryLengthAndOffset pins the word-wise IsZero and
 // bytes.Equal-backed Equal to the byte loops they replaced: every length
 // 0…130 (across the 64-byte block and its tail), all zero, and with a

@@ -407,8 +407,8 @@ func (c *Code) MaterializeStripe(seed int64, chunkSize int) []chunk.Chunk {
 	return s
 }
 
-// MaterializeStripeInto is MaterializeStripe into dst, which may come
-// from a pool un-zeroed — the RNG overwrites every data byte and Encode
+// MaterializeStripeInto is MaterializeStripe into dst, which may hold
+// stale bytes — the RNG overwrites every data byte and Encode
 // overwrites every parity byte.
 func (c *Code) MaterializeStripeInto(dst []chunk.Chunk, seed int64) {
 	fill := chunk.NewFiller(seed)
@@ -429,8 +429,7 @@ func (c *Code) RebuildChunk(id grid.ChainID, lost grid.Coord, stripe []chunk.Chu
 }
 
 // RebuildChunkInto is RebuildChunk into dst: the first surviving
-// member is copied and the rest XORed in, so dst may come from a pool
-// un-zeroed.
+// member is copied and the rest XORed in, so dst may hold stale bytes.
 func (c *Code) RebuildChunkInto(dst chunk.Chunk, id grid.ChainID, lost grid.Coord, stripe []chunk.Chunk) error {
 	ch, ok := c.layout.Chain(id)
 	if !ok {

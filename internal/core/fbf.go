@@ -28,11 +28,9 @@ type FBF struct {
 	queues     [3]ds.List[cache.ChunkID] // [0] = Queue1 ... [2] = Queue3
 	index      map[cache.ChunkID]*fbfEntry
 
-	// free recycles evicted/invalidated entries together with their list
-	// nodes, so a full cache churns through misses without allocating.
+	// free recycles evicted entries together with their list nodes, so
+	// a full cache churns through misses without allocating.
 	free []*fbfEntry
-
-	onEvict func(cache.ChunkID) // cache.Policy.SetOnEvict's callback
 }
 
 type fbfEntry struct {
@@ -136,35 +134,15 @@ func (f *FBF) evict() {
 			delete(f.index, n.Val)
 			f.free = append(f.free, e)
 			f.stats.Evictions++
-			if f.onEvict != nil {
-				f.onEvict(n.Val)
-			}
 			return
 		}
 	}
 }
 
-// Invalidate implements cache.Policy.
-func (f *FBF) Invalidate(id cache.ChunkID) bool {
-	e, ok := f.index[id]
-	if !ok {
-		return false
-	}
-	f.queues[e.queue].Remove(e.node)
-	delete(f.index, id)
-	f.free = append(f.free, e)
-	return true
-}
-
 // Reset implements cache.Policy.
 func (f *FBF) Reset() {
-	onEvict := f.onEvict
 	*f = *NewFBF(f.capacity)
-	f.onEvict = onEvict
 }
-
-// SetOnEvict implements cache.Policy.
-func (f *FBF) SetOnEvict(fn func(cache.ChunkID)) { f.onEvict = fn }
 
 // QueueLen returns the population of Queue1, Queue2 or Queue3 (queue in
 // 1..3); used by tests and the walkthrough example reproducing the

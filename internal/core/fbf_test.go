@@ -80,8 +80,6 @@ func TestFBFDemotion(t *testing.T) {
 // touching higher-priority queues, even when Queue2 chunks are older.
 func TestFBFReplacement(t *testing.T) {
 	f := NewFBF(3)
-	var evicted []cache.ChunkID
-	f.SetOnEvict(func(id cache.ChunkID) { evicted = append(evicted, id) })
 	f.SetPriorities(prios(map[int]int{1: 2, 2: 1, 3: 1, 4: 1, 5: 1}))
 	f.Request(cid(1)) // → Queue2 (oldest overall)
 	f.Request(cid(2)) // → Queue1
@@ -97,9 +95,8 @@ func TestFBFReplacement(t *testing.T) {
 	if f.Contains(cid(3)) || !f.Contains(cid(1)) {
 		t.Error("second eviction wrong")
 	}
-	// The callback names each victim, and only capacity replacements.
-	if !f.Invalidate(cid(1)) || len(evicted) != 2 || evicted[0] != cid(2) || evicted[1] != cid(3) {
-		t.Errorf("eviction callback reported %v, want chunks 2 then 3", evicted)
+	if f.Stats().Evictions != 2 {
+		t.Errorf("Evictions = %d, want 2", f.Stats().Evictions)
 	}
 }
 
@@ -167,16 +164,6 @@ func TestFBFReset(t *testing.T) {
 	if f.QueueLen(1) != 1 {
 		t.Error("Reset did not clear priorities")
 	}
-	// The eviction callback is the caller's wiring, not cached state.
-	var evicted []cache.ChunkID
-	f.SetOnEvict(func(id cache.ChunkID) { evicted = append(evicted, id) })
-	f.Reset()
-	for n := 1; n <= 5; n++ {
-		f.Request(cid(n))
-	}
-	if len(evicted) != 1 || evicted[0] != cid(1) {
-		t.Errorf("after Reset the eviction callback reported %v, want chunk 1", evicted)
-	}
 }
 
 func TestFBFQueueInvariants(t *testing.T) {
@@ -224,9 +211,9 @@ func TestFBFBeatsLRUOnSchemeReplay(t *testing.T) {
 	replay := func(p cache.Policy) cache.Stats {
 		for _, s := range schemes {
 			if pa, ok := p.(cache.PriorityAware); ok {
-				pa.SetPriorities(s.PriorityIDs(s.Err.Stripe))
+				pa.SetPriorities(s.PriorityIDs())
 			}
-			for _, id := range s.RequestIDs(s.Err.Stripe) {
+			for _, id := range s.RequestIDs() {
 				p.Request(id)
 			}
 		}

@@ -209,25 +209,23 @@ func (s *Scheme) Requests() []grid.Coord {
 	return out
 }
 
-// RequestIDs is Requests with each coordinate qualified by stripe,
-// ready to feed a cache policy. The stripe is the caller's, not
-// Err.Stripe: the storage engine reuses one scheme across the stripes
-// that lost the same cells.
-func (s *Scheme) RequestIDs(stripe int) []cache.ChunkID {
+// RequestIDs is Requests with each coordinate qualified by Err.Stripe,
+// ready to feed a cache policy.
+func (s *Scheme) RequestIDs() []cache.ChunkID {
 	reqs := s.Requests()
 	out := make([]cache.ChunkID, len(reqs))
 	for i, r := range reqs {
-		out[i] = cache.ChunkID{Stripe: stripe, Cell: r}
+		out[i] = cache.ChunkID{Stripe: s.Err.Stripe, Cell: r}
 	}
 	return out
 }
 
 // PriorityIDs returns the priority dictionary keyed by ChunkID on
-// stripe, ready for cache.PriorityAware.SetPriorities.
-func (s *Scheme) PriorityIDs(stripe int) map[cache.ChunkID]int {
+// Err.Stripe, ready for cache.PriorityAware.SetPriorities.
+func (s *Scheme) PriorityIDs() map[cache.ChunkID]int {
 	out := make(map[cache.ChunkID]int, len(s.Priorities))
 	for cell, pr := range s.Priorities {
-		out[cache.ChunkID{Stripe: stripe, Cell: cell}] = pr
+		out[cache.ChunkID{Stripe: s.Err.Stripe, Cell: cell}] = pr
 	}
 	return out
 }

@@ -172,23 +172,22 @@ func TestSchemeRequestsOrdering(t *testing.T) {
 			i++
 		}
 	}
-	// The IDs carry the caller's stripe, not the error's: the storage
-	// engine replays one scheme on every stripe that lost the same cells.
-	ids := s.RequestIDs(4)
+	// The IDs carry the error's stripe.
+	ids := s.RequestIDs()
 	if len(ids) != len(reqs) {
 		t.Fatal("RequestIDs length mismatch")
 	}
 	for i, id := range ids {
-		if id.Stripe != 4 || id.Cell != reqs[i] {
+		if id.Stripe != 9 || id.Cell != reqs[i] {
 			t.Fatalf("RequestIDs[%d] = %v", i, id)
 		}
 	}
-	prio := s.PriorityIDs(4)
+	prio := s.PriorityIDs()
 	if len(prio) != len(s.Priorities) {
 		t.Fatal("PriorityIDs length mismatch")
 	}
 	for id, pr := range prio {
-		if id.Stripe != 4 || s.Priorities[id.Cell] != pr {
+		if id.Stripe != 9 || s.Priorities[id.Cell] != pr {
 			t.Fatalf("PriorityIDs[%v] = %d", id, pr)
 		}
 	}

@@ -11,9 +11,7 @@ import (
 
 	"fbf/internal/codes"
 	"fbf/internal/core"
-	"fbf/internal/obs"
 	"fbf/internal/rebuild"
-	"fbf/internal/sim"
 	"fbf/internal/trace"
 )
 
@@ -47,25 +45,6 @@ type Params struct {
 	// (completed, total) for the current sweep. Calls are serialized
 	// but may come from worker goroutines.
 	Progress func(done, total int)
-
-	// Observe, when non-nil, is consulted once per sweep point before
-	// its run; returning a non-zero RunObs attaches that tracer and/or
-	// metrics registry to the point's rebuild.Config. The hook may be
-	// called from worker goroutines, concurrently, in arbitrary order —
-	// but each point's (code, p, policy, sizeMB) key is stable, so a
-	// per-point sink observes the identical event stream at any
-	// Parallelism (each run is a single-threaded simulation stamped in
-	// simulated time). Return the zero RunObs to leave a point
-	// unobserved.
-	Observe func(code string, p int, policy string, sizeMB int) RunObs
-}
-
-// RunObs carries the observability sinks for one sweep point. The zero
-// value attaches nothing.
-type RunObs struct {
-	Tracer          obs.Tracer
-	Metrics         *obs.Registry
-	MetricsInterval sim.Time
 }
 
 // validateAxes checks the sweep axes an artefact actually uses.
@@ -206,6 +185,20 @@ func prepareTraces(p Params) ([]sweepPrep, error) {
 	return preps, nil
 }
 
+// runConfig is the engine configuration of one sweep point.
+func (p Params) runConfig(prep sweepPrep, policy string, sizeMB int) rebuild.Config {
+	return rebuild.Config{
+		Code:            prep.code,
+		Policy:          policy,
+		Strategy:        p.Strategy,
+		Workers:         p.Workers,
+		CacheChunks:     p.CacheChunks(sizeMB),
+		ChunkSize:       p.ChunkSizeKB * 1024,
+		Stripes:         p.Stripes,
+		SkipSpareWrites: p.FastIO,
+	}
+}
+
 // Sweep runs the full cross product of codes, primes, policies and
 // cache sizes. The same seed gives every policy the same error trace
 // for a given (code, prime), so policies are directly comparable.
@@ -231,23 +224,7 @@ func Sweep(p Params) ([]Point, error) {
 		prep := preps[i/perPrep]
 		policy := p.Policies[(i%perPrep)/len(p.CacheSizesMB)]
 		sizeMB := p.CacheSizesMB[i%len(p.CacheSizesMB)]
-		cfg := rebuild.Config{
-			Code:            prep.code,
-			Policy:          policy,
-			Strategy:        p.Strategy,
-			Workers:         p.Workers,
-			CacheChunks:     p.CacheChunks(sizeMB),
-			ChunkSize:       p.ChunkSizeKB * 1024,
-			Stripes:         p.Stripes,
-			SkipSpareWrites: p.FastIO,
-		}
-		if p.Observe != nil {
-			o := p.Observe(prep.codeName, prep.prime, policy, sizeMB)
-			cfg.Tracer = o.Tracer
-			cfg.Metrics = o.Metrics
-			cfg.MetricsInterval = o.MetricsInterval
-		}
-		res, err := rebuild.Run(cfg, prep.errors)
+		res, err := rebuild.Run(p.runConfig(prep, policy, sizeMB), prep.errors)
 		if err != nil {
 			return fmt.Errorf("experiments: %s(p=%d) %s %dMB: %w", prep.codeName, prep.prime, policy, sizeMB, err)
 		}

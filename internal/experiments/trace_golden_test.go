@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"fbf/internal/obs"
+	"fbf/internal/rebuild"
 )
 
-// traceSweep runs the golden sweep with a per-point trace collector and
-// returns every point's trace serialized as JSONL, concatenated in
-// serial enumeration order with a header line per point.
 // traceParams shrinks goldenParams further: traces record every event
 // of every run, so a handful of groups already exercises all event
 // kinds while keeping the golden file reviewable.
@@ -25,61 +22,53 @@ func traceParams() Params {
 	return p
 }
 
-func traceSweep(t *testing.T, parallelism int) []byte {
+// traceSweep runs every point of the trace sweep through rebuild.Run
+// with its own collector and returns the traces as JSONL, in Sweep's
+// enumeration order, with a header line per point.
+func traceSweep(t *testing.T) []byte {
 	t.Helper()
 	p := traceParams()
-	p.Parallelism = parallelism
-
-	var mu sync.Mutex
-	collectors := map[string]*obs.Collector{}
-	p.Observe = func(code string, prime int, policy string, sizeMB int) RunObs {
-		c := obs.NewCollector()
-		mu.Lock()
-		collectors[fmt.Sprintf("%s/%d/%s/%d", code, prime, policy, sizeMB)] = c
-		mu.Unlock()
-		return RunObs{Tracer: c}
-	}
-	points, err := Sweep(p)
+	preps, err := prepareTraces(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	var buf bytes.Buffer
-	for _, pt := range points {
-		key := fmt.Sprintf("%s/%d/%s/%d", pt.Code, pt.P, pt.Policy, pt.CacheMB)
-		c := collectors[key]
-		if c == nil {
-			t.Fatalf("point %s ran without a collector", key)
-		}
-		if c.Len() == 0 {
-			t.Fatalf("point %s produced an empty trace", key)
-		}
-		if err := obs.Validate(c.Events()); err != nil {
-			t.Fatalf("point %s: invalid trace: %v", key, err)
-		}
-		fmt.Fprintf(&buf, "# %s\n", key)
-		if err := obs.WriteJSONL(&buf, c.Events()); err != nil {
-			t.Fatal(err)
+	for _, prep := range preps {
+		for _, policy := range p.Policies {
+			for _, sizeMB := range p.CacheSizesMB {
+				key := fmt.Sprintf("%s/%d/%s/%d", prep.codeName, prep.prime, policy, sizeMB)
+				c := obs.NewCollector()
+				cfg := p.runConfig(prep, policy, sizeMB)
+				cfg.Tracer = c
+				if _, err := rebuild.Run(cfg, prep.errors); err != nil {
+					t.Fatalf("point %s: %v", key, err)
+				}
+				if c.Len() == 0 {
+					t.Fatalf("point %s produced an empty trace", key)
+				}
+				if err := obs.Validate(c.Events()); err != nil {
+					t.Fatalf("point %s: invalid trace: %v", key, err)
+				}
+				fmt.Fprintf(&buf, "# %s\n", key)
+				if err := obs.WriteJSONL(&buf, c.Events()); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 	return buf.Bytes()
 }
 
-// TestTraceGolden pins trace determinism: the event streams of every
-// sweep point must be byte-identical between the serial and the
-// parallel sweep path (traces are stamped in simulated time, so host
-// scheduling cannot leak in), and byte-identical to a checked-in golden
-// file across hosts and refactors. Regenerate with
+// TestTraceGolden pins trace determinism: the event stream of every
+// sweep point must be byte-identical to a checked-in golden file across
+// hosts and refactors (traces are stamped in simulated time, so host
+// scheduling cannot leak in). Regenerate with
 // `go test ./internal/experiments -run TraceGolden -update`.
 func TestTraceGolden(t *testing.T) {
-	serial := traceSweep(t, 1)
-	parallel := traceSweep(t, 8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatal("traces differ between -parallel 1 and -parallel 8")
-	}
+	got := traceSweep(t)
 	golden := filepath.Join("testdata", "trace_golden.jsonl")
 	if *updateGolden {
-		if err := os.WriteFile(golden, serial, 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,35 +76,7 @@ func TestTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden file (run with -update to create it): %v", err)
 	}
-	if !bytes.Equal(serial, want) {
-		t.Fatalf("traces drifted from golden file %s (got %d bytes, want %d); regenerate with -update and review the diff", golden, len(serial), len(want))
-	}
-}
-
-// TestObserveHookLeavesResultsUntouched pins that attaching tracers
-// changes nothing about the measurements: the observed sweep's results
-// must equal the unobserved sweep's bit for bit.
-func TestObserveHookLeavesResultsUntouched(t *testing.T) {
-	p := goldenParams()
-	plain, err := Sweep(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Observe = func(string, int, string, int) RunObs {
-		return RunObs{Tracer: obs.NewCollector()}
-	}
-	observed, err := Sweep(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(observed) {
-		t.Fatalf("point counts differ: %d vs %d", len(plain), len(observed))
-	}
-	for i := range plain {
-		a, b := plain[i].Result, observed[i].Result
-		if a.Cache != b.Cache || a.DiskReads != b.DiskReads || a.Makespan != b.Makespan ||
-			a.SumResponse != b.SumResponse || a.TotalRequests != b.TotalRequests || a.XORChunks != b.XORChunks {
-			t.Fatalf("point %d: observed run drifted: %+v vs %+v", i, a, b)
-		}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("traces drifted from golden file %s (got %d bytes, want %d); regenerate with -update and review the diff", golden, len(got), len(want))
 	}
 }

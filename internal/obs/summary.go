@@ -16,7 +16,7 @@ const (
 	CatGroup  = "group"  // span "group": one error group's repair
 	CatChunk  = "chunk"  // span "repair": one lost chunk's chain replay
 	CatScheme = "scheme" // span "scheme-gen": recovery-scheme generation
-	CatCache  = "cache"  // instants "hit", "miss", "evict", "invalidate", "demote"
+	CatCache  = "cache"  // instants "hit", "miss", "evict", "demote"
 	CatIO     = "io"     // spans "read"/"write" and counter "queue" on disk lanes
 	CatXOR    = "xor"    // span "xor": chain XOR compute
 	CatApp    = "app"    // instants "hit", "miss" of the foreground workload

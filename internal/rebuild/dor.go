@@ -90,7 +90,7 @@ func runDOR(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		for id, pr := range scheme.PriorityIDs(scheme.Err.Stripe) {
+		for id, pr := range scheme.PriorityIDs() {
 			merged[id] += pr
 		}
 		for _, sel := range scheme.Selected {

@@ -45,29 +45,19 @@ func TestOnlineRecoveryAppMetrics(t *testing.T) {
 func TestAppConfigValidation(t *testing.T) {
 	code := codes.MustNew("tip", 5)
 	cases := []struct {
-		name   string
-		app    AppWorkload
-		mutate func(*Config)
-		field  string
+		name  string
+		app   AppWorkload
+		field string
 	}{
 		{name: "negative requests", app: AppWorkload{Requests: -1}, field: "App.Requests"},
 		{name: "negative error locality", app: AppWorkload{Requests: 10, ErrorLocality: -0.5}, field: "App.ErrorLocality"},
 		{name: "error locality above 1", app: AppWorkload{Requests: 10, ErrorLocality: 1.5}, field: "App.ErrorLocality"},
-		{
-			name:   "zipf skew on a single stripe",
-			app:    AppWorkload{Requests: 10, ZipfS: 2},
-			mutate: func(c *Config) { c.Stripes = 1 },
-			field:  "App.ZipfS",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			app := tc.app
 			cfg := Config{Code: code, Policy: "lru", Strategy: core.StrategyLooped,
 				Workers: 2, CacheChunks: 16, Stripes: 16, App: &app}
-			if tc.mutate != nil {
-				tc.mutate(&cfg)
-			}
 			_, err := Run(cfg, []core.PartialStripeError{{Stripe: 0, Disk: 0, Row: 0, Size: 1}})
 			var ce *ConfigError
 			if !stderrors.As(err, &ce) {
@@ -139,27 +129,6 @@ func TestOnlineRecoverySlowsReconstruction(t *testing.T) {
 	}
 	if loaded.Makespan <= quiet.Makespan {
 		t.Errorf("foreground load did not slow recovery: %v <= %v", loaded.Makespan, quiet.Makespan)
-	}
-}
-
-func TestOnlineRecoveryZipfSkewRaisesAppHits(t *testing.T) {
-	code := codes.MustNew("tip", 7)
-	errors := genErrors(t, code, 10, 2000, 23)
-	run := func(zipfS float64) *Result {
-		res, err := Run(Config{
-			Code: code, Policy: "lru", Strategy: core.StrategyLooped,
-			Workers: 2, CacheChunks: 512, Stripes: 2000,
-			App: &AppWorkload{Requests: 4000, Interarrival: 50 * sim.Microsecond, Seed: 3, ZipfS: zipfS},
-		}, errors)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	uniform := run(0)
-	skewed := run(2.5)
-	if skewed.AppHits <= uniform.AppHits {
-		t.Errorf("zipf app stream should self-hit more: %d <= %d", skewed.AppHits, uniform.AppHits)
 	}
 }
 

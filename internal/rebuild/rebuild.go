@@ -86,7 +86,6 @@ type AppWorkload struct {
 	Requests     int      // total application reads to issue
 	Interarrival sim.Time // gap between arrivals (default 1 ms)
 	Seed         int64
-	ZipfS        float64 // stripe-popularity skew; <= 1 means uniform
 
 	// ErrorLocality is the probability that a request targets a stripe
 	// with a partial stripe error — modeling the spatial locality the
@@ -164,9 +163,6 @@ func (c *Config) Validate() error {
 		}
 		if c.App.ErrorLocality < 0 || c.App.ErrorLocality > 1 {
 			return &ConfigError{Field: "App.ErrorLocality", Reason: fmt.Sprintf("probability %v outside [0, 1]", c.App.ErrorLocality)}
-		}
-		if c.App.ZipfS > 1 && c.Stripes == 1 {
-			return &ConfigError{Field: "App.ZipfS", Reason: "Zipf-skewed stripe popularity needs at least 2 stripes"}
 		}
 	}
 	return nil
@@ -476,9 +472,8 @@ func (e *engine) ownerWorker(stripe int) *worker {
 }
 
 // scheduleAppWorkload arms the foreground read stream: requests arrive
-// at fixed intervals, target Zipf- or uniformly-distributed stripes,
-// probe the cache partition owning the stripe, and read from disk on a
-// miss.
+// at fixed intervals, target uniformly-distributed stripes, probe the
+// cache partition owning the stripe, and read from disk on a miss.
 func (e *engine) scheduleAppWorkload() {
 	app := e.cfg.App
 	inter := app.Interarrival
@@ -486,17 +481,11 @@ func (e *engine) scheduleAppWorkload() {
 		inter = sim.Millisecond
 	}
 	rng := rand.New(rand.NewSource(app.Seed))
-	var zipf *rand.Zipf
-	if app.ZipfS > 1 {
-		zipf = rand.NewZipf(rng, app.ZipfS, 1, uint64(e.cfg.Stripes-1))
-	}
 	layout := e.cfg.Code.Layout()
 	for i := 0; i < app.Requests; i++ {
 		stripe := 0
 		if len(e.groups) > 0 && rng.Float64() < app.ErrorLocality {
 			stripe = e.groups[rng.Intn(len(e.groups))].Stripe
-		} else if zipf != nil {
-			stripe = int(zipf.Uint64())
 		} else {
 			stripe = rng.Intn(e.cfg.Stripes)
 		}
@@ -561,10 +550,10 @@ func (w *worker) nextGroup() {
 	w.scheme = scheme
 	w.chainIdx = 0
 	if pa, ok := w.cache.(cache.PriorityAware); ok {
-		pa.SetPriorities(scheme.PriorityIDs(scheme.Err.Stripe))
+		pa.SetPriorities(scheme.PriorityIDs())
 	}
 	if fa, ok := w.cache.(cache.FutureAware); ok {
-		fa.SetFuture(scheme.RequestIDs(scheme.Err.Stripe))
+		fa.SetFuture(scheme.RequestIDs())
 	}
 	if e.tr != nil {
 		w.traceSchemeGen(scheme.Err.Stripe, len(scheme.Selected))

@@ -1100,7 +1100,7 @@ func escalation(cell grid.Coord, err error) (*grid.Coord, error) {
 	return nil, err
 }
 
-// readSource reads one surviving chunk into a pooled buffer. A valid
+// readSource reads one surviving chunk into buf. A valid
 // chunk of another size cannot serve this array: it reads as corrupt.
 func (s *service) readSource(a store.Addr, buf chunk.Chunk) error {
 	n, err := s.cfg.Backend.ReadChunk(a, buf)

@@ -71,23 +71,27 @@ type Config struct {
 	Disk int
 
 	Dist      SizeDist
-	FixedSize int     // for SizeFixed
-	GeoP      float64 // success probability for SizeGeometric (default 0.4)
+	FixedSize int // for SizeFixed
 
 	// Clustered generates errors in spatial bursts, modeling the strong
 	// locality of latent sector errors (Bairavasundaram et al.;
 	// Schroeder et al. — 20–60% of errors have a neighbour within ten
 	// sectors, Section II-C of the paper): with probability
-	// ClusterAffinity a new group lands within ClusterSpread stripes of
+	// clusterAffinity a new group lands within clusterSpread stripes of
 	// an earlier one, on the same disk.
-	Clustered       bool
-	ClusterAffinity float64 // default 0.5
-	ClusterSpread   int     // default 16 stripes
+	Clustered bool
 }
 
-// Generate produces the error groups for a code under the config.
-// Errors on the same stripe and disk are avoided by drawing distinct
-// stripes while enough exist.
+const (
+	geoP            = 0.4 // success probability of SizeGeometric
+	clusterAffinity = 0.5
+	clusterSpread   = 16 // stripes
+)
+
+// Generate produces the error groups for a code under the config. No
+// two groups share a (stripe, disk) pair: stripes are drawn distinct
+// while enough exist, and a pair already taken is redrawn. More groups
+// than pairs is an error.
 func Generate(code *codes.Code, cfg Config) ([]core.PartialStripeError, error) {
 	if cfg.Groups <= 0 {
 		return nil, fmt.Errorf("trace: non-positive group count %d", cfg.Groups)
@@ -98,6 +102,13 @@ func Generate(code *codes.Code, cfg Config) ([]core.PartialStripeError, error) {
 	if cfg.Disk >= code.Disks() {
 		return nil, fmt.Errorf("trace: disk %d out of range [0,%d)", cfg.Disk, code.Disks())
 	}
+	pairs := cfg.Stripes
+	if cfg.Disk < 0 {
+		pairs *= code.Disks()
+	}
+	if cfg.Groups > pairs {
+		return nil, fmt.Errorf("trace: %d groups exceed the %d (stripe, disk) pairs", cfg.Groups, pairs)
+	}
 	maxSize := code.MaxPartialSize()
 	if maxSize > code.Rows() {
 		maxSize = code.Rows()
@@ -106,22 +117,6 @@ func Generate(code *codes.Code, cfg Config) ([]core.PartialStripeError, error) {
 		return nil, fmt.Errorf("trace: fixed size %d out of range [1,%d]", cfg.FixedSize, maxSize)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	geoP := cfg.GeoP
-	if geoP <= 0 || geoP >= 1 {
-		geoP = 0.4
-	}
-
-	affinity := cfg.ClusterAffinity
-	if affinity <= 0 || affinity >= 1 {
-		affinity = 0.5
-	}
-	spread := cfg.ClusterSpread
-	if spread <= 0 {
-		spread = 16
-	}
-
-	// Draw distinct stripes while possible, then allow reuse; never
-	// place two error groups on the same (stripe, disk).
 	perm := rng.Perm(cfg.Stripes)
 	used := make(map[[2]int]bool, cfg.Groups)
 	type anchor struct{ stripe, disk int }
@@ -130,11 +125,11 @@ func Generate(code *codes.Code, cfg Config) ([]core.PartialStripeError, error) {
 	for g := 0; g < cfg.Groups; g++ {
 		var stripe, disk int
 		placed := false
-		if cfg.Clustered && len(anchors) > 0 && rng.Float64() < affinity {
+		if cfg.Clustered && len(anchors) > 0 && rng.Float64() < clusterAffinity {
 			// Burst near an earlier error: same disk, nearby stripe.
 			for attempt := 0; attempt < 8; attempt++ {
 				a := anchors[rng.Intn(len(anchors))]
-				s := a.stripe + rng.Intn(2*spread+1) - spread
+				s := a.stripe + rng.Intn(2*clusterSpread+1) - clusterSpread
 				if s < 0 {
 					s = 0
 				}
@@ -156,6 +151,14 @@ func Generate(code *codes.Code, cfg Config) ([]core.PartialStripeError, error) {
 			disk = cfg.Disk
 			if disk < 0 {
 				disk = rng.Intn(code.Disks())
+			}
+			// Only a burst, or a group past the permutation, can have
+			// taken the pair.
+			for (cfg.Clustered || g >= len(perm)) && used[[2]int{stripe, disk}] {
+				stripe = rng.Intn(cfg.Stripes)
+				if cfg.Disk < 0 {
+					disk = rng.Intn(code.Disks())
+				}
 			}
 			anchors = append(anchors, anchor{stripe: stripe, disk: disk})
 		}

@@ -140,6 +140,8 @@ func TestGenerateErrors(t *testing.T) {
 		{Groups: 10, Stripes: 10, Dist: SizeFixed, FixedSize: 0},
 		{Groups: 10, Stripes: 10, Dist: SizeFixed, FixedSize: 99},
 		{Groups: 10, Stripes: 10, Dist: SizeDist(42)},
+		{Groups: 12, Stripes: 8, Disk: 0},                  // more groups than stripes on a pinned disk
+		{Groups: 8*code.Disks() + 1, Stripes: 8, Disk: -1}, // more groups than (stripe, disk) pairs
 	}
 	for i, cfg := range cases {
 		if _, err := Generate(code, cfg); err == nil {
@@ -248,12 +250,47 @@ func TestGenerateClustered(t *testing.T) {
 
 func TestGenerateClusteredDeterministic(t *testing.T) {
 	code := codes.MustNew("star", 5)
-	cfg := Config{Groups: 60, Stripes: 5000, Seed: 3, Disk: -1, Clustered: true, ClusterSpread: 8}
+	cfg := Config{Groups: 60, Stripes: 5000, Seed: 3, Disk: -1, Clustered: true}
 	a, _ := Generate(code, cfg)
 	b, _ := Generate(code, cfg)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("clustered generation not deterministic")
 		}
+	}
+}
+
+// TestGenerateNoSharedPair pins that no two groups share a (stripe,
+// disk) pair once groups outnumber stripes, or when a cluster burst has
+// taken the pair the fallback draws, up to every pair taken.
+func TestGenerateNoSharedPair(t *testing.T) {
+	code := codes.MustNew("tip", 5)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"more groups than stripes", Config{Groups: 30, Stripes: 8, Seed: 1, Disk: -1}},
+		{"clustered", Config{Groups: 200, Stripes: 64, Seed: 2, Disk: -1, Clustered: true}},
+		{"pinned disk, clustered", Config{Groups: 40, Stripes: 64, Seed: 1, Disk: 0, Clustered: true}},
+		{"every stripe of a pinned disk, clustered", Config{Groups: 64, Stripes: 64, Seed: 1, Disk: 0, Clustered: true}},
+		{"every pair", Config{Groups: 8 * code.Disks(), Stripes: 8, Seed: 1, Disk: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errors, err := Generate(code, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(errors) != tc.cfg.Groups {
+				t.Fatalf("got %d groups, want %d", len(errors), tc.cfg.Groups)
+			}
+			seen := map[[2]int]bool{}
+			for _, e := range errors {
+				k := [2]int{e.Stripe, e.Disk}
+				if seen[k] {
+					t.Fatalf("two groups on (stripe, disk) %v", k)
+				}
+				seen[k] = true
+			}
+		})
 	}
 }

@@ -11,12 +11,10 @@ import (
 
 // CacheConfig parameterizes one policy model-check run.
 type CacheConfig struct {
-	Policy            string
-	Capacity          int
-	Steps             int   // requests to replay (default 10000)
-	Seed              int64 // stream RNG seed
-	Universe          int   // distinct chunk ids (default 4*capacity, min 16)
-	ReprioritizeEvery int   // steps between fresh FBF priority dictionaries (default 64)
+	Policy   string
+	Capacity int
+	Steps    int   // requests to replay (default 10000)
+	Seed     int64 // stream RNG seed
 }
 
 // CacheReport summarizes one model-check run.
@@ -84,10 +82,10 @@ func newRef(name string, capacity int, lambda float64) (refPolicy, error) {
 
 // CheckCache drives the production policy and its reference model
 // through the same randomized request stream and compares hit/miss
-// decisions, the full resident set and the ids reported to the eviction
-// callback (cache.Policy.SetOnEvict) step by step, plus the aggregate
-// event counters at the end. Any disagreement returns an error naming
-// the first divergent step.
+// decisions and the full resident set step by step, the model checking
+// each eviction the residency diff shows, plus the aggregate event
+// counters at the end. Any disagreement returns an error naming the
+// first divergent step.
 func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 10000
@@ -95,18 +93,6 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 	if cfg.Capacity < 0 {
 		return nil, fmt.Errorf("verify: negative capacity %d", cfg.Capacity)
 	}
-	universe := cfg.Universe
-	if universe <= 0 {
-		universe = 4 * cfg.Capacity
-	}
-	if universe < 16 {
-		universe = 16
-	}
-	reprio := cfg.ReprioritizeEvery
-	if reprio <= 0 {
-		reprio = 64
-	}
-
 	pol, err := cache.New(cfg.Policy, cfg.Capacity)
 	if err != nil {
 		return nil, err
@@ -119,15 +105,22 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	return checkCache(pol, ref, cfg.Steps, cfg.Seed)
+}
 
-	var reported []cache.ChunkID // the eviction callback's ids of the step in flight
-	pol.SetOnEvict(func(id cache.ChunkID) { reported = append(reported, id) })
-
+// checkCache is CheckCache's loop: steps requests of the stream seeded
+// by seed through pol and ref. The stream draws from max(4×capacity,
+// 16) chunk ids, and a fresh priority dictionary reaches both every 64
+// steps.
+func checkCache(pol cache.Policy, ref refPolicy, steps int, seed int64) (*CacheReport, error) {
+	name, capacity := pol.Name(), pol.Capacity()
+	universe := max(4*capacity, 16)
+	const reprio = 64
 	ids := make([]cache.ChunkID, universe)
 	for k := range ids {
 		ids[k] = cache.ChunkID{Stripe: k / 16, Cell: grid.Coord{Row: (k % 16) / 4, Col: k % 4}}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	hot := universe / 10
 	if hot < 1 {
 		hot = 1
@@ -136,7 +129,7 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 
 	var evictions uint64
 	var hits, misses uint64
-	for step := 0; step < cfg.Steps; step++ {
+	for step := 0; step < steps; step++ {
 		if step%reprio == 0 {
 			prio := make(map[cache.ChunkID]int)
 			for _, id := range ids {
@@ -169,7 +162,6 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 		for _, r := range ref.resident() {
 			before[r] = true
 		}
-		reported = reported[:0]
 		hit := pol.Request(id)
 		var evicted []cache.ChunkID
 		for r := range before {
@@ -178,17 +170,6 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 			}
 		}
 		evictions += uint64(len(evicted))
-		// The callback must name exactly the chunks that left the resident
-		// set (distinct by construction), which the model validates as its
-		// own victims below.
-		named := len(reported) == len(evicted)
-		for _, r := range evicted {
-			named = named && sliceHas(reported, r)
-		}
-		if !named {
-			return nil, fmt.Errorf("verify: %s cap=%d step %d id=%v: eviction callback reported %v, residency lost %v",
-				cfg.Policy, cfg.Capacity, step, id, reported, evicted)
-		}
 		if hit {
 			hits++
 		} else {
@@ -197,21 +178,21 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 
 		refHit, err := ref.request(id, evicted)
 		if err != nil {
-			return nil, fmt.Errorf("verify: %s cap=%d step %d id=%v: %w", cfg.Policy, cfg.Capacity, step, id, err)
+			return nil, fmt.Errorf("verify: %s cap=%d step %d id=%v: %w", name, capacity, step, id, err)
 		}
 		if hit != refHit {
 			return nil, fmt.Errorf("verify: %s cap=%d step %d id=%v: policy says hit=%v, model says hit=%v",
-				cfg.Policy, cfg.Capacity, step, id, hit, refHit)
+				name, capacity, step, id, hit, refHit)
 		}
 		res := ref.resident()
 		if pol.Len() != len(res) {
 			return nil, fmt.Errorf("verify: %s cap=%d step %d id=%v: policy holds %d chunks, model %d",
-				cfg.Policy, cfg.Capacity, step, id, pol.Len(), len(res))
+				name, capacity, step, id, pol.Len(), len(res))
 		}
 		for _, r := range res {
 			if !pol.Contains(r) {
 				return nil, fmt.Errorf("verify: %s cap=%d step %d id=%v: model-resident chunk %v missing from policy",
-					cfg.Policy, cfg.Capacity, step, id, r)
+					name, capacity, step, id, r)
 			}
 		}
 	}
@@ -219,13 +200,13 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 	st := pol.Stats()
 	if st.Hits != hits || st.Misses != misses {
 		return nil, fmt.Errorf("verify: %s cap=%d: stats report %d/%d hits/misses, driver observed %d/%d",
-			cfg.Policy, cfg.Capacity, st.Hits, st.Misses, hits, misses)
+			name, capacity, st.Hits, st.Misses, hits, misses)
 	}
 	if st.Evictions != evictions {
 		return nil, fmt.Errorf("verify: %s cap=%d: stats report %d evictions, residency diffs observed %d",
-			cfg.Policy, cfg.Capacity, st.Evictions, evictions)
+			name, capacity, st.Evictions, evictions)
 	}
-	return &CacheReport{Policy: cfg.Policy, Capacity: cfg.Capacity, Steps: cfg.Steps, Stats: st}, nil
+	return &CacheReport{Policy: name, Capacity: capacity, Steps: steps, Stats: st}, nil
 }
 
 // ---- shared slice helpers ----

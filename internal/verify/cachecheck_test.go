@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"regexp"
 	"testing"
 
 	"fbf/internal/cache"
@@ -74,34 +75,21 @@ func TestCheckedPoliciesAreRegistered(t *testing.T) {
 }
 
 // TestCheckCacheDetectsDivergence sanity-checks the checker itself: a
-// model checker that can never fail proves nothing. Running the LRU
-// reference against the FIFO production policy must diverge (LRU
-// refreshes recency on hit, FIFO does not).
+// model checker that can never fail proves nothing. CheckCache's own
+// loop, run on FIFO against the LRU model and on LRU against the FIFO
+// model, must report the first step where the resident sets part (LRU
+// refreshes recency on a hit, FIFO does not).
 func TestCheckCacheDetectsDivergence(t *testing.T) {
-	pol := cache.MustNew("fifo", 3)
-	ref := &refLRU{cap: 3}
-	diverged := false
-	ids := []cache.ChunkID{}
-	for k := 0; k < 8; k++ {
-		ids = append(ids, cache.ChunkID{Stripe: k})
-	}
-	// a b c a d: LRU keeps a (refreshed), FIFO evicts a.
-	for _, k := range []int{0, 1, 2, 0, 3} {
-		hit := pol.Request(ids[k])
-		refHit, _ := ref.request(ids[k], nil)
-		if hit != refHit {
-			diverged = true
-			break
+	for _, tc := range []struct {
+		policy string
+		ref    refPolicy
+	}{
+		{"fifo", &refLRU{cap: 8}},
+		{"lru", &refFIFO{cap: 8}},
+	} {
+		_, err := checkCache(cache.MustNew(tc.policy, 8), tc.ref, 2500, 1)
+		if err == nil || !regexp.MustCompile(`step \d+ .*missing from policy`).MatchString(err.Error()) {
+			t.Errorf("%s against the wrong model: err = %v, want a step whose resident sets differ", tc.policy, err)
 		}
-	}
-	if !diverged {
-		for _, r := range ref.resident() {
-			if !pol.Contains(r) {
-				diverged = true
-			}
-		}
-	}
-	if !diverged {
-		t.Fatal("LRU model failed to catch FIFO behaviour")
 	}
 }

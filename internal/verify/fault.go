@@ -50,11 +50,16 @@ func CheckEscalatedRecovery(code *codes.Code, e core.PartialStripeError, escalat
 	if err := e.Validate(code); err != nil {
 		return 0, 0, err
 	}
-	original := code.MaterializeStripe(seed, chunkSize)
-	if !code.Verify(original) {
-		return 0, 0, fmt.Errorf("verify: %v: materialized stripe fails parity verification", code)
+	original, err := materialize(code, seed, chunkSize)
+	if err != nil {
+		return 0, 0, err
 	}
+	return checkEscalated(code, original, e, escalated, failedCols, strat, newScratch(code, chunkSize))
+}
 
+// checkEscalated is CheckEscalatedRecovery against a pre-materialized,
+// pre-verified stripe, replayed in sc's buffers.
+func checkEscalated(code *codes.Code, original []chunk.Chunk, e core.PartialStripeError, escalated []grid.Coord, failedCols []int, strat core.Strategy, sc *scratch) (recovered, unsolvable int, err error) {
 	// Build the repair and unavailable sets.
 	repairSet := make(map[grid.Coord]bool)
 	var repair []grid.Coord
@@ -100,9 +105,11 @@ func CheckEscalatedRecovery(code *codes.Code, e core.PartialStripeError, escalat
 	// cells hold garbage, chains execute in order writing results back,
 	// so a chain that reads an unrecovered or unavailable cell corrupts
 	// its output and fails the diff.
-	damaged := damageStripe(original, code, append(append([]grid.Coord{}, repair...), unavailable...), nil)
+	allLost := append(append([]grid.Coord{}, repair...), unavailable...)
+	damaged, acc := sc.damaged, sc.acc
+	damageStripe(damaged, original, code, allLost)
 	for _, sel := range scheme.Selected {
-		acc := chunk.New(chunkSize)
+		clear(acc)
 		for _, m := range sel.Fetch {
 			chunk.XORInto(acc, damaged[code.CellIndex(m)])
 		}
@@ -122,7 +129,6 @@ func CheckEscalatedRecovery(code *codes.Code, e core.PartialStripeError, escalat
 	// Oracle cross-check of the loss verdicts: the gf2 decoder, given
 	// the full erasure pattern, must agree that each lost cell is
 	// unsolvable — and that no solvable repair cell was abandoned.
-	allLost := append(append([]grid.Coord{}, repair...), unavailable...)
 	_, unsolved, err := code.PartialRecoveryPlan(allLost)
 	if err != nil {
 		return 0, 0, fmt.Errorf("verify: oracle rejected the erasure pattern: %w", err)
@@ -164,6 +170,15 @@ func SweepEscalations(cfg StripeConfig) (*EscalationReport, error) {
 	if len(strategies) == 0 {
 		strategies = Strategies()
 	}
+	chunkSize := cfg.ChunkSize
+	if chunkSize <= 0 {
+		chunkSize = 64
+	}
+	original, err := materialize(code, cfg.Seed, chunkSize)
+	if err != nil {
+		return nil, err
+	}
+	sc := newScratch(code, chunkSize)
 	report := &EscalationReport{Code: code.Name(), P: code.P()}
 	size := code.MaxPartialSize()
 	if size > code.Rows() {
@@ -172,7 +187,7 @@ func SweepEscalations(cfg StripeConfig) (*EscalationReport, error) {
 	check := func(e core.PartialStripeError, escalated []grid.Coord, failedCols []int) error {
 		report.Patterns++
 		for _, strat := range strategies {
-			rec, uns, err := CheckEscalatedRecovery(code, e, escalated, failedCols, strat, cfg.ChunkSize, cfg.Seed)
+			rec, uns, err := checkEscalated(code, original, e, escalated, failedCols, strat, sc)
 			if err != nil {
 				return fmt.Errorf("%v escalated=%v failedCols=%v strategy=%v: %w", e, escalated, failedCols, strat, err)
 			}

@@ -93,15 +93,11 @@ func SweepStripes(cfg StripeConfig) (*StripeReport, error) {
 		chunkSize = 64
 	}
 
-	original := code.MaterializeStripe(cfg.Seed, chunkSize)
-	if !code.Verify(original) {
-		return nil, fmt.Errorf("verify: %v: materialized stripe fails parity verification", code)
+	original, err := materialize(code, cfg.Seed, chunkSize)
+	if err != nil {
+		return nil, err
 	}
-
-	// One pool serves the whole sweep: the damaged/oracled stripe copies
-	// and XOR accumulators of every (pattern, strategy) pair recycle the
-	// same buffers instead of re-allocating thousands of chunks.
-	pool := chunk.NewPool(chunkSize)
+	sc := newScratch(code, chunkSize)
 	report := &StripeReport{Code: code.Name(), P: code.P()}
 	maxSize := code.MaxPartialSize()
 	if maxSize > code.Rows() {
@@ -116,7 +112,7 @@ func SweepStripes(cfg StripeConfig) (*StripeReport, error) {
 				}
 				report.Patterns++
 				for _, strat := range strategies {
-					rec, orc, err := checkPattern(code, original, e, strat, pool)
+					rec, orc, err := checkPattern(code, original, e, strat, sc)
 					if err != nil {
 						return nil, fmt.Errorf("verify: %v %v strategy=%v: %w", code, e, strat, err)
 					}
@@ -140,11 +136,11 @@ func CheckPattern(code *codes.Code, e core.PartialStripeError, strat core.Strate
 	if err := e.Validate(code); err != nil {
 		return err
 	}
-	original := code.MaterializeStripe(seed, chunkSize)
-	if !code.Verify(original) {
-		return fmt.Errorf("verify: %v: materialized stripe fails parity verification", code)
+	original, err := materialize(code, seed, chunkSize)
+	if err != nil {
+		return err
 	}
-	if _, _, err := checkPattern(code, original, e, strat, nil); err != nil {
+	if _, _, err := checkPattern(code, original, e, strat, newScratch(code, chunkSize)); err != nil {
 		return fmt.Errorf("verify: %v %v strategy=%v: %w", code, e, strat, err)
 	}
 	return nil
@@ -152,14 +148,9 @@ func CheckPattern(code *codes.Code, e core.PartialStripeError, strat core.Strate
 
 // checkPattern runs the full check for one (pattern, strategy) against
 // a pre-materialized, pre-verified stripe. It returns the number of
-// chain-recovered chunks and oracle-checked cells. All scratch buffers
-// (stripe copies, XOR accumulators) come from pool; a nil pool gets a
-// private one. Error paths may leave buffers unreturned — errors abort
-// the sweep, so nothing is lost.
-func checkPattern(code *codes.Code, original []chunk.Chunk, e core.PartialStripeError, strat core.Strategy, pool *chunk.Pool) (recovered, oracle int, err error) {
-	if pool == nil {
-		pool = chunk.NewPool(len(original[0]))
-	}
+// chain-recovered chunks and oracle-checked cells. It overwrites every
+// buffer of sc before reading it.
+func checkPattern(code *codes.Code, original []chunk.Chunk, e core.PartialStripeError, strat core.Strategy, sc *scratch) (recovered, oracle int, err error) {
 	lost := e.LostCells()
 	scheme, err := core.GenerateScheme(code, e, strat)
 	if err != nil {
@@ -181,8 +172,8 @@ func checkPattern(code *codes.Code, original []chunk.Chunk, e core.PartialStripe
 	// chain. Reading from the damaged stripe means a scheme that fetches
 	// a lost (or not-yet-recovered) cell corrupts its output and fails
 	// the diff below.
-	damaged := damageStripe(original, code, lost, pool)
-	acc := pool.GetRaw() // every path below overwrites it fully
+	damaged, acc := sc.damaged, sc.acc
+	damageStripe(damaged, original, code, lost)
 	for _, sel := range scheme.Selected {
 		if len(sel.Fetch) == 0 {
 			clear(acc)
@@ -219,7 +210,8 @@ func checkPattern(code *codes.Code, original []chunk.Chunk, e core.PartialStripe
 	for _, c := range lost {
 		lostSet[c] = true
 	}
-	oracled := damageStripe(original, code, lost, pool)
+	oracled := sc.oracled
+	damageStripe(oracled, original, code, lost)
 	for _, cell := range lost {
 		terms := plan[cell]
 		clear(acc)
@@ -238,9 +230,6 @@ func checkPattern(code *codes.Code, original []chunk.Chunk, e core.PartialStripe
 		}
 		oracle++
 	}
-	pool.Put(acc)
-	releaseStripe(pool, damaged)
-	releaseStripe(pool, oracled)
 	return recovered, oracle, nil
 }
 
@@ -297,32 +286,39 @@ func checkSchemeShape(code *codes.Code, s *core.Scheme, lost []grid.Coord) error
 	return nil
 }
 
-// damageStripe deep-copies the stripe and overwrites the lost cells
-// with garbage. With a non-nil pool the copies are drawn from it
-// (GetRaw — the copy overwrites every byte); release with releaseStripe.
-func damageStripe(original []chunk.Chunk, code *codes.Code, lost []grid.Coord, pool *chunk.Pool) []chunk.Chunk {
-	out := make([]chunk.Chunk, len(original))
+// materialize returns the code's seeded stripe, checked against its
+// parity.
+func materialize(code *codes.Code, seed int64, chunkSize int) ([]chunk.Chunk, error) {
+	original := code.MaterializeStripe(seed, chunkSize)
+	if !code.Verify(original) {
+		return nil, fmt.Errorf("verify: %v: materialized stripe fails parity verification", code)
+	}
+	return original, nil
+}
+
+// scratch is the buffers one check overwrites: a stripe copy for the
+// chain replay, one for the oracle, and an XOR accumulator. A sweep
+// makes one and hands it to every check.
+type scratch struct {
+	damaged, oracled []chunk.Chunk
+	acc              chunk.Chunk
+}
+
+func newScratch(code *codes.Code, chunkSize int) *scratch {
+	return &scratch{damaged: code.NewStripe(chunkSize), oracled: code.NewStripe(chunkSize), acc: chunk.New(chunkSize)}
+}
+
+// damageStripe copies original into dst and overwrites the lost cells
+// with garbage.
+func damageStripe(dst, original []chunk.Chunk, code *codes.Code, lost []grid.Coord) {
 	for i, c := range original {
-		if pool != nil {
-			out[i] = pool.GetRaw()
-		} else {
-			out[i] = make(chunk.Chunk, len(c))
-		}
-		copy(out[i], c)
+		copy(dst[i], c)
 	}
 	for _, cell := range lost {
-		c := out[code.CellIndex(cell)]
+		c := dst[code.CellIndex(cell)]
 		for i := range c {
 			c[i] = garbageByte
 		}
-	}
-	return out
-}
-
-// releaseStripe returns a damageStripe copy's chunks to the pool.
-func releaseStripe(pool *chunk.Pool, s []chunk.Chunk) {
-	for _, c := range s {
-		pool.Put(c)
 	}
 }
 

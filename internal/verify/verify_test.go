@@ -108,7 +108,7 @@ func TestHarnessRejectsCorruptStripe(t *testing.T) {
 	// The corrupted cell participates in chains; chain recovery of a
 	// different cell through a chain containing cell 0 must now diverge
 	// from the original bytes.
-	if _, _, err := checkPattern(code, s, e, core.StrategyTypical, nil); err == nil {
+	if _, _, err := checkPattern(code, s, e, core.StrategyTypical, newScratch(code, 16)); err == nil {
 		t.Fatal("harness passed a stripe with broken parity")
 	}
 }
