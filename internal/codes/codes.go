@@ -192,9 +192,9 @@ func (c *Code) RecoveryPlan(lost []grid.Coord) (map[grid.Coord][]grid.Coord, err
 // PartialRecoveryPlan is RecoveryPlan for erasure patterns that may
 // exceed the code's tolerance: it expresses every solvable lost cell as
 // a XOR of surviving cells and returns the unsolvable cells separately
-// instead of failing outright. It is the decoder fallback
-// core.RegenerateScheme uses when escalated faults leave no single
-// parity chain usable.
+// instead of failing outright. DecodeSchedule is the same solve with its
+// chain-syndrome program; core.RegenerateScheme's decoder fallback takes
+// that one.
 func (c *Code) PartialRecoveryPlan(lost []grid.Coord) (map[grid.Coord][]grid.Coord, []grid.Coord, error) {
 	unknowns, err := c.unknowns(lost)
 	if err != nil {

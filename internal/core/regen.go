@@ -13,29 +13,34 @@ import (
 // chunks escalated by unrecoverable read errors), and unavailable lists
 // cells that cannot be read but need no repair here (typically the
 // remaining cells of failed disks, rebuilt stripe by stripe elsewhere).
+// GenerateScheme is its case with no escalation: repair is the error's
+// lost cells and nothing else is unavailable.
 //
-// Per repair cell the strategy picks a parity chain exactly as
-// GenerateScheme does, treating repair ∪ unavailable as erased. Cells no
-// single chain can rebuild fall back to the code's GF(2) decoder
-// (PartialRecoveryPlan) and appear in the scheme as Decoded selections;
-// cells even the decoder cannot solve are returned in lost — data loss
-// the caller must account, not an error.
+// Per repair cell the strategy picks a parity chain, treating repair ∪
+// unavailable as erased; these selections come first, in repair order.
+// Cells no single chain can rebuild fall back to the code's GF(2)
+// decoder: the lost set's decode is kept as Scheme.Decode, and the cells
+// it solves follow as Decoded selections; cells even the decoder cannot
+// solve are returned in lost — data loss the caller must account, not an
+// error.
 //
 // e identifies the stripe and original error for Scheme bookkeeping; it
 // is not re-validated, since escalated patterns are exactly the ones a
 // plain partial-stripe error can no longer describe.
 func RegenerateScheme(code *codes.Code, e PartialStripeError, repair, unavailable []grid.Coord, strategy Strategy) (*Scheme, []grid.Coord, error) {
 	lostSet := make(map[grid.Coord]bool, len(repair)+len(unavailable))
-	for _, c := range append(append([]grid.Coord{}, repair...), unavailable...) {
-		if !code.Layout().InBounds(c) {
-			return nil, nil, fmt.Errorf("core: cell %v out of bounds", c)
+	for _, cells := range [2][]grid.Coord{repair, unavailable} {
+		for _, c := range cells {
+			if !code.Layout().InBounds(c) {
+				return nil, nil, fmt.Errorf("core: cell %v out of bounds", c)
+			}
+			lostSet[c] = true
 		}
-		lostSet[c] = true
 	}
 
 	scheme := &Scheme{Code: code, Err: e, Strategy: strategy, Priorities: make(map[grid.Coord]int)}
-	planned := make(map[grid.Coord]bool)
-	var decode []grid.Coord // repair cells with no usable single chain
+	planned := make(map[grid.Coord]bool) // chunks already scheduled for fetch
+	var decode []grid.Coord              // repair cells with no usable single chain
 
 	for k, cell := range repair {
 		chosen, err := chainFor(code, lostSet, planned, cell, k, strategy)
@@ -60,24 +65,20 @@ func RegenerateScheme(code *codes.Code, e PartialStripeError, repair, unavailabl
 		allLost = append(allLost, c)
 	}
 	sortCoords(allLost)
-	plan, unsolved, err := code.PartialRecoveryPlan(allLost)
+	d, err := code.DecodeSchedule(allLost)
 	if err != nil {
 		return nil, nil, err
 	}
-	unsolvedSet := make(map[grid.Coord]bool, len(unsolved))
-	for _, c := range unsolved {
-		unsolvedSet[c] = true
-	}
+	scheme.Decode = d
 	var lost []grid.Coord
 	for _, cell := range decode {
-		if unsolvedSet[cell] {
+		fetch, solved := d.Plan[cell]
+		if !solved {
 			lost = append(lost, cell)
 			continue
 		}
-		fetch := plan[cell]
 		for _, m := range fetch {
 			scheme.Priorities[m]++
-			planned[m] = true
 		}
 		scheme.Selected = append(scheme.Selected, SelectedChain{Lost: cell, Fetch: fetch, Decoded: true})
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"fbf/internal/chunk"
@@ -37,6 +38,9 @@ func TestRegenerateMatchesGenerateWithoutEscalation(t *testing.T) {
 	got, lost, err := core.RegenerateScheme(c, e, e.LostCells(), nil, core.StrategyLooped)
 	if err != nil || len(lost) != 0 {
 		t.Fatalf("RegenerateScheme: lost=%v err=%v", lost, err)
+	}
+	if got.Decode != nil {
+		t.Error("a scheme of single chains carries a decode")
 	}
 	if len(got.Selected) != len(want.Selected) {
 		t.Fatalf("selected %d chains, want %d", len(got.Selected), len(want.Selected))
@@ -76,6 +80,9 @@ func TestRegenerateDecoderFallbackIsByteExact(t *testing.T) {
 	for _, sel := range scheme.Selected {
 		if sel.Decoded {
 			decoded++
+			if !slices.Equal(sel.Fetch, scheme.Decode.Plan[sel.Lost]) {
+				t.Errorf("cell %v fetches %v, its decode plan lists %v", sel.Lost, sel.Fetch, scheme.Decode.Plan[sel.Lost])
+			}
 		}
 		got := xorFetch(c, stripe, sel)
 		want := stripe[c.CellIndex(sel.Lost)]

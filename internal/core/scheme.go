@@ -84,32 +84,28 @@ type Scheme struct {
 	// chains that share it (1, 2 or 3+). Chunks shared by more chains
 	// save more re-reads and get higher cache priority.
 	Priorities map[grid.Coord]int
+
+	// Decode is the GF(2) decode of the whole erased set behind the
+	// Decoded selections (codes.DecodeSchedule; their Fetch lists are its
+	// Plan), nil when every repair cell kept a single chain.
+	Decode *codes.DecodeSchedule
 }
 
 // GenerateScheme builds the recovery scheme for one partial stripe error
-// under the given strategy.
+// under the given strategy: RegenerateScheme with the error's lost cells
+// to repair and nothing else erased. A valid error is always rebuilt
+// through single chains; a lost cell that would need the decoder is an
+// error.
 func GenerateScheme(code *codes.Code, e PartialStripeError, strategy Strategy) (*Scheme, error) {
 	if err := e.Validate(code); err != nil {
 		return nil, err
 	}
-	lost := e.LostCells()
-	lostSet := make(map[grid.Coord]bool, len(lost))
-	for _, c := range lost {
-		lostSet[c] = true
+	scheme, _, err := RegenerateScheme(code, e, e.LostCells(), nil, strategy)
+	if err != nil {
+		return nil, err
 	}
-
-	scheme := &Scheme{Code: code, Err: e, Strategy: strategy, Priorities: make(map[grid.Coord]int)}
-	planned := make(map[grid.Coord]bool) // chunks already scheduled for fetch
-
-	for k, cell := range lost {
-		chosen, err := chainFor(code, lostSet, planned, cell, k, strategy)
-		if err != nil {
-			return nil, err
-		}
-		if chosen == nil {
-			return nil, fmt.Errorf("core: no usable chain for lost chunk %v of %v", cell, e)
-		}
-		scheme.addChain(cell, chosen, planned)
+	if scheme.Decode != nil {
+		return nil, fmt.Errorf("core: no usable chain for some lost chunk of %v", e)
 	}
 	return scheme, nil
 }

@@ -41,7 +41,7 @@ func ScanStore(b store.Backend, m store.ArrayManifest, scrub bool) (*DamageRepor
 		return nil, err
 	}
 
-	report := &DamageReport{PerDiskPresent: make([]int, m.Disks)}
+	report := &DamageReport{}
 	perStripe := make(map[int]*StripeDamage)
 	for disk, sc := range scans {
 		for _, c := range sc.damage {
@@ -59,7 +59,6 @@ func ScanStore(b store.Backend, m store.ArrayManifest, scrub bool) (*DamageRepor
 				report.MissingChunks++
 			}
 		}
-		report.PerDiskPresent[disk] = sc.present
 		if sc.present == 0 && m.Stripes*m.Rows > 0 {
 			report.FailedDisks = append(report.FailedDisks, disk)
 		}

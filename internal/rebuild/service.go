@@ -245,10 +245,9 @@ type DamageReport struct {
 	MissingChunks int
 	CorruptChunks int
 
-	// PerDiskPresent counts readable chunks per disk; FailedDisks lists
-	// disks with nothing present at all (the killed-directory state).
-	PerDiskPresent []int
-	FailedDisks    []int
+	// FailedDisks lists disks with nothing present at all (the
+	// killed-directory state).
+	FailedDisks []int
 
 	// ExtraChunks are addresses present in the store but outside the
 	// manifest geometry — reported, never touched.
@@ -592,9 +591,7 @@ func (s *service) planFor(stripe int, lost []grid.Coord) (*schemePlan, error) {
 	// A copy: the caller's slice grows in place when a cell escalates.
 	p := &schemePlan{lost: append([]grid.Coord(nil), lost...), scheme: scheme, unsolved: unsolved}
 	if !s.cfg.DryRun {
-		if p.pass, err = s.passFor(p); err != nil {
-			return nil, err
-		}
+		p.pass = s.passFor(p)
 	}
 	if s.schemes == nil {
 		s.schemes = make(map[string]*schemePlan)
@@ -747,20 +744,20 @@ type cellUse struct {
 // passFor builds plan's read-once pass; it is the only builder of one. The
 // plan picks the accumulators' chains: a decoded plan (one with a
 // GF(2)-decoder selection) takes every layout chain that holds a lost cell
-// — with verify, every chain — and replays codes.DecodeSchedule's row
-// additions on them; a chain-major plan takes its repair chains in
-// Selected order, then checkChains'. The rest is one rule for both. A
-// surviving chunk is a source when an accumulator's chain holds it and
-// either verify is on or a Fetch equation lists it: a survivor outside
-// every equation cancels in each sum the schedule forms for a rebuilt
-// cell. Sources are read in store-address order, disk then row, and each
+// — with verify, every chain — and replays the row additions of the
+// scheme's decode (Scheme.Decode) on them; a chain-major plan takes its
+// repair chains in Selected order, then checkChains'. The rest is one
+// rule for both. A surviving chunk is a source when an accumulator's
+// chain holds it and either verify is on or a Fetch equation lists it: a
+// survivor outside every equation cancels in each sum the schedule forms
+// for a rebuilt cell. Sources are read in store-address order, disk then row, and each
 // folds into every accumulator whose chain holds it. The outputs are the
 // decoder rows and the repair chains' sums, the latter snapshotted before
 // the row additions in a decoded pass. With verify, every accumulator
 // whose sum is no output is checked if its chain holds a rebuilt cell and
 // no unsolved one — in a decoded pass against its snapshot, and the rows
 // the decode spared must be zero.
-func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
+func (s *service) passFor(plan *schemePlan) *decodePass {
 	selected, verified := plan.scheme.Selected, !s.cfg.NoVerify
 	layout := s.code.Layout()
 	uses := make([]cellUse, layout.Cells())
@@ -783,10 +780,7 @@ func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
 	p := &decodePass{chains: make([]*grid.Chain, 0, len(chains)), outputs: make([]int, len(selected))}
 	var accAt []int
 	if decoded {
-		var err error
-		if sched, err = s.code.DecodeSchedule(plan.lost); err != nil {
-			return nil, err
-		}
+		sched = plan.scheme.Decode
 		accAt = make([]int, len(chains))
 		for i := range chains {
 			if verified || slices.ContainsFunc(chains[i].Cells, func(c grid.Coord) bool { return at(c).lost }) {
@@ -899,7 +893,7 @@ func (s *service) passFor(plan *schemePlan) (*decodePass, error) {
 		}
 		start = e
 	}
-	return p, nil
+	return p
 }
 
 // evaluate is the read-once pass of one stripe. Replaying a plan cell by

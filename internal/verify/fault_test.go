@@ -12,7 +12,7 @@ import (
 // TestSweepEscalations byte-verifies regenerated recovery schemes for
 // every code family: URE escalations, cascading column failures within
 // tolerance, and beyond-tolerance patterns whose loss verdicts must
-// match the gf2 oracle.
+// match the gf2 oracle, as must every rebuilt cell.
 func TestSweepEscalations(t *testing.T) {
 	for _, name := range codes.Names() {
 		for _, p := range []int{5, 7} {
@@ -30,6 +30,11 @@ func TestSweepEscalations(t *testing.T) {
 				if report.Unsolvable == 0 {
 					t.Errorf("no unsolvable cells confirmed: %v", report)
 				}
+				// Every rebuilt cell, decoded ones included, is
+				// re-derived through the gf2 decoder.
+				if report.Oracle != report.Recovered {
+					t.Errorf("oracle checks (%d) != recoveries (%d)", report.Oracle, report.Recovered)
+				}
 				if !strings.Contains(report.String(), "byte-verified") {
 					t.Errorf("report string: %q", report.String())
 				}
@@ -38,34 +43,19 @@ func TestSweepEscalations(t *testing.T) {
 	}
 }
 
-// TestCheckEscalatedRecoveryRejectsBadInputs covers the guard rails.
-func TestCheckEscalatedRecoveryRejectsBadInputs(t *testing.T) {
+// TestCheckPatternRejectsBadEscalations covers CheckPattern's guard
+// rails for escalated patterns.
+func TestCheckPatternRejectsBadEscalations(t *testing.T) {
 	code := codes.MustNew("tip", 5)
 	bad := core.PartialStripeError{Stripe: 0, Disk: code.Disks(), Row: 0, Size: 1}
-	if _, _, err := CheckEscalatedRecovery(code, bad, nil, nil, core.StrategyLooped, 64, 1); err == nil {
+	if _, err := CheckPattern(code, bad, nil, nil, core.StrategyLooped, 64, 1); err == nil {
 		t.Error("invalid error pattern accepted")
 	}
 	good := core.PartialStripeError{Stripe: 0, Disk: 0, Row: 0, Size: 1}
-	if _, _, err := CheckEscalatedRecovery(code, good, []grid.Coord{{Row: 0, Col: code.Disks()}}, nil, core.StrategyLooped, 64, 1); err == nil {
+	if _, err := CheckPattern(code, good, []grid.Coord{{Row: 0, Col: code.Disks()}}, nil, core.StrategyLooped, 64, 1); err == nil {
 		t.Error("out-of-bounds escalated cell accepted")
 	}
-}
-
-// TestEscalatedRecoveryMatchesPlainGeneration pins that with no
-// escalations and no failed columns a regenerated scheme recovers the
-// same bytes a plain scheme does — the conformance harness and the
-// original harness agree on the shared subset.
-func TestEscalatedRecoveryMatchesPlainGeneration(t *testing.T) {
-	code := codes.MustNew("star", 7)
-	e := core.PartialStripeError{Stripe: 0, Disk: 2, Row: 1, Size: 3}
-	rec, uns, err := CheckEscalatedRecovery(code, e, nil, nil, core.StrategyLooped, 64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec != e.Size || uns != 0 {
-		t.Errorf("recovered %d cells (%d unsolvable), want %d (0)", rec, uns, e.Size)
-	}
-	if err := CheckPattern(code, e, core.StrategyLooped, 64, 7); err != nil {
-		t.Errorf("plain harness disagrees: %v", err)
+	if _, err := CheckPattern(code, good, nil, []int{code.Disks()}, core.StrategyLooped, 64, 1); err == nil {
+		t.Error("out-of-bounds failed column accepted")
 	}
 }

@@ -2,11 +2,13 @@ package verify
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"testing"
 
 	"fbf/internal/codes"
 	"fbf/internal/core"
+	"fbf/internal/grid"
 )
 
 // fuzzPrimes is the prime menu the fuzzer indexes into: the smallest
@@ -60,7 +62,54 @@ func FuzzSchemeRecovery(f *testing.F) {
 		if err := e.Validate(code); err != nil {
 			t.Skip()
 		}
-		if err := CheckPattern(code, e, Strategies()[strat], 32, seed); err != nil {
+		if _, err := CheckPattern(code, e, nil, nil, Strategies()[strat], 32, seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzEscalatedRecovery fuzzes the escalation planner the same way: a
+// valid partial-stripe error, plus one escalated cell (esc indexes the
+// stripe's cells; a negative one escalates none) and up to three failed
+// columns other than the error's disk (a bitmask over disks), must be
+// planned so that every rebuilt cell byte-matches and every loss verdict
+// agrees with the gf2 decoder oracle. Failed columns push the plan onto
+// the decoder fallback, and three of them beside the error onto the
+// graceful-loss path.
+func FuzzEscalatedRecovery(f *testing.F) {
+	// One bad survivor beside a single-chunk error.
+	f.Add(0, 0, 0, 0, 1, 7, uint16(0), 1, int64(1))
+	// Two dead disks beside a maximal run: the decoder fallback.
+	f.Add(1, 0, 2, 0, 4, -1, uint16(0b1010), 0, int64(2))
+	// Three dead disks and a bad survivor: past tolerance, cells lost.
+	f.Add(2, 1, 3, 1, 3, 20, uint16(0b10011), 2, int64(3))
+	f.Fuzz(func(t *testing.T, codeIdx, pIdx, disk, row, size, esc int, failedMask uint16, strat int, seed int64) {
+		names := codes.Names()
+		if codeIdx < 0 || codeIdx >= len(names) || pIdx < 0 || pIdx >= len(fuzzPrimes) {
+			t.Skip()
+		}
+		if strat < 0 || strat >= len(Strategies()) {
+			t.Skip()
+		}
+		code := cachedCode(t, names[codeIdx], fuzzPrimes[pIdx])
+		e := core.PartialStripeError{Stripe: 0, Disk: disk, Row: row, Size: size}
+		if err := e.Validate(code); err != nil || esc >= code.Layout().Cells() {
+			t.Skip()
+		}
+		if bits.OnesCount16(failedMask) > 3 || int(failedMask)>>code.Disks() != 0 || failedMask>>disk&1 != 0 {
+			t.Skip()
+		}
+		var escalated []grid.Coord
+		if esc >= 0 {
+			escalated = append(escalated, code.CoordOf(esc))
+		}
+		var failedCols []int
+		for col := 0; col < code.Disks(); col++ {
+			if failedMask>>col&1 != 0 {
+				failedCols = append(failedCols, col)
+			}
+		}
+		if _, err := CheckPattern(code, e, escalated, failedCols, Strategies()[strat], 32, seed); err != nil {
 			t.Fatal(err)
 		}
 	})

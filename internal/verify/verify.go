@@ -12,15 +12,15 @@
 //     rules — a subtle eviction bug would silently skew every hit-ratio
 //     curve.
 //
-// The stripe harness (SweepStripes, CheckPattern) encodes seeded-random
-// stripe contents with a code, injects an error pattern, executes the
-// exact recovery scheme core.GenerateScheme produces — performing the
-// chain XORs on real bytes, in replay order, writing each recovered
-// chunk back like the engine's spare write — and asserts byte-identical
-// recovery. An independent oracle re-derives every lost cell through
-// the gf2 erasure decoder (codes.Recover) and the two answers are
-// diffed, so a bug would have to hit two disjoint code paths
-// identically to escape.
+// The stripe harness (SweepStripes, SweepEscalations, CheckPattern)
+// encodes seeded-random stripe contents with a code, injects an error
+// pattern, executes the exact recovery scheme core.RegenerateScheme
+// produces — performing the selections' XORs on real bytes, in replay
+// order, writing each recovered chunk back like the engine's spare
+// write — and asserts byte-identical recovery. An independent oracle
+// re-derives every rebuilt cell through the gf2 erasure decoder
+// (codes.PartialRecoveryPlan) and the two answers are diffed, so a bug
+// would have to hit two disjoint code paths identically to escape.
 //
 // The cache model checker (CheckCache) drives a production policy and a
 // deliberately naive slice-based reference model through the same
@@ -31,6 +31,8 @@ package verify
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 
 	"fbf/internal/chunk"
 	"fbf/internal/codes"
@@ -60,10 +62,13 @@ type StripeConfig struct {
 type StripeReport struct {
 	Code      string
 	P         int
-	Patterns  int // distinct (disk, row, size) error patterns exercised
+	Patterns  int // error patterns exercised
 	Schemes   int // schemes executed (patterns x strategies)
-	Recovered int // lost chunks rebuilt through their chain and byte-checked
-	Oracle    int // lost cells independently re-derived via the gf2 decoder
+	Recovered int // repair cells rebuilt through their selections and byte-checked
+	Oracle    int // rebuilt cells independently re-derived via the gf2 decoder
+	// Unsolvable counts repair cells the scheme reports lost, each
+	// confirmed unsolvable by the gf2 decoder.
+	Unsolvable int
 }
 
 // String renders the report compactly.
@@ -72,14 +77,13 @@ func (r *StripeReport) String() string {
 		r.Code, r.P, r.Patterns, r.Schemes, r.Recovered, r.Oracle)
 }
 
-// SweepStripes exercises every single-disk partial-stripe error pattern
-// of the code — all disks x all run lengths (1..p-1, clamped to the
-// stripe height) x all start rows, which includes the boundary cases:
-// size-1 errors, maximal runs, whole-column losses and runs touching the
-// first and last row — under every configured strategy, and
-// byte-verifies each recovery against the gf2 decoder oracle. It stops
-// at the first divergence.
-func SweepStripes(cfg StripeConfig) (*StripeReport, error) {
+// checkFunc runs checkPattern on one pattern under every strategy of a sweep.
+type checkFunc func(e core.PartialStripeError, escalated []grid.Coord, failedCols []int) error
+
+// sweep materializes cfg's stripe once and hands patterns a check that
+// runs checkPattern on it under every configured strategy, tallying the
+// report. It stops at the first divergence.
+func sweep(cfg StripeConfig, patterns func(code *codes.Code, check checkFunc) error) (*StripeReport, error) {
 	code := cfg.Code
 	if code == nil {
 		return nil, fmt.Errorf("verify: nil code")
@@ -92,198 +96,224 @@ func SweepStripes(cfg StripeConfig) (*StripeReport, error) {
 	if chunkSize <= 0 {
 		chunkSize = 64
 	}
-
 	original, err := materialize(code, cfg.Seed, chunkSize)
 	if err != nil {
 		return nil, err
 	}
 	sc := newScratch(code, chunkSize)
 	report := &StripeReport{Code: code.Name(), P: code.P()}
-	maxSize := code.MaxPartialSize()
-	if maxSize > code.Rows() {
-		maxSize = code.Rows()
-	}
-	for disk := 0; disk < code.Disks(); disk++ {
-		for size := 1; size <= maxSize; size++ {
-			for row := 0; row+size <= code.Rows(); row++ {
-				e := core.PartialStripeError{Stripe: 0, Disk: disk, Row: row, Size: size}
-				if err := e.Validate(code); err != nil {
-					return nil, fmt.Errorf("verify: generated invalid pattern: %w", err)
-				}
-				report.Patterns++
-				for _, strat := range strategies {
-					rec, orc, err := checkPattern(code, original, e, strat, sc)
-					if err != nil {
-						return nil, fmt.Errorf("verify: %v %v strategy=%v: %w", code, e, strat, err)
-					}
-					report.Schemes++
-					report.Recovered += rec
-					report.Oracle += orc
-				}
+	err = patterns(code, func(e core.PartialStripeError, escalated []grid.Coord, failedCols []int) error {
+		report.Patterns++
+		for _, strat := range strategies {
+			rec, orc, uns, err := checkPattern(code, original, e, escalated, failedCols, strat, sc)
+			if err != nil {
+				return fmt.Errorf("verify: %v %v escalated=%v failedCols=%v strategy=%v: %w", code, e, escalated, failedCols, strat, err)
 			}
+			report.Schemes++
+			report.Recovered += rec
+			report.Oracle += orc
+			report.Unsolvable += uns
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return report, nil
 }
 
-// CheckPattern materializes a stripe and byte-verifies the recovery of
-// one error pattern under one strategy, chain execution and gf2 oracle
-// both. It is the single-pattern entry point used by the fuzz target.
-func CheckPattern(code *codes.Code, e core.PartialStripeError, strat core.Strategy, chunkSize int, seed int64) error {
-	if chunkSize <= 0 {
-		chunkSize = 64
-	}
+// SweepStripes exercises every single-disk partial-stripe error pattern
+// of the code — all disks x all run lengths (1..p-1, clamped to the
+// stripe height) x all start rows, which includes the boundary cases:
+// size-1 errors, maximal runs, whole-column losses and runs touching the
+// first and last row — under every configured strategy, and
+// byte-verifies each recovery against the gf2 decoder oracle. It stops
+// at the first divergence.
+func SweepStripes(cfg StripeConfig) (*StripeReport, error) {
+	return sweep(cfg, func(code *codes.Code, check checkFunc) error {
+		for disk := 0; disk < code.Disks(); disk++ {
+			for size := 1; size <= min(code.MaxPartialSize(), code.Rows()); size++ {
+				for row := 0; row+size <= code.Rows(); row++ {
+					e := core.PartialStripeError{Stripe: 0, Disk: disk, Row: row, Size: size}
+					if err := e.Validate(code); err != nil {
+						return fmt.Errorf("verify: generated invalid pattern: %w", err)
+					}
+					if err := check(e, nil, nil); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// CheckPattern materializes a stripe and byte-verifies the scheme of one
+// pattern under one strategy, as checkPattern does in a sweep. It is the
+// single-pattern entry point the fuzz targets use.
+func CheckPattern(code *codes.Code, e core.PartialStripeError, escalated []grid.Coord, failedCols []int, strat core.Strategy, chunkSize int, seed int64) (*StripeReport, error) {
 	if err := e.Validate(code); err != nil {
-		return err
+		return nil, err
 	}
-	original, err := materialize(code, seed, chunkSize)
-	if err != nil {
-		return err
-	}
-	if _, _, err := checkPattern(code, original, e, strat, newScratch(code, chunkSize)); err != nil {
-		return fmt.Errorf("verify: %v %v strategy=%v: %w", code, e, strat, err)
-	}
-	return nil
+	cfg := StripeConfig{Code: code, Strategies: []core.Strategy{strat}, ChunkSize: chunkSize, Seed: seed}
+	return sweep(cfg, func(_ *codes.Code, check checkFunc) error { return check(e, escalated, failedCols) })
 }
 
-// checkPattern runs the full check for one (pattern, strategy) against
-// a pre-materialized, pre-verified stripe. It returns the number of
-// chain-recovered chunks and oracle-checked cells. It overwrites every
-// buffer of sc before reading it.
-func checkPattern(code *codes.Code, original []chunk.Chunk, e core.PartialStripeError, strat core.Strategy, sc *scratch) (recovered, oracle int, err error) {
-	lost := e.LostCells()
-	scheme, err := core.GenerateScheme(code, e, strat)
-	if err != nil {
-		// Single-disk partial errors must always be schedulable: if the
-		// gf2 decoder can solve the pattern, a failed scheme generation
-		// is a generator bug, not an unrecoverable pattern.
-		if _, oerr := code.RecoveryPlan(lost); oerr == nil {
-			return 0, 0, fmt.Errorf("scheme generation failed (%v) but the gf2 decoder recovers the pattern", err)
+// checkPattern byte-verifies the scheme core.RegenerateScheme plans for
+// one pattern — the error's cells plus the escalated ones to repair,
+// every other cell of the failed columns unreadable — against a
+// pre-materialized, pre-verified stripe. It returns the number of cells
+// rebuilt, oracle-checked and confirmed lost.
+// A plain error (nothing escalated, no failed column) is the case
+// core.GenerateScheme plans; the rest is the planning step
+// rebuild.RunService's escalation performs when a survivor turns out
+// unreadable or corrupt, or whole disks are gone besides.
+//
+// The scheme's shape is checked first: every repair cell is planned
+// exactly once, rebuilt or reported lost; chain selections come first,
+// in repair order, then the decoded ones; a plain error plans only single
+// chains and loses no cell; each chain selection fetches its chain's
+// survivors; no selection fetches an erased cell; and the priorities are
+// a recount of the fetch lists. The scheme is then replayed on a copy
+// whose erased cells hold garbage, each rebuilt cell written back, so a
+// selection reading an unrecovered or unreadable cell fails the diff.
+// Last, an independent oracle — the gf2 decoder's plan on a second
+// damaged copy — re-derives every rebuilt cell and must agree that each
+// lost one is unsolvable: the planner must never declare data loss the
+// decoder could have prevented, nor claim recovery it cannot back with
+// bytes. It overwrites every buffer of sc before reading it.
+func checkPattern(code *codes.Code, original []chunk.Chunk, e core.PartialStripeError, escalated []grid.Coord, failedCols []int, strat core.Strategy, sc *scratch) (recovered, oracle, unsolvable int, err error) {
+	erased := make(map[grid.Coord]bool)
+	var repair, all []grid.Coord // all: repair, then the unavailable cells
+	for _, c := range append(e.LostCells(), escalated...) {
+		if !erased[c] {
+			erased[c] = true
+			repair = append(repair, c)
 		}
-		return 0, 0, fmt.Errorf("pattern unrecoverable by both scheme generation (%v) and the gf2 decoder", err)
 	}
-	if err := checkSchemeShape(code, scheme, lost); err != nil {
-		return 0, 0, err
-	}
-
-	// Chain execution: damage the lost cells, then replay the scheme the
-	// way the reconstruction engine does — XOR each selected chain's
-	// surviving members, write the result back (the spare write), next
-	// chain. Reading from the damaged stripe means a scheme that fetches
-	// a lost (or not-yet-recovered) cell corrupts its output and fails
-	// the diff below.
-	damaged, acc := sc.damaged, sc.acc
-	damageStripe(damaged, original, code, lost)
-	for _, sel := range scheme.Selected {
-		if len(sel.Fetch) == 0 {
-			clear(acc)
-		} else {
-			// Copy-first accumulation: the first member overwrites the
-			// dirty buffer, the rest XOR in.
-			copy(acc, damaged[code.CellIndex(sel.Fetch[0])])
-			for _, m := range sel.Fetch[1:] {
-				chunk.XORInto(acc, damaged[code.CellIndex(m)])
+	all = repair
+	for _, col := range failedCols {
+		for row := 0; row < code.Rows(); row++ {
+			if c := (grid.Coord{Row: row, Col: col}); !erased[c] {
+				erased[c] = true
+				all = append(all, c)
 			}
 		}
-		want := original[code.CellIndex(sel.Lost)]
-		if !acc.Equal(want) {
-			return 0, 0, fmt.Errorf("chain %v rebuilds %v to wrong bytes (first diff at offset %d)",
-				sel.Chain, sel.Lost, firstDiff(acc, want))
-		}
-		copy(damaged[code.CellIndex(sel.Lost)], acc)
-		recovered++
 	}
-	for idx := range damaged {
-		if !damaged[idx].Equal(original[idx]) {
-			return 0, 0, fmt.Errorf("stripe cell %v differs after full scheme replay", code.CoordOf(idx))
-		}
-	}
-
-	// Independent oracle: re-derive every lost cell with the generic
-	// GF(2) erasure decoder on a second damaged copy and diff both
-	// against the original and against the chain-recovered bytes.
-	plan, err := code.RecoveryPlan(lost)
+	scheme, lost, err := core.RegenerateScheme(code, e, repair, all[len(repair):], strat)
 	if err != nil {
-		return 0, 0, fmt.Errorf("gf2 oracle cannot solve pattern the scheme recovered: %v", err)
+		return 0, 0, 0, fmt.Errorf("scheme generation failed: %w", err)
 	}
-	lostSet := make(map[grid.Coord]bool, len(lost))
-	for _, c := range lost {
-		lostSet[c] = true
-	}
-	oracled := sc.oracled
-	damageStripe(oracled, original, code, lost)
-	for _, cell := range lost {
-		terms := plan[cell]
-		clear(acc)
-		for _, t := range terms {
-			if lostSet[t] {
-				return 0, 0, fmt.Errorf("gf2 plan for %v reads lost cell %v", cell, t)
-			}
-			chunk.XORInto(acc, oracled[code.CellIndex(t)])
-		}
-		if !acc.Equal(original[code.CellIndex(cell)]) {
-			return 0, 0, fmt.Errorf("gf2 oracle rebuilds %v to wrong bytes (first diff at offset %d)",
-				cell, firstDiff(acc, original[code.CellIndex(cell)]))
-		}
-		if !acc.Equal(damaged[code.CellIndex(cell)]) {
-			return 0, 0, fmt.Errorf("chain recovery and gf2 oracle disagree on %v", cell)
-		}
-		oracle++
-	}
-	return recovered, oracle, nil
-}
 
-// checkSchemeShape asserts the structural invariants of a generated
-// scheme: one selected chain per lost cell in order, each chain really
-// containing its lost cell and no other, fetch lists equal to the
-// chain's survivors, and the priority dictionary equal to the
-// chain-sharing counts recomputed from scratch.
-func checkSchemeShape(code *codes.Code, s *core.Scheme, lost []grid.Coord) error {
-	if len(s.Selected) != len(lost) {
-		return fmt.Errorf("scheme selects %d chains for %d lost chunks", len(s.Selected), len(lost))
+	plain := len(escalated)+len(failedCols) == 0
+	order := make(map[grid.Coord]int, len(repair)) // repair index + 1
+	for i, c := range repair {
+		order[c] = i + 1
 	}
-	lostSet := make(map[grid.Coord]bool, len(lost))
+	seen := make(map[grid.Coord]int, len(repair))
 	for _, c := range lost {
-		lostSet[c] = true
+		seen[c]++
 	}
 	recount := make(map[grid.Coord]int)
-	for i, sel := range s.Selected {
-		if sel.Lost != lost[i] {
-			return fmt.Errorf("selected chain %d repairs %v, want %v", i, sel.Lost, lost[i])
+	last, decoded := 0, false
+	for _, sel := range scheme.Selected {
+		seen[sel.Lost]++
+		switch {
+		case order[sel.Lost] == 0:
+			return 0, 0, 0, fmt.Errorf("scheme rebuilds %v, which is no repair cell", sel.Lost)
+		case sel.Decoded && plain:
+			return 0, 0, 0, fmt.Errorf("plain error decodes %v instead of using a single chain", sel.Lost)
+		case !sel.Decoded && decoded:
+			return 0, 0, 0, fmt.Errorf("chain selection for %v follows a decoded one", sel.Lost)
+		case sel.Decoded && !decoded:
+			decoded, last = true, 0
+		case order[sel.Lost] <= last:
+			return 0, 0, 0, fmt.Errorf("selection for %v is out of repair order", sel.Lost)
 		}
-		ch, ok := code.Layout().Chain(sel.Chain)
-		if !ok {
-			return fmt.Errorf("selected chain %v does not exist in the layout", sel.Chain)
-		}
-		if !ch.Contains(sel.Lost) {
-			return fmt.Errorf("chain %v does not contain its lost cell %v", sel.Chain, sel.Lost)
-		}
-		survivors := ch.Survivors(map[grid.Coord]bool{sel.Lost: true})
-		if len(survivors) != len(sel.Fetch) {
-			return fmt.Errorf("chain %v fetch list has %d cells, survivors %d", sel.Chain, len(sel.Fetch), len(survivors))
-		}
-		for j, m := range sel.Fetch {
-			if m != survivors[j] {
-				return fmt.Errorf("chain %v fetch[%d] = %v, want survivor %v", sel.Chain, j, m, survivors[j])
+		last = order[sel.Lost]
+		if !sel.Decoded {
+			ch, ok := code.Layout().Chain(sel.Chain)
+			if !ok || !ch.Contains(sel.Lost) {
+				return 0, 0, 0, fmt.Errorf("selected chain %v does not exist or does not hold %v", sel.Chain, sel.Lost)
 			}
-			if lostSet[m] {
-				return fmt.Errorf("chain %v fetches lost cell %v", sel.Chain, m)
+			if want := ch.Survivors(map[grid.Coord]bool{sel.Lost: true}); !slices.Equal(sel.Fetch, want) {
+				return 0, 0, 0, fmt.Errorf("chain %v fetches %v, want its survivors %v", sel.Chain, sel.Fetch, want)
+			}
+		}
+		for _, m := range sel.Fetch {
+			if erased[m] {
+				return 0, 0, 0, fmt.Errorf("selection for %v fetches erased cell %v", sel.Lost, m)
 			}
 			recount[m]++
 		}
 	}
-	if len(recount) != len(s.Priorities) {
-		return fmt.Errorf("priority dictionary has %d chunks, fetch lists reference %d", len(s.Priorities), len(recount))
-	}
-	for cell, n := range recount {
-		if s.Priorities[cell] != n {
-			return fmt.Errorf("priority of %v is %d, recounted %d", cell, s.Priorities[cell], n)
+	for _, c := range repair {
+		if seen[c] != 1 {
+			return 0, 0, 0, fmt.Errorf("repair cell %v planned %d times (want exactly once across selections and loss list)", c, seen[c])
 		}
 	}
-	if s.UniqueFetches() != len(recount) {
-		return fmt.Errorf("UniqueFetches() = %d, want %d", s.UniqueFetches(), len(recount))
+	if len(seen) != len(repair) {
+		return 0, 0, 0, fmt.Errorf("scheme plans %d cells for %d repair cells", len(seen), len(repair))
 	}
-	return nil
+	if plain && len(lost) > 0 {
+		return 0, 0, 0, fmt.Errorf("plain error loses %v", lost)
+	}
+	if !maps.Equal(recount, scheme.Priorities) {
+		return 0, 0, 0, fmt.Errorf("priority dictionary %v is not the fetch lists' recount %v", scheme.Priorities, recount)
+	}
+
+	// Replay, the way the reconstruction engine does: XOR each
+	// selection's fetch list, write the result back (the spare write),
+	// next selection.
+	damaged, acc := sc.damaged, sc.acc
+	damageStripe(damaged, original, code, all)
+	for _, sel := range scheme.Selected {
+		clear(acc)
+		for _, m := range sel.Fetch {
+			chunk.XORInto(acc, damaged[code.CellIndex(m)])
+		}
+		if want := original[code.CellIndex(sel.Lost)]; !acc.Equal(want) {
+			return 0, 0, 0, fmt.Errorf("selection for %v (chain %v, decoded=%v) yields wrong bytes (first diff at offset %d)",
+				sel.Lost, sel.Chain, sel.Decoded, firstDiff(acc, want))
+		}
+		copy(damaged[code.CellIndex(sel.Lost)], acc)
+		recovered++
+	}
+
+	// The oracle, on the whole erased set.
+	plan, _, err := code.PartialRecoveryPlan(all)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("gf2 oracle rejected the erasure pattern: %w", err)
+	}
+	oracled := sc.oracled
+	damageStripe(oracled, original, code, all)
+	for _, sel := range scheme.Selected {
+		terms, solved := plan[sel.Lost]
+		if !solved {
+			return 0, 0, 0, fmt.Errorf("cell %v claimed recovered but the gf2 oracle cannot solve it", sel.Lost)
+		}
+		clear(acc)
+		for _, t := range terms {
+			if erased[t] {
+				return 0, 0, 0, fmt.Errorf("gf2 plan for %v reads erased cell %v", sel.Lost, t)
+			}
+			chunk.XORInto(acc, oracled[code.CellIndex(t)])
+		}
+		if want := original[code.CellIndex(sel.Lost)]; !acc.Equal(want) {
+			return 0, 0, 0, fmt.Errorf("gf2 oracle rebuilds %v to wrong bytes (first diff at offset %d)", sel.Lost, firstDiff(acc, want))
+		}
+		if !acc.Equal(damaged[code.CellIndex(sel.Lost)]) {
+			return 0, 0, 0, fmt.Errorf("scheme and gf2 oracle disagree on %v", sel.Lost)
+		}
+		oracle++
+	}
+	for _, c := range lost {
+		if _, solved := plan[c]; solved {
+			return 0, 0, 0, fmt.Errorf("cell %v reported lost but the gf2 oracle solves it", c)
+		}
+		unsolvable++
+	}
+	return recovered, oracle, unsolvable, nil
 }
 
 // materialize returns the code's seeded stripe, checked against its

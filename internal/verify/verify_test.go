@@ -81,7 +81,7 @@ func TestSweepChunkSizes(t *testing.T) {
 func TestCheckPatternRejectsInvalid(t *testing.T) {
 	code := codes.MustNew("tip", 5)
 	bad := core.PartialStripeError{Stripe: 0, Disk: code.Disks(), Row: 0, Size: 1}
-	if err := CheckPattern(code, bad, core.StrategyLooped, 16, 1); err == nil {
+	if _, err := CheckPattern(code, bad, nil, nil, core.StrategyLooped, 16, 1); err == nil {
 		t.Fatal("out-of-range disk accepted")
 	}
 	if _, err := SweepStripes(StripeConfig{}); err == nil {
@@ -108,7 +108,7 @@ func TestHarnessRejectsCorruptStripe(t *testing.T) {
 	// The corrupted cell participates in chains; chain recovery of a
 	// different cell through a chain containing cell 0 must now diverge
 	// from the original bytes.
-	if _, _, err := checkPattern(code, s, e, core.StrategyTypical, newScratch(code, 16)); err == nil {
+	if _, _, _, err := checkPattern(code, s, e, nil, nil, core.StrategyTypical, newScratch(code, 16)); err == nil {
 		t.Fatal("harness passed a stripe with broken parity")
 	}
 }
