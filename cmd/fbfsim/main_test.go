@@ -2,9 +2,12 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -67,6 +70,89 @@ func TestBadFlagLeavesOutputsAlone(t *testing.T) {
 			}
 			if string(got) != keep {
 				t.Fatalf("-%s file is now %q, want it untouched (%q)", c.out, got, keep)
+			}
+		})
+	}
+}
+
+// TestArtefactAxes pins the axes each artefact of the full evaluation
+// takes when -codes and -p are left unset — Figures 8 and 10 and the
+// scheme ablation the paper's four codes at P = 7, 11, 13; Figures 9 and
+// 11 TIP at P = 5, 7, 11, 13; Table IV P = 5, 7, 11, 13; the online and
+// SOR/DOR tables TIP at P = 13 — and that -p then replaces every one of
+// them. Each section lists its panels, Table IV blocks or table rows as
+// code/p (a Table IV block as P=p).
+func TestArtefactAxes(t *testing.T) {
+	paper := []string{"star", "triplestar", "tip", "hdd1"}
+	tip := []string{"tip"}
+	cross := func(codes []string, primes ...int) []string {
+		var out []string
+		for _, code := range codes {
+			for _, p := range primes {
+				out = append(out, fmt.Sprintf("%s/%d", code, p))
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		args []string
+		want map[string][]string // section title prefix -> labels
+	}{
+		{"defaults", nil, map[string][]string{
+			"FIG8:":            cross(paper, 7, 11, 13),
+			"FIG9:":            cross(tip, 5, 7, 11, 13),
+			"FIG10:":           cross(paper, 7, 11, 13),
+			"FIG11:":           cross(tip, 5, 7, 11, 13),
+			"TABLE IV:":        {"P=5", "P=7", "P=11", "P=13"},
+			"ABLATION: Unique": cross(paper, 7, 11, 13),
+			"ONLINE RECOVERY:": {"tip/13", "tip/13"},
+			"ABLATION: Stripe": {"tip/13", "tip/13"},
+		}},
+		{"p7", []string{"-p", "7"}, map[string][]string{
+			"FIG8:":            cross(paper, 7),
+			"FIG9:":            cross(tip, 7),
+			"FIG10:":           cross(paper, 7),
+			"FIG11:":           cross(tip, 7),
+			"TABLE IV:":        {"P=7"},
+			"ABLATION: Unique": cross(paper, 7),
+			"ONLINE RECOVERY:": {"tip/7", "tip/7"},
+			"ABLATION: Stripe": {"tip/7", "tip/7"},
+		}},
+	}
+	panel := regexp.MustCompile(`^-- (\S+) \(P=(\d+)\) --$`)
+	block := regexp.MustCompile(`^P = (\d+)$`)
+	row := regexp.MustCompile(`^(star|triplestar|tip|hdd1)\s+(\d+)\s`)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			args := append([]string{runMain, "-groups", "16", "-stripes", "256", "-workers", "4", "-sizes", "1", "-policies", "lru,fbf"}, c.args...)
+			out, err := exec.Command(os.Args[0], args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("fbfsim %v: %v\n%s", args[1:], err, out)
+			}
+			got := map[string][]string{}
+			var section string
+			for _, line := range strings.Split(string(out), "\n") {
+				if title, ok := strings.CutPrefix(line, "== "); ok {
+					section = ""
+					for prefix := range c.want {
+						if strings.HasPrefix(title, prefix) {
+							section = prefix
+						}
+					}
+					continue
+				}
+				if m := panel.FindStringSubmatch(line); m != nil {
+					got[section] = append(got[section], m[1]+"/"+m[2])
+				} else if m := block.FindStringSubmatch(line); m != nil {
+					got[section] = append(got[section], "P="+m[1])
+				} else if m := row.FindStringSubmatch(line); m != nil {
+					got[section] = append(got[section], m[1]+"/"+m[2])
+				}
+			}
+			delete(got, "")
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("artefact axes:\n got %v\nwant %v\noutput:\n%s", got, c.want, out)
 			}
 		})
 	}

@@ -47,33 +47,21 @@ type Params struct {
 	Progress func(done, total int)
 }
 
-// validateAxes checks the sweep axes an artefact actually uses.
-func (p Params) validateAxes(needPolicies, needSizes bool) error {
-	if len(p.Codes) == 0 {
-		return fmt.Errorf("experiments: no codes configured")
-	}
-	if len(p.Primes) == 0 {
-		return fmt.Errorf("experiments: no primes configured")
-	}
-	if needPolicies && len(p.Policies) == 0 {
-		return fmt.Errorf("experiments: no cache policies configured")
-	}
-	if needSizes {
-		if len(p.CacheSizesMB) == 0 {
-			return fmt.Errorf("experiments: no cache sizes configured")
-		}
-		for _, mb := range p.CacheSizesMB {
-			if mb < 0 {
-				return fmt.Errorf("experiments: negative cache size %d MB", mb)
-			}
-		}
-	}
-	return nil
-}
-
-// validateEngine checks the per-run engine parameters.
-func (p Params) validateEngine() error {
+// validate checks the fields an artefact uses: the code and prime axes,
+// the policy and cache-size lists it actually runs, and the engine
+// parameters. Every artefact calls it once, through runs, so a bad field
+// fails fast with a clear error instead of deep inside a run (or as a
+// division by zero when Params was built from the zero value).
+func (p Params) validate(policies []string, sizesMB []int) error {
 	switch {
+	case len(p.Codes) == 0:
+		return fmt.Errorf("experiments: no codes configured")
+	case len(p.Primes) == 0:
+		return fmt.Errorf("experiments: no primes configured")
+	case len(policies) == 0:
+		return fmt.Errorf("experiments: no cache policies configured")
+	case len(sizesMB) == 0:
+		return fmt.Errorf("experiments: no cache sizes configured")
 	case p.ChunkSizeKB <= 0:
 		return fmt.Errorf("experiments: non-positive chunk size %d KB (start from DefaultParams, not the zero value)", p.ChunkSizeKB)
 	case p.Workers <= 0:
@@ -85,18 +73,12 @@ func (p Params) validateEngine() error {
 	case p.Parallelism < 0:
 		return fmt.Errorf("experiments: negative parallelism %d", p.Parallelism)
 	}
-	return nil
-}
-
-// Validate checks that the full sweep cross product is runnable. Sweep
-// calls it once up front so a bad field fails fast with a clear error
-// instead of deep inside a run (or as a division by zero when Params
-// was built from the zero value).
-func (p Params) Validate() error {
-	if err := p.validateAxes(true, true); err != nil {
-		return err
+	for _, mb := range sizesMB {
+		if mb < 0 {
+			return fmt.Errorf("experiments: negative cache size %d MB", mb)
+		}
 	}
-	return p.validateEngine()
+	return nil
 }
 
 // DefaultParams returns the paper's evaluation configuration, with the
@@ -120,8 +102,8 @@ func DefaultParams() Params {
 
 // CacheChunks converts a cache size in MB to chunks. With a
 // non-positive ChunkSizeKB (a Params built from the zero value rather
-// than DefaultParams) it returns 0 instead of dividing by zero; Sweep
-// and the other artefacts reject such Params up front via Validate.
+// than DefaultParams) it returns 0 instead of dividing by zero; every
+// artefact rejects such Params up front (see validate).
 func (p Params) CacheChunks(sizeMB int) int {
 	if p.ChunkSizeKB <= 0 {
 		return 0
@@ -199,42 +181,54 @@ func (p Params) runConfig(prep sweepPrep, policy string, sizeMB int) rebuild.Con
 	}
 }
 
-// Sweep runs the full cross product of codes, primes, policies and
-// cache sizes. The same seed gives every policy the same error trace
-// for a given (code, prime), so policies are directly comparable.
-//
-// Runs execute concurrently up to Params.Parallelism (default
-// GOMAXPROCS) and the returned points are in exactly the serial
-// enumeration order (codes, then primes, then policies, then sizes)
-// with identical Result metrics — each run is an isolated
-// deterministic simulation, so the schedule cannot leak into the
-// measurements and BuildFigure's order-dependent series assembly is
-// byte-stable at any parallelism.
-func Sweep(p Params) ([]Point, error) {
-	if err := p.Validate(); err != nil {
+// runs is the executor behind every simulated artefact. It validates p
+// against the policies and sizes the artefact runs, generates each
+// (code, prime)'s trace once (prepareTraces) and calls job once per
+// point, in the serial enumeration order (codes, then primes, then
+// policies, then sizes), with that point's engine configuration
+// (runConfig) and trace. Jobs run concurrently up to Params.Parallelism
+// on forEachIndexed; each writes only its own slot of the returned
+// rows, so their order and values do not depend on the schedule. A
+// job's error is wrapped with its point.
+func runs[T any](p Params, policies []string, sizesMB []int, job func(pt Point, cfg rebuild.Config, errors []core.PartialStripeError) (T, error)) ([]T, error) {
+	if err := p.validate(policies, sizesMB); err != nil {
 		return nil, err
 	}
 	preps, err := prepareTraces(p)
 	if err != nil {
 		return nil, err
 	}
-	perPrep := len(p.Policies) * len(p.CacheSizesMB)
-	out := make([]Point, len(preps)*perPrep)
+	perPrep := len(policies) * len(sizesMB)
+	out := make([]T, len(preps)*perPrep)
 	err = forEachIndexed(p.parallelism(), len(out), p.Progress, func(i int) error {
 		prep := preps[i/perPrep]
-		policy := p.Policies[(i%perPrep)/len(p.CacheSizesMB)]
-		sizeMB := p.CacheSizesMB[i%len(p.CacheSizesMB)]
-		res, err := rebuild.Run(p.runConfig(prep, policy, sizeMB), prep.errors)
+		pt := Point{Code: prep.codeName, P: prep.prime, Policy: policies[(i%perPrep)/len(sizesMB)], CacheMB: sizesMB[i%len(sizesMB)]}
+		row, err := job(pt, p.runConfig(prep, pt.Policy, pt.CacheMB), prep.errors)
 		if err != nil {
-			return fmt.Errorf("experiments: %s(p=%d) %s %dMB: %w", prep.codeName, prep.prime, policy, sizeMB, err)
+			return fmt.Errorf("experiments: %s(p=%d) %s %dMB: %w", pt.Code, pt.P, pt.Policy, pt.CacheMB, err)
 		}
-		out[i] = Point{Code: prep.codeName, P: prep.prime, Policy: policy, CacheMB: sizeMB, Result: res}
+		out[i] = row
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Sweep runs the full cross product of codes, primes, policies and
+// cache sizes. The same seed gives every policy the same error trace
+// for a given (code, prime), so policies are directly comparable.
+//
+// The points come back in the serial enumeration order with identical
+// Result metrics at any Params.Parallelism (see runs), so
+// BuildFigure's order-dependent series assembly is byte-stable.
+func Sweep(p Params) ([]Point, error) {
+	return runs(p, p.Policies, p.CacheSizesMB, func(pt Point, cfg rebuild.Config, errors []core.PartialStripeError) (Point, error) {
+		res, err := rebuild.Run(cfg, errors)
+		pt.Result = res
+		return pt, err
+	})
 }
 
 // Metric extracts a scalar from a result.

@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"fbf/internal/codes"
 	"fbf/internal/core"
 	"fbf/internal/rebuild"
 	"fbf/internal/stats"
-	"fbf/internal/trace"
 )
 
 // Fig8 reproduces Figure 8: cache hit ratio during partial stripe
@@ -73,9 +70,9 @@ type OverheadRow struct {
 
 // Table4 reproduces Table IV: the temporal overhead of FBF's priority
 // generation, measured as real wall time of scheme generation, compared
-// against the simulated per-group reconstruction time. The (prime,
-// code) cells run concurrently up to Params.Parallelism; rows come back
-// in the serial enumeration order (primes, then codes).
+// against the simulated per-group reconstruction time. It runs FBF at
+// 256 MB with spare writes on, one row per (code, prime), codes-major;
+// RenderTable4 groups the rows by prime.
 //
 // Note the measured scheme-generation wall time is real time on a
 // possibly-contended core, so unlike the simulated metrics it can
@@ -84,42 +81,11 @@ func Table4(p Params) ([]OverheadRow, error) {
 	if len(p.Primes) == 0 {
 		p.Primes = []int{5, 7, 11, 13}
 	}
-	if err := p.validateAxes(false, false); err != nil {
-		return nil, err
-	}
-	if err := p.validateEngine(); err != nil {
-		return nil, err
-	}
-	type cell struct {
-		prime    int
-		codeName string
-	}
-	var cells []cell
-	for _, prime := range p.Primes {
-		for _, codeName := range p.Codes {
-			cells = append(cells, cell{prime: prime, codeName: codeName})
-		}
-	}
-	rows := make([]OverheadRow, len(cells))
-	err := forEachIndexed(p.parallelism(), len(cells), p.Progress, func(i int) error {
-		prime, codeName := cells[i].prime, cells[i].codeName
-		code, err := codes.New(codeName, prime)
+	p.FastIO = false
+	return runs(p, []string{"fbf"}, []int{256}, func(pt Point, cfg rebuild.Config, errors []core.PartialStripeError) (OverheadRow, error) {
+		res, err := rebuild.Run(cfg, errors)
 		if err != nil {
-			return err
-		}
-		errors, err := trace.Generate(code, trace.Config{
-			Groups: p.Groups, Stripes: p.Stripes, Seed: p.Seed, Disk: -1, Dist: p.Dist,
-		})
-		if err != nil {
-			return err
-		}
-		res, err := rebuild.Run(rebuild.Config{
-			Code: code, Policy: "fbf", Strategy: p.Strategy,
-			Workers: p.Workers, CacheChunks: p.CacheChunks(256),
-			ChunkSize: p.ChunkSizeKB * 1024, Stripes: p.Stripes,
-		}, errors)
-		if err != nil {
-			return err
+			return OverheadRow{}, err
 		}
 		// Per-group reconstruction time: total busy reconstruction
 		// spread over the groups. With W workers running in parallel,
@@ -134,13 +100,8 @@ func Table4(p Params) ([]OverheadRow, error) {
 		if perGroupMs > 0 {
 			pct = overheadMs / perGroupMs * 100
 		}
-		rows[i] = OverheadRow{Code: codeName, P: prime, Overhead: res.AvgSchemeGen(), Percent: pct}
-		return nil
+		return OverheadRow{Code: pt.Code, P: pt.P, Overhead: res.AvgSchemeGen(), Percent: pct}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Improvement is one cell of Table V: FBF's best improvement over one
@@ -227,63 +188,28 @@ type SchemeComparison struct {
 
 // SchemeAblation quantifies how much read I/O the FBF chain-selection
 // (looping) saves over typical horizontal-only recovery, and what the
-// greedy upper bound adds. The (code, prime) rows run concurrently up
-// to Params.Parallelism in the serial enumeration order.
+// greedy upper bound adds. It only plans schemes, so it runs one point
+// per (code, prime) and leaves that point's policy and cache size
+// unused.
 func SchemeAblation(p Params) ([]SchemeComparison, error) {
-	if err := p.validateAxes(false, false); err != nil {
-		return nil, err
-	}
-	if p.Groups <= 0 {
-		return nil, fmt.Errorf("experiments: non-positive group count %d", p.Groups)
-	}
-	if p.Stripes <= 0 {
-		return nil, fmt.Errorf("experiments: non-positive stripe count %d", p.Stripes)
-	}
-	type cell struct {
-		codeName string
-		prime    int
-	}
-	var cells []cell
-	for _, codeName := range p.Codes {
-		for _, prime := range p.Primes {
-			cells = append(cells, cell{codeName: codeName, prime: prime})
-		}
-	}
-	out := make([]SchemeComparison, len(cells))
-	err := forEachIndexed(p.parallelism(), len(cells), p.Progress, func(i int) error {
-		codeName, prime := cells[i].codeName, cells[i].prime
-		code, err := codes.New(codeName, prime)
-		if err != nil {
-			return err
-		}
-		errors, err := trace.Generate(code, trace.Config{
-			Groups: p.Groups, Stripes: p.Stripes, Seed: p.Seed, Disk: -1, Dist: p.Dist,
-		})
-		if err != nil {
-			return err
-		}
+	return runs(p, []string{"fbf"}, []int{0}, func(pt Point, cfg rebuild.Config, errors []core.PartialStripeError) (SchemeComparison, error) {
 		means := map[core.Strategy]float64{}
 		for _, strategy := range []core.Strategy{core.StrategyTypical, core.StrategyLooped, core.StrategyGreedy} {
 			total := 0
 			for _, e := range errors {
-				s, err := core.GenerateScheme(code, e, strategy)
+				s, err := core.GenerateScheme(cfg.Code, e, strategy)
 				if err != nil {
-					return err
+					return SchemeComparison{}, err
 				}
 				total += s.UniqueFetches()
 			}
 			means[strategy] = float64(total) / float64(len(errors))
 		}
-		out[i] = SchemeComparison{
-			Code: codeName, P: prime,
+		return SchemeComparison{
+			Code: pt.Code, P: pt.P,
 			Typical: means[core.StrategyTypical], Looped: means[core.StrategyLooped], Greedy: means[core.StrategyGreedy],
 			LoopedSavingPct:    stats.Improvement(means[core.StrategyTypical], means[core.StrategyLooped]) * 100,
 			GreedyExtraSavePct: stats.Improvement(means[core.StrategyLooped], means[core.StrategyGreedy]) * 100,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

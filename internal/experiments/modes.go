@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"fbf/internal/core"
 	"fbf/internal/rebuild"
 )
 
@@ -21,51 +22,26 @@ type ModeRow struct {
 }
 
 // ModeComparison runs the SOR-vs-DOR ablation (Section III-B of the
-// paper) at a fixed representative cache size (64 MB total). One trace
-// is generated per (code, prime) and shared read-only by that pair's
-// policy rows, which run concurrently up to Params.Parallelism in the
-// serial enumeration order.
+// paper) at a fixed representative cache size (64 MB total), with spare
+// writes on: each policy runs its (code, prime)'s trace once per mode.
 func ModeComparison(p Params) ([]ModeRow, error) {
-	if err := p.validateAxes(true, false); err != nil {
-		return nil, err
-	}
-	if err := p.validateEngine(); err != nil {
-		return nil, err
-	}
-	preps, err := prepareTraces(p)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]ModeRow, len(preps)*len(p.Policies))
-	err = forEachIndexed(p.parallelism(), len(rows), p.Progress, func(i int) error {
-		prep := preps[i/len(p.Policies)]
-		policy := p.Policies[i%len(p.Policies)]
-		base := rebuild.Config{
-			Code: prep.code, Policy: policy, Strategy: p.Strategy,
-			Workers: p.Workers, CacheChunks: p.CacheChunks(64),
-			ChunkSize: p.ChunkSizeKB * 1024, Stripes: p.Stripes,
-		}
-		sor, err := rebuild.Run(base, prep.errors)
+	p.FastIO = false
+	return runs(p, p.Policies, []int{64}, func(pt Point, cfg rebuild.Config, errors []core.PartialStripeError) (ModeRow, error) {
+		sor, err := rebuild.Run(cfg, errors)
 		if err != nil {
-			return err
+			return ModeRow{}, err
 		}
-		dorCfg := base
-		dorCfg.Mode = rebuild.ModeDOR
-		dor, err := rebuild.Run(dorCfg, prep.errors)
+		cfg.Mode = rebuild.ModeDOR
+		dor, err := rebuild.Run(cfg, errors)
 		if err != nil {
-			return err
+			return ModeRow{}, err
 		}
-		rows[i] = ModeRow{
-			Code: prep.codeName, P: prep.prime, Policy: policy,
+		return ModeRow{
+			Code: pt.Code, P: pt.P, Policy: pt.Policy,
 			SORMs: sor.Makespan.Milliseconds(), DORMs: dor.Makespan.Milliseconds(),
 			SORHit: sor.HitRatio(), DORHit: dor.HitRatio(),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderModes prints the SOR-vs-DOR table.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"fbf/internal/core"
 	"fbf/internal/rebuild"
 	"fbf/internal/sim"
 	"fbf/internal/stats"
@@ -29,10 +30,8 @@ type OnlineRow struct {
 // the paper's conclusion: "FBF is considered to be effective for
 // parallel and online recovery as well"): each policy reconstructs the
 // same error trace twice, once quiet and once with a foreground read
-// stream sharing the cache and disks. One trace is generated per
-// (code, prime) and shared read-only by that pair's policy rows, which
-// run concurrently up to Params.Parallelism in the serial enumeration
-// order.
+// stream sharing the cache and disks. It runs at 64 MB total with spare
+// writes on.
 func OnlineRecovery(p Params, app rebuild.AppWorkload) ([]OnlineRow, error) {
 	if app.Requests <= 0 {
 		app.Requests = 4 * p.Groups
@@ -46,50 +45,27 @@ func OnlineRecovery(p Params, app rebuild.AppWorkload) ([]OnlineRow, error) {
 		// requests land on stripes under repair.
 		app.ErrorLocality = 0.5
 	}
-	if err := p.validateAxes(true, false); err != nil {
-		return nil, err
-	}
-	if err := p.validateEngine(); err != nil {
-		return nil, err
-	}
-	preps, err := prepareTraces(p)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]OnlineRow, len(preps)*len(p.Policies))
-	err = forEachIndexed(p.parallelism(), len(rows), p.Progress, func(i int) error {
-		prep := preps[i/len(p.Policies)]
-		policy := p.Policies[i%len(p.Policies)]
-		base := rebuild.Config{
-			Code: prep.code, Policy: policy, Strategy: p.Strategy,
-			Workers: p.Workers, CacheChunks: p.CacheChunks(64),
-			ChunkSize: p.ChunkSizeKB * 1024, Stripes: p.Stripes,
-		}
-		quiet, err := rebuild.Run(base, prep.errors)
+	p.FastIO = false
+	return runs(p, p.Policies, []int{64}, func(pt Point, cfg rebuild.Config, errors []core.PartialStripeError) (OnlineRow, error) {
+		quiet, err := rebuild.Run(cfg, errors)
 		if err != nil {
-			return err
+			return OnlineRow{}, err
 		}
-		loadedCfg := base
 		appCopy := app
-		loadedCfg.App = &appCopy
-		loaded, err := rebuild.Run(loadedCfg, prep.errors)
+		cfg.App = &appCopy
+		loaded, err := rebuild.Run(cfg, errors)
 		if err != nil {
-			return err
+			return OnlineRow{}, err
 		}
-		rows[i] = OnlineRow{
-			Code: prep.codeName, P: prep.prime, Policy: policy,
+		return OnlineRow{
+			Code: pt.Code, P: pt.P, Policy: pt.Policy,
 			QuietRecoveryMs:  quiet.Makespan.Milliseconds(),
 			LoadedRecoveryMs: loaded.Makespan.Milliseconds(),
 			SlowdownPct:      -stats.Improvement(quiet.Makespan.Milliseconds(), loaded.Makespan.Milliseconds()) * 100,
 			AppHitRatio:      loaded.AppHitRatio(),
 			AppAvgMs:         loaded.AppAvgResponse().Milliseconds(),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderOnline prints the online-recovery table.

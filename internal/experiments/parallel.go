@@ -18,7 +18,8 @@ func (p Params) parallelism() int {
 }
 
 // forEachIndexed runs fn(0), ..., fn(n-1) on up to parallelism lanes
-// (lanes.Each). It is the executor behind every experiment sweep:
+// (lanes.Each). It is the lane loop of runs, the executor behind every
+// simulated artefact, and of prepareTraces:
 //
 //   - Ordering: fn writes its result into an index-addressed slot, so
 //     the caller's output order is the enumeration order regardless of

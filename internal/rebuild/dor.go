@@ -54,22 +54,12 @@ type dorOp struct {
 	cell grid.Coord
 }
 
-// runDOR executes disk-oriented reconstruction. All schemes are
+// runDOR executes disk-oriented reconstruction on the simulator and
+// array Run built. All schemes are
 // generated up front (their priorities merge into one global
 // dictionary), the acquire operations are distributed to per-disk
 // queues, and each disk process serves its queue sequentially.
-func runDOR(cfg Config, errors []core.PartialStripeError) (*Result, error) {
-	s := sim.New()
-	array, err := disk.NewArray(s, disk.ArrayConfig{
-		Disks:     cfg.Code.Disks(),
-		Rows:      cfg.Code.Rows(),
-		Stripes:   cfg.Stripes,
-		ChunkSize: cfg.ChunkSize,
-		ModelFor:  cfg.ModelFor,
-	})
-	if err != nil {
-		return nil, err
-	}
+func runDOR(cfg Config, s *sim.Simulator, array *disk.Array, errors []core.PartialStripeError) (*Result, error) {
 	policy, err := cache.New(cfg.Policy, cfg.CacheChunks)
 	if err != nil {
 		return nil, err
@@ -185,11 +175,5 @@ func runDOR(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		return nil, fmt.Errorf("rebuild: dor finished with %d tasks outstanding", remainingTasks)
 	}
 	res.Cache.Evictions = policy.Stats().Evictions
-	total := array.TotalStats()
-	res.DiskReads = total.Reads
-	res.DiskWrites = total.Writes
-	for i := 0; i < array.Disks(); i++ {
-		res.PerDisk = append(res.PerDisk, array.Disk(i).Stats())
-	}
-	return res, nil
+	return res.countDisks(array), nil
 }

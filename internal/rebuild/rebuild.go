@@ -290,11 +290,8 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 			return nil, fmt.Errorf("rebuild: error %v beyond array stripes %d", e, cfg.Stripes)
 		}
 	}
-	if cfg.Mode == ModeDOR {
-		if cfg.App != nil || cfg.Tracer != nil || cfg.Metrics != nil {
-			return nil, fmt.Errorf("rebuild: DOR mode does not support App or observability")
-		}
-		return runDOR(cfg, errors)
+	if cfg.Mode == ModeDOR && (cfg.App != nil || cfg.Tracer != nil || cfg.Metrics != nil) {
+		return nil, fmt.Errorf("rebuild: DOR mode does not support App or observability")
 	}
 
 	s := sim.New()
@@ -308,6 +305,9 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Mode == ModeDOR {
+		return runDOR(cfg, s, array, errors)
 	}
 
 	e := &engine{cfg: cfg, sim: s, array: array, groups: errors, stripeOwner: make(map[int]int), tr: cfg.Tracer}
@@ -368,13 +368,19 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	// stream caused it; attribute the foreground-induced ones separately.
 	res.Cache.Evictions -= e.appEvictions
 	res.AppEvictions = e.appEvictions
+	return res.countDisks(array), nil
+}
+
+// countDisks fills res's disk counts from the array its run drove and
+// returns res.
+func (res *Result) countDisks(array *disk.Array) *Result {
 	total := array.TotalStats()
 	res.DiskReads = total.Reads
 	res.DiskWrites = total.Writes
 	for i := 0; i < array.Disks(); i++ {
 		res.PerDisk = append(res.PerDisk, array.Disk(i).Stats())
 	}
-	return res, nil
+	return res
 }
 
 // engine holds the run-wide state shared by workers.

@@ -425,8 +425,7 @@ func tally(m *telemetry.RebuildMetrics, base, dst *ServiceResult) {
 	dst.ChunksDecoded = int(m.ChunksDecoded.Value()) - base.ChunksDecoded
 	dst.DiskReads = m.DiskReads.Value() - base.DiskReads
 	dst.VerifyReads = m.VerifyReads.Value() - base.VerifyReads
-	dst.CacheHits = m.CacheHits.Value() - base.CacheHits
-	dst.CacheMisses = m.CacheMisses.Value() - base.CacheMisses
+	dst.CacheMisses = dst.DiskReads
 	dst.Escalations = int(m.Escalations.Value()) - base.Escalations
 	dst.Regenerations = int(m.Regenerations.Value()) - base.Regenerations
 	dst.BytesWritten = int64(m.BytesWritten.Value()) - base.BytesWritten
@@ -984,12 +983,9 @@ type evalTally struct {
 	reads, verifyReads, verified uint64
 }
 
-// book adds the tally to the run's cells. Every source read is booked as
-// a cache miss too, so DiskReads == CacheMisses and a hit ratio stays
-// defined for readers of the cache counters.
+// book adds the tally to the run's cells.
 func (t *evalTally) book(m *telemetry.RebuildMetrics) {
 	m.DiskReads.Add(t.reads)
-	m.CacheMisses.Add(t.reads)
 	m.VerifyReads.Add(t.verifyReads)
 	m.ChunksVerified.Add(t.verified)
 }

@@ -77,8 +77,6 @@ type RebuildMetrics struct {
 
 	DiskReads    Counter // source chunks fetched from the backend
 	VerifyReads  Counter // backend reads issued for the zero test alone (chain members not in the byte cache)
-	CacheHits    Counter // stays 0: the engine keeps no byte cache
-	CacheMisses  Counter // source fetches that went to the backend: every one, so it equals DiskReads
 	BytesWritten Counter // recovered payload bytes written
 
 	Escalations   Counter // surviving chunks found unreadable mid-chain
@@ -109,8 +107,6 @@ func NewRebuildMetrics(reg *Registry) *RebuildMetrics {
 		{&m.ChunksDecoded, "fbf_rebuild_chunks_decoded", "Chunks rebuilt via the decoder fallback rather than a single chain."},
 		{&m.DiskReads, "fbf_rebuild_disk_reads", "Source chunks fetched from the backend."},
 		{&m.VerifyReads, "fbf_rebuild_verify_reads", "Backend reads issued for the pre-write check alone."},
-		{&m.CacheHits, "fbf_rebuild_cache_hits", "Source fetches answered by a recovery cache; always 0, the engine reads each source once."},
-		{&m.CacheMisses, "fbf_rebuild_cache_misses", "Source fetches that went to the backend."},
 		{&m.BytesWritten, "fbf_rebuild_bytes_written", "Recovered payload bytes written."},
 		{&m.Escalations, "fbf_rebuild_escalations", "Surviving chunks found unreadable mid-chain."},
 		{&m.Regenerations, "fbf_rebuild_regenerations", "Recovery-scheme regenerations after an escalation."},
