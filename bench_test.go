@@ -33,19 +33,18 @@ func benchTrace(b *testing.B, code *fbf.Code, groups int) []fbf.PartialStripeErr
 	return t
 }
 
-func runRecovery(b *testing.B, code *fbf.Code, policy string, cacheMB, workers int, skipWrites bool) *fbf.SimResult {
+func runRecovery(b *testing.B, code *fbf.Code, policy string, cacheMB, workers int) *fbf.SimResult {
 	b.Helper()
 	errors := benchTrace(b, code, 64)
 	var last *fbf.SimResult
 	for i := 0; i < b.N; i++ {
 		res, err := fbf.Run(fbf.SimConfig{
-			Code:            code,
-			Policy:          policy,
-			Strategy:        fbf.StrategyLooped,
-			Workers:         workers,
-			CacheChunks:     cacheMB * 1024 / 32,
-			Stripes:         1 << 13,
-			SkipSpareWrites: skipWrites,
+			Code:        code,
+			Policy:      policy,
+			Strategy:    fbf.StrategyLooped,
+			Workers:     workers,
+			CacheChunks: cacheMB * 1024 / 32,
+			Stripes:     1 << 13,
 		}, errors)
 		if err != nil {
 			b.Fatal(err)
@@ -65,7 +64,7 @@ func BenchmarkFig8(b *testing.B) {
 	for _, sizeMB := range []int{8, 32, 128, 512} {
 		for _, policy := range benchPolicies {
 			b.Run(fmt.Sprintf("cache=%dMB/policy=%s", sizeMB, policy), func(b *testing.B) {
-				res := runRecovery(b, code, policy, sizeMB, 128, true)
+				res := runRecovery(b, code, policy, sizeMB, 128)
 				b.ReportMetric(res.HitRatio(), "hit-ratio")
 			})
 		}
@@ -79,7 +78,7 @@ func BenchmarkFig9(b *testing.B) {
 	for _, sizeMB := range []int{8, 32, 128, 512} {
 		for _, policy := range benchPolicies {
 			b.Run(fmt.Sprintf("cache=%dMB/policy=%s", sizeMB, policy), func(b *testing.B) {
-				res := runRecovery(b, code, policy, sizeMB, 128, true)
+				res := runRecovery(b, code, policy, sizeMB, 128)
 				b.ReportMetric(float64(res.DiskReads), "disk-reads")
 			})
 		}
@@ -93,7 +92,7 @@ func BenchmarkFig10(b *testing.B) {
 	for _, sizeMB := range []int{8, 32, 128} {
 		for _, policy := range benchPolicies {
 			b.Run(fmt.Sprintf("cache=%dMB/policy=%s", sizeMB, policy), func(b *testing.B) {
-				res := runRecovery(b, code, policy, sizeMB, 128, false)
+				res := runRecovery(b, code, policy, sizeMB, 128)
 				b.ReportMetric(res.AvgResponse().Milliseconds(), "resp-ms")
 			})
 		}
@@ -107,7 +106,7 @@ func BenchmarkFig11(b *testing.B) {
 	for _, sizeMB := range []int{8, 32, 128} {
 		for _, policy := range benchPolicies {
 			b.Run(fmt.Sprintf("cache=%dMB/policy=%s", sizeMB, policy), func(b *testing.B) {
-				res := runRecovery(b, code, policy, sizeMB, 128, false)
+				res := runRecovery(b, code, policy, sizeMB, 128)
 				b.ReportMetric(res.Makespan.Milliseconds(), "recon-ms")
 			})
 		}
@@ -146,7 +145,6 @@ func BenchmarkTable5(b *testing.B) {
 	params.CacheSizesMB = []int{8, 32, 128}
 	params.Groups = 48
 	params.Stripes = 1 << 13
-	params.FastIO = true
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		points, err := fbf.Sweep(params)
@@ -224,7 +222,6 @@ func BenchmarkAblationGreedy(b *testing.B) {
 				res, err := fbf.Run(fbf.SimConfig{
 					Code: code, Policy: "fbf", Strategy: strategy,
 					Workers: 128, CacheChunks: 32 * 1024 / 32, Stripes: 1 << 13,
-					SkipSpareWrites: true,
 				}, errors)
 				if err != nil {
 					b.Fatal(err)
@@ -358,7 +355,6 @@ func BenchmarkClusteredErrors(b *testing.B) {
 				res, err := fbf.Run(fbf.SimConfig{
 					Code: code, Policy: policy, Strategy: fbf.StrategyLooped,
 					Workers: 128, CacheChunks: 32 * 1024 / 32, Stripes: 1 << 13,
-					SkipSpareWrites: true,
 				}, errors)
 				if err != nil {
 					b.Fatal(err)

@@ -1,6 +1,9 @@
 // Command fbfsim regenerates the paper's evaluation artefacts on the
 // simulated disk array: Figures 8–11 and Tables IV–V, plus the scheme
-// ablation. With no artefact flag it runs the full evaluation.
+// ablation. With no artefact flag it runs the full evaluation. Every run
+// writes its spares, and each figure grid is simulated once: Figures 8
+// and 10 and Table V are views of one sweep over the codes and primes,
+// Figures 9 and 11 of one sweep over TIP.
 //
 // Usage:
 //
@@ -141,6 +144,12 @@ func main() {
 	if *metricsInterval <= 0 {
 		log.Fatalf("bad -metrics-interval %v: must be > 0 ms", *metricsInterval)
 	}
+	if *figFlag != 0 && !slices.Contains([]int{8, 9, 10, 11}, *figFlag) {
+		log.Fatalf("unknown figure %d (have 8, 9, 10, 11)", *figFlag)
+	}
+	if *tableFlag != 0 && *tableFlag != 4 && *tableFlag != 5 {
+		log.Fatalf("unknown table %d (have 4, 5)", *tableFlag)
+	}
 	for _, l := range []struct {
 		name, raw string
 		n         int
@@ -210,30 +219,38 @@ func main() {
 	runAll := *figFlag == 0 && *tableFlag == 0 && !*ablation && !*online && !*modes
 	out := os.Stdout
 
-	runFig := func(n int) {
-		var fig *experiments.Figure
-		var err error
-		p := params
-		switch n {
-		case 8:
-			fig, err = experiments.Fig8(p)
-		case 9:
-			if *primesFlag == "" {
-				p.Primes = []int{5, 7, 11, 13}
+	// Figures 9 and 11 and Table IV take TIPPrimes unless -p is given.
+	tipParams := params
+	if *primesFlag == "" {
+		tipParams.Primes = experiments.TIPPrimes()
+	}
+	// Figures 8 and 10 and Table V are views of one sweep over the
+	// configured codes and primes, Figures 9 and 11 of one over TIP; each
+	// runs at most once.
+	type grid struct {
+		p      experiments.Params
+		points []experiments.Point
+	}
+	codesGrid, tipGrid := &grid{p: params}, &grid{p: experiments.TIPGrid(tipParams)}
+	sweep := func(g *grid) *grid {
+		if g.points == nil {
+			points, err := experiments.Sweep(g.p)
+			if err != nil {
+				log.Fatalf("sweep: %v", err)
 			}
-			fig, err = experiments.Fig9(p)
-		case 10:
-			fig, err = experiments.Fig10(p)
-		case 11:
-			if *primesFlag == "" {
-				p.Primes = []int{5, 7, 11, 13}
-			}
-			fig, err = experiments.Fig11(p)
-		default:
-			log.Fatalf("unknown figure %d (have 8, 9, 10, 11)", n)
+			g.points = points
 		}
+		return g
+	}
+
+	runFig := func(n int) {
+		g := codesGrid
+		if n == 9 || n == 11 {
+			g = tipGrid
+		}
+		fig, err := experiments.FigureOf(n, sweep(g).points, g.p)
 		if err != nil {
-			log.Fatalf("figure %d: %v", n, err)
+			log.Fatal(err)
 		}
 		if *csv {
 			if err := experiments.RenderFigureCSV(out, fig); err != nil {
@@ -241,7 +258,7 @@ func main() {
 			}
 			return
 		}
-		if err := experiments.RenderFigure(out, fig, p.Policies); err != nil {
+		if err := experiments.RenderFigure(out, fig, g.p.Policies); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -250,27 +267,17 @@ func main() {
 	runTable := func(n int) {
 		switch n {
 		case 4:
-			p := params
-			if *primesFlag == "" {
-				p.Primes = []int{5, 7, 11, 13}
-			}
-			rows, err := experiments.Table4(p)
+			rows, err := experiments.Table4(tipParams)
 			if err != nil {
 				log.Fatalf("table 4: %v", err)
 			}
-			if err := experiments.RenderTable4(out, rows, p.Codes); err != nil {
+			if err := experiments.RenderTable4(out, rows, tipParams.Codes); err != nil {
 				log.Fatal(err)
 			}
 		case 5:
-			points, err := experiments.Sweep(params)
-			if err != nil {
-				log.Fatalf("table 5 sweep: %v", err)
-			}
-			if err := experiments.RenderTable5(out, experiments.Table5(points)); err != nil {
+			if err := experiments.RenderTable5(out, experiments.Table5(sweep(codesGrid).points)); err != nil {
 				log.Fatal(err)
 			}
-		default:
-			log.Fatalf("unknown table %d (have 4, 5)", n)
 		}
 		fmt.Fprintln(out)
 	}

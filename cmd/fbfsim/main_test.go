@@ -32,7 +32,8 @@ func TestMain(m *testing.M) {
 // list flag is one such rejection; the run used to index its first
 // element after the outputs were created. An unknown code, policy or
 // prime is another: the run used to find it only when it built the
-// code or the cache.
+// code or the cache. An unknown figure or table is a third: the run used
+// to find it only when it came to draw one.
 func TestBadFlagLeavesOutputsAlone(t *testing.T) {
 	cases := []struct {
 		out  string // output flag pointed at the old file
@@ -47,6 +48,8 @@ func TestBadFlagLeavesOutputsAlone(t *testing.T) {
 		{"trace-jsonl", []string{"-codes", "lrc"}, `bad -codes: codes: unknown code "lrc"`},
 		{"trace-jsonl", []string{"-p", "4"}, "bad -p: codes: star requires prime p, got 4"},
 		{"trace-jsonl", []string{"-policies", "nosuch"}, `bad -policies: cache: unknown policy "nosuch"`},
+		{"pprof-cpu", []string{"-fig", "12"}, "unknown figure 12 (have 8, 9, 10, 11)"},
+		{"pprof-mem", []string{"-table", "6"}, "unknown table 6 (have 4, 5)"},
 	}
 	for _, c := range cases {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
@@ -155,5 +158,32 @@ func TestArtefactAxes(t *testing.T) {
 				t.Errorf("artefact axes:\n got %v\nwant %v\noutput:\n%s", got, c.want, out)
 			}
 		})
+	}
+}
+
+// TestFullEvaluationSweepsEachGridOnce pins that the full evaluation
+// simulates each figure grid once: its -progress reports one sweep total
+// per simulated artefact group — the codes grid (Figures 8 and 10 and
+// Table V), the TIP grid (Figures 9 and 11), Table IV, the scheme
+// ablation, online recovery and the SOR/DOR table — in that order.
+func TestFullEvaluationSweepsEachGridOnce(t *testing.T) {
+	cmd := exec.Command(os.Args[0], runMain, "-progress", "-groups", "24", "-stripes", "512", "-workers", "4", "-sizes", "1,2")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if out, err := cmd.Output(); err != nil {
+		t.Fatalf("fbfsim: %v\n%s%s", err, out, stderr.String())
+	}
+	total := regexp.MustCompile(`^fbfsim: (\d+)/(\d+) runs$`)
+	var got []string
+	for _, line := range strings.FieldsFunc(stderr.String(), func(r rune) bool { return r == '\r' || r == '\n' }) {
+		if m := total.FindStringSubmatch(line); m != nil && m[1] == m[2] {
+			got = append(got, m[1])
+		}
+	}
+	// 4 codes × 3 primes × 5 policies × 2 sizes; TIP × 4 primes × 5 × 2;
+	// 4 codes × 4 primes; 4 × 3; 5 policies; 5 policies.
+	want := []string{"120", "40", "16", "12", "5", "5"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sweep totals %v, want %v", got, want)
 	}
 }

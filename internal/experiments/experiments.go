@@ -32,10 +32,6 @@ type Params struct {
 	Strategy    core.Strategy
 	Dist        trace.SizeDist
 
-	// FastIO skips spare writes, which are identical across policies;
-	// hit-ratio and read-count sweeps run faster with it set.
-	FastIO bool
-
 	// Parallelism bounds how many sweep points run concurrently: 0
 	// means GOMAXPROCS, 1 forces the serial path. Every run is an
 	// isolated deterministic simulation, so the results (values and
@@ -170,14 +166,13 @@ func prepareTraces(p Params) ([]sweepPrep, error) {
 // runConfig is the engine configuration of one sweep point.
 func (p Params) runConfig(prep sweepPrep, policy string, sizeMB int) rebuild.Config {
 	return rebuild.Config{
-		Code:            prep.code,
-		Policy:          policy,
-		Strategy:        p.Strategy,
-		Workers:         p.Workers,
-		CacheChunks:     p.CacheChunks(sizeMB),
-		ChunkSize:       p.ChunkSizeKB * 1024,
-		Stripes:         p.Stripes,
-		SkipSpareWrites: p.FastIO,
+		Code:        prep.code,
+		Policy:      policy,
+		Strategy:    p.Strategy,
+		Workers:     p.Workers,
+		CacheChunks: p.CacheChunks(sizeMB),
+		ChunkSize:   p.ChunkSizeKB * 1024,
+		Stripes:     p.Stripes,
 	}
 }
 

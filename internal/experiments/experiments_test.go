@@ -67,6 +67,59 @@ func TestSweepShape(t *testing.T) {
 	}
 }
 
+// TestFiguresShareRuns pins that a figure is a view of the sweep, not a
+// run of its own: every Figure 8 value is the hit ratio of the Figure 10
+// sweep's run at the same point, and every Figure 9 value the disk reads
+// of the Figure 11 sweep's. Spare writes change which error groups share
+// a cache partition, so a figure that skipped them would disagree here.
+func TestFiguresShareRuns(t *testing.T) {
+	p := goldenParams()
+	p.Primes = []int{5, 7}
+	p.Policies = []string{"lfu", "arc", "fbf"}
+	p.CacheSizesMB = []int{1, 2, 4}
+	p.Workers = 4
+	p.Groups = 48
+	for _, c := range []struct {
+		fig    func(Params) (*Figure, error)
+		grid   Params // the sweep of the figure's partner, Figure 10 or 11
+		metric Metric
+	}{
+		{Fig8, p, MetricHitRatio},
+		{Fig9, TIPGrid(p), MetricDiskReads},
+	} {
+		fig, err := c.fig(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, err := Sweep(c.grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]float64{}
+		for _, panel := range fig.Panels {
+			for policy, series := range panel.Series {
+				for i, v := range series {
+					got[fmt.Sprintf("%s(p=%d) %s %dMB", panel.Code, panel.P, policy, panel.Sizes[i])] = v
+				}
+			}
+		}
+		if len(got) != len(points) {
+			t.Fatalf("%s has %d values, its partner's sweep %d points", fig.ID, len(got), len(points))
+		}
+		differ := 0
+		for _, pt := range points {
+			key := fmt.Sprintf("%s(p=%d) %s %dMB", pt.Code, pt.P, pt.Policy, pt.CacheMB)
+			if v, ok := got[key]; !ok || v != c.metric.Value(pt.Result) {
+				t.Errorf("%s %s: %v, the sweep's run gives %v", fig.ID, key, v, c.metric.Value(pt.Result))
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%s: %d of %d points differ from the sweep's runs", fig.ID, differ, len(points))
+		}
+	}
+}
+
 func TestFig8ShapeAndDominance(t *testing.T) {
 	p := smallParams()
 	fig, err := Fig8(p)
@@ -168,7 +221,6 @@ func TestTable5(t *testing.T) {
 	p := smallParams()
 	p.Policies = []string{"fifo", "lru", "lfu", "arc", "fbf"}
 	p.CacheSizesMB = []int{1, 2, 8, 64}
-	p.FastIO = false
 	points, err := Sweep(p)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"fbf/internal/core"
@@ -8,56 +9,68 @@ import (
 	"fbf/internal/stats"
 )
 
+// TIPPrimes returns the prime axis Figures 9 and 11 and Table IV take
+// when Params sets none: the paper's TIP-code panels, P in {5, 7, 11, 13}.
+func TIPPrimes() []int { return []int{5, 7, 11, 13} }
+
+// TIPGrid is the sweep behind Figures 9 and 11: p restricted to the TIP
+// code, at TIPPrimes unless p sets its own primes.
+func TIPGrid(p Params) Params {
+	p.Codes = []string{"tip"}
+	if len(p.Primes) == 0 {
+		p.Primes = TIPPrimes()
+	}
+	return p
+}
+
+// figures are the paper's four figures, each a view of one metric over a
+// sweep's points: Figures 8 and 10 of one sweep over the codes, Figures
+// 9 and 11 of one over TIPGrid.
+var figures = map[int]struct {
+	id, title string
+	metric    Metric
+}{
+	8:  {"fig8", "Cache Hit Ratio During Partial Stripe Reconstruction", MetricHitRatio},
+	9:  {"fig9", "Read Operations During Partial Stripe Reconstruction (TIP)", MetricDiskReads},
+	10: {"fig10", "Average Response Time of Partial Stripe Reconstruction", MetricResponse},
+	11: {"fig11", "Partial Stripe Reconstruction Time (TIP)", MetricReconTime},
+}
+
+// FigureOf builds figure n (8, 9, 10 or 11) from the points of the sweep
+// p ran, so one sweep can feed several figures and Table V.
+func FigureOf(n int, points []Point, p Params) (*Figure, error) {
+	f, ok := figures[n]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown figure %d (have 8, 9, 10, 11)", n)
+	}
+	return BuildFigure(f.id, f.title, f.metric, points, p), nil
+}
+
+// sweepFigure runs p's sweep and builds figure n from it.
+func sweepFigure(n int, p Params) (*Figure, error) {
+	points, err := Sweep(p)
+	if err != nil {
+		return nil, err
+	}
+	return FigureOf(n, points, p)
+}
+
 // Fig8 reproduces Figure 8: cache hit ratio during partial stripe
 // reconstruction across erasure codes and primes, as a function of
 // cache size.
-func Fig8(p Params) (*Figure, error) {
-	p.FastIO = true // spare writes do not affect hit ratio
-	points, err := Sweep(p)
-	if err != nil {
-		return nil, err
-	}
-	return BuildFigure("fig8", "Cache Hit Ratio During Partial Stripe Reconstruction", MetricHitRatio, points, p), nil
-}
+func Fig8(p Params) (*Figure, error) { return sweepFigure(8, p) }
 
 // Fig9 reproduces Figure 9: number of disk read operations during
-// recovery, TIP-code with P in {5, 7, 11, 13}.
-func Fig9(p Params) (*Figure, error) {
-	p.Codes = []string{"tip"}
-	if len(p.Primes) == 0 {
-		p.Primes = []int{5, 7, 11, 13}
-	}
-	p.FastIO = true
-	points, err := Sweep(p)
-	if err != nil {
-		return nil, err
-	}
-	return BuildFigure("fig9", "Read Operations During Partial Stripe Reconstruction (TIP)", MetricDiskReads, points, p), nil
-}
+// recovery, TIP-code (TIPGrid).
+func Fig9(p Params) (*Figure, error) { return sweepFigure(9, TIPGrid(p)) }
 
 // Fig10 reproduces Figure 10: average response time of the disk array
 // during recovery, across codes and primes.
-func Fig10(p Params) (*Figure, error) {
-	points, err := Sweep(p)
-	if err != nil {
-		return nil, err
-	}
-	return BuildFigure("fig10", "Average Response Time of Partial Stripe Reconstruction", MetricResponse, points, p), nil
-}
+func Fig10(p Params) (*Figure, error) { return sweepFigure(10, p) }
 
 // Fig11 reproduces Figure 11: total partial stripe reconstruction time,
-// TIP-code with P in {5, 7, 11, 13}.
-func Fig11(p Params) (*Figure, error) {
-	p.Codes = []string{"tip"}
-	if len(p.Primes) == 0 {
-		p.Primes = []int{5, 7, 11, 13}
-	}
-	points, err := Sweep(p)
-	if err != nil {
-		return nil, err
-	}
-	return BuildFigure("fig11", "Partial Stripe Reconstruction Time (TIP)", MetricReconTime, points, p), nil
-}
+// TIP-code (TIPGrid).
+func Fig11(p Params) (*Figure, error) { return sweepFigure(11, TIPGrid(p)) }
 
 // OverheadRow is one cell group of Table IV: FBF's temporal overhead for
 // one (code, prime).
@@ -71,17 +84,16 @@ type OverheadRow struct {
 // Table4 reproduces Table IV: the temporal overhead of FBF's priority
 // generation, measured as real wall time of scheme generation, compared
 // against the simulated per-group reconstruction time. It runs FBF at
-// 256 MB with spare writes on, one row per (code, prime), codes-major;
-// RenderTable4 groups the rows by prime.
+// 256 MB, one row per (code, prime) at TIPPrimes unless p sets its own,
+// codes-major; RenderTable4 groups the rows by prime.
 //
 // Note the measured scheme-generation wall time is real time on a
 // possibly-contended core, so unlike the simulated metrics it can
 // fluctuate run to run (at any parallelism level, including 1).
 func Table4(p Params) ([]OverheadRow, error) {
 	if len(p.Primes) == 0 {
-		p.Primes = []int{5, 7, 11, 13}
+		p.Primes = TIPPrimes()
 	}
-	p.FastIO = false
 	return runs(p, []string{"fbf"}, []int{256}, func(pt Point, cfg rebuild.Config, errors []core.PartialStripeError) (OverheadRow, error) {
 		res, err := rebuild.Run(cfg, errors)
 		if err != nil {

@@ -22,10 +22,9 @@ type ModeRow struct {
 }
 
 // ModeComparison runs the SOR-vs-DOR ablation (Section III-B of the
-// paper) at a fixed representative cache size (64 MB total), with spare
-// writes on: each policy runs its (code, prime)'s trace once per mode.
+// paper) at a fixed representative cache size (64 MB total): each policy
+// runs its (code, prime)'s trace once per mode.
 func ModeComparison(p Params) ([]ModeRow, error) {
-	p.FastIO = false
 	return runs(p, p.Policies, []int{64}, func(pt Point, cfg rebuild.Config, errors []core.PartialStripeError) (ModeRow, error) {
 		sor, err := rebuild.Run(cfg, errors)
 		if err != nil {

@@ -30,8 +30,7 @@ type OnlineRow struct {
 // the paper's conclusion: "FBF is considered to be effective for
 // parallel and online recovery as well"): each policy reconstructs the
 // same error trace twice, once quiet and once with a foreground read
-// stream sharing the cache and disks. It runs at 64 MB total with spare
-// writes on.
+// stream sharing the cache and disks. It runs at 64 MB total.
 func OnlineRecovery(p Params, app rebuild.AppWorkload) ([]OnlineRow, error) {
 	if app.Requests <= 0 {
 		app.Requests = 4 * p.Groups
@@ -45,7 +44,6 @@ func OnlineRecovery(p Params, app rebuild.AppWorkload) ([]OnlineRow, error) {
 		// requests land on stripes under repair.
 		app.ErrorLocality = 0.5
 	}
-	p.FastIO = false
 	return runs(p, p.Policies, []int{64}, func(pt Point, cfg rebuild.Config, errors []core.PartialStripeError) (OnlineRow, error) {
 		quiet, err := rebuild.Run(cfg, errors)
 		if err != nil {

@@ -24,7 +24,7 @@ func (p Params) parallelism() int {
 //   - Ordering: fn writes its result into an index-addressed slot, so
 //     the caller's output order is the enumeration order regardless of
 //     which goroutine finished first. With parallelism <= 1 the jobs
-//     run inline in index order — exactly the legacy serial loops.
+//     run on the caller's goroutine in index order, as a serial loop would.
 //   - Error propagation: after the first failure no new job starts
 //     (in-flight jobs finish; each is an independent simulation, so
 //     letting them drain is cheap and keeps slots consistent). The

@@ -350,7 +350,6 @@ func BenchmarkSweep(b *testing.B) {
 	base.Workers = 16
 	base.Groups = 48
 	base.Stripes = 2048
-	base.FastIO = true
 
 	for _, bench := range []struct {
 		name string

@@ -9,8 +9,9 @@
 //     slot of buffers it owns until its turn is over: array set-up's
 //     stripes and the repair loop's.
 //
-// At k ≤ 1 both are the plain loop on the caller's goroutine, with no
-// goroutine, channel or lock.
+// At k ≤ 1 neither starts a goroutine: Each runs every index on the
+// caller's goroutine as lane 0, and Ahead is the plain loop, with no
+// channel or lock.
 package lanes
 
 import "sync"
@@ -24,14 +25,6 @@ import "sync"
 // a caller can keep per-lane state in a slice indexed by lane. Each
 // returns once every lane has.
 func Each(k, n int, fn func(lane, i int) error) error {
-	if k = min(k, n); k <= 1 {
-		for i := range n {
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
 		mu       sync.Mutex
 		next     int // the next index to hand out
@@ -58,7 +51,7 @@ func Each(k, n int, fn func(lane, i int) error) error {
 		}
 	}
 	var wg sync.WaitGroup
-	for lane := 1; lane < k; lane++ {
+	for lane := 1; lane < min(k, n); lane++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -111,17 +111,13 @@ func runDOR(cfg Config, s *sim.Simulator, array *disk.Array, errors []core.Parti
 		xor := cfg.XORPerChunk * sim.Time(len(t.fetch))
 		res.XORChunks += uint64(len(t.fetch))
 		s.Schedule(xor, func() {
-			finish := func() {
+			err := array.WriteSpare(t.failDisk, func(_, _ sim.Time) {
 				remainingTasks--
 				if remainingTasks == 0 {
 					res.Makespan = s.Now()
 				}
-			}
-			if cfg.SkipSpareWrites {
-				finish()
-				return
-			}
-			if err := array.WriteSpare(t.failDisk, func(_, _ sim.Time) { finish() }); err != nil {
+			})
+			if err != nil {
 				panic(fmt.Sprintf("rebuild: dor spare write failed: %v", err))
 			}
 		})

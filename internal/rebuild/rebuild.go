@@ -44,10 +44,6 @@ type Config struct {
 	CacheAccess sim.Time // buffer access time (paper: 0.5 ms)
 	XORPerChunk sim.Time // compute cost per chunk XORed into an accumulator
 
-	// SkipSpareWrites drops the spare-write phase (hit-ratio-only runs
-	// are much faster without them and the writes are policy-invariant).
-	SkipSpareWrites bool
-
 	// ModelFor overrides the per-disk service model (nil → the paper's
 	// fixed 10 ms model).
 	ModelFor func(i int) disk.Model
@@ -658,13 +654,7 @@ func (w *worker) barrier() {
 
 // afterXOR runs when the chain's XOR compute charge has elapsed.
 func (w *worker) afterXOR() {
-	e := w.engine
-	if e.cfg.SkipSpareWrites {
-		// Without spare writes the repair is complete here.
-		w.startChain()
-		return
-	}
-	if err := e.array.WriteSpareReq(w.curSel.Lost.Col, &w.spareReq); err != nil {
+	if err := w.engine.array.WriteSpareReq(w.curSel.Lost.Col, &w.spareReq); err != nil {
 		panic(fmt.Sprintf("rebuild: spare write failed: %v", err))
 	}
 }

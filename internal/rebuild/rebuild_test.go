@@ -175,21 +175,6 @@ func TestTypicalSchemeHasZeroHits(t *testing.T) {
 	}
 }
 
-func TestSkipSpareWrites(t *testing.T) {
-	code := codes.MustNew("tip", 5)
-	errors := genErrors(t, code, 5, 25, 7)
-	res, err := Run(Config{
-		Code: code, Policy: "lru", Strategy: core.StrategyLooped,
-		Workers: 1, CacheChunks: 8, Stripes: 25, SkipSpareWrites: true,
-	}, errors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DiskWrites != 0 {
-		t.Errorf("DiskWrites = %d with SkipSpareWrites", res.DiskWrites)
-	}
-}
-
 func TestMoreWorkersFinishFaster(t *testing.T) {
 	code := codes.MustNew("tip", 11)
 	errors := genErrors(t, code, 40, 200, 9)
