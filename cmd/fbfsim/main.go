@@ -128,15 +128,8 @@ func main() {
 		log.Fatal(err)
 	}
 	params.Strategy = strategy
-	switch *distFlag {
-	case "uniform":
-		params.Dist = trace.SizeUniform
-	case "fixed":
-		params.Dist = trace.SizeFixed
-	case "geometric":
-		params.Dist = trace.SizeGeometric
-	default:
-		log.Fatalf("bad -dist %q", *distFlag)
+	if params.Dist, err = trace.ParseSizeDist(*distFlag); err != nil {
+		log.Fatalf("bad -dist: %v", err)
 	}
 
 	// Reject bad flags before any output path is created: creating one
@@ -163,16 +156,8 @@ func main() {
 			log.Fatalf("bad -%s: empty list", l.name)
 		}
 	}
-	for _, name := range params.Codes {
-		for _, prime := range params.Primes {
-			if _, err := codes.New(name, prime); err != nil {
-				bad := "p"
-				if !slices.Contains(codes.Names(), name) {
-					bad = "codes"
-				}
-				log.Fatalf("bad -%s: %v", bad, err)
-			}
-		}
+	if err := cli.CheckCodes(params.Codes, params.Primes); err != nil {
+		log.Fatal(err)
 	}
 	for _, name := range params.Policies {
 		if _, err := cache.New(name, 0); err != nil {

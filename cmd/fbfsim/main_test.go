@@ -48,6 +48,8 @@ func TestBadFlagLeavesOutputsAlone(t *testing.T) {
 		{"trace-jsonl", []string{"-codes", "lrc"}, `bad -codes: codes: unknown code "lrc"`},
 		{"trace-jsonl", []string{"-p", "4"}, "bad -p: codes: star requires prime p, got 4"},
 		{"trace-jsonl", []string{"-policies", "nosuch"}, `bad -policies: cache: unknown policy "nosuch"`},
+		{"trace-jsonl", []string{"-policies", "lru2"}, `bad -policies: cache: unknown policy "lru2"`},
+		{"metrics-out", []string{"-dist", "nosuch"}, `bad -dist: trace: unknown size distribution "nosuch"`},
 		{"pprof-cpu", []string{"-fig", "12"}, "unknown figure 12 (have 8, 9, 10, 11)"},
 		{"pprof-mem", []string{"-table", "6"}, "unknown table 6 (have 4, 5)"},
 	}

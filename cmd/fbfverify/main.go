@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"fbf/internal/cli"
@@ -79,6 +80,16 @@ func main() {
 	caps, err := cli.ParseInts(*capsFlag)
 	if err != nil {
 		log.Fatalf("bad -caps: %v", err)
+	}
+	// A bad name must fail the run before its first "ok" line, not after
+	// the checks listed ahead of it have passed.
+	if err := cli.CheckCodes(cli.SplitList(*codesFlag), primes); err != nil {
+		log.Fatal(err)
+	}
+	for _, name := range cli.SplitList(*policiesFlag) {
+		if !slices.Contains(verify.CheckedPolicies(), name) {
+			log.Fatalf("bad -policies: no reference model for %q (have %s)", name, strings.Join(verify.CheckedPolicies(), ","))
+		}
 	}
 
 	failures := 0

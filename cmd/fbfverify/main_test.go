@@ -25,24 +25,55 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// small keeps a run small, so a row whose flag is not rejected runs in
+// milliseconds.
+var small = []string{"-codes", "tip", "-p", "5", "-strategies", "looped", "-policies", "lru", "-caps", "1", "-steps", "10", "-engine=false"}
+
+// mustReject runs fbfverify on small with flag set to value and fails
+// the test unless the run exits nonzero, says want and prints no "ok"
+// line.
+func mustReject(t *testing.T, flag, value, want string) {
+	t.Helper()
+	args := append(append([]string{runMain}, small...), "-"+flag, value)
+	out, err := exec.Command(os.Args[0], args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("fbfverify -%s %s exited with %v, want a nonzero status:\n%s", flag, value, err, out)
+	}
+	if !strings.Contains(string(out), want) {
+		t.Errorf("output does not say %q:\n%s", want, out)
+	}
+	if strings.Contains(string(out), "ok   ") {
+		t.Errorf("a check ran before the rejection:\n%s", out)
+	}
+}
+
 // TestEmptyListFails pins that an empty list flag fails the run. Each
 // one used to skip its checks (-strategies: sweep all three) and still
 // print "all checks passed", so a CI gate passed having checked nothing.
-// The other flags keep the run small, so a row that passes runs in
-// milliseconds.
 func TestEmptyListFails(t *testing.T) {
-	small := []string{"-codes", "tip", "-p", "5", "-strategies", "looped", "-policies", "lru", "-caps", "1", "-steps", "10", "-engine=false"}
 	for _, name := range []string{"codes", "p", "strategies", "policies", "caps"} {
 		t.Run(name, func(t *testing.T) {
-			args := append(append([]string{runMain}, small...), "-"+name, ",")
-			out, err := exec.Command(os.Args[0], args...).CombinedOutput()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-				t.Fatalf("fbfverify -%s , exited with %v, want a nonzero status:\n%s", name, err, out)
-			}
-			if want := "bad -" + name + ": empty list"; !strings.Contains(string(out), want) {
-				t.Errorf("output does not say %q:\n%s", want, out)
-			}
+			mustReject(t, name, ",", "bad -"+name+": empty list")
+		})
+	}
+}
+
+// TestBadNameFails pins that a name no check can run fails the run
+// before the first check. A policy without a reference model used to
+// fail only its own cache checks, after the stripe sweeps had passed,
+// and a bad code or prime only after the good ones ahead of it had been
+// swept.
+func TestBadNameFails(t *testing.T) {
+	for _, c := range []struct{ flag, value, want string }{
+		{"policies", "opt", `bad -policies: no reference model for "opt"`},
+		{"policies", "nosuch", `bad -policies: no reference model for "nosuch"`},
+		{"policies", "lru2", `bad -policies: no reference model for "lru2"`},
+		{"codes", "tip,nosuch", `bad -codes: codes: unknown code "nosuch"`},
+		{"p", "5,4", "bad -p: codes: tip requires prime p, got 4"},
+	} {
+		t.Run(c.flag+"="+c.value, func(t *testing.T) {
+			mustReject(t, c.flag, c.value, c.want)
 		})
 	}
 }

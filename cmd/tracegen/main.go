@@ -34,16 +34,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var dist trace.SizeDist
-	switch *distName {
-	case "uniform":
-		dist = trace.SizeUniform
-	case "fixed":
-		dist = trace.SizeFixed
-	case "geometric":
-		dist = trace.SizeGeometric
-	default:
-		log.Fatalf("unknown -dist %q", *distName)
+	dist, err := trace.ParseSizeDist(*distName)
+	if err != nil {
+		log.Fatalf("bad -dist: %v", err)
 	}
 	errors, err := trace.Generate(code, trace.Config{
 		Groups:    *groups,

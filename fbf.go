@@ -102,7 +102,7 @@ var (
 	// GenerateScheme builds the recovery scheme for one error.
 	GenerateScheme = core.GenerateScheme
 	// NewPolicy constructs a registered policy ("fbf", "fifo", "lru",
-	// "lfu", "arc", "lru2", "2q", "opt") with a capacity in chunks.
+	// "lfu", "arc", "opt") with a capacity in chunks.
 	NewPolicy = cache.New
 	// PolicyNames lists the registered policies.
 	PolicyNames = cache.Names

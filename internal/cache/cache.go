@@ -1,9 +1,9 @@
 // Package cache provides the buffer-cache abstraction used by the
 // reconstruction engines, together with the classic replacement policies
-// the paper compares against (FIFO, LRU, LFU, ARC) and two extra
-// baselines (LRU-2, 2Q) plus a clairvoyant Belady policy for upper-bound
-// ablations. The paper's own FBF policy lives in internal/core and
-// implements the same Policy interface.
+// the paper compares against (FIFO, LRU, LFU, ARC) and a clairvoyant
+// Belady policy (OPT) for the upper-bound ablation. The paper's own FBF
+// policy lives in internal/core and implements the same Policy
+// interface.
 //
 // Capacity is measured in chunks: the simulated caches hold fixed-size
 // chunks (32 KB in the paper), so a byte budget divides evenly.
@@ -132,8 +132,5 @@ func init() {
 	Register("lru", func(c int) Policy { return NewLRU(c) })
 	Register("lfu", func(c int) Policy { return NewLFU(c) })
 	Register("arc", func(c int) Policy { return NewARC(c) })
-	Register("lru2", func(c int) Policy { return NewLRU2(c) })
-	Register("2q", func(c int) Policy { return NewTwoQ(c) })
-	Register("lrfu", func(c int) Policy { return NewLRFU(c, 0.1) })
 	Register("opt", func(c int) Policy { return NewBelady(c) })
 }

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+
+	"fbf/internal/codes"
 )
 
 // SplitList splits a comma-separated list, trimming blanks and dropping
@@ -45,6 +48,24 @@ func ParseIntsFlag(flagName, s string) ([]int, error) {
 		return nil, fmt.Errorf("bad -%s: %w", flagName, err)
 	}
 	return out, nil
+}
+
+// CheckCodes builds every code of names at every prime of primes, so a
+// binary rejects a bad -codes/-p pair before its first run. The error
+// names -codes for a family codes.New does not know and -p otherwise.
+func CheckCodes(names []string, primes []int) error {
+	for _, name := range names {
+		for _, p := range primes {
+			if _, err := codes.New(name, p); err != nil {
+				flagName := "p"
+				if !slices.Contains(codes.Names(), name) {
+					flagName = "codes"
+				}
+				return fmt.Errorf("bad -%s: %w", flagName, err)
+			}
+		}
+	}
+	return nil
 }
 
 // CreateOutput creates (truncating) the output file a flag points at,

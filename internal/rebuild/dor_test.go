@@ -3,6 +3,7 @@ package rebuild
 import (
 	"testing"
 
+	"fbf/internal/cache"
 	"fbf/internal/codes"
 	"fbf/internal/core"
 )
@@ -90,7 +91,7 @@ func TestDORSharedCacheProducesHits(t *testing.T) {
 func TestDORAllPolicies(t *testing.T) {
 	code := codes.MustNew("hdd1", 5)
 	errors := genErrors(t, code, 8, 40, 44)
-	for _, policy := range []string{"fifo", "lru", "lfu", "arc", "fbf", "lrfu", "opt"} {
+	for _, policy := range cache.Names() {
 		res, err := Run(Config{
 			Code: code, Policy: policy, Strategy: core.StrategyLooped,
 			Mode: ModeDOR, Workers: 1, CacheChunks: 32, Stripes: 40,

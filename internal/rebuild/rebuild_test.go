@@ -3,6 +3,7 @@ package rebuild
 import (
 	"testing"
 
+	"fbf/internal/cache"
 	"fbf/internal/codes"
 	"fbf/internal/core"
 	"fbf/internal/disk"
@@ -79,7 +80,7 @@ func TestRunAllPoliciesAllCodes(t *testing.T) {
 	for _, name := range codes.Names() {
 		code := codes.MustNew(name, 5)
 		errors := genErrors(t, code, 8, 40, 3)
-		for _, policy := range []string{"fifo", "lru", "lfu", "arc", "fbf", "lru2", "2q", "opt"} {
+		for _, policy := range cache.Names() {
 			res, err := Run(Config{
 				Code: code, Policy: policy, Strategy: core.StrategyLooped,
 				Workers: 2, CacheChunks: 16, Stripes: 40,

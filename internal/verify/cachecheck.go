@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"fbf/internal/cache"
@@ -35,19 +34,16 @@ func (r *CacheReport) String() string {
 // for ("opt" is excluded: Belady needs the future sequence and has its
 // own dedicated cross-check in internal/cache).
 func CheckedPolicies() []string {
-	return []string{"fbf", "fifo", "lru", "lfu", "arc", "2q", "lru2", "lrfu"}
+	return []string{"fbf", "fifo", "lru", "lfu", "arc"}
 }
 
 // refPolicy is a reference replacement-policy model: a deliberately
 // naive, slice-based transcription of the policy's published rules.
-// request processes one access given the victims the production policy
-// actually evicted on this step (empty on hits and capacity-free
-// misses); deterministic models predict the victim themselves and the
-// driver's residency diff catches any disagreement, while models with
-// genuine tie-freedom (LRFU's equal-CRF blocks) validate the observed
-// victim instead and adopt it.
+// request processes one access and reports a hit; every model predicts
+// its own victim, and the driver's residency comparison catches any
+// disagreement with the production policy.
 type refPolicy interface {
-	request(id cache.ChunkID, evicted []cache.ChunkID) (hit bool, err error)
+	request(id cache.ChunkID) (hit bool)
 	resident() []cache.ChunkID
 }
 
@@ -57,7 +53,7 @@ type refPriorityAware interface {
 }
 
 // newRef constructs the reference model for a policy name.
-func newRef(name string, capacity int, lambda float64) (refPolicy, error) {
+func newRef(name string, capacity int) (refPolicy, error) {
 	switch name {
 	case "fbf":
 		return &refFBF{cap: capacity, prio: map[cache.ChunkID]int{}}, nil
@@ -69,12 +65,6 @@ func newRef(name string, capacity int, lambda float64) (refPolicy, error) {
 		return &refLFU{cap: capacity}, nil
 	case "arc":
 		return &refARC{cap: capacity}, nil
-	case "2q":
-		return newRefTwoQ(capacity), nil
-	case "lru2":
-		return &refLRU2{cap: capacity}, nil
-	case "lrfu":
-		return &refLRFU{cap: capacity, lambda: lambda}, nil
 	default:
 		return nil, fmt.Errorf("verify: no reference model for policy %q", name)
 	}
@@ -82,10 +72,10 @@ func newRef(name string, capacity int, lambda float64) (refPolicy, error) {
 
 // CheckCache drives the production policy and its reference model
 // through the same randomized request stream and compares hit/miss
-// decisions and the full resident set step by step, the model checking
-// each eviction the residency diff shows, plus the aggregate event
-// counters at the end. Any disagreement returns an error naming the
-// first divergent step.
+// decisions and the full resident set step by step, plus the aggregate
+// event counters at the end (evictions counted from the residency
+// diff). Any disagreement returns an error naming the first divergent
+// step.
 func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 10000
@@ -97,11 +87,7 @@ func CheckCache(cfg CacheConfig) (*CacheReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	lambda := 0.0
-	if lp, ok := pol.(interface{ Lambda() float64 }); ok {
-		lambda = lp.Lambda()
-	}
-	ref, err := newRef(cfg.Policy, cfg.Capacity, lambda)
+	ref, err := newRef(cfg.Policy, cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -158,29 +144,20 @@ func checkCache(pol cache.Policy, ref refPolicy, steps int, seed int64) (*CacheR
 			id = ids[rng.Intn(universe)]
 		}
 
-		before := make(map[cache.ChunkID]bool)
-		for _, r := range ref.resident() {
-			before[r] = true
-		}
+		before := ref.resident()
 		hit := pol.Request(id)
-		var evicted []cache.ChunkID
-		for r := range before {
-			if !pol.Contains(r) && r != id {
-				evicted = append(evicted, r)
+		for _, r := range before {
+			if r != id && !pol.Contains(r) {
+				evictions++
 			}
 		}
-		evictions += uint64(len(evicted))
 		if hit {
 			hits++
 		} else {
 			misses++
 		}
 
-		refHit, err := ref.request(id, evicted)
-		if err != nil {
-			return nil, fmt.Errorf("verify: %s cap=%d step %d id=%v: %w", name, capacity, step, id, err)
-		}
-		if hit != refHit {
+		if refHit := ref.request(id); hit != refHit {
 			return nil, fmt.Errorf("verify: %s cap=%d step %d id=%v: policy says hit=%v, model says hit=%v",
 				name, capacity, step, id, hit, refHit)
 		}
@@ -238,18 +215,18 @@ type refFIFO struct {
 
 func (r *refFIFO) resident() []cache.ChunkID { return r.queue }
 
-func (r *refFIFO) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
+func (r *refFIFO) request(id cache.ChunkID) bool {
 	if sliceHas(r.queue, id) {
-		return true, nil
+		return true
 	}
 	if r.cap == 0 {
-		return false, nil
+		return false
 	}
 	if len(r.queue) >= r.cap {
 		r.queue = r.queue[1:]
 	}
 	r.queue = append(r.queue, id)
-	return false, nil
+	return false
 }
 
 // ---- LRU ----
@@ -261,19 +238,19 @@ type refLRU struct {
 
 func (r *refLRU) resident() []cache.ChunkID { return r.queue }
 
-func (r *refLRU) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
+func (r *refLRU) request(id cache.ChunkID) bool {
 	if sliceHas(r.queue, id) {
 		r.queue = append(sliceRemove(r.queue, id), id)
-		return true, nil
+		return true
 	}
 	if r.cap == 0 {
-		return false, nil
+		return false
 	}
 	if len(r.queue) >= r.cap {
 		r.queue = r.queue[1:]
 	}
 	r.queue = append(r.queue, id)
-	return false, nil
+	return false
 }
 
 // ---- LFU ----
@@ -300,17 +277,17 @@ func (r *refLFU) resident() []cache.ChunkID {
 	return out
 }
 
-func (r *refLFU) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
+func (r *refLFU) request(id cache.ChunkID) bool {
 	r.clock++
 	for _, e := range r.entries {
 		if e.id == id {
 			e.freq++
 			e.seq = r.clock
-			return true, nil
+			return true
 		}
 	}
 	if r.cap == 0 {
-		return false, nil
+		return false
 	}
 	if len(r.entries) >= r.cap {
 		victim := 0
@@ -323,7 +300,7 @@ func (r *refLFU) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
 		r.entries = append(r.entries[:victim], r.entries[victim+1:]...)
 	}
 	r.entries = append(r.entries, &refLFUEntry{id: id, freq: 1, seq: r.clock})
-	return false, nil
+	return false
 }
 
 // ---- FBF ----
@@ -352,7 +329,7 @@ func (r *refFBF) resident() []cache.ChunkID {
 	return out
 }
 
-func (r *refFBF) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
+func (r *refFBF) request(id cache.ChunkID) bool {
 	for q := 2; q >= 0; q-- {
 		if sliceHas(r.queues[q], id) {
 			r.queues[q] = sliceRemove(r.queues[q], id)
@@ -361,11 +338,11 @@ func (r *refFBF) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
 				dst = 0
 			}
 			r.queues[dst] = append(r.queues[dst], id)
-			return true, nil
+			return true
 		}
 	}
 	if r.cap == 0 {
-		return false, nil
+		return false
 	}
 	if len(r.queues[0])+len(r.queues[1])+len(r.queues[2]) >= r.cap {
 		for q := 0; q < 3; q++ {
@@ -383,7 +360,7 @@ func (r *refFBF) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
 		p = 3
 	}
 	r.queues[p-1] = append(r.queues[p-1], id)
-	return false, nil
+	return false
 }
 
 // ---- ARC ----
@@ -419,16 +396,16 @@ func (r *refARC) replace(inB2 bool) {
 	}
 }
 
-func (r *refARC) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
+func (r *refARC) request(id cache.ChunkID) bool {
 	c := r.cap
 	if c == 0 {
-		return false, nil
+		return false
 	}
 	switch {
 	case sliceHas(r.t1, id) || sliceHas(r.t2, id): // Case I
 		r.t1 = sliceRemove(r.t1, id)
 		r.t2 = append(sliceRemove(r.t2, id), id)
-		return true, nil
+		return true
 	case sliceHas(r.b1, id): // Case II
 		delta := 1
 		if len(r.b2) > len(r.b1) {
@@ -438,7 +415,7 @@ func (r *refARC) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
 		r.replace(false)
 		r.b1 = sliceRemove(r.b1, id)
 		r.t2 = append(r.t2, id)
-		return false, nil
+		return false
 	case sliceHas(r.b2, id): // Case III
 		delta := 1
 		if len(r.b1) > len(r.b2) {
@@ -448,7 +425,7 @@ func (r *refARC) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
 		r.replace(true)
 		r.b2 = sliceRemove(r.b2, id)
 		r.t2 = append(r.t2, id)
-		return false, nil
+		return false
 	}
 	// Case IV: completely new page.
 	l1 := len(r.t1) + len(r.b1)
@@ -469,192 +446,5 @@ func (r *refARC) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
 		}
 	}
 	r.t1 = append(r.t1, id)
-	return false, nil
-}
-
-// ---- 2Q ----
-
-// refTwoQ transcribes the full 2Q of Johnson & Shasha with the same
-// Kin/Kout tuning as the production cache.
-type refTwoQ struct {
-	cap, kin, kout  int
-	a1in, a1out, am []cache.ChunkID
-}
-
-func newRefTwoQ(capacity int) *refTwoQ {
-	kin := capacity / 4
-	if kin < 1 && capacity > 0 {
-		kin = 1
-	}
-	kout := capacity / 2
-	if kout < 1 && capacity > 0 {
-		kout = 1
-	}
-	return &refTwoQ{cap: capacity, kin: kin, kout: kout}
-}
-
-func (r *refTwoQ) resident() []cache.ChunkID {
-	return append(append([]cache.ChunkID{}, r.a1in...), r.am...)
-}
-
-func (r *refTwoQ) reclaim() {
-	if len(r.a1in) > r.kin || len(r.am) == 0 {
-		id := r.a1in[0]
-		r.a1in = r.a1in[1:]
-		r.a1out = append(r.a1out, id)
-		if len(r.a1out) > r.kout {
-			r.a1out = r.a1out[1:]
-		}
-	} else {
-		r.am = r.am[1:]
-	}
-}
-
-func (r *refTwoQ) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
-	switch {
-	case sliceHas(r.am, id):
-		r.am = append(sliceRemove(r.am, id), id)
-		return true, nil
-	case sliceHas(r.a1in, id): // probation pages stay in place
-		return true, nil
-	case sliceHas(r.a1out, id): // ghost hit: promote to Am
-		if r.cap == 0 {
-			return false, nil
-		}
-		r.a1out = sliceRemove(r.a1out, id)
-		if len(r.a1in)+len(r.am) >= r.cap {
-			r.reclaim()
-		}
-		r.am = append(r.am, id)
-		return false, nil
-	}
-	if r.cap == 0 {
-		return false, nil
-	}
-	if len(r.a1in)+len(r.am) >= r.cap {
-		r.reclaim()
-	}
-	r.a1in = append(r.a1in, id)
-	return false, nil
-}
-
-// ---- LRU-2 ----
-
-// refLRU2: the victim is the chunk with the oldest second-most-recent
-// access (no-history chunks first), ties by oldest last access.
-type refLRU2 struct {
-	cap     int
-	clock   uint64
-	entries []*refLRU2Entry
-}
-
-type refLRU2Entry struct {
-	id         cache.ChunkID
-	last, prev uint64
-}
-
-func (r *refLRU2) resident() []cache.ChunkID {
-	out := make([]cache.ChunkID, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = e.id
-	}
-	return out
-}
-
-func (r *refLRU2) request(id cache.ChunkID, _ []cache.ChunkID) (bool, error) {
-	r.clock++
-	for _, e := range r.entries {
-		if e.id == id {
-			e.prev = e.last
-			e.last = r.clock
-			return true, nil
-		}
-	}
-	if r.cap == 0 {
-		return false, nil
-	}
-	if len(r.entries) >= r.cap {
-		victim := 0
-		for i, e := range r.entries {
-			v := r.entries[victim]
-			if e.prev < v.prev || (e.prev == v.prev && e.last < v.last) {
-				victim = i
-			}
-		}
-		r.entries = append(r.entries[:victim], r.entries[victim+1:]...)
-	}
-	r.entries = append(r.entries, &refLRU2Entry{id: id, last: r.clock})
-	return false, nil
-}
-
-// ---- LRFU ----
-
-// refLRFU recomputes every resident block's CRF from its stored value
-// and checks that the production policy's victim carries the minimum
-// CRF (within float tolerance) — the one model with genuine
-// tie-freedom, since equal CRFs permit either victim. The observed
-// victim is adopted so the models stay in lockstep.
-type refLRFU struct {
-	cap     int
-	lambda  float64
-	clock   uint64
-	entries []*refLRFUEntry
-}
-
-type refLRFUEntry struct {
-	id   cache.ChunkID
-	crf  float64 // valued at last
-	last uint64
-}
-
-func (r *refLRFU) crfAt(e *refLRFUEntry, now uint64) float64 {
-	return e.crf * math.Pow(0.5, r.lambda*float64(now-e.last))
-}
-
-func (r *refLRFU) resident() []cache.ChunkID {
-	out := make([]cache.ChunkID, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = e.id
-	}
-	return out
-}
-
-func (r *refLRFU) request(id cache.ChunkID, evicted []cache.ChunkID) (bool, error) {
-	r.clock++
-	for _, e := range r.entries {
-		if e.id == id {
-			e.crf = 1 + r.crfAt(e, r.clock)
-			e.last = r.clock
-			return true, nil
-		}
-	}
-	if r.cap == 0 {
-		return false, nil
-	}
-	if len(r.entries) >= r.cap {
-		if len(evicted) != 1 {
-			return false, fmt.Errorf("full LRFU cache evicted %d chunks on a miss, want 1", len(evicted))
-		}
-		minCRF := math.Inf(1)
-		victimIdx := -1
-		for i, e := range r.entries {
-			v := r.crfAt(e, r.clock)
-			if v < minCRF {
-				minCRF = v
-			}
-			if e.id == evicted[0] {
-				victimIdx = i
-			}
-		}
-		if victimIdx < 0 {
-			return false, fmt.Errorf("policy evicted %v which the model does not hold", evicted[0])
-		}
-		got := r.crfAt(r.entries[victimIdx], r.clock)
-		if got > minCRF*(1+1e-9)+1e-12 {
-			return false, fmt.Errorf("policy evicted %v with CRF %g, minimum resident CRF is %g", evicted[0], got, minCRF)
-		}
-		r.entries = append(r.entries[:victimIdx], r.entries[victimIdx+1:]...)
-	}
-	r.entries = append(r.entries, &refLRFUEntry{id: id, crf: 1, last: r.clock})
-	return false, nil
+	return false
 }
