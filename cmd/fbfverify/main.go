@@ -81,6 +81,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("bad -caps: %v", err)
 	}
+	for _, c := range caps {
+		if c < 0 {
+			log.Fatalf("bad -caps: negative capacity %d", c)
+		}
+	}
+	if *chunkSize <= 0 {
+		log.Fatalf("bad -chunk: non-positive size %d", *chunkSize)
+	}
 	// A bad name must fail the run before its first "ok" line, not after
 	// the checks listed ahead of it have passed.
 	if err := cli.CheckCodes(cli.SplitList(*codesFlag), primes); err != nil {

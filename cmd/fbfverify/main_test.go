@@ -78,6 +78,22 @@ func TestBadNameFails(t *testing.T) {
 	}
 }
 
+// TestBadSizeFails pins that a size no check can use fails the run
+// before the first check. -chunk 0 used to pass the stripe sweep (which
+// reads it as 64) and then panic in the engine pass; a negative -caps
+// entry failed only its own cache check, after the ones ahead of it.
+func TestBadSizeFails(t *testing.T) {
+	for _, c := range []struct{ flag, value, want string }{
+		{"chunk", "0", "bad -chunk: non-positive size 0"},
+		{"chunk", "-1", "bad -chunk: non-positive size -1"},
+		{"caps", "1,-1", "bad -caps: negative capacity -1"},
+	} {
+		t.Run(c.flag+"="+c.value, func(t *testing.T) {
+			mustReject(t, c.flag, c.value, c.want)
+		})
+	}
+}
+
 // flipWrite corrupts one byte of the n-th chunk the engine writes. The
 // engine writes a stripe only once it has passed the zero test, so the
 // lie gets past the engine's own check: only the pass's comparison with

@@ -28,22 +28,26 @@ import (
 // is not re-validated, since escalated patterns are exactly the ones a
 // plain partial-stripe error can no longer describe.
 func RegenerateScheme(code *codes.Code, e PartialStripeError, repair, unavailable []grid.Coord, strategy Strategy) (*Scheme, []grid.Coord, error) {
-	lostSet := make(map[grid.Coord]bool, len(repair)+len(unavailable))
-	for _, cells := range [2][]grid.Coord{repair, unavailable} {
-		for _, c := range cells {
+	// Per-call cell sets are dense by code.CellIndex: lost marks
+	// repair ∪ unavailable, shares counts the selected chains fetching
+	// each cell and becomes Priorities once every chain is chosen.
+	cells := code.Layout().Cells()
+	lost := make([]bool, cells)
+	for _, list := range [2][]grid.Coord{repair, unavailable} {
+		for _, c := range list {
 			if !code.Layout().InBounds(c) {
 				return nil, nil, fmt.Errorf("core: cell %v out of bounds", c)
 			}
-			lostSet[c] = true
+			lost[code.CellIndex(c)] = true
 		}
 	}
 
-	scheme := &Scheme{Code: code, Err: e, Strategy: strategy, Priorities: make(map[grid.Coord]int)}
-	planned := make(map[grid.Coord]bool) // chunks already scheduled for fetch
-	var decode []grid.Coord              // repair cells with no usable single chain
+	scheme := &Scheme{Code: code, Err: e, Strategy: strategy, Selected: make([]SelectedChain, 0, len(repair))}
+	shares := make([]int, cells)
+	var decode []grid.Coord // repair cells with no usable single chain
 
 	for k, cell := range repair {
-		chosen, err := chainFor(code, lostSet, planned, cell, k, strategy)
+		chosen, err := chainFor(code, lost, shares, cell, k, strategy)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -51,18 +55,21 @@ func RegenerateScheme(code *codes.Code, e PartialStripeError, repair, unavailabl
 			decode = append(decode, cell)
 			continue
 		}
-		scheme.addChain(cell, chosen, planned)
+		scheme.addChain(cell, chosen, shares)
 	}
 	if len(decode) == 0 {
+		scheme.Priorities = priorities(code, shares)
 		return scheme, nil, nil
 	}
 
 	// The decoder must treat every erased cell as unknown, not just the
 	// ones being repaired, or it would express repairs in terms of
 	// unreadable cells.
-	allLost := make([]grid.Coord, 0, len(lostSet))
-	for c := range lostSet {
-		allLost = append(allLost, c)
+	allLost := make([]grid.Coord, 0, len(repair)+len(unavailable))
+	for i, l := range lost {
+		if l {
+			allLost = append(allLost, code.CoordOf(i))
+		}
 	}
 	sortCoords(allLost)
 	d, err := code.DecodeSchedule(allLost)
@@ -70,17 +77,36 @@ func RegenerateScheme(code *codes.Code, e PartialStripeError, repair, unavailabl
 		return nil, nil, err
 	}
 	scheme.Decode = d
-	var lost []grid.Coord
+	var unsolved []grid.Coord
 	for _, cell := range decode {
 		fetch, solved := d.Plan[cell]
 		if !solved {
-			lost = append(lost, cell)
+			unsolved = append(unsolved, cell)
 			continue
 		}
 		for _, m := range fetch {
-			scheme.Priorities[m]++
+			shares[code.CellIndex(m)]++
 		}
 		scheme.Selected = append(scheme.Selected, SelectedChain{Lost: cell, Fetch: fetch, Decoded: true})
 	}
-	return scheme, lost, nil
+	scheme.Priorities = priorities(code, shares)
+	return scheme, unsolved, nil
+}
+
+// priorities turns per-cell share counts into the priority dictionary,
+// sized once.
+func priorities(code *codes.Code, shares []int) map[grid.Coord]int {
+	n := 0
+	for _, s := range shares {
+		if s > 0 {
+			n++
+		}
+	}
+	out := make(map[grid.Coord]int, n)
+	for i, s := range shares {
+		if s > 0 {
+			out[code.CoordOf(i)] = s
+		}
+	}
+	return out
 }

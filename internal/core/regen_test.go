@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"maps"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -129,4 +131,133 @@ func TestRegenerateRejectsOutOfBounds(t *testing.T) {
 	if _, _, err := core.RegenerateScheme(c, e, []grid.Coord{{Row: 0, Col: 0}}, nil, core.Strategy(9)); err == nil {
 		t.Error("invalid strategy accepted")
 	}
+}
+
+// TestGenerateSchemeAllocs pins scheme generation's allocations at p=13
+// on the error BenchmarkSchemeGen times. Its per-call cell sets are
+// slices indexed by CellIndex and Priorities is sized once; hashed cell
+// sets that grow per call took 32 allocations here.
+func TestGenerateSchemeAllocs(t *testing.T) {
+	const maxAllocs = 15
+	for _, name := range codes.Names() {
+		c := codes.MustNew(name, 13)
+		e := core.PartialStripeError{Disk: 0, Row: 0, Size: max(c.Rows()/2, 1)}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := core.GenerateScheme(c, e, core.StrategyLooped); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > maxAllocs {
+			t.Errorf("%s: GenerateScheme allocates %v objects, want ≤ %d", name, allocs, maxAllocs)
+		}
+	}
+}
+
+// checkSchemeBookkeeping checks what RegenerateScheme derives from its
+// selections: Priorities is the recount of the Fetch lists, Decode is
+// nil when every repair cell kept a single chain, and otherwise it is
+// the decode of the sorted erased set, whose Plan each Decoded
+// selection fetches. It reports whether the scheme decoded any cell.
+func checkSchemeBookkeeping(t *testing.T, c *codes.Code, s *core.Scheme, repair, unavailable []grid.Coord) bool {
+	t.Helper()
+	recount := map[grid.Coord]int{}
+	decoded := false
+	for _, sel := range s.Selected {
+		for _, m := range sel.Fetch {
+			recount[m]++
+		}
+		if sel.Decoded {
+			decoded = true
+			if !slices.Equal(sel.Fetch, s.Decode.Plan[sel.Lost]) {
+				t.Errorf("cell %v fetches %v, its decode plan lists %v", sel.Lost, sel.Fetch, s.Decode.Plan[sel.Lost])
+			}
+		}
+	}
+	if !maps.Equal(s.Priorities, recount) {
+		t.Errorf("Priorities %v, recount of the fetch lists %v", s.Priorities, recount)
+	}
+	if !decoded {
+		if s.Decode != nil {
+			t.Error("a scheme of single chains carries a decode")
+		}
+		return false
+	}
+	erased := slices.Concat(repair, unavailable)
+	slices.SortFunc(erased, func(a, b grid.Coord) int {
+		if a.Less(b) {
+			return -1
+		}
+		if b.Less(a) {
+			return 1
+		}
+		return 0
+	})
+	want, err := c.DecodeSchedule(slices.Compact(erased))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s.Decode, want) {
+		t.Error("Decode differs from the decode of the sorted erased set")
+	}
+	return true
+}
+
+// TestSchemeBookkeepingSweep runs checkSchemeBookkeeping over every
+// single-disk run (GenerateScheme) and every one- and two-disk kill
+// (RegenerateScheme, the second disk repaired or only unavailable) on
+// the four codes at p ∈ {5, 7} under every strategy; some two-disk kills
+// must take the decoder.
+func TestSchemeBookkeepingSweep(t *testing.T) {
+	strategies := []core.Strategy{core.StrategyTypical, core.StrategyLooped, core.StrategyGreedy}
+	decoded := 0
+	for _, name := range codes.Names() {
+		for _, p := range []int{5, 7} {
+			c := codes.MustNew(name, p)
+			for _, strategy := range strategies {
+				for disk := 0; disk < c.Disks(); disk++ {
+					for row := 0; row < c.Rows(); row++ {
+						for size := 1; row+size <= c.Rows() && size <= p-1; size++ {
+							e := core.PartialStripeError{Disk: disk, Row: row, Size: size}
+							s, err := core.GenerateScheme(c, e, strategy)
+							if err != nil {
+								t.Fatalf("%v %v %v: %v", c, strategy, e, err)
+							}
+							if checkSchemeBookkeeping(t, c, s, e.LostCells(), nil) {
+								t.Errorf("%v %v %v: a partial stripe error took the decoder", c, strategy, e)
+							}
+						}
+					}
+				}
+				e := core.PartialStripeError{Size: 1}
+				for a := 0; a < c.Disks(); a++ {
+					s, _, err := core.RegenerateScheme(c, e, column(c, a), nil, strategy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if checkSchemeBookkeeping(t, c, s, column(c, a), nil) {
+						decoded++
+					}
+					for b := a + 1; b < c.Disks(); b++ {
+						both := slices.Concat(column(c, a), column(c, b))
+						for _, k := range []struct{ repair, unavailable []grid.Coord }{
+							{both, nil},
+							{column(c, a), column(c, b)},
+						} {
+							s, _, err := core.RegenerateScheme(c, e, k.repair, k.unavailable, strategy)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if checkSchemeBookkeeping(t, c, s, k.repair, k.unavailable) {
+								decoded++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if decoded == 0 {
+		t.Error("no kill took the decoder")
+	}
+	t.Logf("%d kills took the decoder", decoded)
 }

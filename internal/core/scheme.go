@@ -112,9 +112,11 @@ func GenerateScheme(code *codes.Code, e PartialStripeError, strategy Strategy) (
 
 // chainFor picks the repair chain for one lost cell under the strategy
 // (k is the cell's ordinal among the cells being repaired, which the
-// looping strategy cycles on). It returns nil when no single chain can
-// rebuild the cell — every chain through it holds another lost cell.
-func chainFor(code *codes.Code, lostSet, planned map[grid.Coord]bool, cell grid.Coord, k int, strategy Strategy) (*grid.Chain, error) {
+// looping strategy cycles on). lost and shares are indexed by
+// code.CellIndex; shares counts the chains already scheduled to fetch
+// each cell. It returns nil when no single chain can rebuild the cell —
+// every chain through it holds another lost cell.
+func chainFor(code *codes.Code, lost []bool, shares []int, cell grid.Coord, k int, strategy Strategy) (*grid.Chain, error) {
 	// usable returns the chain of the given kind through cell, provided
 	// it contains no other lost cell (a chain with two erasures cannot
 	// rebuild either on its own).
@@ -124,7 +126,7 @@ func chainFor(code *codes.Code, lostSet, planned map[grid.Coord]bool, cell grid.
 			return nil, false
 		}
 		for _, m := range ch.Cells {
-			if m != cell && lostSet[m] {
+			if m != cell && lost[code.CellIndex(m)] {
 				return nil, false
 			}
 		}
@@ -158,7 +160,7 @@ func chainFor(code *codes.Code, lostSet, planned map[grid.Coord]bool, cell grid.
 				if m == cell {
 					continue
 				}
-				if planned[m] {
+				if shares[code.CellIndex(m)] > 0 {
 					overlap++
 				} else {
 					fresh++
@@ -177,17 +179,16 @@ func chainFor(code *codes.Code, lostSet, planned map[grid.Coord]bool, cell grid.
 	return nil, nil
 }
 
-// addChain appends one chain selection to the scheme, updating the
-// priority dictionary and the planned-fetch set.
-func (s *Scheme) addChain(cell grid.Coord, ch *grid.Chain, planned map[grid.Coord]bool) {
+// addChain appends one chain selection to the scheme and counts it
+// against each cell it fetches (shares, indexed by Code.CellIndex).
+func (s *Scheme) addChain(cell grid.Coord, ch *grid.Chain, shares []int) {
 	fetch := make([]grid.Coord, 0, len(ch.Cells)-1)
 	for _, m := range ch.Cells {
 		if m == cell {
 			continue
 		}
 		fetch = append(fetch, m)
-		s.Priorities[m]++
-		planned[m] = true
+		shares[s.Code.CellIndex(m)]++
 	}
 	s.Selected = append(s.Selected, SelectedChain{Lost: cell, Chain: ch.ID(), Fetch: fetch})
 }
