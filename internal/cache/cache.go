@@ -68,10 +68,9 @@ type Policy interface {
 }
 
 // PriorityAware is implemented by policies (FBF) that consult the
-// priority dictionary produced by recovery-scheme generation. Engines
-// call SetPriorities before replaying a recovery task's requests;
-// policies that do not implement this interface simply ignore
-// priorities.
+// priority dictionary of recovery-scheme generation, installed before a
+// task's requests replay (DOR's merged dictionary, the cache checker; SOR
+// uses core.FBF.SetScheme instead). Other policies ignore priorities.
 type PriorityAware interface {
 	SetPriorities(priorities map[ChunkID]int)
 }

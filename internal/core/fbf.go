@@ -18,33 +18,39 @@ import (
 // victims come from Queue1 first, then Queue2, then Queue3; each queue
 // is LRU internally.
 //
-// FBF implements cache.Policy and cache.PriorityAware; engines install
-// each recovery task's priority dictionary via SetPriorities before
-// replaying its requests.
+// FBF implements cache.Policy and cache.PriorityAware. The simulator's
+// SOR worker installs each recovery task's priorities with SetScheme;
+// callers whose dictionary spans schemes or is built by hand (DOR, the
+// cache checker, the examples) use SetPriorities.
 type FBF struct {
-	capacity   int
-	stats      cache.Stats
-	priorities map[cache.ChunkID]int
-	queues     [3]ds.List[cache.ChunkID] // [0] = Queue1 ... [2] = Queue3
-	index      map[cache.ChunkID]*fbfEntry
+	capacity int
+	stats    cache.Stats
+	prio     interface{ priority(cache.ChunkID) int } // share count, 0 if none
+	queues   [3]ds.List[fbfEntry]                     // [0] = Queue1 ... [2] = Queue3
+	index    map[cache.ChunkID]*ds.Node[fbfEntry]
 
-	// free recycles evicted entries together with their list nodes, so
-	// a full cache churns through misses without allocating.
-	free []*fbfEntry
+	// free recycles evicted list nodes, so a full cache churns through
+	// misses without allocating.
+	free []*ds.Node[fbfEntry]
 }
 
 type fbfEntry struct {
+	id    cache.ChunkID
 	queue int // 0-based queue index
-	node  *ds.Node[cache.ChunkID]
 }
 
+// dictionary is the lookup SetPriorities installs.
+type dictionary map[cache.ChunkID]int
+
+func (d dictionary) priority(id cache.ChunkID) int { return d[id] }
+
 // NewFBF returns an FBF cache holding up to capacity chunks. Until
-// SetPriorities is called every chunk defaults to priority 1.
+// priorities are installed every chunk defaults to priority 1.
 func NewFBF(capacity int) *FBF {
 	return &FBF{
-		capacity:   capacity,
-		priorities: map[cache.ChunkID]int{},
-		index:      make(map[cache.ChunkID]*fbfEntry),
+		capacity: capacity,
+		prio:     dictionary(nil),
+		index:    make(map[cache.ChunkID]*ds.Node[fbfEntry]),
 	}
 }
 
@@ -77,28 +83,31 @@ func (f *FBF) Stats() cache.Stats { return f.stats }
 // already-resident chunks are left as their current queue positions (the
 // paper demotes on use rather than re-promoting).
 func (f *FBF) SetPriorities(priorities map[cache.ChunkID]int) {
-	if priorities == nil {
-		priorities = map[cache.ChunkID]int{}
-	}
-	f.priorities = priorities
+	f.prio = dictionary(priorities)
 }
+
+// SetScheme installs s's priorities (s must not be nil) as
+// SetPriorities(s.PriorityIDs()) would, reading the scheme's share counts
+// by cell index instead of building the map. It reads the counts as
+// RegenerateScheme produced them, so s.Priorities must not be edited.
+func (f *FBF) SetScheme(s *Scheme) { f.prio = s }
 
 // priorityOf returns the clamped FBF priority (1..3) for a chunk.
 func (f *FBF) priorityOf(id cache.ChunkID) int {
-	return clampPriority(f.priorities[id])
+	return clampPriority(f.prio.priority(id))
 }
 
 // Request implements cache.Policy, following Algorithm 1.
 func (f *FBF) Request(id cache.ChunkID) bool {
-	if e, ok := f.index[id]; ok {
+	if n, ok := f.index[id]; ok {
 		f.stats.Hits++
-		switch e.queue {
+		switch q := n.Val.queue; q {
 		case 2, 1: // Queue3 → Queue2, Queue2 → Queue1: demote.
-			f.queues[e.queue].Remove(e.node)
-			e.queue--
-			f.queues[e.queue].PushBackNode(e.node)
+			f.queues[q].Remove(n)
+			n.Val.queue--
+			f.queues[q-1].PushBackNode(n)
 		default: // Queue1: refresh recency (PushToEnd).
-			f.queues[0].MoveToBack(e.node)
+			f.queues[0].MoveToBack(n)
 		}
 		return true
 	}
@@ -110,17 +119,16 @@ func (f *FBF) Request(id cache.ChunkID) bool {
 		f.evict()
 	}
 	q := f.priorityOf(id) - 1
-	var e *fbfEntry
+	var n *ds.Node[fbfEntry]
 	if k := len(f.free); k > 0 {
-		e = f.free[k-1]
+		n = f.free[k-1]
 		f.free = f.free[:k-1]
 	} else {
-		e = &fbfEntry{node: &ds.Node[cache.ChunkID]{}}
+		n = &ds.Node[fbfEntry]{}
 	}
-	e.queue = q
-	e.node.Val = id
-	f.queues[q].PushBackNode(e.node)
-	f.index[id] = e
+	n.Val = fbfEntry{id: id, queue: q}
+	f.queues[q].PushBackNode(n)
+	f.index[id] = n
 	return false
 }
 
@@ -130,9 +138,8 @@ func (f *FBF) evict() {
 	for q := 0; q < 3; q++ {
 		if n := f.queues[q].Front(); n != nil {
 			f.queues[q].Remove(n)
-			e := f.index[n.Val]
-			delete(f.index, n.Val)
-			f.free = append(f.free, e)
+			delete(f.index, n.Val.id)
+			f.free = append(f.free, n)
 			f.stats.Evictions++
 			return
 		}
@@ -153,7 +160,7 @@ func (f *FBF) QueueLen(queue int) int { return f.queues[queue-1].Len() }
 func (f *FBF) QueueContents(queue int) []cache.ChunkID {
 	var out []cache.ChunkID
 	for n := f.queues[queue-1].Front(); n != nil; n = n.Next() {
-		out = append(out, n.Val)
+		out = append(out, n.Val.id)
 	}
 	return out
 }

@@ -58,7 +58,7 @@ func RegenerateScheme(code *codes.Code, e PartialStripeError, repair, unavailabl
 		scheme.addChain(cell, chosen, shares)
 	}
 	if len(decode) == 0 {
-		scheme.Priorities = priorities(code, shares)
+		scheme.setShares(shares)
 		return scheme, nil, nil
 	}
 
@@ -89,24 +89,24 @@ func RegenerateScheme(code *codes.Code, e PartialStripeError, repair, unavailabl
 		}
 		scheme.Selected = append(scheme.Selected, SelectedChain{Lost: cell, Fetch: fetch, Decoded: true})
 	}
-	scheme.Priorities = priorities(code, shares)
+	scheme.setShares(shares)
 	return scheme, unsolved, nil
 }
 
-// priorities turns per-cell share counts into the priority dictionary,
-// sized once.
-func priorities(code *codes.Code, shares []int) map[grid.Coord]int {
+// setShares keeps the per-cell share counts, once every selection is
+// counted, and turns them into the priority dictionary, sized once.
+func (s *Scheme) setShares(shares []int) {
 	n := 0
-	for _, s := range shares {
-		if s > 0 {
+	for _, c := range shares {
+		if c > 0 {
 			n++
 		}
 	}
-	out := make(map[grid.Coord]int, n)
-	for i, s := range shares {
-		if s > 0 {
-			out[code.CoordOf(i)] = s
+	s.shares = shares
+	s.Priorities = make(map[grid.Coord]int, n)
+	for i, c := range shares {
+		if c > 0 {
+			s.Priorities[s.Code.CoordOf(i)] = c
 		}
 	}
-	return out
 }

@@ -82,8 +82,13 @@ type Scheme struct {
 
 	// Priorities maps each fetched chunk to the number of selected
 	// chains that share it (1, 2 or 3+). Chunks shared by more chains
-	// save more re-reads and get higher cache priority.
+	// save more re-reads and get higher cache priority. FBF.SetScheme
+	// reads shares instead; the map stays for callers that merge or
+	// range over the dictionary (PriorityIDs, DOR, reports, benchmark).
+	// Read-only: SetScheme reads the counts as RegenerateScheme made them,
+	// so an edit here reaches SetPriorities(PriorityIDs()) but not it.
 	Priorities map[grid.Coord]int
+	shares     []int // Priorities' counts by Code.CellIndex, 0 if none
 
 	// Decode is the GF(2) decode of the whole erased set behind the
 	// Decoded selections (codes.DecodeSchedule; their Fetch lists are its
@@ -225,6 +230,15 @@ func (s *Scheme) PriorityIDs() map[cache.ChunkID]int {
 		out[cache.ChunkID{Stripe: s.Err.Stripe, Cell: cell}] = pr
 	}
 	return out
+}
+
+// priority is PriorityIDs()[id] without the map, FBF's lookup after
+// SetScheme: 0 for a chunk on another stripe or outside the layout.
+func (s *Scheme) priority(id cache.ChunkID) int {
+	if id.Stripe != s.Err.Stripe || !s.Code.Layout().InBounds(id.Cell) {
+		return 0
+	}
+	return s.shares[s.Code.CellIndex(id.Cell)]
 }
 
 // UniqueFetches returns the number of distinct chunks the scheme reads —

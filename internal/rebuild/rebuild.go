@@ -551,8 +551,8 @@ func (w *worker) nextGroup() {
 	// replay starts.
 	w.scheme = scheme
 	w.chainIdx = 0
-	if pa, ok := w.cache.(cache.PriorityAware); ok {
-		pa.SetPriorities(scheme.PriorityIDs())
+	if f, ok := w.cache.(*core.FBF); ok {
+		f.SetScheme(scheme) // the same priorities as PriorityIDs, no map
 	}
 	if fa, ok := w.cache.(cache.FutureAware); ok {
 		fa.SetFuture(scheme.RequestIDs())
