@@ -27,7 +27,7 @@ type FBF struct {
 	stats    cache.Stats
 	prio     interface{ priority(cache.ChunkID) int } // share count, 0 if none
 	queues   [3]ds.List[fbfEntry]                     // [0] = Queue1 ... [2] = Queue3
-	index    map[cache.ChunkID]*ds.Node[fbfEntry]
+	index    fbfIndex
 
 	// free recycles evicted list nodes, so a full cache churns through
 	// misses without allocating.
@@ -50,7 +50,6 @@ func NewFBF(capacity int) *FBF {
 	return &FBF{
 		capacity: capacity,
 		prio:     dictionary(nil),
-		index:    make(map[cache.ChunkID]*ds.Node[fbfEntry]),
 	}
 }
 
@@ -70,10 +69,10 @@ func (f *FBF) Name() string { return "fbf" }
 func (f *FBF) Capacity() int { return f.capacity }
 
 // Len implements cache.Policy.
-func (f *FBF) Len() int { return len(f.index) }
+func (f *FBF) Len() int { return f.index.n }
 
 // Contains implements cache.Policy.
-func (f *FBF) Contains(id cache.ChunkID) bool { _, ok := f.index[id]; return ok }
+func (f *FBF) Contains(id cache.ChunkID) bool { return f.index.get(id) != nil }
 
 // Stats implements cache.Policy.
 func (f *FBF) Stats() cache.Stats { return f.stats }
@@ -99,7 +98,7 @@ func (f *FBF) priorityOf(id cache.ChunkID) int {
 
 // Request implements cache.Policy, following Algorithm 1.
 func (f *FBF) Request(id cache.ChunkID) bool {
-	if n, ok := f.index[id]; ok {
+	if n := f.index.get(id); n != nil {
 		f.stats.Hits++
 		switch q := n.Val.queue; q {
 		case 2, 1: // Queue3 → Queue2, Queue2 → Queue1: demote.
@@ -115,7 +114,7 @@ func (f *FBF) Request(id cache.ChunkID) bool {
 	if f.capacity == 0 {
 		return false
 	}
-	if len(f.index) >= f.capacity {
+	if f.index.n >= f.capacity {
 		f.evict()
 	}
 	q := f.priorityOf(id) - 1
@@ -128,7 +127,7 @@ func (f *FBF) Request(id cache.ChunkID) bool {
 	}
 	n.Val = fbfEntry{id: id, queue: q}
 	f.queues[q].PushBackNode(n)
-	f.index[id] = n
+	f.index.put(n)
 	return false
 }
 
@@ -138,12 +137,90 @@ func (f *FBF) evict() {
 	for q := 0; q < 3; q++ {
 		if n := f.queues[q].Front(); n != nil {
 			f.queues[q].Remove(n)
-			delete(f.index, n.Val.id)
+			f.index.remove(n)
 			f.free = append(f.free, n)
 			f.stats.Evictions++
 			return
 		}
 	}
+}
+
+// fbfIndex maps a resident chunk to its list node. It is an
+// open-addressing table of node pointers: linear probing over a
+// power-of-two number of slots, doubled when it would pass half load,
+// and backward-shift deletion, so no slot ever holds a tombstone. The
+// zero value is an empty index.
+type fbfIndex struct {
+	slots []*ds.Node[fbfEntry]
+	n     int // resident nodes
+}
+
+// home returns id's first probe slot: a multiplicative hash of
+// (stripe, row, col), top bits taken as the slot.
+func (x *fbfIndex) home(id cache.ChunkID) int {
+	h := uint64(id.Stripe)*0x9e3779b97f4a7c15 ^ uint64(id.Cell.Row)*0xc2b2ae3d27d4eb4f ^ uint64(id.Cell.Col)*0x165667b19e3779f9
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15
+	return int(h>>32) & (len(x.slots) - 1)
+}
+
+// get returns id's node, or nil when id is not resident.
+func (x *fbfIndex) get(id cache.ChunkID) *ds.Node[fbfEntry] {
+	if x.n == 0 {
+		return nil
+	}
+	mask := len(x.slots) - 1
+	for i := x.home(id); ; i = (i + 1) & mask {
+		n := x.slots[i]
+		if n == nil || n.Val.id == id {
+			return n
+		}
+	}
+}
+
+// put adds n, whose id must not be resident.
+func (x *fbfIndex) put(n *ds.Node[fbfEntry]) {
+	if 2*(x.n+1) > len(x.slots) {
+		old := x.slots
+		x.slots = make([]*ds.Node[fbfEntry], max(8, 2*len(old)))
+		for _, m := range old {
+			if m != nil {
+				x.insert(m)
+			}
+		}
+	}
+	x.insert(n)
+	x.n++
+}
+
+// insert places n in the first free slot of its probe sequence.
+func (x *fbfIndex) insert(n *ds.Node[fbfEntry]) {
+	mask := len(x.slots) - 1
+	i := x.home(n.Val.id)
+	for x.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = n
+}
+
+// remove deletes the resident node n. Each later node of the probe run
+// that may live in the freed slot (its home is not cyclically after the
+// slot) moves back into it, and the slot it left is freed in turn, so
+// every node stays reachable from its home without tombstones.
+func (x *fbfIndex) remove(n *ds.Node[fbfEntry]) {
+	mask := len(x.slots) - 1
+	i := x.home(n.Val.id)
+	for x.slots[i] != n {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; x.slots[j] != nil; j = (j + 1) & mask {
+		if (j-x.home(x.slots[j].Val.id))&mask >= (j-i)&mask {
+			x.slots[i] = x.slots[j]
+			i = j
+		}
+	}
+	x.slots[i] = nil
+	x.n--
 }
 
 // Reset implements cache.Policy.

@@ -178,8 +178,12 @@ type Result struct {
 	SumResponse   sim.Time // summed per-request response time
 	Makespan      sim.Time // total reconstruction time
 
-	SchemeGenWall time.Duration // wall time spent generating schemes
-	XORChunks     uint64        // chunks folded into XOR accumulators
+	// SchemeGenWall is the summed wall time of every group's scheme
+	// generation: each scheme's own time.Since, measured around
+	// core.GenerateScheme (SOR: on the run's scheme producer, beside the
+	// event loop; DOR: inline).
+	SchemeGenWall time.Duration
+	XORChunks     uint64 // chunks folded into XOR accumulators
 
 	// Online-recovery metrics (zero unless Config.App was set). The
 	// application requests share the workers' caches, so Cache above
@@ -272,7 +276,9 @@ func cachePartition(total, n int) []int {
 // this invariant to run one generated trace through many concurrent
 // policy/size runs; anything added to the engine or the code type must
 // preserve it (internal/rebuild's concurrency test runs under -race to
-// keep it honest).
+// keep it honest). A SOR run also reads both from one scheme producer
+// goroutine of its own (schemes.go), which Run joins before it returns
+// or panics.
 func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
@@ -306,7 +312,10 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		return runDOR(cfg, s, array, errors)
 	}
 
-	e := &engine{cfg: cfg, sim: s, array: array, groups: errors, stripeOwner: make(map[int]int), tr: cfg.Tracer}
+	e := &engine{cfg: cfg, sim: s, array: array, groups: errors, tr: cfg.Tracer}
+	if cfg.App != nil {
+		e.stripeOwner = make(map[int]int)
+	}
 	workers := cfg.Workers
 	if workers > len(errors) && len(errors) > 0 {
 		workers = len(errors)
@@ -340,6 +349,8 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		cfg.Metrics.Sample(0)
 		s.Tick(interval, func(now sim.Time) { cfg.Metrics.Sample(now) })
 	}
+	e.schemes = startSchemes(cfg.Code, cfg.Strategy, errors)
+	defer e.schemes.stop()
 	s.Run()
 
 	res := &Result{
@@ -387,6 +398,10 @@ type engine struct {
 	groups []core.PartialStripeError
 	next   int
 
+	// schemes delivers each group's scheme in trace order, generated
+	// ahead of the event loop.
+	schemes *schemeFeed
+
 	workers       []*worker
 	totalRequests uint64
 	sumResponse   sim.Time
@@ -400,7 +415,7 @@ type engine struct {
 	appMisses      uint64
 	appSumResponse sim.Time
 	appEvictions   uint64
-	stripeOwner    map[int]int // stripe -> worker id that repaired it
+	stripeOwner    map[int]int // stripe -> worker id that repaired it; Config.App only
 
 	// Observability (nil unless Config.Tracer / Config.Metrics was set).
 	tr          obs.Tracer
@@ -535,18 +550,20 @@ func (w *worker) nextGroup() {
 	}
 	group := e.groups[e.next]
 	e.next++
-	e.stripeOwner[group.Stripe] = w.id
+	if e.stripeOwner != nil {
+		e.stripeOwner[group.Stripe] = w.id
+	}
 	if e.tr != nil {
 		w.obsGroupStart = e.sim.Now()
 	}
 
-	start := time.Now()
-	scheme, err := core.GenerateScheme(e.cfg.Code, group, e.cfg.Strategy)
-	e.schemeWall += time.Since(start)
-	if err != nil {
+	g := e.schemes.next()
+	e.schemeWall += g.wall
+	if g.err != nil {
 		// Validated upfront; a failure here is a bug worth surfacing.
-		panic(fmt.Sprintf("rebuild: scheme generation failed mid-run: %v", err))
+		panic(fmt.Sprintf("rebuild: scheme generation failed mid-run: %v", g.err))
 	}
+	scheme := g.scheme
 	// Priorities and future knowledge go into the cache, then chain
 	// replay starts.
 	w.scheme = scheme
