@@ -17,8 +17,8 @@ import (
 // sees identical workloads, as in the experiments package.
 var benchTraces = map[string][]fbf.PartialStripeError{}
 
-func benchTrace(b *testing.B, code *fbf.Code, groups int) []fbf.PartialStripeError {
-	b.Helper()
+func benchTrace(tb testing.TB, code *fbf.Code, groups int) []fbf.PartialStripeError {
+	tb.Helper()
 	key := fmt.Sprintf("%s-%d", code, groups)
 	if t, ok := benchTraces[key]; ok {
 		return t
@@ -27,7 +27,7 @@ func benchTrace(b *testing.B, code *fbf.Code, groups int) []fbf.PartialStripeErr
 		Groups: groups, Stripes: 1 << 13, Seed: 1, Disk: -1,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	benchTraces[key] = t
 	return t

@@ -56,6 +56,10 @@ func main() {
 	if err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}
+	// A truncated capture must not read as an idle run.
+	if len(events) == 0 {
+		log.Fatalf("%s: no events", path)
+	}
 	if err := obs.Validate(events); err != nil {
 		log.Fatalf("%s: %v", path, err)
 	}

@@ -33,8 +33,22 @@ func main() {
 	flag.Parse()
 
 	primes, err := cli.ParseInts(*primesFlag)
-	if err != nil {
+	codeNames := cli.SplitList(*codesFlag)
+	// An empty list would check nothing, and the run would still pass.
+	switch {
+	case err != nil:
 		log.Fatalf("bad -p: %v", err)
+	case len(primes) == 0:
+		log.Fatal("bad -p: empty list")
+	case len(codeNames) == 0:
+		log.Fatal("bad -codes: empty list")
+	case *budget < 0:
+		log.Fatalf("bad -budget: negative budget %d", *budget)
+	}
+	// A bad name must fail the run before its first line, not after the
+	// codes listed ahead of it have been checked.
+	if err := cli.CheckCodes(codeNames, primes); err != nil && !*search {
+		log.Fatal(err)
 	}
 
 	okAll := true
@@ -52,15 +66,8 @@ func main() {
 			}
 			continue
 		}
-		for _, name := range strings.Split(*codesFlag, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			code, err := codes.New(name, p)
-			if err != nil {
-				log.Fatalf("%s(p=%d): %v", name, p, err)
-			}
+		for _, name := range codeNames {
+			code := codes.MustNew(name, p)
 			start := time.Now()
 			ok, total, failing := code.TripleFaultCoverage()
 			status := "FULL"

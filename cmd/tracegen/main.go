@@ -38,6 +38,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("bad -dist: %v", err)
 	}
+	// Only the fixed distribution reads -size; any other would ignore it.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "size" && dist != trace.SizeFixed {
+			log.Fatalf("bad -size: only -dist fixed uses it, not -dist %s", dist)
+		}
+	})
 	errors, err := trace.Generate(code, trace.Config{
 		Groups:    *groups,
 		Stripes:   *stripes,
