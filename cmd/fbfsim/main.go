@@ -54,6 +54,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fbfsim: ")
 
+	params := experiments.DefaultParams()
 	figFlag := flag.Int("fig", 0, "figure to regenerate (8, 9, 10 or 11)")
 	tableFlag := flag.Int("table", 0, "table to regenerate (4 or 5)")
 	ablation := flag.Bool("ablation", false, "run the chain-selection scheme ablation")
@@ -63,9 +64,9 @@ func main() {
 	primesFlag := flag.String("p", "", "comma-separated primes (default: per-figure paper values)")
 	policiesFlag := flag.String("policies", "", "comma-separated cache policies (default: paper's five)")
 	sizesFlag := flag.String("sizes", "", "comma-separated cache sizes in MB (default: paper's sweep)")
-	groups := flag.Int("groups", 0, "error groups per run (default 256)")
-	workers := flag.Int("workers", 0, "parallel recovery processes (default 128)")
-	stripes := flag.Int("stripes", 0, "stripes on the array (default 16384)")
+	groups := flag.Int("groups", params.Groups, "error groups per run")
+	workers := flag.Int("workers", params.Workers, "parallel recovery processes")
+	stripes := flag.Int("stripes", params.Stripes, "stripes on the array")
 	seed := flag.Int64("seed", 1, "trace RNG seed")
 	strategyFlag := flag.String("strategy", "looped", "chain-selection strategy (typical, looped, greedy)")
 	distFlag := flag.String("dist", "uniform", "error-size distribution (uniform, fixed, geometric)")
@@ -80,7 +81,6 @@ func main() {
 	pprofMem := flag.String("pprof-mem", "", "write a heap profile at exit here")
 	flag.Parse()
 
-	params := experiments.DefaultParams()
 	params.Seed = *seed
 	if *parallel < 0 {
 		log.Fatalf("bad -parallel %d: must be >= 0", *parallel)
@@ -94,15 +94,7 @@ func main() {
 			}
 		}
 	}
-	if *groups > 0 {
-		params.Groups = *groups
-	}
-	if *workers > 0 {
-		params.Workers = *workers
-	}
-	if *stripes > 0 {
-		params.Stripes = *stripes
-	}
+	params.Groups, params.Workers, params.Stripes = *groups, *workers, *stripes
 	if *codesFlag != "" {
 		params.Codes = cli.SplitList(*codesFlag)
 	}
@@ -136,6 +128,14 @@ func main() {
 	// truncates it, and a rejected run must leave old outputs alone.
 	if *metricsInterval <= 0 {
 		log.Fatalf("bad -metrics-interval %v: must be > 0 ms", *metricsInterval)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"groups", *groups}, {"workers", *workers}, {"stripes", *stripes}} {
+		if f.v <= 0 {
+			log.Fatalf("bad -%s %d: must be > 0", f.name, f.v)
+		}
 	}
 	if *figFlag != 0 && !slices.Contains([]int{8, 9, 10, 11}, *figFlag) {
 		log.Fatalf("unknown figure %d (have 8, 9, 10, 11)", *figFlag)

@@ -33,7 +33,8 @@ func TestMain(m *testing.M) {
 // element after the outputs were created. An unknown code, policy or
 // prime is another: the run used to find it only when it built the
 // code or the cache. An unknown figure or table is a third: the run used
-// to find it only when it came to draw one.
+// to find it only when it came to draw one. A size of zero or less is a
+// fourth: the run used to drop it and simulate the default instead.
 func TestBadFlagLeavesOutputsAlone(t *testing.T) {
 	cases := []struct {
 		out  string // output flag pointed at the old file
@@ -41,6 +42,9 @@ func TestBadFlagLeavesOutputsAlone(t *testing.T) {
 		want string
 	}{
 		{"trace-out", []string{"-metrics-interval", "0"}, "bad -metrics-interval 0"},
+		{"trace-out", []string{"-groups", "-5"}, "bad -groups -5: must be > 0"},
+		{"metrics-out", []string{"-workers", "-3"}, "bad -workers -3: must be > 0"},
+		{"trace-jsonl", []string{"-stripes", "0"}, "bad -stripes 0: must be > 0"},
 		{"trace-jsonl", []string{"-codes", ","}, "bad -codes: empty list"},
 		{"trace-jsonl", []string{"-p", ","}, "bad -p: empty list"},
 		{"trace-jsonl", []string{"-policies", ","}, "bad -policies: empty list"},

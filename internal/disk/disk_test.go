@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"math/rand"
 	"testing"
 
 	"fbf/internal/grid"
@@ -142,6 +143,89 @@ func TestFIFOServesArrivalOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("FIFO order = %v", order)
 		}
+	}
+}
+
+// TestFIFOHeadIndexMatchesReference drives one disk through bursts of
+// submissions interleaved with completions, so its queue backs up,
+// fills its slice with served slots and compacts more than once, and
+// checks it against a plain-slice reference of a FIFO single server:
+// requests complete in arrival order at the reference's times, and
+// InFlight and QueueTime agree at every step.
+func TestFIFOHeadIndexMatchesReference(t *testing.T) {
+	const service = 10 * sim.Millisecond
+	s := sim.New()
+	d := NewDisk(0, s, FixedLatency{Read: service, Write: service})
+	rng := rand.New(rand.NewSource(5))
+	var (
+		issued, done []sim.Time // reference, by arrival
+		completed    []int
+		queueTime    sim.Time
+		inFlight     int
+		compactions  int
+		filling      = true
+	)
+	for len(issued) < 1500 {
+		// Bursts outpace service until the backlog passes 40, then fall
+		// behind it until the backlog is under 8: the queue swings
+		// without draining, so only compaction gives its slots back.
+		if inFlight > 40 {
+			filling = false
+		} else if inFlight < 8 {
+			filling = true
+		}
+		burst := rng.Intn(2)
+		if filling {
+			burst = 2 + rng.Intn(4)
+		}
+		for k := 0; k < burst; k++ {
+			id := len(issued)
+			now := s.Now()
+			start := now
+			if id > 0 && done[id-1] > start {
+				start = done[id-1]
+			}
+			issued = append(issued, now)
+			done = append(done, start+service)
+			before := d.qhead
+			d.Submit(&Request{Addr: int64(id), Size: 1, Done: func(_, at sim.Time) {
+				if at != done[id] {
+					t.Fatalf("request %d completed at %v, want %v", id, at, done[id])
+				}
+				completed = append(completed, id)
+			}})
+			if before > 0 && d.qhead == 0 {
+				compactions++
+			}
+		}
+		s.RunUntil(s.Now() + sim.Time(1+rng.Intn(15))*sim.Millisecond)
+		queueTime, inFlight = 0, 0
+		for id, at := range done {
+			if start := at - service; start <= s.Now() {
+				queueTime += start - issued[id]
+			}
+			if at > s.Now() {
+				inFlight++
+			}
+		}
+		if got := d.InFlight(); got != inFlight {
+			t.Fatalf("at %v: InFlight = %d, want %d", s.Now(), got, inFlight)
+		}
+		if got := d.Stats().QueueTime; got != queueTime {
+			t.Fatalf("at %v: QueueTime = %v, want %v", s.Now(), got, queueTime)
+		}
+	}
+	s.Run()
+	for i, id := range completed {
+		if id != i {
+			t.Fatalf("completion %d is request %d, want arrival order", i, id)
+		}
+	}
+	if len(completed) != len(issued) {
+		t.Fatalf("%d of %d requests completed", len(completed), len(issued))
+	}
+	if compactions < 2 {
+		t.Fatalf("queue compacted %d times, want the test to cross compaction at least twice", compactions)
 	}
 }
 

@@ -143,7 +143,13 @@ type Disk struct {
 	id    int
 	sim   *sim.Simulator
 	model Model
+	// queue[qhead:] are the waiting requests in arrival order. A dequeue
+	// nils the served slot and advances qhead (back to 0 once the queue
+	// drains); Submit slides the live requests down only when the slice
+	// is full and at least half of it is served slots, so both ends are
+	// amortised O(1).
 	queue []*Request
+	qhead int
 	busy  bool
 	head  int64
 	stats Stats
@@ -187,10 +193,13 @@ func (d *Disk) SetTracer(tr obs.Tracer) {
 // one in service, if any.
 func (d *Disk) InFlight() int {
 	if d.busy {
-		return len(d.queue) + 1
+		return d.queued() + 1
 	}
-	return len(d.queue)
+	return d.queued()
 }
+
+// queued returns the number of requests waiting for service.
+func (d *Disk) queued() int { return len(d.queue) - d.qhead }
 
 // traceQueue emits the queue-occupancy counter sample. Callers hold
 // d.tr != nil.
@@ -198,7 +207,7 @@ func (d *Disk) traceQueue() {
 	d.tr.Emit(obs.Event{
 		Name: "queue", Cat: obs.CatIO, Ph: obs.PhaseCounter,
 		Track: d.track, TS: d.sim.Now(),
-		Args: []obs.Arg{{Key: "depth", Val: int64(len(d.queue))}},
+		Args: []obs.Arg{{Key: "depth", Val: int64(d.queued())}},
 	})
 }
 
@@ -211,6 +220,12 @@ func (d *Disk) Submit(r *Request) {
 		panic("disk: request without completion callback")
 	}
 	r.issued = d.sim.Now()
+	if len(d.queue) == cap(d.queue) && d.qhead > 0 && 2*d.qhead >= len(d.queue) {
+		live := copy(d.queue, d.queue[d.qhead:])
+		clear(d.queue[live:])
+		d.queue = d.queue[:live]
+		d.qhead = 0
+	}
 	d.queue = append(d.queue, r)
 	if d.tr != nil {
 		d.traceQueue()
@@ -221,13 +236,18 @@ func (d *Disk) Submit(r *Request) {
 }
 
 func (d *Disk) startNext() {
-	if len(d.queue) == 0 {
+	if d.qhead == len(d.queue) {
 		d.busy = false
 		return
 	}
 	d.busy = true
-	r := d.queue[0]
-	d.queue = append(d.queue[:0], d.queue[1:]...)
+	r := d.queue[d.qhead]
+	d.queue[d.qhead] = nil
+	d.qhead++
+	if d.qhead == len(d.queue) {
+		d.queue = d.queue[:0]
+		d.qhead = 0
+	}
 	d.stats.QueueTime += d.sim.Now() - r.issued
 	service := d.model.ServiceTime(d.head, r.Addr, r.Size, r.Write)
 	d.stats.BusyTime += service

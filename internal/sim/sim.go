@@ -1,8 +1,10 @@
 // Package sim is a minimal deterministic discrete-event simulation
-// engine: a virtual clock plus an event heap. It is the substrate on
-// which the disk-array model (internal/disk) and the reconstruction
-// engines (internal/rebuild) run, replacing the DiskSim simulator used
-// by the paper.
+// engine: a virtual clock plus a pending-event set in two tiers, a
+// sorted run for events that arrive in time order (a fixed-latency
+// disk's completions) and a 4-ary heap for the rest. It is the
+// substrate on which the disk-array model (internal/disk) and the
+// reconstruction engines (internal/rebuild) run, replacing the DiskSim
+// simulator used by the paper.
 package sim
 
 import (
@@ -45,14 +47,16 @@ type event struct {
 // and therefore every simulation result — is identical to the old heap.
 type eventHeap []event
 
-// less orders events by timestamp with the scheduling sequence breaking
-// ties, preserving FIFO semantics for simultaneous events.
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by timestamp with the scheduling sequence
+// breaking ties, preserving FIFO semantics for simultaneous events.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
+
+func (h eventHeap) less(i, j int) bool { return h[i].before(&h[j]) }
 
 // push appends the event and sifts it up to its heap position.
 func (h *eventHeap) push(e event) {
@@ -107,10 +111,21 @@ func (h *eventHeap) pop() event {
 // Simulator owns the virtual clock and the pending event set. It is
 // single-threaded by design: determinism is what makes experiment
 // results reproducible across runs and platforms.
+//
+// The pending set has two tiers. run holds events in (at, seq) order
+// from runHead on: an event whose time is not before the run's tail is
+// appended there in O(1). A fixed-latency disk's completions land at
+// now + a constant and now never goes back, so while no other delay is
+// longer, every completion goes there. Every other event goes into the
+// heap. seq rises strictly, so both tiers are
+// sorted by (at, seq) and popping the smaller head gives the same total
+// order a single heap gives, on any schedule.
 type Simulator struct {
 	now     Time
 	seq     uint64
-	pending eventHeap
+	run     []event
+	runHead int
+	heap    eventHeap
 }
 
 // New returns a simulator with the clock at zero.
@@ -120,7 +135,7 @@ func New() *Simulator { return &Simulator{} }
 func (s *Simulator) Now() Time { return s.now }
 
 // Pending returns the number of scheduled events.
-func (s *Simulator) Pending() int { return len(s.pending) }
+func (s *Simulator) Pending() int { return len(s.run) - s.runHead + len(s.heap) }
 
 // Schedule runs fn after the given delay of simulated time. A negative
 // delay is an error in the caller; it panics to surface the bug.
@@ -139,16 +154,57 @@ func (s *Simulator) ScheduleAt(at Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v is before now %v", at, s.now))
 	}
 	s.seq++
-	s.pending.push(event{at: at, seq: s.seq, fn: fn})
+	e := event{at: at, seq: s.seq, fn: fn}
+	if n := len(s.run); n > s.runHead && at < s.run[n-1].at {
+		s.heap.push(e)
+		return
+	}
+	if len(s.run) == cap(s.run) && s.runHead > 0 && 2*s.runHead >= len(s.run) {
+		// At least half the slice is popped slots: slide the live
+		// events down rather than grow. Each copied event is paid for
+		// by a pop, so appends stay amortised O(1).
+		live := copy(s.run, s.run[s.runHead:])
+		clear(s.run[live:])
+		s.run = s.run[:live]
+		s.runHead = 0
+	}
+	s.run = append(s.run, e)
+}
+
+// next returns the earliest pending event without removing it, and
+// whether it is the run's head rather than the heap's.
+func (s *Simulator) next() (e *event, fromRun bool) {
+	if s.runHead < len(s.run) {
+		r := &s.run[s.runHead]
+		if len(s.heap) == 0 || r.before(&s.heap[0]) {
+			return r, true
+		}
+	}
+	if len(s.heap) == 0 {
+		return nil, false
+	}
+	return &s.heap[0], false
 }
 
 // Step executes the next event, advancing the clock to it. It reports
 // whether an event was executed.
 func (s *Simulator) Step() bool {
-	if len(s.pending) == 0 {
+	head, fromRun := s.next()
+	if head == nil {
 		return false
 	}
-	e := s.pending.pop()
+	var e event
+	if fromRun {
+		e = *head
+		*head = event{} // release the callback for GC
+		s.runHead++
+		if s.runHead == len(s.run) {
+			s.run = s.run[:0]
+			s.runHead = 0
+		}
+	} else {
+		e = s.heap.pop()
+	}
 	s.now = e.at
 	e.fn()
 	return true
@@ -173,7 +229,7 @@ func (s *Simulator) Tick(interval Time, fn func(now Time)) {
 	var step func()
 	step = func() {
 		fn(s.now)
-		if len(s.pending) > 0 {
+		if s.Pending() > 0 {
 			s.Schedule(interval, step)
 		}
 	}
@@ -183,7 +239,11 @@ func (s *Simulator) Tick(interval Time, fn func(now Time)) {
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to exactly t.
 func (s *Simulator) RunUntil(t Time) {
-	for len(s.pending) > 0 && s.pending[0].at <= t {
+	for {
+		head, _ := s.next()
+		if head == nil || head.at > t {
+			break
+		}
 		s.Step()
 	}
 	if t > s.now {
