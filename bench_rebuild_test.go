@@ -147,13 +147,13 @@ const allocTolerance = 0.10
 // The XOR kernel allocates nothing at any size, so its rows have a zero
 // ceiling, which admits no allocation at all.
 var allocBudgets = map[string]allocBudget{
-	"Rebuild/code=hdd1/policy=fbf":       {2350, 543515},
+	"Rebuild/code=hdd1/policy=fbf":       {1655, 543515},
 	"Rebuild/code=hdd1/policy=lru":       {2543, 624351},
-	"Rebuild/code=star/policy=fbf":       {2386, 684974},
+	"Rebuild/code=star/policy=fbf":       {1699, 684974},
 	"Rebuild/code=star/policy=lru":       {2590, 777469},
-	"Rebuild/code=tip/policy=fbf":        {2350, 543324},
+	"Rebuild/code=tip/policy=fbf":        {1655, 543324},
 	"Rebuild/code=tip/policy=lru":        {2543, 624371},
-	"Rebuild/code=triplestar/policy=fbf": {2354, 548162},
+	"Rebuild/code=triplestar/policy=fbf": {1663, 548162},
 	"Rebuild/code=triplestar/policy=lru": {2547, 628416},
 	"SchemeGen/code=hdd1":                {15, 6584},
 	"SchemeGen/code=star":                {15, 7560},

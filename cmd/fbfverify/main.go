@@ -89,6 +89,9 @@ func main() {
 	if *chunkSize <= 0 {
 		log.Fatalf("bad -chunk: non-positive size %d", *chunkSize)
 	}
+	if *steps <= 0 {
+		log.Fatalf("bad -steps: non-positive count %d", *steps)
+	}
 	// A bad name must fail the run before its first "ok" line, not after
 	// the checks listed ahead of it have passed.
 	if err := cli.CheckCodes(cli.SplitList(*codesFlag), primes); err != nil {

@@ -82,10 +82,14 @@ func TestBadNameFails(t *testing.T) {
 // before the first check. -chunk 0 used to pass the stripe sweep (which
 // reads it as 64) and then panic in the engine pass; a negative -caps
 // entry failed only its own cache check, after the ones ahead of it.
+// -steps 0 or below ran each cache check at the checker's default of
+// 10 000 steps.
 func TestBadSizeFails(t *testing.T) {
 	for _, c := range []struct{ flag, value, want string }{
 		{"chunk", "0", "bad -chunk: non-positive size 0"},
 		{"chunk", "-1", "bad -chunk: non-positive size -1"},
+		{"steps", "0", "bad -steps: non-positive count 0"},
+		{"steps", "-3", "bad -steps: non-positive count -3"},
 		{"caps", "1,-1", "bad -caps: negative capacity -1"},
 	} {
 		t.Run(c.flag+"="+c.value, func(t *testing.T) {

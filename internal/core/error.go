@@ -53,9 +53,14 @@ func (e PartialStripeError) Validate(code *codes.Code) error {
 
 // LostCells returns the erased chunk coordinates in row order.
 func (e PartialStripeError) LostCells() []grid.Coord {
-	out := make([]grid.Coord, 0, e.Size)
+	return e.appendLostCells(make([]grid.Coord, 0, e.Size))
+}
+
+// appendLostCells appends the erased chunk coordinates to dst in row
+// order.
+func (e PartialStripeError) appendLostCells(dst []grid.Coord) []grid.Coord {
 	for r := e.Row; r < e.Row+e.Size; r++ {
-		out = append(out, grid.Coord{Row: r, Col: e.Disk})
+		dst = append(dst, grid.Coord{Row: r, Col: e.Disk})
 	}
-	return out
+	return dst
 }

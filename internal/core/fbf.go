@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fbf/internal/cache"
-	"fbf/internal/ds"
-)
+import "fbf/internal/cache"
 
 // FBF is the Favorable Block First cache policy (Algorithm 1 of the
 // paper). Chunks are held in three queues by priority — the number of
@@ -22,22 +19,31 @@ import (
 // SOR worker installs each recovery task's priorities with SetScheme;
 // callers whose dictionary spans schemes or is built by hand (DOR, the
 // cache checker, the examples) use SetPriorities.
+//
+// The resident chunks live in one pointer-free slab, entries: the
+// queues link them by index and index finds one by chunk id, so the
+// garbage collector scans none of it. Entry 0 is a sentinel, so index 0
+// means none and the zero queue is empty. An eviction frees exactly the
+// entry the miss that caused it refills, so there is no free list.
 type FBF struct {
 	capacity int
 	stats    cache.Stats
 	prio     interface{ priority(cache.ChunkID) int } // share count, 0 if none
-	queues   [3]ds.List[fbfEntry]                     // [0] = Queue1 ... [2] = Queue3
+	entries  []fbfEntry
+	queues   [3]fbfQueue // [0] = Queue1 ... [2] = Queue3
 	index    fbfIndex
-
-	// free recycles evicted list nodes, so a full cache churns through
-	// misses without allocating.
-	free []*ds.Node[fbfEntry]
 }
 
+// fbfEntry is one resident chunk: its queue and its neighbours there.
 type fbfEntry struct {
-	id    cache.ChunkID
-	queue int // 0-based queue index
+	id         cache.ChunkID
+	prev, next int32
+	queue      int8 // 0-based queue index
 }
+
+// fbfQueue is one LRU queue over the slab: its first and last entry and
+// its population.
+type fbfQueue struct{ head, tail, n int32 }
 
 // dictionary is the lookup SetPriorities installs.
 type dictionary map[cache.ChunkID]int
@@ -47,10 +53,7 @@ func (d dictionary) priority(id cache.ChunkID) int { return d[id] }
 // NewFBF returns an FBF cache holding up to capacity chunks. Until
 // priorities are installed every chunk defaults to priority 1.
 func NewFBF(capacity int) *FBF {
-	return &FBF{
-		capacity: capacity,
-		prio:     dictionary(nil),
-	}
+	return &FBF{capacity: capacity, prio: dictionary(nil)}
 }
 
 var (
@@ -72,7 +75,7 @@ func (f *FBF) Capacity() int { return f.capacity }
 func (f *FBF) Len() int { return f.index.n }
 
 // Contains implements cache.Policy.
-func (f *FBF) Contains(id cache.ChunkID) bool { return f.index.get(id) != nil }
+func (f *FBF) Contains(id cache.ChunkID) bool { return f.index.get(f.entries, id) != 0 }
 
 // Stats implements cache.Policy.
 func (f *FBF) Stats() cache.Stats { return f.stats }
@@ -88,7 +91,8 @@ func (f *FBF) SetPriorities(priorities map[cache.ChunkID]int) {
 // SetScheme installs s's priorities (s must not be nil) as
 // SetPriorities(s.PriorityIDs()) would, reading the scheme's share counts
 // by cell index instead of building the map. It reads the counts as
-// RegenerateScheme produced them, so s.Priorities must not be edited.
+// RegenerateScheme produced them, so s.Priorities must not be edited,
+// and s must not be refilled while it is installed.
 func (f *FBF) SetScheme(s *Scheme) { f.prio = s }
 
 // priorityOf returns the clamped FBF priority (1..3) for a chunk.
@@ -98,129 +102,80 @@ func (f *FBF) priorityOf(id cache.ChunkID) int {
 
 // Request implements cache.Policy, following Algorithm 1.
 func (f *FBF) Request(id cache.ChunkID) bool {
-	if n := f.index.get(id); n != nil {
+	if i := f.index.get(f.entries, id); i != 0 {
+		// Queue3 → Queue2, Queue2 → Queue1: demote; in Queue1, refresh
+		// recency (PushToEnd).
 		f.stats.Hits++
-		switch q := n.Val.queue; q {
-		case 2, 1: // Queue3 → Queue2, Queue2 → Queue1: demote.
-			f.queues[q].Remove(n)
-			n.Val.queue--
-			f.queues[q-1].PushBackNode(n)
-		default: // Queue1: refresh recency (PushToEnd).
-			f.queues[0].MoveToBack(n)
+		f.unlink(i)
+		if e := &f.entries[i]; e.queue > 0 {
+			e.queue--
 		}
+		f.pushBack(i)
 		return true
 	}
 	f.stats.Misses++
 	if f.capacity == 0 {
 		return false
 	}
+	var i int32
 	if f.index.n >= f.capacity {
-		f.evict()
-	}
-	q := f.priorityOf(id) - 1
-	var n *ds.Node[fbfEntry]
-	if k := len(f.free); k > 0 {
-		n = f.free[k-1]
-		f.free = f.free[:k-1]
+		i = f.evict()
 	} else {
-		n = &ds.Node[fbfEntry]{}
+		if f.entries == nil {
+			// The sentinel, and room for 64 chunks before the first
+			// growth: a simulator partition holds 2 to 512, mostly 16
+			// or 32, and a sparse large cache should not pay for all.
+			f.entries = make([]fbfEntry, 1, 1+min(f.capacity, 64))
+		}
+		i = int32(len(f.entries))
+		f.entries = append(f.entries, fbfEntry{})
 	}
-	n.Val = fbfEntry{id: id, queue: q}
-	f.queues[q].PushBackNode(n)
-	f.index.put(n)
+	f.entries[i] = fbfEntry{id: id, queue: int8(f.priorityOf(id) - 1)}
+	f.pushBack(i)
+	f.index.put(f.entries, i)
 	return false
 }
 
-// evict releases one chunk: Queue1 first, then Queue2, then Queue3, LRU
-// within each queue.
-func (f *FBF) evict() {
-	for q := 0; q < 3; q++ {
-		if n := f.queues[q].Front(); n != nil {
-			f.queues[q].Remove(n)
-			f.index.remove(n)
-			f.free = append(f.free, n)
-			f.stats.Evictions++
-			return
-		}
+// evict releases one chunk — Queue1 first, then Queue2, then Queue3, LRU
+// within each queue — and returns its entry for reuse.
+func (f *FBF) evict() int32 {
+	q := 0
+	for f.queues[q].head == 0 {
+		q++
 	}
+	i := f.queues[q].head
+	f.unlink(i)
+	f.index.remove(f.entries, i)
+	f.stats.Evictions++
+	return i
 }
 
-// fbfIndex maps a resident chunk to its list node. It is an
-// open-addressing table of node pointers: linear probing over a
-// power-of-two number of slots, doubled when it would pass half load,
-// and backward-shift deletion, so no slot ever holds a tombstone. The
-// zero value is an empty index.
-type fbfIndex struct {
-	slots []*ds.Node[fbfEntry]
-	n     int // resident nodes
+// pushBack links entry i at the back (MRU end) of its queue.
+func (f *FBF) pushBack(i int32) {
+	e := &f.entries[i]
+	q := &f.queues[e.queue]
+	e.prev, e.next = q.tail, 0
+	f.entries[q.tail].next = i // the sentinel's when the queue is empty
+	if q.head == 0 {
+		q.head = i
+	}
+	q.tail = i
+	q.n++
 }
 
-// home returns id's first probe slot: a multiplicative hash of
-// (stripe, row, col), top bits taken as the slot.
-func (x *fbfIndex) home(id cache.ChunkID) int {
-	h := uint64(id.Stripe)*0x9e3779b97f4a7c15 ^ uint64(id.Cell.Row)*0xc2b2ae3d27d4eb4f ^ uint64(id.Cell.Col)*0x165667b19e3779f9
-	h ^= h >> 32
-	h *= 0x9e3779b97f4a7c15
-	return int(h>>32) & (len(x.slots) - 1)
-}
-
-// get returns id's node, or nil when id is not resident.
-func (x *fbfIndex) get(id cache.ChunkID) *ds.Node[fbfEntry] {
-	if x.n == 0 {
-		return nil
+// unlink takes entry i out of its queue.
+func (f *FBF) unlink(i int32) {
+	e := &f.entries[i]
+	q := &f.queues[e.queue]
+	f.entries[e.prev].next = e.next
+	f.entries[e.next].prev = e.prev
+	if q.head == i {
+		q.head = e.next
 	}
-	mask := len(x.slots) - 1
-	for i := x.home(id); ; i = (i + 1) & mask {
-		n := x.slots[i]
-		if n == nil || n.Val.id == id {
-			return n
-		}
+	if q.tail == i {
+		q.tail = e.prev
 	}
-}
-
-// put adds n, whose id must not be resident.
-func (x *fbfIndex) put(n *ds.Node[fbfEntry]) {
-	if 2*(x.n+1) > len(x.slots) {
-		old := x.slots
-		x.slots = make([]*ds.Node[fbfEntry], max(8, 2*len(old)))
-		for _, m := range old {
-			if m != nil {
-				x.insert(m)
-			}
-		}
-	}
-	x.insert(n)
-	x.n++
-}
-
-// insert places n in the first free slot of its probe sequence.
-func (x *fbfIndex) insert(n *ds.Node[fbfEntry]) {
-	mask := len(x.slots) - 1
-	i := x.home(n.Val.id)
-	for x.slots[i] != nil {
-		i = (i + 1) & mask
-	}
-	x.slots[i] = n
-}
-
-// remove deletes the resident node n. Each later node of the probe run
-// that may live in the freed slot (its home is not cyclically after the
-// slot) moves back into it, and the slot it left is freed in turn, so
-// every node stays reachable from its home without tombstones.
-func (x *fbfIndex) remove(n *ds.Node[fbfEntry]) {
-	mask := len(x.slots) - 1
-	i := x.home(n.Val.id)
-	for x.slots[i] != n {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; x.slots[j] != nil; j = (j + 1) & mask {
-		if (j-x.home(x.slots[j].Val.id))&mask >= (j-i)&mask {
-			x.slots[i] = x.slots[j]
-			i = j
-		}
-	}
-	x.slots[i] = nil
-	x.n--
+	q.n--
 }
 
 // Reset implements cache.Policy.
@@ -231,13 +186,13 @@ func (f *FBF) Reset() {
 // QueueLen returns the population of Queue1, Queue2 or Queue3 (queue in
 // 1..3); used by tests and the walkthrough example reproducing the
 // paper's Figures 5–7.
-func (f *FBF) QueueLen(queue int) int { return f.queues[queue-1].Len() }
+func (f *FBF) QueueLen(queue int) int { return int(f.queues[queue-1].n) }
 
 // QueueContents returns the ids in the given queue (1..3), LRU first.
 func (f *FBF) QueueContents(queue int) []cache.ChunkID {
 	var out []cache.ChunkID
-	for n := f.queues[queue-1].Front(); n != nil; n = n.Next() {
-		out = append(out, n.Val.id)
+	for i := f.queues[queue-1].head; i != 0; i = f.entries[i].next {
+		out = append(out, f.entries[i].id)
 	}
 	return out
 }

@@ -90,6 +90,11 @@ type Scheme struct {
 	Priorities map[grid.Coord]int
 	shares     []int // Priorities' counts by Code.CellIndex, 0 if none
 
+	// Scratch a refill reuses: the erased cells by Code.CellIndex and
+	// Generate's repair list.
+	lost   []bool
+	repair []grid.Coord
+
 	// Decode is the GF(2) decode of the whole erased set behind the
 	// Decoded selections (codes.DecodeSchedule; their Fetch lists are its
 	// Plan), nil when every repair cell kept a single chain.
@@ -97,22 +102,32 @@ type Scheme struct {
 }
 
 // GenerateScheme builds the recovery scheme for one partial stripe error
-// under the given strategy: RegenerateScheme with the error's lost cells
-// to repair and nothing else erased. A valid error is always rebuilt
-// through single chains; a lost cell that would need the decoder is an
-// error.
+// under the given strategy: Scheme.Generate into a new Scheme.
 func GenerateScheme(code *codes.Code, e PartialStripeError, strategy Strategy) (*Scheme, error) {
+	s := new(Scheme)
+	if err := s.Generate(code, e, strategy); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Generate fills s with the recovery scheme for one partial stripe error:
+// Regenerate with the error's lost cells to repair and nothing else
+// erased, reusing what s held as Regenerate does. A valid error is always
+// rebuilt through single chains; a lost cell that would need the decoder
+// is an error.
+func (s *Scheme) Generate(code *codes.Code, e PartialStripeError, strategy Strategy) error {
 	if err := e.Validate(code); err != nil {
-		return nil, err
+		return err
 	}
-	scheme, _, err := RegenerateScheme(code, e, e.LostCells(), nil, strategy)
-	if err != nil {
-		return nil, err
+	s.repair = e.appendLostCells(emptied(s.repair, e.Size))
+	if _, err := s.Regenerate(code, e, s.repair, nil, strategy); err != nil {
+		return err
 	}
-	if scheme.Decode != nil {
-		return nil, fmt.Errorf("core: no usable chain for some lost chunk of %v", e)
+	if s.Decode != nil {
+		return fmt.Errorf("core: no usable chain for some lost chunk of %v", e)
 	}
-	return scheme, nil
+	return nil
 }
 
 // chainFor picks the repair chain for one lost cell under the strategy
@@ -184,16 +199,18 @@ func chainFor(code *codes.Code, lost []bool, shares []int, cell grid.Coord, k in
 	return nil, nil
 }
 
-// addChain appends one chain selection to the scheme and counts it
-// against each cell it fetches (shares, indexed by Code.CellIndex).
-func (s *Scheme) addChain(cell grid.Coord, ch *grid.Chain, shares []int) {
-	fetch := make([]grid.Coord, 0, len(ch.Cells)-1)
+// addChain appends one chain selection to the scheme, reusing the Fetch
+// array a previous fill left at that position, and counts it against
+// each cell it fetches.
+func (s *Scheme) addChain(cell grid.Coord, ch *grid.Chain) {
+	n := len(s.Selected)
+	fetch := emptied(s.Selected[:n+1][n].Fetch, len(ch.Cells)-1)
 	for _, m := range ch.Cells {
 		if m == cell {
 			continue
 		}
 		fetch = append(fetch, m)
-		shares[s.Code.CellIndex(m)]++
+		s.shares[s.Code.CellIndex(m)]++
 	}
 	s.Selected = append(s.Selected, SelectedChain{Lost: cell, Chain: ch.ID(), Fetch: fetch})
 }

@@ -349,7 +349,7 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 		cfg.Metrics.Sample(0)
 		s.Tick(interval, func(now sim.Time) { cfg.Metrics.Sample(now) })
 	}
-	e.schemes = startSchemes(cfg.Code, cfg.Strategy, errors)
+	e.schemes = startSchemes(cfg.Code, cfg.Strategy, errors, workers)
 	defer e.schemes.stop()
 	s.Run()
 
@@ -448,6 +448,8 @@ type worker struct {
 	id     int
 	cache  cache.Policy
 
+	// scheme is the group under repair, installed in the cache; a
+	// retired worker keeps its last one installed.
 	scheme   *core.Scheme
 	chainIdx int
 
@@ -563,7 +565,7 @@ func (w *worker) nextGroup() {
 		// Validated upfront; a failure here is a bug worth surfacing.
 		panic(fmt.Sprintf("rebuild: scheme generation failed mid-run: %v", g.err))
 	}
-	scheme := g.scheme
+	scheme, prev := g.scheme, w.scheme
 	// Priorities and future knowledge go into the cache, then chain
 	// replay starts.
 	w.scheme = scheme
@@ -573,6 +575,11 @@ func (w *worker) nextGroup() {
 	}
 	if fa, ok := w.cache.(cache.FutureAware); ok {
 		fa.SetFuture(scheme.RequestIDs())
+	}
+	// The previous group's scheme was installed until now (Config.App's
+	// probes read it between groups); nothing reads it any more.
+	if prev != nil {
+		e.schemes.recycle(prev)
 	}
 	if e.tr != nil {
 		w.traceSchemeGen(scheme.Err.Stripe, len(scheme.Selected))
@@ -595,7 +602,6 @@ func (w *worker) startChain() {
 		if e.tr != nil {
 			w.closeGroup(w.scheme.Err.Stripe, len(w.scheme.Selected))
 		}
-		w.scheme = nil
 		w.nextGroup()
 		return
 	}

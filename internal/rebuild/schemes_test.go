@@ -9,6 +9,7 @@ import (
 	"fbf/internal/codes"
 	"fbf/internal/core"
 	"fbf/internal/obs"
+	"fbf/internal/sim"
 )
 
 // settle waits up to a second for the goroutine count to fall back to
@@ -77,4 +78,55 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 		}
 		settle(t, start)
 	})
+}
+
+// TestSORSteadyStateAllocs pins the producer's recycling: once the run's
+// schemes and batches are refilled rather than allocated, a warm SOR
+// run's allocations barely grow with its groups: 2 000 more groups must
+// cost fewer than 2 000 more allocations (generating a new scheme per
+// group cost about 12 each).
+func TestSORSteadyStateAllocs(t *testing.T) {
+	code := codes.MustNew("tip", 7)
+	cfg := Config{Code: code, Policy: "fbf", Strategy: core.StrategyLooped, Workers: 16, CacheChunks: 256, Stripes: 4096}
+	mallocs := func(groups []core.PartialStripeError) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg, groups); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	const short, long = 2000, 4000
+	groups := genErrors(t, code, long, cfg.Stripes, 1)
+	mallocs(groups) // warm-up
+	a, b := mallocs(groups[:short]), mallocs(groups)
+	perGroup := (float64(b) - float64(a)) / (long - short)
+	if perGroup >= 1 {
+		t.Errorf("%d groups: %d allocations, %d groups: %d; %.2f per extra group, want under 1", short, a, long, b, perGroup)
+	}
+	t.Logf("%d groups: %d allocations, %d groups: %d; %.2f per extra group", short, a, long, b, perGroup)
+}
+
+// TestRunAppProbesInstalledSchemes runs Config.App with every probe on a
+// stripe under repair (ErrorLocality 1), so probes hit FBF between a
+// worker's groups, while its last scheme is still installed, over more
+// groups than the producer's pool holds. A scheme recycled before its
+// worker installs the next one would be refilled while probes read it:
+// a race under -race and, without it, priorities from another group. The
+// counts are pinned from the scheme generation before recycling.
+func TestRunAppProbesInstalledSchemes(t *testing.T) {
+	code := codes.MustNew("tip", 5)
+	cfg := Config{Code: code, Policy: "fbf", Strategy: core.StrategyLooped, Workers: 8, CacheChunks: 64, Stripes: 2048,
+		App: &AppWorkload{Requests: 20000, Interarrival: 3 * sim.Millisecond, Seed: 3, ErrorLocality: 1}}
+	groups := genErrors(t, code, 3*((schemeDepth+2)*schemeBatch+cfg.Workers), cfg.Stripes, 2)
+	res, err := Run(cfg, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [...]uint64{res.AppRequests, res.AppHits, res.AppEvictions, uint64(res.AppSumResponse), res.Cache.Hits, res.Cache.Misses, res.Cache.Evictions, res.DiskReads, uint64(res.Makespan)}
+	want := [...]uint64{20000, 38, 19941, 1195534330000, 2400, 14488, 14445, 34450, 70189420000}
+	if got != want {
+		t.Errorf("app requests, hits, evictions, response; recovery hits, misses, evictions; disk reads; makespan:\n got %v\nwant %v", got, want)
+	}
 }
