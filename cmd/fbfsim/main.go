@@ -14,7 +14,6 @@
 //	       [-strategy typical|looped|greedy] [-dist uniform|fixed|geometric]
 //	       [-csv] [-parallel N] [-progress]
 //	       [-trace-out run.trace.json] [-trace-jsonl run.jsonl]
-//	       [-metrics-out metrics.csv|metrics.json] [-metrics-interval MS]
 //	       [-pprof-cpu cpu.prof] [-pprof-mem mem.prof]
 //
 // Sweeps fan their independent simulation runs out across cores
@@ -22,10 +21,10 @@
 // deterministic simulation, so the output is identical at any
 // parallelism level.
 //
-// An observability flag (-trace-out, -trace-jsonl, -metrics-out) runs a
-// single instrumented rebuild instead of a sweep — the first configured
-// (code, p, policy, size) point, or tip(p=13)/fbf/64MB by default — and
-// writes the exports before a one-line summary. Traces are stamped in
+// A trace flag (-trace-out, -trace-jsonl) runs a single traced rebuild
+// instead of a sweep — the first configured (code, p, policy, size)
+// point, or tip(p=13)/fbf/64MB by default — and writes the exports
+// before a one-line summary. Traces are stamped in
 // simulated time and reproduce byte for byte; load -trace-out in
 // chrome://tracing or Perfetto, or feed -trace-jsonl to fbftrace.
 package main
@@ -38,7 +37,6 @@ import (
 	"fbf/internal/experiments"
 	"fbf/internal/obs"
 	"fbf/internal/rebuild"
-	"fbf/internal/sim"
 	"fbf/internal/trace"
 	"flag"
 	"fmt"
@@ -47,7 +45,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strings"
 )
 
 func main() {
@@ -75,8 +72,6 @@ func main() {
 	progress := flag.Bool("progress", false, "report sweep progress on stderr")
 	traceOut := flag.String("trace-out", "", "run one traced rebuild and write its Chrome trace-event JSON here (load in chrome://tracing or Perfetto)")
 	traceJSONL := flag.String("trace-jsonl", "", "run one traced rebuild and write its event stream as JSONL here (fbftrace input)")
-	metricsOut := flag.String("metrics-out", "", "run one instrumented rebuild and write its sampled metrics here (CSV if the path ends in .csv, JSON otherwise)")
-	metricsInterval := flag.Float64("metrics-interval", 10, "metrics sampling period in simulated ms")
 	pprofCPU := flag.String("pprof-cpu", "", "write a CPU profile of the whole invocation here")
 	pprofMem := flag.String("pprof-mem", "", "write a heap profile at exit here")
 	flag.Parse()
@@ -126,9 +121,6 @@ func main() {
 
 	// Reject bad flags before any output path is created: creating one
 	// truncates it, and a rejected run must leave old outputs alone.
-	if *metricsInterval <= 0 {
-		log.Fatalf("bad -metrics-interval %v: must be > 0 ms", *metricsInterval)
-	}
 	for _, f := range []struct {
 		name string
 		v    int
@@ -166,13 +158,12 @@ func main() {
 	}
 
 	// Validate every output path up front: a long simulation must not
-	// discover an unwritable -trace-out/-metrics-out/-pprof-* path only
+	// discover an unwritable -trace-out/-trace-jsonl/-pprof-* path only
 	// when it finally tries to write.
 	outputs := map[string]*os.File{}
 	for _, o := range []struct{ name, path string }{
 		{"trace-out", *traceOut},
 		{"trace-jsonl", *traceJSONL},
-		{"metrics-out", *metricsOut},
 		{"pprof-cpu", *pprofCPU},
 		{"pprof-mem", *pprofMem},
 	} {
@@ -315,13 +306,13 @@ func main() {
 		fmt.Fprintln(out)
 	}
 
-	// An observability sink runs one instrumented rebuild instead of a
-	// sweep: the first configured (code, p, policy, size) point — or the
-	// paper's tip(p=13)/fbf/64MB when the axes were left at their
-	// defaults — traced and/or sampled, with the exports written before
-	// the summary line. The trace is stamped in simulated time, so the
-	// same flags reproduce it byte for byte.
-	if outputs["trace-out"] != nil || outputs["trace-jsonl"] != nil || outputs["metrics-out"] != nil {
+	// A trace output runs one traced rebuild instead of a sweep: the
+	// first configured (code, p, policy, size) point — or the paper's
+	// tip(p=13)/fbf/64MB when the axes were left at their defaults —
+	// with the exports written before the summary line. The trace is
+	// stamped in simulated time, so the same flags reproduce it byte for
+	// byte.
+	if outputs["trace-out"] != nil || outputs["trace-jsonl"] != nil {
 		codeName, prime, policy, sizeMB := "tip", 13, "fbf", 64
 		if *codesFlag != "" {
 			codeName = params.Codes[0]
@@ -351,17 +342,8 @@ func main() {
 			Workers: params.Workers, CacheChunks: params.CacheChunks(sizeMB),
 			ChunkSize: params.ChunkSizeKB * 1024, Stripes: params.Stripes,
 		}
-		var collector *obs.Collector
-		if outputs["trace-out"] != nil || outputs["trace-jsonl"] != nil {
-			collector = obs.NewCollector()
-			cfg.Tracer = collector
-		}
-		var reg *obs.Registry
-		if outputs["metrics-out"] != nil {
-			reg = obs.NewRegistry()
-			cfg.Metrics = reg
-			cfg.MetricsInterval = sim.Time(*metricsInterval * float64(sim.Millisecond))
-		}
+		collector := obs.NewCollector()
+		cfg.Tracer = collector
 		res, err := rebuild.Run(cfg, errs)
 		if err != nil {
 			log.Fatal(err)
@@ -376,22 +358,8 @@ func main() {
 				log.Fatalf("-trace-jsonl: %v", err)
 			}
 		}
-		if f := outputs["metrics-out"]; f != nil {
-			if strings.HasSuffix(*metricsOut, ".csv") {
-				err = reg.WriteCSV(f)
-			} else {
-				err = reg.WriteJSON(f)
-			}
-			if err != nil {
-				log.Fatalf("-metrics-out: %v", err)
-			}
-		}
-		events := 0
-		if collector != nil {
-			events = collector.Len()
-		}
 		fmt.Fprintf(out, "observed run %s(p=%d) %s %dMB: hit ratio %.3f, %d disk reads, %v reconstruction, %d trace events\n",
-			codeName, prime, policy, sizeMB, res.HitRatio(), res.DiskReads, res.Makespan, events)
+			codeName, prime, policy, sizeMB, res.HitRatio(), res.DiskReads, res.Makespan, collector.Len())
 		return
 	}
 

@@ -34,26 +34,28 @@ func TestMain(m *testing.M) {
 // prime is another: the run used to find it only when it built the
 // code or the cache. An unknown figure or table is a third: the run used
 // to find it only when it came to draw one. A size of zero or less is a
-// fourth: the run used to drop it and simulate the default instead.
+// fourth: the run used to drop it and simulate the default instead. An
+// undefined flag (-metrics-out) is a fifth, which the flag parser
+// rejects.
 func TestBadFlagLeavesOutputsAlone(t *testing.T) {
 	cases := []struct {
 		out  string // output flag pointed at the old file
 		args []string
 		want string
 	}{
-		{"trace-out", []string{"-metrics-interval", "0"}, "bad -metrics-interval 0"},
+		{"trace-out", []string{"-metrics-out", "x"}, "flag provided but not defined: -metrics-out"},
 		{"trace-out", []string{"-groups", "-5"}, "bad -groups -5: must be > 0"},
-		{"metrics-out", []string{"-workers", "-3"}, "bad -workers -3: must be > 0"},
+		{"pprof-cpu", []string{"-workers", "-3"}, "bad -workers -3: must be > 0"},
 		{"trace-jsonl", []string{"-stripes", "0"}, "bad -stripes 0: must be > 0"},
 		{"trace-jsonl", []string{"-codes", ","}, "bad -codes: empty list"},
 		{"trace-jsonl", []string{"-p", ","}, "bad -p: empty list"},
 		{"trace-jsonl", []string{"-policies", ","}, "bad -policies: empty list"},
-		{"metrics-out", []string{"-sizes", ","}, "bad -sizes: empty list"},
+		{"trace-jsonl", []string{"-sizes", ","}, "bad -sizes: empty list"},
 		{"trace-jsonl", []string{"-codes", "lrc"}, `bad -codes: codes: unknown code "lrc"`},
 		{"trace-jsonl", []string{"-p", "4"}, "bad -p: codes: star requires prime p, got 4"},
 		{"trace-jsonl", []string{"-policies", "nosuch"}, `bad -policies: cache: unknown policy "nosuch"`},
 		{"trace-jsonl", []string{"-policies", "lru2"}, `bad -policies: cache: unknown policy "lru2"`},
-		{"metrics-out", []string{"-dist", "nosuch"}, `bad -dist: trace: unknown size distribution "nosuch"`},
+		{"pprof-mem", []string{"-dist", "nosuch"}, `bad -dist: trace: unknown size distribution "nosuch"`},
 		{"pprof-cpu", []string{"-fig", "12"}, "unknown figure 12 (have 8, 9, 10, 11)"},
 		{"pprof-mem", []string{"-table", "6"}, "unknown table 6 (have 4, 5)"},
 	}

@@ -1,11 +1,12 @@
 // Package obs is the observability layer of the simulator: event
-// tracing on the simulated clock, a metrics registry sampled on a
-// simulated-time tick, and exporters for both (Chrome trace-event JSON
-// for Perfetto, JSONL and CSV for programmatic analysis).
+// tracing on the simulated clock, exporters (Chrome trace-event JSON
+// for Perfetto, JSONL for programmatic analysis) and a per-phase
+// summary. The trace is the simulator's one observation path: its
+// events account for every counter of a run's result.
 //
 // The design contract is zero overhead when disabled: every
 // instrumentation site in the engines guards on a single nil check of
-// the installed Tracer (or *Registry), so a run without observability
+// the installed Tracer, so a run without observability
 // executes exactly the instructions it executed before the layer
 // existed and allocates nothing for it (pinned by
 // internal/rebuild's obs tests).

@@ -83,7 +83,7 @@ func (w *worker) issueNext() {
 func (o *fetchOp) OnComplete(_ *disk.Request, issued, completed sim.Time) {
 	w := o.w
 	e := w.engine
-	e.recordResponse(e.cfg.CacheAccess + (completed - issued))
+	e.sumResponse += e.cfg.CacheAccess + (completed - issued)
 	w.putFetchOp(o)
 	w.chainDone()
 }

@@ -1,17 +1,17 @@
 package rebuild
 
 import (
-	"fmt"
-
 	"fbf/internal/cache"
 	"fbf/internal/obs"
 )
 
-// Observability plumbing for the SOR engine. Every call site in the
-// engine guards on e.tr != nil (tracing) or a nil histogram/registry
-// (metrics), so a run without observability attached executes the
-// pre-obs instruction stream and allocates nothing extra — pinned by
-// TestObsDisabledHotPathAllocs.
+// Trace plumbing for the SOR engine. Config.Tracer is the one way to
+// observe a simulated run: every call site in the engine guards on
+// e.tr != nil, so an untraced run executes the pre-obs instruction
+// stream and allocates nothing extra — pinned by
+// TestObsDisabledHotPathAllocs. The trace carries the run's totals
+// (hits, misses, evictions, groups, disk reads and writes), pinned by
+// TestTraceCarriesRunTotals.
 
 // engineLane is the run-wide trace lane (app traffic).
 var engineLane = obs.Track{Group: obs.GroupEngine, ID: 0}
@@ -19,8 +19,9 @@ var engineLane = obs.Track{Group: obs.GroupEngine, ID: 0}
 // lane returns the worker's trace lane.
 func (w *worker) lane() obs.Track { return obs.Track{Group: obs.GroupWorkers, ID: w.id} }
 
-// queueLenner is the capability the FBF policy exposes for sampling its
-// three priority queues (core.FBF.QueueLen).
+// queueLenner is the capability the FBF policy exposes for reading its
+// three priority queues (core.FBF.QueueLen); tracedRequest's demote
+// instants carry their lengths.
 type queueLenner interface {
 	QueueLen(queue int) int
 }
@@ -125,77 +126,4 @@ func (w *worker) traceSchemeGen(stripe, chains int) {
 			{Key: "chains", Val: int64(chains)},
 		},
 	})
-}
-
-// defaultRespBoundsMs buckets the response-time histogram the metrics
-// registry collects (milliseconds).
-var defaultRespBoundsMs = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
-
-// registerMetrics wires the run's time-series metrics into the
-// registry: request/hit/miss counters, aggregate and per-disk in-flight
-// I/O, FBF queue occupancy (when the policy exposes it) and a
-// response-time histogram. Column order is fixed by registration order,
-// so exports are byte-stable.
-func (e *engine) registerMetrics(reg *obs.Registry) {
-	reg.Gauge("requests", func() float64 { return float64(e.totalRequests) })
-	reg.Gauge("hits", func() float64 { return float64(e.recHits) })
-	reg.Gauge("misses", func() float64 { return float64(e.recMisses) })
-	reg.Gauge("hit_ratio", func() float64 {
-		if t := e.recHits + e.recMisses; t > 0 {
-			return float64(e.recHits) / float64(t)
-		}
-		return 0
-	})
-	reg.Gauge("evictions", func() float64 {
-		var s uint64
-		for _, w := range e.workers {
-			s += w.cache.Stats().Evictions
-		}
-		return float64(s)
-	})
-	reg.Gauge("cached_chunks", func() float64 {
-		var s int
-		for _, w := range e.workers {
-			s += w.cache.Len()
-		}
-		return float64(s)
-	})
-	reg.Gauge("groups_done", func() float64 { return float64(e.groupsDone) })
-	reg.Gauge("disks_inflight", func() float64 {
-		var s int
-		for i := 0; i < e.array.Disks(); i++ {
-			s += e.array.Disk(i).InFlight()
-		}
-		return float64(s)
-	})
-	for i := 0; i < e.array.Disks(); i++ {
-		d := e.array.Disk(i)
-		reg.Gauge(fmt.Sprintf("disk%d_inflight", i), func() float64 { return float64(d.InFlight()) })
-	}
-	hasFBF := false
-	for _, w := range e.workers {
-		if _, ok := w.cache.(queueLenner); ok {
-			hasFBF = true
-			break
-		}
-	}
-	if hasFBF {
-		for q := 1; q <= 3; q++ {
-			q := q
-			reg.Gauge(fmt.Sprintf("fbf_q%d", q), func() float64 {
-				var s int
-				for _, w := range e.workers {
-					if ql, ok := w.cache.(queueLenner); ok {
-						s += ql.QueueLen(q)
-					}
-				}
-				return float64(s)
-			})
-		}
-	}
-	h, err := reg.Histogram("response_ms", defaultRespBoundsMs)
-	if err != nil {
-		panic(fmt.Sprintf("rebuild: response histogram: %v", err)) // fixed valid bounds
-	}
-	e.obsRespHist = h
 }

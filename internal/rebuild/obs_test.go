@@ -2,11 +2,11 @@ package rebuild
 
 import (
 	"bytes"
-	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
 
+	"fbf/internal/cache"
 	"fbf/internal/codes"
 	"fbf/internal/core"
 	"fbf/internal/obs"
@@ -20,10 +20,9 @@ func obsTestConfig(code *codes.Code) Config {
 	}
 }
 
-// TestTracedRunMatchesUntraced pins that attaching a tracer and a
-// metrics registry perturbs nothing: every measurement of the observed
-// run must equal the plain run's bit for bit. The observability layer
-// is a pure reader of the simulation.
+// TestTracedRunMatchesUntraced pins that attaching a tracer perturbs
+// nothing: every measurement of the traced run must equal the plain
+// run's bit for bit. The tracer is a pure reader of the simulation.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	code := codes.MustNew("tip", 7)
 	errors := genErrors(t, code, 20, 100, 1)
@@ -35,7 +34,6 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	cfg := obsTestConfig(code)
 	collector := obs.NewCollector()
 	cfg.Tracer = collector
-	cfg.Metrics = obs.NewRegistry()
 	observed, err := Run(cfg, errors)
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +50,84 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	if err := obs.Validate(collector.Events()); err != nil {
 		t.Fatalf("invalid event stream: %v", err)
 	}
-	if cfg.Metrics.Samples() < 2 {
-		t.Fatalf("metrics registry sampled only %d times", cfg.Metrics.Samples())
+}
+
+// TestTraceCarriesRunTotals pins that the trace alone accounts for a
+// run's totals: for every registered policy, and for a run with a
+// foreground workload that probes the recovery caches, the summarized
+// trace's hit, miss and app instants, the summed counts of its evict
+// instants, its group spans and its disk read and write spans equal the
+// Result's counters.
+func TestTraceCarriesRunTotals(t *testing.T) {
+	code := codes.MustNew("tip", 7)
+	errors := genErrors(t, code, 20, 100, 1)
+	type row struct {
+		name string
+		cfg  Config
+	}
+	var rows []row
+	for _, name := range cache.Names() {
+		cfg := obsTestConfig(code)
+		cfg.Policy = name
+		rows = append(rows, row{name, cfg})
+	}
+	app := obsTestConfig(code)
+	app.App = &AppWorkload{Requests: 200, Interarrival: sim.Millisecond / 4, Seed: 5, ErrorLocality: 1}
+	rows = append(rows, row{"fbf+app", app})
+
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			collector := obs.NewCollector()
+			r.cfg.Tracer = collector
+			res, err := Run(r.cfg, errors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := collector.Events()
+			sum := obs.Summarize(events)
+			counts := map[string]int{}
+			for _, c := range sum.Counts {
+				counts[c.Cat+"/"+c.Name] = c.Count
+			}
+			var evictions uint64
+			for _, e := range events {
+				if e.Cat == obs.CatCache && e.Name == "evict" {
+					for _, a := range e.Args {
+						if a.Key == "count" {
+							evictions += uint64(a.Val)
+						}
+					}
+				}
+			}
+			var reads, writes uint64
+			for _, d := range sum.Disks {
+				reads += uint64(d.Reads)
+				writes += uint64(d.Writes)
+			}
+			for _, c := range []struct {
+				what      string
+				got, want uint64
+			}{
+				{"cache/hit", uint64(counts["cache/hit"]), res.Cache.Hits},
+				{"cache/miss", uint64(counts["cache/miss"]), res.Cache.Misses},
+				{"evict counts", evictions, res.Cache.Evictions},
+				{"app/app-hit", uint64(counts["app/app-hit"]), res.AppHits},
+				{"app/app-miss", uint64(counts["app/app-miss"]), res.AppRequests - res.AppHits},
+				{"group spans", uint64(sum.Groups), uint64(res.Groups)},
+				{"disk read spans", reads, res.DiskReads},
+				{"disk write spans", writes, res.DiskWrites},
+			} {
+				if c.got != c.want {
+					t.Errorf("trace %s = %d, Result says %d", c.what, c.got, c.want)
+				}
+			}
+			if res.Cache.Evictions == 0 {
+				t.Error("run evicted nothing: the evict check is blind")
+			}
+			if r.cfg.App != nil && (res.AppHits == 0 || res.AppHits == res.AppRequests) {
+				t.Errorf("app run had %d hits of %d requests: the app checks are blind", res.AppHits, res.AppRequests)
+			}
+		})
 	}
 }
 
@@ -99,9 +173,6 @@ func TestObsDisabledHotPathAllocs(t *testing.T) {
 	w := &worker{engine: e}
 	if n := testing.AllocsPerRun(200, func() { w.closeChain() }); n != 0 {
 		t.Errorf("closeChain with no open span allocates %.0f times", n)
-	}
-	if n := testing.AllocsPerRun(200, func() { e.recordResponse(sim.Millisecond) }); n != 0 {
-		t.Errorf("recordResponse without histograms allocates %.0f times", n)
 	}
 
 	code := codes.MustNew("tip", 7)
@@ -169,8 +240,8 @@ func allocsThroughObs() int64 {
 	return total
 }
 
-// TestDORRejectsObservability pins that the DOR engine refuses sinks it
-// would silently ignore.
+// TestDORRejectsObservability pins that the DOR engine refuses a tracer
+// it would silently ignore.
 func TestDORRejectsObservability(t *testing.T) {
 	code := codes.MustNew("tip", 7)
 	errors := genErrors(t, code, 4, 100, 1)
@@ -179,78 +250,5 @@ func TestDORRejectsObservability(t *testing.T) {
 	cfg.Tracer = obs.NewCollector()
 	if _, err := Run(cfg, errors); err == nil {
 		t.Fatal("DOR accepted a tracer it would ignore")
-	}
-	cfg.Tracer = nil
-	cfg.Metrics = obs.NewRegistry()
-	if _, err := Run(cfg, errors); err == nil {
-		t.Fatal("DOR accepted a metrics registry it would ignore")
-	}
-}
-
-// TestMetricsValidation pins the MetricsInterval validation.
-func TestMetricsValidation(t *testing.T) {
-	code := codes.MustNew("tip", 7)
-	errors := genErrors(t, code, 4, 100, 1)
-	cfg := obsTestConfig(code)
-	cfg.MetricsInterval = -sim.Millisecond
-	if _, err := Run(cfg, errors); err == nil {
-		t.Fatal("negative MetricsInterval accepted")
-	}
-	cfg.MetricsInterval = sim.Millisecond // without a registry
-	if _, err := Run(cfg, errors); err == nil {
-		t.Fatal("MetricsInterval without Metrics accepted")
-	}
-}
-
-// TestMetricsRegistrySampling checks the sampled columns cover the
-// cache, disk and FBF-queue gauges.
-func TestMetricsRegistrySampling(t *testing.T) {
-	code := codes.MustNew("tip", 7)
-	errors := genErrors(t, code, 20, 100, 1)
-	cfg := obsTestConfig(code)
-	reg := obs.NewRegistry()
-	cfg.Metrics = reg
-	cfg.MetricsInterval = 5 * sim.Millisecond
-	res, err := Run(cfg, errors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := map[string]int{}
-	for i, c := range reg.Columns() {
-		cols[c] = i
-	}
-	for _, want := range []string{"requests", "hits", "misses", "hit_ratio", "evictions",
-		"disks_inflight", "disk0_inflight", "fbf_q1", "fbf_q2", "fbf_q3", "groups_done"} {
-		if _, ok := cols[want]; !ok {
-			t.Errorf("missing metric column %q (have %v)", want, reg.Columns())
-		}
-	}
-	// The final sample must agree with the run's result counters.
-	_, last := reg.Row(reg.Samples() - 1)
-	if got := uint64(last[cols["requests"]]); got != res.TotalRequests {
-		t.Errorf("final requests sample %d != result %d", got, res.TotalRequests)
-	}
-	if got := uint64(last[cols["misses"]]); got != res.Cache.Misses {
-		t.Errorf("final misses sample %d != result %d", got, res.Cache.Misses)
-	}
-	if got := int(last[cols["groups_done"]]); got != res.Groups {
-		t.Errorf("final groups_done sample %d != %d groups", got, res.Groups)
-	}
-	// The response-time histogram holds one observation per request.
-	var js bytes.Buffer
-	if err := reg.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Histograms []struct {
-			Name  string `json:"name"`
-			Total uint64 `json:"total"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Histograms) != 1 || doc.Histograms[0].Name != "response_ms" || doc.Histograms[0].Total != res.TotalRequests {
-		t.Errorf("histograms = %+v, want response_ms with %d observations", doc.Histograms, res.TotalRequests)
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"fbf/internal/grid"
 	"fbf/internal/obs"
 	"fbf/internal/sim"
-	"fbf/internal/stats"
 )
 
 // Config parameterizes one reconstruction run.
@@ -62,18 +61,6 @@ type Config struct {
 	// sweep parallelism. Nil keeps every instrumentation site behind a
 	// single branch with zero allocations.
 	Tracer obs.Tracer
-
-	// Metrics, when non-nil, registers the run's time-series gauges
-	// (cache counters, per-disk in-flight I/O, FBF queue occupancy) plus
-	// a response-time histogram on the registry and samples them every
-	// MetricsInterval of simulated time. A Registry
-	// belongs to exactly one run: registration is ordered and re-use
-	// would panic on duplicate names.
-	Metrics *obs.Registry
-
-	// MetricsInterval is the simulated sampling period for Metrics.
-	// Zero selects the 10 ms default.
-	MetricsInterval sim.Time
 }
 
 // AppWorkload parameterizes the foreground read stream of an online
@@ -146,12 +133,6 @@ func (c *Config) Validate() error {
 	}
 	if c.CacheAccess < 0 || c.XORPerChunk < 0 {
 		return fmt.Errorf("rebuild: negative timing parameter")
-	}
-	if c.MetricsInterval < 0 {
-		return &ConfigError{Field: "MetricsInterval", Reason: fmt.Sprintf("negative sampling interval %v", c.MetricsInterval)}
-	}
-	if c.MetricsInterval > 0 && c.Metrics == nil {
-		return &ConfigError{Field: "MetricsInterval", Reason: "set without a Metrics registry"}
 	}
 	if c.App != nil {
 		if c.App.Requests < 0 {
@@ -292,7 +273,7 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 			return nil, fmt.Errorf("rebuild: error %v beyond array stripes %d", e, cfg.Stripes)
 		}
 	}
-	if cfg.Mode == ModeDOR && (cfg.App != nil || cfg.Tracer != nil || cfg.Metrics != nil) {
+	if cfg.Mode == ModeDOR && (cfg.App != nil || cfg.Tracer != nil) {
 		return nil, fmt.Errorf("rebuild: DOR mode does not support App or observability")
 	}
 
@@ -339,15 +320,6 @@ func Run(cfg Config, errors []core.PartialStripeError) (*Result, error) {
 	}
 	if cfg.App != nil && len(e.workers) > 0 {
 		e.scheduleAppWorkload()
-	}
-	if cfg.Metrics != nil {
-		e.registerMetrics(cfg.Metrics)
-		interval := cfg.MetricsInterval
-		if interval <= 0 {
-			interval = 10 * sim.Millisecond
-		}
-		cfg.Metrics.Sample(0)
-		s.Tick(interval, func(now sim.Time) { cfg.Metrics.Sample(now) })
 	}
 	e.schemes = startSchemes(cfg.Code, cfg.Strategy, errors, workers)
 	defer e.schemes.stop()
@@ -417,18 +389,7 @@ type engine struct {
 	appEvictions   uint64
 	stripeOwner    map[int]int // stripe -> worker id that repaired it; Config.App only
 
-	// Observability (nil unless Config.Tracer / Config.Metrics was set).
-	tr          obs.Tracer
-	obsRespHist *stats.Histogram // "response_ms" metric histogram
-	groupsDone  int
-}
-
-// recordResponse accumulates one recovery request's response time.
-func (e *engine) recordResponse(t sim.Time) {
-	e.sumResponse += t
-	if e.obsRespHist != nil {
-		e.obsRespHist.Add(t.Milliseconds())
-	}
+	tr obs.Tracer // Config.Tracer; nil when the run is not traced
 }
 
 // worker repairs one error group at a time (stripe-oriented
@@ -598,7 +559,6 @@ func (w *worker) startChain() {
 		w.closeChain()
 	}
 	if w.chainIdx >= len(w.scheme.Selected) {
-		e.groupsDone++
 		if e.tr != nil {
 			w.closeGroup(w.scheme.Err.Stripe, len(w.scheme.Selected))
 		}
@@ -636,7 +596,7 @@ func (w *worker) startChain() {
 			// so the response time includes the queueing delay. (Misses
 			// charge relative to their own lookup completion, when the
 			// disk read is issued.)
-			e.recordResponse(sim.Time(i+1) * e.cfg.CacheAccess)
+			e.sumResponse += sim.Time(i+1) * e.cfg.CacheAccess
 			continue
 		}
 		e.recMisses++

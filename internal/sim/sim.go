@@ -216,26 +216,6 @@ func (s *Simulator) Run() {
 	}
 }
 
-// Tick runs fn every interval of simulated time for as long as other
-// events remain pending, starting one interval from now. The tick
-// re-arms itself only while the simulation still has work, so a Run()
-// that would otherwise quiesce is never kept alive by its own sampler —
-// the final tick fires at or after the last real event and then stops.
-// The metrics registry's periodic sampling is built on this.
-func (s *Simulator) Tick(interval Time, fn func(now Time)) {
-	if interval <= 0 {
-		panic(fmt.Sprintf("sim: non-positive tick interval %v", interval))
-	}
-	var step func()
-	step = func() {
-		fn(s.now)
-		if s.Pending() > 0 {
-			s.Schedule(interval, step)
-		}
-	}
-	s.Schedule(interval, step)
-}
-
 // RunUntil executes events with timestamps <= t, then advances the clock
 // to exactly t.
 func (s *Simulator) RunUntil(t Time) {

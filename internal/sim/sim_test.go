@@ -134,45 +134,6 @@ func TestClockMonotonic(t *testing.T) {
 	}
 }
 
-func TestTick(t *testing.T) {
-	s := New()
-	done := 0
-	for i := 1; i <= 3; i++ {
-		s.Schedule(Time(i)*100, func() { done++ })
-	}
-	var ticks []Time
-	s.Tick(40, func(now Time) { ticks = append(ticks, now) })
-	s.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("tick left %d events pending", s.Pending())
-	}
-	if len(ticks) == 0 {
-		t.Fatal("tick never fired")
-	}
-	// Ticks are spaced by the interval and the last fires at or after
-	// the final real event (320 >= 300), then stops re-arming.
-	for i, at := range ticks {
-		if want := Time(40 * (i + 1)); at != want {
-			t.Fatalf("tick %d at %v, want %v", i, at, want)
-		}
-	}
-	if last := ticks[len(ticks)-1]; last < 300 {
-		t.Fatalf("last tick at %v, before final event at 300", last)
-	}
-	if done != 3 {
-		t.Fatalf("real events ran %d times", done)
-	}
-}
-
-func TestTickRejectsBadInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for non-positive interval")
-		}
-	}()
-	New().Tick(0, func(Time) {})
-}
-
 // TestHeapRandomOrdering cross-checks the typed 4-ary heap against a
 // sort of the same schedule: events drawn with random times (many ties)
 // must fire in (time, insertion) order.

@@ -129,7 +129,7 @@ type family struct {
 // Registry is a set of named metric families. Registration
 // (CounterFunc, GaugeFunc, HistogramFunc) panics on an invalid name, a
 // duplicate (name, label set) or a kind/help mismatch — metric wiring is
-// program structure, not input, mirroring obs.Registry. Safe for
+// program structure, not input. Safe for
 // concurrent registration and writes.
 type Registry struct {
 	mu       sync.Mutex
